@@ -311,14 +311,7 @@ impl Machine {
     ///
     /// [`AllocError::OutOfMemory`] when every node is exhausted.
     pub fn alloc(&mut self, order: u32) -> Result<Pfn, AllocError> {
-        for zone in &mut self.zones {
-            match zone.alloc(order) {
-                Ok(pfn) => return Ok(pfn),
-                Err(AllocError::OutOfMemory { .. }) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(AllocError::OutOfMemory { order })
+        self.alloc_on(NodeId(0), order)
     }
 
     /// Allocates a block of `1 << order` frames preferring `home`, falling
@@ -365,56 +358,23 @@ impl Machine {
     /// [`Machine::alloc`] loop so injection streams see the exact same
     /// per-allocation consultations as unbatched code.
     pub fn alloc_bulk(&mut self, count: u64) -> (Vec<Pfn>, Option<AllocError>) {
-        let mut got = Vec::with_capacity(count.min(65_536) as usize);
-        let armed = self.zones.iter().any(|z| z.fail_policy().is_armed());
-        if armed {
-            for _ in 0..count {
-                match self.alloc(0) {
-                    Ok(p) => got.push(p),
-                    Err(e) => return (got, Some(e)),
-                }
-            }
-            return (got, None);
-        }
-        let mut zone = 0usize;
-        for _ in 0..count {
-            loop {
-                if zone == self.zones.len() {
-                    return (got, Some(AllocError::OutOfMemory { order: 0 }));
-                }
-                match self.zones[zone].alloc(0) {
-                    Ok(p) => {
-                        got.push(p);
-                        break;
-                    }
-                    Err(AllocError::OutOfMemory { .. }) => zone += 1,
-                    Err(e) => return (got, Some(e)),
-                }
-            }
-        }
-        (got, None)
+        self.alloc_bulk_on(NodeId(0), count)
     }
 
     /// Batched order-0 allocation preferring `home`: like
     /// [`Machine::alloc_bulk`], but the node cursor starts at `home` and
     /// wraps deterministically instead of always starting at node 0. With an
-    /// armed fault-injection policy this degrades to the per-frame
-    /// [`Machine::alloc_on`] loop, for the same reason `alloc_bulk` does.
+    /// armed fault-injection policy the cursor starts over at `home` for
+    /// every frame, which is exactly the per-frame [`Machine::alloc_on`] loop.
     pub fn alloc_bulk_on(&mut self, home: NodeId, count: u64) -> (Vec<Pfn>, Option<AllocError>) {
         let n = self.zones.len();
         let mut got = Vec::with_capacity(count.min(65_536) as usize);
         let armed = self.zones.iter().any(|z| z.fail_policy().is_armed());
-        if armed {
-            for _ in 0..count {
-                match self.alloc_on(home, 0) {
-                    Ok(p) => got.push(p),
-                    Err(e) => return (got, Some(e)),
-                }
-            }
-            return (got, None);
-        }
         let mut step = 0usize;
         for _ in 0..count {
+            if armed {
+                step = 0;
+            }
             loop {
                 if step == n {
                     return (got, Some(AllocError::OutOfMemory { order: 0 }));
@@ -487,22 +447,56 @@ impl Machine {
         self.zones[node.0].split_allocated(head, new_order);
     }
 
+    /// The COW share count of the allocation `head` heads: 0 while a single
+    /// mapper owns it (and for a frame that heads no allocation), otherwise
+    /// the number of sharers still holding a reference. It lives in the
+    /// frame's table entry, the way `struct page` carries `_mapcount`, and
+    /// dies with the allocation.
+    pub fn share_count(&self, head: Pfn) -> u32 {
+        self.node_of(head).map_or(0, |n| self.zones[n.0].frame_table().share_count(head))
+    }
+
+    /// Sets the share count of the allocation `head` heads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `head` heads no allocation on any node.
+    pub fn set_share_count(&mut self, head: Pfn, count: u32) {
+        let node = self.node_of(head).expect("shared frame belongs to no node");
+        self.zones[node.0].set_share_count(head, count);
+    }
+
+    /// Records one more sharer of `head`: an exclusively owned block becomes
+    /// shared by two.
+    pub fn share_inc(&mut self, head: Pfn) {
+        let node = self.node_of(head).expect("shared frame belongs to no node");
+        let zone = &mut self.zones[node.0];
+        zone.set_share_count(head, zone.frame_table().share_count(head).max(1) + 1);
+    }
+
+    /// Drops one sharer of `head`. Returns whether that was the last
+    /// reference: the count is then back to 0 and the caller frees the block.
+    pub fn share_dec(&mut self, head: Pfn) -> bool {
+        let Some(node) = self.node_of(head) else { return true };
+        let zone = &mut self.zones[node.0];
+        let count = zone.frame_table().share_count(head);
+        if count > 0 {
+            zone.set_share_count(head, count - 1);
+        }
+        count <= 1
+    }
+
+    /// Every allocation with a non-zero share count as `(head, count)`, in
+    /// address order.
+    pub fn shared_frames(&self) -> impl Iterator<Item = (Pfn, u32)> + '_ {
+        self.zones.iter().flat_map(|z| z.frame_table().shared_heads())
+    }
+
     /// Next-fit placement across nodes: tries each node's contiguity map in
     /// node-fill order, returning the first cluster able to fit `bytes`; if
     /// none fits entirely, returns the largest cluster found machine-wide.
     pub fn next_fit_cluster(&mut self, bytes: u64) -> Option<PhysRange> {
-        let mut best: Option<PhysRange> = None;
-        for zone in &mut self.zones {
-            if let Some(r) = zone.next_fit_cluster(bytes) {
-                if r.len() >= bytes {
-                    return Some(r);
-                }
-                if best.as_ref().is_none_or(|b| r.len() > b.len()) {
-                    best = Some(r);
-                }
-            }
-        }
-        best
+        self.next_fit_cluster_on(NodeId(0), bytes)
     }
 
     /// Topology-aware next-fit placement preferring `home`: tries the home

@@ -15,8 +15,6 @@
 //! structure (its frame-table state is an allocated order-0 block), exactly
 //! like the kernel, where pcp frames are invisible to `free_area[]`.
 
-use std::collections::HashSet;
-
 use contig_types::Pfn;
 
 /// Tunables of a zone's per-CPU frame-cache layer.
@@ -105,9 +103,8 @@ pub(crate) struct PcpState {
     /// CPU whose list serves allocations and receives frees.
     pub(crate) current_cpu: usize,
     /// Per-CPU LIFO stacks; the back of each `Vec` is the hottest frame.
+    /// Membership is the pcp-resident bit of the frame's table entry.
     pub(crate) lists: Vec<Vec<Pfn>>,
-    /// Membership index over every list, for O(1) residency checks.
-    pub(crate) resident: HashSet<Pfn>,
     pub(crate) counters: PcpCounters,
 }
 
@@ -126,19 +123,13 @@ impl PcpState {
             config,
             current_cpu: 0,
             lists: vec![Vec::new(); config.cpus],
-            resident: HashSet::new(),
             counters: PcpCounters::default(),
         }
     }
 
     /// Frames currently held across every CPU list.
     pub(crate) fn frames(&self) -> u64 {
-        self.resident.len() as u64
-    }
-
-    /// Whether `pfn` currently sits on some CPU's list.
-    pub(crate) fn contains(&self, pfn: Pfn) -> bool {
-        self.resident.contains(&pfn)
+        self.lists.iter().map(|l| l.len() as u64).sum()
     }
 
     /// Captures the layer as plain data.
@@ -157,12 +148,13 @@ impl PcpState {
         }
     }
 
-    /// Rebuilds the layer from a snapshot.
+    /// Rebuilds the layer from a snapshot; the zone re-marks the listed
+    /// frames resident in its frame table.
     ///
     /// # Panics
     ///
     /// Panics if the snapshot is internally inconsistent (list count versus
-    /// CPU count, a frame on two lists, or an out-of-range current CPU).
+    /// CPU count, or an out-of-range current CPU).
     pub(crate) fn from_snapshot(snap: &PcpSnapshot) -> Self {
         let config =
             PcpConfig { cpus: snap.cpus as usize, batch: snap.batch, high: snap.high };
@@ -171,11 +163,7 @@ impl PcpState {
         assert!((snap.current_cpu as usize) < config.cpus, "pcp current cpu out of range");
         state.current_cpu = snap.current_cpu as usize;
         for (cpu, list) in snap.lists.iter().enumerate() {
-            for &raw in list {
-                let pfn = Pfn::new(raw);
-                assert!(state.resident.insert(pfn), "pcp frame {pfn} on two lists");
-                state.lists[cpu].push(pfn);
-            }
+            state.lists[cpu] = list.iter().map(|&raw| Pfn::new(raw)).collect();
         }
         state.counters = snap.counters;
         state
@@ -191,16 +179,14 @@ mod tests {
         let mut state = PcpState::new(PcpConfig::with_cpus(2));
         state.current_cpu = 1;
         for raw in [5u64, 9, 2] {
-            let pfn = Pfn::new(raw);
-            state.lists[1].push(pfn);
-            state.resident.insert(pfn);
+            state.lists[1].push(Pfn::new(raw));
         }
         state.counters.hits = 7;
         let restored = PcpState::from_snapshot(&state.snapshot());
         assert_eq!(restored.lists, state.lists);
         assert_eq!(restored.current_cpu, 1);
         assert_eq!(restored.counters, state.counters);
-        assert!(restored.contains(Pfn::new(9)));
+        assert!(restored.lists[1].contains(&Pfn::new(9)));
         assert_eq!(restored.frames(), 3);
     }
 

@@ -186,6 +186,13 @@ pub struct Zone {
     poison_counters: PoisonCounters,
 }
 
+/// One empty list per order; only the top order may be address-sorted.
+fn empty_free_lists(config: &ZoneConfig) -> Vec<FreeList> {
+    (0..=config.top_order)
+        .map(|order| FreeList::new(config.sorted_top_list && order == config.top_order))
+        .collect()
+}
+
 impl Zone {
     /// Builds the zone with all memory free, pre-coalesced into the largest
     /// blocks the zone-relative alignment allows.
@@ -196,14 +203,10 @@ impl Zone {
     pub fn new(config: ZoneConfig) -> Self {
         assert!(config.frames > 0, "zone must contain at least one frame");
         assert!(config.top_order < 32, "top order {} too large", config.top_order);
-        let mut free_lists: Vec<FreeList> = (0..=config.top_order)
-            .map(|order| FreeList::new(config.sorted_top_list && order == config.top_order))
-            .collect();
-        let frames_table = FrameTable::new(config.base, config.frames);
         let mut zone = Zone {
             config,
-            frames: frames_table,
-            free_lists: Vec::new(),
+            frames: FrameTable::new(config.base, config.frames),
+            free_lists: empty_free_lists(&config),
             free_frames: 0,
             contiguity: ContiguityMap::new(config.top_order),
             counters: ZoneCounters::default(),
@@ -224,16 +227,10 @@ impl Zone {
                 }
                 order -= 1;
             }
-            let head = config.base.add(rel);
-            zone.frames.mark_free_block(head, order);
-            free_lists[order as usize].insert(head);
-            if order == config.top_order {
-                zone.contiguity.on_block_freed(head);
-            }
+            zone.insert_into_list(config.base.add(rel), order);
             zone.free_frames += 1 << order;
             rel += 1 << order;
         }
-        zone.free_lists = free_lists;
         zone
     }
 
@@ -277,15 +274,11 @@ impl Zone {
             "snapshot free-list count disagrees with top order"
         );
         let mut frames = FrameTable::new(config.base, config.frames);
-        let mut free_lists: Vec<FreeList> = (0..=config.top_order)
-            .map(|order| FreeList::new(config.sorted_top_list && order == config.top_order))
-            .collect();
+        let mut free_lists = empty_free_lists(&config);
         let mut free_frames = 0u64;
         for (order, list) in snap.free_lists.iter().enumerate() {
             for &head in list {
-                let head = Pfn::new(head);
-                frames.mark_free_block(head, order as u32);
-                free_lists[order].insert(head);
+                free_lists[order].insert(&mut frames, Pfn::new(head), order as u32);
                 free_frames += 1 << order;
             }
         }
@@ -307,12 +300,14 @@ impl Zone {
         // already correct; re-count them into the free total.
         let pcp = snap.pcp.as_ref().map(PcpState::from_snapshot);
         if let Some(state) = &pcp {
-            for &pfn in &state.resident {
+            for &pfn in state.lists.iter().flatten() {
                 assert_eq!(
                     frames.state(pfn),
                     FrameState::AllocatedHead { order: 0 },
                     "pcp-resident frame {pfn} not an allocated order-0 block in snapshot"
                 );
+                assert!(!frames.is_pcp_resident(pfn), "pcp frame {pfn} on two lists");
+                frames.set_pcp_resident(pfn, true);
             }
             free_frames += state.frames();
         }
@@ -323,9 +318,10 @@ impl Zone {
                 "poisoned frame {pfn} is free in snapshot"
             );
             assert!(
-                pcp.as_ref().is_none_or(|p| !p.contains(pfn)),
+                !frames.is_pcp_resident(pfn),
                 "poisoned frame {pfn} is pcp-resident in snapshot"
             );
+            frames.set_poisoned(pfn);
         }
         Zone {
             config,
@@ -371,7 +367,7 @@ impl Zone {
     /// Pcp-resident frames are free: nobody owns them, and a targeted
     /// allocation can claim them by draining the caches first.
     pub fn is_free(&self, pfn: Pfn) -> bool {
-        self.frames.is_free(pfn) || self.pcp.as_ref().is_some_and(|p| p.contains(pfn))
+        self.frames.is_free(pfn) || self.frames.is_pcp_resident(pfn)
     }
 
     /// Enables the per-CPU frame-cache layer (see [`PcpConfig`]). Order-0
@@ -414,7 +410,7 @@ impl Zone {
     /// disabled). Used by the cross-layer auditor to prove quarantined
     /// frames never hide in a per-CPU cache.
     pub fn pcp_contains(&self, pfn: Pfn) -> bool {
-        self.pcp.as_ref().is_some_and(|p| p.contains(pfn))
+        self.frames.is_pcp_resident(pfn)
     }
 
     /// Event counters of the pcp layer, if enabled.
@@ -426,22 +422,35 @@ impl Zone {
     /// coalescing as usual. Returns the number of frames drained.
     pub fn drain_pcp(&mut self) -> u64 {
         let Some(p) = &mut self.pcp else { return 0 };
-        let mut victims: Vec<Pfn> = Vec::with_capacity(p.resident.len());
+        let mut victims: Vec<Pfn> = Vec::with_capacity(p.frames() as usize);
         for list in &mut p.lists {
             victims.append(list);
         }
-        if victims.is_empty() {
+        self.unpark(victims, false)
+    }
+
+    /// Returns frames just taken off pcp lists to the buddy heap, counted as
+    /// one drain or, when a targeted allocation claimed their block, as
+    /// evictions. Returns the number of frames moved.
+    fn unpark(&mut self, victims: Vec<Pfn>, targeted: bool) -> u64 {
+        let moved = victims.len() as u64;
+        if moved == 0 {
             return 0;
         }
-        p.resident.clear();
-        p.counters.drains += 1;
-        p.counters.drained_frames += victims.len() as u64;
-        let drained = victims.len() as u64;
-        self.tracer.add("buddy.pcp_drain", drained);
+        let p = self.pcp.as_mut().expect("victims came off a pcp list");
+        if targeted {
+            p.counters.targeted_evictions += moved;
+            self.tracer.add("buddy.pcp_evict", moved);
+        } else {
+            p.counters.drains += 1;
+            p.counters.drained_frames += moved;
+            self.tracer.add("buddy.pcp_drain", moved);
+        }
         for pfn in victims {
+            self.frames.set_pcp_resident(pfn, false);
             self.release_drained(pfn);
         }
-        drained
+        moved
     }
 
     /// Returns one drained pcp frame to the buddy heap — unless it was
@@ -450,7 +459,7 @@ impl Zone {
     /// frame into the free lists. (The frame already reads
     /// `AllocatedHead { order: 0 }`, the quarantine representation.)
     fn release_drained(&mut self, pfn: Pfn) {
-        if self.badframes.contains(&pfn) {
+        if self.frames.is_poisoned(pfn) {
             self.free_frames -= 1;
             self.poison_counters.quarantined_on_free += 1;
             self.tracer.emit(TraceEvent::PoisonQuarantine { pfn: pfn.raw() });
@@ -462,6 +471,16 @@ impl Zone {
     /// Read-only view of the per-frame metadata.
     pub fn frame_table(&self) -> &FrameTable {
         &self.frames
+    }
+
+    /// Records the COW share count of the allocation `head` heads; freeing
+    /// the block resets it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `head` is outside the zone or heads no allocation.
+    pub fn set_share_count(&mut self, head: Pfn, count: u32) {
+        self.frames.set_share_count(head, count);
     }
 
     /// Read-only view of the contiguity map.
@@ -522,19 +541,20 @@ impl Zone {
     /// Panics if `pfn` is outside the zone.
     pub fn poison(&mut self, pfn: Pfn) -> PoisonDisposition {
         assert!(self.contains(pfn), "poison of {pfn} outside zone");
-        if self.badframes.contains(&pfn) {
+        if self.frames.is_poisoned(pfn) {
             return PoisonDisposition::AlreadyPoisoned;
         }
         self.badframes.insert(pfn);
+        self.frames.set_poisoned(pfn);
         self.poison_counters.poisoned += 1;
         // Pcp-resident first: those frames read as allocated in the frame
         // table but are really free, parked on a cache list.
-        if self.pcp.as_ref().is_some_and(|p| p.contains(pfn)) {
-            let p = self.pcp.as_mut().expect("pcp checked above");
+        if self.frames.is_pcp_resident(pfn) {
+            let p = self.pcp.as_mut().expect("a resident frame implies a pcp layer");
             for list in &mut p.lists {
                 list.retain(|&f| f != pfn);
             }
-            p.resident.remove(&pfn);
+            self.frames.set_pcp_resident(pfn, false);
             self.free_frames -= 1;
             self.poison_counters.quarantined_pcp += 1;
             self.tracer.emit(TraceEvent::PoisonQuarantine { pfn: pfn.raw() });
@@ -560,7 +580,7 @@ impl Zone {
 
     /// Whether `pfn` is on the badframe list.
     pub fn is_poisoned(&self, pfn: Pfn) -> bool {
-        self.badframes.contains(&pfn)
+        self.frames.is_poisoned(pfn)
     }
 
     /// The poisoned frames, ascending.
@@ -597,30 +617,21 @@ impl Zone {
     /// migration destination scanner: movable blocks near the end of the
     /// zone are packed down into the lowest free space.
     pub fn lowest_free_block(&self, order: u32, below: Pfn) -> Option<Pfn> {
-        let mut best: Option<Pfn> = None;
-        for o in order..=self.config.top_order {
-            for head in self.free_lists[o as usize].iter() {
-                if head < below && best.is_none_or(|b| head < b) {
-                    best = Some(head);
-                }
-            }
-        }
-        best
+        self.lowest_free_head(order, |head| head < below)
+    }
+
+    fn lowest_free_head(&self, order: u32, wanted: impl Fn(Pfn) -> bool) -> Option<Pfn> {
+        (order..=self.config.top_order)
+            .flat_map(|o| self.free_lists[o as usize].iter())
+            .filter(|&head| wanted(head))
+            .min()
     }
 
     /// Lowest free block of at least `order` whose head is at or above
     /// `from` — the maintenance daemon's fallback migration target when a
     /// poisoned neighbourhood has no free space below it.
     pub fn lowest_free_block_at_or_above(&self, order: u32, from: Pfn) -> Option<Pfn> {
-        let mut best: Option<Pfn> = None;
-        for o in order..=self.config.top_order {
-            for head in self.free_lists[o as usize].iter() {
-                if head >= from && best.is_none_or(|b| head < b) {
-                    best = Some(head);
-                }
-            }
-        }
-        best
+        self.lowest_free_head(order, |head| head >= from)
     }
 
     /// Allocates a block of `1 << order` frames wherever the free lists
@@ -643,28 +654,19 @@ impl Zone {
         if order == 0 && self.pcp.is_some() {
             return self.alloc_order0_pcp();
         }
-        let mut found = self.smallest_stocked_order(order);
-        if found.is_none() && self.pcp_frames() > 0 {
+        let splits_before = self.counters.splits;
+        let mut carved = self.carve(order);
+        if carved.is_none() && self.pcp_frames() > 0 {
             // The buddy heap is dry at this order but frames are parked on
             // pcp lists; draining may coalesce them into a large-enough
             // block (the kernel's drain-on-high-order-failure path).
             self.drain_pcp();
-            found = self.smallest_stocked_order(order);
+            carved = self.carve(order);
         }
-        let Some(from_order) = found else {
+        let Some(head) = carved else {
             self.tracer.emit(TraceEvent::AllocFailed { order });
             return Err(AllocError::OutOfMemory { order });
         };
-        let Some(block) = self.take_from_list(from_order) else {
-            // Invariant: the scan above saw this list non-empty and nothing
-            // ran in between. Degrade to an allocation failure rather than
-            // crashing the fault path if bookkeeping ever drifts.
-            debug_assert!(false, "free list {from_order} empty after non-empty check");
-            return Err(AllocError::OutOfMemory { order });
-        };
-        let splits_before = self.counters.splits;
-        let head = self.split_to(block, from_order, order);
-        self.frames.mark_allocated_block(head, order);
         self.free_frames -= 1 << order;
         self.counters.allocs += 1;
         if self.tracer.is_enabled() {
@@ -710,27 +712,21 @@ impl Zone {
             self.tracer.emit(TraceEvent::TargetedMiss { target: target.raw(), order });
             return Err(AllocError::TargetBusy { target });
         }
-        // Paper §III: per-CPU caches may hold frames of the designated block;
-        // flush them back to the heap before looking for the free block.
-        self.evict_pcp_range(target, order);
         // With eager coalescing, a fully-free aligned 2^order region is always
         // covered by a single free block of order >= `order`; find it.
-        let miss = |zone: &mut Self| {
-            zone.counters.targeted_misses += 1;
-            zone.tracer.emit(TraceEvent::TargetedMiss { target: target.raw(), order });
-        };
-        let Some((head, found_order)) =
-            self.frames.free_block_containing(target, self.config.top_order)
-        else {
-            miss(self);
-            return Err(AllocError::TargetBusy { target });
-        };
-        if found_order < order || head.raw() + (1 << found_order) < target.raw() + (1 << order) {
-            // The containing block is too small: some frame in the target
-            // range is busy.
-            miss(self);
-            return Err(AllocError::TargetBusy { target });
+        let mut block = self.covering_free_block(target, order);
+        // Paper §III: per-CPU caches may hold frames of the designated block
+        // (they read as allocated, so only an uncovered target can have any);
+        // flush them back to the heap and look again.
+        if block.is_none() && self.evict_pcp_range(target, order) {
+            block = self.covering_free_block(target, order);
         }
+        let Some((head, found_order)) = block else {
+            // Some frame in the target range is busy.
+            self.counters.targeted_misses += 1;
+            self.tracer.emit(TraceEvent::TargetedMiss { target: target.raw(), order });
+            return Err(AllocError::TargetBusy { target });
+        };
         self.remove_from_list(head, found_order);
         let splits_before = self.counters.splits;
         let head = self.split_towards(head, found_order, target, order);
@@ -753,7 +749,7 @@ impl Zone {
     /// Panics on double free or when the block was allocated with a different
     /// order.
     pub fn free(&mut self, head: Pfn, order: u32) {
-        if self.pcp.as_ref().is_some_and(|p| p.contains(head)) {
+        if self.frames.is_pcp_resident(head) {
             // A pcp-resident frame keeps its AllocatedHead state, so the
             // state match below would not catch this double free.
             panic!("invalid free of {head}: frame is pcp-resident (double free)");
@@ -780,7 +776,7 @@ impl Zone {
                 }
                 for i in 0..(1u64 << order) {
                     let pfn = head.add(i);
-                    if self.badframes.contains(&pfn) {
+                    if self.frames.is_poisoned(pfn) {
                         self.poison_counters.quarantined_on_free += 1;
                         self.tracer.emit(TraceEvent::PoisonQuarantine { pfn: pfn.raw() });
                     } else {
@@ -800,8 +796,7 @@ impl Zone {
                 // free lists, exactly like the kernel's free_unref_page().
                 let cpu = p.current_cpu;
                 p.lists[cpu].push(head);
-                let inserted = p.resident.insert(head);
-                debug_assert!(inserted, "freed frame {head} already pcp-resident");
+                self.frames.set_pcp_resident(head, true);
                 if p.lists[cpu].len() as u64 > p.config.high {
                     self.drain_pcp_batch(cpu);
                 }
@@ -839,7 +834,6 @@ impl Zone {
             head = if buddy_rel < rel { buddy } else { head };
             order += 1;
         }
-        self.frames.mark_free_block(head, order);
         self.insert_into_list(head, order);
         if self.tracer.is_enabled() {
             self.tracer.add("buddy.coalesce", self.counters.coalesces - coalesces_before);
@@ -851,19 +845,8 @@ impl Zone {
     fn drain_pcp_batch(&mut self, cpu: usize) {
         let Some(p) = &mut self.pcp else { return };
         let take = (p.config.batch as usize).min(p.lists[cpu].len());
-        if take == 0 {
-            return;
-        }
         let victims: Vec<Pfn> = p.lists[cpu].drain(..take).collect();
-        for pfn in &victims {
-            p.resident.remove(pfn);
-        }
-        p.counters.drains += 1;
-        p.counters.drained_frames += victims.len() as u64;
-        self.tracer.add("buddy.pcp_drain", victims.len() as u64);
-        for pfn in victims {
-            self.release_drained(pfn);
-        }
+        self.unpark(victims, false);
     }
 
     /// Order-0 allocation through the pcp layer: pop the local list,
@@ -883,7 +866,6 @@ impl Zone {
         }
         let popped = self.pcp.as_mut().and_then(|p| {
             let pfn = p.lists[cpu].pop()?;
-            p.resident.remove(&pfn);
             p.counters.hits += 1;
             Some(pfn)
         });
@@ -891,6 +873,7 @@ impl Zone {
             self.tracer.emit(TraceEvent::AllocFailed { order: 0 });
             return Err(AllocError::OutOfMemory { order: 0 });
         };
+        self.frames.set_pcp_resident(pfn, false);
         self.free_frames -= 1;
         self.counters.allocs += 1;
         // Zero-duration span leaf: lets profiles count warm-list hits vs
@@ -912,10 +895,7 @@ impl Zone {
         let mut pulled: Vec<Pfn> = Vec::with_capacity(batch as usize);
         let splits_before = self.counters.splits;
         while (pulled.len() as u64) < batch {
-            let Some(from_order) = self.smallest_stocked_order(0) else { break };
-            let Some(block) = self.take_from_list(from_order) else { break };
-            let head = self.split_to(block, from_order, 0);
-            self.frames.mark_allocated_block(head, 0);
+            let Some(head) = self.carve(0) else { break };
             pulled.push(head);
         }
         if self.tracer.is_enabled() {
@@ -932,18 +912,20 @@ impl Zone {
         // buddy heap would have handed them out directly.
         for &pfn in pulled.iter().rev() {
             p.lists[cpu].push(pfn);
-            p.resident.insert(pfn);
+            self.frames.set_pcp_resident(pfn, true);
         }
     }
 
     /// Evicts any pcp-resident frames inside `[target, target + 2^order)`
     /// back to the buddy heap so a targeted allocation can claim the block —
     /// the paper-§III conflict: CA paging must flush per-CPU caches that
-    /// hold frames of its designated region.
-    fn evict_pcp_range(&mut self, target: Pfn, order: u32) {
-        let Some(p) = &mut self.pcp else { return };
-        if p.resident.is_empty() {
-            return;
+    /// hold frames of its designated region. The residency bits answer
+    /// "nothing of the block is cached" without walking any list; returns
+    /// whether anything was evicted.
+    fn evict_pcp_range(&mut self, target: Pfn, order: u32) -> bool {
+        let Some(p) = &mut self.pcp else { return false };
+        if !self.frames.any_pcp_resident(target, order) {
+            return false;
         }
         let end = target.add(1 << order);
         let mut victims: Vec<Pfn> = Vec::new();
@@ -956,22 +938,26 @@ impl Zone {
                 !hit
             });
         }
-        if victims.is_empty() {
-            return;
-        }
-        for pfn in &victims {
-            p.resident.remove(pfn);
-        }
-        p.counters.targeted_evictions += victims.len() as u64;
-        self.tracer.add("buddy.pcp_evict", victims.len() as u64);
-        for pfn in victims {
-            self.release_drained(pfn);
-        }
+        self.unpark(victims, true) > 0
     }
 
-    /// The smallest order >= `order` whose free list is non-empty.
-    fn smallest_stocked_order(&self, order: u32) -> Option<u32> {
-        (order..=self.config.top_order).find(|&o| !self.free_lists[o as usize].is_empty())
+    /// The free block covering all of `[target, target + 2^order)`, if the
+    /// whole range is free.
+    fn covering_free_block(&self, target: Pfn, order: u32) -> Option<(Pfn, u32)> {
+        self.frames.free_block_containing(target, self.config.top_order).filter(|&(head, found)| {
+            found >= order && head.raw() + (1 << found) >= target.raw() + (1 << order)
+        })
+    }
+
+    /// Takes a block off the smallest stocked list of at least `order`,
+    /// splits it down to `order` and marks the remainder allocated.
+    fn carve(&mut self, order: u32) -> Option<Pfn> {
+        let from = (order..=self.config.top_order)
+            .find(|&o| !self.free_lists[o as usize].is_empty())?;
+        let block = self.take_from_list(from)?;
+        let head = self.split_to(block, from, order);
+        self.frames.mark_allocated_block(head, order);
+        Some(head)
     }
 
     /// Convenience wrapper: allocate one page of the given size.
@@ -1006,7 +992,7 @@ impl Zone {
         }
         let pieces = 1u64 << (order - new_order);
         for i in 0..pieces {
-            self.frames.mark_allocated_block(head.add(i << new_order), new_order);
+            self.frames.set_allocated_order(head.add(i << new_order), new_order);
         }
         self.counters.splits += pieces - 1;
         self.tracer.add("buddy.split", pieces - 1);
@@ -1031,10 +1017,15 @@ impl Zone {
     ///
     /// Panics with a description of the first violated invariant.
     pub fn verify_integrity(&self) {
-        // 1. Free lists and frame states agree.
+        // 1. Free lists and frame states agree, and every stack block's
+        //    stored position is its index.
         let mut listed_free = 0u64;
         for order in 0..=self.config.top_order {
-            for head in self.free_lists[order as usize].iter() {
+            let list = &self.free_lists[order as usize];
+            for (pos, head) in list.iter().enumerate() {
+                if matches!(list, FreeList::Lifo(_)) {
+                    assert_eq!(self.frames.position(head), Some(pos), "stale position on {head}");
+                }
                 match self.frames.state(head) {
                     FrameState::FreeHead { order: o } => {
                         assert_eq!(o, order, "list order mismatch at {head}");
@@ -1062,29 +1053,24 @@ impl Zone {
             match self.frames.state(head) {
                 FrameState::FreeHead { order } => {
                     assert!(
-                        self.free_lists[order as usize].contains(head),
+                        self.free_lists[order as usize].contains(&self.frames, head),
                         "free head {head} missing from list {order}"
                     );
-                    for i in 1..(1u64 << order) {
-                        assert_eq!(
-                            self.frames.state(head.add(i)),
-                            FrameState::FreeTail,
-                            "free block {head} has non-tail interior frame"
-                        );
-                    }
+                    assert!(
+                        self.frames.tails_intact(head, order),
+                        "free block {head} has non-tail interior frame"
+                    );
                     counted_free += 1 << order;
                     rel += 1 << order;
                 }
                 FrameState::AllocatedHead { order } => {
-                    for i in 1..(1u64 << order) {
-                        assert_eq!(
-                            self.frames.state(head.add(i)),
-                            FrameState::AllocatedTail,
-                            "allocated block {head} has non-tail interior frame"
-                        );
-                    }
-                    if self.pcp.as_ref().is_some_and(|p| p.contains(head)) {
+                    assert!(
+                        self.frames.tails_intact(head, order),
+                        "allocated block {head} has non-tail interior frame"
+                    );
+                    if self.frames.is_pcp_resident(head) {
                         assert_eq!(order, 0, "pcp-resident frame {head} in order-{order} block");
+                        assert_eq!(self.frames.share_count(head), 0, "ownerless {head} is shared");
                         pcp_seen += 1;
                     }
                     rel += 1 << order;
@@ -1097,28 +1083,24 @@ impl Zone {
             self.free_frames,
             "frame scan disagrees with accounting"
         );
-        if let Some(p) = &self.pcp {
-            assert_eq!(pcp_seen, p.frames(), "pcp residency index disagrees with frame scan");
-            let listed: u64 = p.lists.iter().map(|l| l.len() as u64).sum();
-            assert_eq!(listed, p.frames(), "pcp list lengths disagree with residency index");
-            for list in &p.lists {
-                for pfn in list {
-                    assert!(p.contains(*pfn), "pcp list frame {pfn} missing from index");
-                }
-            }
+        let mut parked: Vec<Pfn> =
+            self.pcp.iter().flat_map(|p| p.lists.iter().flatten().copied()).collect();
+        assert_eq!(pcp_seen, parked.len() as u64, "pcp residency bits disagree with the lists");
+        parked.sort_unstable();
+        parked.dedup();
+        assert_eq!(pcp_seen, parked.len() as u64, "a frame sits on two pcp lists");
+        for pfn in parked {
+            assert!(self.frames.is_pcp_resident(pfn), "pcp list frame {pfn} not marked resident");
         }
         // 3. Poisoned frames are never free, never pcp-resident, and never
         //    inside a free block: quarantine is airtight.
         for &pfn in &self.badframes {
-            assert!(self.contains(pfn), "badframe {pfn} outside zone");
+            assert!(self.frames.is_poisoned(pfn), "badframe {pfn} outside zone or unmarked");
             assert!(
                 !self.frames.state(pfn).is_free(),
                 "poisoned frame {pfn} is free"
             );
-            assert!(
-                self.pcp.as_ref().is_none_or(|p| !p.contains(pfn)),
-                "poisoned frame {pfn} is pcp-resident"
-            );
+            assert!(!self.frames.is_pcp_resident(pfn), "poisoned frame {pfn} is pcp-resident");
         }
         // 4. Contiguity map mirrors the top-order list exactly.
         let top = self.config.top_order;
@@ -1142,15 +1124,16 @@ impl Zone {
     }
 
     fn remove_from_list(&mut self, head: Pfn, order: u32) {
-        let removed = self.free_lists[order as usize].remove(head);
+        let removed = self.free_lists[order as usize].remove(&mut self.frames, head);
         assert!(removed, "block {head} missing from free list {order}");
         if order == self.config.top_order {
             self.contiguity.on_block_allocated(head);
         }
     }
 
+    /// Lists the block and marks its frames free.
     fn insert_into_list(&mut self, head: Pfn, order: u32) {
-        self.free_lists[order as usize].insert(head);
+        self.free_lists[order as usize].insert(&mut self.frames, head, order);
         if order == self.config.top_order {
             self.contiguity.on_block_freed(head);
         }
@@ -1163,9 +1146,7 @@ impl Zone {
         while order > to {
             order -= 1;
             self.counters.splits += 1;
-            let upper = block.add(1 << order);
-            self.frames.mark_free_block(upper, order);
-            self.insert_into_list(upper, order);
+            self.insert_into_list(block.add(1 << order), order);
         }
         block
     }
@@ -1181,11 +1162,9 @@ impl Zone {
             let lower = head;
             let upper = head.add(1 << order);
             if target.raw() >= upper.raw() {
-                self.frames.mark_free_block(lower, order);
                 self.insert_into_list(lower, order);
                 head = upper;
             } else {
-                self.frames.mark_free_block(upper, order);
                 self.insert_into_list(upper, order);
                 head = lower;
             }

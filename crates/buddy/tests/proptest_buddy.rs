@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use contig_buddy::{ContiguityMap, PcpConfig, PoisonDisposition, Zone, ZoneConfig};
+use contig_buddy::{
+    ContiguityMap, FrameTable, FreeList, PcpConfig, PoisonDisposition, Zone, ZoneConfig,
+};
 use contig_types::Pfn;
 
 /// An abstract allocator operation the strategy generates.
@@ -524,6 +526,55 @@ proptest! {
                 "frame {} diverged after drain",
                 p
             );
+        }
+    }
+}
+
+/// The order contract of a LIFO free list, readable: a mid-list unlink moves
+/// the top block into the hole (`swap_remove`), so what pops next — and what
+/// a snapshot records — depends on it.
+#[test]
+fn unlink_moves_the_top_block_into_the_hole() {
+    let (mut list, mut table) = (FreeList::new(false), FrameTable::new(Pfn::new(0), 64));
+    for raw in [10, 20, 30, 40] {
+        list.insert(&mut table, Pfn::new(raw), 0);
+    }
+    assert!(list.remove(&mut table, Pfn::new(20)));
+    assert_eq!(list.iter().map(Pfn::raw).collect::<Vec<_>>(), [10, 40, 30]);
+    assert_eq!(list.pop(), Some(Pfn::new(30)));
+    assert!(list.remove(&mut table, Pfn::new(10)));
+    assert_eq!(list.iter().map(Pfn::raw).collect::<Vec<_>>(), [40]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A LIFO list whose positions live in the frame table iterates exactly
+    /// like a plain `Vec` with `push` / `pop` / `swap_remove`, after every
+    /// operation of any insert/pop/remove sequence.
+    #[test]
+    fn lifo_list_is_a_vec_with_swap_remove(
+        ops in proptest::collection::vec((0u8..3, 0u64..64), 1..200),
+    ) {
+        let (mut list, mut table) = (FreeList::new(false), FrameTable::new(Pfn::new(0), 64));
+        let mut model: Vec<Pfn> = Vec::new();
+        for (kind, slot) in ops {
+            let pfn = Pfn::new(slot);
+            let at = model.iter().position(|&p| p == pfn);
+            prop_assert_eq!(list.contains(&table, pfn), at.is_some());
+            match (kind, at) {
+                (0, None) => {
+                    list.insert(&mut table, pfn, 0);
+                    model.push(pfn);
+                }
+                (1, _) => prop_assert_eq!(list.pop(), model.pop()),
+                (2, _) => {
+                    prop_assert_eq!(list.remove(&mut table, pfn), at.is_some());
+                    at.map(|i| model.swap_remove(i));
+                }
+                _ => {}
+            }
+            prop_assert_eq!(list.iter().collect::<Vec<_>>(), model.clone());
         }
     }
 }

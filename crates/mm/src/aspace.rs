@@ -30,6 +30,9 @@ pub struct AddressSpace {
     vmas: BTreeMap<VirtAddr, Vma>,
     page_table: PageTable,
     stats: FaultStats,
+    /// NUMA home node: default placement allocates from that zone first.
+    /// `None` (the default) means machine-wide first-fill placement.
+    home: Option<usize>,
 }
 
 impl AddressSpace {
@@ -141,6 +144,16 @@ impl AddressSpace {
     /// Mutable access to the statistics.
     pub fn stats_mut(&mut self) -> &mut FaultStats {
         &mut self.stats
+    }
+
+    /// The NUMA home node, if one is assigned (see
+    /// [`crate::System::set_home_node`]).
+    pub fn home(&self) -> Option<usize> {
+        self.home
+    }
+
+    pub(crate) fn set_home(&mut self, home: Option<usize>) {
+        self.home = home;
     }
 
     /// Splits the borrow into the pieces a fault needs simultaneously.

@@ -85,7 +85,7 @@ pub enum AuditViolation {
     CowCountMismatch {
         /// The miscounted frame.
         pfn: Pfn,
-        /// Sharer count in the system's COW table.
+        /// Sharer count recorded on the frame.
         recorded: u32,
         /// COW mappings actually referencing the frame.
         observed: u32,
@@ -314,8 +314,8 @@ impl System {
             }
         }
 
-        // COW reference counts, checked at mapping heads (the COW table is
-        // keyed by the head frame of the shared page).
+        // COW reference counts, checked at mapping heads (the count sits on
+        // the head frame of the shared page).
         let mut cow_heads: Vec<Pfn> = head_refs
             .iter()
             .filter(|(_, refs)| {
@@ -324,7 +324,7 @@ impl System {
                 })
             })
             .map(|(&pfn, _)| pfn)
-            .chain(self.shared.keys().copied())
+            .chain(self.machine.shared_frames().map(|(pfn, _)| pfn))
             .collect();
         cow_heads.sort_unstable();
         cow_heads.dedup();
@@ -339,9 +339,9 @@ impl System {
                         .count() as u32
                 })
                 .unwrap_or(0);
-            let recorded = self.shared.get(&pfn).copied().unwrap_or(0);
-            // An absent entry is consistent only while nothing COW-maps the
-            // frame; a present entry must match the mappings exactly.
+            let recorded = self.machine.share_count(pfn);
+            // A zero count is consistent only while nothing COW-maps the
+            // frame; a non-zero count must match the mappings exactly.
             if recorded != observed {
                 report.violations.push(AuditViolation::CowCountMismatch {
                     pfn,
@@ -524,7 +524,7 @@ mod tests {
             .translate(va(0x40_0000))
             .unwrap()
             .pfn;
-        *sys.shared.get_mut(&pfn).unwrap() += 1;
+        sys.machine_mut().share_inc(pfn);
         let report = sys.audit();
         assert!(
             report.violations.iter().any(|v| matches!(

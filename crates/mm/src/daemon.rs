@@ -785,7 +785,7 @@ impl System {
             return WindowVerdict::No;
         }
         for &(_, pfn, f) in run {
-            if f != flags || self.shared.contains_key(&pfn) {
+            if f != flags || self.machine.share_count(pfn) > 0 {
                 return WindowVerdict::No;
             }
             let Some(node) = self.machine.node_of(pfn) else { return WindowVerdict::No };
@@ -809,7 +809,7 @@ impl System {
         flags: PteFlags,
         vetoes: &mut u64,
     ) {
-        let home = NodeId(self.homes.get(&pid).copied().unwrap_or(0));
+        let home = NodeId(self.home_node(pid).unwrap_or(0));
         let block = match self.machine.alloc_on(home, PageSize::Huge2M.order()) {
             Ok(b) => b,
             Err(_) => {

@@ -205,7 +205,7 @@ impl System {
         let recoverable = refs.len() == 1
             && !refs[0].3.contains(PteFlags::COW)
             && !refs[0].3.contains(PteFlags::FILE)
-            && !self.shared.contains_key(&head);
+            && self.machine.share_count(head) == 0;
         if recoverable {
             let (pid, va, size, flags, _) = refs[0];
             if let Some(replacement) = self.migrate_poisoned(pid, va, head, size, flags) {
@@ -288,7 +288,6 @@ impl System {
         // cache-owned case never reaches here.)
         if !any_file {
             let (_, _, size, _, _) = refs[0];
-            self.shared.remove(&head);
             self.machine.free(head, size.order());
         }
         victims
@@ -365,7 +364,7 @@ impl System {
         };
         if flags.contains(PteFlags::COW)
             || flags.contains(PteFlags::FILE)
-            || self.shared.contains_key(&head)
+            || self.machine.share_count(head) > 0
         {
             return false;
         }

@@ -384,7 +384,7 @@ impl System {
         if size.order() != order
             || flags.contains(PteFlags::COW)
             || flags.contains(PteFlags::FILE)
-            || self.shared.contains_key(&head)
+            || self.machine.share_count(head) > 0
         {
             return None;
         }

@@ -4,8 +4,8 @@
 //! future [`System`] behaviour: buddy free lists (in list order, so LIFO
 //! allocation order survives the round trip), zone counters and fail-injection
 //! state, the contiguity-map rover, every process's VMAs with their CA offset
-//! sets, page-table leaves, fault statistics, the page cache, the COW sharing
-//! table, the recovery escalation state, and the simulated clock. Restoring a
+//! sets, page-table leaves, fault statistics, the page cache, the COW share
+//! counts, the recovery escalation state, and the simulated clock. Restoring a
 //! snapshot yields a system whose subsequent execution is bit-identical to the
 //! original's — the property the `contig-check` torture harness leans on for
 //! crash-point testing.
@@ -174,12 +174,10 @@ impl System {
                 vmas,
                 mappings,
                 stats: stats_snapshot(aspace.stats()),
-                home: self.home_node(pid).map(|n| n as u64),
+                home: aspace.home().map(|n| n as u64),
             });
         }
-        let mut shared: Vec<(u64, u32)> =
-            self.shared.iter().map(|(pfn, &count)| (pfn.raw(), count)).collect();
-        shared.sort_unstable();
+        let shared = self.machine.shared_frames().map(|(pfn, count)| (pfn.raw(), count)).collect();
         SystemSnapshot {
             machine: self.machine.snapshot(),
             processes,
@@ -205,6 +203,12 @@ impl System {
     /// is identical to the captured system's at the moment of capture, with
     /// one exception: tracing comes back disabled (reattach with
     /// [`System::set_tracer`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine image is internally inconsistent (see
+    /// [`Machine::from_snapshot`]) or a `shared` entry names a frame that
+    /// heads no allocation.
     pub fn restore(snap: &SystemSnapshot) -> System {
         let mut processes = HashMap::with_capacity(snap.processes.len());
         for proc in &snap.processes {
@@ -237,15 +241,15 @@ impl System {
                 );
             }
             *aspace.stats_mut() = stats_restore(&proc.stats);
+            aspace.set_home(proc.home.map(|h| h as usize));
             processes.insert(Pid(proc.pid), aspace);
         }
-        let homes = snap
-            .processes
-            .iter()
-            .filter_map(|p| p.home.map(|h| (Pid(p.pid), h as usize)))
-            .collect();
+        let mut machine = Machine::from_snapshot(&snap.machine);
+        for &(pfn, count) in &snap.shared {
+            machine.set_share_count(Pfn::new(pfn), count);
+        }
         System {
-            machine: Machine::from_snapshot(&snap.machine),
+            machine,
             processes,
             page_cache: PageCache::from_snapshot(&snap.page_cache),
             next_pid: snap.next_pid,
@@ -253,7 +257,6 @@ impl System {
             latency: snap.latency,
             record_latencies: snap.record_latencies,
             pt_levels: snap.pt_levels,
-            shared: snap.shared.iter().map(|&(pfn, count)| (Pfn::new(pfn), count)).collect(),
             now_ns: snap.now_ns,
             recovery: snap.recovery,
             recovery_stats: snap.recovery_stats,
@@ -262,7 +265,6 @@ impl System {
             poison_stats: snap.poison_stats,
             numa_stats: snap.numa_stats,
             dirty_log: None,
-            homes,
             daemon: snap.daemon.clone(),
             tracer: Tracer::disabled(),
         }

@@ -111,7 +111,7 @@ pub enum NodeMigrateError {
     /// The target node does not exist on this machine.
     BadNode,
     /// The mapping is COW-shared or file-backed; moving the frame would
-    /// desync the sharing table or the page cache.
+    /// desync the share counts or the page cache.
     Shared,
     /// The target zone could not supply a frame of the mapping's size.
     OutOfMemory,
@@ -199,9 +199,6 @@ pub struct System {
     pub(crate) latency: LatencyModel,
     pub(crate) record_latencies: bool,
     pub(crate) pt_levels: u32,
-    /// Reference counts for frames shared by COW; absent means exclusively
-    /// owned by its single mapper.
-    pub(crate) shared: HashMap<Pfn, u32>,
     /// Simulated clock, advanced by fault costs.
     pub(crate) now_ns: u64,
     /// Out-of-memory recovery tunables.
@@ -220,10 +217,6 @@ pub struct System {
     /// design — snapshots do not capture it and [`System::restore`] clears
     /// it, because a migration epoch never spans a checkpoint.
     pub(crate) dirty_log: Option<std::collections::BTreeSet<u64>>,
-    /// NUMA home nodes: pids with an assigned home fault into that zone
-    /// first (default placement only; CA targets override). Absent pids use
-    /// machine-wide first-fill placement.
-    pub(crate) homes: HashMap<Pid, usize>,
     /// Cumulative NUMA placement counters.
     pub(crate) numa_stats: NumaStats,
     /// Background contiguity-maintenance daemon (khugepaged/kcompactd):
@@ -231,6 +224,300 @@ pub struct System {
     pub(crate) daemon: crate::daemon::DaemonState,
     /// Observability probes over the fault path; disabled by default.
     pub(crate) tracer: Tracer,
+}
+
+/// Retry bookkeeping of one fault's out-of-memory escalation.
+#[derive(Default)]
+struct Escalation {
+    /// Recovery rounds spent on the current request size.
+    recover_attempts: u32,
+    /// Allocation attempts burned across every round (livelock watchdog).
+    total_attempts: u32,
+    /// Whether any round recovered memory.
+    recovered: bool,
+}
+
+/// The parts of a [`System`] one allocation-and-map attempt works on, split
+/// out of `&mut System` so a fault resolves its address space (and with it
+/// the home node) once and carries it down, instead of re-probing
+/// `processes` at every level of the fault path.
+struct FaultFrame<'a> {
+    machine: &'a mut Machine,
+    page_cache: &'a mut PageCache,
+    aspace: &'a mut AddressSpace,
+    numa_stats: &'a mut NumaStats,
+    now_ns: &'a mut u64,
+    latency: &'a LatencyModel,
+    tracer: &'a Tracer,
+    thp: bool,
+}
+
+/// Default placement: the home node first when the process has one (counting
+/// local hits and spills), machine-wide first-fill otherwise.
+fn alloc_default(
+    machine: &mut Machine,
+    home: Option<usize>,
+    size: PageSize,
+    numa_stats: &mut NumaStats,
+    tracer: &Tracer,
+) -> Result<Pfn, AllocError> {
+    let Some(h) = home else { return machine.alloc_page(size) };
+    let pfn = machine.alloc_page_on(NodeId(h), size)?;
+    match machine.node_of(pfn) {
+        Some(node) if node.0 != h => {
+            numa_stats.fallback_allocs += 1;
+            tracer.emit(TraceEvent::ZoneFallback {
+                home: h as u64,
+                got: node.0 as u64,
+                order: size.order(),
+            });
+        }
+        _ => numa_stats.local_allocs += 1,
+    }
+    Ok(pfn)
+}
+
+/// Runs a placement decision to an allocated frame: default allocation, or
+/// the policy's target with a bounded number of re-decisions through
+/// [`PlacementPolicy::on_target_busy`]. `None` means the policy answered
+/// `Handled`; what that is worth is the caller's business.
+fn place(
+    ctx: &mut FaultCtx<'_>,
+    policy: &mut dyn PlacementPolicy,
+    mut decision: Placement,
+    numa_stats: &mut NumaStats,
+    tracer: &Tracer,
+    va: VirtAddr,
+) -> Result<Option<Pfn>, FaultError> {
+    let size = ctx.size;
+    let mut retries = 0;
+    loop {
+        match decision {
+            Placement::Handled => return Ok(None),
+            Placement::Default => {
+                let _alloc_span = tracer.span(stage::BUDDY_ALLOC);
+                return match alloc_default(ctx.machine, ctx.home, size, numa_stats, tracer) {
+                    Ok(pfn) => Ok(Some(pfn)),
+                    Err(_) => Err(FaultError::OutOfMemory { addr: va, size }),
+                };
+            }
+            Placement::Target(target) => {
+                let attempt = {
+                    let _alloc_span = tracer.span(stage::BUDDY_ALLOC);
+                    ctx.machine.alloc_page_at(target, size)
+                };
+                match attempt {
+                    Ok(()) => {
+                        ctx.stats.ca_target_hits += 1;
+                        return Ok(Some(target));
+                    }
+                    Err(AllocError::OutOfMemory { .. }) => {
+                        return Err(FaultError::OutOfMemory { addr: va, size })
+                    }
+                    Err(_) => {
+                        ctx.stats.ca_target_misses += 1;
+                        retries += 1;
+                        if retries > MAX_PLACEMENT_RETRIES {
+                            decision = Placement::Default;
+                        } else {
+                            let _place_span = tracer.span(stage::CA_PLACE);
+                            decision = policy.on_target_busy(ctx, target);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Drops one reference to a possibly COW-shared block, freeing it when that
+/// was the last one. Returns whether the block was freed.
+fn unshare_frame(machine: &mut Machine, pfn: Pfn, size: PageSize) -> bool {
+    let last = machine.share_dec(pfn);
+    if last {
+        machine.free_page(pfn, size);
+    }
+    last
+}
+
+impl FaultFrame<'_> {
+    /// Size decision of an anonymous fault: huge when THP is on, the aligned
+    /// 2 MiB region lies inside the VMA, and nothing in the region is mapped
+    /// yet.
+    fn anon_fault_size(
+        &self,
+        policy: &dyn PlacementPolicy,
+        vma_id: VmaId,
+        va: VirtAddr,
+    ) -> PageSize {
+        if self.thp && !policy.prefers_base_pages() {
+            let vma_range = self.aspace.vma(vma_id).range();
+            let huge_start = va.align_down(PageSize::Huge2M);
+            let huge_end = huge_start + PageSize::Huge2M.bytes();
+            let inside = vma_range.contains(huge_start)
+                && (huge_end.raw() == vma_range.end().raw()
+                    || vma_range.contains(VirtAddr::new(huge_end.raw() - 1)));
+            if inside && !self.aspace.page_table().huge_region_populated(va) {
+                return PageSize::Huge2M;
+            }
+        }
+        PageSize::Base4K
+    }
+
+    fn try_alloc_and_map(
+        &mut self,
+        policy: &mut dyn PlacementPolicy,
+        vma_id: VmaId,
+        va: VirtAddr,
+        size: PageSize,
+        kind: FaultKind,
+    ) -> Result<FaultOutcome, FaultError> {
+        let fault_va = va.align_down(size);
+        let tracer = self.tracer;
+        let home = self.aspace.home();
+        {
+            let _pt_span = tracer.span(stage::PT_WALK);
+            if self.aspace.page_table().translate(fault_va).is_ok() {
+                return Err(FaultError::AlreadyMapped { addr: va });
+            }
+        }
+        let (vma, page_table, stats) = self.aspace.fault_parts(vma_id);
+        let mut ctx = FaultCtx {
+            machine: &mut *self.machine,
+            vma,
+            page_table,
+            page_cache: &mut *self.page_cache,
+            va: fault_va,
+            size,
+            kind,
+            home,
+            stats,
+            extra_zeroed_pages: 0,
+        };
+        let placements_before = ctx.stats.placements;
+        let mut decision = {
+            let _place_span = tracer.span(stage::CA_PLACE);
+            policy.on_fault(&mut ctx)
+        };
+        let pfn = loop {
+            match place(&mut ctx, policy, decision, self.numa_stats, tracer, va)? {
+                Some(pfn) => break pfn,
+                None => {
+                    // The policy mapped the page (and possibly much more)
+                    // itself; account one fault at whatever it zeroed.
+                    let Ok(t) = ctx.page_table.translate(fault_va) else {
+                        // A policy claiming Handled without installing the
+                        // mapping is buggy, but a policy bug must not crash
+                        // the fault driver: fall back to default placement.
+                        debug_assert!(
+                            false,
+                            "policy reported Handled without mapping the fault"
+                        );
+                        decision = Placement::Default;
+                        continue;
+                    };
+                    let _map_span = tracer.span(stage::MAP);
+                    let latency = self.latency.fault_ns(
+                        t.size.base_pages() + ctx.extra_zeroed_pages,
+                        ctx.stats.placements - placements_before,
+                    );
+                    ctx.stats.record_fault(t.size, latency);
+                    *self.now_ns += latency;
+                    tracer.set_clock(*self.now_ns);
+                    return Ok(FaultOutcome {
+                        pfn: t.pfn,
+                        size: t.size,
+                        already_mapped: false,
+                    });
+                }
+            }
+        };
+        let _map_span = tracer.span(stage::MAP);
+        let mut flags = PteFlags::WRITE;
+        if ctx.vma.kind() != VmaKind::Anon {
+            flags |= PteFlags::FILE;
+        }
+        ctx.page_table.map(fault_va, Pte::new(pfn, flags), size);
+        policy.post_map(&mut ctx, pfn);
+        let latency = self.latency.fault_ns(
+            size.base_pages() + ctx.extra_zeroed_pages,
+            ctx.stats.placements - placements_before,
+        );
+        ctx.stats.record_fault(size, latency);
+        *self.now_ns += latency;
+        tracer.set_clock(*self.now_ns);
+        Ok(FaultOutcome { pfn, size, already_mapped: false })
+    }
+
+    fn try_cow_break(
+        &mut self,
+        policy: &mut dyn PlacementPolicy,
+        pid: Pid,
+        vma_id: VmaId,
+        va: VirtAddr,
+    ) -> Result<FaultOutcome, FaultError> {
+        let tracer = self.tracer;
+        let home = self.aspace.home();
+        let t = {
+            let _pt_span = tracer.span(stage::PT_WALK);
+            self.aspace
+                .page_table()
+                .translate(va)
+                .map_err(|_| FaultError::UnmappedAddress { addr: va })?
+        };
+        if !t.flags.contains(PteFlags::COW) {
+            return Ok(FaultOutcome { pfn: t.pfn, size: t.size, already_mapped: true });
+        }
+        let size = t.size;
+        let old_pfn = t.pfn;
+        let old_flags = t.flags;
+        let page_va = va.align_down(size);
+        // Allocate the private copy through the policy so CA keeps COW pages
+        // contiguous too.
+        let (vma, page_table, stats) = self.aspace.fault_parts(vma_id);
+        let mut ctx = FaultCtx {
+            machine: &mut *self.machine,
+            vma,
+            page_table,
+            page_cache: &mut *self.page_cache,
+            va: page_va,
+            size,
+            kind: FaultKind::Cow,
+            home,
+            stats,
+            extra_zeroed_pages: 0,
+        };
+        let placements_before = ctx.stats.placements;
+        let mut decision = {
+            let _place_span = tracer.span(stage::CA_PLACE);
+            policy.on_fault(&mut ctx)
+        };
+        let new_pfn = loop {
+            match place(&mut ctx, policy, decision, self.numa_stats, tracer, va)? {
+                Some(pfn) => break pfn,
+                // A copy the policy claims to have `Handled` is placed by default.
+                None => decision = Placement::Default,
+            }
+        };
+        let _map_span = tracer.span(stage::MAP);
+        ctx.page_table.remap(page_va, Pte::new(new_pfn, PteFlags::WRITE));
+        policy.post_map(&mut ctx, new_pfn);
+        let latency = self
+            .latency
+            .fault_ns(size.base_pages(), ctx.stats.placements - placements_before);
+        ctx.stats.cow_faults += 1;
+        ctx.stats.record_fault(size, latency);
+        *self.now_ns += latency;
+        tracer.set_clock(*self.now_ns);
+        tracer.emit(TraceEvent::CowBreak { pid: pid.0, va: page_va.raw() });
+        // Drop our reference to the shared original. File pages are owned by
+        // the page cache, not the COW count: breaking a private file mapping
+        // must not free (or miscount) the cache's frame.
+        if !old_flags.contains(PteFlags::FILE) {
+            unshare_frame(self.machine, old_pfn, size);
+        }
+        Ok(FaultOutcome { pfn: new_pfn, size, already_mapped: false })
+    }
 }
 
 impl System {
@@ -245,7 +532,6 @@ impl System {
             latency: config.latency,
             record_latencies: config.record_latencies,
             pt_levels: config.pt_levels,
-            shared: HashMap::new(),
             now_ns: 0,
             recovery: config.recovery,
             recovery_stats: RecoveryStats::default(),
@@ -253,7 +539,6 @@ impl System {
             poison_policy: PoisonPolicy::never(),
             poison_stats: PoisonStats::default(),
             dirty_log: None,
-            homes: HashMap::new(),
             numa_stats: NumaStats::default(),
             daemon: crate::daemon::DaemonState::default(),
             tracer: Tracer::disabled(),
@@ -363,21 +648,15 @@ impl System {
     ///
     /// Panics on an unknown pid or a node the machine does not have.
     pub fn set_home_node(&mut self, pid: Pid, node: Option<usize>) {
-        assert!(self.processes.contains_key(&pid), "unknown pid {pid:?}");
-        match node {
-            Some(n) => {
-                assert!(n < self.machine.nodes(), "node {n} beyond machine topology");
-                self.homes.insert(pid, n);
-            }
-            None => {
-                self.homes.remove(&pid);
-            }
-        }
+        let nodes = self.machine.nodes();
+        let Some(aspace) = self.processes.get_mut(&pid) else { panic!("unknown pid {pid:?}") };
+        assert!(node.is_none_or(|n| n < nodes), "node {node:?} beyond machine topology");
+        aspace.set_home(node);
     }
 
     /// The process's NUMA home node, if one is assigned.
     pub fn home_node(&self, pid: Pid) -> Option<usize> {
-        self.homes.get(&pid).copied()
+        self.processes.get(&pid).and_then(AddressSpace::home)
     }
 
     /// Cumulative NUMA placement counters.
@@ -396,7 +675,7 @@ impl System {
     /// # Errors
     ///
     /// See [`NodeMigrateError`]; COW-shared and file-backed pages are
-    /// refused because their frames are owned by the sharing table or the
+    /// refused because their frames are owned by several sharers or the
     /// page cache.
     pub fn migrate_page_to_node(
         &mut self,
@@ -414,7 +693,7 @@ impl System {
             .map_err(|_| NodeMigrateError::NotMapped)?;
         if t.flags.contains(PteFlags::FILE)
             || t.flags.contains(PteFlags::COW)
-            || self.shared.contains_key(&t.pfn)
+            || self.machine.share_count(t.pfn) > 0
         {
             return Err(NodeMigrateError::Shared);
         }
@@ -526,7 +805,7 @@ impl System {
 
     /// The COW sharer count recorded for `pfn`, if the frame is shared.
     pub fn cow_shared_count(&self, pfn: Pfn) -> Option<u32> {
-        self.shared.get(&pfn).copied()
+        Some(self.machine.share_count(pfn)).filter(|&count| count > 0)
     }
 
     /// Enables Linux-style per-CPU frame caches on every zone (see
@@ -684,6 +963,11 @@ impl System {
     /// [`PlacementPolicy::on_target_busy`] on targeted misses — maps the
     /// page, and finally invokes [`PlacementPolicy::post_map`].
     ///
+    /// The faulting address space (and with it the home node) is resolved
+    /// once, here, and the first allocation attempt runs on that borrow; only
+    /// an attempt that follows out-of-memory recovery resolves it again,
+    /// because recovery needs the whole system in between.
+    ///
     /// # Errors
     ///
     /// - [`FaultError::UnmappedAddress`] outside any VMA.
@@ -702,34 +986,40 @@ impl System {
         // session, and whichever faulted last left *its* clock behind.
         self.tracer.set_clock(self.now_ns);
         let _fault_span = self.tracer.span(stage::FAULT);
-        let aspace = self.processes.get_mut(&pid).expect("unknown pid");
+        let mut frame = self.fault_frame(pid);
         let vma_lookup = {
-            let _vma_span = self.tracer.span(stage::VMA_WALK);
-            aspace.vma_containing(va)
+            let _vma_span = frame.tracer.span(stage::VMA_WALK);
+            frame.aspace.vma_containing(va)
         };
         let Some(vma_id) = vma_lookup else {
             self.tracer.emit(TraceEvent::FaultFailed { pid: pid.0, va: va.raw() });
             return Err(FaultError::UnmappedAddress { addr: va });
         };
-        let vma_kind = aspace.vma(vma_id).kind();
-        let kind = match vma_kind {
+        let kind = match frame.aspace.vma(vma_id).kind() {
             VmaKind::File { .. } if kind == FaultKind::Anon => FaultKind::FileRead,
             _ => kind,
         };
-        let traced = self.tracer.is_enabled();
+        let traced = frame.tracer.is_enabled();
         if traced {
             let class = match kind {
                 FaultKind::Anon => FaultClass::Anon,
                 FaultKind::Cow => FaultClass::Cow,
                 FaultKind::FileRead => FaultClass::File,
             };
-            self.tracer.emit(TraceEvent::FaultEnter { pid: pid.0, va: va.raw(), class });
+            frame.tracer.emit(TraceEvent::FaultEnter { pid: pid.0, va: va.raw(), class });
         }
-        let before_ns = self.now_ns;
+        let before_ns = *frame.now_ns;
         let result = match kind {
-            FaultKind::Cow => self.cow_fault(policy, pid, vma_id, va),
+            FaultKind::Cow => {
+                let first = frame.try_cow_break(policy, pid, vma_id, va);
+                self.cow_fault(policy, pid, vma_id, va, first)
+            }
             FaultKind::FileRead => self.file_fault(policy, pid, vma_id, va),
-            FaultKind::Anon => self.anon_fault(policy, pid, vma_id, va),
+            FaultKind::Anon => {
+                let size = frame.anon_fault_size(policy, vma_id, va);
+                let first = frame.try_alloc_and_map(policy, vma_id, va, size, FaultKind::Anon);
+                self.anon_fault(policy, pid, vma_id, va, size, first)
+            }
         };
         if let Ok(out) = &result {
             if !out.already_mapped {
@@ -759,70 +1049,82 @@ impl System {
         result
     }
 
+    /// Splits the system into the parts an allocation attempt of `pid` works
+    /// on — the one `processes` probe of a fault.
+    fn fault_frame(&mut self, pid: Pid) -> FaultFrame<'_> {
+        FaultFrame {
+            aspace: self.processes.get_mut(&pid).expect("unknown pid"),
+            machine: &mut self.machine,
+            page_cache: &mut self.page_cache,
+            numa_stats: &mut self.numa_stats,
+            now_ns: &mut self.now_ns,
+            latency: &self.latency,
+            tracer: &self.tracer,
+            thp: self.thp,
+        }
+    }
+
+    /// One round of the out-of-memory escalation every fault kind shares:
+    /// count the event, check the livelock budget and, while the per-size
+    /// retry budget lasts, recover and back off. Returns whether the caller
+    /// should retry the same request.
+    fn recover_for_retry(
+        &mut self,
+        va: VirtAddr,
+        order: u32,
+        esc: &mut Escalation,
+    ) -> Result<bool, FaultError> {
+        self.recovery_stats.oom_events += 1;
+        self.trace_recovery(RecoveryStage::OomEvent, order.into(), 0, 0);
+        esc.recover_attempts += 1;
+        esc.total_attempts += 1;
+        self.livelock_check(va, esc.total_attempts)?;
+        let recovered_now = esc.recover_attempts <= self.recovery.max_retries && {
+            let _recovery_span = self.tracer.span(stage::RECOVERY);
+            self.try_recover(order)
+        };
+        if recovered_now {
+            {
+                let _backoff_span = self.tracer.span(stage::BACKOFF);
+                self.retry_backoff(esc.total_attempts);
+            }
+            self.recovery_stats.retries += 1;
+            self.trace_recovery(RecoveryStage::Retry, order.into(), 0, 0);
+            esc.recovered = true;
+        }
+        Ok(recovered_now)
+    }
+
+    /// Out-of-memory escalation around an anonymous fault whose first
+    /// attempt already ran: recover (reclaim, compaction) and retry a bounded
+    /// number of times, then degrade the request size, then surface a typed
+    /// error — never panic.
     fn anon_fault(
         &mut self,
         policy: &mut dyn PlacementPolicy,
         pid: Pid,
         vma_id: VmaId,
         va: VirtAddr,
+        mut size: PageSize,
+        first: Result<FaultOutcome, FaultError>,
     ) -> Result<FaultOutcome, FaultError> {
-        let aspace = self.processes.get_mut(&pid).expect("unknown pid");
-        // Size decision: huge when THP is on, the aligned 2 MiB region lies
-        // inside the VMA, and nothing in the region is mapped yet.
-        let vma_range = aspace.vma(vma_id).range();
-        let mut size = PageSize::Base4K;
-        if self.thp && !policy.prefers_base_pages() {
-            let huge_start = va.align_down(PageSize::Huge2M);
-            let huge_end = huge_start + PageSize::Huge2M.bytes();
-            let inside = vma_range.contains(huge_start)
-                && (huge_end.raw() == vma_range.end().raw()
-                    || vma_range.contains(VirtAddr::new(huge_end.raw() - 1)));
-            if inside && !aspace.page_table().huge_region_populated(va) {
-                size = PageSize::Huge2M;
-            }
-        }
-        // Out-of-memory escalation: recover (reclaim, compaction) and retry
-        // a bounded number of times, then degrade the request size, then
-        // surface a typed error — never panic.
-        let mut recover_attempts = 0u32;
-        let mut total_attempts = 0u32;
-        let mut recovered = false;
+        let mut attempt = first;
+        let mut esc = Escalation::default();
         loop {
-            match self.try_alloc_and_map(policy, pid, vma_id, va, size, FaultKind::Anon) {
+            match attempt {
                 Ok(out) => {
-                    if recovered {
+                    if esc.recovered {
                         self.recovery_stats.recovered_faults += 1;
                         self.trace_recovery(RecoveryStage::RecoveredFault, 0, 0, 0);
                     }
                     return Ok(out);
                 }
                 Err(e @ FaultError::OutOfMemory { .. }) => {
-                    self.recovery_stats.oom_events += 1;
-                    self.trace_recovery(RecoveryStage::OomEvent, size.order().into(), 0, 0);
-                    recover_attempts += 1;
-                    total_attempts += 1;
-                    self.livelock_check(va, total_attempts)?;
-                    let recovered_now = recover_attempts <= self.recovery.max_retries && {
-                        let _recovery_span = self.tracer.span(stage::RECOVERY);
-                        self.try_recover(size.order())
-                    };
-                    if recovered_now {
-                        {
-                            let _backoff_span = self.tracer.span(stage::BACKOFF);
-                            self.retry_backoff(total_attempts);
-                        }
-                        self.recovery_stats.retries += 1;
-                        self.trace_recovery(RecoveryStage::Retry, size.order().into(), 0, 0);
-                        recovered = true;
-                        continue;
-                    }
-                    if size == PageSize::Huge2M {
+                    if self.recover_for_retry(va, size.order(), &mut esc)? {
+                        // Retry at the same size.
+                    } else if size == PageSize::Huge2M {
                         // THP fallback: retry the fault with a base page.
-                        self.processes
-                            .get_mut(&pid)
-                            .expect("unknown pid")
-                            .stats_mut()
-                            .thp_fallbacks += 1;
+                        self.aspace_mut(pid).stats_mut().thp_fallbacks += 1;
                         self.recovery_stats.order_backoffs += 1;
                         self.trace_recovery(
                             RecoveryStage::OrderBackoff,
@@ -831,7 +1133,7 @@ impl System {
                             0,
                         );
                         size = PageSize::Base4K;
-                        recover_attempts = 0;
+                        esc.recover_attempts = 0;
                     } else {
                         self.recovery_stats.hard_ooms += 1;
                         self.trace_recovery(RecoveryStage::HardOom, size.order().into(), 0, 0);
@@ -840,320 +1142,44 @@ impl System {
                 }
                 Err(e) => return Err(e),
             }
+            attempt =
+                self.fault_frame(pid).try_alloc_and_map(policy, vma_id, va, size, FaultKind::Anon);
         }
     }
 
-    fn try_alloc_and_map(
-        &mut self,
-        policy: &mut dyn PlacementPolicy,
-        pid: Pid,
-        vma_id: VmaId,
-        va: VirtAddr,
-        size: PageSize,
-        kind: FaultKind,
-    ) -> Result<FaultOutcome, FaultError> {
-        let fault_va = va.align_down(size);
-        // A clone of the handle: `ctx` below borrows the machine and page
-        // cache mutably, which would otherwise pin all of `self`.
-        let tracer = self.tracer.clone();
-        let home = self.homes.get(&pid).copied();
-        let aspace = self.processes.get_mut(&pid).expect("unknown pid");
-        {
-            let _pt_span = tracer.span(stage::PT_WALK);
-            if aspace.page_table().translate(fault_va).is_ok() {
-                return Err(FaultError::AlreadyMapped { addr: va });
-            }
-        }
-        let (vma, page_table, stats) = aspace.fault_parts(vma_id);
-        let mut ctx = FaultCtx {
-            machine: &mut self.machine,
-            vma,
-            page_table,
-            page_cache: &mut self.page_cache,
-            va: fault_va,
-            size,
-            kind,
-            home,
-            stats,
-            extra_zeroed_pages: 0,
-        };
-        let placements_before = ctx.stats.placements;
-        let mut decision = {
-            let _place_span = tracer.span(stage::CA_PLACE);
-            policy.on_fault(&mut ctx)
-        };
-        let mut retries = 0;
-        let pfn = loop {
-            match decision {
-                Placement::Handled => {
-                    // The policy mapped the page (and possibly much more)
-                    // itself; account one fault at whatever it zeroed.
-                    let Ok(t) = ctx.page_table.translate(fault_va) else {
-                        // A policy claiming Handled without installing the
-                        // mapping is buggy, but a policy bug must not crash
-                        // the fault driver: fall back to default placement.
-                        debug_assert!(
-                            false,
-                            "policy reported Handled without mapping the fault"
-                        );
-                        decision = Placement::Default;
-                        continue;
-                    };
-                    let _map_span = tracer.span(stage::MAP);
-                    let latency = self.latency.fault_ns(
-                        t.size.base_pages() + ctx.extra_zeroed_pages,
-                        ctx.stats.placements - placements_before,
-                    );
-                    ctx.stats.record_fault(t.size, latency);
-                    self.now_ns += latency;
-                    self.tracer.set_clock(self.now_ns);
-                    return Ok(FaultOutcome {
-                        pfn: t.pfn,
-                        size: t.size,
-                        already_mapped: false,
-                    });
-                }
-                Placement::Default => {
-                    let _alloc_span = tracer.span(stage::BUDDY_ALLOC);
-                    let attempt = match home {
-                        Some(h) => ctx.machine.alloc_page_on(NodeId(h), size),
-                        None => ctx.machine.alloc_page(size),
-                    };
-                    match attempt {
-                        Ok(pfn) => {
-                            if let Some(h) = home {
-                                match ctx.machine.node_of(pfn) {
-                                    Some(node) if node.0 != h => {
-                                        self.numa_stats.fallback_allocs += 1;
-                                        tracer.emit(TraceEvent::ZoneFallback {
-                                            home: h as u64,
-                                            got: node.0 as u64,
-                                            order: size.order(),
-                                        });
-                                    }
-                                    _ => self.numa_stats.local_allocs += 1,
-                                }
-                            }
-                            break pfn;
-                        }
-                        Err(_) => return Err(FaultError::OutOfMemory { addr: va, size }),
-                    }
-                }
-                Placement::Target(target) => {
-                    let attempt = {
-                        let _alloc_span = tracer.span(stage::BUDDY_ALLOC);
-                        ctx.machine.alloc_page_at(target, size)
-                    };
-                    match attempt {
-                        Ok(()) => {
-                            ctx.stats.ca_target_hits += 1;
-                            break target;
-                        }
-                        Err(AllocError::OutOfMemory { .. }) => {
-                            return Err(FaultError::OutOfMemory { addr: va, size })
-                        }
-                        Err(_) => {
-                            ctx.stats.ca_target_misses += 1;
-                            retries += 1;
-                            if retries > MAX_PLACEMENT_RETRIES {
-                                decision = Placement::Default;
-                            } else {
-                                let _place_span = tracer.span(stage::CA_PLACE);
-                                decision = policy.on_target_busy(&mut ctx, target);
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        let _map_span = tracer.span(stage::MAP);
-        let mut flags = PteFlags::WRITE;
-        if kind == FaultKind::Cow {
-            // The broken copy is private again.
-        }
-        if ctx.vma.kind() != VmaKind::Anon {
-            flags |= PteFlags::FILE;
-        }
-        ctx.page_table.map(fault_va, Pte::new(pfn, flags), size);
-        policy.post_map(&mut ctx, pfn);
-        let latency = self.latency.fault_ns(
-            size.base_pages() + ctx.extra_zeroed_pages,
-            ctx.stats.placements - placements_before,
-        );
-        ctx.stats.record_fault(size, latency);
-        self.now_ns += latency;
-        self.tracer.set_clock(self.now_ns);
-        Ok(FaultOutcome { pfn, size, already_mapped: false })
-    }
-
+    /// Out-of-memory escalation around a COW break whose first attempt
+    /// already ran. COW breaks cannot degrade their size (the copy must match
+    /// the shared page), so the escalation is recover-and-retry only.
     fn cow_fault(
         &mut self,
         policy: &mut dyn PlacementPolicy,
         pid: Pid,
         vma_id: VmaId,
         va: VirtAddr,
+        first: Result<FaultOutcome, FaultError>,
     ) -> Result<FaultOutcome, FaultError> {
-        // COW breaks cannot degrade their size (the copy must match the
-        // shared page), so the escalation is recover-and-retry only.
-        let mut recover_attempts = 0u32;
-        let mut total_attempts = 0u32;
-        let mut recovered = false;
+        let mut attempt = first;
+        let mut esc = Escalation::default();
         loop {
-            match self.try_cow_break(policy, pid, vma_id, va) {
+            match attempt {
                 Ok(out) => {
-                    if recovered && !out.already_mapped {
+                    if esc.recovered && !out.already_mapped {
                         self.recovery_stats.recovered_faults += 1;
                         self.trace_recovery(RecoveryStage::RecoveredFault, 0, 0, 0);
                     }
                     return Ok(out);
                 }
                 Err(e @ FaultError::OutOfMemory { size, .. }) => {
-                    self.recovery_stats.oom_events += 1;
-                    self.trace_recovery(RecoveryStage::OomEvent, size.order().into(), 0, 0);
-                    recover_attempts += 1;
-                    total_attempts += 1;
-                    self.livelock_check(va, total_attempts)?;
-                    let recovered_now = recover_attempts <= self.recovery.max_retries && {
-                        let _recovery_span = self.tracer.span(stage::RECOVERY);
-                        self.try_recover(size.order())
-                    };
-                    if recovered_now {
-                        {
-                            let _backoff_span = self.tracer.span(stage::BACKOFF);
-                            self.retry_backoff(total_attempts);
-                        }
-                        self.recovery_stats.retries += 1;
-                        self.trace_recovery(RecoveryStage::Retry, size.order().into(), 0, 0);
-                        recovered = true;
-                        continue;
+                    if !self.recover_for_retry(va, size.order(), &mut esc)? {
+                        self.recovery_stats.hard_ooms += 1;
+                        self.trace_recovery(RecoveryStage::HardOom, size.order().into(), 0, 0);
+                        return Err(e);
                     }
-                    self.recovery_stats.hard_ooms += 1;
-                    self.trace_recovery(RecoveryStage::HardOom, size.order().into(), 0, 0);
-                    return Err(e);
                 }
                 Err(e) => return Err(e),
             }
+            attempt = self.fault_frame(pid).try_cow_break(policy, pid, vma_id, va);
         }
-    }
-
-    fn try_cow_break(
-        &mut self,
-        policy: &mut dyn PlacementPolicy,
-        pid: Pid,
-        vma_id: VmaId,
-        va: VirtAddr,
-    ) -> Result<FaultOutcome, FaultError> {
-        let tracer = self.tracer.clone();
-        let home = self.homes.get(&pid).copied();
-        let aspace = self.processes.get_mut(&pid).expect("unknown pid");
-        let t = {
-            let _pt_span = tracer.span(stage::PT_WALK);
-            aspace
-                .page_table()
-                .translate(va)
-                .map_err(|_| FaultError::UnmappedAddress { addr: va })?
-        };
-        if !t.flags.contains(PteFlags::COW) {
-            return Ok(FaultOutcome { pfn: t.pfn, size: t.size, already_mapped: true });
-        }
-        let size = t.size;
-        let old_pfn = t.pfn;
-        let old_flags = t.flags;
-        let page_va = va.align_down(size);
-        // Allocate the private copy through the policy so CA keeps COW pages
-        // contiguous too.
-        let (vma, page_table, stats) = aspace.fault_parts(vma_id);
-        let mut ctx = FaultCtx {
-            machine: &mut self.machine,
-            vma,
-            page_table,
-            page_cache: &mut self.page_cache,
-            va: page_va,
-            size,
-            kind: FaultKind::Cow,
-            home,
-            stats,
-            extra_zeroed_pages: 0,
-        };
-        let placements_before = ctx.stats.placements;
-        let mut decision = {
-            let _place_span = tracer.span(stage::CA_PLACE);
-            policy.on_fault(&mut ctx)
-        };
-        let mut retries = 0;
-        let new_pfn = loop {
-            match decision {
-                Placement::Handled | Placement::Default => {
-                    let _alloc_span = tracer.span(stage::BUDDY_ALLOC);
-                    let attempt = match home {
-                        Some(h) => ctx.machine.alloc_page_on(NodeId(h), size),
-                        None => ctx.machine.alloc_page(size),
-                    };
-                    match attempt {
-                        Ok(pfn) => {
-                            if let Some(h) = home {
-                                match ctx.machine.node_of(pfn) {
-                                    Some(node) if node.0 != h => {
-                                        self.numa_stats.fallback_allocs += 1;
-                                        tracer.emit(TraceEvent::ZoneFallback {
-                                            home: h as u64,
-                                            got: node.0 as u64,
-                                            order: size.order(),
-                                        });
-                                    }
-                                    _ => self.numa_stats.local_allocs += 1,
-                                }
-                            }
-                            break pfn;
-                        }
-                        Err(_) => return Err(FaultError::OutOfMemory { addr: va, size }),
-                    }
-                }
-                Placement::Target(target) => {
-                    let attempt = {
-                        let _alloc_span = tracer.span(stage::BUDDY_ALLOC);
-                        ctx.machine.alloc_page_at(target, size)
-                    };
-                    match attempt {
-                        Ok(()) => {
-                            ctx.stats.ca_target_hits += 1;
-                            break target;
-                        }
-                        Err(AllocError::OutOfMemory { .. }) => {
-                            return Err(FaultError::OutOfMemory { addr: va, size })
-                        }
-                        Err(_) => {
-                            ctx.stats.ca_target_misses += 1;
-                            retries += 1;
-                            if retries > MAX_PLACEMENT_RETRIES {
-                                decision = Placement::Default;
-                            } else {
-                                let _place_span = tracer.span(stage::CA_PLACE);
-                                decision = policy.on_target_busy(&mut ctx, target);
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        let _map_span = tracer.span(stage::MAP);
-        ctx.page_table.remap(page_va, Pte::new(new_pfn, PteFlags::WRITE));
-        policy.post_map(&mut ctx, new_pfn);
-        let latency = self
-            .latency
-            .fault_ns(size.base_pages(), ctx.stats.placements - placements_before);
-        ctx.stats.cow_faults += 1;
-        ctx.stats.record_fault(size, latency);
-        self.now_ns += latency;
-        self.tracer.set_clock(self.now_ns);
-        self.tracer.emit(TraceEvent::CowBreak { pid: pid.0, va: page_va.raw() });
-        // Drop our reference to the shared original. File pages are owned by
-        // the page cache, not the COW table: breaking a private file mapping
-        // must not free (or miscount) the cache's frame.
-        if !old_flags.contains(PteFlags::FILE) {
-            self.unshare_frame(old_pfn, size);
-        }
-        Ok(FaultOutcome { pfn: new_pfn, size, already_mapped: false })
     }
 
     fn file_fault(
@@ -1166,8 +1192,7 @@ impl System {
         /// Pages fetched around a file fault, like Linux's default readahead
         /// window (128 KiB).
         const READAHEAD_PAGES: u64 = 32;
-        let aspace = self.processes.get_mut(&pid).expect("unknown pid");
-        let vma = aspace.vma(vma_id);
+        let vma = self.aspace(pid).vma(vma_id);
         let VmaKind::File { file, start_page } = vma.kind() else {
             unreachable!("file fault on anonymous VMA");
         };
@@ -1179,53 +1204,30 @@ impl System {
         let mut window = READAHEAD_PAGES.min(vma_pages - vma_index);
         // Pressure escalation for readahead: recover and retry, then shrink
         // the window to the single faulting page before giving up.
-        let mut recover_attempts = 0u32;
-        let mut total_attempts = 0u32;
-        let mut recovered = false;
+        let mut esc = Escalation::default();
         loop {
             let attempt = {
                 let _alloc_span = self.tracer.span(stage::BUDDY_ALLOC);
                 self.page_cache.readahead(&mut self.machine, file, file_index, window)
             };
-            match attempt {
-                Ok(()) => break,
-                Err(_) => {
-                    self.recovery_stats.oom_events += 1;
-                    self.trace_recovery(RecoveryStage::OomEvent, 0, 0, 0);
-                    recover_attempts += 1;
-                    total_attempts += 1;
-                    self.livelock_check(va, total_attempts)?;
-                    let recovered_now = recover_attempts <= self.recovery.max_retries && {
-                        let _recovery_span = self.tracer.span(stage::RECOVERY);
-                        self.try_recover(0)
-                    };
-                    if recovered_now {
-                        {
-                            let _backoff_span = self.tracer.span(stage::BACKOFF);
-                            self.retry_backoff(total_attempts);
-                        }
-                        self.recovery_stats.retries += 1;
-                        self.trace_recovery(RecoveryStage::Retry, 0, 0, 0);
-                        recovered = true;
-                        continue;
-                    }
-                    if window > 1 {
-                        window = 1;
-                        self.recovery_stats.readahead_shrinks += 1;
-                        self.trace_recovery(RecoveryStage::ReadaheadShrink, window, 0, 0);
-                        recover_attempts = 0;
-                    } else {
-                        self.recovery_stats.hard_ooms += 1;
-                        self.trace_recovery(RecoveryStage::HardOom, 0, 0, 0);
-                        return Err(FaultError::OutOfMemory {
-                            addr: va,
-                            size: PageSize::Base4K,
-                        });
-                    }
-                }
+            if attempt.is_ok() {
+                break;
+            }
+            if self.recover_for_retry(va, 0, &mut esc)? {
+                continue;
+            }
+            if window > 1 {
+                window = 1;
+                self.recovery_stats.readahead_shrinks += 1;
+                self.trace_recovery(RecoveryStage::ReadaheadShrink, window, 0, 0);
+                esc.recover_attempts = 0;
+            } else {
+                self.recovery_stats.hard_ooms += 1;
+                self.trace_recovery(RecoveryStage::HardOom, 0, 0, 0);
+                return Err(FaultError::OutOfMemory { addr: va, size: PageSize::Base4K });
             }
         }
-        if recovered {
+        if esc.recovered {
             self.recovery_stats.recovered_faults += 1;
             self.trace_recovery(RecoveryStage::RecoveredFault, 0, 0, 0);
         }
@@ -1240,27 +1242,29 @@ impl System {
             .page_cache
             .lookup(file, file_index)
             .ok_or(FaultError::OutOfMemory { addr: va, size: PageSize::Base4K })?;
-        let tracer = self.tracer.clone();
-        let home = self.homes.get(&pid).copied();
-        let aspace = self.processes.get_mut(&pid).expect("unknown pid");
+        // Readahead may have gone through recovery, which needs the whole
+        // system: the mapping step resolves the address space afresh.
+        let frame = self.fault_frame(pid);
+        let home = frame.aspace.home();
         {
-            let _pt_span = tracer.span(stage::PT_WALK);
-            if aspace.page_table().translate(page_va).is_ok() {
+            let _pt_span = frame.tracer.span(stage::PT_WALK);
+            if frame.aspace.page_table().translate(page_va).is_ok() {
                 return Err(FaultError::AlreadyMapped { addr: va });
             }
         }
-        let _map_span = tracer.span(stage::MAP);
-        aspace
+        let _map_span = frame.tracer.span(stage::MAP);
+        frame
+            .aspace
             .page_table_mut()
             .map(page_va, Pte::new(pfn, PteFlags::FILE), PageSize::Base4K);
         // Give the policy its post-map hook (CA marks contiguity bits on
         // page-cache mappings too).
-        let (vma, page_table, stats) = aspace.fault_parts(vma_id);
+        let (vma, page_table, stats) = frame.aspace.fault_parts(vma_id);
         let mut ctx = FaultCtx {
-            machine: &mut self.machine,
+            machine: frame.machine,
             vma,
             page_table,
-            page_cache: &mut self.page_cache,
+            page_cache: frame.page_cache,
             va: page_va,
             size: PageSize::Base4K,
             kind: FaultKind::FileRead,
@@ -1269,10 +1273,10 @@ impl System {
             extra_zeroed_pages: 0,
         };
         policy.post_map(&mut ctx, pfn);
-        let latency = self.latency.fault_ns(1, 0);
-        aspace.stats_mut().record_fault(PageSize::Base4K, latency);
-        self.now_ns += latency;
-        self.tracer.set_clock(self.now_ns);
+        let latency = frame.latency.fault_ns(1, 0);
+        ctx.stats.record_fault(PageSize::Base4K, latency);
+        *frame.now_ns += latency;
+        frame.tracer.set_clock(*frame.now_ns);
         Ok(FaultOutcome { pfn, size: PageSize::Base4K, already_mapped: false })
     }
 
@@ -1298,24 +1302,12 @@ impl System {
                 .page_table_mut()
                 .map(m.va, Pte::new(m.pte.pfn, m.pte.flags | PteFlags::COW), m.size);
             // File pages are shared through the page cache, which owns their
-            // frames; only anonymous frames enter the COW reference table.
+            // frames; only anonymous frames carry a COW share count.
             if !m.pte.flags.contains(PteFlags::FILE) {
-                let count = self.shared.entry(m.pte.pfn).or_insert(1);
-                *count += 1;
+                self.machine.share_inc(m.pte.pfn);
             }
         }
         child
-    }
-
-    fn unshare_frame(&mut self, pfn: Pfn, size: PageSize) {
-        match self.shared.get_mut(&pfn) {
-            Some(count) if *count > 1 => *count -= 1,
-            Some(_) => {
-                self.shared.remove(&pfn);
-                self.machine.free_page(pfn, size);
-            }
-            None => self.machine.free_page(pfn, size),
-        }
     }
 
     /// Terminates a process, releasing every frame it exclusively owns.
@@ -1325,14 +1317,13 @@ impl System {
     ///
     /// Panics on an unknown pid.
     pub fn exit(&mut self, pid: Pid) {
-        self.homes.remove(&pid);
         let aspace = self.processes.remove(&pid).expect("unknown pid");
         for m in aspace.page_table().iter_mappings() {
             if m.pte.flags.contains(PteFlags::FILE) {
                 continue;
             }
             if m.pte.flags.contains(PteFlags::COW) {
-                self.unshare_frame(m.pte.pfn, m.size);
+                unshare_frame(&mut self.machine, m.pte.pfn, m.size);
             } else {
                 self.machine.free_page(m.pte.pfn, m.size);
             }
@@ -1352,7 +1343,7 @@ impl System {
     /// `keeper`'s frame and write-protects both behind the existing COW
     /// break path, so the next write to either lands on a fresh private
     /// copy via [`System::touch_write`]. The donor's old frame is released
-    /// through the COW reference table (freed outright when it was
+    /// through its COW share count (freed outright when it was
     /// exclusively owned).
     ///
     /// The caller asserts content equality — this simulator tracks frame
@@ -1410,11 +1401,9 @@ impl System {
                 donor_va,
                 Pte::new(kt.pfn, dt.flags.difference(PteFlags::WRITE) | PteFlags::COW),
             );
-        *self.shared.entry(kt.pfn).or_insert(1) += 1;
+        self.machine.share_inc(kt.pfn);
         let donor_freed = if dt.flags.contains(PteFlags::COW) {
-            let freed = !matches!(self.shared.get(&dt.pfn), Some(c) if *c > 1);
-            self.unshare_frame(dt.pfn, PageSize::Base4K);
-            freed
+            unshare_frame(&mut self.machine, dt.pfn, PageSize::Base4K)
         } else {
             self.machine.free_page(dt.pfn, PageSize::Base4K);
             true
@@ -1426,7 +1415,7 @@ impl System {
 
     /// Tears one 4 KiB leaf out of `pid`'s page table, releasing its frame
     /// through the same ownership rules as [`System::exit`]: page-cache
-    /// frames stay cached, COW frames go through the reference table, and
+    /// frames stay cached, COW frames go through their share count, and
     /// exclusively owned frames return to the buddy. This is the balloon
     /// driver's reclaim primitive — the guest keeps the (now unbacked) VMA.
     ///
@@ -1443,8 +1432,7 @@ impl System {
             return Some((pte.pfn, false));
         }
         if pte.flags.contains(PteFlags::COW) {
-            let freed = !matches!(self.shared.get(&pte.pfn), Some(c) if *c > 1);
-            self.unshare_frame(pte.pfn, PageSize::Base4K);
+            let freed = unshare_frame(&mut self.machine, pte.pfn, PageSize::Base4K);
             Some((pte.pfn, freed))
         } else {
             self.machine.free_page(pte.pfn, PageSize::Base4K);
@@ -1512,11 +1500,12 @@ impl System {
         if missing.is_empty() {
             return Ok(0);
         }
-        let (frames, err) = match self.homes.get(&pid) {
-            Some(&h) => self.machine.alloc_bulk_on(NodeId(h), missing.len() as u64),
+        let home = aspace.home();
+        let (frames, err) = match home {
+            Some(h) => self.machine.alloc_bulk_on(NodeId(h), missing.len() as u64),
             None => self.machine.alloc_bulk(missing.len() as u64),
         };
-        if let Some(&h) = self.homes.get(&pid) {
+        if let Some(h) = home {
             let local = frames
                 .iter()
                 .filter(|&&p| self.machine.node_of(p) == Some(NodeId(h)))
