@@ -1209,7 +1209,7 @@ fn cache_to_json(c: &CacheSnapshot) -> Json {
 }
 
 fn cache_from_json(v: &Json) -> DecodeResult<CacheSnapshot> {
-    Ok(CacheSnapshot {
+    let snap = CacheSnapshot {
         sets: get_u64(v, "sets")?,
         ways: get_u64(v, "ways")?,
         slots: get_arr(v, "slots")?
@@ -1222,7 +1222,9 @@ fn cache_from_json(v: &Json) -> DecodeResult<CacheSnapshot> {
         tick: get_u64(v, "tick")?,
         hits: get_u64(v, "hits")?,
         misses: get_u64(v, "misses")?,
-    })
+    };
+    snap.validate()?;
+    Ok(snap)
 }
 
 /// Encodes a [`TlbSnapshot`] (full hierarchy with LRU state) as canonical
@@ -1240,7 +1242,9 @@ pub fn tlb_to_json(s: &TlbSnapshot) -> Json {
 ///
 /// # Errors
 ///
-/// Describes the first missing or ill-typed field.
+/// Describes the first missing or ill-typed field, or the first structure
+/// whose image no cache can have produced ([`CacheSnapshot::validate`]), so
+/// `TlbHierarchy::from_snapshot` accepts whatever this returns.
 pub fn tlb_from_json(v: &Json) -> DecodeResult<TlbSnapshot> {
     let raw = get_arr(v, "counters")?;
     if raw.len() != 4 {

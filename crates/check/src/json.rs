@@ -261,13 +261,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run up to the next quote or escape in
+                    // one step. Both delimiters are ASCII, so the run ends
+                    // on a scalar boundary and multi-byte sequences pass
+                    // through unchanged; only the run is validated.
+                    let rest = &self.bytes[self.pos..];
+                    let len = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+                    let run = std::str::from_utf8(&rest[..len.unwrap_or(rest.len())])
                         .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += run.len();
                 }
             }
         }
@@ -349,6 +352,39 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn strings_keep_multi_byte_scalars_next_to_escapes() {
+        for (text, want) in [
+            (r#""é\n""#, "é\n"),
+            (r#""\té""#, "\té"),
+            (r#""日本\"語""#, "日本\"語"),
+            (r#""\u00e9é\u65e5日""#, "éé日日"),
+            (r#""🦀\\🦀\/""#, "🦀\\🦀/"),
+            (r#""""#, ""),
+            (r#""plain""#, "plain"),
+        ] {
+            assert_eq!(parse(text), Ok(Json::Str(want.into())), "{text}");
+            // And back: what the writer emits for it parses to it again.
+            assert_eq!(parse(&Json::Str(want.into()).to_line()), Ok(Json::Str(want.into())));
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_text() {
+        for (text, want) in [
+            (r#""日本"#, "unterminated string"),
+            (r#""é\"#, "bad escape None"),
+            (r#""é\q""#, "bad escape Some(113)"),
+            (r#""é\u12"#, "truncated \\u escape"),
+            (r#""\u123é""#, "truncated \\u escape"),
+            (r#""\u12é""#, "bad \\u escape"),
+            (r#""é\uzzzz""#, "bad \\u escape"),
+            (r#""\ud800""#, "surrogate \\u escape unsupported"),
+        ] {
+            assert_eq!(parse(text), Err(want.into()), "{text}");
+        }
     }
 
     #[test]

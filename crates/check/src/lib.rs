@@ -107,6 +107,50 @@ mod tests {
     }
 
     #[test]
+    fn tlb_snapshot_survives_the_codec_and_restores() {
+        use contig_tlb::{TlbConfig, TlbHierarchy};
+        let mut tlb = TlbHierarchy::new(TlbConfig::broadwell_scaled(5));
+        for page in 0..400u64 {
+            tlb.fill(VirtAddr::new(page << 12), contig_types::PageSize::Base4K);
+            tlb.lookup(VirtAddr::new((page / 3) << 12));
+        }
+        let snap = tlb.snapshot();
+        let decoded = tlb_from_json(&json::parse(&tlb_to_json(&snap).to_line()).unwrap()).unwrap();
+        assert_eq!(decoded, snap);
+        assert_eq!(TlbHierarchy::from_snapshot(&decoded).unwrap().snapshot(), snap);
+    }
+
+    /// A decoded TLB image either restores or is refused with a decode
+    /// error: no geometry or slot in it reaches an index, a division or an
+    /// allocation unchecked.
+    #[test]
+    fn hostile_tlb_snapshots_are_refused_not_restored() {
+        let image = |sets: &str, ways: &str, slots: &str| {
+            format!(r#"{{"sets":{sets},"ways":{ways},"slots":{slots},"tick":1,"hits":0,"misses":0}}"#)
+        };
+        let good = image("1", "2", "[[5,1],null]");
+        let decode = |l2: &str| {
+            let doc = format!(r#"{{"l1_4k":{good},"l1_2m":{good},"l2":{l2},"counters":[0,0,0,0]}}"#);
+            tlb_from_json(&json::parse(&doc).unwrap())
+        };
+        assert!(contig_tlb::TlbHierarchy::from_snapshot(&decode(&good).unwrap()).is_ok());
+        for (l2, why) in [
+            (image("0", "0", "[]"), "0 sets x 0 ways"),
+            (image("0", "2", "[]"), "0 sets x 2 ways"),
+            (image("3", "0", "[]"), "3 sets x 0 ways"),
+            (image("2", "2", "[null,null,null]"), "does not describe 3 slots"),
+            (image("9223372036854775808", "2", "[]"), "does not describe 0 slots"),
+            (image("18446744073709551615", "18446744073709551615", "[null]"), "1 slots"),
+            (image("1", "2", "[[5,1],[7,0]]"), "slot 1 is occupied with tick 0"),
+            (image("18446744073709551616", "1", "[]"), "sets"),
+            (image("1", "1", "[[5]]"), "cache slot"),
+        ] {
+            let err = decode(&l2).unwrap_err();
+            assert!(err.contains(why), "{l2}: {err}");
+        }
+    }
+
+    #[test]
     fn codec_detects_corruption() {
         let snap = populated_vm().snapshot();
         let text = encode_vm_file(&snap);

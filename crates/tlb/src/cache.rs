@@ -1,6 +1,27 @@
 //! A generic set-associative cache with LRU replacement, used for every TLB
 //! structure in the hierarchy.
 
+use std::ops::Range;
+
+/// One way of one set, packed to 16 bytes so a four-way set is one cache
+/// line. `tick == 0` marks the way empty: the LRU clock is bumped before
+/// every store, so an occupied way's tick is at least 1 and an empty way
+/// sorts below every occupied one when a victim is chosen.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    key: u64,
+    tick: u64,
+}
+
+const EMPTY: Slot = Slot { key: 0, tick: 0 };
+
+impl Slot {
+    #[inline]
+    fn holds(&self, key: u64) -> bool {
+        self.key == key && self.tick != 0
+    }
+}
+
 /// A set-associative, LRU-replaced cache over opaque `u64` keys.
 ///
 /// # Examples
@@ -17,8 +38,12 @@
 pub struct SetAssocCache {
     sets: usize,
     ways: usize,
-    /// `sets * ways` slots: `(key, last-touch tick)`.
-    slots: Vec<Option<(u64, u64)>>,
+    /// `sets - 1` when `sets` is a power of two, and the set index is then
+    /// `key & mask`; `None` for the scaled geometries whose set count is
+    /// not one, which index by `key % sets`. Both name the same set.
+    mask: Option<u64>,
+    /// `sets * ways` slots, set by set.
+    slots: Vec<Slot>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -33,14 +58,12 @@ impl SetAssocCache {
     pub fn new(entries: usize, ways: usize) -> Self {
         assert!(ways > 0 && entries > 0, "cache must have entries");
         assert!(entries.is_multiple_of(ways), "{entries} entries not divisible into {ways} ways");
-        Self {
-            sets: entries / ways,
-            ways,
-            slots: vec![None; entries],
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Self::with_slots(entries / ways, ways, vec![EMPTY; entries])
+    }
+
+    fn with_slots(sets: usize, ways: usize, slots: Vec<Slot>) -> Self {
+        let mask = sets.is_power_of_two().then(|| sets as u64 - 1);
+        Self { sets, ways, mask, slots, tick: 0, hits: 0, misses: 0 }
     }
 
     /// A fully-associative cache of `entries` entries.
@@ -58,71 +81,72 @@ impl SetAssocCache {
         self.sets
     }
 
-    fn set_of(&self, key: u64) -> usize {
-        (key % self.sets as u64) as usize
+    /// The slot indices of `key`'s set.
+    #[inline]
+    fn set_of(&self, key: u64) -> Range<usize> {
+        let set = match self.mask {
+            Some(mask) => key & mask,
+            None => key % self.sets as u64,
+        };
+        let base = set as usize * self.ways;
+        base..base + self.ways
     }
 
     /// Looks up `key`, refreshing its recency on a hit.
+    #[inline]
     pub fn access(&mut self, key: u64) -> bool {
         self.tick += 1;
         let set = self.set_of(key);
-        let base = set * self.ways;
-        for (k, touched) in self.slots[base..base + self.ways].iter_mut().flatten() {
-            if *k == key {
-                *touched = self.tick;
+        match self.slots[set].iter_mut().find(|s| s.holds(key)) {
+            Some(slot) => {
+                slot.tick = self.tick;
                 self.hits += 1;
-                return true;
+                true
+            }
+            None => {
+                self.misses += 1;
+                false
             }
         }
-        self.misses += 1;
-        false
     }
 
     /// Whether `key` is cached, without touching recency or counters.
     pub fn peek(&self, key: u64) -> bool {
-        let set = self.set_of(key);
-        let base = set * self.ways;
-        self.slots[base..base + self.ways]
-            .iter()
-            .any(|s| s.map(|(k, _)| k == key).unwrap_or(false))
+        self.slots[self.set_of(key)].iter().any(|s| s.holds(key))
     }
 
     /// Inserts `key`, evicting the LRU way of its set if needed. Inserting a
     /// present key refreshes it.
+    #[inline]
     pub fn fill(&mut self, key: u64) {
         self.tick += 1;
         let set = self.set_of(key);
-        let base = set * self.ways;
-        // Refresh when present.
-        for (k, touched) in self.slots[base..base + self.ways].iter_mut().flatten() {
-            if *k == key {
-                *touched = self.tick;
-                return;
-            }
-        }
-        // Empty way, else LRU victim.
-        let victim = (base..base + self.ways)
-            .min_by_key(|&i| self.slots[i].map(|(_, t)| t).unwrap_or(0))
+        let set = &mut self.slots[set];
+        // Refresh when present; else the first empty way, else the LRU
+        // victim (`min_by_key` breaks ties towards the lowest way).
+        let way = set
+            .iter()
+            .position(|s| s.holds(key))
+            .or_else(|| (0..set.len()).min_by_key(|&w| set[w].tick))
             .expect("set has ways");
-        self.slots[victim] = Some((key, self.tick));
+        set[way] = Slot { key, tick: self.tick };
     }
 
     /// Removes `key` if present (TLB shootdown), returning whether it was.
     pub fn invalidate(&mut self, key: u64) -> bool {
         let set = self.set_of(key);
-        let base = set * self.ways;
-        for slot in &mut self.slots[base..base + self.ways] {
-            if slot.map(|(k, _)| k == key).unwrap_or(false) {
-                *slot = None;
-                return true;
+        match self.slots[set].iter_mut().find(|s| s.holds(key)) {
+            Some(slot) => {
+                *slot = EMPTY;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Drops every entry.
     pub fn flush(&mut self) {
-        self.slots.fill(None);
+        self.slots.fill(EMPTY);
     }
 
     /// `(hits, misses)` since construction.
@@ -136,7 +160,7 @@ impl SetAssocCache {
         CacheSnapshot {
             sets: self.sets as u64,
             ways: self.ways as u64,
-            slots: self.slots.clone(),
+            slots: self.slots.iter().map(|s| (s.tick != 0).then_some((s.key, s.tick))).collect(),
             tick: self.tick,
             hits: self.hits,
             misses: self.misses,
@@ -146,20 +170,22 @@ impl SetAssocCache {
     /// Rebuilds a cache from a checkpoint: identical lookup/eviction
     /// behaviour from the captured state onward.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot's slot count disagrees with its geometry.
-    pub fn from_snapshot(snap: &CacheSnapshot) -> Self {
-        let (sets, ways) = (snap.sets as usize, snap.ways as usize);
-        assert_eq!(snap.slots.len(), sets * ways, "snapshot geometry mismatch");
-        Self {
-            sets,
-            ways,
-            slots: snap.slots.clone(),
+    /// Whatever [`CacheSnapshot::validate`] finds.
+    pub fn from_snapshot(snap: &CacheSnapshot) -> Result<Self, String> {
+        snap.validate()?;
+        let slots = snap
+            .slots
+            .iter()
+            .map(|slot| slot.map_or(EMPTY, |(key, tick)| Slot { key, tick }))
+            .collect();
+        Ok(Self {
             tick: snap.tick,
             hits: snap.hits,
             misses: snap.misses,
-        }
+            ..Self::with_slots(snap.sets as usize, snap.ways as usize, slots)
+        })
     }
 }
 
@@ -178,6 +204,33 @@ pub struct CacheSnapshot {
     pub hits: u64,
     /// Misses since construction.
     pub misses: u64,
+}
+
+impl CacheSnapshot {
+    /// Checks that some cache can have produced this image, so that a
+    /// decoded one restores without panicking.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first inconsistency: no sets or no ways, a slot count
+    /// that is not `sets * ways` (or a product that overflows), or an
+    /// occupied slot with tick 0, which is how an empty way is stored.
+    pub fn validate(&self) -> Result<(), String> {
+        let sets = usize::try_from(self.sets).unwrap_or(0);
+        let ways = usize::try_from(self.ways).unwrap_or(0);
+        if sets == 0 || ways == 0 || sets.checked_mul(ways) != Some(self.slots.len()) {
+            return Err(format!(
+                "cache geometry {} sets x {} ways does not describe {} slots",
+                self.sets,
+                self.ways,
+                self.slots.len()
+            ));
+        }
+        match self.slots.iter().position(|s| matches!(s, Some((_, 0)))) {
+            Some(i) => Err(format!("cache slot {i} is occupied with tick 0")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -240,6 +293,33 @@ mod tests {
         c.fill(5);
         c.access(5);
         assert_eq!(c.stats(), (1, 1));
+    }
+
+    #[test]
+    fn from_snapshot_rejects_images_no_cache_produced() {
+        let image = |sets, ways, slots: Vec<Option<(u64, u64)>>| CacheSnapshot {
+            sets,
+            ways,
+            slots,
+            tick: 9,
+            hits: 0,
+            misses: 0,
+        };
+        for (bad, why) in [
+            (image(0, 0, vec![]), "0 sets x 0 ways"),
+            (image(0, 4, vec![]), "0 sets x 4 ways"),
+            (image(1, 0, vec![]), "1 sets x 0 ways"),
+            (image(2, 2, vec![None; 3]), "does not describe 3 slots"),
+            // 2^63 * 2 wraps to 0, the slot count.
+            (image(1 << 63, 2, vec![]), "does not describe 0 slots"),
+            (image(u64::MAX, u64::MAX, vec![None]), "does not describe 1 slots"),
+            (image(1, 2, vec![Some((5, 1)), Some((7, 0))]), "slot 1 is occupied with tick 0"),
+        ] {
+            let err = SetAssocCache::from_snapshot(&bad).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+        let mut ok = SetAssocCache::from_snapshot(&image(1, 2, vec![Some((5, 1)), None])).unwrap();
+        assert!(ok.access(5) && !ok.access(7));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use contig_types::{PageSize, VirtAddr};
 
-use crate::cache::SetAssocCache;
+use crate::cache::{CacheSnapshot, SetAssocCache};
 
 /// Geometry of one TLB structure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,16 +100,19 @@ pub struct TlbHierarchy {
     misses: u64,
 }
 
+#[inline]
 fn key_4k(va: VirtAddr) -> u64 {
     va.raw() >> PageSize::Base4K.shift()
 }
 
+#[inline]
 fn key_2m(va: VirtAddr) -> u64 {
     va.raw() >> PageSize::Huge2M.shift()
 }
 
 /// L2 is unified: tag keys with a size bit so 4 KiB and 2 MiB entries for
 /// overlapping regions never alias.
+#[inline]
 fn l2_key(va: VirtAddr, size: PageSize) -> u64 {
     match size {
         PageSize::Base4K => key_4k(va) << 1,
@@ -132,32 +135,37 @@ impl TlbHierarchy {
     }
 
     /// Probes the hierarchy for `va` (either page size).
+    #[inline(always)]
     pub fn lookup(&mut self, va: VirtAddr) -> TlbHit {
         self.lookups += 1;
         if self.l1_2m.access(key_2m(va)) || self.l1_4k.access(key_4k(va)) {
             self.l1_hits += 1;
             return TlbHit::L1;
         }
-        if self.l2.access(l2_key(va, PageSize::Huge2M)) || self.l2.access(l2_key(va, PageSize::Base4K))
-        {
-            self.l2_hits += 1;
-            // Hardware refills the L1 from the L2; model that so repeated
-            // accesses hit L1. Size is recovered from which key matched: we
-            // simply refill both candidate sizes' L1 keys; only the matching
-            // one will be looked up first next time.
-            if self.l2.peek(l2_key(va, PageSize::Huge2M)) {
-                self.l1_2m.fill(key_2m(va));
-            } else {
-                self.l1_4k.fill(key_4k(va));
-            }
-            return TlbHit::L2;
+        self.lookup_l2(va)
+    }
+
+    /// The L1-miss half of [`TlbHierarchy::lookup`], out of line so the
+    /// L1-hit half stays small enough to inline into a replay loop.
+    #[inline(never)]
+    fn lookup_l2(&mut self, va: VirtAddr) -> TlbHit {
+        // Hardware refills the L1 from the L2; model that so repeated
+        // accesses hit L1. The L2 key that matched carries the size.
+        if self.l2.access(l2_key(va, PageSize::Huge2M)) {
+            self.l1_2m.fill(key_2m(va));
+        } else if self.l2.access(l2_key(va, PageSize::Base4K)) {
+            self.l1_4k.fill(key_4k(va));
+        } else {
+            self.misses += 1;
+            return TlbHit::Miss;
         }
-        self.misses += 1;
-        TlbHit::Miss
+        self.l2_hits += 1;
+        TlbHit::L2
     }
 
     /// Installs the translation for `va` with its actual page size into L1
     /// and L2, as the page-walker does after a miss.
+    #[inline]
     pub fn fill(&mut self, va: VirtAddr, size: PageSize) {
         match size {
             PageSize::Base4K => self.l1_4k.fill(key_4k(va)),
@@ -200,16 +208,23 @@ impl TlbHierarchy {
 
     /// Rebuilds a hierarchy from a checkpoint, resuming hit/miss behaviour
     /// exactly where the capture left off.
-    pub fn from_snapshot(snap: &TlbSnapshot) -> Self {
-        Self {
-            l1_4k: SetAssocCache::from_snapshot(&snap.l1_4k),
-            l1_2m: SetAssocCache::from_snapshot(&snap.l1_2m),
-            l2: SetAssocCache::from_snapshot(&snap.l2),
+    ///
+    /// # Errors
+    ///
+    /// Names the structure whose image [`CacheSnapshot::validate`] rejects.
+    pub fn from_snapshot(snap: &TlbSnapshot) -> Result<Self, String> {
+        let cache = |name: &str, image: &CacheSnapshot| {
+            SetAssocCache::from_snapshot(image).map_err(|e| format!("{name}: {e}"))
+        };
+        Ok(Self {
+            l1_4k: cache("l1_4k", &snap.l1_4k)?,
+            l1_2m: cache("l1_2m", &snap.l1_2m)?,
+            l2: cache("l2", &snap.l2)?,
             lookups: snap.counters[0],
             l1_hits: snap.counters[1],
             l2_hits: snap.counters[2],
             misses: snap.counters[3],
-        }
+        })
     }
 }
 
@@ -217,11 +232,11 @@ impl TlbHierarchy {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TlbSnapshot {
     /// The split L1 for 4 KiB translations.
-    pub l1_4k: crate::cache::CacheSnapshot,
+    pub l1_4k: CacheSnapshot,
     /// The split L1 for 2 MiB translations.
-    pub l1_2m: crate::cache::CacheSnapshot,
+    pub l1_2m: CacheSnapshot,
     /// The unified L2 STLB.
-    pub l2: crate::cache::CacheSnapshot,
+    pub l2: CacheSnapshot,
     /// `lookups, l1_hits, l2_hits, misses` in order.
     pub counters: [u64; 4],
 }
@@ -300,7 +315,7 @@ mod tests {
         }
         t.lookup(VirtAddr::new(0x2000));
         let snap = t.snapshot();
-        let mut restored = TlbHierarchy::from_snapshot(&snap);
+        let mut restored = TlbHierarchy::from_snapshot(&snap).unwrap();
         assert_eq!(restored.snapshot(), snap);
         // Same probes produce the same hit sequence on both copies.
         for i in 0..8u64 {

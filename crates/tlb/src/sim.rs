@@ -169,6 +169,12 @@ impl MemorySim {
         self.report
     }
 
+    /// The TLB hierarchy: its counters and, through
+    /// [`TlbHierarchy::snapshot`], every slot and LRU tick.
+    pub fn tlb(&self) -> &TlbHierarchy {
+        &self.tlb
+    }
+
     /// The walk-cost model in force.
     pub fn cost_model(&self) -> WalkCostModel {
         self.cost
@@ -180,14 +186,31 @@ impl MemorySim {
     ///
     /// Panics if the backend cannot translate the address: traces must only
     /// touch populated memory.
+    #[inline]
     pub fn step(
         &mut self,
         backend: &dyn TranslationBackend,
         handler: &mut dyn MissHandler,
         access: Access,
     ) {
-        self.report.accesses += 1;
         let traced = self.tracer.is_enabled();
+        self.step_as(backend, handler, access, traced);
+    }
+
+    /// [`MemorySim::step`] with the tracer test already made. Forced inline,
+    /// and the two slow paths ([`MemorySim::walk`], the hierarchy's L2
+    /// probe) forced out of line: `contig-tlb` is compiled without LTO and
+    /// left to itself the inliner either keeps the L1-hit path behind a call
+    /// per access or, worse, hoists `run` into its caller and calls this.
+    #[inline(always)]
+    fn step_as(
+        &mut self,
+        backend: &dyn TranslationBackend,
+        handler: &mut dyn MissHandler,
+        access: Access,
+        traced: bool,
+    ) {
+        self.report.accesses += 1;
         if traced {
             self.tracer.add("tlb.access", 1);
         }
@@ -204,30 +227,36 @@ impl MemorySim {
                     self.tracer.add("tlb.l2_hit", 1);
                 }
             }
-            TlbHit::Miss => {
-                let walk = backend
-                    .walk(access.va)
-                    .unwrap_or_else(|| panic!("trace touched unmapped address {}", access.va));
-                self.report.walks += 1;
-                self.report.walk_refs += walk.refs as u64;
-                let cycles = self.cost.cycles(walk.refs);
-                self.report.walk_cycles += cycles;
-                if traced {
-                    self.tracer.emit(TraceEvent::TlbMiss {
-                        va: access.va.raw(),
-                        refs: walk.refs,
-                        cycles,
-                    });
-                    self.tracer.observe("tlb.walk_cycles", cycles);
-                }
-                self.tlb.fill(access.va.align_down(walk.size), walk.size);
-                match handler.on_miss(access, &walk) {
-                    MissHandling::Exposed => self.report.exposed += 1,
-                    MissHandling::Hidden => self.report.hidden += 1,
-                    MissHandling::PredictedCorrect => self.report.predicted += 1,
-                    MissHandling::Mispredicted => self.report.mispredicted += 1,
-                }
-            }
+            TlbHit::Miss => self.walk(backend, handler, access, traced),
+        }
+    }
+
+    /// The last-level miss path: walk, refill, and ask the scheme.
+    #[inline(never)]
+    fn walk(
+        &mut self,
+        backend: &dyn TranslationBackend,
+        handler: &mut dyn MissHandler,
+        access: Access,
+        traced: bool,
+    ) {
+        let walk = backend
+            .walk(access.va)
+            .unwrap_or_else(|| panic!("trace touched unmapped address {}", access.va));
+        self.report.walks += 1;
+        self.report.walk_refs += walk.refs as u64;
+        let cycles = self.cost.cycles(walk.refs);
+        self.report.walk_cycles += cycles;
+        if traced {
+            self.tracer.emit(TraceEvent::TlbMiss { va: access.va.raw(), refs: walk.refs, cycles });
+            self.tracer.observe("tlb.walk_cycles", cycles);
+        }
+        self.tlb.fill(access.va.align_down(walk.size), walk.size);
+        match handler.on_miss(access, &walk) {
+            MissHandling::Exposed => self.report.exposed += 1,
+            MissHandling::Hidden => self.report.hidden += 1,
+            MissHandling::PredictedCorrect => self.report.predicted += 1,
+            MissHandling::Mispredicted => self.report.mispredicted += 1,
         }
     }
 
@@ -242,8 +271,16 @@ impl MemorySim {
         handler: &mut dyn MissHandler,
         trace: impl IntoIterator<Item = Access>,
     ) {
-        for access in trace {
-            self.step(backend, handler, access);
+        // The tracer is tested once, not per access: each loop inlines
+        // `step_as` with `traced` a constant.
+        if self.tracer.is_enabled() {
+            for access in trace {
+                self.step_as(backend, handler, access, true);
+            }
+        } else {
+            for access in trace {
+                self.step_as(backend, handler, access, false);
+            }
         }
     }
 

@@ -4,7 +4,9 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
-use contig_tlb::{SetAssocCache, TlbConfig, TlbGeometry, TlbHierarchy, TlbHit};
+use contig_tlb::{
+    CacheSnapshot, SetAssocCache, TlbConfig, TlbGeometry, TlbHierarchy, TlbHit, TlbSnapshot,
+};
 use contig_types::{PageSize, VirtAddr};
 
 #[derive(Clone, Debug)]
@@ -59,6 +61,275 @@ impl RefLru {
     }
 }
 
+/// The cache exactly as it was before its slots were packed and its set
+/// index became a mask (PR 13): `Option`-tagged `(key, tick)` slots indexed
+/// by `%`. The differential properties below hold the shipped cache to it,
+/// return value by return value and slot by slot.
+#[derive(Clone, Debug)]
+struct OldCache {
+    sets: usize,
+    ways: usize,
+    slots: Vec<Option<(u64, u64)>>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl OldCache {
+    fn new(entries: usize, ways: usize) -> Self {
+        Self { sets: entries / ways, ways, slots: vec![None; entries], tick: 0, hits: 0, misses: 0 }
+    }
+
+    fn set_of(&self, key: u64) -> usize {
+        (key % self.sets as u64) as usize
+    }
+
+    fn access(&mut self, key: u64) -> bool {
+        self.tick += 1;
+        let base = self.set_of(key) * self.ways;
+        for (k, touched) in self.slots[base..base + self.ways].iter_mut().flatten() {
+            if *k == key {
+                *touched = self.tick;
+                self.hits += 1;
+                return true;
+            }
+        }
+        self.misses += 1;
+        false
+    }
+
+    fn peek(&self, key: u64) -> bool {
+        let base = self.set_of(key) * self.ways;
+        self.slots[base..base + self.ways].iter().any(|s| s.map(|(k, _)| k == key).unwrap_or(false))
+    }
+
+    fn fill(&mut self, key: u64) {
+        self.tick += 1;
+        let base = self.set_of(key) * self.ways;
+        for (k, touched) in self.slots[base..base + self.ways].iter_mut().flatten() {
+            if *k == key {
+                *touched = self.tick;
+                return;
+            }
+        }
+        let victim = (base..base + self.ways)
+            .min_by_key(|&i| self.slots[i].map(|(_, t)| t).unwrap_or(0))
+            .expect("set has ways");
+        self.slots[victim] = Some((key, self.tick));
+    }
+
+    fn invalidate(&mut self, key: u64) -> bool {
+        let base = self.set_of(key) * self.ways;
+        for slot in &mut self.slots[base..base + self.ways] {
+            if slot.map(|(k, _)| k == key).unwrap_or(false) {
+                *slot = None;
+                return true;
+            }
+        }
+        false
+    }
+
+    fn flush(&mut self) {
+        self.slots.fill(None);
+    }
+
+    fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+
+    fn snapshot(&self) -> CacheSnapshot {
+        CacheSnapshot {
+            sets: self.sets as u64,
+            ways: self.ways as u64,
+            slots: self.slots.clone(),
+            tick: self.tick,
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+
+    fn from_snapshot(snap: &CacheSnapshot) -> Self {
+        Self {
+            sets: snap.sets as usize,
+            ways: snap.ways as usize,
+            slots: snap.slots.clone(),
+            tick: snap.tick,
+            hits: snap.hits,
+            misses: snap.misses,
+        }
+    }
+}
+
+/// The hierarchy as it was before PR 13, over [`OldCache`]: an L2 hit
+/// recovers the matching size with a third probe (`peek`).
+struct OldHierarchy {
+    l1_4k: OldCache,
+    l1_2m: OldCache,
+    l2: OldCache,
+    counters: [u64; 4],
+}
+
+fn old_l2_key(va: VirtAddr, size: PageSize) -> u64 {
+    match size {
+        PageSize::Base4K => (va.raw() >> 12) << 1,
+        PageSize::Huge2M => ((va.raw() >> 21) << 1) | 1,
+    }
+}
+
+impl OldHierarchy {
+    fn new(config: TlbConfig) -> Self {
+        let cache = |g: TlbGeometry| OldCache::new(g.entries, g.ways);
+        Self {
+            l1_4k: cache(config.l1_4k),
+            l1_2m: cache(config.l1_2m),
+            l2: cache(config.l2),
+            counters: [0; 4],
+        }
+    }
+
+    fn lookup(&mut self, va: VirtAddr) -> TlbHit {
+        self.counters[0] += 1;
+        if self.l1_2m.access(va.raw() >> 21) || self.l1_4k.access(va.raw() >> 12) {
+            self.counters[1] += 1;
+            return TlbHit::L1;
+        }
+        if self.l2.access(old_l2_key(va, PageSize::Huge2M))
+            || self.l2.access(old_l2_key(va, PageSize::Base4K))
+        {
+            self.counters[2] += 1;
+            if self.l2.peek(old_l2_key(va, PageSize::Huge2M)) {
+                self.l1_2m.fill(va.raw() >> 21);
+            } else {
+                self.l1_4k.fill(va.raw() >> 12);
+            }
+            return TlbHit::L2;
+        }
+        self.counters[3] += 1;
+        TlbHit::Miss
+    }
+
+    fn fill(&mut self, va: VirtAddr, size: PageSize) {
+        match size {
+            PageSize::Base4K => self.l1_4k.fill(va.raw() >> 12),
+            PageSize::Huge2M => self.l1_2m.fill(va.raw() >> 21),
+        }
+        self.l2.fill(old_l2_key(va, size));
+    }
+
+    fn invalidate(&mut self, va: VirtAddr) {
+        self.l1_4k.invalidate(va.raw() >> 12);
+        self.l1_2m.invalidate(va.raw() >> 21);
+        self.l2.invalidate(old_l2_key(va, PageSize::Base4K));
+        self.l2.invalidate(old_l2_key(va, PageSize::Huge2M));
+    }
+
+    fn flush(&mut self) {
+        self.l1_4k.flush();
+        self.l1_2m.flush();
+        self.l2.flush();
+    }
+
+    fn snapshot(&self) -> TlbSnapshot {
+        TlbSnapshot {
+            l1_4k: self.l1_4k.snapshot(),
+            l1_2m: self.l1_2m.snapshot(),
+            l2: self.l2.snapshot(),
+            counters: self.counters,
+        }
+    }
+}
+
+/// One step of the differential cache property; `raw` becomes a key once
+/// the generated geometry is known (see `key_for`).
+#[derive(Clone, Debug)]
+enum DiffOp {
+    Access(u64),
+    Fill(u64),
+    Peek(u64),
+    Invalidate(u64),
+    Flush,
+    RoundTrip,
+}
+
+fn diff_op() -> impl Strategy<Value = DiffOp> {
+    prop_oneof![
+        any::<u64>().prop_map(DiffOp::Access),
+        any::<u64>().prop_map(DiffOp::Access),
+        any::<u64>().prop_map(DiffOp::Fill),
+        any::<u64>().prop_map(DiffOp::Fill),
+        any::<u64>().prop_map(DiffOp::Fill),
+        any::<u64>().prop_map(DiffOp::Peek),
+        any::<u64>().prop_map(DiffOp::Invalidate),
+        (0u8..8).prop_map(|n| if n == 0 { DiffOp::Flush } else { DiffOp::RoundTrip }),
+    ]
+}
+
+/// Mostly keys from a space three times the capacity, so sets conflict and
+/// refills hit; one in eight keeps all 64 random bits, where a wrong mask
+/// and a wrong `%` disagree.
+fn key_for(raw: u64, capacity: usize) -> u64 {
+    if raw.is_multiple_of(8) {
+        raw
+    } else {
+        (raw >> 3) % (3 * capacity as u64 + 1)
+    }
+}
+
+/// `(sets, ways)`: one set, one way, the power-of-two set counts of Broadwell
+/// and its `Scale(64)` scaling, the non-power-of-two counts of
+/// `broadwell_scaled(5)` (3 and 51), and anything else small.
+fn geometry() -> impl Strategy<Value = (usize, usize)> {
+    prop_oneof![
+        Just((1, 1)),
+        Just((1, 4)),
+        Just((1, 6)),
+        Just((7, 1)),
+        Just((4, 6)),
+        Just((16, 4)),
+        Just((256, 6)),
+        Just((3, 4)),
+        Just((51, 6)),
+        (1usize..40, 1usize..9),
+    ]
+}
+
+#[derive(Clone, Debug)]
+enum TlbOp {
+    Lookup(u64),
+    Fill(u64, bool),
+    Invalidate(u64),
+    Flush,
+}
+
+/// Byte addresses inside 16 MiB: 4 096 base pages over 8 huge regions, so
+/// both sizes alias, L1s thrash and the scaled L2s evict.
+fn tlb_op() -> impl Strategy<Value = TlbOp> {
+    let va = 0u64..16 << 20;
+    prop_oneof![
+        va.clone().prop_map(TlbOp::Lookup),
+        va.clone().prop_map(TlbOp::Lookup),
+        (va.clone(), any::<bool>()).prop_map(|(va, huge)| TlbOp::Fill(va, huge)),
+        (va.clone(), any::<bool>()).prop_map(|(va, huge)| TlbOp::Fill(va, huge)),
+        va.prop_map(TlbOp::Invalidate),
+        (0u64..16).prop_map(|n| if n == 0 { TlbOp::Flush } else { TlbOp::Lookup(n << 12) }),
+    ]
+}
+
+fn tlb_config() -> impl Strategy<Value = TlbConfig> {
+    let tiny = TlbConfig {
+        l1_4k: TlbGeometry { entries: 2, ways: 2 },
+        l1_2m: TlbGeometry { entries: 1, ways: 1 },
+        l2: TlbGeometry { entries: 12, ways: 4 },
+    };
+    prop_oneof![
+        Just(tiny),
+        Just(TlbConfig::broadwell()),
+        Just(TlbConfig::broadwell_scaled(5)),
+        Just(TlbConfig::broadwell_scaled(64)),
+        (1usize..2048).prop_map(TlbConfig::broadwell_scaled),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -90,24 +361,96 @@ proptest! {
         }
     }
 
-    /// Set-associative placement never exceeds capacity and keys stay in
-    /// their own set.
+    /// The packed, mask-indexed cache is the old `Option`-slot, `%`-indexed
+    /// one: every return value, `stats()` and the whole `snapshot()` agree
+    /// after every operation, through restores, on every geometry. A fill
+    /// also never touches a slot outside its key's set.
     #[test]
-    fn sets_partition_the_key_space(
-        fills in proptest::collection::vec(0u64..1000, 1..200),
+    fn cache_matches_the_old_implementation(
+        shape in geometry(),
+        ops in proptest::collection::vec(diff_op(), 1..400),
     ) {
-        let mut cache = SetAssocCache::new(16, 4);
-        for &k in &fills {
-            cache.fill(k);
+        let (sets, ways) = shape;
+        let mut new = SetAssocCache::new(sets * ways, ways);
+        let mut old = OldCache::new(sets * ways, ways);
+        prop_assert_eq!(new.sets(), sets);
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                DiffOp::Access(raw) => {
+                    let k = key_for(raw, sets * ways);
+                    prop_assert_eq!(new.access(k), old.access(k), "op {}: access {}", i, k);
+                }
+                DiffOp::Fill(raw) => {
+                    let k = key_for(raw, sets * ways);
+                    let before = new.snapshot().slots;
+                    new.fill(k);
+                    old.fill(k);
+                    prop_assert!(new.peek(k), "op {}: fill {} did not install", i, k);
+                    let base = (k % sets as u64) as usize * ways;
+                    for (j, (b, a)) in before.iter().zip(new.snapshot().slots).enumerate() {
+                        let inside = (base..base + ways).contains(&j);
+                        prop_assert!(inside || *b == a, "op {}: fill {} wrote slot {}", i, k, j);
+                    }
+                }
+                DiffOp::Peek(raw) => {
+                    let k = key_for(raw, sets * ways);
+                    prop_assert_eq!(new.peek(k), old.peek(k), "op {}: peek {}", i, k);
+                }
+                DiffOp::Invalidate(raw) => {
+                    let k = key_for(raw, sets * ways);
+                    prop_assert_eq!(new.invalidate(k), old.invalidate(k), "op {}: inval {}", i, k);
+                }
+                DiffOp::Flush => {
+                    new.flush();
+                    old.flush();
+                }
+                DiffOp::RoundTrip => {
+                    new = SetAssocCache::from_snapshot(&new.snapshot()).expect("own image");
+                    old = OldCache::from_snapshot(&old.snapshot());
+                }
+            }
+            prop_assert_eq!(new.stats(), old.stats(), "op {}: {:?}", i, op);
+            prop_assert_eq!(new.snapshot(), old.snapshot(), "op {}: {:?}", i, op);
         }
-        // A key can only evict keys of the same set: filling 100 keys of set
-        // 0 must never evict a resident key of set 1.
-        let mut probe = SetAssocCache::new(16, 4);
-        probe.fill(1); // set 1
-        for i in 0..100u64 {
-            probe.fill(i * 4); // all set 0
+    }
+
+    /// The same for the hierarchy: the L2-hit refill that reuses the
+    /// matching probe is the old one that probed a third time.
+    #[test]
+    fn hierarchy_matches_the_old_implementation(
+        config in tlb_config(),
+        ops in proptest::collection::vec(tlb_op(), 1..600),
+    ) {
+        let mut new = TlbHierarchy::new(config);
+        let mut old = OldHierarchy::new(config);
+        for (i, op) in ops.iter().enumerate() {
+            match *op {
+                TlbOp::Lookup(va) => {
+                    let va = VirtAddr::new(va);
+                    prop_assert_eq!(new.lookup(va), old.lookup(va), "op {}: lookup {}", i, va);
+                }
+                TlbOp::Fill(va, huge) => {
+                    let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
+                    let va = VirtAddr::new(va).align_down(size);
+                    new.fill(va, size);
+                    old.fill(va, size);
+                }
+                TlbOp::Invalidate(va) => {
+                    new.invalidate(VirtAddr::new(va));
+                    old.invalidate(VirtAddr::new(va));
+                }
+                TlbOp::Flush => {
+                    new.flush();
+                    old.flush();
+                }
+            }
+            let snap = new.snapshot();
+            prop_assert_eq!(&snap, &old.snapshot(), "op {}: {:?}", i, op);
+            let [lookups, l1, l2, misses] = snap.counters;
+            prop_assert_eq!(new.stats(), (lookups, l1, l2, misses));
         }
-        prop_assert!(probe.peek(1));
+        let restored = TlbHierarchy::from_snapshot(&new.snapshot()).expect("own image");
+        prop_assert_eq!(restored.snapshot(), old.snapshot());
     }
 
     /// Hierarchy soundness: after a fill, a lookup of any address inside the

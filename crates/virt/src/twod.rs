@@ -8,7 +8,7 @@
 //! composed runs — the same thing the paper's VMI tool computes by combining
 //! guest and nested page-table dumps.
 
-use contig_mm::{compose_mappings, Pid};
+use contig_mm::{compose_mappings, PageTable, Pid};
 use contig_tlb::{TranslationBackend, WalkResult};
 use contig_types::{ContigMapping, PageSize, PhysAddr, VirtAddr};
 
@@ -72,20 +72,29 @@ pub fn two_dimensional_mappings(vm: &VirtualMachine, pid: Pid) -> Vec<ContigMapp
 #[derive(Debug)]
 pub struct VmBackend<'a> {
     vm: &'a VirtualMachine,
-    pid: Pid,
+    guest: &'a PageTable,
+    host: &'a PageTable,
 }
 
 impl<'a> VmBackend<'a> {
     /// A backend translating through `pid`'s guest page table and the VM's
-    /// nested table.
+    /// nested table, both resolved here, once, instead of per walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown pid.
     pub fn new(vm: &'a VirtualMachine, pid: Pid) -> Self {
-        Self { vm, pid }
+        Self {
+            vm,
+            guest: vm.guest().aspace(pid).page_table(),
+            host: vm.host().aspace(vm.host_pid()).page_table(),
+        }
     }
 }
 
 impl TranslationBackend for VmBackend<'_> {
     fn walk(&self, va: VirtAddr) -> Option<WalkResult> {
-        let t = self.vm.translate_2d(self.pid, va)?;
+        let t = self.vm.translate_through(self.guest, self.host, va)?;
         Some(WalkResult {
             pa: t.hpa,
             size: t.effective_size(),
@@ -100,12 +109,12 @@ impl TranslationBackend for VmBackend<'_> {
 /// paper's native-execution configurations.
 #[derive(Debug)]
 pub struct NativeBackend<'a> {
-    pt: &'a contig_mm::PageTable,
+    pt: &'a PageTable,
 }
 
 impl<'a> NativeBackend<'a> {
     /// A backend walking the given page table.
-    pub fn new(pt: &'a contig_mm::PageTable) -> Self {
+    pub fn new(pt: &'a PageTable) -> Self {
         Self { pt }
     }
 }

@@ -11,8 +11,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use contig_buddy::MachineConfig;
 use contig_mm::{
-    FaultKind, FaultOutcome, MemoryFailureOutcome, PlacementPolicy, Pid, PteFlags, System,
-    SystemConfig, VmaId, VmaKind,
+    FaultKind, FaultOutcome, MemoryFailureOutcome, PageTable, PlacementPolicy, Pid, PteFlags,
+    System, SystemConfig, VmaId, VmaKind,
 };
 use contig_trace::{stage, Dim, TraceEvent, Tracer};
 use contig_types::{ContigError, FaultError, PageSize, PhysAddr, Pfn, VirtAddr, VirtRange};
@@ -703,10 +703,25 @@ impl VirtualMachine {
     /// guest flags ∧ host flags CONTIG, walk levels)` — everything the nested
     /// walker produces. `None` when either dimension is unmapped.
     pub fn translate_2d(&self, pid: Pid, va: VirtAddr) -> Option<TwoDTranslation> {
-        let g = self.guest.aspace(pid).page_table().translate(va).ok()?;
+        self.translate_through(
+            self.guest.aspace(pid).page_table(),
+            self.host.aspace(self.host_pid).page_table(),
+            va,
+        )
+    }
+
+    /// [`VirtualMachine::translate_2d`] over page tables the caller already
+    /// resolved: `guest` one guest process's, `host` the nested table.
+    pub(crate) fn translate_through(
+        &self,
+        guest: &PageTable,
+        host: &PageTable,
+        va: VirtAddr,
+    ) -> Option<TwoDTranslation> {
+        let g = guest.translate(va).ok()?;
         let gpa = PhysAddr::from(g.frame_for(va)) + va.page_offset(PageSize::Base4K);
         let hva = self.host_va_of(gpa);
-        let h = self.host.aspace(self.host_pid).page_table().translate(hva).ok()?;
+        let h = host.translate(hva).ok()?;
         let hpa = PhysAddr::from(h.frame_for(hva)) + hva.page_offset(PageSize::Base4K);
         Some(TwoDTranslation {
             hpa,
