@@ -1,4 +1,4 @@
-//! `obs_report` — "where did the time go?" for the fault/allocation path.
+//! `obs-report` — "where did the time go?" for the fault/allocation path.
 //!
 //! Three modes, all deterministic per seed:
 //!
@@ -14,15 +14,17 @@
 //!   torture run (`--ops N`) with the always-on flight recorder attached
 //!   and renders the same stage tables from its whole-run span profile. If
 //!   the run fails, the flight recorder's last events are written to
-//!   `--flight PATH` and the binary exits non-zero.
+//!   `--flight PATH` and the command exits non-zero.
 //! - **Flight-recorder self-test** (`--inject-panic`): deliberately
 //!   panics one engine task mid-workload; the engine's `catch_unwind`
 //!   harvests that task's flight ring. The dump must be non-empty and
-//!   decodable or the binary exits non-zero — CI runs this to prove the
+//!   decodable or the command exits non-zero — CI runs this to prove the
 //!   post-mortem path works before anyone needs it.
 //!
 //! Compiled without the `probes` feature every profile is empty; the
-//! binary says so and exits non-zero rather than printing a page of zeros.
+//! command says so and exits non-zero rather than printing a page of zeros.
+
+use std::process::ExitCode;
 
 use contig_buddy::{MachineConfig, PcpConfig};
 use contig_check::{run_torture, TortureConfig};
@@ -32,6 +34,12 @@ use contig_metrics::TextTable;
 use contig_mm::{System, SystemConfig, VmaKind};
 use contig_trace::{parse_jsonl, SpanStack, Tracer};
 use contig_types::{splitmix64, FailMode, FailPolicy, FaultError, VirtAddr, VirtRange};
+
+use crate::cli::{parse, unknown, UsageError};
+
+/// The command's flag synopsis.
+pub const FLAGS: &str = "[--tasks N] [--seed N] [--ops N] [--torture] [--inject-panic] \
+                         [--folded PATH] [--flight PATH] [--top K]";
 
 struct Args {
     tasks: usize,
@@ -44,8 +52,8 @@ struct Args {
     top: usize,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
+    let defaults = Args {
         tasks: 8,
         seed: 0x0B5_CAFE,
         ops: 500,
@@ -55,29 +63,20 @@ fn parse_args() -> Args {
         flight: "flight_min.jsonl".to_string(),
         top: 5,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .unwrap_or_else(|| panic!("flag {} needs a value", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--tasks" => args.tasks = value(&mut i).parse().expect("--tasks N"),
-            "--seed" => args.seed = value(&mut i).parse().expect("--seed N"),
-            "--ops" => args.ops = value(&mut i).parse().expect("--ops N"),
+    parse(argv, defaults, |args, flag, values| {
+        match flag {
+            "--tasks" => args.tasks = values.num(flag)?,
+            "--seed" => args.seed = values.num(flag)?,
+            "--ops" => args.ops = values.num(flag)?,
             "--torture" => args.torture = true,
             "--inject-panic" => args.inject_panic = true,
-            "--folded" => args.folded = value(&mut i),
-            "--flight" => args.flight = value(&mut i),
-            "--top" => args.top = value(&mut i).parse().expect("--top K"),
-            other => eprintln!("ignoring unknown flag {other}"),
+            "--folded" => args.folded = values.text(flag)?,
+            "--flight" => args.flight = values.text(flag)?,
+            "--top" => args.top = values.num(flag)?,
+            _ => return unknown(flag),
         }
-        i += 1;
-    }
-    args
+        Ok(())
+    })
 }
 
 /// One profiled fault workload, built to light up every stage: a hog pins
@@ -189,7 +188,7 @@ fn write_folded(spans: &SpanStack, path: &str) {
 }
 
 /// Engine-sweep profile: the default mode.
-fn run_engine_profile(args: &Args) -> i32 {
+fn run_engine_profile(args: &Args) -> u8 {
     println!("== obs_report — engine profile == tasks={} seed={:#x}", args.tasks, args.seed);
     let (reports, contention) =
         run_seeded_with_stats(PoolConfig::new(8), args.seed, args.tasks, |ctx| {
@@ -218,7 +217,7 @@ fn run_engine_profile(args: &Args) -> i32 {
 }
 
 /// Torture profile: one seeded differential run under the flight recorder.
-fn run_torture_profile(args: &Args) -> i32 {
+fn run_torture_profile(args: &Args) -> u8 {
     println!("== obs_report — torture profile == seed={:#x} ops={}", args.seed, args.ops);
     let report = run_torture(&TortureConfig::with_seed_and_ops(args.seed, args.ops));
     if report.spans.enters() == 0 {
@@ -256,7 +255,7 @@ fn run_torture_profile(args: &Args) -> i32 {
 
 /// Flight-recorder self-test: panic one engine task on purpose and demand
 /// a decodable dump from its final moments.
-fn run_inject_panic(args: &Args) -> i32 {
+fn run_inject_panic(args: &Args) -> u8 {
     println!("== obs_report — flight-recorder self-test == seed={:#x}", args.seed);
     let tasks = args.tasks.max(2);
     let victim = tasks - 1;
@@ -304,8 +303,9 @@ fn run_inject_panic(args: &Args) -> i32 {
     0
 }
 
-fn main() {
-    let args = parse_args();
+/// Runs the mode the flags select; the exit code is that mode's verdict.
+pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
+    let args = parse_args(argv)?;
     let code = if args.inject_panic {
         run_inject_panic(&args)
     } else if args.torture {
@@ -313,5 +313,5 @@ fn main() {
     } else {
         run_engine_profile(&args)
     };
-    std::process::exit(code);
+    Ok(ExitCode::from(code))
 }

@@ -3,7 +3,7 @@
 //! references versus 24 for 4×4 — while SpOT's prediction hides the deeper
 //! walk just as well, so its relative benefit *grows*.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_core::{CaPaging, SpotConfig, SpotPredictor};
 use contig_metrics::{PerfModel, TextTable};
 use contig_mm::{DefaultThpPolicy, PlacementPolicy, LEVELS, LEVELS_LA57};
@@ -13,12 +13,11 @@ use contig_types::VirtAddr;
 use contig_virt::{VirtualMachine, VmBackend, VmConfig};
 use contig_workloads::{TraceGenerator, Workload};
 
-fn main() {
-    let opts = Options::from_args();
+pub fn run(opts: &Options) {
     header(
         "Extension — 5-level (la57) paging amplifies nested-walk cost",
         "paper §I ('5-level paging ... further exacerbating the cost of TLB misses')",
-        &opts,
+        opts,
     );
     let env = opts.env();
     let model = PerfModel::default();

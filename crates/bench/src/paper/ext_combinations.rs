@@ -3,17 +3,16 @@
 //! (§VI-C, "mutually assisted") — measured under memory pressure and
 //! multiprogramming.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::TextTable;
 use contig_sim::{contiguity, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
+pub fn run(opts: &Options) {
     header(
         "Extension — reservations (§III-D) and CA+ranger (§VI-C)",
         "paper future-work directions",
-        &opts,
+        opts,
     );
     let env = opts.env();
 

@@ -5,7 +5,7 @@
 //! but pays a trap per shadow-entry update; nested paging walks 2D but needs
 //! no synchronization. SpOT hides whatever walk is left in either mode.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_core::{CaPaging, SpotConfig, SpotPredictor};
 use contig_metrics::{PerfModel, TextTable};
 use contig_sim::{install_in_vm, populate_vm, PolicyKind};
@@ -14,12 +14,11 @@ use contig_types::VirtAddr;
 use contig_virt::{NativeBackend, ShadowPageTable, VirtualMachine, VmBackend, VmConfig};
 use contig_workloads::{TraceGenerator, Workload};
 
-fn main() {
-    let opts = Options::from_args();
+pub fn run(opts: &Options) {
     header(
         "Extension — shadow paging: 1D walks, per-update traps",
         "paper §VII ('directly applicable to shadow and hybrid paging')",
-        &opts,
+        opts,
     );
     let env = opts.env();
     let model = PerfModel::default();

@@ -3,14 +3,13 @@
 //! Eager paging's coverage decays as the machine fragments (page-cache aging
 //! across runs); CA paging sustains it by harvesting unaligned contiguity.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::TextTable;
 use contig_sim::{contiguity, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 1b — PageRank coverage across consecutive runs", "paper Fig. 1b", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 1b — PageRank coverage across consecutive runs", "paper Fig. 1b", opts);
     let env = opts.env();
     let eager = contiguity::run_consecutive(&env, Workload::PageRank, PolicyKind::Eager, opts.runs);
     let ca = contiguity::run_consecutive(&env, Workload::PageRank, PolicyKind::Ca, opts.runs);

@@ -3,14 +3,13 @@
 //! Translation Ranger's post-allocation migrations take time to coalesce the
 //! footprint; CA paging generates the contiguity instantly at fault time.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::TextTable;
 use contig_sim::{contiguity, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 1c — XSBench coverage timeline: CA vs ranger", "paper Fig. 1c", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 1c — XSBench coverage timeline: CA vs ranger", "paper Fig. 1c", opts);
     let env = opts.env();
     let ca = contiguity::run_native(&env, Workload::XsBench, PolicyKind::Ca, 0.0, 3);
     let ranger = contiguity::run_native(&env, Workload::XsBench, PolicyKind::Ranger, 0.0, 3);

@@ -3,14 +3,13 @@
 //! For every workload × policy: mappings needed for 99 % coverage (7a),
 //! top-32 coverage (7b), and top-128 coverage (7c).
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::TextTable;
 use contig_sim::{contiguity, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 7 — native contiguity, no memory pressure", "paper Fig. 7 (a,b,c)", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 7 — native contiguity, no memory pressure", "paper Fig. 7 (a,b,c)", opts);
     let env = opts.env();
     for (title, metric) in [
         ("(a) #mappings for 99% coverage (lower is better)", 0),

@@ -4,14 +4,13 @@
 //! footprint does not fit the hogged machine, exactly as in the paper) while
 //! the hog pins 0–50 % of physical memory. NUMA is off.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::{geomean, geomean_counts, TextTable};
 use contig_sim::{contiguity, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 8 — contiguity under memory pressure (geomean, NUMA off)", "paper Fig. 8", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 8 — contiguity under memory pressure (geomean, NUMA off)", "paper Fig. 8", opts);
     let env = opts.env();
     let workloads = [Workload::Svm, Workload::PageRank, Workload::HashJoin, Workload::XsBench];
     let policies = [

@@ -3,15 +3,14 @@
 //! CA paging restrains fragmentation: after the batch exits, far more free
 //! memory remains in vast (>1 GiB at paper scale) unaligned runs.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_buddy::SizeClass;
 use contig_metrics::TextTable;
 use contig_sim::{fragmentation, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 9 — free-block size distribution after benchmark batch", "paper Fig. 9", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 9 — free-block size distribution after benchmark batch", "paper Fig. 9", opts);
     let env = opts.env();
     let batch =
         [Workload::Svm, Workload::PageRank, Workload::XsBench, Workload::Svm, Workload::PageRank];

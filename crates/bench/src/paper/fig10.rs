@@ -4,14 +4,13 @@
 //! Next-fit placement keeps the two footprints from interleaving physically;
 //! each instance retains high top-32 coverage.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::TextTable;
 use contig_sim::{contiguity, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 10 — two concurrent SVM instances", "paper Fig. 10", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 10 — two concurrent SVM instances", "paper Fig. 10", opts);
     let env = opts.env();
     let mut table = TextTable::new(&["policy", "instance A top-32", "instance B top-32"]);
     for p in [PolicyKind::Thp, PolicyKind::Ca, PolicyKind::CaReserve, PolicyKind::Eager, PolicyKind::Ranger] {

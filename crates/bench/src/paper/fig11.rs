@@ -1,17 +1,16 @@
 //! Fig. 11: isolated software overhead of the allocation mechanisms,
 //! normalized to THP (modelled runtime: compute + faults + daemon work).
 //!
-//! The criterion suite (`cargo bench -p contig-bench`) additionally measures
-//! the real wall-clock cost of each policy's allocation path.
+//! The host-time cost of each policy's fault path is `benchmark/`'s to
+//! measure (`mm.fault_4k_ns`, `core.ca_fault_4k_ns`).
 
-use contig_bench::{header, Options};
+use crate::cli::{header, Options};
 use contig_metrics::TextTable;
 use contig_sim::{overhead, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 11 — software runtime overhead normalized to THP", "paper Fig. 11", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 11 — software runtime overhead normalized to THP", "paper Fig. 11", opts);
     let env = opts.env();
     let policies = [PolicyKind::Thp, PolicyKind::Ca, PolicyKind::Eager, PolicyKind::Ranger];
     let mut table = TextTable::new(&["workload", "THP", "CA", "eager", "ranger"]);

@@ -3,14 +3,13 @@
 //! CA paging runs in the guest and host independently; the reported metrics
 //! are over the composed gVA→hPA mappings of a second, reboot-free run.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::TextTable;
 use contig_sim::{contiguity, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 12 — virtualized 2D contiguity", "paper Fig. 12 (a,b,c)", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 12 — virtualized 2D contiguity", "paper Fig. 12 (a,b,c)", opts);
     let env = opts.env();
     let mut table = TextTable::new(&[
         "workload",

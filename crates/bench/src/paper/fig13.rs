@@ -5,14 +5,13 @@
 //! and Direct Segments are emulated on the last-level miss path and priced
 //! with the Table IV linear model.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::{geomean, TextTable};
 use contig_sim::{translation, TranslationConfig};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 13 — address-translation overhead", "paper Fig. 13", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 13 — address-translation overhead", "paper Fig. 13", opts);
     let env = opts.env();
     let mut table = TextTable::new(&[
         "workload", "4K", "THP", "4K+4K", "THP+THP", "SpOT", "vRMM", "vHC", "DS",

@@ -1,14 +1,13 @@
 //! Fig. 14: SpOT outcome breakdown — the fraction of last-level TLB misses
 //! predicted correctly, mispredicted, and not predicted.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::TextTable;
 use contig_sim::{translation, TranslationConfig};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Fig. 14 — SpOT prediction breakdown", "paper Fig. 14", &opts);
+pub fn run(opts: &Options) {
+    header("Fig. 14 — SpOT prediction breakdown", "paper Fig. 14", opts);
     let env = opts.env();
     let mut table =
         TextTable::new(&["workload", "misses", "correct", "mispredicted", "no prediction"]);

@@ -2,14 +2,13 @@
 //! of each workload's footprint in virtualized execution, under default THP
 //! and under CA paging.
 
-use contig_bench::{header, Options};
+use crate::cli::{header, Options};
 use contig_metrics::{geomean_counts, TextTable};
 use contig_sim::translation;
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Table I — vRMM ranges vs vHC anchor entries (99% coverage)", "paper Table I", &opts);
+pub fn run(opts: &Options) {
+    header("Table I — vRMM ranges vs vHC anchor entries (99% coverage)", "paper Table I", opts);
     let env = opts.env();
     let mut table = TextTable::new(&[
         "workload",

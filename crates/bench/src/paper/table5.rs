@@ -1,14 +1,13 @@
 //! Table V: total page faults and 99th-percentile fault latency under THP,
 //! CA paging, and eager paging (aggregated over the workloads).
 
-use contig_bench::{header, Options};
+use crate::cli::{header, Options};
 use contig_metrics::TextTable;
 use contig_sim::{latency, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Table V — page-fault count and 99th-percentile latency", "paper Table V", &opts);
+pub fn run(opts: &Options) {
+    header("Table V — page-fault count and 99th-percentile latency", "paper Table V", opts);
     let env = opts.env();
     let mut table = TextTable::new(&[
         "workload",

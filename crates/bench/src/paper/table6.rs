@@ -1,13 +1,12 @@
 //! Table VI: memory bloat relative to 4 KiB demand paging.
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::{human_bytes, TextTable};
 use contig_sim::{bloat, PolicyKind};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Table VI — memory bloat vs 4 KiB demand paging", "paper Table VI", &opts);
+pub fn run(opts: &Options) {
+    header("Table VI — memory bloat vs 4 KiB demand paging", "paper Table VI", opts);
     let env = opts.env();
     let mut table = TextTable::new(&["workload", "THP", "Ingens", "CA", "eager"]);
     for w in Workload::ALL {

@@ -1,14 +1,13 @@
 //! Table VII: estimation of unsafe load instructions (USLs) — SpOT's
 //! speculative windows versus branch prediction's (Spectre).
 
-use contig_bench::{header, pct, Options};
+use crate::cli::{header, pct, Options};
 use contig_metrics::{geomean, TextTable};
 use contig_sim::{translation, TranslationConfig};
 use contig_workloads::Workload;
 
-fn main() {
-    let opts = Options::from_args();
-    header("Table VII — unsafe-load (USL) estimation", "paper Table VII", &opts);
+pub fn run(opts: &Options) {
+    header("Table VII — unsafe-load (USL) estimation", "paper Table VII", opts);
     let env = opts.env();
     let mut table = TextTable::new(&[
         "workload",

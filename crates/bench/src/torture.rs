@@ -1,18 +1,18 @@
-//! `torture_replay` — run or replay the differential torture harness.
+//! `torture` — run or replay the differential torture harness.
 //!
 //! Two modes:
 //!
-//! - **Seeded run**: `torture_replay --seed 7 --ops 2000 [--no-faults]`
+//! - **Seeded run**: `contig-bench torture --seed 7 --ops 2000 [--no-faults]`
 //!   generates the op stream from the seed and runs the full harness
 //!   (oracle sweeps, cross-layer audits, crash-point recovery checks).
-//! - **Replay**: `torture_replay --replay repro.jsonl` re-runs a repro file
-//!   (as emitted by the minimizer or the `--emit` flag below), reproducing a
-//!   failure deterministically from the artifact alone.
+//! - **Replay**: `contig-bench torture --replay repro.jsonl` re-runs a repro
+//!   file (as emitted by the minimizer or the `--emit` flag below),
+//!   reproducing a failure deterministically from the artifact alone.
 //!
-//! On failure the binary minimizes the sequence with ddmin, writes the
+//! On failure the command minimizes the sequence with ddmin, writes the
 //! shrunk repro to `--emit PATH` (default `torture_min.jsonl`), prints the
-//! failure, and exits non-zero — which is exactly what CI uploads when the
-//! torture smoke job goes red.
+//! failure, and exits non-zero — which is exactly what CI uploads when a
+//! torture job goes red.
 
 use std::process::ExitCode;
 
@@ -20,63 +20,41 @@ use contig_check::{
     encode_repro, generate_ops, minimize, read_repro, run_ops, TortureConfig, TortureReport,
 };
 
+use crate::cli::{parse, unknown, UsageError};
+
+/// The command's flag synopsis.
+pub const FLAGS: &str = "[--seed N] [--ops N] [--no-faults] [--poison] [--migrate] [--pcp] \
+                         [--fleet] [--shards N] [--daemon] [--replay PATH] [--emit PATH]";
+
 struct Args {
-    seed: u64,
-    ops: usize,
-    faults: bool,
-    poison: bool,
-    migrate: bool,
-    pcp: bool,
-    fleet: bool,
-    shards: usize,
-    daemon: bool,
+    cfg: TortureConfig,
     replay: Option<String>,
     emit: String,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        seed: 1,
-        ops: 2_000,
-        faults: true,
-        poison: false,
-        migrate: false,
-        pcp: false,
-        fleet: false,
-        shards: 0,
-        daemon: false,
+fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
+    let defaults = Args {
+        cfg: TortureConfig::with_seed_and_ops(1, 2_000),
         replay: None,
         emit: "torture_min.jsonl".to_string(),
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i).cloned().unwrap_or_else(|| {
-                panic!(
-                    "usage: [--seed N] [--ops N] [--no-faults] [--poison] [--migrate] [--pcp] \
-                     [--fleet] [--shards N] [--daemon] [--replay PATH] [--emit PATH]"
-                )
-            })
-        };
-        match argv[i].as_str() {
-            "--seed" => args.seed = value(&mut i).parse().expect("--seed expects a number"),
-            "--ops" => args.ops = value(&mut i).parse().expect("--ops expects a number"),
-            "--no-faults" => args.faults = false,
-            "--poison" => args.poison = true,
-            "--migrate" => args.migrate = true,
-            "--pcp" => args.pcp = true,
-            "--fleet" => args.fleet = true,
-            "--shards" => args.shards = value(&mut i).parse().expect("--shards expects a number"),
-            "--daemon" => args.daemon = true,
-            "--replay" => args.replay = Some(value(&mut i)),
-            "--emit" => args.emit = value(&mut i),
-            other => eprintln!("ignoring unknown flag {other}"),
+    parse(argv, defaults, |Args { cfg, replay, emit }, flag, values| {
+        match flag {
+            "--seed" => cfg.seed = values.num(flag)?,
+            "--ops" => cfg.ops = values.num(flag)?,
+            "--no-faults" => cfg.faults = false,
+            "--poison" => cfg.poison = true,
+            "--migrate" => cfg.migrate = true,
+            "--pcp" => cfg.pcp = true,
+            "--fleet" => cfg.fleet = true,
+            "--shards" => cfg.shards = values.num(flag)?,
+            "--daemon" => cfg.daemon = true,
+            "--replay" => *replay = Some(values.text(flag)?),
+            "--emit" => *emit = values.text(flag)?,
+            _ => return unknown(flag),
         }
-        i += 1;
-    }
-    args
+        Ok(())
+    })
 }
 
 fn print_report(report: &TortureReport) {
@@ -179,8 +157,10 @@ fn flight_path_for(emit: &str) -> String {
     }
 }
 
-fn main() -> ExitCode {
-    let args = parse_args();
+/// Runs the command; the exit code is non-zero when the run found a failure
+/// (1) or the repro file could not be read (2).
+pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
+    let args = parse_args(argv)?;
 
     let (cfg, ops) = match &args.replay {
         Some(path) => {
@@ -188,23 +168,14 @@ fn main() -> ExitCode {
                 Ok(parsed) => parsed,
                 Err(e) => {
                     eprintln!("cannot replay {path}: {e}");
-                    return ExitCode::from(2);
+                    return Ok(ExitCode::from(2));
                 }
             };
             println!("replaying {} ops from {path} (seed {})", ops.len(), cfg.seed);
             (cfg, ops)
         }
         None => {
-            let cfg = TortureConfig {
-                faults: args.faults,
-                poison: args.poison,
-                migrate: args.migrate,
-                pcp: args.pcp,
-                fleet: args.fleet,
-                shards: args.shards,
-                daemon: args.daemon,
-                ..TortureConfig::with_seed_and_ops(args.seed, args.ops)
-            };
+            let cfg = args.cfg;
             println!(
                 "torture run: seed {}  ops {}  faults {}  poison {}  migrate {}  pcp {}  \
                  fleet {}  shards {}  daemon {}",
@@ -221,7 +192,7 @@ fn main() -> ExitCode {
 
     let Some(failure) = &report.failure else {
         println!("PASS: zero divergences, zero findings");
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     };
 
     eprintln!("FAIL at op {}: {failure:?}", failure.op_index());
@@ -253,5 +224,5 @@ fn main() -> ExitCode {
         }
         None => eprintln!("minimizer could not reproduce the failure (flaky environment?)"),
     }
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }

@@ -1,4 +1,4 @@
-//! `trace_report` — BadgerTrap-style observability report for the whole
+//! `trace-report` — BadgerTrap-style observability report for the whole
 //! fault/allocation path.
 //!
 //! Runs a small pressured hog workload (hog pins half the machine, a file
@@ -7,12 +7,14 @@
 //! mapped footprint), with every subsystem probe feeding one
 //! [`contig_trace::TraceSession`]. Renders the per-subsystem event and
 //! metric summary, writes the raw trace as JSONL (plus a chrome://tracing
-//! view), and self-validates: the binary exits non-zero when the trace is
+//! view), and self-validates: the command exits non-zero when the trace is
 //! empty or does not parse back losslessly.
 //!
 //! Flags: `--out PATH` (JSONL, default `trace.jsonl`), `--chrome PATH`
 //! (chrome trace JSON, default `trace_chrome.json`), `--mib N` (machine
 //! size, default 32).
+
+use std::process::ExitCode;
 
 use contig_core::CaPaging;
 use contig_metrics::TextTable;
@@ -25,8 +27,13 @@ use contig_trace::{
 use contig_types::{FailMode, FailPolicy, FaultError, VirtAddr, VirtRange};
 use contig_virt::NativeBackend;
 
+use crate::cli::{parse, unknown, UsageError};
+
 const FILE_BASE: u64 = 0x9000_0000;
 const ANON_BASE: u64 = 0x40_0000;
+
+/// The command's flag synopsis.
+pub const FLAGS: &str = "[--out PATH] [--chrome PATH] [--mib N]";
 
 struct Args {
     out: String,
@@ -34,32 +41,21 @@ struct Args {
     mib: u64,
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
+fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
+    let defaults = Args {
         out: "trace.jsonl".to_string(),
         chrome: "trace_chrome.json".to_string(),
         mib: 32,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let value = |i: &mut usize| -> String {
-            *i += 1;
-            argv.get(*i)
-                .cloned()
-                .unwrap_or_else(|| panic!("usage: [--out PATH] [--chrome PATH] [--mib N]"))
-        };
-        match argv[i].as_str() {
-            "--out" => args.out = value(&mut i),
-            "--chrome" => args.chrome = value(&mut i),
-            "--mib" => {
-                args.mib = value(&mut i).parse().expect("--mib expects a number");
-            }
-            other => eprintln!("ignoring unknown flag {other}"),
+    parse(argv, defaults, |args, flag, values| {
+        match flag {
+            "--out" => args.out = values.text(flag)?,
+            "--chrome" => args.chrome = values.text(flag)?,
+            "--mib" => args.mib = values.num(flag)?,
+            _ => return unknown(flag),
         }
-        i += 1;
-    }
-    args
+        Ok(())
+    })
 }
 
 /// Drives the traced workload; returns the mapped anonymous bytes.
@@ -113,8 +109,10 @@ fn run_workload(sys: &mut System, session: &TraceSession, mib: u64) -> u64 {
     sys.aspace(pid).mapped_bytes()
 }
 
-fn main() {
-    let args = parse_args();
+/// Runs the command; exits 1 when the trace is empty, carries an unknown
+/// metric name, or does not survive the JSONL round trip.
+pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
+    let args = parse_args(argv)?;
     let session = TraceSession::ring(1 << 20);
     let mut sys =
         System::new(SystemConfig::new(contig_buddy::MachineConfig::single_node_mib(args.mib)));
@@ -123,7 +121,7 @@ fn main() {
 
     if !session.tracer().is_enabled() {
         eprintln!("trace_report: contig-trace probes are compiled out; no trace to report");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
 
     let records = session.records();
@@ -135,7 +133,7 @@ fn main() {
     let offenders = validate_metric_names(&metrics);
     if !offenders.is_empty() {
         eprintln!("trace_report: unknown span/engine metric names: {}", offenders.join(", "));
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
     // Declare the whole canon so stages that never fired render as explicit
     // zero rows instead of vanishing from the tables.
@@ -183,7 +181,7 @@ fn main() {
     std::fs::write(&args.chrome, export_chrome(&records)).expect("writing the chrome trace");
     if records.is_empty() || jsonl.trim().is_empty() {
         eprintln!("trace_report: empty trace — probes are not wired");
-        std::process::exit(1);
+        return Ok(ExitCode::FAILURE);
     }
     match parse_jsonl(&jsonl) {
         Ok(parsed) if parsed == records => {
@@ -192,11 +190,12 @@ fn main() {
         }
         Ok(_) => {
             eprintln!("trace_report: JSONL round-trip diverged from the recorded events");
-            std::process::exit(1);
+            return Ok(ExitCode::FAILURE);
         }
         Err(e) => {
             eprintln!("trace_report: exported trace does not parse: {e}");
-            std::process::exit(1);
+            return Ok(ExitCode::FAILURE);
         }
     }
+    Ok(ExitCode::SUCCESS)
 }

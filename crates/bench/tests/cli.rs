@@ -1,0 +1,212 @@
+//! The command line as a user meets it: drives the built `contig-bench`
+//! binary and checks the command table against the documents that cite it.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+/// The commands that are not paper experiments.
+const TOOLS: [&str; 6] = ["all", "ablations", "torture", "trace-report", "obs-report", "help"];
+
+/// Runs `contig-bench <line>` with `dir` as its working directory.
+fn bench_in(dir: &Path, line: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_contig-bench"))
+        .args(line.split_whitespace())
+        .current_dir(dir)
+        .output()
+        .expect("contig-bench runs")
+}
+
+/// A fresh, empty directory for one test's artifacts.
+fn scratch(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8(out.stdout.clone()).expect("utf-8 stdout")
+}
+
+fn repo_file(name: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The modules under `src/paper`, sorted.
+fn paper_modules() -> Vec<String> {
+    let mut modules: Vec<String> =
+        std::fs::read_dir(Path::new(env!("CARGO_MANIFEST_DIR")).join("src/paper"))
+            .expect("src/paper")
+            .map(|e| e.expect("dir entry").file_name().into_string().expect("utf-8 name"))
+            .filter_map(|f| f.strip_suffix(".rs").map(String::from))
+            .filter(|m| m != "mod")
+            .collect();
+    modules.sort();
+    modules
+}
+
+/// The command names `help` lists, in order.
+fn listed_commands() -> Vec<String> {
+    let out = bench_in(Path::new(env!("CARGO_TARGET_TMPDIR")), "help");
+    assert!(out.status.success());
+    stdout(&out)
+        .lines()
+        .filter_map(|l| l.strip_prefix("  "))
+        .map(|l| l.split_whitespace().next().expect("a name per row").to_string())
+        .collect()
+}
+
+#[test]
+fn bad_command_lines_print_one_usage_line_and_run_nothing() {
+    let dir = scratch("bad");
+    // (command line, what the message must name). Most of these ran for
+    // minutes at the default scale when unknown flags were ignored.
+    for (line, culprit) in [
+        ("", "no command"),
+        ("fig7", "fig7"),
+        ("all --sclae 1024", "--sclae"),
+        ("fig13 --accesses", "--accesses"),
+        ("fig13 --accesses lots", "lots"),
+        ("fig01b --runs -1", "-1"),
+        ("torture --ops 500 --posion --pcp", "--posion"),
+        ("torture --emit", "--emit"),
+        ("torture --shards four", "four"),
+        ("trace-report --output t.jsonl", "--output"),
+        ("trace-report --mib 32MiB", "32MiB"),
+        ("obs-report --inject_panic", "--inject_panic"),
+        ("obs-report --top", "--top"),
+        ("obs-report --seed 0xb5", "0xb5"),
+        ("ablations --quick", "--quick"),
+        ("help me", "me"),
+    ] {
+        let out = bench_in(&dir, line);
+        assert_eq!(out.status.code(), Some(2), "`{line}` must exit 2");
+        assert!(out.stdout.is_empty(), "`{line}` printed to stdout");
+        let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(err.lines().count(), 1, "`{line}` must print one line, got:\n{err}");
+        assert!(err.contains("usage: contig-bench") && err.contains(culprit), "`{line}`: {err}");
+        assert_eq!(std::fs::read_dir(&dir).expect("scratch dir").count(), 0, "`{line}` ran");
+    }
+}
+
+#[test]
+fn help_lists_every_command_once_and_every_listed_command_resolves() {
+    let listed = listed_commands();
+    let mut expected = paper_modules();
+    expected.extend(TOOLS.map(String::from));
+    let mut sorted = listed.clone();
+    sorted.sort();
+    expected.sort();
+    assert_eq!(sorted, expected, "help must name each src/paper module and each tool once");
+    // A listed name the table lacked would be an unknown *command*.
+    let dir = scratch("resolve");
+    for name in &listed {
+        let out = bench_in(&dir, &format!("{name} --no-such-flag"));
+        let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert!(err.starts_with("unknown flag --no-such-flag"), "{name}: {err}");
+    }
+}
+
+#[test]
+fn all_follows_the_order_of_experiments_md() {
+    // `all` walks the table's experiments in table order, which is the order
+    // `help` prints them in, ahead of the tools. Each per-experiment heading
+    // of EXPERIMENTS.md names its commands in backticks:
+    // "### Fig. 1b — consecutive PageRank runs (`fig01b`)".
+    let documented: Vec<String> = repo_file("EXPERIMENTS.md")
+        .lines()
+        .filter(|l| l.starts_with("### "))
+        .flat_map(|l| l.split('`').skip(1).step_by(2).map(String::from).collect::<Vec<_>>())
+        .collect();
+    let listed = listed_commands();
+    let experiments = &listed[..listed.len() - TOOLS.len()];
+    assert_eq!(experiments, documented);
+    assert_eq!(listed[experiments.len()], "all");
+}
+
+#[test]
+fn every_command_design_md_cites_resolves() {
+    let design = repo_file("DESIGN.md");
+    let index = design
+        .split("## 3. Per-experiment index")
+        .nth(1)
+        .and_then(|rest| rest.split("\n## ").next())
+        .expect("DESIGN.md §3");
+    // The Regenerator column cites commands as `contig-bench <name>`.
+    let cited: Vec<&str> = index
+        .split("`contig-bench ")
+        .skip(1)
+        .map(|rest| rest.split(['`', ' ']).next().expect("split yields one item"))
+        .collect();
+    let listed = listed_commands();
+    assert!(cited.len() >= paper_modules().len(), "§3 cites only {cited:?}");
+    for name in cited {
+        assert!(listed.iter().any(|c| c == name), "DESIGN.md §3 cites `{name}`");
+    }
+}
+
+#[test]
+fn experiment_flags_take_effect() {
+    let out = bench_in(&scratch("fig01b"), "fig01b --scale 1024 --accesses 20000 --runs 2");
+    assert!(out.status.success() && out.stderr.is_empty());
+    let text = stdout(&out);
+    assert!(text.contains("scale 1/1024 (machine 256 MiB"), "{text}");
+    let is_run_row =
+        |l: &&str| l.split_whitespace().next().is_some_and(|t| t.parse::<u32>().is_ok());
+    let rows = text.lines().filter(is_run_row).count();
+    assert_eq!(rows, 2, "--runs 2 prints two run rows:\n{text}");
+}
+
+#[test]
+fn torture_flags_take_effect() {
+    let dir = scratch("torture");
+    let out = bench_in(
+        &dir,
+        "torture --seed 7 --ops 40 --no-faults --poison --migrate --pcp --fleet --shards 2 \
+         --daemon --emit fleet_min.jsonl",
+    );
+    let text = stdout(&out);
+    assert!(
+        text.starts_with(
+            "torture run: seed 7  ops 40  faults false  poison true  migrate true  pcp true  \
+             fleet true  shards 2  daemon true\n"
+        ),
+        "{text}"
+    );
+    assert!(out.status.success() && text.ends_with("PASS: zero divergences, zero findings\n"));
+    assert!(!dir.join("fleet_min.jsonl").exists(), "a passing run emits no repro");
+
+    let plain = stdout(&bench_in(&dir, "torture --ops 40"));
+    assert!(plain.starts_with("torture run: seed 1  ops 40  faults true  poison false"), "{plain}");
+
+    let out = bench_in(&dir, "torture --replay no_such_repro.jsonl");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(err.starts_with("cannot replay no_such_repro.jsonl"), "{err}");
+}
+
+#[test]
+fn report_flags_take_effect() {
+    let dir = scratch("reports");
+    let out = bench_in(&dir, "trace-report --out t.jsonl --chrome t.json --mib 16");
+    let text = stdout(&out);
+    assert!(out.status.success(), "{text}");
+    assert!(text.contains("workload: 16 MiB machine"), "{text}");
+    assert!(text.contains("trace written to t.jsonl (") && text.ends_with(" and t.json\n"));
+    assert!(dir.join("t.jsonl").exists() && dir.join("t.json").exists());
+
+    let out = bench_in(&dir, "obs-report --tasks 2 --seed 9 --top 3 --folded f.txt");
+    let text = stdout(&out);
+    assert!(out.status.success(), "{text}");
+    assert!(text.starts_with("== obs_report — engine profile == tasks=2 seed=0x9\n"), "{text}");
+    assert!(text.contains("top 3 stages by self-time:") && dir.join("f.txt").exists());
+
+    let out = bench_in(&dir, "obs-report --torture --ops 40 --seed 9");
+    assert!(out.status.success());
+    assert!(stdout(&out).starts_with("== obs_report — torture profile == seed=0x9 ops=40\n"));
+
+    let out = bench_in(&dir, "obs-report --inject-panic --flight fl.jsonl");
+    assert!(out.status.success());
+    assert!(stdout(&out).contains("-> fl.jsonl") && dir.join("fl.jsonl").exists());
+}

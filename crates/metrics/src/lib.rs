@@ -27,4 +27,4 @@ mod usl;
 pub use coverage::{CoverageStats, TimelinePoint};
 pub use perfmodel::{PerfModel, PerfModelConfig};
 pub use stats::{geomean, geomean_counts, human_bytes, TextTable};
-pub use usl::{ScalabilityFit, ScalabilityPoint, UslEstimate, UslInputs};
+pub use usl::{UslEstimate, UslInputs};

@@ -1,20 +1,13 @@
-//! Two unrelated "USL"s share this module; both spellings are load-bearing:
+//! Unsafe-load (USL) estimation — Table VII's security-cost analysis.
 //!
-//! 1. **Unsafe-load estimation** ([`UslEstimate`]) — Table VII's
-//!    security-cost analysis. Loads executed during speculative windows can
-//!    leak through cache side channels until the speculation resolves. The
-//!    paper compares the USLs SpOT introduces (loads in flight during a
-//!    predicted translation's verification walk) with the USLs branch
-//!    prediction already creates (Spectre), using two linear estimates:
+//! Loads executed during speculative windows can leak through cache side
+//! channels until the speculation resolves. The paper compares the USLs
+//! SpOT introduces (loads in flight during a predicted translation's
+//! verification walk) with the USLs branch prediction already creates
+//! (Spectre), using two linear estimates:
 //!
-//!    - `Spectre USL = #branches × branch-resolution cycles × loads/cycle`
-//!    - `SpOT USL   = #DTLB misses × page-walk cycles × loads/cycle`
-//!
-//! 2. **Universal Scalability Law fit** ([`ScalabilityFit`]) — Gunther's
-//!    throughput model `C(N) = λN / (1 + σ(N−1) + κN(N−1))`, fitted to the
-//!    parallel experiment engine's measured worker sweeps so `perf_suite`
-//!    can report contention (σ) and coherency (κ) coefficients alongside
-//!    raw speedups.
+//! - `Spectre USL = #branches × branch-resolution cycles × loads/cycle`
+//! - `SpOT USL   = #DTLB misses × page-walk cycles × loads/cycle`
 
 /// Inputs to the USL estimate, normally produced by a simulation run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -75,115 +68,6 @@ impl UslEstimate {
     }
 }
 
-/// One measured point of a worker sweep: `workers` concurrent workers
-/// achieved `throughput` (any consistent unit — tasks/sec, faults/sec).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScalabilityPoint {
-    /// Concurrency level N (≥ 1).
-    pub workers: f64,
-    /// Measured throughput at that level.
-    pub throughput: f64,
-}
-
-/// Least-squares fit of the Universal Scalability Law
-/// `C(N) = λN / (1 + σ(N−1) + κN(N−1))` to a worker sweep.
-///
-/// The fit linearizes `y = N / C(N) = a + b(N−1) + cN(N−1)` and solves the
-/// 3×3 normal equations, then recovers `λ = 1/a`, `σ = b/a`, `κ = c/a`.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScalabilityFit {
-    /// Ideal single-worker throughput (capacity λ).
-    pub lambda: f64,
-    /// Contention coefficient σ (serialized fraction; Amdahl term).
-    pub sigma: f64,
-    /// Coherency coefficient κ (crosstalk penalty; retrograde term).
-    pub kappa: f64,
-}
-
-impl ScalabilityFit {
-    /// Fits the USL to measured points.
-    ///
-    /// Returns `None` when the sweep cannot constrain the model: fewer than
-    /// three points, non-positive throughputs or worker counts, or a
-    /// singular system (e.g. all points at the same N).
-    pub fn fit(points: &[ScalabilityPoint]) -> Option<Self> {
-        if points.len() < 3 {
-            return None;
-        }
-        // Normal equations for y = a + b*u + c*v with u = N-1, v = N(N-1).
-        let mut m = [[0.0f64; 3]; 3];
-        let mut rhs = [0.0f64; 3];
-        for p in points {
-            if p.workers < 1.0 || p.throughput <= 0.0 {
-                return None;
-            }
-            let u = p.workers - 1.0;
-            let v = p.workers * u;
-            let y = p.workers / p.throughput;
-            let basis = [1.0, u, v];
-            for (i, bi) in basis.iter().enumerate() {
-                for (j, bj) in basis.iter().enumerate() {
-                    m[i][j] += bi * bj;
-                }
-                rhs[i] += bi * y;
-            }
-        }
-        let [a, b, c] = solve3(m, rhs)?;
-        if a <= 0.0 {
-            return None;
-        }
-        Some(Self { lambda: 1.0 / a, sigma: b / a, kappa: c / a })
-    }
-
-    /// The model's predicted throughput at concurrency `n`.
-    pub fn predict(&self, n: f64) -> f64 {
-        self.lambda * n / (1.0 + self.sigma * (n - 1.0) + self.kappa * n * (n - 1.0))
-    }
-
-    /// The concurrency level at which throughput peaks,
-    /// `N* = sqrt((1 − σ) / κ)`; `None` when κ is zero within fit noise or
-    /// negative (no retrograde region — throughput keeps growing).
-    pub fn peak_workers(&self) -> Option<f64> {
-        if self.kappa > 1e-12 && self.sigma < 1.0 {
-            Some(((1.0 - self.sigma) / self.kappa).sqrt())
-        } else {
-            None
-        }
-    }
-}
-
-/// Solves the 3×3 system `m x = rhs` by Gaussian elimination with partial
-/// pivoting; `None` on a (near-)singular matrix.
-fn solve3(mut m: [[f64; 3]; 3], mut rhs: [f64; 3]) -> Option<[f64; 3]> {
-    for col in 0..3 {
-        let pivot = (col..3).max_by(|&i, &j| {
-            m[i][col].abs().partial_cmp(&m[j][col].abs()).expect("no NaN in normal equations")
-        })?;
-        if m[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        m.swap(col, pivot);
-        rhs.swap(col, pivot);
-        for row in col + 1..3 {
-            let factor = m[row][col] / m[col][col];
-            let (pivot_rows, tail) = m.split_at_mut(row);
-            for (k, cell) in tail[0].iter_mut().enumerate().skip(col) {
-                *cell -= factor * pivot_rows[col][k];
-            }
-            rhs[row] -= factor * rhs[col];
-        }
-    }
-    let mut x = [0.0f64; 3];
-    for row in (0..3).rev() {
-        let mut acc = rhs[row];
-        for k in row + 1..3 {
-            acc -= m[row][k] * x[k];
-        }
-        x[row] = acc / m[row][row];
-    }
-    Some(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,46 +120,5 @@ mod tests {
         let mut i = paperish_inputs();
         i.instructions = 0.0;
         let _ = UslEstimate::from_inputs(&i);
-    }
-
-    fn usl_curve(lambda: f64, sigma: f64, kappa: f64, ns: &[f64]) -> Vec<ScalabilityPoint> {
-        ns.iter()
-            .map(|&n| ScalabilityPoint {
-                workers: n,
-                throughput: lambda * n / (1.0 + sigma * (n - 1.0) + kappa * n * (n - 1.0)),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn scalability_fit_recovers_known_coefficients() {
-        let points = usl_curve(1000.0, 0.08, 0.002, &[1.0, 2.0, 4.0, 8.0, 16.0]);
-        let fit = ScalabilityFit::fit(&points).expect("exact curve must fit");
-        assert!((fit.lambda - 1000.0).abs() < 1e-6, "lambda {}", fit.lambda);
-        assert!((fit.sigma - 0.08).abs() < 1e-9, "sigma {}", fit.sigma);
-        assert!((fit.kappa - 0.002).abs() < 1e-9, "kappa {}", fit.kappa);
-        let peak = fit.peak_workers().expect("kappa > 0 has a peak");
-        assert!((peak - (0.92f64 / 0.002).sqrt()).abs() < 1e-6);
-        assert!((fit.predict(4.0) - points[2].throughput).abs() < 1e-6);
-    }
-
-    #[test]
-    fn scalability_fit_linear_scaling_has_no_peak() {
-        let points = usl_curve(500.0, 0.0, 0.0, &[1.0, 2.0, 4.0, 8.0]);
-        let fit = ScalabilityFit::fit(&points).expect("linear curve must fit");
-        assert!(fit.sigma.abs() < 1e-9);
-        assert!(fit.peak_workers().is_none());
-        assert!((fit.predict(32.0) - 500.0 * 32.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn scalability_fit_rejects_degenerate_sweeps() {
-        assert!(ScalabilityFit::fit(&[]).is_none());
-        let two = usl_curve(100.0, 0.1, 0.01, &[1.0, 2.0]);
-        assert!(ScalabilityFit::fit(&two).is_none(), "underdetermined");
-        let same_n = usl_curve(100.0, 0.1, 0.01, &[4.0, 4.0, 4.0]);
-        assert!(ScalabilityFit::fit(&same_n).is_none(), "singular");
-        let bad = vec![ScalabilityPoint { workers: 1.0, throughput: 0.0 }; 3];
-        assert!(ScalabilityFit::fit(&bad).is_none());
     }
 }

@@ -6,8 +6,8 @@
 //! per-byte processing cost over the footprint) plus fault-handler time plus
 //! daemon migration time (copy + TLB shootdown per migrated page). Eager and
 //! CA paging add nothing measurable; ranger pays ~3 % for its migrations.
-//! The `contig-bench` criterion suite additionally measures the *real*
-//! allocator-path wall time of each policy.
+//! The *real* fault-path host time of the simulator itself is measured by
+//! `benchmark/` (`mm.fault_4k_ns`, `core.ca_fault_4k_ns`).
 
 use contig_mm::System;
 use contig_workloads::Workload;
