@@ -162,7 +162,7 @@ pub fn audit_vm(vm: &VirtualMachine) -> VmAuditReport {
     let mut violations = Vec::new();
     let mut unbacked = Vec::new();
     let mut backed_pages = 0u64;
-    let mut host_frames = std::collections::BTreeSet::new();
+    let mut host_frames = Vec::new();
 
     let guest_bytes = vm.guest().machine().total_frames() * PageSize::Base4K.bytes();
     let host_pt = vm.host().aspace(vm.host_pid()).page_table();
@@ -189,7 +189,7 @@ pub fn audit_vm(vm: &VirtualMachine) -> VmAuditReport {
                             });
                         } else {
                             backed_pages += 1;
-                            host_frames.insert(t.frame_for(hva).raw());
+                            host_frames.push(t.frame_for(hva));
                         }
                     }
                     Err(_) => unbacked.push((pid, va)),
@@ -198,6 +198,9 @@ pub fn audit_vm(vm: &VirtualMachine) -> VmAuditReport {
         }
     }
 
+    // Distinct host frames: KSM-merged guest pages name the same one.
+    host_frames.sort_unstable();
+    host_frames.dedup();
     VmAuditReport {
         guest,
         host,

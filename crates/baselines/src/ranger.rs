@@ -216,8 +216,8 @@ impl RangerDaemon {
         let leaves: Vec<(VirtAddr, Pte, PageSize)> = sys
             .aspace(pid)
             .page_table()
-            .iter_mappings()
-            .filter(|m| range.contains(m.va) && !protected(m.va))
+            .mappings_in(range)
+            .filter(|m| !protected(m.va))
             .map(|m| (m.va, m.pte, m.size))
             .collect();
         for (va, _, _) in leaves {

@@ -23,7 +23,7 @@ use contig_buddy::{
 };
 use contig_mm::{
     CacheAllocMode, DaemonConfig, DaemonPhase, DaemonState, DaemonStats, FaultStatsSnapshot,
-    FileCacheSnapshot, LatencyModel, NumaStats, PageCacheSnapshot, ProcessSnapshot,
+    FileCacheSnapshot, LatencyModel, NumaStats, PageCacheSnapshot, ProcessSnapshot, Pte,
     RecoveryConfig, RecoveryStats, SystemSnapshot, VmaSnapshot,
 };
 use contig_buddy::PoisonCounters;
@@ -592,7 +592,11 @@ fn process_from_json(v: &Json) -> DecodeResult<ProcessSnapshot> {
             .map(|m| match m.as_arr() {
                 Some([va, pfn, bits, huge]) => Ok((
                     as_u64(va, "mapping va")?,
-                    as_u64(pfn, "mapping pfn")?,
+                    // `System::restore` packs it into a page-table entry.
+                    match as_u64(pfn, "mapping pfn")? {
+                        pfn if pfn <= Pte::MAX_PFN.raw() => pfn,
+                        pfn => return Err(format!("mapping pfn {pfn:#x} exceeds 52 bits")),
+                    },
                     u8::try_from(as_u64(bits, "mapping flags")?)
                         .map_err(|_| "flag bits out of range".to_string())?,
                     huge.as_bool().ok_or("mapping huge marker is not a bool")?,

@@ -150,6 +150,19 @@ mod tests {
         }
     }
 
+    /// A mapping whose frame number cannot be packed into a page-table
+    /// entry is a decode error, not a panic (or a truncation) in `restore`.
+    #[test]
+    fn unpackable_mapping_pfn_is_refused_by_the_decoder() {
+        let mut snap = populated_vm().snapshot();
+        let max = contig_mm::Pte::MAX_PFN.raw();
+        snap.guest.processes[0].mappings[0].1 = max;
+        assert_eq!(decode_vm_file(&encode_vm_file(&snap)).unwrap(), snap);
+        snap.guest.processes[0].mappings[0].1 = max + 1;
+        let err = decode_vm_file(&encode_vm_file(&snap)).unwrap_err();
+        assert!(err.contains("exceeds 52 bits"), "{err}");
+    }
+
     #[test]
     fn codec_detects_corruption() {
         let snap = populated_vm().snapshot();

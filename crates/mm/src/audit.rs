@@ -222,23 +222,29 @@ impl System {
     /// campaigns.
     pub fn audit(&self) -> AuditReport {
         let mut report = AuditReport::default();
-        // Expand every leaf PTE to its base frames (a 2 MiB leaf covers 512)
-        // and record mapping heads separately for the COW count check.
-        let mut frame_refs: HashMap<Pfn, Vec<(Pid, VirtAddr, PteFlags)>> = HashMap::new();
-        let mut head_refs: HashMap<Pfn, Vec<(Pid, VirtAddr, PteFlags)>> = HashMap::new();
-        for pid in self.pids() {
+        // Expand every leaf PTE to its base frames (a 2 MiB leaf covers 512),
+        // one flat row per reference; mapping heads that COW-share an
+        // anonymous frame are kept apart for the count check.
+        let pids = self.pids();
+        let mapped: u64 =
+            pids.iter().map(|pid| self.processes[pid].page_table().mapped_bytes()).sum();
+        let mut frame_refs: Vec<(Pfn, Pid, VirtAddr, PteFlags)> =
+            Vec::with_capacity((mapped / PageSize::Base4K.bytes()) as usize);
+        let mut cow_heads: Vec<Pfn> = Vec::new();
+        for pid in pids {
             for m in self.processes[&pid].page_table().iter_mappings() {
                 report.mappings_checked += 1;
-                head_refs.entry(m.pte.pfn).or_default().push((pid, m.va, m.pte.flags));
+                if m.pte.flags.contains(PteFlags::COW) && !m.pte.flags.contains(PteFlags::FILE) {
+                    cow_heads.push(m.pte.pfn);
+                }
                 for i in 0..m.size.base_pages() {
-                    frame_refs
-                        .entry(m.pte.pfn.add(i))
-                        .or_default()
-                        .push((pid, m.va + i * PageSize::Base4K.bytes(), m.pte.flags));
+                    let va = m.va + i * PageSize::Base4K.bytes();
+                    frame_refs.push((m.pte.pfn.add(i), pid, va, m.pte.flags));
                 }
             }
         }
-        report.frames_checked = frame_refs.len() as u64;
+        // Stable, so the references to one frame keep their discovery order.
+        frame_refs.sort_by_key(|&(pfn, ..)| pfn);
 
         // Cache inventory first: FILE PTEs are validated against it below.
         let mut cache_frames: HashMap<Pfn, (FileId, u64)> = HashMap::new();
@@ -266,12 +272,11 @@ impl System {
             }
         }
 
-        let mut frames: Vec<&Pfn> = frame_refs.keys().collect();
-        frames.sort_unstable();
-        for &pfn in frames {
-            let refs = &frame_refs[&pfn];
+        for refs in frame_refs.chunk_by(|a, b| a.0 == b.0) {
+            let pfn = refs[0].0;
+            report.frames_checked += 1;
             if self.machine.node_of(pfn).is_none() {
-                for &(pid, va, _) in refs {
+                for &(_, pid, va, _) in refs {
                     report.violations.push(AuditViolation::MappedFrameOutOfRange {
                         pid,
                         va,
@@ -281,64 +286,46 @@ impl System {
                 continue;
             }
             if self.machine.is_free(pfn) {
-                for &(pid, va, _) in refs {
+                for &(_, pid, va, _) in refs {
                     report.violations.push(AuditViolation::MappedFrameFree { pid, va, pfn });
                 }
             }
             if self.machine.is_poisoned(pfn) {
-                for &(pid, va, _) in refs {
+                for &(_, pid, va, _) in refs {
                     report.violations.push(AuditViolation::PoisonedFrameMapped { pid, va, pfn });
                 }
             }
-            if refs.len() > 1 {
-                let all_cow = refs.iter().all(|(_, _, fl)| fl.contains(PteFlags::COW));
-                let all_file = refs.iter().all(|(_, _, fl)| fl.contains(PteFlags::FILE));
-                if !all_cow && !all_file {
-                    report.violations.push(AuditViolation::DoubleMapped {
-                        pfn,
-                        first: (refs[0].0, refs[0].1),
-                        second: (refs[1].0, refs[1].1),
-                    });
-                }
+            let all_cow = refs.iter().all(|(.., fl)| fl.contains(PteFlags::COW));
+            let all_file = refs.iter().all(|(.., fl)| fl.contains(PteFlags::FILE));
+            if refs.len() > 1 && !all_cow && !all_file {
+                report.violations.push(AuditViolation::DoubleMapped {
+                    pfn,
+                    first: (refs[0].1, refs[0].2),
+                    second: (refs[1].1, refs[1].2),
+                });
             }
-            for &(pid, va, fl) in refs {
-                if fl.contains(PteFlags::FILE) && !cache_frames.contains_key(&pfn) {
+            let cached = cache_frames.get(&pfn);
+            for &(_, pid, va, fl) in refs {
+                if fl.contains(PteFlags::FILE) && cached.is_none() {
                     report.violations.push(AuditViolation::FilePteNotCached { pid, va, pfn });
                 }
             }
-            if !refs.iter().all(|(_, _, fl)| fl.contains(PteFlags::FILE))
-                && cache_frames.contains_key(&pfn)
-            {
-                let &(file, index) = &cache_frames[&pfn];
+            if let Some(&(file, index)) = cached.filter(|_| !all_file) {
                 report.violations.push(AuditViolation::CacheAliased { file, index, pfn });
             }
         }
 
         // COW reference counts, checked at mapping heads (the count sits on
-        // the head frame of the shared page).
-        let mut cow_heads: Vec<Pfn> = head_refs
-            .iter()
-            .filter(|(_, refs)| {
-                refs.iter().any(|(_, _, fl)| {
-                    fl.contains(PteFlags::COW) && !fl.contains(PteFlags::FILE)
-                })
-            })
-            .map(|(&pfn, _)| pfn)
-            .chain(self.machine.shared_frames().map(|(pfn, _)| pfn))
-            .collect();
+        // the head frame of the shared page): every frame that is COW-mapped
+        // or carries a count must have the two agree.
         cow_heads.sort_unstable();
-        cow_heads.dedup();
-        for pfn in cow_heads {
-            let observed = head_refs
-                .get(&pfn)
-                .map(|refs| {
-                    refs.iter()
-                        .filter(|(_, _, fl)| {
-                            fl.contains(PteFlags::COW) && !fl.contains(PteFlags::FILE)
-                        })
-                        .count() as u32
-                })
-                .unwrap_or(0);
+        let mut counted: Vec<Pfn> = self.machine.shared_frames().map(|(pfn, _)| pfn).collect();
+        counted.extend_from_slice(&cow_heads);
+        counted.sort_unstable();
+        counted.dedup();
+        for pfn in counted {
+            let first = cow_heads.partition_point(|&head| head < pfn);
+            let observed = (cow_heads.partition_point(|&head| head <= pfn) - first) as u32;
             let recorded = self.machine.share_count(pfn);
             // A zero count is consistent only while nothing COW-maps the
             // frame; a non-zero count must match the mappings exactly.

@@ -4,10 +4,13 @@
 //! levels touched so the TLB simulator can charge page-walk memory references
 //! exactly as hardware would (4 for a base page, 3 for a 2 MiB leaf at the
 //! PMD level, and `(g+1)*(h+1)-1` for a nested 2D walk).
+//!
+//! Tables live in one arena of packed 8-byte entries ([`crate::pte`]) beside an
+//! occupancy bit per entry, so a scan visits only what is mapped (DESIGN §2).
 
-use contig_types::{PageSize, Pfn, TranslateError, VirtAddr};
+use contig_types::{PageSize, Pfn, TranslateError, VirtAddr, VirtRange};
 
-use crate::pte::{Pte, PteFlags};
+use crate::pte::{pack, unpack, Pte, PteFlags, EMPTY, LEAF, TABLE};
 
 /// Entries per table at every level (x86-64: 9 bits of index).
 pub const ENTRIES_PER_TABLE: usize = 512;
@@ -20,25 +23,6 @@ pub const LEVELS_LA57: u32 = 5;
 
 /// Level at which 2 MiB leaves live (1 = PT, 2 = PMD, ...).
 const HUGE_LEVEL: u32 = 2;
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Slot {
-    Empty,
-    Table(u32),
-    Leaf(Pte),
-}
-
-#[derive(Clone, Debug)]
-struct Table {
-    slots: Box<[Slot; ENTRIES_PER_TABLE]>,
-    live: u16,
-}
-
-impl Table {
-    fn new() -> Self {
-        Self { slots: Box::new([Slot::Empty; ENTRIES_PER_TABLE]), live: 0 }
-    }
-}
 
 /// The result of a successful page-table walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,12 +41,7 @@ impl Translation {
     /// The frame backing the specific 4 KiB page of `va` (for huge leaves,
     /// the base frame plus the intra-page index).
     pub fn frame_for(&self, va: VirtAddr) -> Pfn {
-        match self.size {
-            PageSize::Base4K => self.pfn,
-            PageSize::Huge2M => {
-                self.pfn.add(va.page_offset(PageSize::Huge2M) >> contig_types::BASE_PAGE_SHIFT)
-            }
-        }
+        self.pfn.add(va.page_offset(self.size) >> contig_types::BASE_PAGE_SHIFT)
     }
 }
 
@@ -93,17 +72,25 @@ pub struct MappedPage {
 /// ```
 #[derive(Clone, Debug)]
 pub struct PageTable {
-    tables: Vec<Table>,
-    root: u32,
+    /// Table `t` owns `entries[t << 9..][..512]`; table 0 is the root.
+    entries: Vec<u64>,
+    /// Bit `s & 63` of `present[s >> 6]` is set iff `entries[s]` is not empty.
+    present: Vec<u64>,
     levels: u32,
-    mapped_base_pages: u64,
-    mapped_huge_pages: u64,
+    /// Mapped leaves by level: `[4 KiB, 2 MiB]`.
+    leaves: [u64; 2],
 }
 
 impl Default for PageTable {
     fn default() -> Self {
         Self::new()
     }
+}
+
+fn leaf_of(entry: u64, level: u32) -> (Pte, PageSize) {
+    let (_, flags, pfn) = unpack(entry);
+    let size = if level == HUGE_LEVEL { PageSize::Huge2M } else { PageSize::Base4K };
+    (Pte::new(Pfn::new(pfn), flags), size)
 }
 
 impl PageTable {
@@ -121,13 +108,7 @@ impl PageTable {
     /// Panics unless `levels` is 4 or 5.
     pub fn with_levels(levels: u32) -> Self {
         assert!((LEVELS..=LEVELS_LA57).contains(&levels), "unsupported radix depth {levels}");
-        Self {
-            tables: vec![Table::new()],
-            root: 0,
-            levels,
-            mapped_base_pages: 0,
-            mapped_huge_pages: 0,
-        }
+        Self { entries: vec![EMPTY; 512], present: vec![0; 8], levels, leaves: [0; 2] }
     }
 
     /// The radix depth (4 or 5).
@@ -137,29 +118,51 @@ impl PageTable {
 
     /// Number of mapped 4 KiB leaves.
     pub fn mapped_base_pages(&self) -> u64 {
-        self.mapped_base_pages
+        self.leaves[0]
     }
 
     /// Number of mapped 2 MiB leaves.
     pub fn mapped_huge_pages(&self) -> u64 {
-        self.mapped_huge_pages
+        self.leaves[1]
     }
 
     /// Total mapped bytes.
     pub fn mapped_bytes(&self) -> u64 {
-        self.mapped_base_pages * PageSize::Base4K.bytes()
-            + self.mapped_huge_pages * PageSize::Huge2M.bytes()
+        self.leaves[0] * PageSize::Base4K.bytes() + self.leaves[1] * PageSize::Huge2M.bytes()
     }
 
-    /// Radix index of `va` at `level` (1-based from the leaf level).
-    fn index(va: VirtAddr, level: u32) -> usize {
-        ((va.raw() >> (contig_types::BASE_PAGE_SHIFT + 9 * (level - 1))) & 0x1ff) as usize
+    /// Bit position of the radix index of `level` (1-based from the leaf).
+    fn shift(level: u32) -> u32 {
+        contig_types::BASE_PAGE_SHIFT + 9 * (level - 1)
     }
 
-    fn leaf_level(size: PageSize) -> u32 {
-        match size {
-            PageSize::Base4K => 1,
-            PageSize::Huge2M => HUGE_LEVEL,
+    /// Arena slot of `va`'s entry in `table` at `level`.
+    fn slot(table: usize, va: u64, level: u32) -> usize {
+        table << 9 | (va >> Self::shift(level)) as usize & (ENTRIES_PER_TABLE - 1)
+    }
+
+    /// The only writer of `entries`: keeps the occupancy bit in step.
+    fn set(&mut self, slot: usize, entry: u64) {
+        self.entries[slot] = entry;
+        let word = &mut self.present[slot >> 6];
+        *word = *word & !(1 << (slot & 63)) | u64::from(entry != EMPTY) << (slot & 63);
+    }
+
+    /// Whether `table` holds any non-empty entry.
+    fn populated(&self, table: usize) -> bool {
+        self.present[table << 3..][..8].iter().any(|&word| word != 0)
+    }
+
+    /// Arena slot and level of the leaf covering `va`.
+    fn find(&self, va: VirtAddr) -> Option<(usize, u32)> {
+        let (mut table, mut level) = (0, self.levels);
+        loop {
+            let slot = Self::slot(table, va.raw(), level);
+            match unpack(self.entries[slot]) {
+                (TABLE, _, child) if level > 1 => (table, level) = (child as usize, level - 1),
+                (LEAF, ..) => return Some((slot, level)),
+                _ => return None,
+            }
         }
     }
 
@@ -168,44 +171,38 @@ impl PageTable {
     /// # Panics
     ///
     /// Panics if `va` is not size-aligned, if the slot already holds a
-    /// mapping, or if a huge mapping would overlap existing 4 KiB leaves.
+    /// mapping, if a huge mapping would overlap existing 4 KiB leaves, or if
+    /// the frame number exceeds [`Pte::MAX_PFN`].
     pub fn map(&mut self, va: VirtAddr, pte: Pte, size: PageSize) {
         assert!(va.is_aligned(size), "mapping {va} unaligned for {size}");
-        let leaf_level = Self::leaf_level(size);
-        let mut table = self.root;
+        let leaf_level = if size == PageSize::Huge2M { HUGE_LEVEL } else { 1 };
+        let mut table = 0;
         for level in (leaf_level + 1..=self.levels).rev() {
-            let idx = Self::index(va, level);
-            table = match self.tables[table as usize].slots[idx] {
-                Slot::Table(t) => t,
-                Slot::Empty => {
-                    let t = self.tables.len() as u32;
-                    self.tables.push(Table::new());
-                    self.tables[table as usize].slots[idx] = Slot::Table(t);
-                    self.tables[table as usize].live += 1;
-                    t
+            let slot = Self::slot(table, va.raw(), level);
+            table = match unpack(self.entries[slot]) {
+                (TABLE, _, child) => child as usize,
+                (EMPTY, ..) => {
+                    let child = self.entries.len() >> 9;
+                    self.entries.resize(self.entries.len() + ENTRIES_PER_TABLE, EMPTY);
+                    self.present.resize(self.present.len() + ENTRIES_PER_TABLE / 64, 0);
+                    self.set(slot, pack(TABLE, PteFlags::NONE, child as u64));
+                    child
                 }
-                Slot::Leaf(_) => panic!("mapping {va} overlaps an existing huge leaf"),
+                _ => panic!("mapping {va} overlaps an existing huge leaf"),
             };
         }
-        let idx = Self::index(va, leaf_level);
-        match self.tables[table as usize].slots[idx] {
-            Slot::Empty => {
-                self.tables[table as usize].slots[idx] = Slot::Leaf(pte);
-                self.tables[table as usize].live += 1;
-            }
-            Slot::Leaf(_) => panic!("double map at {va}"),
+        let slot = Self::slot(table, va.raw(), leaf_level);
+        match unpack(self.entries[slot]) {
+            (EMPTY, ..) => {}
+            (LEAF, ..) => panic!("double map at {va}"),
             // A leftover (empty) leaf table from earlier 4 KiB mappings may
             // be replaced by a huge leaf — the promotion path does exactly
-            // this after unmapping the base pages.
-            Slot::Table(t) if self.tables[t as usize].live == 0 => {
-                self.tables[table as usize].slots[idx] = Slot::Leaf(pte);
-            }
-            Slot::Table(_) => panic!("huge mapping at {va} overlaps 4 KiB leaves"),
+            // this after unmapping the base pages. The table is orphaned.
+            (_, _, child) if !self.populated(child as usize) => {}
+            _ => panic!("huge mapping at {va} overlaps 4 KiB leaves"),
         }
-        match size {
-            PageSize::Base4K => self.mapped_base_pages += 1,
-            PageSize::Huge2M => self.mapped_huge_pages += 1,
-        }
+        self.set(slot, pack(LEAF, pte.flags, pte.pfn.raw()));
+        self.leaves[leaf_level as usize - 1] += 1;
     }
 
     /// Removes the leaf covering `va` (for huge leaves, any interior address
@@ -215,31 +212,11 @@ impl PageTable {
     /// reclaim page-table pages eagerly); translation correctness is
     /// unaffected.
     pub fn unmap(&mut self, va: VirtAddr) -> Option<(Pte, PageSize)> {
-        let mut table = self.root;
-        for level in (2..=self.levels).rev() {
-            let idx = Self::index(va, level);
-            match self.tables[table as usize].slots[idx] {
-                Slot::Table(t) => table = t,
-                Slot::Leaf(pte) if level == HUGE_LEVEL => {
-                    // Any address inside the huge leaf removes the whole leaf.
-                    self.tables[table as usize].slots[idx] = Slot::Empty;
-                    self.tables[table as usize].live -= 1;
-                    self.mapped_huge_pages -= 1;
-                    return Some((pte, PageSize::Huge2M));
-                }
-                _ => return None,
-            }
-        }
-        let idx = Self::index(va, 1);
-        match self.tables[table as usize].slots[idx] {
-            Slot::Leaf(pte) => {
-                self.tables[table as usize].slots[idx] = Slot::Empty;
-                self.tables[table as usize].live -= 1;
-                self.mapped_base_pages -= 1;
-                Some((pte, PageSize::Base4K))
-            }
-            _ => None,
-        }
+        let (slot, level) = self.find(va)?;
+        let old = leaf_of(self.entries[slot], level);
+        self.set(slot, EMPTY);
+        self.leaves[level as usize - 1] -= 1;
+        Some(old)
     }
 
     /// Walks the table for `va`.
@@ -248,49 +225,24 @@ impl PageTable {
     ///
     /// [`TranslateError::NotMapped`] when no leaf covers `va`.
     pub fn translate(&self, va: VirtAddr) -> Result<Translation, TranslateError> {
-        let mut table = self.root;
-        let mut levels = 0;
-        for level in (2..=self.levels).rev() {
-            levels += 1;
-            let idx = Self::index(va, level);
-            match self.tables[table as usize].slots[idx] {
-                Slot::Table(t) => table = t,
-                Slot::Leaf(pte) if level == HUGE_LEVEL => {
-                    return Ok(Translation {
-                        pfn: pte.pfn,
-                        size: PageSize::Huge2M,
-                        flags: pte.flags,
-                        levels,
-                    });
-                }
-                _ => return Err(TranslateError::NotMapped { addr: va }),
-            }
-        }
-        levels += 1;
-        let idx = Self::index(va, 1);
-        match self.tables[table as usize].slots[idx] {
-            Slot::Leaf(pte) => {
-                Ok(Translation { pfn: pte.pfn, size: PageSize::Base4K, flags: pte.flags, levels })
-            }
-            _ => Err(TranslateError::NotMapped { addr: va }),
-        }
+        let (slot, level) = self.find(va).ok_or(TranslateError::NotMapped { addr: va })?;
+        let (Pte { pfn, flags }, size) = leaf_of(self.entries[slot], level);
+        Ok(Translation { pfn, size, flags, levels: self.levels - level + 1 })
     }
 
     /// Whether any leaf exists inside the 2 MiB-aligned region containing
     /// `va`. O(levels): the THP fault path uses this to decide whether a huge
     /// fault is still possible.
     pub fn huge_region_populated(&self, va: VirtAddr) -> bool {
-        let mut table = self.root;
+        let mut table = 0;
         for level in (HUGE_LEVEL..=self.levels).rev() {
-            let idx = Self::index(va, level);
-            match self.tables[table as usize].slots[idx] {
-                Slot::Table(t) => table = t,
-                Slot::Leaf(_) => return true,
-                Slot::Empty => return false,
+            match unpack(self.entries[Self::slot(table, va.raw(), level)]) {
+                (TABLE, _, child) => table = child as usize,
+                (tag, ..) => return tag == LEAF,
             }
         }
-        // Reached the PT table under the PMD slot: populated iff any live leaf.
-        self.tables[table as usize].live > 0
+        // Reached the PT table under the PMD slot: populated iff any leaf.
+        self.populated(table)
     }
 
     /// Mutates the flags of the leaf covering `va`, returning the new flags.
@@ -299,72 +251,106 @@ impl PageTable {
         va: VirtAddr,
         update: impl FnOnce(PteFlags) -> PteFlags,
     ) -> Option<PteFlags> {
-        let mut table = self.root;
-        for level in (2..=self.levels).rev() {
-            let idx = Self::index(va, level);
-            match self.tables[table as usize].slots[idx] {
-                Slot::Table(t) => table = t,
-                Slot::Leaf(_) if level == HUGE_LEVEL => {
-                    if let Slot::Leaf(ref mut pte) = self.tables[table as usize].slots[idx] {
-                        pte.flags = update(pte.flags);
-                        return Some(pte.flags);
-                    }
-                    unreachable!()
-                }
-                _ => return None,
-            }
-        }
-        let idx = Self::index(va, 1);
-        if let Slot::Leaf(ref mut pte) = self.tables[table as usize].slots[idx] {
-            pte.flags = update(pte.flags);
-            Some(pte.flags)
-        } else {
-            None
-        }
+        let (slot, _) = self.find(va)?;
+        let (_, flags, pfn) = unpack(self.entries[slot]);
+        let flags = update(flags);
+        self.set(slot, pack(LEAF, flags, pfn));
+        Some(flags)
     }
 
     /// Replaces the frame of the leaf covering `va` (used by migration and
     /// COW break), preserving size. Returns the old entry.
     pub fn remap(&mut self, va: VirtAddr, new: Pte) -> Option<(Pte, PageSize)> {
-        let (old, size) = self.unmap(va)?;
-        self.map(va.align_down(size), new, size);
-        Some((old, size))
+        let (slot, level) = self.find(va)?;
+        let old = leaf_of(self.entries[slot], level);
+        self.set(slot, pack(LEAF, new.flags, new.pfn.raw()));
+        Some(old)
+    }
+
+    /// Panics unless every occupancy bit mirrors its entry (reads the whole arena).
+    pub fn verify_integrity(&self) {
+        for (slot, &entry) in self.entries.iter().enumerate() {
+            let bit = self.present[slot >> 6] >> (slot & 63) & 1;
+            assert_eq!(bit == 1, entry != EMPTY, "occupancy bit of slot {slot} out of step");
+        }
     }
 
     /// Iterates every leaf in ascending virtual-address order.
     pub fn iter_mappings(&self) -> impl Iterator<Item = MappedPage> + '_ {
-        MappingIter { pt: self, stack: vec![(self.root, self.levels, 0, 0)] }
+        self.mappings_in(VirtRange::new(VirtAddr::new(0), u64::MAX))
+    }
+
+    /// Iterates the leaves that start inside `range`, ascending, without
+    /// visiting the tables that lie wholly outside it.
+    pub fn mappings_in(&self, range: VirtRange) -> impl Iterator<Item = MappedPage> + '_ {
+        let (start, end) = (range.start().raw(), range.end().raw());
+        let left = (self.leaves[0] + self.leaves[1]) as usize;
+        let (top, stack) = Default::default();
+        let mut iter = MappingIter { pt: self, top, stack, depth: 0, start, end, left };
+        iter.push(0, self.levels, 0);
+        iter
     }
 }
 
 struct MappingIter<'a> {
     pt: &'a PageTable,
-    /// (table, level, next slot index, va prefix)
-    stack: Vec<(u32, u32, usize, u64)>,
+    /// The table being walked — (`present` index of the current word, its
+    /// unvisited bits, level, va) — and its ancestors in `stack[..depth]`.
+    top: (usize, u64, u32, u64),
+    stack: [(usize, u64, u32, u64); LEVELS_LA57 as usize],
+    depth: usize,
+    start: u64,
+    end: u64,
+    /// Leaves of the whole table not yet yielded.
+    left: usize,
+}
+
+impl MappingIter<'_> {
+    /// Enters `table` at its first entry that reaches past the range's start.
+    fn push(&mut self, table: usize, level: u32, va: u64) {
+        let first = if self.start > va { PageTable::slot(0, self.start, level) } else { 0 };
+        let word = table << 3 | first >> 6;
+        let bits = self.pt.present[word] & u64::MAX << (first & 63);
+        self.stack[self.depth] = self.top;
+        self.depth += 1;
+        self.top = (word, bits, level, va);
+    }
 }
 
 impl Iterator for MappingIter<'_> {
     type Item = MappedPage;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some((table, level, idx, prefix)) = self.stack.pop() {
-            if idx >= ENTRIES_PER_TABLE {
+        while self.depth > 0 {
+            let (word, bits, level, base) = self.top;
+            if bits == 0 {
+                if word & 7 == 7 {
+                    self.depth -= 1;
+                    self.top = self.stack[self.depth];
+                } else {
+                    self.top = (word + 1, self.pt.present[word + 1], level, base);
+                }
                 continue;
             }
-            self.stack.push((table, level, idx + 1, prefix));
-            let va_bits =
-                prefix | ((idx as u64) << (contig_types::BASE_PAGE_SHIFT + 9 * (level - 1)));
-            match self.pt.tables[table as usize].slots[idx] {
-                Slot::Empty => {}
-                Slot::Table(t) => self.stack.push((t, level - 1, 0, va_bits)),
-                Slot::Leaf(pte) => {
-                    let size =
-                        if level == HUGE_LEVEL { PageSize::Huge2M } else { PageSize::Base4K };
-                    return Some(MappedPage { va: VirtAddr::new(va_bits), pte, size });
-                }
+            let slot = word << 6 | bits.trailing_zeros() as usize;
+            self.top.1 = bits & (bits - 1);
+            let va = base | ((slot & (ENTRIES_PER_TABLE - 1)) as u64) << PageTable::shift(level);
+            if va >= self.end {
+                self.depth = 0;
+            } else if let (TABLE, _, child) = unpack(self.pt.entries[slot]) {
+                self.push(child as usize, level - 1, va);
+            } else if va >= self.start {
+                self.left -= 1;
+                let (pte, size) = leaf_of(self.pt.entries[slot], level);
+                return Some(MappedPage { va: VirtAddr::new(va), pte, size });
             }
         }
         None
+    }
+
+    /// Exact for a walk of the whole table, so `collect` allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (if (self.start, self.end) == (0, u64::MAX) { self.left } else { 0 }, Some(self.left))
     }
 }
 
@@ -461,6 +447,20 @@ mod tests {
         assert_eq!(all[1].va, VirtAddr::new(0x40_0000));
         assert_eq!(all[1].size, PageSize::Huge2M);
         assert_eq!(all[2].va, VirtAddr::new(0x7f00_0000_0000));
+    }
+
+    #[test]
+    fn iteration_order_is_pinned() {
+        let mut pt = PageTable::with_levels(LEVELS_LA57);
+        let small = [1 << 48, 0x7f00_0000_0000, 0x3000, 0x20_1000, 0x1000];
+        for (i, va) in small.into_iter().enumerate() {
+            pt.map(VirtAddr::new(va), pte(i as u64), PageSize::Base4K);
+        }
+        pt.map(VirtAddr::new(0x8000_0000), pte(10), PageSize::Huge2M);
+        pt.map(VirtAddr::new(0x40_0000), pte(11), PageSize::Huge2M);
+        pt.unmap(VirtAddr::new(0x3000));
+        let vas: Vec<_> = pt.iter_mappings().map(|m| m.va.raw()).collect();
+        assert_eq!(vas, [0x1000, 0x20_1000, 0x40_0000, 0x8000_0000, 0x7f00_0000_0000, 1 << 48]);
     }
 
     #[test]

@@ -111,10 +111,39 @@ pub struct Pte {
 }
 
 impl Pte {
+    /// The largest frame number a packed entry can hold (52 bits).
+    /// [`crate::PageTable::map`] panics on a larger one, so decoders of
+    /// untrusted input must check against this first.
+    pub const MAX_PFN: Pfn = Pfn::new(u64::MAX >> PAYLOAD_SHIFT);
+
     /// A present entry mapping onto `pfn` with the given flags.
     pub const fn new(pfn: Pfn, flags: PteFlags) -> Self {
         Self { pfn, flags }
     }
+}
+
+/// Tags of a packed 8-byte page-table entry (bits 0..2). The flags sit in
+/// bits 2..10 and the PFN or child-table number in the high 52 bits, where an
+/// x86 PTE keeps its frame number. The all-zero word is the empty entry.
+pub(crate) const EMPTY: u64 = 0;
+pub(crate) const TABLE: u64 = 1;
+pub(crate) const LEAF: u64 = 2;
+const PAYLOAD_SHIFT: u32 = 12;
+
+/// Packs a tag, flags and a PFN or child-table number into one entry.
+///
+/// # Panics
+///
+/// Panics if `payload` exceeds [`Pte::MAX_PFN`]: truncating it would alias
+/// another frame.
+pub(crate) fn pack(tag: u64, flags: PteFlags, payload: u64) -> u64 {
+    assert!(payload <= Pte::MAX_PFN.raw(), "frame or table number {payload:#x} exceeds 52 bits");
+    payload << PAYLOAD_SHIFT | u64::from(flags.bits()) << 2 | tag
+}
+
+/// The `(tag, flags, payload)` a packed entry holds.
+pub(crate) fn unpack(entry: u64) -> (u64, PteFlags, u64) {
+    (entry & 3, PteFlags::from_bits((entry >> 2) as u8), entry >> PAYLOAD_SHIFT)
 }
 
 impl fmt::Display for Pte {
@@ -143,6 +172,27 @@ mod tests {
         assert_eq!(PteFlags::NONE.to_string(), "-");
         assert_eq!((PteFlags::WRITE | PteFlags::CONTIG).to_string(), "W|G");
         assert!(!Pte::new(Pfn::new(7), PteFlags::FILE).to_string().is_empty());
+    }
+
+    #[test]
+    fn pack_unpack_round_trips_every_tag_flag_and_payload_extreme() {
+        let max = Pte::MAX_PFN.raw();
+        for tag in [EMPTY, TABLE, LEAF] {
+            for bits in 0..=u8::MAX {
+                for payload in [0, 1, 0x1ff, u64::from(u32::MAX), max - 1, max] {
+                    let flags = PteFlags::from_bits(bits);
+                    let entry = pack(tag, flags, payload);
+                    assert_eq!(unpack(entry), (tag, flags, payload));
+                    assert_eq!(entry == EMPTY, tag == EMPTY && bits == 0 && payload == 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 52 bits")]
+    fn pack_rejects_a_payload_it_would_truncate() {
+        pack(LEAF, PteFlags::NONE, Pte::MAX_PFN.raw() + 1);
     }
 
     #[test]

@@ -1290,7 +1290,7 @@ impl System {
         let mut pages = Vec::new();
         {
             let pt = parent.page_table_mut();
-            for mapped in pt.iter_mappings().filter(|m| range.contains(m.va)).collect::<Vec<_>>() {
+            for mapped in pt.mappings_in(range).collect::<Vec<_>>() {
                 pt.update_flags(mapped.va, |f| f | PteFlags::COW);
                 pages.push(mapped);
             }

@@ -1,12 +1,14 @@
 //! Property-based tests of the page table and VMA metadata against simple
 //! reference models.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use proptest::prelude::*;
 
-use contig_mm::{OffsetSet, PageTable, Pte, PteFlags, MAX_OFFSETS_PER_VMA};
-use contig_types::{MapOffset, PageSize, PhysAddr, Pfn, VirtAddr};
+use contig_mm::{
+    MappedPage, OffsetSet, PageTable, Pte, PteFlags, LEVELS, LEVELS_LA57, MAX_OFFSETS_PER_VMA,
+};
+use contig_types::{MapOffset, PageSize, Pfn, PhysAddr, VirtAddr, VirtRange};
 
 #[derive(Clone, Debug)]
 enum PtOp {
@@ -33,8 +35,171 @@ fn va_2m(slot: u64) -> VirtAddr {
     VirtAddr::new(slot * (2 << 20))
 }
 
+/// An op of the sparse reference-model test; `SparseVa`s name its targets.
+#[derive(Clone, Debug)]
+enum SparseOp {
+    Map { at: SparseVa, huge: bool, pfn: u64, flags: u8 },
+    Unmap(SparseVa),
+    Remap { at: SparseVa, pfn: u64, flags: u8 },
+    OrFlags { at: SparseVa, flags: u8 },
+    Translate(SparseVa),
+    RegionPopulated(SparseVa),
+}
+
+/// A deliberately sparse address: one of a few far-apart 4 MiB windows
+/// (1 GiB apart under one PUD table, 512 GiB apart under one PGD table, and
+/// — for 5-level tables only — beyond bit 48), a 2 MiB region inside it and
+/// one of a few pages of that region. Most leaves get a PT table, a PMD table
+/// and a PUD table to themselves; the few that share a PT table exercise the
+/// emptied-table paths.
+#[derive(Clone, Copy, Debug)]
+struct SparseVa {
+    window: u64,
+    region: u64,
+    page: u64,
+}
+
+impl SparseVa {
+    fn resolve(self, levels: u32) -> VirtAddr {
+        const WINDOWS: [u64; 8] =
+            [0, 1 << 30, 3 << 30, 1 << 39, 5 << 39, 255 << 39, 1 << 48, 0xff << 48];
+        let usable = if levels == LEVELS_LA57 { 8 } else { 6 };
+        let base = WINDOWS[(self.window % usable) as usize];
+        // The last page of the region too, so both ends of a PT table are hit.
+        let page = if self.page == 3 { 511 } else { self.page };
+        VirtAddr::new(base + self.region * PageSize::Huge2M.bytes() + page * 4096)
+    }
+}
+
+fn sparse_va() -> impl Strategy<Value = SparseVa> {
+    (0u64..8, 0u64..2, 0u64..4).prop_map(|(window, region, page)| SparseVa { window, region, page })
+}
+
+fn sparse_op() -> impl Strategy<Value = SparseOp> {
+    let pfn = 0u64..=Pte::MAX_PFN.raw();
+    prop_oneof![
+        (sparse_va(), any::<bool>(), pfn.clone(), any::<u8>())
+            .prop_map(|(at, huge, pfn, flags)| SparseOp::Map { at, huge, pfn, flags }),
+        (sparse_va(), any::<bool>(), pfn.clone(), any::<u8>())
+            .prop_map(|(at, huge, pfn, flags)| SparseOp::Map { at, huge, pfn, flags }),
+        sparse_va().prop_map(SparseOp::Unmap),
+        sparse_va().prop_map(SparseOp::Unmap),
+        (sparse_va(), pfn, any::<u8>()).prop_map(|(at, pfn, flags)| SparseOp::Remap {
+            at,
+            pfn,
+            flags
+        }),
+        (sparse_va(), any::<u8>()).prop_map(|(at, flags)| SparseOp::OrFlags { at, flags }),
+        sparse_va().prop_map(SparseOp::Translate),
+        sparse_va().prop_map(SparseOp::RegionPopulated),
+    ]
+}
+
+/// The model: leaf start address → (entry, size). Returns the leaf covering
+/// `va`, if any.
+fn covering(model: &BTreeMap<u64, (Pte, PageSize)>, va: u64) -> Option<(u64, Pte, PageSize)> {
+    let (&start, &(pte, size)) = model.range(..=va).next_back()?;
+    (va < start + size.bytes()).then_some((start, pte, size))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The arena page table against a `BTreeMap` of its leaves, at both
+    /// depths, over sparse addresses and 4 KiB / 2 MiB mixes. After every op
+    /// the full walk, a ranged walk, the counters and the occupancy words
+    /// must all agree with the model.
+    #[test]
+    fn sparse_page_table_matches_btreemap_model(
+        la57 in any::<bool>(),
+        ops in proptest::collection::vec((sparse_op(), sparse_va(), sparse_va()), 1..120),
+    ) {
+        let levels = if la57 { LEVELS_LA57 } else { LEVELS };
+        let mut pt = PageTable::with_levels(levels);
+        let mut model: BTreeMap<u64, (Pte, PageSize)> = BTreeMap::new();
+        for (op, lo, hi) in ops {
+            match op {
+                SparseOp::Map { at, huge, pfn, flags } => {
+                    let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
+                    let va = at.resolve(levels).align_down(size).raw();
+                    // Legal iff no leaf overlaps [va, va + size).
+                    let clear = covering(&model, va).is_none()
+                        && model.range(va..va + size.bytes()).next().is_none();
+                    if clear {
+                        let pte = Pte::new(Pfn::new(pfn), PteFlags::from_bits(flags));
+                        pt.map(VirtAddr::new(va), pte, size);
+                        model.insert(va, (pte, size));
+                    }
+                }
+                SparseOp::Unmap(at) => {
+                    let va = at.resolve(levels);
+                    let want = covering(&model, va.raw());
+                    prop_assert_eq!(pt.unmap(va), want.map(|(_, pte, size)| (pte, size)));
+                    if let Some((start, ..)) = want {
+                        model.remove(&start);
+                    }
+                }
+                SparseOp::Remap { at, pfn, flags } => {
+                    let va = at.resolve(levels);
+                    let new = Pte::new(Pfn::new(pfn), PteFlags::from_bits(flags));
+                    let want = covering(&model, va.raw());
+                    prop_assert_eq!(pt.remap(va, new), want.map(|(_, pte, size)| (pte, size)));
+                    if let Some((start, _, size)) = want {
+                        model.insert(start, (new, size));
+                    }
+                }
+                SparseOp::OrFlags { at, flags } => {
+                    let va = at.resolve(levels);
+                    let or = PteFlags::from_bits(flags);
+                    let want = covering(&model, va.raw());
+                    prop_assert_eq!(
+                        pt.update_flags(va, |f| f | or),
+                        want.map(|(_, pte, _)| pte.flags | or)
+                    );
+                    if let Some((start, pte, size)) = want {
+                        model.insert(start, (Pte::new(pte.pfn, pte.flags | or), size));
+                    }
+                }
+                SparseOp::Translate(at) => {
+                    let va = at.resolve(levels);
+                    let got = pt.translate(va).ok().map(|t| (t.pfn, t.flags, t.size, t.levels));
+                    let want = covering(&model, va.raw()).map(|(_, pte, size)| {
+                        let walked = levels - u32::from(size == PageSize::Huge2M);
+                        (pte.pfn, pte.flags, size, walked)
+                    });
+                    prop_assert_eq!(got, want);
+                }
+                SparseOp::RegionPopulated(at) => {
+                    let va = at.resolve(levels);
+                    let region = va.align_down(PageSize::Huge2M).raw();
+                    let region = region..region + PageSize::Huge2M.bytes();
+                    let want = model.range(region).next().is_some();
+                    prop_assert_eq!(pt.huge_region_populated(va), want);
+                }
+            }
+            let leaf = |(&va, &(pte, size)): (&u64, &(Pte, PageSize))| {
+                MappedPage { va: VirtAddr::new(va), pte, size }
+            };
+            let want: Vec<MappedPage> = model.iter().map(leaf).collect();
+            prop_assert_eq!(pt.iter_mappings().size_hint(), (want.len(), Some(want.len())));
+            prop_assert_eq!(pt.iter_mappings().collect::<Vec<_>>(), want);
+            let (lo, hi) = (lo.resolve(levels).raw(), hi.resolve(levels).raw());
+            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            let range = VirtRange::from_bounds(VirtAddr::new(lo), VirtAddr::new(hi));
+            let ranged = pt.mappings_in(range);
+            prop_assert!(ranged.size_hint().1 == Some(want.len()));
+            prop_assert_eq!(
+                ranged.collect::<Vec<_>>(),
+                model.range(lo..hi).map(leaf).collect::<Vec<_>>()
+            );
+            let huge = model.values().filter(|(_, size)| *size == PageSize::Huge2M).count() as u64;
+            prop_assert_eq!(pt.mapped_huge_pages(), huge);
+            let base = model.len() as u64 - huge;
+            prop_assert_eq!(pt.mapped_base_pages(), base);
+            prop_assert_eq!(pt.mapped_bytes(), base * 4096 + huge * (2 << 20));
+            pt.verify_integrity();
+        }
+    }
 
     /// The radix page table behaves exactly like a flat map from 4 KiB page
     /// numbers to (frame, flags), with huge leaves expanding to 512 entries.

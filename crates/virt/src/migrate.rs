@@ -32,10 +32,11 @@
 //! emission next to it, extending the workspace's 1:1 stats↔trace equality
 //! convention to the migration subsystem.
 
-use contig_mm::{PlacementPolicy, SystemSnapshot};
+use contig_mm::{PlacementPolicy, Pte, SystemSnapshot};
 use contig_trace::{TraceEvent, Tracer};
 use contig_types::{
     fnv1a64, splitmix64, FaultError, PageSize, PhysAddr, TransportFault, TransportPolicy,
+    VirtRange,
 };
 
 use crate::vm::{VirtualMachine, VmConfig};
@@ -249,16 +250,17 @@ fn encode_pages(gframes: &[u64]) -> Vec<u8> {
     out
 }
 
+/// `None` for a payload that is not whole frame numbers, or that names a
+/// guest frame no page-table entry (and no 64-bit byte address) can hold.
 fn decode_pages(payload: &[u8]) -> Option<Vec<u64>> {
     if !payload.len().is_multiple_of(8) {
         return None;
     }
-    Some(
-        payload
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-            .collect(),
-    )
+    payload
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
+        .map(|gframe| (gframe <= Pte::MAX_PFN.raw()).then_some(gframe))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -474,14 +476,13 @@ pub struct ContigProfile {
 
 /// Computes the [`ContigProfile`] of a VM's memory region backing.
 pub fn contig_profile(vm: &VirtualMachine) -> ContigProfile {
-    let base = vm.host_vma_base().raw();
-    let end = base + vm.guest_frames() * PageSize::Base4K.bytes();
+    let region =
+        VirtRange::new(vm.host_vma_base(), vm.guest_frames() * PageSize::Base4K.bytes());
     let mut maps: Vec<(u64, u64, u64)> = vm
         .host()
         .aspace(vm.host_pid())
         .page_table()
-        .iter_mappings()
-        .filter(|m| m.va.raw() >= base && m.va.raw() < end)
+        .mappings_in(region)
         .map(|m| (m.va.raw(), m.pte.pfn.byte_offset(), m.size.bytes()))
         .collect();
     maps.sort_unstable();
@@ -512,8 +513,7 @@ pub fn contig_profile(vm: &VirtualMachine) -> ContigProfile {
         .host()
         .aspace(vm.host_pid())
         .page_table()
-        .iter_mappings()
-        .filter(|m| m.va.raw() >= base && m.va.raw() < end)
+        .mappings_in(region)
         .map(|m| (m.pte.pfn.byte_offset(), m.size.bytes()))
         .collect();
     phys.sort_unstable();
@@ -1185,6 +1185,13 @@ mod tests {
             assert!(decode_frame(&bad).is_none(), "flip at {i} must be caught");
         }
         assert!(decode_frame(&frame[..10]).is_none(), "truncation caught");
+        // A well-framed chunk whose top payload byte makes a frame number
+        // wider than 52 bits: refused, as a mis-sized payload is.
+        let mut wide = encode_pages(&[1, 2, 77]);
+        wide[15] = 0x10;
+        let f = decode_frame(&encode_frame(FRAME_KIND_PAGES, 3, 42, &wide)).expect("framing ok");
+        assert!(decode_pages(&f.payload).is_none(), "unpackable guest frame caught");
+        assert!(decode_pages(&f.payload[..7]).is_none(), "mis-sized payload caught");
     }
 
     #[test]

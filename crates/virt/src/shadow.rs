@@ -78,8 +78,7 @@ impl ShadowPageTable {
             .guest()
             .aspace(pid)
             .page_table()
-            .iter_mappings()
-            .filter(|m| range.contains(m.va))
+            .mappings_in(range)
             .collect();
         for leaf in leaves {
             if self.shadow.translate(leaf.va).is_ok() {

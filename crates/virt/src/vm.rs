@@ -449,12 +449,10 @@ impl VirtualMachine {
     pub fn backed_gframes(&self) -> Vec<u64> {
         let base = self.host_vma_base.raw();
         let end = base + self.guest_frames() * PageSize::Base4K.bytes();
+        let region = VirtRange::from_bounds(self.host_vma_base, VirtAddr::new(end));
         let mut frames = Vec::new();
-        for m in self.host.aspace(self.host_pid).page_table().iter_mappings() {
+        for m in self.host.aspace(self.host_pid).page_table().mappings_in(region) {
             let va = m.va.raw();
-            if va < base || va >= end {
-                continue;
-            }
             let first = (va - base) / PageSize::Base4K.bytes();
             let span = m.size.base_pages().min((end - va) / PageSize::Base4K.bytes());
             frames.extend(first..first + span);
