@@ -1,8 +1,11 @@
 //! Versioned JSONL snapshot codec.
 //!
-//! Serializes the plain-data snapshot types exported by `contig-buddy`,
-//! `contig-mm`, `contig-virt`, and `contig-tlb` to the [`Json`] value model
-//! and back, and wraps them in a two-line JSONL file format:
+//! Writes the plain-data snapshot types exported by `contig-buddy`,
+//! `contig-mm`, `contig-virt`, `contig-fleet` and `contig-tlb` as canonical
+//! single-line JSON — `encode_*` stream through an [`Enc`] into whichever
+//! [`Sink`] the caller chose, a line buffer or a running hash, and build no
+//! value — reads them back from a parsed [`Json`] value (`*_from_json`), and
+//! wraps a VM image in a two-line JSONL file format:
 //!
 //! ```text
 //! {"format":"contig-snapshot","version":1,"digest":<fnv1a64>}
@@ -16,7 +19,7 @@
 //!
 //! Every encoder emits object members in a fixed order; combined with the
 //! integer-only number model this makes the encoding canonical, which is what
-//! lets [`crate::digest`] hash the serialized form directly.
+//! lets [`crate::digest`] hash the bytes as they are emitted.
 
 use contig_buddy::{
     MachineSnapshot, PcpCounters, PcpSnapshot, ZoneConfig, ZoneCounters, ZoneSnapshot,
@@ -33,7 +36,7 @@ use contig_types::{FailMode, FailPolicy, Pfn, PoisonMode, PoisonPolicy};
 use contig_virt::VmSnapshot;
 
 use crate::digest::fnv1a64;
-use crate::json::{parse, Json};
+use crate::json::{line, parse, Enc, Json, Sink};
 
 /// Current snapshot file format version. Version 2 added the optional
 /// per-zone `pcp` member (per-CPU frame caches); version 3 added the
@@ -52,21 +55,6 @@ pub const SNAPSHOT_VERSION: i128 = 6;
 pub const SNAPSHOT_MIN_VERSION: i128 = 1;
 /// `format` tag of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "contig-snapshot";
-
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn pair(a: impl Into<i128>, b: impl Into<i128>) -> Json {
-    Json::Arr(vec![Json::num(a), Json::num(b)])
-}
-
-fn opt_num(v: Option<impl Into<i128>>) -> Json {
-    match v {
-        Some(n) => Json::num(n),
-        None => Json::Null,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Decode helpers
@@ -109,22 +97,27 @@ fn decode_pair_u64(v: &Json, what: &str) -> DecodeResult<(u64, u64)> {
 // contig-types: fail injection
 // ---------------------------------------------------------------------------
 
-fn fail_mode_to_json(mode: FailMode) -> Json {
-    match mode {
-        FailMode::Never => obj(vec![("kind", Json::Str("never".into()))]),
-        FailMode::Nth { n } => obj(vec![("kind", Json::Str("nth".into())), ("n", Json::num(n))]),
-        FailMode::EveryNth { n } => {
-            obj(vec![("kind", Json::Str("every_nth".into())), ("n", Json::num(n))])
+/// `{"kind":…,<field>:<value>,…}`: how both injection modes are spelled.
+fn encode_mode<S: Sink>(e: &mut Enc<S>, kind: &str, fields: &[(&str, u64)]) {
+    e.obj(|e| {
+        e.key("kind").str(kind);
+        for &(name, value) in fields {
+            e.key(name).num(value);
         }
-        FailMode::MinOrder { min_order } => obj(vec![
-            ("kind", Json::Str("min_order".into())),
-            ("min_order", Json::num(min_order)),
-        ]),
-        FailMode::Probability { rate_ppm, seed } => obj(vec![
-            ("kind", Json::Str("probability".into())),
-            ("rate_ppm", Json::num(rate_ppm)),
-            ("seed", Json::num(seed)),
-        ]),
+    });
+}
+
+fn encode_fail_mode<S: Sink>(e: &mut Enc<S>, mode: FailMode) {
+    match mode {
+        FailMode::Never => encode_mode(e, "never", &[]),
+        FailMode::Nth { n } => encode_mode(e, "nth", &[("n", n)]),
+        FailMode::EveryNth { n } => encode_mode(e, "every_nth", &[("n", n)]),
+        FailMode::MinOrder { min_order } => {
+            encode_mode(e, "min_order", &[("min_order", min_order.into())]);
+        }
+        FailMode::Probability { rate_ppm, seed } => {
+            encode_mode(e, "probability", &[("rate_ppm", rate_ppm.into()), ("seed", seed)]);
+        }
     }
 }
 
@@ -143,13 +136,13 @@ fn fail_mode_from_json(v: &Json) -> DecodeResult<FailMode> {
     }
 }
 
-fn fail_policy_to_json(p: &FailPolicy) -> Json {
-    obj(vec![
-        ("mode", fail_mode_to_json(p.mode())),
-        ("attempts", Json::num(p.attempts())),
-        ("injected", Json::num(p.injected())),
-        ("rng_state", Json::num(p.rng_state())),
-    ])
+fn encode_fail_policy<S: Sink>(e: &mut Enc<S>, p: &FailPolicy) {
+    e.obj(|e| {
+        encode_fail_mode(e.key("mode"), p.mode());
+        e.key("attempts").num(p.attempts());
+        e.key("injected").num(p.injected());
+        e.key("rng_state").num(p.rng_state());
+    });
 }
 
 fn fail_policy_from_json(v: &Json) -> DecodeResult<FailPolicy> {
@@ -161,25 +154,17 @@ fn fail_policy_from_json(v: &Json) -> DecodeResult<FailPolicy> {
     ))
 }
 
-fn poison_mode_to_json(mode: PoisonMode) -> Json {
+fn encode_poison_mode<S: Sink>(e: &mut Enc<S>, mode: PoisonMode) {
     match mode {
-        PoisonMode::Never => obj(vec![("kind", Json::Str("never".into()))]),
-        PoisonMode::Nth { n } => {
-            obj(vec![("kind", Json::Str("nth".into())), ("n", Json::num(n))])
+        PoisonMode::Never => encode_mode(e, "never", &[]),
+        PoisonMode::Nth { n } => encode_mode(e, "nth", &[("n", n)]),
+        PoisonMode::EveryNth { n } => encode_mode(e, "every_nth", &[("n", n)]),
+        PoisonMode::Address { pfn, n } => {
+            encode_mode(e, "address", &[("pfn", pfn.raw()), ("n", n)]);
         }
-        PoisonMode::EveryNth { n } => {
-            obj(vec![("kind", Json::Str("every_nth".into())), ("n", Json::num(n))])
+        PoisonMode::Probability { rate_ppm, seed } => {
+            encode_mode(e, "probability", &[("rate_ppm", rate_ppm.into()), ("seed", seed)]);
         }
-        PoisonMode::Address { pfn, n } => obj(vec![
-            ("kind", Json::Str("address".into())),
-            ("pfn", Json::num(pfn.raw())),
-            ("n", Json::num(n)),
-        ]),
-        PoisonMode::Probability { rate_ppm, seed } => obj(vec![
-            ("kind", Json::Str("probability".into())),
-            ("rate_ppm", Json::num(rate_ppm)),
-            ("seed", Json::num(seed)),
-        ]),
     }
 }
 
@@ -201,13 +186,13 @@ fn poison_mode_from_json(v: &Json) -> DecodeResult<PoisonMode> {
     }
 }
 
-fn poison_policy_to_json(p: &PoisonPolicy) -> Json {
-    obj(vec![
-        ("mode", poison_mode_to_json(p.mode())),
-        ("checks", Json::num(p.checks())),
-        ("events", Json::num(p.events())),
-        ("rng_state", Json::num(p.rng_state())),
-    ])
+fn encode_poison_policy<S: Sink>(e: &mut Enc<S>, p: &PoisonPolicy) {
+    e.obj(|e| {
+        encode_poison_mode(e.key("mode"), p.mode());
+        e.key("checks").num(p.checks());
+        e.key("events").num(p.events());
+        e.key("rng_state").num(p.rng_state());
+    });
 }
 
 fn poison_policy_from_json(v: &Json) -> DecodeResult<PoisonPolicy> {
@@ -226,15 +211,8 @@ fn poison_policy_from_json(v: &Json) -> DecodeResult<PoisonPolicy> {
 /// Field order of the [`PoisonCounters`] array encoding.
 const POISON_COUNTER_FIELDS: usize = 5;
 
-fn poison_counters_to_json(c: &PoisonCounters) -> Json {
-    let counters = [
-        c.poisoned,
-        c.quarantined_free,
-        c.quarantined_pcp,
-        c.deferred,
-        c.quarantined_on_free,
-    ];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+fn encode_poison_counters<S: Sink>(e: &mut Enc<S>, c: &PoisonCounters) {
+    e.nums([c.poisoned, c.quarantined_free, c.quarantined_pcp, c.deferred, c.quarantined_on_free]);
 }
 
 fn poison_counters_from_json(v: &Json) -> DecodeResult<PoisonCounters> {
@@ -252,93 +230,58 @@ fn poison_counters_from_json(v: &Json) -> DecodeResult<PoisonCounters> {
     })
 }
 
-fn zone_to_json(z: &ZoneSnapshot) -> Json {
-    obj(vec![
-        (
-            "config",
-            obj(vec![
-                ("base", Json::num(z.config.base.raw())),
-                ("frames", Json::num(z.config.frames)),
-                ("top_order", Json::num(z.config.top_order)),
-                ("sorted_top_list", Json::Bool(z.config.sorted_top_list)),
-            ]),
-        ),
-        (
-            "free_lists",
-            Json::Arr(
-                z.free_lists
-                    .iter()
-                    .map(|list| Json::Arr(list.iter().map(|&f| Json::num(f)).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "allocated",
-            Json::Arr(z.allocated.iter().map(|&(pfn, order)| pair(pfn, order)).collect()),
-        ),
-        (
-            "counters",
-            Json::Arr(
-                [
-                    z.counters.allocs,
-                    z.counters.targeted_allocs,
-                    z.counters.targeted_misses,
-                    z.counters.frees,
-                    z.counters.splits,
-                    z.counters.coalesces,
-                ]
-                .iter()
-                .map(|&c| Json::num(c))
-                .collect(),
-            ),
-        ),
-        ("fail", fail_policy_to_json(&z.fail)),
-        ("contig_rover", opt_num(z.contig_rover)),
-        ("contig_updates", Json::num(z.contig_updates)),
-        (
-            "pcp",
-            match &z.pcp {
-                Some(p) => pcp_to_json(p),
-                None => Json::Null,
-            },
-        ),
-        ("badframes", Json::Arr(z.badframes.iter().map(|&f| Json::num(f)).collect())),
-        ("poison", poison_counters_to_json(&z.poison)),
-    ])
+fn encode_zone<S: Sink>(e: &mut Enc<S>, z: &ZoneSnapshot) {
+    e.obj(|e| {
+        e.key("config").obj(|e| {
+            e.key("base").num(z.config.base.raw());
+            e.key("frames").num(z.config.frames);
+            e.key("top_order").num(z.config.top_order);
+            e.key("sorted_top_list").bool(z.config.sorted_top_list);
+        });
+        e.key("free_lists").arr(|e| z.free_lists.iter().for_each(|l| e.nums(l.iter().copied())));
+        e.key("allocated")
+            .arr(|e| z.allocated.iter().for_each(|&(pfn, order)| e.nums([pfn, order.into()])));
+        let c = &z.counters;
+        e.key("counters").nums([
+            c.allocs,
+            c.targeted_allocs,
+            c.targeted_misses,
+            c.frees,
+            c.splits,
+            c.coalesces,
+        ]);
+        encode_fail_policy(e.key("fail"), &z.fail);
+        match z.contig_rover {
+            Some(rover) => e.key("contig_rover").num(rover),
+            None => e.key("contig_rover").null(),
+        }
+        e.key("contig_updates").num(z.contig_updates);
+        match &z.pcp {
+            Some(p) => encode_pcp(e.key("pcp"), p),
+            None => e.key("pcp").null(),
+        }
+        e.key("badframes").nums(z.badframes.iter().copied());
+        encode_poison_counters(e.key("poison"), &z.poison);
+    });
 }
 
-fn pcp_to_json(p: &PcpSnapshot) -> Json {
-    obj(vec![
-        ("cpus", Json::num(p.cpus)),
-        ("batch", Json::num(p.batch)),
-        ("high", Json::num(p.high)),
-        ("current_cpu", Json::num(p.current_cpu)),
-        (
-            "lists",
-            Json::Arr(
-                p.lists
-                    .iter()
-                    .map(|list| Json::Arr(list.iter().map(|&f| Json::num(f)).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "counters",
-            Json::Arr(
-                [
-                    p.counters.hits,
-                    p.counters.refills,
-                    p.counters.refilled_frames,
-                    p.counters.drains,
-                    p.counters.drained_frames,
-                    p.counters.targeted_evictions,
-                ]
-                .iter()
-                .map(|&c| Json::num(c))
-                .collect(),
-            ),
-        ),
-    ])
+fn encode_pcp<S: Sink>(e: &mut Enc<S>, p: &PcpSnapshot) {
+    e.obj(|e| {
+        e.key("cpus").num(p.cpus);
+        e.key("batch").num(p.batch);
+        e.key("high").num(p.high);
+        e.key("current_cpu").num(p.current_cpu);
+        e.key("lists").arr(|e| p.lists.iter().for_each(|l| e.nums(l.iter().copied())));
+        let c = &p.counters;
+        e.key("counters").nums([
+            c.hits,
+            c.refills,
+            c.refilled_frames,
+            c.drains,
+            c.drained_frames,
+            c.targeted_evictions,
+        ]);
+    });
 }
 
 fn pcp_from_json(v: &Json) -> DecodeResult<PcpSnapshot> {
@@ -440,22 +383,14 @@ fn zone_from_json(v: &Json) -> DecodeResult<ZoneSnapshot> {
     })
 }
 
-fn machine_to_json(m: &MachineSnapshot) -> Json {
-    obj(vec![
-        ("zones", Json::Arr(m.zones.iter().map(zone_to_json).collect())),
-        (
-            "reservations",
-            Json::Arr(
-                m.reservations
-                    .iter()
-                    .map(|&(owner, start, len)| {
-                        Json::Arr(vec![Json::num(owner), Json::num(start), Json::num(len)])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("reservation_rover", Json::num(m.reservation_rover)),
-    ])
+fn encode_machine<S: Sink>(e: &mut Enc<S>, m: &MachineSnapshot) {
+    e.obj(|e| {
+        e.key("zones").arr(|e| m.zones.iter().for_each(|z| encode_zone(e, z)));
+        e.key("reservations").arr(|e| {
+            m.reservations.iter().for_each(|&(owner, start, len)| e.nums([owner, start, len]));
+        });
+        e.key("reservation_rover").num(m.reservation_rover);
+    });
 }
 
 fn machine_from_json(v: &Json) -> DecodeResult<MachineSnapshot> {
@@ -480,28 +415,18 @@ fn machine_from_json(v: &Json) -> DecodeResult<MachineSnapshot> {
 // contig-mm: processes, page cache, system
 // ---------------------------------------------------------------------------
 
-fn vma_to_json(vma: &VmaSnapshot) -> Json {
-    obj(vec![
-        ("start", Json::num(vma.start)),
-        ("len", Json::num(vma.len)),
-        (
-            "file",
-            match vma.file {
-                None => Json::Null,
-                Some((file, start_page)) => pair(file, start_page),
-            },
-        ),
-        (
-            "offsets",
-            Json::Arr(
-                vma.offsets
-                    .iter()
-                    .map(|&(va, off)| Json::Arr(vec![Json::num(va), Json::Num(off)]))
-                    .collect(),
-            ),
-        ),
-        ("replacement_claimed", Json::Bool(vma.replacement_claimed)),
-    ])
+fn encode_vma<S: Sink>(e: &mut Enc<S>, vma: &VmaSnapshot) {
+    e.obj(|e| {
+        e.key("start").num(vma.start);
+        e.key("len").num(vma.len);
+        match vma.file {
+            None => e.key("file").null(),
+            Some((file, start_page)) => e.key("file").nums([file.into(), start_page]),
+        }
+        e.key("offsets")
+            .arr(|e| vma.offsets.iter().for_each(|&(va, off)| e.nums([va.into(), off])));
+        e.key("replacement_claimed").bool(vma.replacement_claimed);
+    });
 }
 
 fn vma_from_json(v: &Json) -> DecodeResult<VmaSnapshot> {
@@ -529,12 +454,12 @@ fn vma_from_json(v: &Json) -> DecodeResult<VmaSnapshot> {
     })
 }
 
-fn stats_to_json(s: &FaultStatsSnapshot) -> Json {
-    obj(vec![
-        ("counters", Json::Arr(s.counters.iter().map(|&c| Json::num(c)).collect())),
-        ("latencies_ns", Json::Arr(s.latencies_ns.iter().map(|&l| Json::num(l)).collect())),
-        ("record_latencies", Json::Bool(s.record_latencies)),
-    ])
+fn encode_stats<S: Sink>(e: &mut Enc<S>, s: &FaultStatsSnapshot) {
+    e.obj(|e| {
+        e.key("counters").nums(s.counters);
+        e.key("latencies_ns").nums(s.latencies_ns.iter().copied());
+        e.key("record_latencies").bool(s.record_latencies);
+    });
 }
 
 fn stats_from_json(v: &Json) -> DecodeResult<FaultStatsSnapshot> {
@@ -556,30 +481,27 @@ fn stats_from_json(v: &Json) -> DecodeResult<FaultStatsSnapshot> {
     })
 }
 
-fn process_to_json(p: &ProcessSnapshot) -> Json {
-    obj(vec![
-        ("pid", Json::num(p.pid)),
-        ("pt_levels", Json::num(p.pt_levels)),
-        ("vmas", Json::Arr(p.vmas.iter().map(vma_to_json).collect())),
-        (
-            "mappings",
-            Json::Arr(
-                p.mappings
-                    .iter()
-                    .map(|&(va, pfn, bits, huge)| {
-                        Json::Arr(vec![
-                            Json::num(va),
-                            Json::num(pfn),
-                            Json::num(bits),
-                            Json::Bool(huge),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("stats", stats_to_json(&p.stats)),
-        ("home", opt_num(p.home)),
-    ])
+fn encode_process<S: Sink>(e: &mut Enc<S>, p: &ProcessSnapshot) {
+    e.obj(|e| {
+        e.key("pid").num(p.pid);
+        e.key("pt_levels").num(p.pt_levels);
+        e.key("vmas").arr(|e| p.vmas.iter().for_each(|vma| encode_vma(e, vma)));
+        e.key("mappings").arr(|e| {
+            for &(va, pfn, bits, huge) in &p.mappings {
+                e.arr(|e| {
+                    e.num(va);
+                    e.num(pfn);
+                    e.num(bits);
+                    e.bool(huge);
+                });
+            }
+        });
+        encode_stats(e.key("stats"), &p.stats);
+        match p.home {
+            Some(home) => e.key("home").num(home),
+            None => e.key("home").null(),
+        }
+    });
 }
 
 fn process_from_json(v: &Json) -> DecodeResult<ProcessSnapshot> {
@@ -613,45 +535,26 @@ fn process_from_json(v: &Json) -> DecodeResult<ProcessSnapshot> {
     })
 }
 
-fn page_cache_to_json(pc: &PageCacheSnapshot) -> Json {
-    obj(vec![
-        (
-            "mode",
-            Json::Str(
-                match pc.mode {
-                    CacheAllocMode::Default => "default",
-                    CacheAllocMode::CaContiguous => "ca_contiguous",
-                }
-                .into(),
-            ),
-        ),
-        ("readahead_allocs", Json::num(pc.readahead_allocs)),
-        (
-            "files",
-            Json::Arr(
-                pc.files
-                    .iter()
-                    .map(|f| {
-                        obj(vec![
-                            (
-                                "pages",
-                                Json::Arr(
-                                    f.pages.iter().map(|&(idx, pfn)| pair(idx, pfn)).collect(),
-                                ),
-                            ),
-                            (
-                                "offset",
-                                match f.offset {
-                                    None => Json::Null,
-                                    Some(off) => Json::Num(off),
-                                },
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn encode_page_cache<S: Sink>(e: &mut Enc<S>, pc: &PageCacheSnapshot) {
+    e.obj(|e| {
+        e.key("mode").str(match pc.mode {
+            CacheAllocMode::Default => "default",
+            CacheAllocMode::CaContiguous => "ca_contiguous",
+        });
+        e.key("readahead_allocs").num(pc.readahead_allocs);
+        e.key("files").arr(|e| {
+            for f in &pc.files {
+                e.obj(|e| {
+                    e.key("pages")
+                        .arr(|e| f.pages.iter().for_each(|&(idx, pfn)| e.nums([idx, pfn])));
+                    match f.offset {
+                        None => e.key("offset").null(),
+                        Some(off) => e.key("offset").num(off),
+                    }
+                });
+            }
+        });
+    });
 }
 
 fn page_cache_from_json(v: &Json) -> DecodeResult<PageCacheSnapshot> {
@@ -680,18 +583,18 @@ fn page_cache_from_json(v: &Json) -> DecodeResult<PageCacheSnapshot> {
     })
 }
 
-fn recovery_config_to_json(r: &RecoveryConfig) -> Json {
-    obj(vec![
-        ("reclaim", Json::Bool(r.reclaim)),
-        ("compaction", Json::Bool(r.compaction)),
-        ("max_retries", Json::num(r.max_retries)),
-        ("reclaim_batch", Json::num(r.reclaim_batch)),
-        ("compact_budget", Json::num(r.compact_budget)),
-        ("backoff_base_ns", Json::num(r.backoff_base_ns)),
-        ("backoff_cap_ns", Json::num(r.backoff_cap_ns)),
-        ("backoff_seed", Json::num(r.backoff_seed)),
-        ("max_total_attempts", Json::num(r.max_total_attempts)),
-    ])
+fn encode_recovery_config<S: Sink>(e: &mut Enc<S>, r: &RecoveryConfig) {
+    e.obj(|e| {
+        e.key("reclaim").bool(r.reclaim);
+        e.key("compaction").bool(r.compaction);
+        e.key("max_retries").num(r.max_retries);
+        e.key("reclaim_batch").num(r.reclaim_batch);
+        e.key("compact_budget").num(r.compact_budget);
+        e.key("backoff_base_ns").num(r.backoff_base_ns);
+        e.key("backoff_cap_ns").num(r.backoff_cap_ns);
+        e.key("backoff_seed").num(r.backoff_seed);
+        e.key("max_total_attempts").num(r.max_total_attempts);
+    });
 }
 
 fn recovery_config_from_json(v: &Json) -> DecodeResult<RecoveryConfig> {
@@ -711,8 +614,8 @@ fn recovery_config_from_json(v: &Json) -> DecodeResult<RecoveryConfig> {
 /// Field order of the [`PoisonStats`] counter array encoding.
 const POISON_STAT_FIELDS: usize = 8;
 
-fn poison_stats_to_json(s: &PoisonStats) -> Json {
-    let counters = [
+fn encode_poison_stats<S: Sink>(e: &mut Enc<S>, s: &PoisonStats) {
+    e.nums([
         s.strikes,
         s.healed,
         s.healed_frames,
@@ -721,8 +624,7 @@ fn poison_stats_to_json(s: &PoisonStats) -> Json {
         s.cache_dropped,
         s.soft_offline_ok,
         s.soft_offline_failed,
-    ];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+    ]);
 }
 
 fn poison_stats_from_json(v: &Json) -> DecodeResult<PoisonStats> {
@@ -746,9 +648,8 @@ fn poison_stats_from_json(v: &Json) -> DecodeResult<PoisonStats> {
 /// Field order of the [`NumaStats`] counter array encoding.
 const NUMA_STAT_FIELDS: usize = 3;
 
-fn numa_stats_to_json(s: &NumaStats) -> Json {
-    let counters = [s.local_allocs, s.fallback_allocs, s.migrations];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+fn encode_numa_stats<S: Sink>(e: &mut Enc<S>, s: &NumaStats) {
+    e.nums([s.local_allocs, s.fallback_allocs, s.migrations]);
 }
 
 fn numa_stats_from_json(v: &Json) -> DecodeResult<NumaStats> {
@@ -765,8 +666,8 @@ fn numa_stats_from_json(v: &Json) -> DecodeResult<NumaStats> {
 /// totals.
 const DAEMON_STAT_FIELDS: usize = 13;
 
-fn daemon_stats_to_json(s: &DaemonStats) -> Json {
-    let counters = [
+fn encode_daemon_stats<S: Sink>(e: &mut Enc<S>, s: &DaemonStats) {
+    e.nums([
         s.ticks,
         s.epochs,
         s.compact_moves,
@@ -780,8 +681,7 @@ fn daemon_stats_to_json(s: &DaemonStats) -> Json {
         s.policy_updates,
         s.compact_frames,
         s.repair_frames,
-    ];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+    ]);
 }
 
 fn daemon_stats_from_json(v: &Json) -> DecodeResult<DaemonStats> {
@@ -807,22 +707,22 @@ fn daemon_stats_from_json(v: &Json) -> DecodeResult<DaemonStats> {
     })
 }
 
-fn daemon_config_to_json(c: &DaemonConfig) -> Json {
-    obj(vec![
-        ("scan_interval", Json::num(c.scan_interval)),
-        ("epoch_budget", Json::num(c.epoch_budget)),
-        ("aggressiveness", Json::num(c.aggressiveness)),
-        ("thp_threshold_pages", Json::num(c.thp_threshold_pages)),
-        ("repair_poison", Json::Bool(c.repair_poison)),
-        ("shed_promote_pct", Json::num(c.shed_promote_pct)),
-        ("shed_compact_pct", Json::num(c.shed_compact_pct)),
-        ("yield_pct", Json::num(c.yield_pct)),
-        ("poison_storm_frames", Json::num(c.poison_storm_frames)),
-        ("backoff_base_ns", Json::num(c.backoff_base_ns)),
-        ("backoff_cap_ns", Json::num(c.backoff_cap_ns)),
-        ("backoff_seed", Json::num(c.backoff_seed)),
-        ("watchdog_vetoes", Json::num(c.watchdog_vetoes)),
-    ])
+fn encode_daemon_config<S: Sink>(e: &mut Enc<S>, c: &DaemonConfig) {
+    e.obj(|e| {
+        e.key("scan_interval").num(c.scan_interval);
+        e.key("epoch_budget").num(c.epoch_budget);
+        e.key("aggressiveness").num(c.aggressiveness);
+        e.key("thp_threshold_pages").num(c.thp_threshold_pages);
+        e.key("repair_poison").bool(c.repair_poison);
+        e.key("shed_promote_pct").num(c.shed_promote_pct);
+        e.key("shed_compact_pct").num(c.shed_compact_pct);
+        e.key("yield_pct").num(c.yield_pct);
+        e.key("poison_storm_frames").num(c.poison_storm_frames);
+        e.key("backoff_base_ns").num(c.backoff_base_ns);
+        e.key("backoff_cap_ns").num(c.backoff_cap_ns);
+        e.key("backoff_seed").num(c.backoff_seed);
+        e.key("watchdog_vetoes").num(c.watchdog_vetoes);
+    });
 }
 
 fn daemon_config_from_json(v: &Json) -> DecodeResult<DaemonConfig> {
@@ -847,28 +747,26 @@ fn daemon_config_from_json(v: &Json) -> DecodeResult<DaemonConfig> {
 /// Encodes the full mid-epoch daemon state (codec v6): policy, scan
 /// cursors, budget, phase, remembered promotion candidates, backoff RNG,
 /// and counters.
-fn daemon_to_json(d: &DaemonState) -> Json {
-    obj(vec![
-        ("enabled", Json::Bool(d.enabled)),
-        ("config", daemon_config_to_json(&d.config)),
-        ("compact_node", Json::num(d.compact_node)),
-        ("compact_cursor", Json::num(d.compact_cursor)),
-        ("promote_pid", Json::num(d.promote_pid)),
-        ("promote_va", Json::num(d.promote_va)),
-        ("candidate_cursor", Json::num(d.candidate_cursor)),
-        ("repair_cursor", Json::num(d.repair_cursor)),
-        ("budget_left", Json::num(d.budget_left)),
-        ("phase", Json::num(d.phase.as_u64())),
-        (
-            "candidates",
-            Json::Arr(d.candidates.iter().map(|&(pid, va)| pair(pid, va)).collect()),
-        ),
-        ("backoff_rng", Json::num(d.backoff_rng)),
-        ("backoff_until_ns", Json::num(d.backoff_until_ns)),
-        ("yield_streak", Json::num(d.yield_streak)),
-        ("epoch", Json::num(d.epoch)),
-        ("stats", daemon_stats_to_json(&d.stats)),
-    ])
+fn encode_daemon<S: Sink>(e: &mut Enc<S>, d: &DaemonState) {
+    e.obj(|e| {
+        e.key("enabled").bool(d.enabled);
+        encode_daemon_config(e.key("config"), &d.config);
+        e.key("compact_node").num(d.compact_node);
+        e.key("compact_cursor").num(d.compact_cursor);
+        e.key("promote_pid").num(d.promote_pid);
+        e.key("promote_va").num(d.promote_va);
+        e.key("candidate_cursor").num(d.candidate_cursor);
+        e.key("repair_cursor").num(d.repair_cursor);
+        e.key("budget_left").num(d.budget_left);
+        e.key("phase").num(d.phase.as_u64());
+        e.key("candidates")
+            .arr(|e| d.candidates.iter().for_each(|&(pid, va)| e.nums([pid.into(), va])));
+        e.key("backoff_rng").num(d.backoff_rng);
+        e.key("backoff_until_ns").num(d.backoff_until_ns);
+        e.key("yield_streak").num(d.yield_streak);
+        e.key("epoch").num(d.epoch);
+        encode_daemon_stats(e.key("stats"), &d.stats);
+    });
 }
 
 fn daemon_from_json(v: &Json) -> DecodeResult<DaemonState> {
@@ -901,8 +799,8 @@ fn daemon_from_json(v: &Json) -> DecodeResult<DaemonState> {
 /// Field order of the [`RecoveryStats`] counter array encoding.
 const RECOVERY_STAT_FIELDS: usize = 15;
 
-fn recovery_stats_to_json(s: &RecoveryStats) -> Json {
-    let counters = [
+fn encode_recovery_stats<S: Sink>(e: &mut Enc<S>, s: &RecoveryStats) {
+    e.nums([
         s.oom_events,
         s.reclaim_passes,
         s.reclaimed_pages,
@@ -918,8 +816,7 @@ fn recovery_stats_to_json(s: &RecoveryStats) -> Json {
         s.backoff_ns,
         s.reclaim_ns,
         s.compaction_ns,
-    ];
-    Json::Arr(counters.iter().map(|&c| Json::num(c)).collect())
+    ]);
 }
 
 fn recovery_stats_from_json(v: &Json) -> DecodeResult<RecoveryStats> {
@@ -947,34 +844,32 @@ fn recovery_stats_from_json(v: &Json) -> DecodeResult<RecoveryStats> {
     })
 }
 
-/// Encodes a [`SystemSnapshot`] as a canonical [`Json`] value.
-pub fn system_to_json(s: &SystemSnapshot) -> Json {
-    obj(vec![
-        ("machine", machine_to_json(&s.machine)),
-        ("processes", Json::Arr(s.processes.iter().map(process_to_json).collect())),
-        ("page_cache", page_cache_to_json(&s.page_cache)),
-        ("next_pid", Json::num(s.next_pid)),
-        ("thp", Json::Bool(s.thp)),
-        ("pt_levels", Json::num(s.pt_levels)),
-        ("record_latencies", Json::Bool(s.record_latencies)),
-        (
-            "latency",
-            obj(vec![
-                ("base_ns", Json::num(s.latency.base_ns)),
-                ("zero_page_ns", Json::num(s.latency.zero_page_ns)),
-                ("placement_ns", Json::num(s.latency.placement_ns)),
-            ]),
-        ),
-        ("shared", Json::Arr(s.shared.iter().map(|&(pfn, count)| pair(pfn, count)).collect())),
-        ("now_ns", Json::num(s.now_ns)),
-        ("recovery", recovery_config_to_json(&s.recovery)),
-        ("recovery_stats", recovery_stats_to_json(&s.recovery_stats)),
-        ("backoff_rng", Json::num(s.backoff_rng)),
-        ("poison_policy", poison_policy_to_json(&s.poison_policy)),
-        ("poison_stats", poison_stats_to_json(&s.poison_stats)),
-        ("numa_stats", numa_stats_to_json(&s.numa_stats)),
-        ("daemon", daemon_to_json(&s.daemon)),
-    ])
+/// Writes a [`SystemSnapshot`] in its canonical encoding.
+pub fn encode_system<S: Sink>(e: &mut Enc<S>, s: &SystemSnapshot) {
+    e.obj(|e| {
+        encode_machine(e.key("machine"), &s.machine);
+        e.key("processes").arr(|e| s.processes.iter().for_each(|p| encode_process(e, p)));
+        encode_page_cache(e.key("page_cache"), &s.page_cache);
+        e.key("next_pid").num(s.next_pid);
+        e.key("thp").bool(s.thp);
+        e.key("pt_levels").num(s.pt_levels);
+        e.key("record_latencies").bool(s.record_latencies);
+        e.key("latency").obj(|e| {
+            e.key("base_ns").num(s.latency.base_ns);
+            e.key("zero_page_ns").num(s.latency.zero_page_ns);
+            e.key("placement_ns").num(s.latency.placement_ns);
+        });
+        e.key("shared")
+            .arr(|e| s.shared.iter().for_each(|&(pfn, count)| e.nums([pfn, count.into()])));
+        e.key("now_ns").num(s.now_ns);
+        encode_recovery_config(e.key("recovery"), &s.recovery);
+        encode_recovery_stats(e.key("recovery_stats"), &s.recovery_stats);
+        e.key("backoff_rng").num(s.backoff_rng);
+        encode_poison_policy(e.key("poison_policy"), &s.poison_policy);
+        encode_poison_stats(e.key("poison_stats"), &s.poison_stats);
+        encode_numa_stats(e.key("numa_stats"), &s.numa_stats);
+        encode_daemon(e.key("daemon"), &s.daemon);
+    });
 }
 
 /// Decodes a [`SystemSnapshot`] from its [`Json`] encoding.
@@ -1034,30 +929,25 @@ pub fn system_from_json(v: &Json) -> DecodeResult<SystemSnapshot> {
     })
 }
 
-/// Encodes a [`VmSnapshot`] (both translation dimensions) as canonical JSON.
-pub fn vm_to_json(s: &VmSnapshot) -> Json {
-    obj(vec![
-        ("guest", system_to_json(&s.guest)),
-        ("host", system_to_json(&s.host)),
-        ("host_pid", Json::num(s.host_pid)),
-        ("host_vma_start", Json::num(s.host_vma_start)),
-        ("host_vma_base", Json::num(s.host_vma_base)),
-        ("balloon", Json::Arr(s.balloon.iter().map(|&g| Json::num(g)).collect())),
-        (
-            "sharing",
-            Json::Arr(
-                s.sharing
-                    .iter()
-                    .map(|(pfn, gframes)| {
-                        Json::Arr(vec![
-                            Json::num(*pfn),
-                            Json::Arr(gframes.iter().map(|&g| Json::num(g)).collect()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+/// Writes a [`VmSnapshot`] (both translation dimensions) in its canonical
+/// encoding.
+pub fn encode_vm<S: Sink>(e: &mut Enc<S>, s: &VmSnapshot) {
+    e.obj(|e| {
+        encode_system(e.key("guest"), &s.guest);
+        encode_system(e.key("host"), &s.host);
+        e.key("host_pid").num(s.host_pid);
+        e.key("host_vma_start").num(s.host_vma_start);
+        e.key("host_vma_base").num(s.host_vma_base);
+        e.key("balloon").nums(s.balloon.iter().copied());
+        e.key("sharing").arr(|e| {
+            for (pfn, gframes) in &s.sharing {
+                e.arr(|e| {
+                    e.num(*pfn);
+                    e.nums(gframes.iter().copied());
+                });
+            }
+        });
+    });
 }
 
 /// Decodes a [`VmSnapshot`] from its [`Json`] encoding.
@@ -1109,107 +999,81 @@ pub fn vm_from_json(v: &Json) -> DecodeResult<VmSnapshot> {
 // contig-fleet: multi-tenant fleet images
 // ---------------------------------------------------------------------------
 
-fn u64_arr(values: impl IntoIterator<Item = u64>) -> Json {
-    Json::Arr(values.into_iter().map(Json::num).collect())
+fn encode_fleet_tenant<S: Sink>(e: &mut Enc<S>, t: &contig_fleet::TenantSnapshot) {
+    e.obj(|e| {
+        e.key("id").num(t.id);
+        encode_system(e.key("guest"), &t.guest);
+        e.key("host_idx").num(t.host_idx);
+        e.key("host_pid").num(t.host_pid);
+        e.key("guest_pid").num(t.guest_pid);
+        e.key("balloon").nums(t.balloon.iter().copied());
+        e.key("tags").arr(|e| t.tags.iter().for_each(|&(p, tag)| e.nums([p, tag])));
+    });
 }
 
-fn fleet_tenant_to_json(t: &contig_fleet::TenantSnapshot) -> Json {
-    obj(vec![
-        ("id", Json::num(t.id)),
-        ("guest", system_to_json(&t.guest)),
-        ("host_idx", Json::num(t.host_idx)),
-        ("host_pid", Json::num(t.host_pid)),
-        ("guest_pid", Json::num(t.guest_pid)),
-        ("balloon", u64_arr(t.balloon.iter().copied())),
-        ("tags", Json::Arr(t.tags.iter().map(|&(p, tag)| pair(p, tag)).collect())),
-    ])
-}
-
-/// Encodes a [`contig_fleet::FleetSnapshot`] as canonical JSON. The fleet
-/// digest hashes this encoding, so crash-replayed fleets can be compared
-/// byte-for-byte against the live fleet; there is no decoder — a repro file
-/// carries ops, not state.
-pub fn fleet_to_json(s: &contig_fleet::FleetSnapshot) -> Json {
+/// Writes a [`contig_fleet::FleetSnapshot`] in its canonical encoding. The
+/// fleet digest hashes this encoding, so crash-replayed fleets can be
+/// compared byte-for-byte against the live fleet; there is no decoder — a
+/// repro file carries ops, not state.
+pub fn encode_fleet<S: Sink>(e: &mut Enc<S>, s: &contig_fleet::FleetSnapshot) {
     let cfg = &s.config;
-    obj(vec![
-        (
-            "config",
-            obj(vec![
-                ("hosts", Json::num(cfg.hosts as u64)),
-                ("host_mib", Json::num(cfg.host_mib)),
-                ("guest_mib", Json::num(cfg.guest_mib)),
-                ("overcommit_ppm", Json::num(cfg.overcommit_ppm)),
-                ("low_watermark_ppm", Json::num(cfg.low_watermark_ppm)),
-                ("high_watermark_ppm", Json::num(cfg.high_watermark_ppm)),
-                ("balloon_step", Json::num(cfg.balloon_step)),
-                ("balloon_retries", Json::num(cfg.balloon_retries)),
-                ("backing_attempts", Json::num(cfg.backing_attempts)),
-                ("evac_storm_ppm", Json::num(cfg.evac_storm_ppm)),
-                ("evac_attempts", Json::num(cfg.evac_attempts)),
-                ("seed", Json::num(cfg.seed)),
-                ("host_nodes", Json::num(cfg.host_nodes as u64)),
-            ]),
-        ),
-        ("hosts", Json::Arr(s.hosts.iter().map(system_to_json).collect())),
-        (
-            "sharing",
-            Json::Arr(
-                s.sharing
-                    .iter()
-                    .map(|host| {
-                        Json::Arr(
-                            host.iter()
-                                .map(|(pfn, members)| {
-                                    Json::Arr(vec![
-                                        Json::num(*pfn),
-                                        Json::Arr(
-                                            members.iter().map(|&(t, g)| pair(t, g)).collect(),
-                                        ),
-                                    ])
-                                })
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        ("tenants", Json::Arr(s.tenants.iter().map(fleet_tenant_to_json).collect())),
-        (
-            "stats",
-            Json::Arr(
-                s.stats.as_named().iter().map(|&(_, count)| Json::num(count)).collect(),
-            ),
-        ),
-        ("next_tenant", Json::num(s.next_tenant)),
-        ("rng", Json::num(s.rng)),
-        ("ksm_cursor", Json::num(s.ksm_cursor)),
-    ])
+    e.obj(|e| {
+        e.key("config").obj(|e| {
+            e.key("hosts").num(cfg.hosts as u64);
+            e.key("host_mib").num(cfg.host_mib);
+            e.key("guest_mib").num(cfg.guest_mib);
+            e.key("overcommit_ppm").num(cfg.overcommit_ppm);
+            e.key("low_watermark_ppm").num(cfg.low_watermark_ppm);
+            e.key("high_watermark_ppm").num(cfg.high_watermark_ppm);
+            e.key("balloon_step").num(cfg.balloon_step);
+            e.key("balloon_retries").num(cfg.balloon_retries);
+            e.key("backing_attempts").num(cfg.backing_attempts);
+            e.key("evac_storm_ppm").num(cfg.evac_storm_ppm);
+            e.key("evac_attempts").num(cfg.evac_attempts);
+            e.key("seed").num(cfg.seed);
+            e.key("host_nodes").num(cfg.host_nodes as u64);
+        });
+        e.key("hosts").arr(|e| s.hosts.iter().for_each(|h| encode_system(e, h)));
+        e.key("sharing").arr(|e| {
+            for host in &s.sharing {
+                e.arr(|e| {
+                    for (pfn, members) in host {
+                        e.arr(|e| {
+                            e.num(*pfn);
+                            e.arr(|e| members.iter().for_each(|&(t, g)| e.nums([t, g])));
+                        });
+                    }
+                });
+            }
+        });
+        e.key("tenants").arr(|e| s.tenants.iter().for_each(|t| encode_fleet_tenant(e, t)));
+        e.key("stats").nums(s.stats.as_named().iter().map(|&(_, count)| count));
+        e.key("next_tenant").num(s.next_tenant);
+        e.key("rng").num(s.rng);
+        e.key("ksm_cursor").num(s.ksm_cursor);
+    });
 }
 
 // ---------------------------------------------------------------------------
 // contig-tlb: translation caches
 // ---------------------------------------------------------------------------
 
-fn cache_to_json(c: &CacheSnapshot) -> Json {
-    obj(vec![
-        ("sets", Json::num(c.sets)),
-        ("ways", Json::num(c.ways)),
-        (
-            "slots",
-            Json::Arr(
-                c.slots
-                    .iter()
-                    .map(|slot| match slot {
-                        None => Json::Null,
-                        Some((key, tick)) => pair(*key, *tick),
-                    })
-                    .collect(),
-            ),
-        ),
-        ("tick", Json::num(c.tick)),
-        ("hits", Json::num(c.hits)),
-        ("misses", Json::num(c.misses)),
-    ])
+fn encode_cache<S: Sink>(e: &mut Enc<S>, c: &CacheSnapshot) {
+    e.obj(|e| {
+        e.key("sets").num(c.sets);
+        e.key("ways").num(c.ways);
+        e.key("slots").arr(|e| {
+            for slot in &c.slots {
+                match *slot {
+                    None => e.null(),
+                    Some((key, tick)) => e.nums([key, tick]),
+                }
+            }
+        });
+        e.key("tick").num(c.tick);
+        e.key("hits").num(c.hits);
+        e.key("misses").num(c.misses);
+    });
 }
 
 fn cache_from_json(v: &Json) -> DecodeResult<CacheSnapshot> {
@@ -1231,15 +1095,15 @@ fn cache_from_json(v: &Json) -> DecodeResult<CacheSnapshot> {
     Ok(snap)
 }
 
-/// Encodes a [`TlbSnapshot`] (full hierarchy with LRU state) as canonical
-/// JSON.
-pub fn tlb_to_json(s: &TlbSnapshot) -> Json {
-    obj(vec![
-        ("l1_4k", cache_to_json(&s.l1_4k)),
-        ("l1_2m", cache_to_json(&s.l1_2m)),
-        ("l2", cache_to_json(&s.l2)),
-        ("counters", Json::Arr(s.counters.iter().map(|&c| Json::num(c)).collect())),
-    ])
+/// Writes a [`TlbSnapshot`] (full hierarchy with LRU state) in its
+/// canonical encoding.
+pub fn encode_tlb<S: Sink>(e: &mut Enc<S>, s: &TlbSnapshot) {
+    e.obj(|e| {
+        encode_cache(e.key("l1_4k"), &s.l1_4k);
+        encode_cache(e.key("l1_2m"), &s.l1_2m);
+        encode_cache(e.key("l2"), &s.l2);
+        e.key("counters").nums(s.counters);
+    });
 }
 
 /// Decodes a [`TlbSnapshot`] from its [`Json`] encoding.
@@ -1273,13 +1137,15 @@ pub fn tlb_from_json(v: &Json) -> DecodeResult<TlbSnapshot> {
 /// Serializes a [`VmSnapshot`] to the two-line JSONL snapshot format
 /// (versioned header with digest, then the payload).
 pub fn encode_vm_file(snap: &VmSnapshot) -> String {
-    let payload = vm_to_json(snap).to_line();
-    let header = obj(vec![
-        ("format", Json::Str(SNAPSHOT_FORMAT.into())),
-        ("version", Json::Num(SNAPSHOT_VERSION)),
-        ("digest", Json::num(fnv1a64(payload.as_bytes()))),
-    ]);
-    format!("{}\n{}\n", header.to_line(), payload)
+    let payload = line(|e| encode_vm(e, snap));
+    let header = line(|e| {
+        e.obj(|e| {
+            e.key("format").str(SNAPSHOT_FORMAT);
+            e.key("version").num(SNAPSHOT_VERSION);
+            e.key("digest").num(fnv1a64(payload.as_bytes()));
+        });
+    });
+    format!("{header}\n{payload}\n")
 }
 
 /// Parses and validates a snapshot file produced by [`encode_vm_file`].
@@ -1341,7 +1207,7 @@ pub struct SnapshotGuestCodec;
 
 impl contig_virt::GuestStateCodec for SnapshotGuestCodec {
     fn encode(&self, snap: &SystemSnapshot) -> Vec<u8> {
-        system_to_json(snap).to_line().into_bytes()
+        line(|e| encode_system(e, snap)).into_bytes()
     }
 
     fn decode(&self, bytes: &[u8]) -> Result<SystemSnapshot, String> {

@@ -1,17 +1,22 @@
 //! Deterministic state digests.
 //!
 //! A digest is FNV-1a-64 over the canonical single-line JSON encoding of a
-//! snapshot (see [`crate::codec`]). Because the encoder emits object members
-//! in a fixed order and integers in a fixed decimal form, equal snapshots
-//! always produce equal digests, and the digest of a restored-and-replayed
-//! system can be compared against the live system byte-for-byte — the core
-//! assertion of crash-point testing.
+//! snapshot (see [`crate::codec`]), computed as the encoder emits it: the
+//! bytes go straight into the running hash, so no line, no value tree and no
+//! heap allocation is built to be thrown away. Because the encoder emits
+//! object members in a fixed order and integers in a fixed decimal form,
+//! equal snapshots always produce equal digests, and the digest of a
+//! restored-and-replayed system can be compared against the live system
+//! byte-for-byte — the core assertion of crash-point testing.
 
 use contig_fleet::FleetSnapshot;
 use contig_mm::SystemSnapshot;
+use contig_tlb::TlbSnapshot;
+use contig_types::Fnv1a64;
 use contig_virt::VmSnapshot;
 
-use crate::codec::{fleet_to_json, system_to_json, vm_to_json};
+use crate::codec::{encode_fleet, encode_system, encode_tlb, encode_vm};
+use crate::json::digest;
 
 // The canonical FNV-1a-64 implementation lives in `contig-types` (it also
 // checksums migration transport frames in `contig-virt`); re-exported here so
@@ -20,19 +25,24 @@ pub use contig_types::fnv1a64;
 
 /// Digest of one [`System`](contig_mm::System) image.
 pub fn digest_system(snap: &SystemSnapshot) -> u64 {
-    fnv1a64(system_to_json(snap).to_line().as_bytes())
+    digest(|e| encode_system(e, snap))
 }
 
 /// Digest of a whole two-dimensional [`VirtualMachine`](contig_virt::VirtualMachine) image.
 pub fn digest_vm(snap: &VmSnapshot) -> u64 {
-    fnv1a64(vm_to_json(snap).to_line().as_bytes())
+    digest(|e| encode_vm(e, snap))
 }
 
 /// Digest of a whole multi-tenant [`Fleet`](contig_fleet::Fleet) image —
 /// every host system, every tenant guest, the sharing registries, balloons,
 /// content tags, stats, and RNG state.
 pub fn digest_fleet(snap: &FleetSnapshot) -> u64 {
-    fnv1a64(fleet_to_json(snap).to_line().as_bytes())
+    digest(|e| encode_fleet(e, snap))
+}
+
+/// Digest of a TLB hierarchy image: every slot, LRU tick and counter.
+pub fn digest_tlb(snap: &TlbSnapshot) -> u64 {
+    digest(|e| encode_tlb(e, snap))
 }
 
 /// Folds per-shard digests into one, hashing each digest's 8 little-endian
@@ -41,11 +51,11 @@ pub fn digest_fleet(snap: &FleetSnapshot) -> u64 {
 /// digest when — the property that lets a sharded engine run keep the
 /// 1-vs-N-worker bit-identical determinism guarantee.
 pub fn fold_digests(digests: &[u64]) -> u64 {
-    let mut bytes = Vec::with_capacity(digests.len() * 8);
+    let mut hash = Fnv1a64::new();
     for d in digests {
-        bytes.extend_from_slice(&d.to_le_bytes());
+        hash.update(&d.to_le_bytes());
     }
-    fnv1a64(&bytes)
+    hash.finish()
 }
 
 #[cfg(test)]

@@ -6,11 +6,13 @@
 //! so the serialized form of a snapshot is canonical and safe to digest, and
 //! numbers are `i128` (no floats — every quantity in the simulator is an
 //! integer, and `i128` covers both `u64` counters and signed [`MapOffset`]
-//! distances exactly).
+//! distances exactly). The writer ([`Enc`]) needs no value: encoders call it
+//! member by member and it emits into a [`Sink`], so a digest hashes a
+//! snapshot's encoding without ever holding it.
 //!
 //! [`MapOffset`]: contig_types::MapOffset
 
-use std::fmt::Write as _;
+use contig_types::Fnv1a64;
 
 /// A JSON value with deterministic (insertion-ordered) objects and integer
 /// numbers only.
@@ -84,63 +86,200 @@ impl Json {
     /// Serializes to a single-line JSON string (the canonical form digests
     /// are computed over).
     pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        line(|e| self.encode(e))
     }
 
-    fn write(&self, out: &mut String) {
+    /// Writes the value through `e`, members in stored order.
+    pub fn encode<S: Sink>(&self, e: &mut Enc<S>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
+            Json::Null => e.null(),
+            Json::Bool(b) => e.bool(*b),
+            Json::Num(n) => e.num(*n),
+            Json::Str(s) => e.str(s),
+            Json::Arr(items) => e.arr(|e| items.iter().for_each(|item| item.encode(e))),
+            Json::Obj(members) => e.obj(|e| {
+                for (key, value) in members {
+                    e.key(key);
+                    value.encode(e);
                 }
-                out.push(']');
-            }
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(key, out);
-                    out.push(':');
-                    value.write(out);
-                }
-                out.push('}');
-            }
+            }),
         }
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Where an [`Enc`] puts the bytes it emits. There are two: a line buffer
+/// and a running hash.
+pub trait Sink {
+    /// Appends `bytes` to the output.
+    fn put(&mut self, bytes: &[u8]);
 }
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+impl Sink for Fnv1a64 {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
+/// The canonical single-line writer: the one place that knows how a number,
+/// a string and a separator are spelled. Values are emitted in call order
+/// with no whitespace; the caller keeps `key`s and values paired and the
+/// closures of [`Enc::obj`]/[`Enc::arr`] keep brackets balanced.
+pub struct Enc<S> {
+    out: S,
+    /// Whether the next key or value is preceded by a comma: set by every
+    /// finished value, cleared by an opening bracket and by a key.
+    comma: bool,
+}
+
+impl<S: Sink> Enc<S> {
+    /// A writer with nothing written yet.
+    pub fn new(out: S) -> Self {
+        Enc { out, comma: false }
+    }
+
+    /// The sink, with everything written so far in it.
+    pub fn into_inner(self) -> S {
+        self.out
+    }
+
+    #[inline]
+    fn value(&mut self, bytes: &[u8]) {
+        if self.comma {
+            self.out.put(b",");
+        }
+        self.out.put(bytes);
+        self.comma = true;
+    }
+
+    /// The name of the next value, inside [`Enc::obj`].
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.str(key);
+        self.out.put(b":");
+        self.comma = false;
+        self
+    }
+
+    /// An integer, in the shortest decimal form.
+    #[inline]
+    pub fn num(&mut self, n: impl Into<i128>) {
+        let n: i128 = n.into();
+        // 39 digits of `u128::MAX` and a sign.
+        let mut buf = [0u8; 40];
+        let mut at = buf.len();
+        if let Ok(mut n) = u64::try_from(n) {
+            loop {
+                at -= 1;
+                buf[at] = b'0' + (n % 10) as u8;
+                n /= 10;
+                if n == 0 {
+                    break;
+                }
+            }
+        } else {
+            let mut abs = n.unsigned_abs();
+            while abs != 0 {
+                at -= 1;
+                buf[at] = b'0' + (abs % 10) as u8;
+                abs /= 10;
+            }
+            if n < 0 {
+                at -= 1;
+                buf[at] = b'-';
+            }
+        }
+        self.value(&buf[at..]);
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.value(if b { b"true" } else { b"false" });
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.value(b"null");
+    }
+
+    /// A string, escaping `"`, `\` and control characters.
+    pub fn str(&mut self, s: &str) {
+        self.value(b"\"");
+        let bytes = s.as_bytes();
+        let mut run = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let hex;
+            let escape: &[u8] = match b {
+                b'"' => b"\\\"",
+                b'\\' => b"\\\\",
+                b'\n' => b"\\n",
+                b'\r' => b"\\r",
+                b'\t' => b"\\t",
+                0..=0x1f => {
+                    const HEX: &[u8; 16] = b"0123456789abcdef";
+                    let (hi, lo) = (HEX[usize::from(b >> 4)], HEX[usize::from(b & 15)]);
+                    hex = [b'\\', b'u', b'0', b'0', hi, lo];
+                    &hex
+                }
+                _ => continue,
+            };
+            self.out.put(&bytes[run..i]);
+            self.out.put(escape);
+            run = i + 1;
+        }
+        // The whole string in one piece when nothing needed escaping.
+        self.out.put(&bytes[run..]);
+        self.out.put(b"\"");
+    }
+
+    fn bracketed(&mut self, open: &[u8], close: &[u8], f: impl FnOnce(&mut Self)) {
+        self.value(open);
+        self.comma = false;
+        f(self);
+        self.out.put(close);
+        self.comma = true;
+    }
+
+    /// An object; `f` writes its members as [`Enc::key`]/value pairs.
+    pub fn obj(&mut self, f: impl FnOnce(&mut Self)) {
+        self.bracketed(b"{", b"}", f);
+    }
+
+    /// An array; `f` writes its items.
+    pub fn arr(&mut self, f: impl FnOnce(&mut Self)) {
+        self.bracketed(b"[", b"]", f);
+    }
+
+    /// An array of integers.
+    pub fn nums<N: Into<i128>>(&mut self, items: impl IntoIterator<Item = N>) {
+        self.arr(|e| items.into_iter().for_each(|n| e.num(n)));
+    }
+}
+
+/// The line `f` writes, as a string: the line-buffer sink.
+pub fn line(f: impl FnOnce(&mut Enc<Vec<u8>>)) -> String {
+    let mut e = Enc::new(Vec::new());
+    f(&mut e);
+    String::from_utf8(e.into_inner()).expect("the encoder emits whole UTF-8 strings and ASCII")
+}
+
+/// FNV-1a-64 of the line `f` writes, without the line: the hash sink.
+pub fn digest(f: impl FnOnce(&mut Enc<Fnv1a64>)) -> u64 {
+    let mut e = Enc::new(Fnv1a64::new());
+    f(&mut e);
+    e.into_inner().finish()
+}
+
+/// Deepest nesting of arrays and objects [`parse`] accepts. A fleet snapshot
+/// nests about ten deep; the bound keeps hostile input from overflowing the
+/// parser's stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document from `input`.
 ///
@@ -149,7 +288,7 @@ fn write_string(s: &str, out: &mut String) {
 /// A human-readable description of the first syntax error, with its byte
 /// offset.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -162,6 +301,8 @@ pub fn parse(input: &str) -> Result<Json, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -199,8 +340,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
@@ -352,6 +500,22 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_until_the_stack_overflows() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + "1" + &close.repeat(n);
+        for (open, close) in [("[", "]"), ("{\"a\":", "}"), ("[{\"a\":", "}]")] {
+            let per_level = open.matches(['[', '{']).count();
+            assert!(parse(&nested(open, close, MAX_DEPTH / per_level)).is_ok());
+            let err = parse(&nested(open, close, MAX_DEPTH / per_level + 1)).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 64 at byte "), "{err}");
+            // A megabyte of opening brackets is an error, not a dead process.
+            let err = parse(&open.repeat(1_000_000 / open.len())).unwrap_err();
+            assert!(err.starts_with("nesting deeper than 64 at byte "), "{err}");
+        }
+        // Depth counts what is open, not what was: siblings are free.
+        assert!(parse(&format!("[{}]", vec!["[[1]]"; 1000].join(","))).is_ok());
     }
 
     #[test]

@@ -38,11 +38,11 @@ pub mod replay;
 pub mod torture;
 
 pub use codec::{
-    decode_vm_file, encode_vm_file, fleet_to_json, read_vm_file, system_from_json, system_to_json,
-    tlb_from_json, tlb_to_json, vm_from_json, vm_to_json, write_vm_file, SnapshotGuestCodec,
-    SNAPSHOT_FORMAT, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
+    decode_vm_file, encode_fleet, encode_system, encode_tlb, encode_vm, encode_vm_file,
+    read_vm_file, system_from_json, tlb_from_json, vm_from_json, write_vm_file,
+    SnapshotGuestCodec, SNAPSHOT_FORMAT, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
 };
-pub use digest::{digest_fleet, digest_system, digest_vm, fnv1a64, fold_digests};
+pub use digest::{digest_fleet, digest_system, digest_tlb, digest_vm, fnv1a64, fold_digests};
 pub use json::Json;
 pub use minimize::{minimize, Minimized};
 pub use replay::{decode_repro, encode_repro, read_repro, write_repro, REPRO_FORMAT, REPRO_VERSION};
@@ -115,8 +115,10 @@ mod tests {
             tlb.lookup(VirtAddr::new((page / 3) << 12));
         }
         let snap = tlb.snapshot();
-        let decoded = tlb_from_json(&json::parse(&tlb_to_json(&snap).to_line()).unwrap()).unwrap();
+        let line = json::line(|e| encode_tlb(e, &snap));
+        let decoded = tlb_from_json(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(decoded, snap);
+        assert_eq!(fnv1a64(line.as_bytes()), digest_tlb(&snap));
         assert_eq!(TlbHierarchy::from_snapshot(&decoded).unwrap().snapshot(), snap);
     }
 
@@ -161,6 +163,25 @@ mod tests {
         snap.guest.processes[0].mappings[0].1 = max + 1;
         let err = decode_vm_file(&encode_vm_file(&snap)).unwrap_err();
         assert!(err.contains("exceeds 52 bits"), "{err}");
+    }
+
+    /// Nesting past the parser's bound reaches both decoders that take
+    /// bytes from outside as their ordinary error, header digest or not.
+    #[test]
+    fn hostile_nesting_is_a_decode_error_in_both_decoders() {
+        use contig_virt::GuestStateCodec;
+        let deep = "[".repeat(1_000_000);
+        let err = SnapshotGuestCodec.decode(deep.as_bytes()).unwrap_err();
+        assert!(err.starts_with("state chunk not JSON: nesting deeper than 64"), "{err}");
+        // The attacker chooses the header too, so its digest matches.
+        let header = format!(
+            r#"{{"format":"{SNAPSHOT_FORMAT}","version":{SNAPSHOT_VERSION},"digest":{}}}"#,
+            fnv1a64(deep.as_bytes())
+        );
+        let err = decode_vm_file(&format!("{header}\n{deep}\n")).unwrap_err();
+        assert!(err.starts_with("bad payload: nesting deeper than 64"), "{err}");
+        let err = decode_vm_file(&format!("{deep}\n{deep}\n")).unwrap_err();
+        assert!(err.starts_with("bad header: nesting deeper than 64"), "{err}");
     }
 
     #[test]

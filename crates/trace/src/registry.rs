@@ -56,6 +56,16 @@ impl Log2Histogram {
         self.max = self.max.max(value);
     }
 
+    /// Adds every observation of `other` to this histogram.
+    pub fn merge(&mut self, other: &Log2Histogram) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
     /// Total number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -189,13 +199,18 @@ impl MetricsRegistry {
             self.add(name, value);
         }
         for (name, hist) in other.histograms() {
-            let mine = self.histograms.entry(name.to_owned()).or_default();
-            for (i, &c) in hist.buckets.iter().enumerate() {
-                mine.buckets[i] += c;
+            self.merge_histogram(name, hist);
+        }
+    }
+
+    /// Adds every observation of `hist` to the histogram `name`, creating it
+    /// first.
+    pub fn merge_histogram(&mut self, name: &str, hist: &Log2Histogram) {
+        match self.histograms.get_mut(name) {
+            Some(mine) => mine.merge(hist),
+            None => {
+                self.histograms.insert(name.to_owned(), hist.clone());
             }
-            mine.count += hist.count;
-            mine.sum = mine.sum.saturating_add(hist.sum);
-            mine.max = mine.max.max(hist.max);
         }
     }
 }

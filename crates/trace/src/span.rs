@@ -146,15 +146,14 @@ pub fn declare_canonical_metrics(registry: &mut MetricsRegistry) {
 }
 
 /// One open span on the stack.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 struct Frame {
-    name: &'static str,
+    /// The trie node of this span's `parent;child;…;name` path.
+    node: usize,
     /// Simulated clock at entry.
     enter_ns: u64,
     /// Simulated time already attributed to closed children.
     child_ns: u64,
-    /// Full `parent;child;…;name` path, precomputed at entry.
-    path: String,
 }
 
 /// Accumulated totals for one distinct stack path.
@@ -168,6 +167,27 @@ pub struct StackCell {
     pub total_ns: u64,
 }
 
+impl StackCell {
+    fn add(&mut self, other: &StackCell) {
+        self.count += other.count;
+        self.self_ns = self.self_ns.saturating_add(other.self_ns);
+        self.total_ns = self.total_ns.saturating_add(other.total_ns);
+    }
+}
+
+/// One distinct stack path: a node of the path trie. A path is its node, so
+/// entering a span compares a handful of sibling names instead of building a
+/// `parent;child` string, and leaving one indexes its cell.
+#[derive(Clone, Debug)]
+struct Node {
+    name: &'static str,
+    /// `None` for an outermost span.
+    parent: Option<usize>,
+    /// Spans closed at this path; `count == 0` until the first one closes.
+    cell: StackCell,
+    kids: Vec<usize>,
+}
+
 /// The span profiler state: the stack of open spans plus the collapsed-stack
 /// accumulation of every closed span.
 ///
@@ -176,10 +196,17 @@ pub struct StackCell {
 /// stack serves one session; guest- and host-dimension spans of a nested VM
 /// interleave naturally because a guest fault fully completes before the
 /// host backs it.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Two stacks are equal when everything observable about them is: the open
+/// spans, the closed paths with their cells, and the counters — not the
+/// order in which paths were first entered.
+#[derive(Clone, Debug, Default)]
 pub struct SpanStack {
     open: Vec<Frame>,
-    closed: BTreeMap<String, StackCell>,
+    /// Every path ever entered; a parent precedes its children.
+    nodes: Vec<Node>,
+    /// The outermost spans' nodes.
+    roots: Vec<usize>,
     enters: u64,
     exits: u64,
     max_depth: u64,
@@ -191,13 +218,43 @@ impl SpanStack {
         Self::default()
     }
 
+    /// The node of `name` under `parent`, added if this is its first entry.
+    fn child(&mut self, parent: Option<usize>, name: &'static str) -> usize {
+        let kids = match parent {
+            Some(p) => &self.nodes[p].kids,
+            None => &self.roots,
+        };
+        let same = |a: &str| std::ptr::eq(a, name) || a == name;
+        if let Some(&kid) = kids.iter().find(|&&k| same(self.nodes[k].name)) {
+            return kid;
+        }
+        let id = self.nodes.len();
+        self.nodes.push(Node { name, parent, cell: StackCell::default(), kids: Vec::new() });
+        match parent {
+            Some(p) => self.nodes[p].kids.push(id),
+            None => self.roots.push(id),
+        }
+        id
+    }
+
+    /// The `a;b;c` path of `node`.
+    fn path(&self, node: usize) -> String {
+        match self.nodes[node].parent {
+            Some(parent) => format!("{};{}", self.path(parent), self.nodes[node].name),
+            None => self.nodes[node].name.to_owned(),
+        }
+    }
+
+    /// The stage name of a node returned by [`SpanStack::exit_node`].
+    #[cfg(feature = "probes")]
+    pub(crate) fn node_name(&self, node: usize) -> &'static str {
+        self.nodes[node].name
+    }
+
     /// Opens a span named `name` at simulated time `now_ns`.
     pub fn enter(&mut self, name: &'static str, now_ns: u64) {
-        let path = match self.open.last() {
-            Some(parent) => format!("{};{}", parent.path, name),
-            None => name.to_owned(),
-        };
-        self.open.push(Frame { name, enter_ns: now_ns, child_ns: 0, path });
+        let node = self.child(self.open.last().map(|parent| parent.node), name);
+        self.open.push(Frame { node, enter_ns: now_ns, child_ns: 0 });
         self.enters += 1;
         self.max_depth = self.max_depth.max(self.open.len() as u64);
     }
@@ -205,6 +262,13 @@ impl SpanStack {
     /// Closes the innermost open span at simulated time `now_ns`, returning
     /// `(name, total_ns, self_ns)` — or `None` if nothing is open.
     pub fn exit(&mut self, now_ns: u64) -> Option<(&'static str, u64, u64)> {
+        let (node, total, self_ns) = self.exit_node(now_ns)?;
+        Some((self.nodes[node].name, total, self_ns))
+    }
+
+    /// [`SpanStack::exit`], naming the closed span by its path's node: a
+    /// small dense index the session keys its per-path histograms by.
+    pub(crate) fn exit_node(&mut self, now_ns: u64) -> Option<(usize, u64, u64)> {
         let frame = self.open.pop()?;
         self.exits += 1;
         let total = now_ns.saturating_sub(frame.enter_ns);
@@ -212,11 +276,8 @@ impl SpanStack {
         if let Some(parent) = self.open.last_mut() {
             parent.child_ns = parent.child_ns.saturating_add(total);
         }
-        let cell = self.closed.entry(frame.path).or_default();
-        cell.count += 1;
-        cell.self_ns = cell.self_ns.saturating_add(self_ns);
-        cell.total_ns = cell.total_ns.saturating_add(total);
-        Some((frame.name, total, self_ns))
+        self.nodes[frame.node].cell.add(&StackCell { count: 1, self_ns, total_ns: total });
+        Some((frame.node, total, self_ns))
     }
 
     /// Number of currently-open spans.
@@ -247,21 +308,22 @@ impl SpanStack {
     }
 
     /// The closed-span accumulation, keyed by full `a;b;c` stack path,
-    /// path-sorted.
-    pub fn collapsed(&self) -> impl Iterator<Item = (&str, &StackCell)> {
-        self.closed.iter().map(|(k, v)| (k.as_str(), v))
+    /// path-sorted. A path that was entered but never closed is absent.
+    pub fn collapsed(&self) -> Vec<(String, StackCell)> {
+        let mut out: Vec<_> = (0..self.nodes.len())
+            .filter(|&node| self.nodes[node].cell.count > 0)
+            .map(|node| (self.path(node), self.nodes[node].cell))
+            .collect();
+        out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        out
     }
 
     /// Per-leaf-stage roll-up across all paths ending in that stage,
     /// name-sorted — the per-stage table without path context.
     pub fn by_stage(&self) -> BTreeMap<&str, StackCell> {
         let mut out: BTreeMap<&str, StackCell> = BTreeMap::new();
-        for (path, cell) in &self.closed {
-            let leaf = path.rsplit(';').next().unwrap_or(path.as_str());
-            let agg = out.entry(leaf).or_default();
-            agg.count += cell.count;
-            agg.self_ns = agg.self_ns.saturating_add(cell.self_ns);
-            agg.total_ns = agg.total_ns.saturating_add(cell.total_ns);
+        for node in self.nodes.iter().filter(|node| node.cell.count > 0) {
+            out.entry(node.name).or_default().add(&node.cell);
         }
         out
     }
@@ -269,11 +331,12 @@ impl SpanStack {
     /// Folds another (balanced) stack's closed spans into this one —
     /// how per-task engine profiles aggregate into one report.
     pub fn merge(&mut self, other: &SpanStack) {
-        for (path, cell) in &other.closed {
-            let mine = self.closed.entry(path.clone()).or_default();
-            mine.count += cell.count;
-            mine.self_ns = mine.self_ns.saturating_add(cell.self_ns);
-            mine.total_ns = mine.total_ns.saturating_add(cell.total_ns);
+        // A parent precedes its children, so its node here is known first.
+        let mut mine = Vec::with_capacity(other.nodes.len());
+        for node in &other.nodes {
+            let id = self.child(node.parent.map(|parent| mine[parent]), node.name);
+            self.nodes[id].cell.add(&node.cell);
+            mine.push(id);
         }
         self.enters += other.enters;
         self.exits += other.exits;
@@ -286,8 +349,8 @@ impl SpanStack {
     /// `flamegraph.pl` directly.
     pub fn export_collapsed(&self) -> String {
         let mut out = String::new();
-        for (path, cell) in &self.closed {
-            out.push_str(path);
+        for (path, cell) in self.collapsed() {
+            out.push_str(&path);
             out.push(' ');
             out.push_str(&cell.self_ns.to_string());
             out.push('\n');
@@ -295,6 +358,19 @@ impl SpanStack {
         out
     }
 }
+
+impl PartialEq for SpanStack {
+    fn eq(&self, other: &Self) -> bool {
+        let open = |stack: &SpanStack| -> Vec<(String, u64, u64)> {
+            stack.open.iter().map(|f| (stack.path(f.node), f.enter_ns, f.child_ns)).collect()
+        };
+        (self.enters, self.exits, self.max_depth) == (other.enters, other.exits, other.max_depth)
+            && open(self) == open(other)
+            && self.collapsed() == other.collapsed()
+    }
+}
+
+impl Eq for SpanStack {}
 
 #[cfg(test)]
 mod tests {
@@ -334,8 +410,8 @@ mod tests {
         b.enter(stage::FAULT, 0);
         b.exit(7).unwrap();
         a.merge(&b);
-        assert_eq!(a.collapsed().next().unwrap().1.count, 2);
-        assert_eq!(a.collapsed().next().unwrap().1.self_ns, 17);
+        assert_eq!(a.collapsed()[0].1.count, 2);
+        assert_eq!(a.collapsed()[0].1.self_ns, 17);
         assert!(a.is_balanced());
     }
 

@@ -10,6 +10,8 @@ use crate::event::{Dim, Record, TraceEvent};
 use crate::flight::FlightRecorder;
 #[cfg(feature = "probes")]
 use crate::flight::FLIGHT_CAPACITY;
+#[cfg(feature = "probes")]
+use crate::registry::Log2Histogram;
 use crate::registry::MetricsRegistry;
 #[cfg(feature = "probes")]
 use crate::sink::{NullSink, RingSink};
@@ -42,6 +44,10 @@ struct Inner {
     seq: u64,
     clock_ns: u64,
     spans: SpanStack,
+    /// `[total_ns, self_ns]` of the spans closed at each path, indexed by
+    /// the path's [`SpanStack`] node, so closing a span formats and looks
+    /// up no name. [`Inner::metrics`] folds them into `span.<stage>.*`.
+    span_hists: Vec<[Log2Histogram; 2]>,
     flight: FlightRecorder,
 }
 
@@ -54,19 +60,38 @@ impl Inner {
             seq: 0,
             clock_ns: 0,
             spans: SpanStack::new(),
+            span_hists: Vec::new(),
             flight: FlightRecorder::new(flight_capacity),
         }
     }
 
     /// Closes the innermost span at the current simulated clock and feeds
-    /// the per-stage histograms — shared by [`ScopedSpan::drop`] and
+    /// its path's histograms — shared by [`ScopedSpan::drop`] and
     /// [`Tracer::span_mark`].
     fn finish_span(&mut self) {
         let now = self.clock_ns;
-        if let Some((name, total, self_ns)) = self.spans.exit(now) {
-            self.metrics.observe(&format!("span.{name}.total_ns"), total);
-            self.metrics.observe(&format!("span.{name}.self_ns"), self_ns);
+        if let Some((node, total, self_ns)) = self.spans.exit_node(now) {
+            if node >= self.span_hists.len() {
+                self.span_hists.resize_with(node + 1, Default::default);
+            }
+            let [total_hist, self_hist] = &mut self.span_hists[node];
+            total_hist.observe(total);
+            self_hist.observe(self_ns);
         }
+    }
+
+    /// The registry with every closed span's `span.<stage>.total_ns` and
+    /// `span.<stage>.self_ns` observations in it.
+    fn metrics(&self) -> MetricsRegistry {
+        let mut metrics = self.metrics.clone();
+        for (node, [total_hist, self_hist]) in self.span_hists.iter().enumerate() {
+            if total_hist.count() > 0 {
+                let stage = self.spans.node_name(node);
+                metrics.merge_histogram(&format!("span.{stage}.total_ns"), total_hist);
+                metrics.merge_histogram(&format!("span.{stage}.self_ns"), self_hist);
+            }
+        }
+        metrics
     }
 }
 
@@ -175,7 +200,7 @@ impl TraceSession {
     pub fn metrics(&self) -> MetricsRegistry {
         #[cfg(feature = "probes")]
         {
-            self.inner.lock().expect("trace session poisoned").metrics.clone()
+            self.inner.lock().expect("trace session poisoned").metrics()
         }
         #[cfg(not(feature = "probes"))]
         {

@@ -33,7 +33,7 @@ mod transport;
 pub use addr::{MapOffset, PhysAddr, VirtAddr};
 pub use error::{AllocError, ContigError, ErrorCtx, FaultError, TranslateError};
 pub use fail::{splitmix64, FailMode, FailPolicy};
-pub use hash::fnv1a64;
+pub use hash::{fnv1a64, Fnv1a64};
 pub use poison::{PoisonMode, PoisonPolicy};
 pub use transport::{
     TransportFault, TransportFaultKind, TransportMode, TransportPolicy, MAX_STALL_NS,

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use contig::check::{digest_fleet, encode_fleet, json};
 use contig::fleet::{GUEST_VMA_BASE, HOST_VMA_BASE};
 use contig::prelude::*;
 use proptest::prelude::*;
@@ -140,6 +141,13 @@ proptest! {
         }
         let audit = fleet.audit();
         prop_assert!(audit.is_clean(), "fleet audit must be clean:\n{}", audit);
+
+        // The fleet digest is the hash of exactly the bytes the line-buffer
+        // sink collects (sharing registries, balloons and tags populated).
+        let snap = fleet.snapshot();
+        let line = json::line(|e| encode_fleet(e, &snap));
+        prop_assert_eq!(fnv1a64(line.as_bytes()), digest_fleet(&snap));
+        prop_assert_eq!(json::parse(&line).unwrap().to_line(), line);
     }
 
     /// Merge two tenants' same-content pages, then write one of them: the

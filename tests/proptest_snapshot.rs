@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 
 use contig::check::{
-    decode_vm_file, digest_system, digest_vm, encode_vm_file, system_from_json, system_to_json,
+    decode_vm_file, digest_system, digest_vm, encode_system, encode_vm, encode_vm_file, json,
+    system_from_json, vm_from_json,
 };
 use contig::prelude::*;
 use contig_types::splitmix64;
@@ -92,6 +93,14 @@ proptest! {
         let decoded = decode_vm_file(&encode_vm_file(&snap)).unwrap();
         prop_assert_eq!(&decoded, &snap);
         prop_assert_eq!(digest_vm(&decoded), digest);
+
+        // The line buffer and the running hash are fed the same bytes, and
+        // the line decodes back to the snapshot through the value tree.
+        let line = json::line(|e| encode_vm(e, &snap));
+        prop_assert_eq!(fnv1a64(line.as_bytes()), digest);
+        let tree = json::parse(&line).unwrap();
+        prop_assert_eq!(&vm_from_json(&tree).unwrap(), &snap);
+        prop_assert_eq!(tree.to_line(), line);
 
         // Restore reproduces the digest and passes the cross-layer audit.
         let mut recovered = VirtualMachine::new(
@@ -184,8 +193,10 @@ proptest! {
         let digest = digest_system(&snap);
 
         // The codec preserves the snapshot bit-for-bit.
-        let line = system_to_json(&snap).to_line();
-        let decoded = system_from_json(&contig::check::json::parse(&line).unwrap()).unwrap();
+        let line = json::line(|e| encode_system(e, &snap));
+        let decoded = system_from_json(&json::parse(&line).unwrap()).unwrap();
+        // The line buffer and the running hash are fed the same bytes.
+        prop_assert_eq!(fnv1a64(line.as_bytes()), digest);
         prop_assert_eq!(&decoded, &snap);
         prop_assert_eq!(digest_system(&decoded), digest);
 

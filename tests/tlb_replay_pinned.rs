@@ -9,7 +9,7 @@
 //! 256-set structures, indexed by mask) and on `broadwell_scaled(5)` (3-, 1-
 //! and 51-set structures, indexed by `%`).
 
-use contig::check::tlb_to_json;
+use contig::check::digest_tlb;
 use contig::prelude::*;
 use contig_baselines::{VrmmRangeTlb, VrmmStats};
 use contig_core::SpotStats;
@@ -66,7 +66,7 @@ fn replay(
         name,
         report: sim.report(),
         tlb: sim.tlb().stats(),
-        snapshot_fnv: fnv1a64(tlb_to_json(&sim.tlb().snapshot()).to_line().as_bytes()),
+        snapshot_fnv: digest_tlb(&sim.tlb().snapshot()),
     }
 }
 
