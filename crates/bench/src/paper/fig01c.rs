@@ -20,8 +20,8 @@ pub fn run(opts: &Options) {
         let ri = s * (ranger.timeline.len() - 1) / (samples - 1).max(1);
         table.row(&[
             format!("{:.0}%", 100.0 * s as f64 / (samples - 1).max(1) as f64),
-            pct(ca.timeline[ci].top32),
-            pct(ranger.timeline[ri].top32),
+            pct(ca.timeline[ci].top32()),
+            pct(ranger.timeline[ri].top32()),
         ]);
     }
     println!("{}", table.render());

@@ -8,14 +8,15 @@
 //! wraps a VM image in a two-line JSONL file format:
 //!
 //! ```text
-//! {"format":"contig-snapshot","version":1,"digest":<fnv1a64>}
+//! {"format":"contig-snapshot","version":6,"digest":<fnv1a64>}
 //! {<payload>}
 //! ```
 //!
-//! The header carries a format version (decoders reject versions they do not
-//! understand — the backward-compatibility contract checked by CI against a
-//! committed golden file) and the digest of the payload line, so corruption
-//! is detected before a restore is attempted.
+//! The header carries the format version — the decoder reads exactly the
+//! version the encoder writes and names any other in its error; CI pins the
+//! bytes against a committed golden file — and the digest of the payload
+//! line, so corruption is detected before a restore is attempted. Nothing
+//! may follow the payload line.
 //!
 //! Every encoder emits object members in a fixed order; combined with the
 //! integer-only number model this makes the encoding canonical, which is what
@@ -38,21 +39,11 @@ use contig_virt::VmSnapshot;
 use crate::digest::fnv1a64;
 use crate::json::{line, parse, Enc, Json, Sink};
 
-/// Current snapshot file format version. Version 2 added the optional
-/// per-zone `pcp` member (per-CPU frame caches); version 3 added the
-/// memory-failure state (per-zone `badframes` + `poison` counters, and the
-/// system-level `poison_policy` + `poison_stats`); version 4 added the
-/// per-VM `balloon` frame list and KSM `sharing` registry; version 5 added
-/// the multi-zone NUMA topology state (per-process `home` node and the
-/// system-level `numa_stats` counters); version 6 added the background
-/// maintenance daemon's mid-epoch state (the system-level `daemon` member:
-/// policy, scan cursors, remaining budget, promotion candidates, backoff
-/// RNG, counters). Files from any older version still decode: the absent
-/// members mean "no poison, no pcp, empty balloon, nothing KSM-merged, no
-/// home nodes, daemon disabled".
+/// Snapshot file format version: the one the encoder writes and the only
+/// version read. Every member the encoder emits is required on decode, in
+/// the encoder's order; the two optional ones (`pcp`, `home`) are written as
+/// `null` when unset, never left out.
 pub const SNAPSHOT_VERSION: i128 = 6;
-/// Oldest snapshot file format version this decoder still accepts.
-pub const SNAPSHOT_MIN_VERSION: i128 = 1;
 /// `format` tag of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "contig-snapshot";
 
@@ -62,28 +53,14 @@ pub const SNAPSHOT_FORMAT: &str = "contig-snapshot";
 
 type DecodeResult<T> = Result<T, String>;
 
-fn field<'a>(v: &'a Json, key: &str) -> DecodeResult<&'a Json> {
-    v.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn get_u64(v: &Json, key: &str) -> DecodeResult<u64> {
-    field(v, key)?.as_u64().ok_or_else(|| format!("field `{key}` is not a u64"))
-}
-
-fn get_u32(v: &Json, key: &str) -> DecodeResult<u32> {
-    u32::try_from(get_u64(v, key)?).map_err(|_| format!("field `{key}` out of u32 range"))
-}
-
-fn get_bool(v: &Json, key: &str) -> DecodeResult<bool> {
-    field(v, key)?.as_bool().ok_or_else(|| format!("field `{key}` is not a bool"))
-}
-
-fn get_arr<'a>(v: &'a Json, key: &str) -> DecodeResult<&'a [Json]> {
-    field(v, key)?.as_arr().ok_or_else(|| format!("field `{key}` is not an array"))
-}
-
 fn as_u64(v: &Json, what: &str) -> DecodeResult<u64> {
     v.as_u64().ok_or_else(|| format!("{what} is not a u64"))
+}
+
+/// An array of `u64`s; `what` names one element in the error.
+fn u64s(v: &Json, what: &str) -> DecodeResult<Vec<u64>> {
+    let items = v.as_arr().ok_or_else(|| format!("{what} list is not an array"))?;
+    items.iter().map(|n| as_u64(n, what)).collect()
 }
 
 fn decode_pair_u64(v: &Json, what: &str) -> DecodeResult<(u64, u64)> {
@@ -122,15 +99,14 @@ fn encode_fail_mode<S: Sink>(e: &mut Enc<S>, mode: FailMode) {
 }
 
 fn fail_mode_from_json(v: &Json) -> DecodeResult<FailMode> {
-    let kind = field(v, "kind")?.as_str().ok_or("fail mode kind is not a string")?;
-    match kind {
+    match v.str_of("kind")? {
         "never" => Ok(FailMode::Never),
-        "nth" => Ok(FailMode::Nth { n: get_u64(v, "n")? }),
-        "every_nth" => Ok(FailMode::EveryNth { n: get_u64(v, "n")? }),
-        "min_order" => Ok(FailMode::MinOrder { min_order: get_u32(v, "min_order")? }),
+        "nth" => Ok(FailMode::Nth { n: v.u64_of("n")? }),
+        "every_nth" => Ok(FailMode::EveryNth { n: v.u64_of("n")? }),
+        "min_order" => Ok(FailMode::MinOrder { min_order: v.u32_of("min_order")? }),
         "probability" => Ok(FailMode::Probability {
-            rate_ppm: get_u32(v, "rate_ppm")?,
-            seed: get_u64(v, "seed")?,
+            rate_ppm: v.u32_of("rate_ppm")?,
+            seed: v.u64_of("seed")?,
         }),
         other => Err(format!("unknown fail mode `{other}`")),
     }
@@ -147,10 +123,10 @@ fn encode_fail_policy<S: Sink>(e: &mut Enc<S>, p: &FailPolicy) {
 
 fn fail_policy_from_json(v: &Json) -> DecodeResult<FailPolicy> {
     Ok(FailPolicy::restore(
-        fail_mode_from_json(field(v, "mode")?)?,
-        get_u64(v, "attempts")?,
-        get_u64(v, "injected")?,
-        get_u64(v, "rng_state")?,
+        fail_mode_from_json(v.field("mode")?)?,
+        v.u64_of("attempts")?,
+        v.u64_of("injected")?,
+        v.u64_of("rng_state")?,
     ))
 }
 
@@ -169,18 +145,17 @@ fn encode_poison_mode<S: Sink>(e: &mut Enc<S>, mode: PoisonMode) {
 }
 
 fn poison_mode_from_json(v: &Json) -> DecodeResult<PoisonMode> {
-    let kind = field(v, "kind")?.as_str().ok_or("poison mode kind is not a string")?;
-    match kind {
+    match v.str_of("kind")? {
         "never" => Ok(PoisonMode::Never),
-        "nth" => Ok(PoisonMode::Nth { n: get_u64(v, "n")? }),
-        "every_nth" => Ok(PoisonMode::EveryNth { n: get_u64(v, "n")? }),
+        "nth" => Ok(PoisonMode::Nth { n: v.u64_of("n")? }),
+        "every_nth" => Ok(PoisonMode::EveryNth { n: v.u64_of("n")? }),
         "address" => Ok(PoisonMode::Address {
-            pfn: Pfn::new(get_u64(v, "pfn")?),
-            n: get_u64(v, "n")?,
+            pfn: Pfn::new(v.u64_of("pfn")?),
+            n: v.u64_of("n")?,
         }),
         "probability" => Ok(PoisonMode::Probability {
-            rate_ppm: get_u32(v, "rate_ppm")?,
-            seed: get_u64(v, "seed")?,
+            rate_ppm: v.u32_of("rate_ppm")?,
+            seed: v.u64_of("seed")?,
         }),
         other => Err(format!("unknown poison mode `{other}`")),
     }
@@ -197,10 +172,10 @@ fn encode_poison_policy<S: Sink>(e: &mut Enc<S>, p: &PoisonPolicy) {
 
 fn poison_policy_from_json(v: &Json) -> DecodeResult<PoisonPolicy> {
     Ok(PoisonPolicy::restore(
-        poison_mode_from_json(field(v, "mode")?)?,
-        get_u64(v, "checks")?,
-        get_u64(v, "events")?,
-        get_u64(v, "rng_state")?,
+        poison_mode_from_json(v.field("mode")?)?,
+        v.u64_of("checks")?,
+        v.u64_of("events")?,
+        v.u64_of("rng_state")?,
     ))
 }
 
@@ -285,25 +260,20 @@ fn encode_pcp<S: Sink>(e: &mut Enc<S>, p: &PcpSnapshot) {
 }
 
 fn pcp_from_json(v: &Json) -> DecodeResult<PcpSnapshot> {
-    let counters = get_arr(v, "counters")?;
+    let counters = v.arr_of("counters")?;
     if counters.len() != 6 {
         return Err("pcp counters must have 6 entries".into());
     }
     let c = |i: usize| as_u64(&counters[i], "pcp counter");
     Ok(PcpSnapshot {
-        cpus: get_u64(v, "cpus")?,
-        batch: get_u64(v, "batch")?,
-        high: get_u64(v, "high")?,
-        current_cpu: get_u64(v, "current_cpu")?,
-        lists: get_arr(v, "lists")?
+        cpus: v.u64_of("cpus")?,
+        batch: v.u64_of("batch")?,
+        high: v.u64_of("high")?,
+        current_cpu: v.u64_of("current_cpu")?,
+        lists: v
+            .arr_of("lists")?
             .iter()
-            .map(|list| {
-                list.as_arr()
-                    .ok_or_else(|| "pcp list is not an array".to_string())?
-                    .iter()
-                    .map(|f| as_u64(f, "pcp frame"))
-                    .collect()
-            })
+            .map(|list| u64s(list, "pcp frame"))
             .collect::<DecodeResult<_>>()?,
         counters: PcpCounters {
             hits: c(0)?,
@@ -317,30 +287,25 @@ fn pcp_from_json(v: &Json) -> DecodeResult<PcpSnapshot> {
 }
 
 fn zone_from_json(v: &Json) -> DecodeResult<ZoneSnapshot> {
-    let cfg = field(v, "config")?;
-    let counters = get_arr(v, "counters")?;
+    let cfg = v.field("config")?;
+    let counters = v.arr_of("counters")?;
     if counters.len() != 6 {
         return Err("zone counters must have 6 entries".into());
     }
     let c = |i: usize| as_u64(&counters[i], "zone counter");
     Ok(ZoneSnapshot {
         config: ZoneConfig {
-            base: Pfn::new(get_u64(cfg, "base")?),
-            frames: get_u64(cfg, "frames")?,
-            top_order: get_u32(cfg, "top_order")?,
-            sorted_top_list: get_bool(cfg, "sorted_top_list")?,
+            base: Pfn::new(cfg.u64_of("base")?),
+            frames: cfg.u64_of("frames")?,
+            top_order: cfg.u32_of("top_order")?,
+            sorted_top_list: cfg.bool_of("sorted_top_list")?,
         },
-        free_lists: get_arr(v, "free_lists")?
+        free_lists: v
+            .arr_of("free_lists")?
             .iter()
-            .map(|list| {
-                list.as_arr()
-                    .ok_or_else(|| "free list is not an array".to_string())?
-                    .iter()
-                    .map(|f| as_u64(f, "free frame"))
-                    .collect()
-            })
+            .map(|list| u64s(list, "free frame"))
             .collect::<DecodeResult<_>>()?,
-        allocated: get_arr(v, "allocated")?
+        allocated: v.arr_of("allocated")?
             .iter()
             .map(|p| {
                 let (pfn, order) = decode_pair_u64(p, "allocated block")?;
@@ -355,31 +320,18 @@ fn zone_from_json(v: &Json) -> DecodeResult<ZoneSnapshot> {
             splits: c(4)?,
             coalesces: c(5)?,
         },
-        fail: fail_policy_from_json(field(v, "fail")?)?,
-        contig_rover: match field(v, "contig_rover")? {
+        fail: fail_policy_from_json(v.field("fail")?)?,
+        contig_rover: match v.field("contig_rover")? {
             Json::Null => None,
             other => Some(as_u64(other, "contig_rover")?),
         },
-        contig_updates: get_u64(v, "contig_updates")?,
-        // Absent in version-1 files: the pcp layer did not exist yet.
-        pcp: match v.get("pcp") {
-            None | Some(Json::Null) => None,
-            Some(other) => Some(pcp_from_json(other)?),
+        contig_updates: v.u64_of("contig_updates")?,
+        pcp: match v.field("pcp")? {
+            Json::Null => None,
+            other => Some(pcp_from_json(other)?),
         },
-        // Absent before version 3: no hwpoison, so no quarantined frames.
-        badframes: match v.get("badframes") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(other) => other
-                .as_arr()
-                .ok_or_else(|| "badframes is not an array".to_string())?
-                .iter()
-                .map(|f| as_u64(f, "badframe"))
-                .collect::<DecodeResult<_>>()?,
-        },
-        poison: match v.get("poison") {
-            None | Some(Json::Null) => PoisonCounters::default(),
-            Some(other) => poison_counters_from_json(other)?,
-        },
+        badframes: u64s(v.field("badframes")?, "badframe")?,
+        poison: poison_counters_from_json(v.field("poison")?)?,
     })
 }
 
@@ -395,8 +347,8 @@ fn encode_machine<S: Sink>(e: &mut Enc<S>, m: &MachineSnapshot) {
 
 fn machine_from_json(v: &Json) -> DecodeResult<MachineSnapshot> {
     Ok(MachineSnapshot {
-        zones: get_arr(v, "zones")?.iter().map(zone_from_json).collect::<DecodeResult<_>>()?,
-        reservations: get_arr(v, "reservations")?
+        zones: v.arr_of("zones")?.iter().map(zone_from_json).collect::<DecodeResult<_>>()?,
+        reservations: v.arr_of("reservations")?
             .iter()
             .map(|r| match r.as_arr() {
                 Some([a, b, c]) => Ok((
@@ -407,7 +359,7 @@ fn machine_from_json(v: &Json) -> DecodeResult<MachineSnapshot> {
                 _ => Err("reservation is not a 3-element array".to_string()),
             })
             .collect::<DecodeResult<_>>()?,
-        reservation_rover: get_u64(v, "reservation_rover")?,
+        reservation_rover: v.u64_of("reservation_rover")?,
     })
 }
 
@@ -431,16 +383,16 @@ fn encode_vma<S: Sink>(e: &mut Enc<S>, vma: &VmaSnapshot) {
 
 fn vma_from_json(v: &Json) -> DecodeResult<VmaSnapshot> {
     Ok(VmaSnapshot {
-        start: get_u64(v, "start")?,
-        len: get_u64(v, "len")?,
-        file: match field(v, "file")? {
+        start: v.u64_of("start")?,
+        len: v.u64_of("len")?,
+        file: match v.field("file")? {
             Json::Null => None,
             other => {
                 let (file, start_page) = decode_pair_u64(other, "vma file")?;
                 Some((u32::try_from(file).map_err(|_| "file id out of range")?, start_page))
             }
         },
-        offsets: get_arr(v, "offsets")?
+        offsets: v.arr_of("offsets")?
             .iter()
             .map(|p| match p.as_arr() {
                 Some([va, off]) => Ok((
@@ -450,7 +402,7 @@ fn vma_from_json(v: &Json) -> DecodeResult<VmaSnapshot> {
                 _ => Err("offset entry is not a 2-element array".to_string()),
             })
             .collect::<DecodeResult<_>>()?,
-        replacement_claimed: get_bool(v, "replacement_claimed")?,
+        replacement_claimed: v.bool_of("replacement_claimed")?,
     })
 }
 
@@ -463,7 +415,7 @@ fn encode_stats<S: Sink>(e: &mut Enc<S>, s: &FaultStatsSnapshot) {
 }
 
 fn stats_from_json(v: &Json) -> DecodeResult<FaultStatsSnapshot> {
-    let raw = get_arr(v, "counters")?;
+    let raw = v.arr_of("counters")?;
     if raw.len() != 8 {
         return Err("fault stats must have 8 counters".into());
     }
@@ -473,11 +425,8 @@ fn stats_from_json(v: &Json) -> DecodeResult<FaultStatsSnapshot> {
     }
     Ok(FaultStatsSnapshot {
         counters,
-        latencies_ns: get_arr(v, "latencies_ns")?
-            .iter()
-            .map(|l| as_u64(l, "latency"))
-            .collect::<DecodeResult<_>>()?,
-        record_latencies: get_bool(v, "record_latencies")?,
+        latencies_ns: u64s(v.field("latencies_ns")?, "latency")?,
+        record_latencies: v.bool_of("record_latencies")?,
     })
 }
 
@@ -506,10 +455,10 @@ fn encode_process<S: Sink>(e: &mut Enc<S>, p: &ProcessSnapshot) {
 
 fn process_from_json(v: &Json) -> DecodeResult<ProcessSnapshot> {
     Ok(ProcessSnapshot {
-        pid: get_u32(v, "pid")?,
-        pt_levels: get_u32(v, "pt_levels")?,
-        vmas: get_arr(v, "vmas")?.iter().map(vma_from_json).collect::<DecodeResult<_>>()?,
-        mappings: get_arr(v, "mappings")?
+        pid: v.u32_of("pid")?,
+        pt_levels: v.u32_of("pt_levels")?,
+        vmas: v.arr_of("vmas")?.iter().map(vma_from_json).collect::<DecodeResult<_>>()?,
+        mappings: v.arr_of("mappings")?
             .iter()
             .map(|m| match m.as_arr() {
                 Some([va, pfn, bits, huge]) => Ok((
@@ -526,11 +475,10 @@ fn process_from_json(v: &Json) -> DecodeResult<ProcessSnapshot> {
                 _ => Err("mapping is not a 4-element array".to_string()),
             })
             .collect::<DecodeResult<_>>()?,
-        stats: stats_from_json(field(v, "stats")?)?,
-        // Absent before version 5: processes had no NUMA home node.
-        home: match v.get("home") {
-            None | Some(Json::Null) => None,
-            Some(other) => Some(as_u64(other, "home")?),
+        stats: stats_from_json(v.field("stats")?)?,
+        home: match v.field("home")? {
+            Json::Null => None,
+            other => Some(as_u64(other, "home")?),
         },
     })
 }
@@ -559,21 +507,21 @@ fn encode_page_cache<S: Sink>(e: &mut Enc<S>, pc: &PageCacheSnapshot) {
 
 fn page_cache_from_json(v: &Json) -> DecodeResult<PageCacheSnapshot> {
     Ok(PageCacheSnapshot {
-        mode: match field(v, "mode")?.as_str() {
+        mode: match v.field("mode")?.as_str() {
             Some("default") => CacheAllocMode::Default,
             Some("ca_contiguous") => CacheAllocMode::CaContiguous,
             other => return Err(format!("unknown cache mode {other:?}")),
         },
-        readahead_allocs: get_u64(v, "readahead_allocs")?,
-        files: get_arr(v, "files")?
+        readahead_allocs: v.u64_of("readahead_allocs")?,
+        files: v.arr_of("files")?
             .iter()
             .map(|f| {
                 Ok(FileCacheSnapshot {
-                    pages: get_arr(f, "pages")?
+                    pages: f.arr_of("pages")?
                         .iter()
                         .map(|p| decode_pair_u64(p, "cached page"))
                         .collect::<DecodeResult<_>>()?,
-                    offset: match field(f, "offset")? {
+                    offset: match f.field("offset")? {
                         Json::Null => None,
                         other => Some(other.as_num().ok_or("cache offset is not a number")?),
                     },
@@ -599,15 +547,15 @@ fn encode_recovery_config<S: Sink>(e: &mut Enc<S>, r: &RecoveryConfig) {
 
 fn recovery_config_from_json(v: &Json) -> DecodeResult<RecoveryConfig> {
     Ok(RecoveryConfig {
-        reclaim: get_bool(v, "reclaim")?,
-        compaction: get_bool(v, "compaction")?,
-        max_retries: get_u32(v, "max_retries")?,
-        reclaim_batch: get_u64(v, "reclaim_batch")?,
-        compact_budget: get_u64(v, "compact_budget")?,
-        backoff_base_ns: get_u64(v, "backoff_base_ns")?,
-        backoff_cap_ns: get_u64(v, "backoff_cap_ns")?,
-        backoff_seed: get_u64(v, "backoff_seed")?,
-        max_total_attempts: get_u32(v, "max_total_attempts")?,
+        reclaim: v.bool_of("reclaim")?,
+        compaction: v.bool_of("compaction")?,
+        max_retries: v.u32_of("max_retries")?,
+        reclaim_batch: v.u64_of("reclaim_batch")?,
+        compact_budget: v.u64_of("compact_budget")?,
+        backoff_base_ns: v.u64_of("backoff_base_ns")?,
+        backoff_cap_ns: v.u64_of("backoff_cap_ns")?,
+        backoff_seed: v.u64_of("backoff_seed")?,
+        max_total_attempts: v.u32_of("max_total_attempts")?,
     })
 }
 
@@ -727,24 +675,24 @@ fn encode_daemon_config<S: Sink>(e: &mut Enc<S>, c: &DaemonConfig) {
 
 fn daemon_config_from_json(v: &Json) -> DecodeResult<DaemonConfig> {
     Ok(DaemonConfig {
-        scan_interval: get_u64(v, "scan_interval")?,
-        epoch_budget: get_u64(v, "epoch_budget")?,
-        aggressiveness: u8::try_from(get_u64(v, "aggressiveness")?)
+        scan_interval: v.u64_of("scan_interval")?,
+        epoch_budget: v.u64_of("epoch_budget")?,
+        aggressiveness: u8::try_from(v.u64_of("aggressiveness")?)
             .map_err(|_| "daemon aggressiveness out of range")?,
-        thp_threshold_pages: get_u64(v, "thp_threshold_pages")?,
-        repair_poison: get_bool(v, "repair_poison")?,
-        shed_promote_pct: get_u64(v, "shed_promote_pct")?,
-        shed_compact_pct: get_u64(v, "shed_compact_pct")?,
-        yield_pct: get_u64(v, "yield_pct")?,
-        poison_storm_frames: get_u64(v, "poison_storm_frames")?,
-        backoff_base_ns: get_u64(v, "backoff_base_ns")?,
-        backoff_cap_ns: get_u64(v, "backoff_cap_ns")?,
-        backoff_seed: get_u64(v, "backoff_seed")?,
-        watchdog_vetoes: get_u64(v, "watchdog_vetoes")?,
+        thp_threshold_pages: v.u64_of("thp_threshold_pages")?,
+        repair_poison: v.bool_of("repair_poison")?,
+        shed_promote_pct: v.u64_of("shed_promote_pct")?,
+        shed_compact_pct: v.u64_of("shed_compact_pct")?,
+        yield_pct: v.u64_of("yield_pct")?,
+        poison_storm_frames: v.u64_of("poison_storm_frames")?,
+        backoff_base_ns: v.u64_of("backoff_base_ns")?,
+        backoff_cap_ns: v.u64_of("backoff_cap_ns")?,
+        backoff_seed: v.u64_of("backoff_seed")?,
+        watchdog_vetoes: v.u64_of("watchdog_vetoes")?,
     })
 }
 
-/// Encodes the full mid-epoch daemon state (codec v6): policy, scan
+/// Encodes the full mid-epoch daemon state: policy, scan
 /// cursors, budget, phase, remembered promotion candidates, backoff RNG,
 /// and counters.
 fn encode_daemon<S: Sink>(e: &mut Enc<S>, d: &DaemonState) {
@@ -771,28 +719,28 @@ fn encode_daemon<S: Sink>(e: &mut Enc<S>, d: &DaemonState) {
 
 fn daemon_from_json(v: &Json) -> DecodeResult<DaemonState> {
     Ok(DaemonState {
-        enabled: get_bool(v, "enabled")?,
-        config: daemon_config_from_json(field(v, "config")?)?,
-        compact_node: get_u64(v, "compact_node")?,
-        compact_cursor: get_u64(v, "compact_cursor")?,
-        promote_pid: get_u64(v, "promote_pid")?,
-        promote_va: get_u64(v, "promote_va")?,
-        candidate_cursor: get_u64(v, "candidate_cursor")?,
-        repair_cursor: get_u64(v, "repair_cursor")?,
-        budget_left: get_u64(v, "budget_left")?,
-        phase: DaemonPhase::from_u64(get_u64(v, "phase")?),
-        candidates: get_arr(v, "candidates")?
+        enabled: v.bool_of("enabled")?,
+        config: daemon_config_from_json(v.field("config")?)?,
+        compact_node: v.u64_of("compact_node")?,
+        compact_cursor: v.u64_of("compact_cursor")?,
+        promote_pid: v.u64_of("promote_pid")?,
+        promote_va: v.u64_of("promote_va")?,
+        candidate_cursor: v.u64_of("candidate_cursor")?,
+        repair_cursor: v.u64_of("repair_cursor")?,
+        budget_left: v.u64_of("budget_left")?,
+        phase: DaemonPhase::from_u64(v.u64_of("phase")?),
+        candidates: v.arr_of("candidates")?
             .iter()
             .map(|p| {
                 let (pid, va) = decode_pair_u64(p, "daemon candidate")?;
                 Ok((u32::try_from(pid).map_err(|_| "candidate pid out of range")?, va))
             })
             .collect::<DecodeResult<_>>()?,
-        backoff_rng: get_u64(v, "backoff_rng")?,
-        backoff_until_ns: get_u64(v, "backoff_until_ns")?,
-        yield_streak: get_u64(v, "yield_streak")?,
-        epoch: get_u64(v, "epoch")?,
-        stats: daemon_stats_from_json(field(v, "stats")?)?,
+        backoff_rng: v.u64_of("backoff_rng")?,
+        backoff_until_ns: v.u64_of("backoff_until_ns")?,
+        yield_streak: v.u64_of("yield_streak")?,
+        epoch: v.u64_of("epoch")?,
+        stats: daemon_stats_from_json(v.field("stats")?)?,
     })
 }
 
@@ -878,54 +826,38 @@ pub fn encode_system<S: Sink>(e: &mut Enc<S>, s: &SystemSnapshot) {
 ///
 /// Describes the first missing or ill-typed field.
 pub fn system_from_json(v: &Json) -> DecodeResult<SystemSnapshot> {
-    let lat = field(v, "latency")?;
+    let lat = v.field("latency")?;
     Ok(SystemSnapshot {
-        machine: machine_from_json(field(v, "machine")?)?,
-        processes: get_arr(v, "processes")?
+        machine: machine_from_json(v.field("machine")?)?,
+        processes: v.arr_of("processes")?
             .iter()
             .map(process_from_json)
             .collect::<DecodeResult<_>>()?,
-        page_cache: page_cache_from_json(field(v, "page_cache")?)?,
-        next_pid: get_u32(v, "next_pid")?,
-        thp: get_bool(v, "thp")?,
-        pt_levels: get_u32(v, "pt_levels")?,
-        record_latencies: get_bool(v, "record_latencies")?,
+        page_cache: page_cache_from_json(v.field("page_cache")?)?,
+        next_pid: v.u32_of("next_pid")?,
+        thp: v.bool_of("thp")?,
+        pt_levels: v.u32_of("pt_levels")?,
+        record_latencies: v.bool_of("record_latencies")?,
         latency: LatencyModel {
-            base_ns: get_u64(lat, "base_ns")?,
-            zero_page_ns: get_u64(lat, "zero_page_ns")?,
-            placement_ns: get_u64(lat, "placement_ns")?,
+            base_ns: lat.u64_of("base_ns")?,
+            zero_page_ns: lat.u64_of("zero_page_ns")?,
+            placement_ns: lat.u64_of("placement_ns")?,
         },
-        shared: get_arr(v, "shared")?
+        shared: v.arr_of("shared")?
             .iter()
             .map(|p| {
                 let (pfn, count) = decode_pair_u64(p, "shared entry")?;
                 Ok((pfn, u32::try_from(count).map_err(|_| "share count out of range")?))
             })
             .collect::<DecodeResult<_>>()?,
-        now_ns: get_u64(v, "now_ns")?,
-        recovery: recovery_config_from_json(field(v, "recovery")?)?,
-        recovery_stats: recovery_stats_from_json(field(v, "recovery_stats")?)?,
-        backoff_rng: get_u64(v, "backoff_rng")?,
-        // Absent before version 3: poison injection did not exist.
-        poison_policy: match v.get("poison_policy") {
-            None | Some(Json::Null) => PoisonPolicy::never(),
-            Some(other) => poison_policy_from_json(other)?,
-        },
-        poison_stats: match v.get("poison_stats") {
-            None | Some(Json::Null) => PoisonStats::default(),
-            Some(other) => poison_stats_from_json(other)?,
-        },
-        // Absent before version 5: the machine had no NUMA zone accounting.
-        numa_stats: match v.get("numa_stats") {
-            None | Some(Json::Null) => NumaStats::default(),
-            Some(other) => numa_stats_from_json(other)?,
-        },
-        // Absent before version 6: no background maintenance daemon. The
-        // default is disabled, which is behaviour-identical.
-        daemon: match v.get("daemon") {
-            None | Some(Json::Null) => DaemonState::default(),
-            Some(other) => daemon_from_json(other)?,
-        },
+        now_ns: v.u64_of("now_ns")?,
+        recovery: recovery_config_from_json(v.field("recovery")?)?,
+        recovery_stats: recovery_stats_from_json(v.field("recovery_stats")?)?,
+        backoff_rng: v.u64_of("backoff_rng")?,
+        poison_policy: poison_policy_from_json(v.field("poison_policy")?)?,
+        poison_stats: poison_stats_from_json(v.field("poison_stats")?)?,
+        numa_stats: numa_stats_from_json(v.field("numa_stats")?)?,
+        daemon: daemon_from_json(v.field("daemon")?)?,
     })
 }
 
@@ -957,41 +889,22 @@ pub fn encode_vm<S: Sink>(e: &mut Enc<S>, s: &VmSnapshot) {
 /// Describes the first missing or ill-typed field.
 pub fn vm_from_json(v: &Json) -> DecodeResult<VmSnapshot> {
     Ok(VmSnapshot {
-        guest: system_from_json(field(v, "guest")?)?,
-        host: system_from_json(field(v, "host")?)?,
-        host_pid: get_u32(v, "host_pid")?,
-        host_vma_start: get_u64(v, "host_vma_start")?,
-        host_vma_base: get_u64(v, "host_vma_base")?,
-        // Absent before version 4: ballooning and KSM did not exist.
-        balloon: match v.get("balloon") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(other) => other
-                .as_arr()
-                .ok_or("field `balloon` is not an array")?
-                .iter()
-                .map(|g| as_u64(g, "balloon frame"))
-                .collect::<DecodeResult<_>>()?,
-        },
-        sharing: match v.get("sharing") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(other) => other
-                .as_arr()
-                .ok_or("field `sharing` is not an array")?
-                .iter()
-                .map(|rec| match rec.as_arr() {
-                    Some([pfn, gframes]) => Ok((
-                        as_u64(pfn, "sharing pfn")?,
-                        gframes
-                            .as_arr()
-                            .ok_or("sharing members is not an array")?
-                            .iter()
-                            .map(|g| as_u64(g, "sharing gframe"))
-                            .collect::<DecodeResult<_>>()?,
-                    )),
-                    _ => Err("sharing record is not a 2-element array".to_string()),
-                })
-                .collect::<DecodeResult<_>>()?,
-        },
+        guest: system_from_json(v.field("guest")?)?,
+        host: system_from_json(v.field("host")?)?,
+        host_pid: v.u32_of("host_pid")?,
+        host_vma_start: v.u64_of("host_vma_start")?,
+        host_vma_base: v.u64_of("host_vma_base")?,
+        balloon: u64s(v.field("balloon")?, "balloon frame")?,
+        sharing: v
+            .arr_of("sharing")?
+            .iter()
+            .map(|rec| match rec.as_arr() {
+                Some([pfn, gframes]) => {
+                    Ok((as_u64(pfn, "sharing pfn")?, u64s(gframes, "sharing gframe")?))
+                }
+                _ => Err("sharing record is not a 2-element array".to_string()),
+            })
+            .collect::<DecodeResult<_>>()?,
     })
 }
 
@@ -1078,18 +991,18 @@ fn encode_cache<S: Sink>(e: &mut Enc<S>, c: &CacheSnapshot) {
 
 fn cache_from_json(v: &Json) -> DecodeResult<CacheSnapshot> {
     let snap = CacheSnapshot {
-        sets: get_u64(v, "sets")?,
-        ways: get_u64(v, "ways")?,
-        slots: get_arr(v, "slots")?
+        sets: v.u64_of("sets")?,
+        ways: v.u64_of("ways")?,
+        slots: v.arr_of("slots")?
             .iter()
             .map(|slot| match slot {
                 Json::Null => Ok(None),
                 other => decode_pair_u64(other, "cache slot").map(Some),
             })
             .collect::<DecodeResult<_>>()?,
-        tick: get_u64(v, "tick")?,
-        hits: get_u64(v, "hits")?,
-        misses: get_u64(v, "misses")?,
+        tick: v.u64_of("tick")?,
+        hits: v.u64_of("hits")?,
+        misses: v.u64_of("misses")?,
     };
     snap.validate()?;
     Ok(snap)
@@ -1114,7 +1027,7 @@ pub fn encode_tlb<S: Sink>(e: &mut Enc<S>, s: &TlbSnapshot) {
 /// whose image no cache can have produced ([`CacheSnapshot::validate`]), so
 /// `TlbHierarchy::from_snapshot` accepts whatever this returns.
 pub fn tlb_from_json(v: &Json) -> DecodeResult<TlbSnapshot> {
-    let raw = get_arr(v, "counters")?;
+    let raw = v.arr_of("counters")?;
     if raw.len() != 4 {
         return Err("tlb counters must have 4 entries".into());
     }
@@ -1123,9 +1036,9 @@ pub fn tlb_from_json(v: &Json) -> DecodeResult<TlbSnapshot> {
         *slot = as_u64(val, "tlb counter")?;
     }
     Ok(TlbSnapshot {
-        l1_4k: cache_from_json(field(v, "l1_4k")?)?,
-        l1_2m: cache_from_json(field(v, "l1_2m")?)?,
-        l2: cache_from_json(field(v, "l2")?)?,
+        l1_4k: cache_from_json(v.field("l1_4k")?)?,
+        l1_2m: cache_from_json(v.field("l1_2m")?)?,
+        l2: cache_from_json(v.field("l2")?)?,
         counters,
     })
 }
@@ -1152,25 +1065,28 @@ pub fn encode_vm_file(snap: &VmSnapshot) -> String {
 ///
 /// # Errors
 ///
-/// Rejects missing headers, unknown format tags, newer versions, digest
-/// mismatches (corruption), and malformed payloads.
+/// Rejects missing headers, unknown format tags, any version but
+/// [`SNAPSHOT_VERSION`], digest mismatches (corruption), malformed payloads,
+/// and anything but blank lines after the payload.
 pub fn decode_vm_file(text: &str) -> DecodeResult<VmSnapshot> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header_line = lines.next().ok_or("empty snapshot file")?;
     let payload_line = lines.next().ok_or("snapshot file has no payload line")?;
+    if lines.next().is_some() {
+        return Err("trailing data after payload line".into());
+    }
     let header = parse(header_line).map_err(|e| format!("bad header: {e}"))?;
-    match field(&header, "format")?.as_str() {
+    match header.field("format")?.as_str() {
         Some(SNAPSHOT_FORMAT) => {}
         other => return Err(format!("not a snapshot file (format {other:?})")),
     }
-    let version = field(&header, "version")?.as_num().ok_or("version is not a number")?;
-    if !(SNAPSHOT_MIN_VERSION..=SNAPSHOT_VERSION).contains(&version) {
+    let version = header.field("version")?.as_num().ok_or("version is not a number")?;
+    if version != SNAPSHOT_VERSION {
         return Err(format!(
-            "snapshot version {version} unsupported (decoder speaks \
-             {SNAPSHOT_MIN_VERSION}..={SNAPSHOT_VERSION})"
+            "snapshot version {version} unsupported (decoder speaks {SNAPSHOT_VERSION})"
         ));
     }
-    let want = get_u64(&header, "digest")?;
+    let want = header.u64_of("digest")?;
     let got = fnv1a64(payload_line.as_bytes());
     if want != got {
         return Err(format!("digest mismatch: header {want:#x}, payload {got:#x}"));

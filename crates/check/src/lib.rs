@@ -5,9 +5,9 @@
 //! `contig-mm`/`contig-virt`/`contig-buddy`/`contig-tlb` export plain-data
 //! snapshot types and exact `restore` constructors; this crate gives them
 //!
-//! - a **versioned JSONL codec** ([`codec`]) with a hand-rolled,
-//!   dependency-free JSON model ([`json`]) whose canonical encoding is safe
-//!   to hash,
+//! - a **versioned JSONL codec** ([`codec`]) over the workspace's one
+//!   hand-rolled JSON model (`contig_types::json`, re-exported here as
+//!   [`json`]) whose canonical encoding is safe to hash,
 //! - **FNV-1a-64 state digests** ([`digest`]) so "recovered exactly" is a
 //!   single integer comparison,
 //! - a **seeded torture runner** ([`torture`]) that drives the whole
@@ -32,7 +32,6 @@
 
 pub mod codec;
 pub mod digest;
-pub mod json;
 pub mod minimize;
 pub mod replay;
 pub mod torture;
@@ -40,10 +39,10 @@ pub mod torture;
 pub use codec::{
     decode_vm_file, encode_fleet, encode_system, encode_tlb, encode_vm, encode_vm_file,
     read_vm_file, system_from_json, tlb_from_json, vm_from_json, write_vm_file,
-    SnapshotGuestCodec, SNAPSHOT_FORMAT, SNAPSHOT_MIN_VERSION, SNAPSHOT_VERSION,
+    SnapshotGuestCodec, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
 pub use digest::{digest_fleet, digest_system, digest_tlb, digest_vm, fnv1a64, fold_digests};
-pub use json::Json;
+pub use contig_types::json::{self, Json};
 pub use minimize::{minimize, Minimized};
 pub use replay::{decode_repro, encode_repro, read_repro, write_repro, REPRO_FORMAT, REPRO_VERSION};
 pub use torture::{

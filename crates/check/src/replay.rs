@@ -113,74 +113,56 @@ fn op_to_json(op: &TortureOp) -> Json {
     }
 }
 
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-u64 field `{key}`"))
-}
-
-fn get_bool(v: &Json, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing or non-bool field `{key}`"))
-}
-
 fn op_from_json(v: &Json) -> Result<TortureOp, String> {
-    let name = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or("op line has no `op` tag")?;
+    let name = v.str_of("op")?;
     Ok(match name {
-        "map_anon" => TortureOp::MapAnon { sel: get_u64(v, "sel")?, pages: get_u64(v, "pages")? },
-        "map_file" => TortureOp::MapFile { sel: get_u64(v, "sel")?, pages: get_u64(v, "pages")? },
-        "touch" => TortureOp::Touch { sel: get_u64(v, "sel")?, page: get_u64(v, "page")? },
+        "map_anon" => TortureOp::MapAnon { sel: v.u64_of("sel")?, pages: v.u64_of("pages")? },
+        "map_file" => TortureOp::MapFile { sel: v.u64_of("sel")?, pages: v.u64_of("pages")? },
+        "touch" => TortureOp::Touch { sel: v.u64_of("sel")?, page: v.u64_of("page")? },
         "touch_write" => {
-            TortureOp::TouchWrite { sel: get_u64(v, "sel")?, page: get_u64(v, "page")? }
+            TortureOp::TouchWrite { sel: v.u64_of("sel")?, page: v.u64_of("page")? }
         }
-        "populate" => TortureOp::Populate { sel: get_u64(v, "sel")? },
-        "fork" => TortureOp::Fork { sel: get_u64(v, "sel")? },
-        "exit_proc" => TortureOp::ExitProc { sel: get_u64(v, "sel")? },
+        "populate" => TortureOp::Populate { sel: v.u64_of("sel")? },
+        "fork" => TortureOp::Fork { sel: v.u64_of("sel")? },
+        "exit_proc" => TortureOp::ExitProc { sel: v.u64_of("sel")? },
         "set_faults" => TortureOp::SetFaults {
-            host: get_bool(v, "host")?,
-            rate_ppm: u32::try_from(get_u64(v, "rate_ppm")?)
-                .map_err(|_| "rate_ppm out of range")?,
-            seed: get_u64(v, "seed")?,
+            host: v.bool_of("host")?,
+            rate_ppm: v.u32_of("rate_ppm")?,
+            seed: v.u64_of("seed")?,
         },
         "clear_faults" => TortureOp::ClearFaults,
         "poison_frame" => {
-            TortureOp::PoisonFrame { host: get_bool(v, "host")?, sel: get_u64(v, "sel")? }
+            TortureOp::PoisonFrame { host: v.bool_of("host")?, sel: v.u64_of("sel")? }
         }
         "soft_offline" => {
-            TortureOp::SoftOffline { host: get_bool(v, "host")?, sel: get_u64(v, "sel")? }
+            TortureOp::SoftOffline { host: v.bool_of("host")?, sel: v.u64_of("sel")? }
         }
         "set_poison" => TortureOp::SetPoison {
-            host: get_bool(v, "host")?,
-            rate_ppm: u32::try_from(get_u64(v, "rate_ppm")?)
-                .map_err(|_| "rate_ppm out of range")?,
-            seed: get_u64(v, "seed")?,
+            host: v.bool_of("host")?,
+            rate_ppm: v.u32_of("rate_ppm")?,
+            seed: v.u64_of("seed")?,
         },
         "clear_poison" => TortureOp::ClearPoison,
-        "migrate" => TortureOp::Migrate { seed: get_u64(v, "seed")? },
+        "migrate" => TortureOp::Migrate { seed: v.u64_of("seed")? },
         "set_transport" => TortureOp::SetTransport {
-            rate_ppm: u32::try_from(get_u64(v, "rate_ppm")?)
-                .map_err(|_| "rate_ppm out of range")?,
-            seed: get_u64(v, "seed")?,
+            rate_ppm: v.u32_of("rate_ppm")?,
+            seed: v.u64_of("seed")?,
         },
         "clear_transport" => TortureOp::ClearTransport,
         "fleet_write" => TortureOp::FleetWrite {
-            sel: get_u64(v, "sel")?,
-            page: get_u64(v, "page")?,
-            tag: get_u64(v, "tag")?,
+            sel: v.u64_of("sel")?,
+            page: v.u64_of("page")?,
+            tag: v.u64_of("tag")?,
         },
-        "fleet_read" => TortureOp::FleetRead { sel: get_u64(v, "sel")?, page: get_u64(v, "page")? },
+        "fleet_read" => TortureOp::FleetRead { sel: v.u64_of("sel")?, page: v.u64_of("page")? },
         "fleet_discard" => {
-            TortureOp::FleetDiscard { sel: get_u64(v, "sel")?, page: get_u64(v, "page")? }
+            TortureOp::FleetDiscard { sel: v.u64_of("sel")?, page: v.u64_of("page")? }
         }
         "fleet_step" => TortureOp::FleetStep,
         "daemon_tick" => TortureOp::DaemonTick,
         "set_daemon_policy" => TortureOp::SetDaemonPolicy {
-            level: get_u64(v, "level")?,
-            budget: get_u64(v, "budget")?,
+            level: v.u64_of("level")?,
+            budget: v.u64_of("budget")?,
         },
         other => return Err(format!("unknown op `{other}`")),
     })
@@ -246,14 +228,14 @@ pub fn decode_repro(text: &str) -> Result<(TortureConfig, Vec<TortureOp>), Strin
         ));
     }
     let usize_field = |key: &str| -> Result<usize, String> {
-        usize::try_from(get_u64(&header, key)?).map_err(|_| format!("`{key}` out of range"))
+        usize::try_from(header.u64_of(key)?).map_err(|_| format!("`{key}` out of range"))
     };
     let mut cfg = TortureConfig {
-        seed: get_u64(&header, "seed")?,
+        seed: header.u64_of("seed")?,
         ops: usize_field("ops")?,
-        guest_mib: get_u64(&header, "guest_mib")?,
-        host_mib: get_u64(&header, "host_mib")?,
-        faults: get_bool(&header, "faults")?,
+        guest_mib: header.u64_of("guest_mib")?,
+        host_mib: header.u64_of("host_mib")?,
+        faults: header.bool_of("faults")?,
         sweep_interval: usize_field("sweep_interval")?,
         audit_interval: usize_field("audit_interval")?,
         snapshot_interval: usize_field("snapshot_interval")?,
@@ -264,7 +246,7 @@ pub fn decode_repro(text: &str) -> Result<(TortureConfig, Vec<TortureOp>), Strin
                     .map_err(|_| "crash_interval out of range")?,
             ),
         },
-        inject_model_bug: get_bool(&header, "inject_model_bug")?,
+        inject_model_bug: header.bool_of("inject_model_bug")?,
         // Absent in repro files written before the hwpoison subsystem:
         // default off so old artifacts replay byte-identically.
         poison: header.get("poison").and_then(Json::as_bool).unwrap_or(false),

@@ -46,13 +46,14 @@ impl CoverageStats {
         self.lens.len()
     }
 
+    /// Bytes covered by the `k` largest mappings.
+    pub fn top_k_bytes(&self, k: usize) -> u64 {
+        self.lens.iter().take(k).sum()
+    }
+
     /// Fraction of the footprint covered by the `k` largest mappings.
     pub fn top_k_coverage(&self, k: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let covered: u64 = self.lens.iter().take(k).sum();
-        covered as f64 / self.total as f64
+        fraction(self.top_k_bytes(k), self.total)
     }
 
     /// Smallest number of mappings covering at least `coverage` of the
@@ -83,26 +84,40 @@ impl CoverageStats {
     }
 }
 
+/// `covered / total` as a coverage fraction; 0 for an empty footprint.
+fn fraction(covered: u64, total: u64) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    covered as f64 / total as f64
+}
+
 /// A point in a contiguity timeline (Fig. 1c, Fig. 10): coverage sampled at
 /// a simulated instant.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimelinePoint {
     /// Sample position (faults serviced, epochs run, or simulated ns —
     /// whatever the experiment sweeps).
     pub t: u64,
-    /// Top-32 coverage at the sample.
-    pub top32: f64,
+    /// Bytes covered by the 32 largest mappings at the sample.
+    pub top32_bytes: u64,
     /// Footprint mapped so far, bytes.
     pub mapped_bytes: u64,
 }
 
 impl TimelinePoint {
+    /// Top-32 coverage at the sample: [`CoverageStats::top_k_coverage`]`(32)`
+    /// of the footprint it was taken from, by the same division.
+    pub fn top32(&self) -> f64 {
+        fraction(self.top32_bytes, self.mapped_bytes)
+    }
+
     /// The trace event carrying this sample, for emission through a
     /// [`contig_trace::Tracer`] and recovery via [`TimelinePoint::from_event`].
     pub fn to_event(self) -> contig_trace::TraceEvent {
         contig_trace::TraceEvent::TimelinePoint {
             t: self.t,
-            top32: self.top32,
+            top32_bytes: self.top32_bytes,
             mapped_bytes: self.mapped_bytes,
         }
     }
@@ -111,8 +126,8 @@ impl TimelinePoint {
     /// `None` for any other event kind.
     pub fn from_event(event: &contig_trace::TraceEvent) -> Option<Self> {
         match *event {
-            contig_trace::TraceEvent::TimelinePoint { t, top32, mapped_bytes } => {
-                Some(Self { t, top32, mapped_bytes })
+            contig_trace::TraceEvent::TimelinePoint { t, top32_bytes, mapped_bytes } => {
+                Some(Self { t, top32_bytes, mapped_bytes })
             }
             _ => None,
         }
@@ -180,11 +195,13 @@ mod tests {
     #[test]
     fn timeline_points_round_trip_through_jsonl() {
         let points = vec![
-            TimelinePoint { t: 0, top32: 0.0, mapped_bytes: 0 },
-            TimelinePoint { t: 100, top32: 0.5, mapped_bytes: 8 << 20 },
-            TimelinePoint { t: 200, top32: 0.984375, mapped_bytes: 16 << 20 },
-            TimelinePoint { t: 300, top32: 1.0, mapped_bytes: 32 << 20 },
+            TimelinePoint { t: 0, top32_bytes: 0, mapped_bytes: 0 },
+            TimelinePoint { t: 100, top32_bytes: 4 << 20, mapped_bytes: 8 << 20 },
+            TimelinePoint { t: 200, top32_bytes: 63 << 18, mapped_bytes: 16 << 20 },
+            TimelinePoint { t: 300, top32_bytes: 32 << 20, mapped_bytes: 32 << 20 },
         ];
+        let coverages: Vec<f64> = points.iter().map(TimelinePoint::top32).collect();
+        assert_eq!(coverages, [0.0, 0.5, 0.984375, 1.0]);
         let session = contig_trace::TraceSession::ring(0);
         let tracer = session.tracer();
         for p in &points {

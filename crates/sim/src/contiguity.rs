@@ -334,7 +334,7 @@ mod tests {
         // Compare coverage midway through the allocation phase.
         let midway = |run: &ContiguityRun| {
             let mid = run.timeline.len() / 2;
-            run.timeline[mid].top32
+            run.timeline[mid].top32()
         };
         assert!(
             midway(&ca) > midway(&ranger),

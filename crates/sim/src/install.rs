@@ -196,7 +196,7 @@ pub(crate) fn population_groups(is_file: &[bool], ranges: &[VirtRange]) -> Vec<V
 pub fn sample_native(sys: &System, pid: Pid, t: u64) -> TimelinePoint {
     let maps = contiguous_mappings(sys.aspace(pid).page_table());
     let cov = CoverageStats::from_mappings(&maps);
-    TimelinePoint { t, top32: cov.top_k_coverage(32), mapped_bytes: cov.total_bytes() }
+    TimelinePoint { t, top32_bytes: cov.top_k_bytes(32), mapped_bytes: cov.total_bytes() }
 }
 
 /// Installs a workload into the guest of a VM.
@@ -264,7 +264,7 @@ pub fn populate_vm(
 pub fn sample_vm(vm: &VirtualMachine, pid: Pid, t: u64) -> TimelinePoint {
     let maps = contig_virt::two_dimensional_mappings(vm, pid);
     let cov = CoverageStats::from_mappings(&maps);
-    TimelinePoint { t, top32: cov.top_k_coverage(32), mapped_bytes: cov.total_bytes() }
+    TimelinePoint { t, top32_bytes: cov.top_k_bytes(32), mapped_bytes: cov.total_bytes() }
 }
 
 #[cfg(test)]

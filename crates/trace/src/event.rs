@@ -2,6 +2,13 @@
 //! variants. Events are small `Copy`-friendly structs of raw integers so the
 //! hot paths never allocate; higher-level types (`VirtAddr`, `Pfn`) are
 //! lowered to their `u64` representation at the probe site.
+//!
+//! Each event is declared once, in the `trace_events!` table below: its
+//! documentation, wire name, variant and `field: type` list. The enum, the
+//! name lookup and both directions of the JSONL field codec are expanded from
+//! that one declaration, so they cannot disagree.
+
+use contig_types::json::{Enc, Json, Sink};
 
 /// Which translation dimension produced an event in a virtualized run.
 ///
@@ -112,19 +119,24 @@ impl RecoveryStage {
         RecoveryStage::Livelock,
     ];
 
+    /// The stage's event name, `recovery.<suffix>`.
+    pub fn name(self) -> &'static str {
+        match self {
+            RecoveryStage::OomEvent => "recovery.oom_event",
+            RecoveryStage::ReclaimPass => "recovery.reclaim_pass",
+            RecoveryStage::CompactionPass => "recovery.compaction_pass",
+            RecoveryStage::Retry => "recovery.retry",
+            RecoveryStage::OrderBackoff => "recovery.order_backoff",
+            RecoveryStage::ReadaheadShrink => "recovery.readahead_shrink",
+            RecoveryStage::RecoveredFault => "recovery.recovered_fault",
+            RecoveryStage::HardOom => "recovery.hard_oom",
+            RecoveryStage::Livelock => "recovery.livelock",
+        }
+    }
+
     /// The stage's suffix inside the event name (`recovery.<suffix>`).
     pub fn as_str(self) -> &'static str {
-        match self {
-            RecoveryStage::OomEvent => "oom_event",
-            RecoveryStage::ReclaimPass => "reclaim_pass",
-            RecoveryStage::CompactionPass => "compaction_pass",
-            RecoveryStage::Retry => "retry",
-            RecoveryStage::OrderBackoff => "order_backoff",
-            RecoveryStage::ReadaheadShrink => "readahead_shrink",
-            RecoveryStage::RecoveredFault => "recovered_fault",
-            RecoveryStage::HardOom => "hard_oom",
-            RecoveryStage::Livelock => "livelock",
-        }
+        &self.name()["recovery.".len()..]
     }
 
     /// Parses the suffix back.
@@ -183,21 +195,26 @@ impl DaemonStage {
         DaemonStage::Policy,
     ];
 
+    /// The stage's event name, `daemon.<suffix>`.
+    pub fn name(self) -> &'static str {
+        match self {
+            DaemonStage::Tick => "daemon.tick",
+            DaemonStage::Epoch => "daemon.epoch",
+            DaemonStage::CompactMove => "daemon.compact_move",
+            DaemonStage::Promote => "daemon.promote",
+            DaemonStage::PromoteFail => "daemon.promote_fail",
+            DaemonStage::Repair => "daemon.repair",
+            DaemonStage::ShedPromote => "daemon.shed_promote",
+            DaemonStage::ShedCompact => "daemon.shed_compact",
+            DaemonStage::Backoff => "daemon.backoff",
+            DaemonStage::Yield => "daemon.yield",
+            DaemonStage::Policy => "daemon.policy",
+        }
+    }
+
     /// The stage's suffix inside the event name (`daemon.<suffix>`).
     pub fn as_str(self) -> &'static str {
-        match self {
-            DaemonStage::Tick => "tick",
-            DaemonStage::Epoch => "epoch",
-            DaemonStage::CompactMove => "compact_move",
-            DaemonStage::Promote => "promote",
-            DaemonStage::PromoteFail => "promote_fail",
-            DaemonStage::Repair => "repair",
-            DaemonStage::ShedPromote => "shed_promote",
-            DaemonStage::ShedCompact => "shed_compact",
-            DaemonStage::Backoff => "backoff",
-            DaemonStage::Yield => "yield",
-            DaemonStage::Policy => "policy",
-        }
+        &self.name()["daemon.".len()..]
     }
 
     /// Parses the suffix back.
@@ -206,42 +223,217 @@ impl DaemonStage {
     }
 }
 
-/// A structured trace event. See each variant for the probe site emitting it.
-///
-/// Event *names* are `subsystem.kind` strings ([`TraceEvent::name`]); the
-/// metrics registry counts emissions under exactly that name, so trace files
-/// and counter totals can be cross-checked event-kind by event-kind.
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
+/// How one payload field type crosses the JSONL wire, and what a test sample
+/// of it looks like.
+trait Field: Sized {
+    /// Writes the value; the caller has written the key.
+    fn write<S: Sink>(&self, e: &mut Enc<S>);
+    /// Reads the member of `obj` named `key`, which must be there.
+    fn read(obj: &Json, key: &str) -> Result<Self, String>;
+    /// A value that differs from one `n` to the next.
+    fn sample(n: u64) -> Self;
+}
+
+impl Field for u64 {
+    fn write<S: Sink>(&self, e: &mut Enc<S>) {
+        e.num(*self);
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, String> {
+        obj.u64_of(key)
+    }
+    fn sample(n: u64) -> Self {
+        // Odd multiplier: distinct per `n`, and most samples need all 64 bits.
+        n.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+    }
+}
+
+impl Field for u32 {
+    fn write<S: Sink>(&self, e: &mut Enc<S>) {
+        e.num(*self);
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, String> {
+        obj.u32_of(key)
+    }
+    fn sample(n: u64) -> Self {
+        (u64::sample(n) >> 32) as u32
+    }
+}
+
+impl Field for bool {
+    fn write<S: Sink>(&self, e: &mut Enc<S>) {
+        e.bool(*self);
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, String> {
+        obj.bool_of(key)
+    }
+    fn sample(n: u64) -> Self {
+        n % 2 == 1
+    }
+}
+
+impl Field for FaultClass {
+    fn write<S: Sink>(&self, e: &mut Enc<S>) {
+        e.str(self.as_str());
+    }
+    fn read(obj: &Json, key: &str) -> Result<Self, String> {
+        let tag = obj.str_of(key)?;
+        FaultClass::from_tag(tag).ok_or_else(|| format!("unknown fault class `{tag}`"))
+    }
+    fn sample(n: u64) -> Self {
+        [FaultClass::Anon, FaultClass::Cow, FaultClass::File][(n % 3) as usize]
+    }
+}
+
+/// The member name a field has on the wire: its own, unless the table gives
+/// another (`seq` is the record's, so a chunk's `seq` travels as `chunk`).
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// The event table. An entry is `docs "wire.name" Variant { docs field: type,
+/// … }`; after `staged:` come the events whose name is spelled by their first
+/// field, `stage`, which is therefore not a payload member. Expands to
+/// [`TraceEvent`], [`TraceEvent::name`], the payload writer and reader the
+/// JSONL exporter uses, and [`TraceEvent::samples`].
+macro_rules! trace_events {
+    (
+        $(
+            $(#[$doc:meta])*
+            $name:literal $variant:ident {
+                $( $(#[$fdoc:meta])* $field:ident $(= $key:literal)? : $ty:ty, )*
+            },
+        )*
+        staged:
+        $(
+            $(#[$sdoc:meta])*
+            $svariant:ident {
+                $(#[$stage_doc:meta])* stage: $stage:ty,
+                $( $(#[$sfdoc:meta])* $sfield:ident : $sty:ty, )*
+            },
+        )*
+    ) => {
+        /// A structured trace event. See each variant for the probe site emitting it.
+        ///
+        /// Event *names* are `subsystem.kind` strings ([`TraceEvent::name`]); the
+        /// metrics registry counts emissions under exactly that name, so trace files
+        /// and counter totals can be cross-checked event-kind by event-kind.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum TraceEvent {
+            $( $(#[$doc])* $variant { $( $(#[$fdoc])* $field: $ty, )* }, )*
+            $(
+                $(#[$sdoc])*
+                $svariant {
+                    $(#[$stage_doc])* stage: $stage,
+                    $( $(#[$sfdoc])* $sfield: $sty, )*
+                },
+            )*
+        }
+
+        impl TraceEvent {
+            /// The event's full name, `subsystem.kind`. Stable: exporters, the
+            /// metrics registry, and report tables all key on this string.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( TraceEvent::$variant { .. } => $name, )*
+                    $( TraceEvent::$svariant { stage, .. } => stage.name(), )*
+                }
+            }
+
+            /// Writes the payload members, in declaration order.
+            pub(crate) fn write_fields<S: Sink>(&self, e: &mut Enc<S>) {
+                match self {
+                    $( TraceEvent::$variant { $( $field, )* } => {
+                        $( $field.write(e.key(wire_key!($field $($key)?))); )*
+                    } )*
+                    $( TraceEvent::$svariant { stage: _, $( $sfield, )* } => {
+                        $( $sfield.write(e.key(stringify!($sfield))); )*
+                    } )*
+                }
+            }
+
+            /// The event called `name` with its payload members read from
+            /// `obj`, and how many payload members it declares.
+            pub(crate) fn read(name: &str, obj: &Json) -> Result<(TraceEvent, usize), String> {
+                match name {
+                    $( $name => Ok((
+                        TraceEvent::$variant {
+                            $( $field: Field::read(obj, wire_key!($field $($key)?))?, )*
+                        },
+                        [$( stringify!($field) ),*].len(),
+                    )), )*
+                    _ => {
+                        $( if let Some(stage) = <$stage>::ALL.into_iter().find(|s| s.name() == name) {
+                            return Ok((
+                                TraceEvent::$svariant {
+                                    stage,
+                                    $( $sfield: Field::read(obj, stringify!($sfield))?, )*
+                                },
+                                [$( stringify!($sfield) ),*].len(),
+                            ));
+                        } )*
+                        Err(format!("unknown event `{name}`"))
+                    }
+                }
+            }
+
+            /// One event of every kind — every stage of the staged ones — with
+            /// field values that differ from each other, straight from the
+            /// event table: what a round-trip test iterates over, so an event
+            /// cannot be added without being covered by it.
+            pub fn samples() -> Vec<TraceEvent> {
+                let mut n = 0;
+                let mut next = || {
+                    n += 1;
+                    n
+                };
+                let mut all = vec![
+                    $( TraceEvent::$variant { $( $field: Field::sample(next()), )* }, )*
+                ];
+                $( all.extend(<$stage>::ALL.into_iter().map(|stage| TraceEvent::$svariant {
+                    stage,
+                    $( $sfield: Field::sample(next()), )*
+                })); )*
+                all
+            }
+        }
+    };
+}
+
+trace_events! {
     /// `buddy.alloc` — an untargeted buddy allocation succeeded.
-    Alloc {
+    "buddy.alloc" Alloc {
         /// Buddy order allocated.
         order: u32,
         /// Head frame of the block.
         pfn: u64,
     },
     /// `buddy.alloc_failed` — an untargeted allocation found no free block.
-    AllocFailed {
+    "buddy.alloc_failed" AllocFailed {
         /// Buddy order requested.
         order: u32,
     },
     /// `buddy.targeted_alloc` — a CA-paging targeted allocation claimed its
     /// exact frame.
-    TargetedAlloc {
+    "buddy.targeted_alloc" TargetedAlloc {
         /// Frame claimed.
         target: u64,
         /// Buddy order claimed.
         order: u32,
     },
     /// `buddy.targeted_miss` — the targeted frame was busy.
-    TargetedMiss {
+    "buddy.targeted_miss" TargetedMiss {
         /// Frame that was busy.
         target: u64,
         /// Buddy order requested.
         order: u32,
     },
     /// `buddy.free` — a block returned to the free lists.
-    Free {
+    "buddy.free" Free {
         /// Head frame freed.
         pfn: u64,
         /// Buddy order freed.
@@ -249,14 +441,14 @@ pub enum TraceEvent {
     },
     /// `inject.failure` — the installed `FailPolicy` vetoed an allocation
     /// attempt before the allocator looked at its free lists.
-    InjectedFailure {
+    "inject.failure" InjectedFailure {
         /// Buddy order of the vetoed attempt.
         order: u32,
         /// Whether the attempt was a targeted (`alloc_specific`) one.
         targeted: bool,
     },
     /// `mm.fault_enter` — the fault driver started servicing a fault.
-    FaultEnter {
+    "mm.fault_enter" FaultEnter {
         /// Faulting process.
         pid: u32,
         /// Faulting virtual address.
@@ -265,7 +457,7 @@ pub enum TraceEvent {
         class: FaultClass,
     },
     /// `mm.fault_exit` — the fault completed successfully.
-    FaultExit {
+    "mm.fault_exit" FaultExit {
         /// Faulting process.
         pid: u32,
         /// Faulting virtual address.
@@ -276,21 +468,21 @@ pub enum TraceEvent {
         latency_ns: u64,
     },
     /// `mm.fault_failed` — the fault surfaced a typed error.
-    FaultFailed {
+    "mm.fault_failed" FaultFailed {
         /// Faulting process.
         pid: u32,
         /// Faulting virtual address.
         va: u64,
     },
     /// `mm.cow_break` — a copy-on-write share was broken by a private copy.
-    CowBreak {
+    "mm.cow_break" CowBreak {
         /// Writing process.
         pid: u32,
         /// Written virtual address.
         va: u64,
     },
     /// `mm.readahead` — a file fault populated a readahead window.
-    Readahead {
+    "mm.readahead" Readahead {
         /// File identifier.
         file: u64,
         /// First file page index of the window.
@@ -300,7 +492,7 @@ pub enum TraceEvent {
     },
     /// `mm.zone_fallback` — a home-node allocation spilled to another
     /// NUMA node (the home zone was exhausted).
-    ZoneFallback {
+    "mm.zone_fallback" ZoneFallback {
         /// The faulting process's home node.
         home: u64,
         /// The node the frame actually came from.
@@ -310,7 +502,7 @@ pub enum TraceEvent {
     },
     /// `mm.zone_migrate` — an inter-zone page migration: a mapped page was
     /// copied to a frame on another node and remapped.
-    ZoneMigrate {
+    "mm.zone_migrate" ZoneMigrate {
         /// Owning process.
         pid: u32,
         /// Migrated virtual address (page-aligned).
@@ -320,6 +512,329 @@ pub enum TraceEvent {
         /// Node the new frame lives on.
         to: u64,
     },
+    /// `ca.placement` — CA paging ran a placement decision over the
+    /// contiguity map.
+    "ca.placement" Placement {
+        /// Contiguity ambition of the search, bytes.
+        key_bytes: u64,
+        /// Frame the decision targets for the current fault.
+        target: u64,
+        /// Whether pressure degraded the ambition below the remaining VMA.
+        degraded: bool,
+    },
+    /// `ca.target_busy` — a targeted frame was busy; CA backs off or
+    /// re-places.
+    "ca.target_busy" TargetBusy {
+        /// The busy frame.
+        target: u64,
+    },
+    /// `ca.contig_run` — contiguity achieved: the run containing the mapped
+    /// page crossed the marking threshold.
+    "ca.contig_run" ContigRun {
+        /// Run length in base pages.
+        pages: u64,
+    },
+    /// `virt.nested_fault` — the hypervisor backed a guest-physical range
+    /// with host memory (one nested-fault span).
+    "virt.nested_fault" NestedFault {
+        /// Guest virtual address that triggered the backing.
+        gva: u64,
+        /// First guest-physical address backed.
+        gpa: u64,
+        /// Length of the backed range, bytes.
+        bytes: u64,
+        /// Host simulated nanoseconds consumed by the backing faults.
+        latency_ns: u64,
+    },
+    /// `tlb.miss` — a last-level TLB miss walked the page table(s).
+    "tlb.miss" TlbMiss {
+        /// Referenced virtual address.
+        va: u64,
+        /// Walker memory references.
+        refs: u32,
+        /// Walk cycles under the cost model (Table IV units).
+        cycles: u64,
+    },
+    /// `poison.event` — a memory-failure strike marked a frame poisoned
+    /// (the moment the simulated ECC error is reported).
+    "poison.event" PoisonEvent {
+        /// The stricken frame.
+        pfn: u64,
+    },
+    /// `poison.quarantine` — the buddy allocator pulled a poisoned frame out
+    /// of circulation: carved from the free lists, evicted from a pcp cache,
+    /// or diverted at free/drain time. One event per frame entering the
+    /// per-zone badframe list.
+    "poison.quarantine" PoisonQuarantine {
+        /// The quarantined frame.
+        pfn: u64,
+    },
+    /// `poison.heal` — migrate-and-heal succeeded: the mapping moved to a
+    /// healthy replacement frame and the poisoned one went to quarantine.
+    "poison.heal" PoisonHeal {
+        /// The poisoned frame that was vacated.
+        pfn: u64,
+        /// Head frame of the replacement block.
+        replacement: u64,
+        /// Frames copied (1 for a base page, 512 for a huge page).
+        frames: u64,
+    },
+    /// `poison.heal_failed` — migration could not relocate the mapping
+    /// (no replacement block after bounded retries, or the page is
+    /// unrecoverable); the mapping was torn down instead.
+    "poison.heal_failed" PoisonHealFailed {
+        /// The poisoned frame.
+        pfn: u64,
+    },
+    /// `poison.sigbus` — an unrecoverable poisoned mapping was torn down and
+    /// the SIGBUS-equivalent `MemoryFailure` error delivered. One event per
+    /// `(process, page)` victim.
+    "poison.sigbus" PoisonSigbus {
+        /// Process that lost the mapping.
+        pid: u32,
+        /// Virtual address of the lost page.
+        va: u64,
+        /// The poisoned frame.
+        pfn: u64,
+    },
+    /// `poison.soft_offline` — a suspect frame was proactively drained
+    /// without declaring it failed.
+    "poison.soft_offline" PoisonSoftOffline {
+        /// The drained frame.
+        pfn: u64,
+        /// Whether a live mapping had to be migrated (false when the frame
+        /// was free or cached).
+        migrated: bool,
+    },
+    /// `poison.guest_mce` — a host-frame poison event resolved through the
+    /// nested mapping and was surfaced to the guest as a machine-check at
+    /// the guest address.
+    "poison.guest_mce" PoisonGuestMce {
+        /// Guest process that saw the MCE.
+        pid: u32,
+        /// Guest virtual address the MCE was delivered at.
+        va: u64,
+        /// Guest-physical address whose host backing was poisoned.
+        gpa: u64,
+    },
+    /// `migrate.chunk_sent` — a migration data chunk went onto the wire
+    /// (counted per transmission attempt, so retries re-emit).
+    "migrate.chunk_sent" MigrateChunkSent {
+        /// Chunk sequence number, unique per migration.
+        seq = "chunk": u64,
+        /// Pre-copy round the chunk belongs to (`u32::MAX` pseudo-rounds are
+        /// never emitted; stop-and-copy uses the final round number).
+        round: u32,
+        /// Guest-frame records in the chunk (0 for the guest-state chunk).
+        pages: u64,
+    },
+    /// `migrate.chunk_acked` — the destination acknowledged a chunk and the
+    /// acknowledgment made it back to the source.
+    "migrate.chunk_acked" MigrateChunkAcked {
+        /// Acknowledged chunk sequence number.
+        seq = "chunk": u64,
+    },
+    /// `migrate.chunk_rejected` — a chunk arrived but failed its FNV-1a-64
+    /// digest (injected corruption); the destination discarded it.
+    "migrate.chunk_rejected" MigrateChunkRejected {
+        /// Rejected chunk sequence number (`u64::MAX` when the frame was too
+        /// mangled to parse a sequence number out of).
+        seq = "chunk": u64,
+    },
+    /// `migrate.chunk_dropped` — the transport silently swallowed a data
+    /// chunk; the source times it out and retries.
+    "migrate.chunk_dropped" MigrateChunkDropped {
+        /// Dropped chunk sequence number.
+        seq = "chunk": u64,
+    },
+    /// `migrate.ack_lost` — the destination applied a chunk but its
+    /// acknowledgment was dropped or mangled in flight; the source must
+    /// retransmit and the destination must re-apply idempotently.
+    "migrate.ack_lost" MigrateAckLost {
+        /// Sequence number whose acknowledgment was lost.
+        seq = "chunk": u64,
+    },
+    /// `migrate.retry` — the source re-queued a chunk after a lost frame,
+    /// paying the jittered exponential backoff.
+    "migrate.retry" MigrateRetry {
+        /// Retried chunk sequence number.
+        seq = "chunk": u64,
+        /// Retry attempt, counting from 1.
+        attempt: u32,
+        /// Backoff the sender's clock paid before this attempt, ns.
+        backoff_ns: u64,
+    },
+    /// `migrate.stall` — the transport delivered a frame late; the sender's
+    /// clock paid the injected delay.
+    "migrate.stall" MigrateStall {
+        /// Injected delay beyond base latency, ns.
+        ns: u64,
+    },
+    /// `migrate.round` — a pre-copy round fully acknowledged.
+    "migrate.round" MigrateRound {
+        /// The completed round, counting from 0.
+        round: u32,
+        /// Dirty pages discovered for the next round.
+        dirty: u64,
+    },
+    /// `migrate.timeout` — a phase blew its time budget; the migration
+    /// errored out (resumable).
+    "migrate.timeout" MigrateTimeout {
+        /// Round the timeout hit.
+        round: u32,
+    },
+    /// `migrate.disconnect` — the transport closed mid-migration; the
+    /// migration errored out (resumable on a fresh transport).
+    "migrate.disconnect" MigrateDisconnect {
+        /// Round the disconnect hit.
+        round: u32,
+    },
+    /// `migrate.resume` — a checkpointed migration picked up again from its
+    /// last acknowledged state on a fresh transport.
+    "migrate.resume" MigrateResume {
+        /// Round the migration resumed into.
+        round: u32,
+    },
+    /// `migrate.abort` — the migration was abandoned: the destination's
+    /// resources were fully released and the source resumed exclusive
+    /// service.
+    "migrate.abort" MigrateAbort {
+        /// Round the abort hit.
+        round: u32,
+    },
+    /// `migrate.cutover` — stop-and-copy finished and the destination took
+    /// over; the source VM is now stale.
+    "migrate.cutover" MigrateCutover {
+        /// Pre-copy rounds the migration took (stop-and-copy excluded).
+        rounds: u32,
+        /// Unique guest pages transferred.
+        pages: u64,
+        /// Stop-and-copy downtime, simulated ns.
+        downtime_ns: u64,
+    },
+    /// `balloon.inflate` — a tenant's balloon driver reclaimed guest frames
+    /// and returned their host backing to the shared host buddy.
+    "balloon.inflate" BalloonInflate {
+        /// Tenant whose balloon grew.
+        tenant: u64,
+        /// Guest frames reclaimed by this inflate step.
+        frames: u64,
+    },
+    /// `balloon.deflate` — a tenant's balloon released guest frames back to
+    /// the guest buddy and re-backed them on the host.
+    "balloon.deflate" BalloonDeflate {
+        /// Tenant whose balloon shrank.
+        tenant: u64,
+        /// Guest frames released by this deflate step.
+        frames: u64,
+    },
+    /// `balloon.retry` — re-backing a deflated frame hit host OOM and the
+    /// driver retried after a jittered exponential backoff.
+    "balloon.retry" BalloonRetry {
+        /// Tenant whose deflate retried.
+        tenant: u64,
+        /// Retry attempt, counting from 1.
+        attempt: u32,
+        /// Backoff the host clock paid before this attempt, ns.
+        backoff_ns: u64,
+    },
+    /// `balloon.unbacked` — a deflated guest frame could not be re-backed
+    /// after bounded retries; it is left as a legal unbacked hole that heals
+    /// on the next touch.
+    "balloon.unbacked" BalloonUnbacked {
+        /// Tenant that owns the hole.
+        tenant: u64,
+        /// Guest frame left unbacked.
+        gframe: u64,
+    },
+    /// `ksm.merge` — two identical read-only pages were merged onto one host
+    /// frame behind the COW write-fault break path.
+    "ksm.merge" KsmMerge {
+        /// Host frame now shared by both mappings.
+        kept: u64,
+        /// Host frame the donor mapping dropped.
+        dropped: u64,
+    },
+    /// `ksm.unmerge` — a write fault broke a KSM share; the writer landed on
+    /// a fresh private frame via the COW break path.
+    "ksm.unmerge" KsmUnmerge {
+        /// The formerly shared host frame.
+        pfn: u64,
+        /// The fresh private frame the writer now maps.
+        fresh: u64,
+    },
+    /// `ksm.scan` — one same-page scan pass over a host's backed frames.
+    "ksm.scan" KsmScan {
+        /// Candidate pages the pass inspected.
+        scanned: u64,
+        /// Pages merged by the pass.
+        merged: u64,
+    },
+    /// `fleet.admit` — the fleet admitted a tenant onto a host under the
+    /// overcommit limit.
+    "fleet.admit" FleetAdmit {
+        /// The admitted tenant.
+        tenant: u64,
+        /// Host index the tenant landed on.
+        host: u64,
+    },
+    /// `fleet.pressure` — a host's free frames fell below the low watermark;
+    /// a pressure episode began.
+    "fleet.pressure" FleetPressure {
+        /// The pressured host.
+        host: u64,
+        /// Free host frames at episode start.
+        free: u64,
+    },
+    /// `fleet.resolved` — a pressure episode ended with the host back above
+    /// its watermark.
+    "fleet.resolved" FleetResolved {
+        /// The recovered host.
+        host: u64,
+        /// Free host frames at episode end.
+        free: u64,
+    },
+    /// `fleet.evacuate` — live migration moved a tenant to a less-loaded
+    /// host and its source-side footprint was released.
+    "fleet.evacuate" FleetEvacuate {
+        /// The evacuated tenant.
+        tenant: u64,
+        /// Source host index.
+        from: u64,
+        /// Destination host index.
+        to: u64,
+    },
+    /// `fleet.evacuate_abort` — the evacuation migration aborted through the
+    /// lossy transport; the tenant stayed on its source host, audit-clean.
+    "fleet.evacuate_abort" FleetEvacuateAbort {
+        /// The tenant that stayed put.
+        tenant: u64,
+    },
+    /// `fleet.victim_kill` — the last escalation rung tore one tenant down
+    /// leak-free to relieve host pressure.
+    "fleet.victim_kill" FleetVictimKill {
+        /// The killed tenant.
+        tenant: u64,
+        /// Host frames the teardown returned to the buddy.
+        freed: u64,
+    },
+    /// `audit.report` — a cross-layer invariant audit ran.
+    "audit.report" AuditReport {
+        /// Number of violations found (0 for a clean system).
+        violations: u64,
+    },
+    /// `metrics.timeline_point` — a contiguity-coverage sample (Fig. 1c /
+    /// Fig. 10 timelines), mirroring `contig_metrics::TimelinePoint`.
+    "metrics.timeline_point" TimelinePoint {
+        /// Sample position (chunks, epochs, or simulated ns).
+        t: u64,
+        /// Bytes the 32 largest mappings cover at the sample; over
+        /// `mapped_bytes`, the top-32 footprint coverage.
+        top32_bytes: u64,
+        /// Footprint mapped so far, bytes.
+        mapped_bytes: u64,
+    },
+    staged:
     /// `recovery.<stage>` — one step of the OOM recovery escalation. The
     /// per-stage meaning of `amount`/`extra` is documented on
     /// [`RecoveryStage`].
@@ -344,414 +859,9 @@ pub enum TraceEvent {
         /// Stage-specific secondary magnitude (cursor frame, backoff ns).
         extra: u64,
     },
-    /// `ca.placement` — CA paging ran a placement decision over the
-    /// contiguity map.
-    Placement {
-        /// Contiguity ambition of the search, bytes.
-        key_bytes: u64,
-        /// Frame the decision targets for the current fault.
-        target: u64,
-        /// Whether pressure degraded the ambition below the remaining VMA.
-        degraded: bool,
-    },
-    /// `ca.target_busy` — a targeted frame was busy; CA backs off or
-    /// re-places.
-    TargetBusy {
-        /// The busy frame.
-        target: u64,
-    },
-    /// `ca.contig_run` — contiguity achieved: the run containing the mapped
-    /// page crossed the marking threshold.
-    ContigRun {
-        /// Run length in base pages.
-        pages: u64,
-    },
-    /// `virt.nested_fault` — the hypervisor backed a guest-physical range
-    /// with host memory (one nested-fault span).
-    NestedFault {
-        /// Guest virtual address that triggered the backing.
-        gva: u64,
-        /// First guest-physical address backed.
-        gpa: u64,
-        /// Length of the backed range, bytes.
-        bytes: u64,
-        /// Host simulated nanoseconds consumed by the backing faults.
-        latency_ns: u64,
-    },
-    /// `tlb.miss` — a last-level TLB miss walked the page table(s).
-    TlbMiss {
-        /// Referenced virtual address.
-        va: u64,
-        /// Walker memory references.
-        refs: u32,
-        /// Walk cycles under the cost model (Table IV units).
-        cycles: u64,
-    },
-    /// `poison.event` — a memory-failure strike marked a frame poisoned
-    /// (the moment the simulated ECC error is reported).
-    PoisonEvent {
-        /// The stricken frame.
-        pfn: u64,
-    },
-    /// `poison.quarantine` — the buddy allocator pulled a poisoned frame out
-    /// of circulation: carved from the free lists, evicted from a pcp cache,
-    /// or diverted at free/drain time. One event per frame entering the
-    /// per-zone badframe list.
-    PoisonQuarantine {
-        /// The quarantined frame.
-        pfn: u64,
-    },
-    /// `poison.heal` — migrate-and-heal succeeded: the mapping moved to a
-    /// healthy replacement frame and the poisoned one went to quarantine.
-    PoisonHeal {
-        /// The poisoned frame that was vacated.
-        pfn: u64,
-        /// Head frame of the replacement block.
-        replacement: u64,
-        /// Frames copied (1 for a base page, 512 for a huge page).
-        frames: u64,
-    },
-    /// `poison.heal_failed` — migration could not relocate the mapping
-    /// (no replacement block after bounded retries, or the page is
-    /// unrecoverable); the mapping was torn down instead.
-    PoisonHealFailed {
-        /// The poisoned frame.
-        pfn: u64,
-    },
-    /// `poison.sigbus` — an unrecoverable poisoned mapping was torn down and
-    /// the SIGBUS-equivalent `MemoryFailure` error delivered. One event per
-    /// `(process, page)` victim.
-    PoisonSigbus {
-        /// Process that lost the mapping.
-        pid: u32,
-        /// Virtual address of the lost page.
-        va: u64,
-        /// The poisoned frame.
-        pfn: u64,
-    },
-    /// `poison.soft_offline` — a suspect frame was proactively drained
-    /// without declaring it failed.
-    PoisonSoftOffline {
-        /// The drained frame.
-        pfn: u64,
-        /// Whether a live mapping had to be migrated (false when the frame
-        /// was free or cached).
-        migrated: bool,
-    },
-    /// `poison.guest_mce` — a host-frame poison event resolved through the
-    /// nested mapping and was surfaced to the guest as a machine-check at
-    /// the guest address.
-    PoisonGuestMce {
-        /// Guest process that saw the MCE.
-        pid: u32,
-        /// Guest virtual address the MCE was delivered at.
-        va: u64,
-        /// Guest-physical address whose host backing was poisoned.
-        gpa: u64,
-    },
-    /// `migrate.chunk_sent` — a migration data chunk went onto the wire
-    /// (counted per transmission attempt, so retries re-emit).
-    MigrateChunkSent {
-        /// Chunk sequence number, unique per migration.
-        seq: u64,
-        /// Pre-copy round the chunk belongs to (`u32::MAX` pseudo-rounds are
-        /// never emitted; stop-and-copy uses the final round number).
-        round: u32,
-        /// Guest-frame records in the chunk (0 for the guest-state chunk).
-        pages: u64,
-    },
-    /// `migrate.chunk_acked` — the destination acknowledged a chunk and the
-    /// acknowledgment made it back to the source.
-    MigrateChunkAcked {
-        /// Acknowledged chunk sequence number.
-        seq: u64,
-    },
-    /// `migrate.chunk_rejected` — a chunk arrived but failed its FNV-1a-64
-    /// digest (injected corruption); the destination discarded it.
-    MigrateChunkRejected {
-        /// Rejected chunk sequence number (`u64::MAX` when the frame was too
-        /// mangled to parse a sequence number out of).
-        seq: u64,
-    },
-    /// `migrate.chunk_dropped` — the transport silently swallowed a data
-    /// chunk; the source times it out and retries.
-    MigrateChunkDropped {
-        /// Dropped chunk sequence number.
-        seq: u64,
-    },
-    /// `migrate.ack_lost` — the destination applied a chunk but its
-    /// acknowledgment was dropped or mangled in flight; the source must
-    /// retransmit and the destination must re-apply idempotently.
-    MigrateAckLost {
-        /// Sequence number whose acknowledgment was lost.
-        seq: u64,
-    },
-    /// `migrate.retry` — the source re-queued a chunk after a lost frame,
-    /// paying the jittered exponential backoff.
-    MigrateRetry {
-        /// Retried chunk sequence number.
-        seq: u64,
-        /// Retry attempt, counting from 1.
-        attempt: u32,
-        /// Backoff the sender's clock paid before this attempt, ns.
-        backoff_ns: u64,
-    },
-    /// `migrate.stall` — the transport delivered a frame late; the sender's
-    /// clock paid the injected delay.
-    MigrateStall {
-        /// Injected delay beyond base latency, ns.
-        ns: u64,
-    },
-    /// `migrate.round` — a pre-copy round fully acknowledged.
-    MigrateRound {
-        /// The completed round, counting from 0.
-        round: u32,
-        /// Dirty pages discovered for the next round.
-        dirty: u64,
-    },
-    /// `migrate.timeout` — a phase blew its time budget; the migration
-    /// errored out (resumable).
-    MigrateTimeout {
-        /// Round the timeout hit.
-        round: u32,
-    },
-    /// `migrate.disconnect` — the transport closed mid-migration; the
-    /// migration errored out (resumable on a fresh transport).
-    MigrateDisconnect {
-        /// Round the disconnect hit.
-        round: u32,
-    },
-    /// `migrate.resume` — a checkpointed migration picked up again from its
-    /// last acknowledged state on a fresh transport.
-    MigrateResume {
-        /// Round the migration resumed into.
-        round: u32,
-    },
-    /// `migrate.abort` — the migration was abandoned: the destination's
-    /// resources were fully released and the source resumed exclusive
-    /// service.
-    MigrateAbort {
-        /// Round the abort hit.
-        round: u32,
-    },
-    /// `migrate.cutover` — stop-and-copy finished and the destination took
-    /// over; the source VM is now stale.
-    MigrateCutover {
-        /// Pre-copy rounds the migration took (stop-and-copy excluded).
-        rounds: u32,
-        /// Unique guest pages transferred.
-        pages: u64,
-        /// Stop-and-copy downtime, simulated ns.
-        downtime_ns: u64,
-    },
-    /// `balloon.inflate` — a tenant's balloon driver reclaimed guest frames
-    /// and returned their host backing to the shared host buddy.
-    BalloonInflate {
-        /// Tenant whose balloon grew.
-        tenant: u64,
-        /// Guest frames reclaimed by this inflate step.
-        frames: u64,
-    },
-    /// `balloon.deflate` — a tenant's balloon released guest frames back to
-    /// the guest buddy and re-backed them on the host.
-    BalloonDeflate {
-        /// Tenant whose balloon shrank.
-        tenant: u64,
-        /// Guest frames released by this deflate step.
-        frames: u64,
-    },
-    /// `balloon.retry` — re-backing a deflated frame hit host OOM and the
-    /// driver retried after a jittered exponential backoff.
-    BalloonRetry {
-        /// Tenant whose deflate retried.
-        tenant: u64,
-        /// Retry attempt, counting from 1.
-        attempt: u32,
-        /// Backoff the host clock paid before this attempt, ns.
-        backoff_ns: u64,
-    },
-    /// `balloon.unbacked` — a deflated guest frame could not be re-backed
-    /// after bounded retries; it is left as a legal unbacked hole that heals
-    /// on the next touch.
-    BalloonUnbacked {
-        /// Tenant that owns the hole.
-        tenant: u64,
-        /// Guest frame left unbacked.
-        gframe: u64,
-    },
-    /// `ksm.merge` — two identical read-only pages were merged onto one host
-    /// frame behind the COW write-fault break path.
-    KsmMerge {
-        /// Host frame now shared by both mappings.
-        kept: u64,
-        /// Host frame the donor mapping dropped.
-        dropped: u64,
-    },
-    /// `ksm.unmerge` — a write fault broke a KSM share; the writer landed on
-    /// a fresh private frame via the COW break path.
-    KsmUnmerge {
-        /// The formerly shared host frame.
-        pfn: u64,
-        /// The fresh private frame the writer now maps.
-        fresh: u64,
-    },
-    /// `ksm.scan` — one same-page scan pass over a host's backed frames.
-    KsmScan {
-        /// Candidate pages the pass inspected.
-        scanned: u64,
-        /// Pages merged by the pass.
-        merged: u64,
-    },
-    /// `fleet.admit` — the fleet admitted a tenant onto a host under the
-    /// overcommit limit.
-    FleetAdmit {
-        /// The admitted tenant.
-        tenant: u64,
-        /// Host index the tenant landed on.
-        host: u64,
-    },
-    /// `fleet.pressure` — a host's free frames fell below the low watermark;
-    /// a pressure episode began.
-    FleetPressure {
-        /// The pressured host.
-        host: u64,
-        /// Free host frames at episode start.
-        free: u64,
-    },
-    /// `fleet.resolved` — a pressure episode ended with the host back above
-    /// its watermark.
-    FleetResolved {
-        /// The recovered host.
-        host: u64,
-        /// Free host frames at episode end.
-        free: u64,
-    },
-    /// `fleet.evacuate` — live migration moved a tenant to a less-loaded
-    /// host and its source-side footprint was released.
-    FleetEvacuate {
-        /// The evacuated tenant.
-        tenant: u64,
-        /// Source host index.
-        from: u64,
-        /// Destination host index.
-        to: u64,
-    },
-    /// `fleet.evacuate_abort` — the evacuation migration aborted through the
-    /// lossy transport; the tenant stayed on its source host, audit-clean.
-    FleetEvacuateAbort {
-        /// The tenant that stayed put.
-        tenant: u64,
-    },
-    /// `fleet.victim_kill` — the last escalation rung tore one tenant down
-    /// leak-free to relieve host pressure.
-    FleetVictimKill {
-        /// The killed tenant.
-        tenant: u64,
-        /// Host frames the teardown returned to the buddy.
-        freed: u64,
-    },
-    /// `audit.report` — a cross-layer invariant audit ran.
-    AuditReport {
-        /// Number of violations found (0 for a clean system).
-        violations: u64,
-    },
-    /// `metrics.timeline_point` — a contiguity-coverage sample (Fig. 1c /
-    /// Fig. 10 timelines), mirroring `contig_metrics::TimelinePoint`.
-    TimelinePoint {
-        /// Sample position (chunks, epochs, or simulated ns).
-        t: u64,
-        /// Top-32 footprint coverage at the sample.
-        top32: f64,
-        /// Footprint mapped so far, bytes.
-        mapped_bytes: u64,
-    },
 }
 
 impl TraceEvent {
-    /// The event's full name, `subsystem.kind`. Stable: exporters, the
-    /// metrics registry, and report tables all key on this string.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::Alloc { .. } => "buddy.alloc",
-            TraceEvent::AllocFailed { .. } => "buddy.alloc_failed",
-            TraceEvent::TargetedAlloc { .. } => "buddy.targeted_alloc",
-            TraceEvent::TargetedMiss { .. } => "buddy.targeted_miss",
-            TraceEvent::Free { .. } => "buddy.free",
-            TraceEvent::InjectedFailure { .. } => "inject.failure",
-            TraceEvent::FaultEnter { .. } => "mm.fault_enter",
-            TraceEvent::FaultExit { .. } => "mm.fault_exit",
-            TraceEvent::FaultFailed { .. } => "mm.fault_failed",
-            TraceEvent::CowBreak { .. } => "mm.cow_break",
-            TraceEvent::Readahead { .. } => "mm.readahead",
-            TraceEvent::ZoneFallback { .. } => "mm.zone_fallback",
-            TraceEvent::ZoneMigrate { .. } => "mm.zone_migrate",
-            TraceEvent::Recovery { stage, .. } => match stage {
-                RecoveryStage::OomEvent => "recovery.oom_event",
-                RecoveryStage::ReclaimPass => "recovery.reclaim_pass",
-                RecoveryStage::CompactionPass => "recovery.compaction_pass",
-                RecoveryStage::Retry => "recovery.retry",
-                RecoveryStage::OrderBackoff => "recovery.order_backoff",
-                RecoveryStage::ReadaheadShrink => "recovery.readahead_shrink",
-                RecoveryStage::RecoveredFault => "recovery.recovered_fault",
-                RecoveryStage::HardOom => "recovery.hard_oom",
-                RecoveryStage::Livelock => "recovery.livelock",
-            },
-            TraceEvent::Daemon { stage, .. } => match stage {
-                DaemonStage::Tick => "daemon.tick",
-                DaemonStage::Epoch => "daemon.epoch",
-                DaemonStage::CompactMove => "daemon.compact_move",
-                DaemonStage::Promote => "daemon.promote",
-                DaemonStage::PromoteFail => "daemon.promote_fail",
-                DaemonStage::Repair => "daemon.repair",
-                DaemonStage::ShedPromote => "daemon.shed_promote",
-                DaemonStage::ShedCompact => "daemon.shed_compact",
-                DaemonStage::Backoff => "daemon.backoff",
-                DaemonStage::Yield => "daemon.yield",
-                DaemonStage::Policy => "daemon.policy",
-            },
-            TraceEvent::Placement { .. } => "ca.placement",
-            TraceEvent::TargetBusy { .. } => "ca.target_busy",
-            TraceEvent::ContigRun { .. } => "ca.contig_run",
-            TraceEvent::NestedFault { .. } => "virt.nested_fault",
-            TraceEvent::PoisonEvent { .. } => "poison.event",
-            TraceEvent::PoisonQuarantine { .. } => "poison.quarantine",
-            TraceEvent::PoisonHeal { .. } => "poison.heal",
-            TraceEvent::PoisonHealFailed { .. } => "poison.heal_failed",
-            TraceEvent::PoisonSigbus { .. } => "poison.sigbus",
-            TraceEvent::PoisonSoftOffline { .. } => "poison.soft_offline",
-            TraceEvent::PoisonGuestMce { .. } => "poison.guest_mce",
-            TraceEvent::MigrateChunkSent { .. } => "migrate.chunk_sent",
-            TraceEvent::MigrateChunkAcked { .. } => "migrate.chunk_acked",
-            TraceEvent::MigrateChunkRejected { .. } => "migrate.chunk_rejected",
-            TraceEvent::MigrateChunkDropped { .. } => "migrate.chunk_dropped",
-            TraceEvent::MigrateAckLost { .. } => "migrate.ack_lost",
-            TraceEvent::MigrateRetry { .. } => "migrate.retry",
-            TraceEvent::MigrateStall { .. } => "migrate.stall",
-            TraceEvent::MigrateRound { .. } => "migrate.round",
-            TraceEvent::MigrateTimeout { .. } => "migrate.timeout",
-            TraceEvent::MigrateDisconnect { .. } => "migrate.disconnect",
-            TraceEvent::MigrateResume { .. } => "migrate.resume",
-            TraceEvent::MigrateAbort { .. } => "migrate.abort",
-            TraceEvent::MigrateCutover { .. } => "migrate.cutover",
-            TraceEvent::BalloonInflate { .. } => "balloon.inflate",
-            TraceEvent::BalloonDeflate { .. } => "balloon.deflate",
-            TraceEvent::BalloonRetry { .. } => "balloon.retry",
-            TraceEvent::BalloonUnbacked { .. } => "balloon.unbacked",
-            TraceEvent::KsmMerge { .. } => "ksm.merge",
-            TraceEvent::KsmUnmerge { .. } => "ksm.unmerge",
-            TraceEvent::KsmScan { .. } => "ksm.scan",
-            TraceEvent::FleetAdmit { .. } => "fleet.admit",
-            TraceEvent::FleetPressure { .. } => "fleet.pressure",
-            TraceEvent::FleetResolved { .. } => "fleet.resolved",
-            TraceEvent::FleetEvacuate { .. } => "fleet.evacuate",
-            TraceEvent::FleetEvacuateAbort { .. } => "fleet.evacuate_abort",
-            TraceEvent::FleetVictimKill { .. } => "fleet.victim_kill",
-            TraceEvent::TlbMiss { .. } => "tlb.miss",
-            TraceEvent::AuditReport { .. } => "audit.report",
-            TraceEvent::TimelinePoint { .. } => "metrics.timeline_point",
-        }
-    }
-
     /// The subsystem prefix of [`TraceEvent::name`] (`buddy`, `mm`,
     /// `recovery`, `daemon`, `ca`, `virt`, `poison`, `migrate`, `balloon`,
     /// `ksm`, `fleet`, `tlb`, `audit`, `inject`, `metrics`).

@@ -2,61 +2,23 @@
 //!
 //! Two formats are supported, both dependency-free:
 //!
-//! * **JSONL** — one flat JSON object per line, loss-less: a parsed file
-//!   reconstructs the exact [`Record`] stream ([`parse_jsonl`] is the
-//!   inverse of [`export_jsonl`]). This is the archival/CI format.
+//! * **JSONL** — one flat JSON object per line, written through the
+//!   workspace's canonical [`json`] encoder and read back by its parser, so
+//!   it is integers, bools and tags only. Loss-less: a parsed file
+//!   reconstructs the exact [`Record`] stream ([`parse_jsonl`] is the inverse
+//!   of [`export_jsonl`]), and strict: a line with a missing, ill-typed,
+//!   repeated or undeclared member is an error. This is the archival/CI
+//!   format.
 //! * **chrome://tracing** — a JSON array of Trace Event Format objects;
 //!   span-like events (`mm.fault_exit`, `virt.nested_fault`,
 //!   `recovery.*` with non-zero latency) become `"ph":"X"` duration slices
 //!   on a per-dimension track, everything else becomes `"ph":"i"`
-//!   instants. Lossy but drag-and-droppable into `chrome://tracing` or
-//!   Perfetto.
+//!   instants. Lossy, write-only, but drag-and-droppable into
+//!   `chrome://tracing` or Perfetto.
 
-use crate::event::{DaemonStage, Dim, FaultClass, Record, RecoveryStage, TraceEvent};
-use std::collections::BTreeMap;
+use crate::event::{Dim, Record, TraceEvent};
+use contig_types::json::{self, Json};
 use std::fmt::Write as _;
-
-/// A scalar value inside a JSONL object.
-#[derive(Clone, Debug, PartialEq)]
-enum Value {
-    U64(u64),
-    F64(f64),
-    Bool(bool),
-    Str(String),
-}
-
-impl Value {
-    fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Value::U64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Numeric accessor: a whole float exports as an integer literal
-    /// (`1` for `1.0`), so f64 fields must accept `U64` back.
-    fn as_f64(&self) -> Option<f64> {
-        match *self {
-            Value::U64(v) => Some(v as f64),
-            Value::F64(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Value::Bool(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-}
 
 /// A malformed trace line: 1-based line number plus what went wrong.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -75,446 +37,22 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// The payload fields of an event, in export order.
-fn fields(event: &TraceEvent) -> Vec<(&'static str, Value)> {
-    use TraceEvent as E;
-    use Value as V;
-    match *event {
-        E::Alloc { order, pfn } => {
-            vec![("order", V::U64(order.into())), ("pfn", V::U64(pfn))]
-        }
-        E::AllocFailed { order } => vec![("order", V::U64(order.into()))],
-        E::TargetedAlloc { target, order } => {
-            vec![("target", V::U64(target)), ("order", V::U64(order.into()))]
-        }
-        E::TargetedMiss { target, order } => {
-            vec![("target", V::U64(target)), ("order", V::U64(order.into()))]
-        }
-        E::Free { pfn, order } => {
-            vec![("pfn", V::U64(pfn)), ("order", V::U64(order.into()))]
-        }
-        E::InjectedFailure { order, targeted } => {
-            vec![("order", V::U64(order.into())), ("targeted", V::Bool(targeted))]
-        }
-        E::FaultEnter { pid, va, class } => vec![
-            ("pid", V::U64(pid.into())),
-            ("va", V::U64(va)),
-            ("class", V::Str(class.as_str().to_owned())),
-        ],
-        E::FaultExit { pid, va, order, latency_ns } => vec![
-            ("pid", V::U64(pid.into())),
-            ("va", V::U64(va)),
-            ("order", V::U64(order.into())),
-            ("latency_ns", V::U64(latency_ns)),
-        ],
-        E::FaultFailed { pid, va } => {
-            vec![("pid", V::U64(pid.into())), ("va", V::U64(va))]
-        }
-        E::CowBreak { pid, va } => {
-            vec![("pid", V::U64(pid.into())), ("va", V::U64(va))]
-        }
-        E::Readahead { file, index, pages } => vec![
-            ("file", V::U64(file)),
-            ("index", V::U64(index)),
-            ("pages", V::U64(pages)),
-        ],
-        E::ZoneFallback { home, got, order } => vec![
-            ("home", V::U64(home)),
-            ("got", V::U64(got)),
-            ("order", V::U64(order.into())),
-        ],
-        E::ZoneMigrate { pid, va, from, to } => vec![
-            ("pid", V::U64(pid.into())),
-            ("va", V::U64(va)),
-            ("from", V::U64(from)),
-            ("to", V::U64(to)),
-        ],
-        E::Recovery { stage: _, amount, extra, latency_ns } => vec![
-            ("amount", V::U64(amount)),
-            ("extra", V::U64(extra)),
-            ("latency_ns", V::U64(latency_ns)),
-        ],
-        E::Daemon { stage: _, amount, extra } => {
-            vec![("amount", V::U64(amount)), ("extra", V::U64(extra))]
-        }
-        E::Placement { key_bytes, target, degraded } => vec![
-            ("key_bytes", V::U64(key_bytes)),
-            ("target", V::U64(target)),
-            ("degraded", V::Bool(degraded)),
-        ],
-        E::TargetBusy { target } => vec![("target", V::U64(target))],
-        E::ContigRun { pages } => vec![("pages", V::U64(pages))],
-        E::NestedFault { gva, gpa, bytes, latency_ns } => vec![
-            ("gva", V::U64(gva)),
-            ("gpa", V::U64(gpa)),
-            ("bytes", V::U64(bytes)),
-            ("latency_ns", V::U64(latency_ns)),
-        ],
-        E::PoisonEvent { pfn } => vec![("pfn", V::U64(pfn))],
-        E::PoisonQuarantine { pfn } => vec![("pfn", V::U64(pfn))],
-        E::PoisonHeal { pfn, replacement, frames } => vec![
-            ("pfn", V::U64(pfn)),
-            ("replacement", V::U64(replacement)),
-            ("frames", V::U64(frames)),
-        ],
-        E::PoisonHealFailed { pfn } => vec![("pfn", V::U64(pfn))],
-        E::PoisonSigbus { pid, va, pfn } => vec![
-            ("pid", V::U64(pid.into())),
-            ("va", V::U64(va)),
-            ("pfn", V::U64(pfn)),
-        ],
-        E::PoisonSoftOffline { pfn, migrated } => {
-            vec![("pfn", V::U64(pfn)), ("migrated", V::Bool(migrated))]
-        }
-        E::PoisonGuestMce { pid, va, gpa } => vec![
-            ("pid", V::U64(pid.into())),
-            ("va", V::U64(va)),
-            ("gpa", V::U64(gpa)),
-        ],
-        E::MigrateChunkSent { seq, round, pages } => vec![
-            ("chunk", V::U64(seq)),
-            ("round", V::U64(round.into())),
-            ("pages", V::U64(pages)),
-        ],
-        E::MigrateChunkAcked { seq } => vec![("chunk", V::U64(seq))],
-        E::MigrateChunkRejected { seq } => vec![("chunk", V::U64(seq))],
-        E::MigrateChunkDropped { seq } => vec![("chunk", V::U64(seq))],
-        E::MigrateAckLost { seq } => vec![("chunk", V::U64(seq))],
-        E::MigrateRetry { seq, attempt, backoff_ns } => vec![
-            ("chunk", V::U64(seq)),
-            ("attempt", V::U64(attempt.into())),
-            ("backoff_ns", V::U64(backoff_ns)),
-        ],
-        E::MigrateStall { ns } => vec![("ns", V::U64(ns))],
-        E::MigrateRound { round, dirty } => {
-            vec![("round", V::U64(round.into())), ("dirty", V::U64(dirty))]
-        }
-        E::MigrateTimeout { round } => vec![("round", V::U64(round.into()))],
-        E::MigrateDisconnect { round } => vec![("round", V::U64(round.into()))],
-        E::MigrateResume { round } => vec![("round", V::U64(round.into()))],
-        E::MigrateAbort { round } => vec![("round", V::U64(round.into()))],
-        E::MigrateCutover { rounds, pages, downtime_ns } => vec![
-            ("rounds", V::U64(rounds.into())),
-            ("pages", V::U64(pages)),
-            ("downtime_ns", V::U64(downtime_ns)),
-        ],
-        E::BalloonInflate { tenant, frames } => {
-            vec![("tenant", V::U64(tenant)), ("frames", V::U64(frames))]
-        }
-        E::BalloonDeflate { tenant, frames } => {
-            vec![("tenant", V::U64(tenant)), ("frames", V::U64(frames))]
-        }
-        E::BalloonRetry { tenant, attempt, backoff_ns } => vec![
-            ("tenant", V::U64(tenant)),
-            ("attempt", V::U64(attempt.into())),
-            ("backoff_ns", V::U64(backoff_ns)),
-        ],
-        E::BalloonUnbacked { tenant, gframe } => {
-            vec![("tenant", V::U64(tenant)), ("gframe", V::U64(gframe))]
-        }
-        E::KsmMerge { kept, dropped } => {
-            vec![("kept", V::U64(kept)), ("dropped", V::U64(dropped))]
-        }
-        E::KsmUnmerge { pfn, fresh } => {
-            vec![("pfn", V::U64(pfn)), ("fresh", V::U64(fresh))]
-        }
-        E::KsmScan { scanned, merged } => {
-            vec![("scanned", V::U64(scanned)), ("merged", V::U64(merged))]
-        }
-        E::FleetAdmit { tenant, host } => {
-            vec![("tenant", V::U64(tenant)), ("host", V::U64(host))]
-        }
-        E::FleetPressure { host, free } => {
-            vec![("host", V::U64(host)), ("free", V::U64(free))]
-        }
-        E::FleetResolved { host, free } => {
-            vec![("host", V::U64(host)), ("free", V::U64(free))]
-        }
-        E::FleetEvacuate { tenant, from, to } => vec![
-            ("tenant", V::U64(tenant)),
-            ("from", V::U64(from)),
-            ("to", V::U64(to)),
-        ],
-        E::FleetEvacuateAbort { tenant } => vec![("tenant", V::U64(tenant))],
-        E::FleetVictimKill { tenant, freed } => {
-            vec![("tenant", V::U64(tenant)), ("freed", V::U64(freed))]
-        }
-        E::TlbMiss { va, refs, cycles } => vec![
-            ("va", V::U64(va)),
-            ("refs", V::U64(refs.into())),
-            ("cycles", V::U64(cycles)),
-        ],
-        E::AuditReport { violations } => vec![("violations", V::U64(violations))],
-        E::TimelinePoint { t, top32, mapped_bytes } => vec![
-            ("t", V::U64(t)),
-            ("top32", V::F64(top32)),
-            ("mapped_bytes", V::U64(mapped_bytes)),
-        ],
-    }
-}
-
-struct FieldMap<'a> {
-    line: usize,
-    map: &'a BTreeMap<String, Value>,
-}
-
-impl FieldMap<'_> {
-    fn err(&self, message: String) -> ParseError {
-        ParseError { line: self.line, message }
-    }
-
-    fn get(&self, key: &str) -> Result<&Value, ParseError> {
-        self.map
-            .get(key)
-            .ok_or_else(|| self.err(format!("missing field `{key}`")))
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, ParseError> {
-        self.get(key)?
-            .as_u64()
-            .ok_or_else(|| self.err(format!("field `{key}` is not an integer")))
-    }
-
-    fn u32(&self, key: &str) -> Result<u32, ParseError> {
-        u32::try_from(self.u64(key)?)
-            .map_err(|_| self.err(format!("field `{key}` overflows u32")))
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, ParseError> {
-        self.get(key)?
-            .as_f64()
-            .ok_or_else(|| self.err(format!("field `{key}` is not a number")))
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, ParseError> {
-        self.get(key)?
-            .as_bool()
-            .ok_or_else(|| self.err(format!("field `{key}` is not a bool")))
-    }
-
-    fn str(&self, key: &str) -> Result<&str, ParseError> {
-        self.get(key)?
-            .as_str()
-            .ok_or_else(|| self.err(format!("field `{key}` is not a string")))
-    }
-}
-
-/// Rebuilds the event from its exported name and payload fields.
-fn event_from(name: &str, f: &FieldMap<'_>) -> Result<TraceEvent, ParseError> {
-    use TraceEvent as E;
-    let ev = match name {
-        "buddy.alloc" => E::Alloc { order: f.u32("order")?, pfn: f.u64("pfn")? },
-        "buddy.alloc_failed" => E::AllocFailed { order: f.u32("order")? },
-        "buddy.targeted_alloc" => {
-            E::TargetedAlloc { target: f.u64("target")?, order: f.u32("order")? }
-        }
-        "buddy.targeted_miss" => {
-            E::TargetedMiss { target: f.u64("target")?, order: f.u32("order")? }
-        }
-        "buddy.free" => E::Free { pfn: f.u64("pfn")?, order: f.u32("order")? },
-        "inject.failure" => E::InjectedFailure {
-            order: f.u32("order")?,
-            targeted: f.bool("targeted")?,
-        },
-        "mm.fault_enter" => {
-            let class = f.str("class")?;
-            E::FaultEnter {
-                pid: f.u32("pid")?,
-                va: f.u64("va")?,
-                class: FaultClass::from_tag(class)
-                    .ok_or_else(|| f.err(format!("unknown fault class `{class}`")))?,
-            }
-        }
-        "mm.fault_exit" => E::FaultExit {
-            pid: f.u32("pid")?,
-            va: f.u64("va")?,
-            order: f.u32("order")?,
-            latency_ns: f.u64("latency_ns")?,
-        },
-        "mm.fault_failed" => E::FaultFailed { pid: f.u32("pid")?, va: f.u64("va")? },
-        "mm.cow_break" => E::CowBreak { pid: f.u32("pid")?, va: f.u64("va")? },
-        "mm.readahead" => E::Readahead {
-            file: f.u64("file")?,
-            index: f.u64("index")?,
-            pages: f.u64("pages")?,
-        },
-        "mm.zone_fallback" => E::ZoneFallback {
-            home: f.u64("home")?,
-            got: f.u64("got")?,
-            order: f.u32("order")?,
-        },
-        "mm.zone_migrate" => E::ZoneMigrate {
-            pid: f.u32("pid")?,
-            va: f.u64("va")?,
-            from: f.u64("from")?,
-            to: f.u64("to")?,
-        },
-        "ca.placement" => E::Placement {
-            key_bytes: f.u64("key_bytes")?,
-            target: f.u64("target")?,
-            degraded: f.bool("degraded")?,
-        },
-        "ca.target_busy" => E::TargetBusy { target: f.u64("target")? },
-        "ca.contig_run" => E::ContigRun { pages: f.u64("pages")? },
-        "virt.nested_fault" => E::NestedFault {
-            gva: f.u64("gva")?,
-            gpa: f.u64("gpa")?,
-            bytes: f.u64("bytes")?,
-            latency_ns: f.u64("latency_ns")?,
-        },
-        "poison.event" => E::PoisonEvent { pfn: f.u64("pfn")? },
-        "poison.quarantine" => E::PoisonQuarantine { pfn: f.u64("pfn")? },
-        "poison.heal" => E::PoisonHeal {
-            pfn: f.u64("pfn")?,
-            replacement: f.u64("replacement")?,
-            frames: f.u64("frames")?,
-        },
-        "poison.heal_failed" => E::PoisonHealFailed { pfn: f.u64("pfn")? },
-        "poison.sigbus" => E::PoisonSigbus {
-            pid: f.u32("pid")?,
-            va: f.u64("va")?,
-            pfn: f.u64("pfn")?,
-        },
-        "poison.soft_offline" => E::PoisonSoftOffline {
-            pfn: f.u64("pfn")?,
-            migrated: f.bool("migrated")?,
-        },
-        "poison.guest_mce" => E::PoisonGuestMce {
-            pid: f.u32("pid")?,
-            va: f.u64("va")?,
-            gpa: f.u64("gpa")?,
-        },
-        "migrate.chunk_sent" => E::MigrateChunkSent {
-            seq: f.u64("chunk")?,
-            round: f.u32("round")?,
-            pages: f.u64("pages")?,
-        },
-        "migrate.chunk_acked" => E::MigrateChunkAcked { seq: f.u64("chunk")? },
-        "migrate.chunk_rejected" => E::MigrateChunkRejected { seq: f.u64("chunk")? },
-        "migrate.chunk_dropped" => E::MigrateChunkDropped { seq: f.u64("chunk")? },
-        "migrate.ack_lost" => E::MigrateAckLost { seq: f.u64("chunk")? },
-        "migrate.retry" => E::MigrateRetry {
-            seq: f.u64("chunk")?,
-            attempt: f.u32("attempt")?,
-            backoff_ns: f.u64("backoff_ns")?,
-        },
-        "migrate.stall" => E::MigrateStall { ns: f.u64("ns")? },
-        "migrate.round" => E::MigrateRound { round: f.u32("round")?, dirty: f.u64("dirty")? },
-        "migrate.timeout" => E::MigrateTimeout { round: f.u32("round")? },
-        "migrate.disconnect" => E::MigrateDisconnect { round: f.u32("round")? },
-        "migrate.resume" => E::MigrateResume { round: f.u32("round")? },
-        "migrate.abort" => E::MigrateAbort { round: f.u32("round")? },
-        "migrate.cutover" => E::MigrateCutover {
-            rounds: f.u32("rounds")?,
-            pages: f.u64("pages")?,
-            downtime_ns: f.u64("downtime_ns")?,
-        },
-        "balloon.inflate" => E::BalloonInflate {
-            tenant: f.u64("tenant")?,
-            frames: f.u64("frames")?,
-        },
-        "balloon.deflate" => E::BalloonDeflate {
-            tenant: f.u64("tenant")?,
-            frames: f.u64("frames")?,
-        },
-        "balloon.retry" => E::BalloonRetry {
-            tenant: f.u64("tenant")?,
-            attempt: f.u32("attempt")?,
-            backoff_ns: f.u64("backoff_ns")?,
-        },
-        "balloon.unbacked" => E::BalloonUnbacked {
-            tenant: f.u64("tenant")?,
-            gframe: f.u64("gframe")?,
-        },
-        "ksm.merge" => E::KsmMerge { kept: f.u64("kept")?, dropped: f.u64("dropped")? },
-        "ksm.unmerge" => E::KsmUnmerge { pfn: f.u64("pfn")?, fresh: f.u64("fresh")? },
-        "ksm.scan" => E::KsmScan {
-            scanned: f.u64("scanned")?,
-            merged: f.u64("merged")?,
-        },
-        "fleet.admit" => E::FleetAdmit { tenant: f.u64("tenant")?, host: f.u64("host")? },
-        "fleet.pressure" => E::FleetPressure { host: f.u64("host")?, free: f.u64("free")? },
-        "fleet.resolved" => E::FleetResolved { host: f.u64("host")?, free: f.u64("free")? },
-        "fleet.evacuate" => E::FleetEvacuate {
-            tenant: f.u64("tenant")?,
-            from: f.u64("from")?,
-            to: f.u64("to")?,
-        },
-        "fleet.evacuate_abort" => E::FleetEvacuateAbort { tenant: f.u64("tenant")? },
-        "fleet.victim_kill" => E::FleetVictimKill {
-            tenant: f.u64("tenant")?,
-            freed: f.u64("freed")?,
-        },
-        "tlb.miss" => E::TlbMiss {
-            va: f.u64("va")?,
-            refs: f.u32("refs")?,
-            cycles: f.u64("cycles")?,
-        },
-        "audit.report" => E::AuditReport { violations: f.u64("violations")? },
-        "metrics.timeline_point" => E::TimelinePoint {
-            t: f.u64("t")?,
-            top32: f.f64("top32")?,
-            mapped_bytes: f.u64("mapped_bytes")?,
-        },
-        other => match (other.strip_prefix("recovery."), other.strip_prefix("daemon.")) {
-            (Some(suffix), _) => E::Recovery {
-                stage: RecoveryStage::from_tag(suffix)
-                    .ok_or_else(|| f.err(format!("unknown recovery stage `{suffix}`")))?,
-                amount: f.u64("amount")?,
-                extra: f.u64("extra")?,
-                latency_ns: f.u64("latency_ns")?,
-            },
-            (None, Some(suffix)) => E::Daemon {
-                stage: DaemonStage::from_tag(suffix)
-                    .ok_or_else(|| f.err(format!("unknown daemon stage `{suffix}`")))?,
-                amount: f.u64("amount")?,
-                extra: f.u64("extra")?,
-            },
-            (None, None) => return Err(f.err(format!("unknown event `{other}`"))),
-        },
-    };
-    Ok(ev)
-}
-
-fn write_value(out: &mut String, v: &Value) {
-    match v {
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        // `{:?}` keeps a decimal point on whole floats and round-trips
-        // shortest; non-finite values cannot occur in our events.
-        Value::F64(x) => {
-            let _ = write!(out, "{x:?}");
-        }
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        // Event field strings are taxonomy tags (`anon`, `guest`) — plain
-        // identifiers, never in need of escaping.
-        Value::Str(s) => {
-            let _ = write!(out, "\"{s}\"");
-        }
-    }
-}
+/// Members every record line starts with: `seq`, `ts_ns`, `dim`, `ev`.
+const RECORD_MEMBERS: usize = 4;
 
 /// Serializes one record as a single flat JSON object line (no trailing
-/// newline).
+/// newline): `seq`, `ts_ns`, `dim`, `ev`, then the event's payload members
+/// in declaration order.
 pub fn record_to_jsonl(rec: &Record) -> String {
-    let mut out = String::with_capacity(96);
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"ts_ns\":{},\"dim\":\"{}\",\"ev\":\"{}\"",
-        rec.seq,
-        rec.ts_ns,
-        rec.dim.as_str(),
-        rec.event.name()
-    );
-    for (key, value) in fields(&rec.event) {
-        let _ = write!(out, ",\"{key}\":");
-        write_value(&mut out, &value);
-    }
-    out.push('}');
-    out
+    json::line(|e| {
+        e.obj(|e| {
+            e.key("seq").num(rec.seq);
+            e.key("ts_ns").num(rec.ts_ns);
+            e.key("dim").str(rec.dim.as_str());
+            e.key("ev").str(rec.event.name());
+            rec.event.write_fields(e);
+        });
+    })
 }
 
 /// Serializes a record stream as JSONL, one object per line, trailing
@@ -528,67 +66,23 @@ pub fn export_jsonl(records: &[Record]) -> String {
     out
 }
 
-/// Tokenizes one flat JSON object line into a key → scalar map.
-fn parse_object(line: &str, lineno: usize) -> Result<BTreeMap<String, Value>, ParseError> {
-    let err = |message: String| ParseError { line: lineno, message };
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| err("not a JSON object".to_owned()))?;
-    let mut map = BTreeMap::new();
-    let mut rest = body.trim_start();
-    while !rest.is_empty() {
-        // Key.
-        rest = rest
-            .strip_prefix('"')
-            .ok_or_else(|| err("expected quoted key".to_owned()))?;
-        let close = rest
-            .find('"')
-            .ok_or_else(|| err("unterminated key".to_owned()))?;
-        let key = &rest[..close];
-        rest = rest[close + 1..].trim_start();
-        rest = rest
-            .strip_prefix(':')
-            .ok_or_else(|| err(format!("missing `:` after `{key}`")))?
-            .trim_start();
-        // Value: quoted string, bool, or number.
-        let value;
-        if let Some(after) = rest.strip_prefix('"') {
-            let close = after
-                .find('"')
-                .ok_or_else(|| err(format!("unterminated string for `{key}`")))?;
-            value = Value::Str(after[..close].to_owned());
-            rest = after[close + 1..].trim_start();
-        } else {
-            let end = rest
-                .find([',', '}'])
-                .unwrap_or(rest.len());
-            let token = rest[..end].trim();
-            value = match token {
-                "true" => Value::Bool(true),
-                "false" => Value::Bool(false),
-                _ if token.contains(['.', 'e', 'E']) => Value::F64(
-                    token
-                        .parse::<f64>()
-                        .map_err(|_| err(format!("bad number `{token}` for `{key}`")))?,
-                ),
-                _ => Value::U64(
-                    token
-                        .parse::<u64>()
-                        .map_err(|_| err(format!("bad integer `{token}` for `{key}`")))?,
-                ),
-            };
-            rest = rest[end..].trim_start();
-        }
-        map.insert(key.to_owned(), value);
-        if let Some(after) = rest.strip_prefix(',') {
-            rest = after.trim_start();
-        } else if !rest.is_empty() {
-            return Err(err(format!("trailing garbage near `{rest}`")));
-        }
+fn record_from_jsonl(line: &str) -> Result<Record, String> {
+    let obj = json::parse(line)?;
+    let dim = obj.str_of("dim")?;
+    let name = obj.str_of("ev")?;
+    let (event, fields) = TraceEvent::read(name, &obj)?;
+    // Every declared member was found by name, so a line of exactly that
+    // many has no room for an undeclared or a repeated one.
+    let members = RECORD_MEMBERS + fields;
+    if !matches!(&obj, Json::Obj(m) if m.len() == members) {
+        return Err(format!("`{name}` line must have exactly {members} members"));
     }
-    Ok(map)
+    Ok(Record {
+        seq: obj.u64_of("seq")?,
+        ts_ns: obj.u64_of("ts_ns")?,
+        dim: Dim::from_tag(dim).ok_or_else(|| format!("unknown dim `{dim}`"))?,
+        event,
+    })
 }
 
 /// Parses a JSONL trace back into records — the exact inverse of
@@ -600,19 +94,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, ParseError> {
         if line.trim().is_empty() {
             continue;
         }
-        let lineno = idx + 1;
-        let map = parse_object(line, lineno)?;
-        let f = FieldMap { line: lineno, map: &map };
-        let dim_tag = f.str("dim")?;
-        let dim = Dim::from_tag(dim_tag)
-            .ok_or_else(|| f.err(format!("unknown dim `{dim_tag}`")))?;
-        let name = f.str("ev")?.to_owned();
-        records.push(Record {
-            seq: f.u64("seq")?,
-            ts_ns: f.u64("ts_ns")?,
-            dim,
-            event: event_from(&name, &f)?,
-        });
+        let record = record_from_jsonl(line)
+            .map_err(|message| ParseError { line: idx + 1, message })?;
+        records.push(record);
     }
     Ok(records)
 }
@@ -669,122 +153,6 @@ pub fn export_chrome(records: &[Record]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Dim, FaultClass, RecoveryStage, TraceEvent};
-
-    fn sample_records() -> Vec<Record> {
-        let events = vec![
-            TraceEvent::Alloc { order: 3, pfn: 512 },
-            TraceEvent::AllocFailed { order: 9 },
-            TraceEvent::TargetedAlloc { target: 1024, order: 0 },
-            TraceEvent::TargetedMiss { target: 1025, order: 0 },
-            TraceEvent::Free { pfn: 512, order: 3 },
-            TraceEvent::InjectedFailure { order: 9, targeted: true },
-            TraceEvent::FaultEnter { pid: 7, va: 0x40_0000, class: FaultClass::Anon },
-            TraceEvent::FaultExit { pid: 7, va: 0x40_0000, order: 9, latency_ns: 1900 },
-            TraceEvent::FaultFailed { pid: 7, va: 0x41_0000 },
-            TraceEvent::CowBreak { pid: 8, va: 0x42_0000 },
-            TraceEvent::Readahead { file: 1, index: 16, pages: 8 },
-            TraceEvent::ZoneFallback { home: 1, got: 0, order: 9 },
-            TraceEvent::ZoneMigrate { pid: 7, va: 0x40_0000, from: 0, to: 1 },
-            TraceEvent::Recovery {
-                stage: RecoveryStage::ReclaimPass,
-                amount: 32,
-                extra: 0,
-                latency_ns: 32_000,
-            },
-            TraceEvent::Recovery {
-                stage: RecoveryStage::HardOom,
-                amount: 0,
-                extra: 0,
-                latency_ns: 0,
-            },
-            TraceEvent::Daemon { stage: crate::event::DaemonStage::Tick, amount: 16, extra: 3 },
-            TraceEvent::Daemon {
-                stage: crate::event::DaemonStage::CompactMove,
-                amount: 4,
-                extra: 512,
-            },
-            TraceEvent::Daemon { stage: crate::event::DaemonStage::Promote, amount: 512, extra: 0 },
-            TraceEvent::Placement { key_bytes: 2 << 20, target: 77, degraded: false },
-            TraceEvent::TargetBusy { target: 77 },
-            TraceEvent::ContigRun { pages: 512 },
-            TraceEvent::NestedFault { gva: 0x1000, gpa: 0x8000, bytes: 4096, latency_ns: 1500 },
-            TraceEvent::PoisonEvent { pfn: 300 },
-            TraceEvent::PoisonQuarantine { pfn: 300 },
-            TraceEvent::PoisonHeal { pfn: 300, replacement: 768, frames: 512 },
-            TraceEvent::PoisonHealFailed { pfn: 301 },
-            TraceEvent::PoisonSigbus { pid: 9, va: 0x43_0000, pfn: 301 },
-            TraceEvent::PoisonSoftOffline { pfn: 302, migrated: true },
-            TraceEvent::PoisonGuestMce { pid: 2, va: 0x44_0000, gpa: 0x9000 },
-            TraceEvent::MigrateChunkSent { seq: 12, round: 1, pages: 64 },
-            TraceEvent::MigrateChunkAcked { seq: 12 },
-            TraceEvent::MigrateChunkRejected { seq: 13 },
-            TraceEvent::MigrateChunkDropped { seq: 14 },
-            TraceEvent::MigrateAckLost { seq: 15 },
-            TraceEvent::MigrateRetry { seq: 14, attempt: 2, backoff_ns: 800 },
-            TraceEvent::MigrateStall { ns: 123_456 },
-            TraceEvent::MigrateRound { round: 1, dirty: 37 },
-            TraceEvent::MigrateTimeout { round: 2 },
-            TraceEvent::MigrateDisconnect { round: 2 },
-            TraceEvent::MigrateResume { round: 2 },
-            TraceEvent::MigrateAbort { round: 3 },
-            TraceEvent::MigrateCutover { rounds: 4, pages: 2048, downtime_ns: 90_000 },
-            TraceEvent::BalloonInflate { tenant: 3, frames: 64 },
-            TraceEvent::BalloonDeflate { tenant: 3, frames: 32 },
-            TraceEvent::BalloonRetry { tenant: 3, attempt: 2, backoff_ns: 1600 },
-            TraceEvent::BalloonUnbacked { tenant: 3, gframe: 99 },
-            TraceEvent::KsmMerge { kept: 400, dropped: 401 },
-            TraceEvent::KsmUnmerge { pfn: 400, fresh: 402 },
-            TraceEvent::KsmScan { scanned: 128, merged: 5 },
-            TraceEvent::FleetAdmit { tenant: 3, host: 1 },
-            TraceEvent::FleetPressure { host: 1, free: 12 },
-            TraceEvent::FleetResolved { host: 1, free: 200 },
-            TraceEvent::FleetEvacuate { tenant: 3, from: 1, to: 0 },
-            TraceEvent::FleetEvacuateAbort { tenant: 4 },
-            TraceEvent::FleetVictimKill { tenant: 5, freed: 700 },
-            TraceEvent::TlbMiss { va: 0x2000, refs: 4, cycles: 48 },
-            TraceEvent::AuditReport { violations: 0 },
-            TraceEvent::TimelinePoint { t: 5, top32: 0.875, mapped_bytes: 1 << 20 },
-            TraceEvent::TimelinePoint { t: 6, top32: 1.0, mapped_bytes: 2 << 20 },
-        ];
-        events
-            .into_iter()
-            .enumerate()
-            .map(|(i, event)| Record {
-                seq: i as u64,
-                ts_ns: 1000 + i as u64 * 500,
-                dim: match i % 3 {
-                    0 => Dim::None,
-                    1 => Dim::Guest,
-                    _ => Dim::Host,
-                },
-                event,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn jsonl_roundtrips_every_event_kind() {
-        let records = sample_records();
-        let text = export_jsonl(&records);
-        assert_eq!(text.lines().count(), records.len());
-        let back = parse_jsonl(&text).expect("parse back");
-        assert_eq!(back, records);
-    }
-
-    #[test]
-    fn whole_floats_survive_the_roundtrip() {
-        let rec = Record {
-            seq: 0,
-            ts_ns: 0,
-            dim: Dim::None,
-            event: TraceEvent::TimelinePoint { t: 0, top32: 1.0, mapped_bytes: 0 },
-        };
-        let line = record_to_jsonl(&rec);
-        assert!(line.contains("\"top32\":1.0"), "{line}");
-        let back = parse_jsonl(&line).unwrap();
-        assert_eq!(back[0], rec);
-    }
 
     #[test]
     fn parse_errors_name_the_line() {
@@ -800,7 +168,17 @@ mod tests {
 
     #[test]
     fn chrome_export_emits_spans_and_instants() {
-        let records = sample_records();
+        // Every event kind the table declares, on rotating dimension tracks.
+        let records: Vec<Record> = TraceEvent::samples()
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| Record {
+                seq: i as u64,
+                ts_ns: 1000 + i as u64 * 500,
+                dim: [Dim::None, Dim::Guest, Dim::Host][i % 3],
+                event,
+            })
+            .collect();
         let text = export_chrome(&records);
         assert!(text.starts_with('[') && text.ends_with(']'));
         assert!(text.contains("\"ph\":\"X\""), "span events expected");

@@ -1,8 +1,9 @@
 //! A minimal JSON value, writer, and parser.
 //!
-//! Hand-rolled because the snapshot codec must not pull in external
-//! dependencies (the build environment is offline) and needs only a small,
-//! fully deterministic subset: object key order is *preserved* (not sorted),
+//! Hand-rolled because the build environment is offline, and in this crate
+//! because both wire formats need it: the trace JSONL of `contig-trace` and
+//! the snapshot codec of `contig-check`, which sits above it. They need only
+//! a small, fully deterministic subset: object key order is *preserved* (not sorted),
 //! so the serialized form of a snapshot is canonical and safe to digest, and
 //! numbers are `i128` (no floats — every quantity in the simulator is an
 //! integer, and `i128` covers both `u64` counters and signed [`MapOffset`]
@@ -10,9 +11,9 @@
 //! member by member and it emits into a [`Sink`], so a digest hashes a
 //! snapshot's encoding without ever holding it.
 //!
-//! [`MapOffset`]: contig_types::MapOffset
+//! [`MapOffset`]: crate::MapOffset
 
-use contig_types::Fnv1a64;
+use crate::Fnv1a64;
 
 /// A JSON value with deterministic (insertion-ordered) objects and integer
 /// numbers only.
@@ -39,6 +40,7 @@ impl Json {
     }
 
     /// The object member named `key`.
+    #[inline]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -47,6 +49,7 @@ impl Json {
     }
 
     /// The value as an integer, if it is one.
+    #[inline]
     pub fn as_num(&self) -> Option<i128> {
         match self {
             Json::Num(n) => Some(*n),
@@ -55,11 +58,13 @@ impl Json {
     }
 
     /// The value as a `u64`, if it is an in-range integer.
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         self.as_num().and_then(|n| u64::try_from(n).ok())
     }
 
     /// The value as a bool, if it is one.
+    #[inline]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
@@ -68,6 +73,7 @@ impl Json {
     }
 
     /// The value as a string slice, if it is one.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -76,11 +82,53 @@ impl Json {
     }
 
     /// The value as an array slice, if it is one.
+    #[inline]
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
         }
+    }
+
+    /// The member named `key`, which the object must have.
+    ///
+    /// # Errors
+    ///
+    /// This and the `*_of` accessors below name the member that is missing
+    /// or is not of the type asked for.
+    #[inline]
+    pub fn field(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing field `{key}`"))
+    }
+
+    /// The `u64` member named `key`.
+    #[inline]
+    pub fn u64_of(&self, key: &str) -> Result<u64, String> {
+        self.field(key)?.as_u64().ok_or_else(|| format!("field `{key}` is not a u64"))
+    }
+
+    /// The `u32` member named `key`.
+    #[inline]
+    pub fn u32_of(&self, key: &str) -> Result<u32, String> {
+        u32::try_from(self.u64_of(key)?).map_err(|_| format!("field `{key}` out of u32 range"))
+    }
+
+    /// The bool member named `key`.
+    #[inline]
+    pub fn bool_of(&self, key: &str) -> Result<bool, String> {
+        self.field(key)?.as_bool().ok_or_else(|| format!("field `{key}` is not a bool"))
+    }
+
+    /// The string member named `key`.
+    #[inline]
+    pub fn str_of(&self, key: &str) -> Result<&str, String> {
+        self.field(key)?.as_str().ok_or_else(|| format!("field `{key}` is not a string"))
+    }
+
+    /// The array member named `key`.
+    #[inline]
+    pub fn arr_of(&self, key: &str) -> Result<&[Json], String> {
+        self.field(key)?.as_arr().ok_or_else(|| format!("field `{key}` is not an array"))
     }
 
     /// Serializes to a single-line JSON string (the canonical form digests
@@ -359,11 +407,17 @@ impl Parser<'_> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        let digits = self.pos;
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(format!("non-integer number at byte {start}"));
+        }
+        // The writer emits the shortest decimal form and nothing else is
+        // canonical: no bare sign, no zero in front of another digit.
+        if self.pos == digits || (self.bytes[digits] == b'0' && self.pos > digits + 1) {
+            return Err(format!("malformed number at byte {start}"));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("bad number at byte {start}"))?;
@@ -500,6 +554,44 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn numbers_parse_only_in_the_form_the_writer_emits() {
+        for text in ["007", "-", "-007", "00", "[1,-]"] {
+            let err = parse(text).unwrap_err();
+            assert!(err.starts_with("malformed number at byte "), "{text}: {err}");
+        }
+        for text in ["1.0", "1e3", "-0.5"] {
+            let err = parse(text).unwrap_err();
+            assert!(err.starts_with("non-integer number at byte "), "{text}: {err}");
+        }
+        assert!(parse("+2").is_err());
+        for n in [0, -1, 7, i128::from(u64::MAX), i128::MIN, i128::MAX] {
+            let text = Json::Num(n).to_line();
+            assert_eq!(text, n.to_string());
+            assert_eq!(parse(&text), Ok(Json::Num(n)));
+        }
+        assert_eq!(parse("-0"), Ok(Json::Num(0)));
+        assert!(parse("170141183460469231731687303715884105728").is_err(), "i128::MAX + 1");
+    }
+
+    #[test]
+    fn required_member_accessors_name_the_member() {
+        let doc = parse(r#"{"n":7,"big":4294967296,"b":true,"s":"x","a":[1]}"#).unwrap();
+        assert_eq!(doc.u64_of("n"), Ok(7));
+        assert_eq!(doc.u32_of("n"), Ok(7));
+        assert_eq!(doc.bool_of("b"), Ok(true));
+        assert_eq!(doc.str_of("s"), Ok("x"));
+        assert_eq!(doc.arr_of("a").map(<[Json]>::len), Ok(1));
+        assert_eq!(doc.field("gone").unwrap_err(), "missing field `gone`");
+        assert_eq!(doc.u64_of("gone").unwrap_err(), "missing field `gone`");
+        assert_eq!(doc.u64_of("s").unwrap_err(), "field `s` is not a u64");
+        assert_eq!(doc.u32_of("big").unwrap_err(), "field `big` out of u32 range");
+        assert_eq!(doc.bool_of("n").unwrap_err(), "field `n` is not a bool");
+        assert_eq!(doc.str_of("n").unwrap_err(), "field `n` is not a string");
+        assert_eq!(doc.arr_of("n").unwrap_err(), "field `n` is not an array");
+        assert_eq!(Json::Null.field("n").unwrap_err(), "missing field `n`");
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! address ranges. Everything is a thin newtype over `u64`/`usize` so that the
 //! type system distinguishes the three address spaces involved in memory
 //! virtualization (guest-virtual, guest-physical, host-physical) and the two
-//! numbering schemes (byte addresses vs. page frame numbers).
+//! numbering schemes (byte addresses vs. page frame numbers). It is also the
+//! one crate below every other, so what every wire format shares lives here:
+//! the FNV-1a-64 digest primitive and the canonical integer-only [`json`]
+//! value, writer and parser.
 //!
 //! # Examples
 //!
@@ -25,6 +28,7 @@ mod addr;
 mod error;
 mod fail;
 mod hash;
+pub mod json;
 mod page;
 mod poison;
 mod range;

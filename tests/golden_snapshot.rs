@@ -1,14 +1,11 @@
-//! Backward-compatibility guard for the snapshot format: a version-1
-//! snapshot file (predating the per-zone `pcp` member), a version-2 file
-//! (predating the hwpoison sections), a version-3 file (predating the
-//! balloon/KSM members), a version-4 file (predating the NUMA topology
-//! members), and a version-5 file (predating the maintenance-daemon state)
-//! are checked into `tests/golden/` and must keep decoding forever; the
-//! current-format golden lives in `tests/golden/snapshot_v6.jsonl` and pins
-//! encoder determinism. Format changes that would orphan existing snapshot
-//! files fail here; a deliberate format bump must keep decoding old
-//! versions (or regenerate the current golden *and* bump
-//! `SNAPSHOT_VERSION`).
+//! Guard for the snapshot format. The decoder reads one version, the one the
+//! encoder writes; `tests/golden/snapshot_v6.jsonl` is a file of that version
+//! and pins it in both directions: the encoder must reproduce its bytes from
+//! the fixed workload below, and the decoder must restore every section of it
+//! — poison, balloon and sharing, zone topology and homes, daemon — with its
+//! values, not its defaults. A deliberate format change regenerates the
+//! golden *and* bumps `SNAPSHOT_VERSION`; files of the old version are then
+//! refused by name, as a file of any other version is today.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -16,15 +13,17 @@ use std::path::PathBuf;
 use contig::check::{decode_vm_file, digest_vm, encode_vm_file};
 use contig::prelude::*;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden").join(name)
+fn golden_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_v6.jsonl")
+}
+
+fn golden_text() -> String {
+    std::fs::read_to_string(golden_path()).expect("tests/golden/snapshot_v6.jsonl is checked in")
 }
 
 /// The fixed workload behind the golden files: two processes, an anonymous
 /// VMA with huge and base mappings, a page-cache-backed file VMA, a COW
 /// fork, and one armed fault injector — every snapshot section populated.
-/// Deliberately pcp-free so the identical workload stands behind both the
-/// v1 and v2 fixtures.
 fn golden_vm_with(config: VmConfig) -> VirtualMachine {
     let mut vm = VirtualMachine::new(
         config,
@@ -51,10 +50,10 @@ fn golden_vm_with(config: VmConfig) -> VirtualMachine {
     vm
 }
 
-/// The version-3 golden workload: the v1/v2 fixture plus hwpoison activity,
-/// so every new section of the format — per-zone badframe lists, quarantine
-/// counters, the seeded poison policy, and the recovery stats — is populated
-/// with non-default values in the checked-in file.
+/// The base fixture plus hwpoison activity, so the poison sections of the
+/// format — per-zone badframe lists, quarantine counters, the seeded poison
+/// policy, and the recovery stats — are populated with non-default values
+/// in the checked-in file.
 fn golden_vm_v3_with(config: VmConfig) -> VirtualMachine {
     let mut vm = golden_vm_with(config);
     // A healed host-side strike on a frame backing guest memory, plus a
@@ -91,10 +90,9 @@ fn golden_vm_v3_with(config: VmConfig) -> VirtualMachine {
     vm
 }
 
-/// The balloon + KSM tail introduced by the version-4 workload (the v3
-/// fixture re-run with THP disabled on both dimensions — KSM merges only
-/// 4 KiB host leaves — so the ballooned-frame list and the host-frame
-/// sharing registry carry non-default values), retained verbatim by v5.
+/// The balloon + KSM tail (run with THP disabled on both dimensions — KSM
+/// merges only 4 KiB host leaves — so the ballooned-frame list and the
+/// host-frame sharing registry carry non-default values).
 fn balloon_and_ksm(vm: &mut VirtualMachine) {
     let claimed = vm.balloon_inflate(8);
     assert!(claimed > 0, "fixture must balloon at least one guest frame");
@@ -109,12 +107,12 @@ fn balloon_and_ksm(vm: &mut VirtualMachine) {
     );
 }
 
-/// The version-5 golden workload: the v4 fixture rebuilt on a two-zone
-/// guest/host topology, with both guest processes homed on different zones,
-/// fresh zone-local faults, and one cross-zone page migration before the
-/// balloon/KSM tail — so the new format members (per-process `home`, the
-/// system `numa_stats` counters, and the multi-zone machine layout) all
-/// carry non-default values in the checked-in file.
+/// The poison fixture rebuilt on a two-zone guest/host topology, with both
+/// guest processes homed on different zones, fresh zone-local faults, and
+/// one cross-zone page migration before the balloon/KSM tail — so the NUMA
+/// members (per-process `home`, the system `numa_stats` counters, and the
+/// multi-zone machine layout) all carry non-default values in the
+/// checked-in file.
 fn golden_vm_v5() -> VirtualMachine {
     let mut config = VmConfig::with_mib_nodes(16, 64, 2);
     config.guest.thp = false;
@@ -148,9 +146,9 @@ fn golden_vm_v5() -> VirtualMachine {
     vm
 }
 
-/// The version-6 golden workload: the v5 fixture with the background
+/// The golden workload: the v5 fixture with the background
 /// maintenance daemon enabled on both dimensions and ticked mid-epoch — so
-/// the new `daemon` member carries live cursors, a partially spent budget,
+/// the `daemon` member carries live cursors, a partially spent budget,
 /// a remembered promotion candidate (the 4-page homed window clears the
 /// lowered threshold), and non-zero counters in the checked-in file.
 fn golden_vm_v6() -> VirtualMachine {
@@ -177,11 +175,9 @@ fn golden_vm_v6() -> VirtualMachine {
     vm
 }
 
-/// Decode a golden file, restore it, and check digest-exactness + audit.
-fn check_golden(name: &str) {
-    let text = std::fs::read_to_string(golden_path(name))
-        .unwrap_or_else(|e| panic!("tests/golden/{name} must be checked in: {e}"));
-    let snap = decode_vm_file(&text).expect("current decoder must read the golden file");
+#[test]
+fn golden_v6_snapshot_still_decodes() {
+    let snap = decode_vm_file(&golden_text()).expect("current decoder must read the golden file");
 
     // The header digest is re-verified by the decoder; additionally pin the
     // decoded state: restore must reproduce the digest and audit clean.
@@ -198,28 +194,11 @@ fn check_golden(name: &str) {
 }
 
 #[test]
-fn golden_v1_snapshot_still_decodes() {
-    check_golden("snapshot_v1.jsonl");
-}
-
-#[test]
-fn golden_v2_snapshot_still_decodes() {
-    check_golden("snapshot_v2.jsonl");
-}
-
-#[test]
-fn golden_v3_snapshot_still_decodes() {
-    check_golden("snapshot_v3.jsonl");
-}
-
-#[test]
 fn golden_v3_restores_poison_state() {
     // The poison sections must survive the round trip with their exact
     // values, not just re-default: the fixture quarantined frames on both
     // dimensions and left an armed probabilistic policy behind.
-    let text = std::fs::read_to_string(golden_path("snapshot_v3.jsonl"))
-        .expect("tests/golden/snapshot_v3.jsonl must be checked in");
-    let snap = decode_vm_file(&text).expect("decode v3 golden");
+    let snap = decode_vm_file(&golden_text()).expect("decode golden");
     let mut vm = VirtualMachine::new(
         VmConfig::with_mib(16, 64),
         Box::new(DefaultThpPolicy),
@@ -234,17 +213,10 @@ fn golden_v3_restores_poison_state() {
 }
 
 #[test]
-fn golden_v4_snapshot_still_decodes() {
-    check_golden("snapshot_v4.jsonl");
-}
-
-#[test]
 fn golden_v4_restores_balloon_and_sharing_state() {
     // The balloon frame list and the KSM sharing registry must survive the
     // round trip with their exact values, not just re-default.
-    let text = std::fs::read_to_string(golden_path("snapshot_v4.jsonl"))
-        .expect("tests/golden/snapshot_v4.jsonl must be checked in");
-    let snap = decode_vm_file(&text).expect("decode v4 golden");
+    let snap = decode_vm_file(&golden_text()).expect("decode golden");
     let mut vm = VirtualMachine::new(
         VmConfig::with_mib(16, 64),
         Box::new(DefaultThpPolicy),
@@ -265,20 +237,11 @@ fn golden_v4_restores_balloon_and_sharing_state() {
 }
 
 #[test]
-fn golden_v5_snapshot_still_decodes() {
-    // Decode-only since the v6 format bump: the file's bytes are frozen;
-    // the current encoder no longer reproduces them (it appends `daemon`).
-    check_golden("snapshot_v5.jsonl");
-}
-
-#[test]
 fn golden_v5_restores_zone_topology_and_homes() {
     // The NUMA members must survive the round trip with their exact values:
     // the two-zone machine layout, both process homes, and the placement
     // counters (local faults plus the one cross-zone migration).
-    let text = std::fs::read_to_string(golden_path("snapshot_v5.jsonl"))
-        .expect("tests/golden/snapshot_v5.jsonl must be checked in");
-    let snap = decode_vm_file(&text).expect("decode v5 golden");
+    let snap = decode_vm_file(&golden_text()).expect("decode golden");
     let mut vm = VirtualMachine::new(
         VmConfig::with_mib(16, 64),
         Box::new(DefaultThpPolicy),
@@ -291,15 +254,6 @@ fn golden_v5_restores_zone_topology_and_homes() {
     let stats = vm.guest().numa_stats();
     assert!(stats.local_allocs > 0, "local-alloc counter lost in round trip");
     assert_eq!(stats.migrations, 1, "migration counter lost in round trip");
-    // The fixture workload itself is reproducible on top of the restore
-    // (an undecoded v5 file defaults the daemon member, as does the v5
-    // workload — the snapshot structs digest identically).
-    assert_eq!(digest_vm(&golden_vm_v5().snapshot()), digest_vm(&snap));
-}
-
-#[test]
-fn golden_v6_snapshot_still_decodes() {
-    check_golden("snapshot_v6.jsonl");
 }
 
 #[test]
@@ -307,9 +261,7 @@ fn golden_v6_restores_daemon_state() {
     // The mid-epoch daemon member must survive the round trip with its
     // exact values — live cursors, partially spent budget, the remembered
     // promotion candidate, counters — not just re-default.
-    let text = std::fs::read_to_string(golden_path("snapshot_v6.jsonl"))
-        .expect("tests/golden/snapshot_v6.jsonl must be checked in");
-    let snap = decode_vm_file(&text).expect("decode v6 golden");
+    let snap = decode_vm_file(&golden_text()).expect("decode golden");
     let mut vm = VirtualMachine::new(
         VmConfig::with_mib(16, 64),
         Box::new(DefaultThpPolicy),
@@ -331,16 +283,25 @@ fn golden_v6_restores_daemon_state() {
 }
 
 #[test]
+fn golden_file_with_anything_after_the_payload_is_refused() {
+    let golden = golden_text();
+    for tail in ["this is not json\n{\"more\":1}\n", "{}", "\n\n x"] {
+        let err = decode_vm_file(&format!("{golden}{tail}")).unwrap_err();
+        assert_eq!(err, "trailing data after payload line");
+    }
+    // Blank lines are not data.
+    decode_vm_file(&format!("\n{golden}\n  \n")).expect("blank lines around the two are fine");
+}
+
+#[test]
 fn golden_workload_is_still_deterministic() {
     // The encoder applied to the fixed golden workload must reproduce the
     // checked-in bytes exactly. If this fails while the decode tests pass,
     // the format evolved compatibly — regenerate via
     // `cargo test --test golden_snapshot -- --ignored` and review the diff.
-    let text = std::fs::read_to_string(golden_path("snapshot_v6.jsonl"))
-        .expect("tests/golden/snapshot_v6.jsonl must be checked in");
     assert_eq!(
         encode_vm_file(&golden_vm_v6().snapshot()),
-        text,
+        golden_text(),
         "encoder output drifted from the golden file"
     );
 }
@@ -348,7 +309,7 @@ fn golden_workload_is_still_deterministic() {
 #[test]
 #[ignore = "regenerates the current-format golden fixture; run explicitly after a reviewed format change"]
 fn regenerate_golden_file() {
-    let path = golden_path("snapshot_v6.jsonl");
+    let path = golden_path();
     std::fs::create_dir_all(path.parent().unwrap()).expect("mkdir tests/golden");
     std::fs::write(&path, encode_vm_file(&golden_vm_v6().snapshot())).expect("write golden");
 }
