@@ -41,17 +41,19 @@ impl MachineConfig {
     }
 }
 
-/// Plain-data image of a whole machine's allocator state, produced by
-/// [`Machine::snapshot`] and consumed by [`Machine::from_snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MachineSnapshot {
-    /// One snapshot per zone, in node order.
-    pub zones: Vec<ZoneSnapshot>,
-    /// Contiguity reservations as `(owner, start byte, length)`, in
-    /// registration order.
-    pub reservations: Vec<(u64, u64, u64)>,
-    /// The reservation-aware placement rover (byte address).
-    pub reservation_rover: u64,
+contig_types::wire_struct! {
+    /// Plain-data image of a whole machine's allocator state, produced by
+    /// [`Machine::snapshot`] and consumed by [`Machine::from_snapshot`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct MachineSnapshot {
+        /// One snapshot per zone, in node order.
+        pub zones: Vec<ZoneSnapshot>,
+        /// Contiguity reservations as `(owner, start byte, length)`, in
+        /// registration order.
+        pub reservations: Vec<(u64, u64, u64)>,
+        /// The reservation-aware placement rover (byte address).
+        pub reservation_rover: u64,
+    }
 }
 
 /// A multi-zone physical memory with first-fill node selection: allocations

@@ -45,55 +45,47 @@ impl PcpConfig {
     }
 }
 
-/// Event counters of one zone's pcp layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PcpCounters {
-    /// Order-0 allocations served by popping a pcp list.
-    pub hits: u64,
-    /// Batch refills pulled from the buddy free lists.
-    pub refills: u64,
-    /// Frames moved by those refills.
-    pub refilled_frames: u64,
-    /// Batch drains back to the buddy heap (watermark, OOM fallback, or
-    /// explicit [`crate::Zone::drain_pcp`]).
-    pub drains: u64,
-    /// Frames moved by those drains.
-    pub drained_frames: u64,
-    /// Frames evicted from pcp lists because a targeted (CA paging)
-    /// allocation claimed the block containing them — the paper-§III
-    /// conflict between pcp caching and contiguity-aware placement.
-    pub targeted_evictions: u64,
-}
-
-impl PcpCounters {
-    /// Adds another zone's counters into this one (machine-wide totals).
-    pub fn accumulate(&mut self, other: &PcpCounters) {
-        self.hits += other.hits;
-        self.refills += other.refills;
-        self.refilled_frames += other.refilled_frames;
-        self.drains += other.drains;
-        self.drained_frames += other.drained_frames;
-        self.targeted_evictions += other.targeted_evictions;
+contig_types::wire_counters! {
+    /// Event counters of one zone's pcp layer.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct PcpCounters {
+        /// Order-0 allocations served by popping a pcp list.
+        pub hits: u64,
+        /// Batch refills pulled from the buddy free lists.
+        pub refills: u64,
+        /// Frames moved by those refills.
+        pub refilled_frames: u64,
+        /// Batch drains back to the buddy heap (watermark, OOM fallback, or
+        /// explicit [`crate::Zone::drain_pcp`]).
+        pub drains: u64,
+        /// Frames moved by those drains.
+        pub drained_frames: u64,
+        /// Frames evicted from pcp lists because a targeted (CA paging)
+        /// allocation claimed the block containing them — the paper-§III
+        /// conflict between pcp caching and contiguity-aware placement.
+        pub targeted_evictions: u64,
     }
 }
 
-/// Plain-data image of a zone's pcp layer, carried by
-/// [`crate::ZoneSnapshot`]. Lists are captured bottom (coldest) to top (next
-/// frame to pop), so a restored zone pops the same frames in the same order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PcpSnapshot {
-    /// Number of simulated CPUs.
-    pub cpus: u64,
-    /// Refill/drain batch size.
-    pub batch: u64,
-    /// Drain high watermark.
-    pub high: u64,
-    /// The CPU selected at capture time.
-    pub current_cpu: u64,
-    /// Per-CPU lists in stack order (index 0 is the coldest frame).
-    pub lists: Vec<Vec<u64>>,
-    /// Event counters at capture time.
-    pub counters: PcpCounters,
+contig_types::wire_struct! {
+    /// Plain-data image of a zone's pcp layer, carried by
+    /// [`crate::ZoneSnapshot`]. Lists are captured bottom (coldest) to top (next
+    /// frame to pop), so a restored zone pops the same frames in the same order.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PcpSnapshot {
+        /// Number of simulated CPUs.
+        pub cpus: u64,
+        /// Refill/drain batch size.
+        pub batch: u64,
+        /// Drain high watermark.
+        pub high: u64,
+        /// The CPU selected at capture time.
+        pub current_cpu: u64,
+        /// Per-CPU lists in stack order (index 0 is the coldest frame).
+        pub lists: Vec<Vec<u64>>,
+        /// Event counters at capture time.
+        pub counters: PcpCounters,
+    }
 }
 
 /// Live pcp state owned by a [`crate::Zone`].

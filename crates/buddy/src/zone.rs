@@ -15,20 +15,22 @@ use crate::stats::FreeBlockHistogram;
 /// `MAX_ORDER = 11` convention of eleven lists for orders `0..=10`.
 pub const DEFAULT_TOP_ORDER: u32 = 10;
 
-/// Construction parameters for a [`Zone`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ZoneConfig {
-    /// First absolute frame number of the zone.
-    pub base: Pfn,
-    /// Number of 4 KiB frames in the zone.
-    pub frames: u64,
-    /// Largest buddy order maintained (Linux default 10 → 4 MiB blocks).
-    /// The eager-paging baseline raises this to keep larger blocks.
-    pub top_order: u32,
-    /// Keep the top-order free list sorted by physical address so fallback
-    /// allocations carve low addresses first (paper §III-C). The default
-    /// kernel uses LIFO lists.
-    pub sorted_top_list: bool,
+contig_types::wire_struct! {
+    /// Construction parameters for a [`Zone`].
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct ZoneConfig {
+        /// First absolute frame number of the zone.
+        pub base: Pfn,
+        /// Number of 4 KiB frames in the zone.
+        pub frames: u64,
+        /// Largest buddy order maintained (Linux default 10 → 4 MiB blocks).
+        /// The eager-paging baseline raises this to keep larger blocks.
+        pub top_order: u32,
+        /// Keep the top-order free list sorted by physical address so fallback
+        /// allocations carve low addresses first (paper §III-C). The default
+        /// kernel uses LIFO lists.
+        pub sorted_top_list: bool,
+    }
 }
 
 impl ZoneConfig {
@@ -43,48 +45,41 @@ impl ZoneConfig {
     }
 }
 
-/// Event counters exposed for the software-overhead experiments (Fig. 11).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ZoneCounters {
-    /// Successful untargeted allocations.
-    pub allocs: u64,
-    /// Successful targeted (`alloc_specific`) allocations.
-    pub targeted_allocs: u64,
-    /// Targeted allocations that failed because the frame was busy.
-    pub targeted_misses: u64,
-    /// Frees performed.
-    pub frees: u64,
-    /// Block splits performed.
-    pub splits: u64,
-    /// Buddy coalesces performed.
-    pub coalesces: u64,
+contig_types::wire_counters! {
+    /// Event counters exposed for the software-overhead experiments (Fig. 11).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ZoneCounters {
+        /// Successful untargeted allocations.
+        pub allocs: u64,
+        /// Successful targeted (`alloc_specific`) allocations.
+        pub targeted_allocs: u64,
+        /// Targeted allocations that failed because the frame was busy.
+        pub targeted_misses: u64,
+        /// Frees performed.
+        pub frees: u64,
+        /// Block splits performed.
+        pub splits: u64,
+        /// Buddy coalesces performed.
+        pub coalesces: u64,
+    }
 }
 
-/// Memory-failure (hwpoison) counters of one zone's quarantine machinery.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoisonCounters {
-    /// Frames ever marked poisoned in this zone.
-    pub poisoned: u64,
-    /// Poisoned frames carved straight out of the free lists.
-    pub quarantined_free: u64,
-    /// Poisoned frames pulled out of a per-CPU cache list.
-    pub quarantined_pcp: u64,
-    /// Frames poisoned while allocated/mapped; quarantine completes when the
-    /// owner frees (or migrates away from) the block.
-    pub deferred: u64,
-    /// Frames diverted to quarantine at free or pcp-drain time instead of
-    /// re-entering the free lists.
-    pub quarantined_on_free: u64,
-}
-
-impl PoisonCounters {
-    /// Adds another zone's counters into this one (machine-wide totals).
-    pub fn accumulate(&mut self, other: &PoisonCounters) {
-        self.poisoned += other.poisoned;
-        self.quarantined_free += other.quarantined_free;
-        self.quarantined_pcp += other.quarantined_pcp;
-        self.deferred += other.deferred;
-        self.quarantined_on_free += other.quarantined_on_free;
+contig_types::wire_counters! {
+    /// Memory-failure (hwpoison) counters of one zone's quarantine machinery.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct PoisonCounters {
+        /// Frames ever marked poisoned in this zone.
+        pub poisoned: u64,
+        /// Poisoned frames carved straight out of the free lists.
+        pub quarantined_free: u64,
+        /// Poisoned frames pulled out of a per-CPU cache list.
+        pub quarantined_pcp: u64,
+        /// Frames poisoned while allocated/mapped; quarantine completes when the
+        /// owner frees (or migrates away from) the block.
+        pub deferred: u64,
+        /// Frames diverted to quarantine at free or pcp-drain time instead of
+        /// re-entering the free lists.
+        pub quarantined_on_free: u64,
     }
 }
 
@@ -105,42 +100,44 @@ pub enum PoisonDisposition {
     Deferred,
 }
 
-/// Plain-data image of a zone's complete allocator state, produced by
-/// [`Zone::snapshot`] and consumed by [`Zone::from_snapshot`].
-///
-/// Free lists are captured *in list iteration order*: for the kernel-default
-/// LIFO discipline the order blocks sit on a list decides which block the next
-/// allocation carves, so a restore that reordered a list would make the
-/// restored run diverge from the original. Allocated blocks carry their order
-/// so the frame table can be rebuilt exactly.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ZoneSnapshot {
-    /// The zone's construction parameters.
-    pub config: ZoneConfig,
-    /// Per-order free-list contents (absolute frame numbers) in iteration
-    /// order — LIFO insertion order for kernel-default lists, ascending for
-    /// sorted lists.
-    pub free_lists: Vec<Vec<u64>>,
-    /// Allocated block heads as `(absolute pfn, order)`, ascending.
-    pub allocated: Vec<(u64, u32)>,
-    /// Event counters at snapshot time.
-    pub counters: ZoneCounters,
-    /// The fault-injection policy, including its mid-stream RNG state, so a
-    /// restored run injects the same failures the original would have.
-    pub fail: FailPolicy,
-    /// The contiguity map's next-fit rover (absolute frame number).
-    pub contig_rover: Option<u64>,
-    /// The contiguity map's update counter.
-    pub contig_updates: u64,
-    /// The per-CPU frame-cache layer, if enabled. Pcp-resident frames appear
-    /// in `allocated` (they are carved out of the buddy block structure) but
-    /// still count as free; see [`crate::PcpConfig`].
-    pub pcp: Option<PcpSnapshot>,
-    /// Poisoned frames (ascending). Quarantined ones appear in `allocated`
-    /// as order-0 blocks; deferred ones sit inside a live allocation.
-    pub badframes: Vec<u64>,
-    /// Memory-failure counters at snapshot time.
-    pub poison: PoisonCounters,
+contig_types::wire_struct! {
+    /// Plain-data image of a zone's complete allocator state, produced by
+    /// [`Zone::snapshot`] and consumed by [`Zone::from_snapshot`].
+    ///
+    /// Free lists are captured *in list iteration order*: for the kernel-default
+    /// LIFO discipline the order blocks sit on a list decides which block the next
+    /// allocation carves, so a restore that reordered a list would make the
+    /// restored run diverge from the original. Allocated blocks carry their order
+    /// so the frame table can be rebuilt exactly.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ZoneSnapshot {
+        /// The zone's construction parameters.
+        pub config: ZoneConfig,
+        /// Per-order free-list contents (absolute frame numbers) in iteration
+        /// order — LIFO insertion order for kernel-default lists, ascending for
+        /// sorted lists.
+        pub free_lists: Vec<Vec<u64>>,
+        /// Allocated block heads as `(absolute pfn, order)`, ascending.
+        pub allocated: Vec<(u64, u32)>,
+        /// Event counters at snapshot time.
+        pub counters: ZoneCounters,
+        /// The fault-injection policy, including its mid-stream RNG state, so a
+        /// restored run injects the same failures the original would have.
+        pub fail: FailPolicy,
+        /// The contiguity map's next-fit rover (absolute frame number).
+        pub contig_rover: Option<u64>,
+        /// The contiguity map's update counter.
+        pub contig_updates: u64,
+        /// The per-CPU frame-cache layer, if enabled. Pcp-resident frames appear
+        /// in `allocated` (they are carved out of the buddy block structure) but
+        /// still count as free; see [`crate::PcpConfig`].
+        pub pcp: Option<PcpSnapshot>,
+        /// Poisoned frames (ascending). Quarantined ones appear in `allocated`
+        /// as order-0 blocks; deferred ones sit inside a live allocation.
+        pub badframes: Vec<u64>,
+        /// Memory-failure counters at snapshot time.
+        pub poison: PoisonCounters,
+    }
 }
 
 /// A power-of-two buddy allocator with eager coalescing, targeted allocation,

@@ -15,8 +15,7 @@ use contig_tlb::TlbSnapshot;
 use contig_types::Fnv1a64;
 use contig_virt::VmSnapshot;
 
-use crate::codec::{encode_fleet, encode_system, encode_tlb, encode_vm};
-use crate::json::digest;
+use crate::json::{digest, Wire};
 
 // The canonical FNV-1a-64 implementation lives in `contig-types` (it also
 // checksums migration transport frames in `contig-virt`); re-exported here so
@@ -25,24 +24,24 @@ pub use contig_types::fnv1a64;
 
 /// Digest of one [`System`](contig_mm::System) image.
 pub fn digest_system(snap: &SystemSnapshot) -> u64 {
-    digest(|e| encode_system(e, snap))
+    digest(|e| snap.enc(e))
 }
 
 /// Digest of a whole two-dimensional [`VirtualMachine`](contig_virt::VirtualMachine) image.
 pub fn digest_vm(snap: &VmSnapshot) -> u64 {
-    digest(|e| encode_vm(e, snap))
+    digest(|e| snap.enc(e))
 }
 
 /// Digest of a whole multi-tenant [`Fleet`](contig_fleet::Fleet) image —
 /// every host system, every tenant guest, the sharing registries, balloons,
 /// content tags, stats, and RNG state.
 pub fn digest_fleet(snap: &FleetSnapshot) -> u64 {
-    digest(|e| encode_fleet(e, snap))
+    digest(|e| snap.enc(e))
 }
 
 /// Digest of a TLB hierarchy image: every slot, LRU tick and counter.
 pub fn digest_tlb(snap: &TlbSnapshot) -> u64 {
-    digest(|e| encode_tlb(e, snap))
+    digest(|e| snap.enc(e))
 }
 
 /// Folds per-shard digests into one, hashing each digest's 8 little-endian

@@ -37,9 +37,8 @@ pub mod replay;
 pub mod torture;
 
 pub use codec::{
-    decode_vm_file, encode_fleet, encode_system, encode_tlb, encode_vm, encode_vm_file,
-    read_vm_file, system_from_json, tlb_from_json, vm_from_json, write_vm_file,
-    SnapshotGuestCodec, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+    decode_vm_file, encode_vm_file, read_vm_file, write_vm_file, SnapshotGuestCodec,
+    SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
 };
 pub use digest::{digest_fleet, digest_system, digest_tlb, digest_vm, fnv1a64, fold_digests};
 pub use contig_types::json::{self, Json};
@@ -52,6 +51,7 @@ pub use torture::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Wire;
     use contig_mm::{DefaultThpPolicy, VmaKind};
     use contig_types::{VirtAddr, VirtRange};
     use contig_virt::{VirtualMachine, VmConfig};
@@ -107,15 +107,15 @@ mod tests {
 
     #[test]
     fn tlb_snapshot_survives_the_codec_and_restores() {
-        use contig_tlb::{TlbConfig, TlbHierarchy};
+        use contig_tlb::{TlbConfig, TlbHierarchy, TlbSnapshot};
         let mut tlb = TlbHierarchy::new(TlbConfig::broadwell_scaled(5));
         for page in 0..400u64 {
             tlb.fill(VirtAddr::new(page << 12), contig_types::PageSize::Base4K);
             tlb.lookup(VirtAddr::new((page / 3) << 12));
         }
         let snap = tlb.snapshot();
-        let line = json::line(|e| encode_tlb(e, &snap));
-        let decoded = tlb_from_json(&json::parse(&line).unwrap()).unwrap();
+        let line = json::line(|e| snap.enc(e));
+        let decoded = TlbSnapshot::dec(&json::parse(&line).unwrap()).unwrap();
         assert_eq!(decoded, snap);
         assert_eq!(fnv1a64(line.as_bytes()), digest_tlb(&snap));
         assert_eq!(TlbHierarchy::from_snapshot(&decoded).unwrap().snapshot(), snap);
@@ -132,7 +132,7 @@ mod tests {
         let good = image("1", "2", "[[5,1],null]");
         let decode = |l2: &str| {
             let doc = format!(r#"{{"l1_4k":{good},"l1_2m":{good},"l2":{l2},"counters":[0,0,0,0]}}"#);
-            tlb_from_json(&json::parse(&doc).unwrap())
+            contig_tlb::TlbSnapshot::dec(&json::parse(&doc).unwrap())
         };
         assert!(contig_tlb::TlbHierarchy::from_snapshot(&decode(&good).unwrap()).is_ok());
         for (l2, why) in [
@@ -144,7 +144,7 @@ mod tests {
             (image("18446744073709551615", "18446744073709551615", "[null]"), "1 slots"),
             (image("1", "2", "[[5,1],[7,0]]"), "slot 1 is occupied with tick 0"),
             (image("18446744073709551616", "1", "[]"), "sets"),
-            (image("1", "1", "[[5]]"), "cache slot"),
+            (image("1", "1", "[[5]]"), "l2: slots: [0]: not a 2-element array"),
         ] {
             let err = decode(&l2).unwrap_err();
             assert!(err.contains(why), "{l2}: {err}");

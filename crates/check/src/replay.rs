@@ -11,7 +11,7 @@
 //! {"op":"touch","sel":0,"page":4}
 //! ```
 
-use crate::json::{parse, Json};
+use crate::json::{line, parse, Json, Wire};
 use crate::torture::{TortureConfig, TortureOp};
 
 /// Current repro file format version.
@@ -19,187 +19,33 @@ pub const REPRO_VERSION: i128 = 1;
 /// `format` tag of repro files.
 pub const REPRO_FORMAT: &str = "contig-torture";
 
-fn obj(members: Vec<(&str, Json)>) -> Json {
-    Json::Obj(members.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn op_to_json(op: &TortureOp) -> Json {
-    match *op {
-        TortureOp::MapAnon { sel, pages } => obj(vec![
-            ("op", Json::Str("map_anon".into())),
-            ("sel", Json::num(sel)),
-            ("pages", Json::num(pages)),
-        ]),
-        TortureOp::MapFile { sel, pages } => obj(vec![
-            ("op", Json::Str("map_file".into())),
-            ("sel", Json::num(sel)),
-            ("pages", Json::num(pages)),
-        ]),
-        TortureOp::Touch { sel, page } => obj(vec![
-            ("op", Json::Str("touch".into())),
-            ("sel", Json::num(sel)),
-            ("page", Json::num(page)),
-        ]),
-        TortureOp::TouchWrite { sel, page } => obj(vec![
-            ("op", Json::Str("touch_write".into())),
-            ("sel", Json::num(sel)),
-            ("page", Json::num(page)),
-        ]),
-        TortureOp::Populate { sel } => {
-            obj(vec![("op", Json::Str("populate".into())), ("sel", Json::num(sel))])
-        }
-        TortureOp::Fork { sel } => {
-            obj(vec![("op", Json::Str("fork".into())), ("sel", Json::num(sel))])
-        }
-        TortureOp::ExitProc { sel } => {
-            obj(vec![("op", Json::Str("exit_proc".into())), ("sel", Json::num(sel))])
-        }
-        TortureOp::SetFaults { host, rate_ppm, seed } => obj(vec![
-            ("op", Json::Str("set_faults".into())),
-            ("host", Json::Bool(host)),
-            ("rate_ppm", Json::num(rate_ppm)),
-            ("seed", Json::num(seed)),
-        ]),
-        TortureOp::ClearFaults => obj(vec![("op", Json::Str("clear_faults".into()))]),
-        TortureOp::PoisonFrame { host, sel } => obj(vec![
-            ("op", Json::Str("poison_frame".into())),
-            ("host", Json::Bool(host)),
-            ("sel", Json::num(sel)),
-        ]),
-        TortureOp::SoftOffline { host, sel } => obj(vec![
-            ("op", Json::Str("soft_offline".into())),
-            ("host", Json::Bool(host)),
-            ("sel", Json::num(sel)),
-        ]),
-        TortureOp::SetPoison { host, rate_ppm, seed } => obj(vec![
-            ("op", Json::Str("set_poison".into())),
-            ("host", Json::Bool(host)),
-            ("rate_ppm", Json::num(rate_ppm)),
-            ("seed", Json::num(seed)),
-        ]),
-        TortureOp::ClearPoison => obj(vec![("op", Json::Str("clear_poison".into()))]),
-        TortureOp::Migrate { seed } => {
-            obj(vec![("op", Json::Str("migrate".into())), ("seed", Json::num(seed))])
-        }
-        TortureOp::SetTransport { rate_ppm, seed } => obj(vec![
-            ("op", Json::Str("set_transport".into())),
-            ("rate_ppm", Json::num(rate_ppm)),
-            ("seed", Json::num(seed)),
-        ]),
-        TortureOp::ClearTransport => obj(vec![("op", Json::Str("clear_transport".into()))]),
-        TortureOp::FleetWrite { sel, page, tag } => obj(vec![
-            ("op", Json::Str("fleet_write".into())),
-            ("sel", Json::num(sel)),
-            ("page", Json::num(page)),
-            ("tag", Json::num(tag)),
-        ]),
-        TortureOp::FleetRead { sel, page } => obj(vec![
-            ("op", Json::Str("fleet_read".into())),
-            ("sel", Json::num(sel)),
-            ("page", Json::num(page)),
-        ]),
-        TortureOp::FleetDiscard { sel, page } => obj(vec![
-            ("op", Json::Str("fleet_discard".into())),
-            ("sel", Json::num(sel)),
-            ("page", Json::num(page)),
-        ]),
-        TortureOp::FleetStep => obj(vec![("op", Json::Str("fleet_step".into()))]),
-        TortureOp::DaemonTick => obj(vec![("op", Json::Str("daemon_tick".into()))]),
-        TortureOp::SetDaemonPolicy { level, budget } => obj(vec![
-            ("op", Json::Str("set_daemon_policy".into())),
-            ("level", Json::num(level)),
-            ("budget", Json::num(budget)),
-        ]),
-    }
-}
-
-fn op_from_json(v: &Json) -> Result<TortureOp, String> {
-    let name = v.str_of("op")?;
-    Ok(match name {
-        "map_anon" => TortureOp::MapAnon { sel: v.u64_of("sel")?, pages: v.u64_of("pages")? },
-        "map_file" => TortureOp::MapFile { sel: v.u64_of("sel")?, pages: v.u64_of("pages")? },
-        "touch" => TortureOp::Touch { sel: v.u64_of("sel")?, page: v.u64_of("page")? },
-        "touch_write" => {
-            TortureOp::TouchWrite { sel: v.u64_of("sel")?, page: v.u64_of("page")? }
-        }
-        "populate" => TortureOp::Populate { sel: v.u64_of("sel")? },
-        "fork" => TortureOp::Fork { sel: v.u64_of("sel")? },
-        "exit_proc" => TortureOp::ExitProc { sel: v.u64_of("sel")? },
-        "set_faults" => TortureOp::SetFaults {
-            host: v.bool_of("host")?,
-            rate_ppm: v.u32_of("rate_ppm")?,
-            seed: v.u64_of("seed")?,
-        },
-        "clear_faults" => TortureOp::ClearFaults,
-        "poison_frame" => {
-            TortureOp::PoisonFrame { host: v.bool_of("host")?, sel: v.u64_of("sel")? }
-        }
-        "soft_offline" => {
-            TortureOp::SoftOffline { host: v.bool_of("host")?, sel: v.u64_of("sel")? }
-        }
-        "set_poison" => TortureOp::SetPoison {
-            host: v.bool_of("host")?,
-            rate_ppm: v.u32_of("rate_ppm")?,
-            seed: v.u64_of("seed")?,
-        },
-        "clear_poison" => TortureOp::ClearPoison,
-        "migrate" => TortureOp::Migrate { seed: v.u64_of("seed")? },
-        "set_transport" => TortureOp::SetTransport {
-            rate_ppm: v.u32_of("rate_ppm")?,
-            seed: v.u64_of("seed")?,
-        },
-        "clear_transport" => TortureOp::ClearTransport,
-        "fleet_write" => TortureOp::FleetWrite {
-            sel: v.u64_of("sel")?,
-            page: v.u64_of("page")?,
-            tag: v.u64_of("tag")?,
-        },
-        "fleet_read" => TortureOp::FleetRead { sel: v.u64_of("sel")?, page: v.u64_of("page")? },
-        "fleet_discard" => {
-            TortureOp::FleetDiscard { sel: v.u64_of("sel")?, page: v.u64_of("page")? }
-        }
-        "fleet_step" => TortureOp::FleetStep,
-        "daemon_tick" => TortureOp::DaemonTick,
-        "set_daemon_policy" => TortureOp::SetDaemonPolicy {
-            level: v.u64_of("level")?,
-            budget: v.u64_of("budget")?,
-        },
-        other => return Err(format!("unknown op `{other}`")),
-    })
-}
-
 /// Serializes a config and op sequence as a replayable JSONL repro file.
 pub fn encode_repro(cfg: &TortureConfig, ops: &[TortureOp]) -> String {
-    let header = obj(vec![
-        ("format", Json::Str(REPRO_FORMAT.into())),
-        ("version", Json::Num(REPRO_VERSION)),
-        ("seed", Json::num(cfg.seed)),
-        ("ops", Json::num(ops.len() as u64)),
-        ("guest_mib", Json::num(cfg.guest_mib)),
-        ("host_mib", Json::num(cfg.host_mib)),
-        ("faults", Json::Bool(cfg.faults)),
-        ("sweep_interval", Json::num(cfg.sweep_interval as u64)),
-        ("audit_interval", Json::num(cfg.audit_interval as u64)),
-        ("snapshot_interval", Json::num(cfg.snapshot_interval as u64)),
-        (
-            "crash_interval",
-            match cfg.crash_interval {
-                None => Json::Null,
-                Some(n) => Json::num(n as u64),
-            },
-        ),
-        ("inject_model_bug", Json::Bool(cfg.inject_model_bug)),
-        ("poison", Json::Bool(cfg.poison)),
-        ("migrate", Json::Bool(cfg.migrate)),
-        ("pcp", Json::Bool(cfg.pcp)),
-        ("fleet", Json::Bool(cfg.fleet)),
-        ("shards", Json::num(cfg.shards as u64)),
-        ("daemon", Json::Bool(cfg.daemon)),
-    ]);
-    let mut out = header.to_line();
+    let mut out = line(|e| {
+        e.obj(|e| {
+            e.key("format").str(REPRO_FORMAT);
+            e.key("version").num(REPRO_VERSION);
+            cfg.seed.enc(e.key("seed"));
+            ops.len().enc(e.key("ops"));
+            cfg.guest_mib.enc(e.key("guest_mib"));
+            cfg.host_mib.enc(e.key("host_mib"));
+            cfg.faults.enc(e.key("faults"));
+            cfg.sweep_interval.enc(e.key("sweep_interval"));
+            cfg.audit_interval.enc(e.key("audit_interval"));
+            cfg.snapshot_interval.enc(e.key("snapshot_interval"));
+            cfg.crash_interval.enc(e.key("crash_interval"));
+            cfg.inject_model_bug.enc(e.key("inject_model_bug"));
+            cfg.poison.enc(e.key("poison"));
+            cfg.migrate.enc(e.key("migrate"));
+            cfg.pcp.enc(e.key("pcp"));
+            cfg.fleet.enc(e.key("fleet"));
+            cfg.shards.enc(e.key("shards"));
+            cfg.daemon.enc(e.key("daemon"));
+        });
+    });
     out.push('\n');
     for op in ops {
-        out.push_str(&op_to_json(op).to_line());
+        out.push_str(&line(|e| op.enc(e)));
         out.push('\n');
     }
     out
@@ -227,51 +73,36 @@ pub fn decode_repro(text: &str) -> Result<(TortureConfig, Vec<TortureOp>), Strin
             "repro version {version} unsupported (decoder speaks {REPRO_VERSION})"
         ));
     }
-    let usize_field = |key: &str| -> Result<usize, String> {
-        usize::try_from(header.u64_of(key)?).map_err(|_| format!("`{key}` out of range"))
-    };
+    // A member the header lacks is one the file predates: each subsystem
+    // added since version 1 defaults to off (`shards` to 0, the flat
+    // machine), so old artifacts replay byte-identically.
+    fn since_v1<T: Wire + Default>(header: &Json, key: &str) -> T {
+        header.member(key).unwrap_or_default()
+    }
     let mut cfg = TortureConfig {
-        seed: header.u64_of("seed")?,
-        ops: usize_field("ops")?,
-        guest_mib: header.u64_of("guest_mib")?,
-        host_mib: header.u64_of("host_mib")?,
-        faults: header.bool_of("faults")?,
-        sweep_interval: usize_field("sweep_interval")?,
-        audit_interval: usize_field("audit_interval")?,
-        snapshot_interval: usize_field("snapshot_interval")?,
+        seed: header.member("seed")?,
+        ops: header.member("ops")?,
+        guest_mib: header.member("guest_mib")?,
+        host_mib: header.member("host_mib")?,
+        faults: header.member("faults")?,
+        sweep_interval: header.member("sweep_interval")?,
+        audit_interval: header.member("audit_interval")?,
+        snapshot_interval: header.member("snapshot_interval")?,
         crash_interval: match header.get("crash_interval") {
-            Some(Json::Null) | None => None,
-            Some(v) => Some(
-                usize::try_from(v.as_u64().ok_or("crash_interval is not a u64")?)
-                    .map_err(|_| "crash_interval out of range")?,
-            ),
+            None => None,
+            Some(_) => header.member("crash_interval")?,
         },
-        inject_model_bug: header.bool_of("inject_model_bug")?,
-        // Absent in repro files written before the hwpoison subsystem:
-        // default off so old artifacts replay byte-identically.
-        poison: header.get("poison").and_then(Json::as_bool).unwrap_or(false),
-        // Absent in repro files written before live migration: default off
-        // so old artifacts replay byte-identically.
-        migrate: header.get("migrate").and_then(Json::as_bool).unwrap_or(false),
-        pcp: header.get("pcp").and_then(Json::as_bool).unwrap_or(false),
-        // Absent in repro files written before the multi-tenant fleet:
-        // default off so old artifacts replay byte-identically.
-        fleet: header.get("fleet").and_then(Json::as_bool).unwrap_or(false),
-        // Absent in repro files written before zone sharding: default 0
-        // (single-zone) so old artifacts replay byte-identically.
-        shards: header
-            .get("shards")
-            .and_then(Json::as_u64)
-            .and_then(|n| usize::try_from(n).ok())
-            .unwrap_or(0),
-        // Absent in repro files written before the maintenance daemon:
-        // default off so old artifacts replay byte-identically.
-        daemon: header.get("daemon").and_then(Json::as_bool).unwrap_or(false),
+        inject_model_bug: header.member("inject_model_bug")?,
+        poison: since_v1(&header, "poison"),
+        migrate: since_v1(&header, "migrate"),
+        pcp: since_v1(&header, "pcp"),
+        fleet: since_v1(&header, "fleet"),
+        shards: since_v1(&header, "shards"),
+        daemon: since_v1(&header, "daemon"),
     };
     let mut ops = Vec::new();
-    for line in lines {
-        let v = parse(line).map_err(|e| format!("bad op line: {e}"))?;
-        ops.push(op_from_json(&v)?);
+    for op_line in lines {
+        ops.push(TortureOp::dec(&parse(op_line).map_err(|e| format!("bad op line: {e}"))?)?);
     }
     if ops.len() != cfg.ops {
         return Err(format!("header promises {} ops, file has {}", cfg.ops, ops.len()));

@@ -100,160 +100,163 @@ fn torture_daemon_config() -> DaemonConfig {
     DaemonConfig::default()
 }
 
-/// One generated operation against the stack.
-///
-/// Selector fields (`sel`, `page`) are interpreted modulo the live object
-/// counts at execution time; an op whose target class is empty is a no-op.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TortureOp {
-    /// Map an anonymous VMA (possibly spawning a process).
-    MapAnon {
-        /// Process selector; low bits also decide whether to spawn.
-        sel: u64,
-        /// Requested size seed; mapped size is `1 + pages % MAX` pages.
-        pages: u64,
-    },
-    /// Create a file and map it.
-    MapFile {
-        /// Process selector.
-        sel: u64,
-        /// Requested size seed.
-        pages: u64,
-    },
-    /// Read-fault one page of a live VMA.
-    Touch {
-        /// VMA selector.
-        sel: u64,
-        /// Page selector within the VMA.
-        page: u64,
-    },
-    /// Write-fault one page of a live VMA (breaks COW).
-    TouchWrite {
-        /// VMA selector.
-        sel: u64,
-        /// Page selector within the VMA.
-        page: u64,
-    },
-    /// Fault a whole VMA in address order.
-    Populate {
-        /// VMA selector.
-        sel: u64,
-    },
-    /// COW-fork a live anonymous VMA into a new process.
-    Fork {
-        /// VMA selector (over anonymous VMAs only).
-        sel: u64,
-    },
-    /// Terminate a guest process; host backing persists (§III-C).
-    ExitProc {
-        /// Process selector.
-        sel: u64,
-    },
-    /// Arm probabilistic allocation-failure injection on one dimension.
-    SetFaults {
-        /// `true` = host allocator, `false` = guest allocator.
-        host: bool,
-        /// Failure probability in ppm (clamped to a progress-safe cap).
-        rate_ppm: u32,
-        /// Injection RNG seed.
-        seed: u64,
-    },
-    /// Disarm fault injection on both dimensions.
-    ClearFaults,
-    /// Strike one frame with an uncorrectable memory error. Host-dimension
-    /// strikes run the full hypervisor path (guest MCE delivery plus
-    /// self-healing re-backing); guest-dimension strikes run the guest
-    /// kernel's recovery (heal, kill, cache drop, quarantine).
-    PoisonFrame {
-        /// `true` = host physical frame, `false` = guest physical frame.
-        host: bool,
-        /// Frame selector, taken modulo the dimension's frame count.
-        sel: u64,
-    },
-    /// Proactively soft-offline a suspect frame (migrate away, never kill).
-    SoftOffline {
-        /// `true` = host physical frame, `false` = guest physical frame.
-        host: bool,
-        /// Frame selector, taken modulo the dimension's frame count.
-        sel: u64,
-    },
-    /// Arm a probabilistic poison storm on one dimension, consulted at every
-    /// op boundary.
-    SetPoison {
-        /// `true` = host dimension, `false` = guest dimension.
-        host: bool,
-        /// Strike probability in ppm (clamped to a memory-preserving cap).
-        rate_ppm: u32,
-        /// Storm RNG seed.
-        seed: u64,
-    },
-    /// Disarm poison injection on both dimensions.
-    ClearPoison,
-    /// Live-migrate the VM to a fresh destination host through the armed
-    /// transport (reliable when none is armed). A completed migration swaps
-    /// the runner onto the destination after proving its digest equals an
-    /// uninterrupted reliable baseline's; an aborted one rolls the
-    /// destination back and keeps running on the source.
-    Migrate {
-        /// Seeds the per-round concurrent-guest-write script and
-        /// decorrelates this migration's transport stream from the next's.
-        seed: u64,
-    },
-    /// Arm a seeded transport-fault storm consulted by every subsequent
-    /// migration's wire (drops, corruption, stalls, disconnects).
-    SetTransport {
-        /// Total fault probability in ppm (clamped to a convergence-safe
-        /// cap), split across the four fault kinds.
-        rate_ppm: u32,
-        /// Storm RNG seed.
-        seed: u64,
-    },
-    /// Disarm the transport storm; migrations run on a reliable wire.
-    ClearTransport,
-    /// Write-touch one workload page of one fleet tenant with a content tag
-    /// from a small pool (small so same-page merging finds duplicates).
-    FleetWrite {
-        /// Tenant selector over the live tenant list.
-        sel: u64,
-        /// Page selector within the tenant's workload VMA.
-        page: u64,
-        /// Content-tag seed (reduced to the shared pool at execution).
-        tag: u64,
-    },
-    /// Read-touch one workload page of one fleet tenant and check its
-    /// content tag against the model.
-    FleetRead {
-        /// Tenant selector over the live tenant list.
-        sel: u64,
-        /// Page selector within the tenant's workload VMA.
-        page: u64,
-    },
-    /// Discard one workload page of one fleet tenant (guest frees the frame;
-    /// host backing becomes balloon-reclaimable).
-    FleetDiscard {
-        /// Tenant selector over the live tenant list.
-        sel: u64,
-        /// Page selector within the tenant's workload VMA.
-        page: u64,
-    },
-    /// One fleet controller tick: watermark-driven pressure relief, balloon
-    /// deflate on idle hosts, and the background KSM scan cursor.
-    FleetStep,
-    /// One deterministic maintenance-daemon tick on the primary VM: the
-    /// guest dimension's khugepaged/kcompactd runs first, then the host's —
-    /// budgeted compaction, THP promotion, and poison-run repair racing the
-    /// surrounding foreground faults at a well-defined op boundary.
-    DaemonTick,
-    /// Re-tune every armed daemon's policy (both VM dimensions and, when
-    /// the fleet is up, every fleet host): aggressiveness, epoch budget,
-    /// and the poison-repair toggle all derive from the seeds.
-    SetDaemonPolicy {
-        /// Aggressiveness seed (reduced to 1..=3) that also decides the
-        /// repair toggle.
-        level: u64,
-        /// Epoch-budget seed (reduced to a progress-safe range).
-        budget: u64,
-    },
+contig_types::wire_tagged! {
+    "op":
+    /// One generated operation against the stack.
+    ///
+    /// Selector fields (`sel`, `page`) are interpreted modulo the live object
+    /// counts at execution time; an op whose target class is empty is a no-op.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum TortureOp {
+        /// Map an anonymous VMA (possibly spawning a process).
+        "map_anon" MapAnon {
+            /// Process selector; low bits also decide whether to spawn.
+            sel: u64,
+            /// Requested size seed; mapped size is `1 + pages % MAX` pages.
+            pages: u64,
+        },
+        /// Create a file and map it.
+        "map_file" MapFile {
+            /// Process selector.
+            sel: u64,
+            /// Requested size seed.
+            pages: u64,
+        },
+        /// Read-fault one page of a live VMA.
+        "touch" Touch {
+            /// VMA selector.
+            sel: u64,
+            /// Page selector within the VMA.
+            page: u64,
+        },
+        /// Write-fault one page of a live VMA (breaks COW).
+        "touch_write" TouchWrite {
+            /// VMA selector.
+            sel: u64,
+            /// Page selector within the VMA.
+            page: u64,
+        },
+        /// Fault a whole VMA in address order.
+        "populate" Populate {
+            /// VMA selector.
+            sel: u64,
+        },
+        /// COW-fork a live anonymous VMA into a new process.
+        "fork" Fork {
+            /// VMA selector (over anonymous VMAs only).
+            sel: u64,
+        },
+        /// Terminate a guest process; host backing persists (§III-C).
+        "exit_proc" ExitProc {
+            /// Process selector.
+            sel: u64,
+        },
+        /// Arm probabilistic allocation-failure injection on one dimension.
+        "set_faults" SetFaults {
+            /// `true` = host allocator, `false` = guest allocator.
+            host: bool,
+            /// Failure probability in ppm (clamped to a progress-safe cap).
+            rate_ppm: u32,
+            /// Injection RNG seed.
+            seed: u64,
+        },
+        /// Disarm fault injection on both dimensions.
+        "clear_faults" ClearFaults,
+        /// Strike one frame with an uncorrectable memory error. Host-dimension
+        /// strikes run the full hypervisor path (guest MCE delivery plus
+        /// self-healing re-backing); guest-dimension strikes run the guest
+        /// kernel's recovery (heal, kill, cache drop, quarantine).
+        "poison_frame" PoisonFrame {
+            /// `true` = host physical frame, `false` = guest physical frame.
+            host: bool,
+            /// Frame selector, taken modulo the dimension's frame count.
+            sel: u64,
+        },
+        /// Proactively soft-offline a suspect frame (migrate away, never kill).
+        "soft_offline" SoftOffline {
+            /// `true` = host physical frame, `false` = guest physical frame.
+            host: bool,
+            /// Frame selector, taken modulo the dimension's frame count.
+            sel: u64,
+        },
+        /// Arm a probabilistic poison storm on one dimension, consulted at every
+        /// op boundary.
+        "set_poison" SetPoison {
+            /// `true` = host dimension, `false` = guest dimension.
+            host: bool,
+            /// Strike probability in ppm (clamped to a memory-preserving cap).
+            rate_ppm: u32,
+            /// Storm RNG seed.
+            seed: u64,
+        },
+        /// Disarm poison injection on both dimensions.
+        "clear_poison" ClearPoison,
+        /// Live-migrate the VM to a fresh destination host through the armed
+        /// transport (reliable when none is armed). A completed migration swaps
+        /// the runner onto the destination after proving its digest equals an
+        /// uninterrupted reliable baseline's; an aborted one rolls the
+        /// destination back and keeps running on the source.
+        "migrate" Migrate {
+            /// Seeds the per-round concurrent-guest-write script and
+            /// decorrelates this migration's transport stream from the next's.
+            seed: u64,
+        },
+        /// Arm a seeded transport-fault storm consulted by every subsequent
+        /// migration's wire (drops, corruption, stalls, disconnects).
+        "set_transport" SetTransport {
+            /// Total fault probability in ppm (clamped to a convergence-safe
+            /// cap), split across the four fault kinds.
+            rate_ppm: u32,
+            /// Storm RNG seed.
+            seed: u64,
+        },
+        /// Disarm the transport storm; migrations run on a reliable wire.
+        "clear_transport" ClearTransport,
+        /// Write-touch one workload page of one fleet tenant with a content tag
+        /// from a small pool (small so same-page merging finds duplicates).
+        "fleet_write" FleetWrite {
+            /// Tenant selector over the live tenant list.
+            sel: u64,
+            /// Page selector within the tenant's workload VMA.
+            page: u64,
+            /// Content-tag seed (reduced to the shared pool at execution).
+            tag: u64,
+        },
+        /// Read-touch one workload page of one fleet tenant and check its
+        /// content tag against the model.
+        "fleet_read" FleetRead {
+            /// Tenant selector over the live tenant list.
+            sel: u64,
+            /// Page selector within the tenant's workload VMA.
+            page: u64,
+        },
+        /// Discard one workload page of one fleet tenant (guest frees the frame;
+        /// host backing becomes balloon-reclaimable).
+        "fleet_discard" FleetDiscard {
+            /// Tenant selector over the live tenant list.
+            sel: u64,
+            /// Page selector within the tenant's workload VMA.
+            page: u64,
+        },
+        /// One fleet controller tick: watermark-driven pressure relief, balloon
+        /// deflate on idle hosts, and the background KSM scan cursor.
+        "fleet_step" FleetStep,
+        /// One deterministic maintenance-daemon tick on the primary VM: the
+        /// guest dimension's khugepaged/kcompactd runs first, then the host's —
+        /// budgeted compaction, THP promotion, and poison-run repair racing the
+        /// surrounding foreground faults at a well-defined op boundary.
+        "daemon_tick" DaemonTick,
+        /// Re-tune every armed daemon's policy (both VM dimensions and, when
+        /// the fleet is up, every fleet host): aggressiveness, epoch budget,
+        /// and the poison-repair toggle all derive from the seeds.
+        "set_daemon_policy" SetDaemonPolicy {
+            /// Aggressiveness seed (reduced to 1..=3) that also decides the
+            /// repair toggle.
+            level: u64,
+            /// Epoch-budget seed (reduced to a progress-safe range).
+            budget: u64,
+        },
+    }
 }
 
 /// Configuration of one torture run.
@@ -1115,7 +1118,7 @@ impl Exec {
         match outcome {
             MigrationOutcome::Completed { report, vm } => {
                 self.report.migrations += 1;
-                self.report.migrate_stats.add(&report.stats);
+                self.report.migrate_stats.accumulate(&report.stats);
                 let got = digest_vm(&vm.snapshot());
                 if got != baseline_digest {
                     self.fail_migration(
@@ -1154,7 +1157,7 @@ impl Exec {
             }
             MigrationOutcome::Aborted { error, stats, release } => {
                 self.report.migration_aborts += 1;
-                self.report.migrate_stats.add(&stats);
+                self.report.migrate_stats.accumulate(&stats);
                 if !error.is_resumable() {
                     self.fail_migration(op_index, format!("terminal engine error: {error}"));
                 }

@@ -106,43 +106,45 @@ fn base_config_nodes(mib: u64, nodes: usize) -> SystemConfig {
 // Configuration, identity, errors, stats.
 // ---------------------------------------------------------------------------
 
-/// Construction parameters for a [`Fleet`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FleetConfig {
-    /// Number of shared hosts in the pool.
-    pub hosts: usize,
-    /// Physical memory of each host, MiB.
-    pub host_mib: u64,
-    /// Guest-physical memory of each tenant, MiB.
-    pub guest_mib: u64,
-    /// Admission limit: committed guest frames per host may reach
-    /// `capacity * overcommit_ppm / 1_000_000`.
-    pub overcommit_ppm: u64,
-    /// Pressure trigger: an episode starts when host free frames fall below
-    /// `capacity * low_watermark_ppm / 1_000_000`.
-    pub low_watermark_ppm: u64,
-    /// Pressure goal: the ladder escalates until free frames reach
-    /// `capacity * high_watermark_ppm / 1_000_000` (and balloons deflate
-    /// again above it).
-    pub high_watermark_ppm: u64,
-    /// Frames one balloon inflate/deflate step moves per tenant.
-    pub balloon_step: u64,
-    /// Bounded retries around deflate re-backing before a hole is left.
-    pub balloon_retries: u32,
-    /// Bounded pressure-relief retries a tenant fault makes on host OOM
-    /// before the OOM becomes fatal (the ladder should make this unreachable
-    /// while more than one tenant shares the host).
-    pub backing_attempts: u32,
-    /// Loss rate (ppm) of the evacuation transport; 0 means a reliable wire.
-    pub evac_storm_ppm: u32,
-    /// Checkpointed-resume budget of one evacuation migration.
-    pub evac_attempts: u32,
-    /// Seed for the fleet's deterministic decisions (transport streams).
-    pub seed: u64,
-    /// NUMA zones each host machine is split into (1 = the classic
-    /// single-zone host). Tenants are homed round-robin onto host zones at
-    /// admission, so placement spreads across zones deterministically.
-    pub host_nodes: usize,
+contig_types::wire_struct! {
+    /// Construction parameters for a [`Fleet`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FleetConfig {
+        /// Number of shared hosts in the pool.
+        pub hosts: usize,
+        /// Physical memory of each host, MiB.
+        pub host_mib: u64,
+        /// Guest-physical memory of each tenant, MiB.
+        pub guest_mib: u64,
+        /// Admission limit: committed guest frames per host may reach
+        /// `capacity * overcommit_ppm / 1_000_000`.
+        pub overcommit_ppm: u64,
+        /// Pressure trigger: an episode starts when host free frames fall below
+        /// `capacity * low_watermark_ppm / 1_000_000`.
+        pub low_watermark_ppm: u64,
+        /// Pressure goal: the ladder escalates until free frames reach
+        /// `capacity * high_watermark_ppm / 1_000_000` (and balloons deflate
+        /// again above it).
+        pub high_watermark_ppm: u64,
+        /// Frames one balloon inflate/deflate step moves per tenant.
+        pub balloon_step: u64,
+        /// Bounded retries around deflate re-backing before a hole is left.
+        pub balloon_retries: u32,
+        /// Bounded pressure-relief retries a tenant fault makes on host OOM
+        /// before the OOM becomes fatal (the ladder should make this unreachable
+        /// while more than one tenant shares the host).
+        pub backing_attempts: u32,
+        /// Loss rate (ppm) of the evacuation transport; 0 means a reliable wire.
+        pub evac_storm_ppm: u32,
+        /// Checkpointed-resume budget of one evacuation migration.
+        pub evac_attempts: u32,
+        /// Seed for the fleet's deterministic decisions (transport streams).
+        pub seed: u64,
+        /// NUMA zones each host machine is split into (1 = the classic
+        /// single-zone host). Tenants are homed round-robin onto host zones at
+        /// admission, so placement spreads across zones deterministically.
+        pub host_nodes: usize,
+    }
 }
 
 impl FleetConfig {
@@ -212,57 +214,38 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
-/// Cumulative fleet counters. Every field counts *emissions* of the
-/// like-named trace event, so [`FleetStats::as_named`] must equal the trace
-/// sink's per-name counts exactly — the fleet's stats↔trace invariant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FleetStats {
-    /// `balloon.inflate` steps that claimed at least one frame.
-    pub balloon_inflates: u64,
-    /// `balloon.deflate` steps that released at least one frame.
-    pub balloon_deflates: u64,
-    /// `balloon.retry` backoffs while re-backing deflated frames.
-    pub balloon_retries: u64,
-    /// `balloon.unbacked` holes left after retries were exhausted.
-    pub balloon_unbacked: u64,
-    /// `ksm.merge` same-page merges.
-    pub ksm_merges: u64,
-    /// `ksm.unmerge` write-fault share breaks.
-    pub ksm_unmerges: u64,
-    /// `ksm.scan` passes.
-    pub ksm_scans: u64,
-    /// `fleet.admit` admissions.
-    pub admits: u64,
-    /// `fleet.pressure` episodes started.
-    pub pressure_events: u64,
-    /// `fleet.resolved` episodes ended.
-    pub pressure_resolved: u64,
-    /// `fleet.evacuate` completed live migrations.
-    pub evacuations: u64,
-    /// `fleet.evacuate_abort` migrations that rolled back.
-    pub evacuation_aborts: u64,
-    /// `fleet.victim_kill` last-resort teardowns.
-    pub victim_kills: u64,
-}
-
-impl FleetStats {
-    /// The counters paired with the trace-event names they must match.
-    pub fn as_named(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("balloon.inflate", self.balloon_inflates),
-            ("balloon.deflate", self.balloon_deflates),
-            ("balloon.retry", self.balloon_retries),
-            ("balloon.unbacked", self.balloon_unbacked),
-            ("ksm.merge", self.ksm_merges),
-            ("ksm.unmerge", self.ksm_unmerges),
-            ("ksm.scan", self.ksm_scans),
-            ("fleet.admit", self.admits),
-            ("fleet.pressure", self.pressure_events),
-            ("fleet.resolved", self.pressure_resolved),
-            ("fleet.evacuate", self.evacuations),
-            ("fleet.evacuate_abort", self.evacuation_aborts),
-            ("fleet.victim_kill", self.victim_kills),
-        ]
+contig_types::wire_counters! {
+    /// Cumulative fleet counters. Every field counts *emissions* of the
+    /// like-named trace event, so [`FleetStats::as_named`] must equal the trace
+    /// sink's per-name counts exactly — the fleet's stats↔trace invariant.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct FleetStats {
+        /// `balloon.inflate` steps that claimed at least one frame.
+        pub balloon_inflates: u64 = "balloon.inflate",
+        /// `balloon.deflate` steps that released at least one frame.
+        pub balloon_deflates: u64 = "balloon.deflate",
+        /// `balloon.retry` backoffs while re-backing deflated frames.
+        pub balloon_retries: u64 = "balloon.retry",
+        /// `balloon.unbacked` holes left after retries were exhausted.
+        pub balloon_unbacked: u64 = "balloon.unbacked",
+        /// `ksm.merge` same-page merges.
+        pub ksm_merges: u64 = "ksm.merge",
+        /// `ksm.unmerge` write-fault share breaks.
+        pub ksm_unmerges: u64 = "ksm.unmerge",
+        /// `ksm.scan` passes.
+        pub ksm_scans: u64 = "ksm.scan",
+        /// `fleet.admit` admissions.
+        pub admits: u64 = "fleet.admit",
+        /// `fleet.pressure` episodes started.
+        pub pressure_events: u64 = "fleet.pressure",
+        /// `fleet.resolved` episodes ended.
+        pub pressure_resolved: u64 = "fleet.resolved",
+        /// `fleet.evacuate` completed live migrations.
+        pub evacuations: u64 = "fleet.evacuate",
+        /// `fleet.evacuate_abort` migrations that rolled back.
+        pub evacuation_aborts: u64 = "fleet.evacuate_abort",
+        /// `fleet.victim_kill` last-resort teardowns.
+        pub victim_kills: u64 = "fleet.victim_kill",
     }
 }
 
@@ -384,45 +367,49 @@ fn registry_purge(sharing: &mut BTreeMap<u64, Vec<(u64, u64)>>, tenant: u64) {
 /// pfn-ascending, each member a `(tenant, gframe)` pair.
 pub type SharingSnapshot = Vec<(u64, Vec<(u64, u64)>)>;
 
-/// Plain-data image of one tenant.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TenantSnapshot {
-    /// The tenant id.
-    pub id: u64,
-    /// The guest system.
-    pub guest: SystemSnapshot,
-    /// Host index the tenant runs on.
-    pub host_idx: u64,
-    /// The tenant's process id on the shared host.
-    pub host_pid: u32,
-    /// The workload process id inside the guest.
-    pub guest_pid: u32,
-    /// Ballooned guest frames, ascending.
-    pub balloon: Vec<u64>,
-    /// Content tags as `(page, tag)`, page-ascending.
-    pub tags: Vec<(u64, u64)>,
+contig_types::wire_struct! {
+    /// Plain-data image of one tenant.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TenantSnapshot {
+        /// The tenant id.
+        pub id: u64,
+        /// The guest system.
+        pub guest: SystemSnapshot,
+        /// Host index the tenant runs on.
+        pub host_idx: u64,
+        /// The tenant's process id on the shared host.
+        pub host_pid: u32,
+        /// The workload process id inside the guest.
+        pub guest_pid: u32,
+        /// Ballooned guest frames, ascending.
+        pub balloon: Vec<u64>,
+        /// Content tags as `(page, tag)`, page-ascending.
+        pub tags: Vec<(u64, u64)>,
+    }
 }
 
-/// Plain-data image of a whole [`Fleet`] — everything that can affect future
-/// behaviour, so a restored fleet replays bit-identically.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FleetSnapshot {
-    /// The construction parameters in force.
-    pub config: FleetConfig,
-    /// Host systems, index order.
-    pub hosts: Vec<SystemSnapshot>,
-    /// Per-host sharing registries, host-index order.
-    pub sharing: Vec<SharingSnapshot>,
-    /// Tenants, id order.
-    pub tenants: Vec<TenantSnapshot>,
-    /// Cumulative counters.
-    pub stats: FleetStats,
-    /// Next tenant id to hand out.
-    pub next_tenant: u64,
-    /// Decision RNG state, mid-stream.
-    pub rng: u64,
-    /// Background KSM scan cursor.
-    pub ksm_cursor: u64,
+contig_types::wire_struct! {
+    /// Plain-data image of a whole [`Fleet`] — everything that can affect future
+    /// behaviour, so a restored fleet replays bit-identically.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FleetSnapshot {
+        /// The construction parameters in force.
+        pub config: FleetConfig,
+        /// Host systems, index order.
+        pub hosts: Vec<SystemSnapshot>,
+        /// Per-host sharing registries, host-index order.
+        pub sharing: Vec<SharingSnapshot>,
+        /// Tenants, id order.
+        pub tenants: Vec<TenantSnapshot>,
+        /// Cumulative counters.
+        pub stats: FleetStats,
+        /// Next tenant id to hand out.
+        pub next_tenant: u64,
+        /// Decision RNG state, mid-stream.
+        pub rng: u64,
+        /// Background KSM scan cursor.
+        pub ksm_cursor: u64,
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -39,6 +39,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use contig_buddy::{FrameState, NodeId};
 use contig_trace::{stage, DaemonStage, TraceEvent};
+use contig_types::json::{Enc, Json, Sink, Wire};
 use contig_types::{splitmix64, PageSize, Pfn, VirtAddr};
 
 use crate::page_cache::FileId;
@@ -55,49 +56,51 @@ const REPAIR_MOVES_PER_UNIT: u64 = 4;
 /// first); keeps the snapshot payload bounded under adversarial churn.
 const MAX_CANDIDATES: usize = 32;
 
-/// Policy surface of the background contiguity-maintenance daemon.
-///
-/// All fields are plain integers/bools so the config rides the snapshot
-/// codec verbatim and the torture generator can draw arbitrary policies.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DaemonConfig {
-    /// External steps between ticks for callers that drive the daemon on a
-    /// cadence (`Fleet::step`); torture arms explicit `DaemonTick` ops
-    /// instead.
-    pub scan_interval: u64,
-    /// Work units one epoch may spend across all its ticks. An epoch ends
-    /// when the budget is exhausted or every phase's cursor wrapped.
-    pub epoch_budget: u64,
-    /// 0–3. Scales the per-tick work quantum and the compaction target
-    /// order; 0 idles the daemon entirely (ticks still count).
-    pub aggressiveness: u8,
-    /// Populated base pages a 2 MiB window needs before the scanner records
-    /// it as a promotion candidate (512 = only fully-populated windows).
-    /// Promotion itself always requires all 512: the daemon must never
-    /// fault-in pages, only re-arrange ones that exist.
-    pub thp_threshold_pages: u64,
-    /// Run the poison-neighbourhood repair phase.
-    pub repair_poison: bool,
-    /// Free-memory percentage below which promotion work is shed.
-    pub shed_promote_pct: u64,
-    /// Free-memory percentage below which compaction is shed too.
-    pub shed_compact_pct: u64,
-    /// Free-memory percentage below which the daemon yields the whole epoch
-    /// to foreground recovery and backs off.
-    pub yield_pct: u64,
-    /// Quarantined frames machine-wide that count as a poison storm: the
-    /// daemon sheds promotion and focuses on repair.
-    pub poison_storm_frames: u64,
-    /// First yield's backoff delay; doubles per consecutive yield. Zero
-    /// disables the backoff window entirely.
-    pub backoff_base_ns: u64,
-    /// Ceiling on the exponential term of one backoff delay.
-    pub backoff_cap_ns: u64,
-    /// Seed of the deterministic jitter added to each backoff delay.
-    pub backoff_seed: u64,
-    /// Allocation vetoes (injected failures on migration targets) one tick
-    /// tolerates before the watchdog aborts the epoch.
-    pub watchdog_vetoes: u64,
+contig_types::wire_struct! {
+    /// Policy surface of the background contiguity-maintenance daemon.
+    ///
+    /// All fields are plain integers/bools so the config rides the snapshot
+    /// codec verbatim and the torture generator can draw arbitrary policies.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct DaemonConfig {
+        /// External steps between ticks for callers that drive the daemon on a
+        /// cadence (`Fleet::step`); torture arms explicit `DaemonTick` ops
+        /// instead.
+        pub scan_interval: u64,
+        /// Work units one epoch may spend across all its ticks. An epoch ends
+        /// when the budget is exhausted or every phase's cursor wrapped.
+        pub epoch_budget: u64,
+        /// 0–3. Scales the per-tick work quantum and the compaction target
+        /// order; 0 idles the daemon entirely (ticks still count).
+        pub aggressiveness: u8,
+        /// Populated base pages a 2 MiB window needs before the scanner records
+        /// it as a promotion candidate (512 = only fully-populated windows).
+        /// Promotion itself always requires all 512: the daemon must never
+        /// fault-in pages, only re-arrange ones that exist.
+        pub thp_threshold_pages: u64,
+        /// Run the poison-neighbourhood repair phase.
+        pub repair_poison: bool,
+        /// Free-memory percentage below which promotion work is shed.
+        pub shed_promote_pct: u64,
+        /// Free-memory percentage below which compaction is shed too.
+        pub shed_compact_pct: u64,
+        /// Free-memory percentage below which the daemon yields the whole epoch
+        /// to foreground recovery and backs off.
+        pub yield_pct: u64,
+        /// Quarantined frames machine-wide that count as a poison storm: the
+        /// daemon sheds promotion and focuses on repair.
+        pub poison_storm_frames: u64,
+        /// First yield's backoff delay; doubles per consecutive yield. Zero
+        /// disables the backoff window entirely.
+        pub backoff_base_ns: u64,
+        /// Ceiling on the exponential term of one backoff delay.
+        pub backoff_cap_ns: u64,
+        /// Seed of the deterministic jitter added to each backoff delay.
+        pub backoff_seed: u64,
+        /// Allocation vetoes (injected failures on migration targets) one tick
+        /// tolerates before the watchdog aborts the epoch.
+        pub watchdog_vetoes: u64,
+    }
 }
 
 impl Default for DaemonConfig {
@@ -147,148 +150,109 @@ impl DaemonConfig {
 pub enum DaemonPhase {
     /// Budgeted background compaction (kcompactd).
     #[default]
-    Compact,
+    Compact = 0,
     /// THP promotion of fully-populated aligned runs (khugepaged).
-    Promote,
+    Promote = 1,
     /// Contiguity-run repair around poisoned frames.
-    Repair,
+    Repair = 2,
 }
 
-impl DaemonPhase {
-    /// Stable integer tag for the snapshot codec.
-    pub fn as_u64(self) -> u64 {
-        match self {
-            DaemonPhase::Compact => 0,
-            DaemonPhase::Promote => 1,
-            DaemonPhase::Repair => 2,
-        }
+/// The phase's position in the epoch, as a number; a number no phase has is
+/// refused, not read as the epoch start.
+impl Wire for DaemonPhase {
+    fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+        e.num(*self as u8);
     }
-
-    /// Parses the codec tag back; unknown tags restore as `Compact` (the
-    /// epoch start, always a safe continuation point).
-    pub fn from_u64(v: u64) -> Self {
-        match v {
-            1 => DaemonPhase::Promote,
-            2 => DaemonPhase::Repair,
-            _ => DaemonPhase::Compact,
+    fn dec(v: &Json) -> Result<Self, String> {
+        match u64::dec(v)? {
+            0 => Ok(DaemonPhase::Compact),
+            1 => Ok(DaemonPhase::Promote),
+            2 => Ok(DaemonPhase::Repair),
+            tag => Err(format!("unknown daemon phase {tag}")),
         }
     }
 }
 
-/// Monotonic counters of daemon work. Each counter in
-/// [`DaemonStats::as_named`] has exactly one `daemon.*` trace emission next
-/// to every bump, so per-kind trace counts equal these totals.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    /// Ticks that ran (excludes ticks skipped inside a backoff window).
-    pub ticks: u64,
-    /// Maintenance epochs completed (budget exhausted or cursors wrapped).
-    pub epochs: u64,
-    /// Blocks migrated by background compaction.
-    pub compact_moves: u64,
-    /// Fully-populated runs collapsed onto huge frames.
-    pub promoted: u64,
-    /// Promotions that failed at commit (no huge block, or vetoed).
-    pub promote_failed: u64,
-    /// Blocks migrated out of poisoned neighbourhoods.
-    pub repairs: u64,
-    /// Ticks that shed promotion work under pressure or poison storm.
-    pub shed_promote: u64,
-    /// Ticks that shed compaction work under deeper pressure.
-    pub shed_compact: u64,
-    /// Ticks skipped entirely inside a backoff window.
-    pub backoff_skips: u64,
-    /// Epochs aborted by the yield ladder or the veto watchdog.
-    pub yields: u64,
-    /// Runtime policy swaps ([`System::set_daemon_config`]).
-    pub policy_updates: u64,
-    /// Base frames moved by compaction (payload of `compact_moves` events;
-    /// not a traced counter of its own).
-    pub compact_frames: u64,
-    /// Base frames moved by repair (payload of `repairs` events; not a
-    /// traced counter of its own).
-    pub repair_frames: u64,
-}
-
-impl DaemonStats {
-    /// The traced counters as `(event name, total)` pairs, in
-    /// [`DaemonStage::ALL`] order — the exact-equality contract between
-    /// stats and `daemon.*` trace counts.
-    pub fn as_named(&self) -> [(&'static str, u64); 11] {
-        [
-            ("daemon.tick", self.ticks),
-            ("daemon.epoch", self.epochs),
-            ("daemon.compact_move", self.compact_moves),
-            ("daemon.promote", self.promoted),
-            ("daemon.promote_fail", self.promote_failed),
-            ("daemon.repair", self.repairs),
-            ("daemon.shed_promote", self.shed_promote),
-            ("daemon.shed_compact", self.shed_compact),
-            ("daemon.backoff", self.backoff_skips),
-            ("daemon.yield", self.yields),
-            ("daemon.policy", self.policy_updates),
-        ]
-    }
-
-    /// Folds another system's counters into this one (fleet roll-ups).
-    pub fn accumulate(&mut self, other: &DaemonStats) {
-        self.ticks += other.ticks;
-        self.epochs += other.epochs;
-        self.compact_moves += other.compact_moves;
-        self.promoted += other.promoted;
-        self.promote_failed += other.promote_failed;
-        self.repairs += other.repairs;
-        self.shed_promote += other.shed_promote;
-        self.shed_compact += other.shed_compact;
-        self.backoff_skips += other.backoff_skips;
-        self.yields += other.yields;
-        self.policy_updates += other.policy_updates;
-        self.compact_frames += other.compact_frames;
-        self.repair_frames += other.repair_frames;
+contig_types::wire_counters! {
+    /// Monotonic counters of daemon work. Each counter in
+    /// [`DaemonStats::as_named`] has exactly one `daemon.*` trace emission next
+    /// to every bump, so per-kind trace counts equal these totals.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct DaemonStats {
+        /// Ticks that ran (excludes ticks skipped inside a backoff window).
+        pub ticks: u64 = "daemon.tick",
+        /// Maintenance epochs completed (budget exhausted or cursors wrapped).
+        pub epochs: u64 = "daemon.epoch",
+        /// Blocks migrated by background compaction.
+        pub compact_moves: u64 = "daemon.compact_move",
+        /// Fully-populated runs collapsed onto huge frames.
+        pub promoted: u64 = "daemon.promote",
+        /// Promotions that failed at commit (no huge block, or vetoed).
+        pub promote_failed: u64 = "daemon.promote_fail",
+        /// Blocks migrated out of poisoned neighbourhoods.
+        pub repairs: u64 = "daemon.repair",
+        /// Ticks that shed promotion work under pressure or poison storm.
+        pub shed_promote: u64 = "daemon.shed_promote",
+        /// Ticks that shed compaction work under deeper pressure.
+        pub shed_compact: u64 = "daemon.shed_compact",
+        /// Ticks skipped entirely inside a backoff window.
+        pub backoff_skips: u64 = "daemon.backoff",
+        /// Epochs aborted by the yield ladder or the veto watchdog.
+        pub yields: u64 = "daemon.yield",
+        /// Runtime policy swaps ([`System::set_daemon_config`]).
+        pub policy_updates: u64 = "daemon.policy",
+        /// Base frames moved by compaction (payload of `compact_moves` events;
+        /// not a traced counter of its own).
+        pub compact_frames: u64,
+        /// Base frames moved by repair (payload of `repairs` events; not a
+        /// traced counter of its own).
+        pub repair_frames: u64,
     }
 }
 
-/// The daemon's complete persistent state: policy, mid-epoch cursors, the
-/// remembered promotion candidates, the backoff RNG, and the counters.
-/// Everything here rides the snapshot codec (v6), so a snapshot taken
-/// between ticks of a half-finished epoch restores to a bit-identical
-/// continuation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DaemonState {
-    /// Whether ticks do anything at all. Disabled is the default and is
-    /// byte-identical to the pre-daemon system in snapshots and digests.
-    pub enabled: bool,
-    /// The policy in force.
-    pub config: DaemonConfig,
-    /// Compaction: node index the migrate scan is on.
-    pub compact_node: u64,
-    /// Compaction: next frame number the migrate scan will look at.
-    pub compact_cursor: u64,
-    /// Promotion: smallest process id not yet scanned this epoch.
-    pub promote_pid: u64,
-    /// Promotion: next 2 MiB window start within that process.
-    pub promote_va: u64,
-    /// Promotion: next remembered candidate to re-check this epoch.
-    pub candidate_cursor: u64,
-    /// Repair: index into the sorted quarantined-frame list.
-    pub repair_cursor: u64,
-    /// Work units left in the current epoch.
-    pub budget_left: u64,
-    /// Which phase the epoch cursor is in.
-    pub phase: DaemonPhase,
-    /// Partially-populated windows remembered for fast re-checks:
-    /// `(pid, window start va)`, insertion-ordered, bounded.
-    pub candidates: Vec<(u32, u64)>,
-    /// Seeded jitter source for yield backoff delays.
-    pub backoff_rng: u64,
-    /// Simulated time before which ticks are skipped (backoff window).
-    pub backoff_until_ns: u64,
-    /// Consecutive yields; scales the exponential backoff term.
-    pub yield_streak: u64,
-    /// Completed epochs (mirrors `stats.epochs`, kept for cursor logic).
-    pub epoch: u64,
-    /// The work counters.
-    pub stats: DaemonStats,
+contig_types::wire_struct! {
+    /// The daemon's complete persistent state: policy, mid-epoch cursors, the
+    /// remembered promotion candidates, the backoff RNG, and the counters.
+    /// Everything here rides the snapshot codec (v6), so a snapshot taken
+    /// between ticks of a half-finished epoch restores to a bit-identical
+    /// continuation.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct DaemonState {
+        /// Whether ticks do anything at all. Disabled is the default and is
+        /// byte-identical to the pre-daemon system in snapshots and digests.
+        pub enabled: bool,
+        /// The policy in force.
+        pub config: DaemonConfig,
+        /// Compaction: node index the migrate scan is on.
+        pub compact_node: u64,
+        /// Compaction: next frame number the migrate scan will look at.
+        pub compact_cursor: u64,
+        /// Promotion: smallest process id not yet scanned this epoch.
+        pub promote_pid: u64,
+        /// Promotion: next 2 MiB window start within that process.
+        pub promote_va: u64,
+        /// Promotion: next remembered candidate to re-check this epoch.
+        pub candidate_cursor: u64,
+        /// Repair: index into the sorted quarantined-frame list.
+        pub repair_cursor: u64,
+        /// Work units left in the current epoch.
+        pub budget_left: u64,
+        /// Which phase the epoch cursor is in.
+        pub phase: DaemonPhase,
+        /// Partially-populated windows remembered for fast re-checks:
+        /// `(pid, window start va)`, insertion-ordered, bounded.
+        pub candidates: Vec<(u32, u64)>,
+        /// Seeded jitter source for yield backoff delays.
+        pub backoff_rng: u64,
+        /// Simulated time before which ticks are skipped (backoff window).
+        pub backoff_until_ns: u64,
+        /// Consecutive yields; scales the exponential backoff term.
+        pub yield_streak: u64,
+        /// Completed epochs (mirrors `stats.epochs`, kept for cursor logic).
+        pub epoch: u64,
+        /// The work counters.
+        pub stats: DaemonStats,
+    }
 }
 
 impl Default for DaemonState {

@@ -9,6 +9,7 @@
 use std::collections::BTreeMap;
 
 use contig_buddy::Machine;
+use contig_types::json::{Enc, Json, Sink, Wire};
 use contig_types::{AllocError, MapOffset, PageSize, Pfn, VirtAddr};
 
 /// Identifier of a cached file.
@@ -24,6 +25,22 @@ pub enum CacheAllocMode {
     /// CA paging: track one [`MapOffset`] per file and steer readahead pages
     /// to physically consecutive frames via targeted allocation.
     CaContiguous,
+}
+
+impl Wire for CacheAllocMode {
+    fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+        e.str(match self {
+            CacheAllocMode::Default => "default",
+            CacheAllocMode::CaContiguous => "ca_contiguous",
+        });
+    }
+    fn dec(v: &Json) -> Result<Self, String> {
+        match v.as_str() {
+            Some("default") => Ok(CacheAllocMode::Default),
+            Some("ca_contiguous") => Ok(CacheAllocMode::CaContiguous),
+            other => Err(format!("unknown cache mode {other:?}")),
+        }
+    }
 }
 
 #[derive(Clone, Debug, Default)]
@@ -269,24 +286,28 @@ impl PageCache {
     }
 }
 
-/// Plain-data image of one cached file.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FileCacheSnapshot {
-    /// `(file page index, raw frame number)` pairs in index order.
-    pub pages: Vec<(u64, u64)>,
-    /// The CA per-file offset, if one is recorded.
-    pub offset: Option<i128>,
+contig_types::wire_struct! {
+    /// Plain-data image of one cached file.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FileCacheSnapshot {
+        /// `(file page index, raw frame number)` pairs in index order.
+        pub pages: Vec<(u64, u64)>,
+        /// The CA per-file offset, if one is recorded.
+        pub offset: Option<i128>,
+    }
 }
 
-/// Plain-data image of the whole page cache, for [`PageCache::snapshot`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PageCacheSnapshot {
-    /// Allocation discipline in force.
-    pub mode: CacheAllocMode,
-    /// Monotonic readahead-allocation counter.
-    pub readahead_allocs: u64,
-    /// Per-file images, indexed by [`FileId`] value.
-    pub files: Vec<FileCacheSnapshot>,
+contig_types::wire_struct! {
+    /// Plain-data image of the whole page cache, for [`PageCache::snapshot`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PageCacheSnapshot {
+        /// Allocation discipline in force.
+        pub mode: CacheAllocMode,
+        /// Monotonic readahead-allocation counter.
+        pub readahead_allocs: u64,
+        /// Per-file images, indexed by [`FileId`] value.
+        pub files: Vec<FileCacheSnapshot>,
+    }
 }
 
 #[cfg(test)]

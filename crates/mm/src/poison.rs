@@ -37,32 +37,34 @@ use crate::page_cache::FileId;
 use crate::pte::{Pte, PteFlags};
 use crate::system::{Pid, System};
 
-/// Cumulative memory-failure counters. All monotonic and exact under a fixed
-/// seed, like [`crate::RecoveryStats`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoisonStats {
-    /// Strikes processed by [`System::memory_failure`] (↔ `poison.event`).
-    pub strikes: u64,
-    /// Mapped pages healed by migration (↔ `poison.heal`).
-    pub healed: u64,
-    /// Base frames copied by successful heals (the `frames` field summed
-    /// over `poison.heal` emissions).
-    pub healed_frames: u64,
-    /// Heal attempts that failed to allocate a replacement even after the
-    /// recovery escalation (↔ `poison.heal_failed`); the page was killed.
-    pub heal_failed: u64,
-    /// SIGBUS-equivalent [`FaultError::MemoryFailure`] deliveries, one per
-    /// torn-down mapping (↔ `poison.sigbus`).
-    pub sigbus: u64,
-    /// Page-cache pages dropped because their frame was stricken (↔ the
-    /// zone's `poison.quarantine` at eviction time).
-    pub cache_dropped: u64,
-    /// Soft-offline requests that quarantined or migrated the frame
-    /// (↔ `poison.soft_offline`).
-    pub soft_offline_ok: u64,
-    /// Soft-offline requests refused — the frame was unmovable or no
-    /// replacement could be found (↔ `poison.soft_offline`).
-    pub soft_offline_failed: u64,
+contig_types::wire_counters! {
+    /// Cumulative memory-failure counters. All monotonic and exact under a fixed
+    /// seed, like [`crate::RecoveryStats`].
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct PoisonStats {
+        /// Strikes processed by [`System::memory_failure`] (↔ `poison.event`).
+        pub strikes: u64,
+        /// Mapped pages healed by migration (↔ `poison.heal`).
+        pub healed: u64,
+        /// Base frames copied by successful heals (the `frames` field summed
+        /// over `poison.heal` emissions).
+        pub healed_frames: u64,
+        /// Heal attempts that failed to allocate a replacement even after the
+        /// recovery escalation (↔ `poison.heal_failed`); the page was killed.
+        pub heal_failed: u64,
+        /// SIGBUS-equivalent [`FaultError::MemoryFailure`] deliveries, one per
+        /// torn-down mapping (↔ `poison.sigbus`).
+        pub sigbus: u64,
+        /// Page-cache pages dropped because their frame was stricken (↔ the
+        /// zone's `poison.quarantine` at eviction time).
+        pub cache_dropped: u64,
+        /// Soft-offline requests that quarantined or migrated the frame
+        /// (↔ `poison.soft_offline`).
+        pub soft_offline_ok: u64,
+        /// Soft-offline requests refused — the frame was unmovable or no
+        /// replacement could be found (↔ `poison.soft_offline`).
+        pub soft_offline_failed: u64,
+    }
 }
 
 /// What [`System::memory_failure`] did about one strike.

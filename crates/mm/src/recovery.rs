@@ -20,31 +20,33 @@ use crate::page_cache::FileId;
 use crate::pte::{Pte, PteFlags};
 use crate::system::{Pid, System};
 
-/// Tunables of the out-of-memory recovery escalation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Run the page-cache reclaim stage.
-    pub reclaim: bool,
-    /// Run the compaction (migration) stage for order > 0 requests.
-    pub compaction: bool,
-    /// Recovery rounds a single fault may burn per request size before it
-    /// degrades (THP fallback) or fails.
-    pub max_retries: u32,
-    /// Cache pages evicted per reclaim pass at most.
-    pub reclaim_batch: u64,
-    /// Blocks migrated per compaction pass at most.
-    pub compact_budget: u64,
-    /// First retry's backoff delay; doubles per attempt. Zero disables
-    /// backoff entirely.
-    pub backoff_base_ns: u64,
-    /// Ceiling on the exponential term of one backoff delay.
-    pub backoff_cap_ns: u64,
-    /// Seed of the deterministic jitter added to each backoff delay.
-    pub backoff_seed: u64,
-    /// Livelock watchdog: total allocation attempts one fault may burn
-    /// across *all* escalation rounds (including size degradations) before
-    /// the driver gives up with [`contig_types::FaultError::RecoveryLivelock`].
-    pub max_total_attempts: u32,
+contig_types::wire_struct! {
+    /// Tunables of the out-of-memory recovery escalation.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct RecoveryConfig {
+        /// Run the page-cache reclaim stage.
+        pub reclaim: bool,
+        /// Run the compaction (migration) stage for order > 0 requests.
+        pub compaction: bool,
+        /// Recovery rounds a single fault may burn per request size before it
+        /// degrades (THP fallback) or fails.
+        pub max_retries: u32,
+        /// Cache pages evicted per reclaim pass at most.
+        pub reclaim_batch: u64,
+        /// Blocks migrated per compaction pass at most.
+        pub compact_budget: u64,
+        /// First retry's backoff delay; doubles per attempt. Zero disables
+        /// backoff entirely.
+        pub backoff_base_ns: u64,
+        /// Ceiling on the exponential term of one backoff delay.
+        pub backoff_cap_ns: u64,
+        /// Seed of the deterministic jitter added to each backoff delay.
+        pub backoff_seed: u64,
+        /// Livelock watchdog: total allocation attempts one fault may burn
+        /// across *all* escalation rounds (including size degradations) before
+        /// the driver gives up with [`contig_types::FaultError::RecoveryLivelock`].
+        pub max_total_attempts: u32,
+    }
 }
 
 impl Default for RecoveryConfig {
@@ -71,43 +73,45 @@ impl RecoveryConfig {
     }
 }
 
-/// Per-stage counters of the recovery escalation. All monotonic; exact under
-/// a fixed seed and workload, so tests can assert run-to-run determinism.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Allocation failures that entered the escalation.
-    pub oom_events: u64,
-    /// Reclaim passes executed.
-    pub reclaim_passes: u64,
-    /// Page-cache pages evicted by reclaim.
-    pub reclaimed_pages: u64,
-    /// Compaction passes executed.
-    pub compaction_passes: u64,
-    /// Buddy blocks migrated by compaction.
-    pub migrated_blocks: u64,
-    /// Base frames moved by those migrations.
-    pub migrated_frames: u64,
-    /// Allocation retries after a recovery stage reported progress.
-    pub retries: u64,
-    /// Huge requests degraded to base pages after recovery failed.
-    pub order_backoffs: u64,
-    /// Readahead windows shrunk to a single page under pressure.
-    pub readahead_shrinks: u64,
-    /// Faults that ultimately succeeded after at least one recovery round.
-    pub recovered_faults: u64,
-    /// Faults that failed even after the full escalation.
-    pub hard_ooms: u64,
-    /// Faults aborted by the livelock watchdog after burning
-    /// [`RecoveryConfig::max_total_attempts`] allocation attempts.
-    pub livelocks: u64,
-    /// Simulated nanoseconds spent backing off between retries.
-    pub backoff_ns: u64,
-    /// Simulated nanoseconds spent in reclaim passes (cost-model units:
-    /// one page-touch cost per evicted page).
-    pub reclaim_ns: u64,
-    /// Simulated nanoseconds spent in compaction passes (one page-copy cost
-    /// per migrated frame).
-    pub compaction_ns: u64,
+contig_types::wire_counters! {
+    /// Per-stage counters of the recovery escalation. All monotonic; exact under
+    /// a fixed seed and workload, so tests can assert run-to-run determinism.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RecoveryStats {
+        /// Allocation failures that entered the escalation.
+        pub oom_events: u64,
+        /// Reclaim passes executed.
+        pub reclaim_passes: u64,
+        /// Page-cache pages evicted by reclaim.
+        pub reclaimed_pages: u64,
+        /// Compaction passes executed.
+        pub compaction_passes: u64,
+        /// Buddy blocks migrated by compaction.
+        pub migrated_blocks: u64,
+        /// Base frames moved by those migrations.
+        pub migrated_frames: u64,
+        /// Allocation retries after a recovery stage reported progress.
+        pub retries: u64,
+        /// Huge requests degraded to base pages after recovery failed.
+        pub order_backoffs: u64,
+        /// Readahead windows shrunk to a single page under pressure.
+        pub readahead_shrinks: u64,
+        /// Faults that ultimately succeeded after at least one recovery round.
+        pub recovered_faults: u64,
+        /// Faults that failed even after the full escalation.
+        pub hard_ooms: u64,
+        /// Faults aborted by the livelock watchdog after burning
+        /// [`RecoveryConfig::max_total_attempts`] allocation attempts.
+        pub livelocks: u64,
+        /// Simulated nanoseconds spent backing off between retries.
+        pub backoff_ns: u64,
+        /// Simulated nanoseconds spent in reclaim passes (cost-model units:
+        /// one page-touch cost per evicted page).
+        pub reclaim_ns: u64,
+        /// Simulated nanoseconds spent in compaction passes (one page-copy cost
+        /// per migrated frame).
+        pub compaction_ns: u64,
+    }
 }
 
 /// Result of one [`System::compact`] pass.

@@ -29,89 +29,107 @@ use crate::stats::{FaultStats, LatencyModel};
 use crate::system::{NumaStats, Pid, System};
 use crate::vma::VmaKind;
 
-/// Plain-data image of one VMA, including CA paging metadata.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VmaSnapshot {
-    /// Start byte address of the virtual range.
-    pub start: u64,
-    /// Length of the virtual range in bytes.
-    pub len: u64,
-    /// `Some((file id, start page))` for file mappings, `None` for anonymous.
-    pub file: Option<(u32, u64)>,
-    /// The FIFO offset set: `(fault address, raw offset)` oldest-first.
-    pub offsets: Vec<(u64, i128)>,
-    /// Whether the re-placement slot was claimed at capture time.
-    pub replacement_claimed: bool,
+contig_types::wire_struct! {
+    /// Plain-data image of one VMA, including CA paging metadata.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct VmaSnapshot {
+        /// Start byte address of the virtual range.
+        pub start: u64,
+        /// Length of the virtual range in bytes.
+        pub len: u64,
+        /// `Some((file id, start page))` for file mappings, `None` for anonymous.
+        pub file: Option<(u32, u64)>,
+        /// The FIFO offset set: `(fault address, raw offset)` oldest-first.
+        pub offsets: Vec<(u64, i128)>,
+        /// Whether the re-placement slot was claimed at capture time.
+        pub replacement_claimed: bool,
+    }
 }
 
-/// Plain-data image of per-address-space fault statistics.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultStatsSnapshot {
-    /// The eight public counters of [`FaultStats`], in declaration order:
-    /// `faults_4k, faults_2m, cow_faults, thp_fallbacks, ca_target_hits,
-    /// ca_target_misses, placements, total_fault_ns`.
-    pub counters: [u64; 8],
-    /// Recorded per-fault latencies (empty unless recording).
-    pub latencies_ns: Vec<u64>,
-    /// Whether latency recording was on.
-    pub record_latencies: bool,
+contig_types::wire_struct! {
+    /// Plain-data image of per-address-space fault statistics.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct FaultStatsSnapshot {
+        /// The eight public counters of [`FaultStats`], in declaration order:
+        /// `faults_4k, faults_2m, cow_faults, thp_fallbacks, ca_target_hits,
+        /// ca_target_misses, placements, total_fault_ns`.
+        pub counters: [u64; 8],
+        /// Recorded per-fault latencies (empty unless recording).
+        pub latencies_ns: Vec<u64>,
+        /// Whether latency recording was on.
+        pub record_latencies: bool,
+    }
 }
 
-/// Plain-data image of one process address space.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProcessSnapshot {
-    /// The process id.
-    pub pid: u32,
-    /// Page-table radix depth.
-    pub pt_levels: u32,
-    /// VMAs in address order.
-    pub vmas: Vec<VmaSnapshot>,
-    /// Page-table leaves in address order: `(va, pfn, flag bits, huge)`.
-    pub mappings: Vec<(u64, u64, u8, bool)>,
-    /// Fault statistics.
-    pub stats: FaultStatsSnapshot,
-    /// NUMA home node, if one is assigned (codec v5).
-    pub home: Option<u64>,
+contig_types::wire_struct! {
+    /// Plain-data image of one process address space.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct ProcessSnapshot {
+        /// The process id.
+        pub pid: u32,
+        /// Page-table radix depth.
+        pub pt_levels: u32,
+        /// VMAs in address order.
+        pub vmas: Vec<VmaSnapshot>,
+        /// Page-table leaves in address order: `(va, pfn, flag bits, huge)`.
+        pub mappings: Vec<(u64, u64, u8, bool)>,
+        /// Fault statistics.
+        pub stats: FaultStatsSnapshot,
+        /// NUMA home node, if one is assigned (codec v5).
+        pub home: Option<u64>,
+    } => ProcessSnapshot::validate
 }
 
-/// Plain-data image of a whole [`System`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SystemSnapshot {
-    /// Physical memory: zones, free lists, allocated blocks, reservations.
-    pub machine: MachineSnapshot,
-    /// Processes in pid order.
-    pub processes: Vec<ProcessSnapshot>,
-    /// The page cache.
-    pub page_cache: PageCacheSnapshot,
-    /// Next pid to hand out.
-    pub next_pid: u32,
-    /// THP enabled.
-    pub thp: bool,
-    /// Page-table depth new processes get.
-    pub pt_levels: u32,
-    /// Whether new processes record fault latencies.
-    pub record_latencies: bool,
-    /// The fault latency model.
-    pub latency: LatencyModel,
-    /// COW sharer counts as `(raw pfn, count)`, pfn-ascending.
-    pub shared: Vec<(u64, u32)>,
-    /// The simulated clock.
-    pub now_ns: u64,
-    /// Recovery tunables in force.
-    pub recovery: RecoveryConfig,
-    /// Cumulative recovery counters.
-    pub recovery_stats: RecoveryStats,
-    /// Retry-backoff jitter generator state.
-    pub backoff_rng: u64,
-    /// Memory-failure injector state, mid-stream.
-    pub poison_policy: PoisonPolicy,
-    /// Cumulative memory-failure counters.
-    pub poison_stats: PoisonStats,
-    /// Cumulative NUMA placement counters (codec v5).
-    pub numa_stats: NumaStats,
-    /// Background maintenance daemon: policy, mid-epoch cursors, counters
-    /// (codec v6). Defaulted (disabled) when restoring older images.
-    pub daemon: DaemonState,
+impl ProcessSnapshot {
+    /// `System::restore` packs each mapping's frame into a page-table entry.
+    fn validate(&self) -> Result<(), String> {
+        match self.mappings.iter().find(|m| m.1 > Pte::MAX_PFN.raw()) {
+            Some(m) => Err(format!("mapping pfn {:#x} exceeds 52 bits", m.1)),
+            None => Ok(()),
+        }
+    }
+}
+
+contig_types::wire_struct! {
+    /// Plain-data image of a whole [`System`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct SystemSnapshot {
+        /// Physical memory: zones, free lists, allocated blocks, reservations.
+        pub machine: MachineSnapshot,
+        /// Processes in pid order.
+        pub processes: Vec<ProcessSnapshot>,
+        /// The page cache.
+        pub page_cache: PageCacheSnapshot,
+        /// Next pid to hand out.
+        pub next_pid: u32,
+        /// THP enabled.
+        pub thp: bool,
+        /// Page-table depth new processes get.
+        pub pt_levels: u32,
+        /// Whether new processes record fault latencies.
+        pub record_latencies: bool,
+        /// The fault latency model.
+        pub latency: LatencyModel,
+        /// COW sharer counts as `(raw pfn, count)`, pfn-ascending.
+        pub shared: Vec<(u64, u32)>,
+        /// The simulated clock.
+        pub now_ns: u64,
+        /// Recovery tunables in force.
+        pub recovery: RecoveryConfig,
+        /// Cumulative recovery counters.
+        pub recovery_stats: RecoveryStats,
+        /// Retry-backoff jitter generator state.
+        pub backoff_rng: u64,
+        /// Memory-failure injector state, mid-stream.
+        pub poison_policy: PoisonPolicy,
+        /// Cumulative memory-failure counters.
+        pub poison_stats: PoisonStats,
+        /// Cumulative NUMA placement counters (codec v5).
+        pub numa_stats: NumaStats,
+        /// Background maintenance daemon: policy, mid-epoch cursors, counters
+        /// (codec v6). Defaulted (disabled) when restoring older images.
+        pub daemon: DaemonState,
+    }
 }
 
 fn stats_snapshot(stats: &FaultStats) -> FaultStatsSnapshot {

@@ -4,20 +4,22 @@ use core::fmt;
 
 use contig_types::PageSize;
 
-/// Cost parameters for the page-fault latency model.
-///
-/// The dominant cost of a large allocation is zeroing it (paper Table V:
-/// eager paging's 99th-percentile latency is ~150× THP's because it zeroes
-/// whole VMAs). The model is `base + pages_zeroed * per_page_zero +
-/// placement` in nanoseconds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyModel {
-    /// Fixed fault-entry/exit cost (trap, VMA lookup, PTE install).
-    pub base_ns: u64,
-    /// Cost to zero one 4 KiB page.
-    pub zero_page_ns: u64,
-    /// Cost of one contiguity-map placement decision.
-    pub placement_ns: u64,
+contig_types::wire_struct! {
+    /// Cost parameters for the page-fault latency model.
+    ///
+    /// The dominant cost of a large allocation is zeroing it (paper Table V:
+    /// eager paging's 99th-percentile latency is ~150× THP's because it zeroes
+    /// whole VMAs). The model is `base + pages_zeroed * per_page_zero +
+    /// placement` in nanoseconds.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct LatencyModel {
+        /// Fixed fault-entry/exit cost (trap, VMA lookup, PTE install).
+        pub base_ns: u64,
+        /// Cost to zero one 4 KiB page.
+        pub zero_page_ns: u64,
+        /// Cost of one contiguity-map placement decision.
+        pub placement_ns: u64,
+    }
 }
 
 impl Default for LatencyModel {

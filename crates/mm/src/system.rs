@@ -84,20 +84,22 @@ impl core::fmt::Display for KsmError {
 
 impl std::error::Error for KsmError {}
 
-/// Cumulative NUMA placement counters: how often home-node placement stayed
-/// local, spilled to another zone, and how many pages were migrated between
-/// zones. Only pids with an assigned home (see [`System::set_home_node`])
-/// count toward `local_allocs`/`fallback_allocs`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NumaStats {
-    /// Default-placement allocations served from the faulting pid's home
-    /// node.
-    pub local_allocs: u64,
-    /// Default-placement allocations that spilled to another node because
-    /// the home zone was exhausted.
-    pub fallback_allocs: u64,
-    /// Pages moved between zones by [`System::migrate_page_to_node`].
-    pub migrations: u64,
+contig_types::wire_counters! {
+    /// Cumulative NUMA placement counters: how often home-node placement stayed
+    /// local, spilled to another zone, and how many pages were migrated between
+    /// zones. Only pids with an assigned home (see [`System::set_home_node`])
+    /// count toward `local_allocs`/`fallback_allocs`.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct NumaStats {
+        /// Default-placement allocations served from the faulting pid's home
+        /// node.
+        pub local_allocs: u64,
+        /// Default-placement allocations that spilled to another node because
+        /// the home zone was exhausted.
+        pub fallback_allocs: u64,
+        /// Pages moved between zones by [`System::migrate_page_to_node`].
+        pub migrations: u64,
+    }
 }
 
 /// Why a [`System::migrate_page_to_node`] was refused. Migrations are

@@ -189,21 +189,23 @@ impl SetAssocCache {
     }
 }
 
-/// Plain-data image of a [`SetAssocCache`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Number of sets.
-    pub sets: u64,
-    /// Associativity.
-    pub ways: u64,
-    /// Every slot: `(key, last-touch tick)` or empty.
-    pub slots: Vec<Option<(u64, u64)>>,
-    /// The LRU clock.
-    pub tick: u64,
-    /// Hits since construction.
-    pub hits: u64,
-    /// Misses since construction.
-    pub misses: u64,
+contig_types::wire_struct! {
+    /// Plain-data image of a [`SetAssocCache`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct CacheSnapshot {
+        /// Number of sets.
+        pub sets: u64,
+        /// Associativity.
+        pub ways: u64,
+        /// Every slot: `(key, last-touch tick)` or empty.
+        pub slots: Vec<Option<(u64, u64)>>,
+        /// The LRU clock.
+        pub tick: u64,
+        /// Hits since construction.
+        pub hits: u64,
+        /// Misses since construction.
+        pub misses: u64,
+    } => CacheSnapshot::validate
 }
 
 impl CacheSnapshot {

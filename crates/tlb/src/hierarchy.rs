@@ -228,17 +228,19 @@ impl TlbHierarchy {
     }
 }
 
-/// Plain-data image of a [`TlbHierarchy`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TlbSnapshot {
-    /// The split L1 for 4 KiB translations.
-    pub l1_4k: CacheSnapshot,
-    /// The split L1 for 2 MiB translations.
-    pub l1_2m: CacheSnapshot,
-    /// The unified L2 STLB.
-    pub l2: CacheSnapshot,
-    /// `lookups, l1_hits, l2_hits, misses` in order.
-    pub counters: [u64; 4],
+contig_types::wire_struct! {
+    /// Plain-data image of a [`TlbHierarchy`].
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct TlbSnapshot {
+        /// The split L1 for 4 KiB translations.
+        pub l1_4k: CacheSnapshot,
+        /// The split L1 for 2 MiB translations.
+        pub l1_2m: CacheSnapshot,
+        /// The unified L2 STLB.
+        pub l2: CacheSnapshot,
+        /// `lookups, l1_hits, l2_hits, misses` in order.
+        pub counters: [u64; 4],
+    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! name lookup and both directions of the JSONL field codec are expanded from
 //! that one declaration, so they cannot disagree.
 
-use contig_types::json::{Enc, Json, Sink};
+use contig_types::json::{Enc, Json, Sink, Wire};
 
 /// Which translation dimension produced an event in a virtualized run.
 ///
@@ -223,24 +223,24 @@ impl DaemonStage {
     }
 }
 
-/// How one payload field type crosses the JSONL wire, and what a test sample
-/// of it looks like.
-trait Field: Sized {
-    /// Writes the value; the caller has written the key.
-    fn write<S: Sink>(&self, e: &mut Enc<S>);
-    /// Reads the member of `obj` named `key`, which must be there.
-    fn read(obj: &Json, key: &str) -> Result<Self, String>;
-    /// A value that differs from one `n` to the next.
+impl Wire for FaultClass {
+    fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+        e.str(self.as_str());
+    }
+    fn dec(v: &Json) -> Result<Self, String> {
+        let tag = v.as_str().ok_or("not a string")?;
+        FaultClass::from_tag(tag).ok_or_else(|| format!("unknown fault class `{tag}`"))
+    }
+}
+
+/// A payload field type: it crosses the JSONL wire as its [`Wire`] impl
+/// says, and a test sample of it differs from one `n` to the next.
+trait Field: Wire {
+    /// The `n`-th sample.
     fn sample(n: u64) -> Self;
 }
 
 impl Field for u64 {
-    fn write<S: Sink>(&self, e: &mut Enc<S>) {
-        e.num(*self);
-    }
-    fn read(obj: &Json, key: &str) -> Result<Self, String> {
-        obj.u64_of(key)
-    }
     fn sample(n: u64) -> Self {
         // Odd multiplier: distinct per `n`, and most samples need all 64 bits.
         n.wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -248,37 +248,18 @@ impl Field for u64 {
 }
 
 impl Field for u32 {
-    fn write<S: Sink>(&self, e: &mut Enc<S>) {
-        e.num(*self);
-    }
-    fn read(obj: &Json, key: &str) -> Result<Self, String> {
-        obj.u32_of(key)
-    }
     fn sample(n: u64) -> Self {
         (u64::sample(n) >> 32) as u32
     }
 }
 
 impl Field for bool {
-    fn write<S: Sink>(&self, e: &mut Enc<S>) {
-        e.bool(*self);
-    }
-    fn read(obj: &Json, key: &str) -> Result<Self, String> {
-        obj.bool_of(key)
-    }
     fn sample(n: u64) -> Self {
         n % 2 == 1
     }
 }
 
 impl Field for FaultClass {
-    fn write<S: Sink>(&self, e: &mut Enc<S>) {
-        e.str(self.as_str());
-    }
-    fn read(obj: &Json, key: &str) -> Result<Self, String> {
-        let tag = obj.str_of(key)?;
-        FaultClass::from_tag(tag).ok_or_else(|| format!("unknown fault class `{tag}`"))
-    }
     fn sample(n: u64) -> Self {
         [FaultClass::Anon, FaultClass::Cow, FaultClass::File][(n % 3) as usize]
     }
@@ -348,10 +329,10 @@ macro_rules! trace_events {
             pub(crate) fn write_fields<S: Sink>(&self, e: &mut Enc<S>) {
                 match self {
                     $( TraceEvent::$variant { $( $field, )* } => {
-                        $( $field.write(e.key(wire_key!($field $($key)?))); )*
+                        $( $field.enc(e.key(wire_key!($field $($key)?))); )*
                     } )*
                     $( TraceEvent::$svariant { stage: _, $( $sfield, )* } => {
-                        $( $sfield.write(e.key(stringify!($sfield))); )*
+                        $( $sfield.enc(e.key(stringify!($sfield))); )*
                     } )*
                 }
             }
@@ -362,7 +343,7 @@ macro_rules! trace_events {
                 match name {
                     $( $name => Ok((
                         TraceEvent::$variant {
-                            $( $field: Field::read(obj, wire_key!($field $($key)?))?, )*
+                            $( $field: obj.member(wire_key!($field $($key)?))?, )*
                         },
                         [$( stringify!($field) ),*].len(),
                     )), )*
@@ -371,7 +352,7 @@ macro_rules! trace_events {
                             return Ok((
                                 TraceEvent::$svariant {
                                     stage,
-                                    $( $sfield: Field::read(obj, stringify!($sfield))?, )*
+                                    $( $sfield: obj.member(stringify!($sfield))?, )*
                                 },
                                 [$( stringify!($sfield) ),*].len(),
                             ));

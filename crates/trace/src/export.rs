@@ -66,7 +66,7 @@ pub fn export_jsonl(records: &[Record]) -> String {
     out
 }
 
-fn record_from_jsonl(line: &str) -> Result<Record, String> {
+fn parse_record(line: &str) -> Result<Record, String> {
     let obj = json::parse(line)?;
     let dim = obj.str_of("dim")?;
     let name = obj.str_of("ev")?;
@@ -78,8 +78,8 @@ fn record_from_jsonl(line: &str) -> Result<Record, String> {
         return Err(format!("`{name}` line must have exactly {members} members"));
     }
     Ok(Record {
-        seq: obj.u64_of("seq")?,
-        ts_ns: obj.u64_of("ts_ns")?,
+        seq: obj.member("seq")?,
+        ts_ns: obj.member("ts_ns")?,
         dim: Dim::from_tag(dim).ok_or_else(|| format!("unknown dim `{dim}`"))?,
         event,
     })
@@ -94,7 +94,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, ParseError> {
         if line.trim().is_empty() {
             continue;
         }
-        let record = record_from_jsonl(line)
+        let record = parse_record(line)
             .map_err(|message| ParseError { line: idx + 1, message })?;
         records.push(record);
     }

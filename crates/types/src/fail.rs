@@ -33,53 +33,58 @@
 //! assert_eq!(run(7), run(7));
 //! ```
 
-/// When a [`FailPolicy`] injects an allocation failure.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailMode {
-    /// Never inject (the default; zero overhead on the hot path).
-    Never,
-    /// Fail exactly the `n`-th attempt (1-based), once, then disarm.
-    Nth {
-        /// Attempt number to fail, counting from 1.
-        n: u64,
-    },
-    /// Fail every `n`-th attempt (the 3rd, 6th, 9th, … for `n = 3`).
-    EveryNth {
-        /// Injection period; must be non-zero.
-        n: u64,
-    },
-    /// Fail every attempt whose buddy order is at least `min_order` — models
-    /// the realistic regime where high-order allocations fail first while
-    /// base pages still succeed.
-    MinOrder {
-        /// Smallest order that fails.
-        min_order: u32,
-    },
-    /// Fail each attempt independently with probability `rate_ppm / 1e6`,
-    /// drawn from a splitmix64 stream seeded with `seed`. Parts-per-million
-    /// keeps the type `Eq`/`Hash`-friendly (no floats).
-    Probability {
-        /// Failure probability in parts per million (1 % = 10_000 ppm).
-        rate_ppm: u32,
-        /// Seed of the deterministic random stream.
-        seed: u64,
-    },
+crate::wire_tagged! {
+    "kind":
+    /// When a [`FailPolicy`] injects an allocation failure.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum FailMode {
+        /// Never inject (the default; zero overhead on the hot path).
+        "never" Never,
+        /// Fail exactly the `n`-th attempt (1-based), once, then disarm.
+        "nth" Nth {
+            /// Attempt number to fail, counting from 1.
+            n: u64,
+        },
+        /// Fail every `n`-th attempt (the 3rd, 6th, 9th, … for `n = 3`).
+        "every_nth" EveryNth {
+            /// Injection period; must be non-zero.
+            n: u64,
+        },
+        /// Fail every attempt whose buddy order is at least `min_order` — models
+        /// the realistic regime where high-order allocations fail first while
+        /// base pages still succeed.
+        "min_order" MinOrder {
+            /// Smallest order that fails.
+            min_order: u32,
+        },
+        /// Fail each attempt independently with probability `rate_ppm / 1e6`,
+        /// drawn from a splitmix64 stream seeded with `seed`. Parts-per-million
+        /// keeps the type `Eq`/`Hash`-friendly (no floats).
+        "probability" Probability {
+            /// Failure probability in parts per million (1 % = 10_000 ppm).
+            rate_ppm: u32,
+            /// Seed of the deterministic random stream.
+            seed: u64,
+        },
+    }
 }
 
-/// Deterministic allocation-failure injector.
-///
-/// Installed on a buddy zone, it is consulted once per allocation attempt
-/// (targeted or not) and bumps its counters either way, so tests can assert
-/// exact attempt/injection totals under a fixed seed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FailPolicy {
-    mode: FailMode,
-    /// Allocation attempts observed (including injected failures).
-    attempts: u64,
-    /// Failures injected so far.
-    injected: u64,
-    /// splitmix64 state for [`FailMode::Probability`].
-    rng_state: u64,
+crate::wire_struct! {
+    /// Deterministic allocation-failure injector.
+    ///
+    /// Installed on a buddy zone, it is consulted once per allocation attempt
+    /// (targeted or not) and bumps its counters either way, so tests can assert
+    /// exact attempt/injection totals under a fixed seed.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct FailPolicy {
+        mode: FailMode,
+        /// Allocation attempts observed (including injected failures).
+        attempts: u64,
+        /// Failures injected so far.
+        injected: u64,
+        /// splitmix64 state for [`FailMode::Probability`].
+        rng_state: u64,
+    }
 }
 
 impl Default for FailPolicy {

@@ -11,9 +11,20 @@
 //! member by member and it emits into a [`Sink`], so a digest hashes a
 //! snapshot's encoding without ever holding it.
 //!
+//! What a type looks like on the wire is decided by its *definition*:
+//! [`Wire`] is implemented here once for the integers, `bool`, [`Pfn`],
+//! `Option` (`null`), `Vec`, `[u64; N]` and tuples (arrays), and three table
+//! macros wrap a definition and expand to it plus its `Wire` impl —
+//! [`wire_struct!`](crate::wire_struct) (an object, one member per field,
+//! named as the field, in declaration order),
+//! [`wire_counters!`](crate::wire_counters) (an all-`u64` block as an array
+//! in declaration order) and [`wire_tagged!`](crate::wire_tagged) (an enum
+//! as `{"<tag>":"<name>",fields…}`). A field is therefore spelled once, and
+//! reordering or renaming the fields of a wrapped type *is* a format change.
+//!
 //! [`MapOffset`]: crate::MapOffset
 
-use crate::Fnv1a64;
+use crate::{Fnv1a64, Pfn};
 
 /// A JSON value with deterministic (insertion-ordered) objects and integer
 /// numbers only.
@@ -94,41 +105,24 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// This and the `*_of` accessors below name the member that is missing
-    /// or is not of the type asked for.
+    /// This, [`Json::str_of`] and [`Json::member`] name the member that is
+    /// missing or is not of the type asked for.
     #[inline]
     pub fn field(&self, key: &str) -> Result<&Json, String> {
         self.get(key).ok_or_else(|| format!("missing field `{key}`"))
     }
 
-    /// The `u64` member named `key`.
-    #[inline]
-    pub fn u64_of(&self, key: &str) -> Result<u64, String> {
-        self.field(key)?.as_u64().ok_or_else(|| format!("field `{key}` is not a u64"))
-    }
-
-    /// The `u32` member named `key`.
-    #[inline]
-    pub fn u32_of(&self, key: &str) -> Result<u32, String> {
-        u32::try_from(self.u64_of(key)?).map_err(|_| format!("field `{key}` out of u32 range"))
-    }
-
-    /// The bool member named `key`.
-    #[inline]
-    pub fn bool_of(&self, key: &str) -> Result<bool, String> {
-        self.field(key)?.as_bool().ok_or_else(|| format!("field `{key}` is not a bool"))
-    }
-
     /// The string member named `key`.
     #[inline]
     pub fn str_of(&self, key: &str) -> Result<&str, String> {
-        self.field(key)?.as_str().ok_or_else(|| format!("field `{key}` is not a string"))
+        self.field(key)?.as_str().ok_or_else(|| format!("{key}: not a string"))
     }
 
-    /// The array member named `key`.
+    /// The member named `key`, decoded as a `T`; what `T` refuses is reported
+    /// under the member's name, so nested errors read as a path.
     #[inline]
-    pub fn arr_of(&self, key: &str) -> Result<&[Json], String> {
-        self.field(key)?.as_arr().ok_or_else(|| format!("field `{key}` is not an array"))
+    pub fn member<T: Wire>(&self, key: &str) -> Result<T, String> {
+        at(key, T::dec(self.field(key)?))
     }
 
     /// Serializes to a single-line JSON string (the canonical form digests
@@ -322,6 +316,277 @@ pub fn digest(f: impl FnOnce(&mut Enc<Fnv1a64>)) -> u64 {
     let mut e = Enc::new(Fnv1a64::new());
     f(&mut e);
     e.into_inner().finish()
+}
+
+/// A type with one canonical spelling on the wire: `enc` writes it through
+/// an [`Enc`], `dec` reads it back from the parsed value and refuses anything
+/// `enc` cannot have written for a value of the type.
+pub trait Wire: Sized {
+    /// Writes the value; inside an object the caller has written the key.
+    fn enc<S: Sink>(&self, e: &mut Enc<S>);
+
+    /// Reads the value back.
+    ///
+    /// # Errors
+    ///
+    /// What is wrong with `v`, prefixed with the path of members and indices
+    /// down to it (`processes: [0]: mappings: [3]: …`).
+    fn dec(v: &Json) -> Result<Self, String>;
+}
+
+/// `read`, with an error prefixed by the place it was read from.
+#[inline]
+fn at<T>(place: impl std::fmt::Display, read: Result<T, String>) -> Result<T, String> {
+    read.map_err(|e| format!("{place}: {e}"))
+}
+
+macro_rules! wire_int {
+    ($($ty:ident),*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+                e.num(*self as i128);
+            }
+            #[inline]
+            fn dec(v: &Json) -> Result<Self, String> {
+                let n = v.as_num().and_then(|n| $ty::try_from(n).ok());
+                n.ok_or_else(|| concat!("not a ", stringify!($ty)).to_string())
+            }
+        }
+    )*};
+}
+wire_int!(u8, u32, u64, usize, i128);
+
+impl Wire for bool {
+    #[inline]
+    fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+        e.bool(*self);
+    }
+    #[inline]
+    fn dec(v: &Json) -> Result<Self, String> {
+        v.as_bool().ok_or_else(|| "not a bool".to_string())
+    }
+}
+
+impl Wire for Pfn {
+    #[inline]
+    fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+        e.num(self.raw());
+    }
+    #[inline]
+    fn dec(v: &Json) -> Result<Self, String> {
+        u64::dec(v).map(Pfn::new)
+    }
+}
+
+/// `null` when unset, never left out.
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+        match self {
+            Some(value) => value.enc(e),
+            None => e.null(),
+        }
+    }
+    #[inline]
+    fn dec(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            other => T::dec(other).map(Some),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    #[inline]
+    fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+        e.arr(|e| self.iter().for_each(|item| item.enc(e)));
+    }
+    #[inline]
+    fn dec(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("not an array")?;
+        items.iter().enumerate().map(|(i, item)| at(format_args!("[{i}]"), T::dec(item))).collect()
+    }
+}
+
+/// Exactly `N` integers: a block that grew or shrank is another format.
+impl<const N: usize> Wire for [u64; N] {
+    #[inline]
+    fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+        e.nums(*self);
+    }
+    #[inline]
+    fn dec(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().filter(|items| items.len() == N);
+        let items = items.ok_or_else(|| format!("not an array of {N} entries"))?;
+        let mut out = [0; N];
+        for (i, item) in items.iter().enumerate() {
+            out[i] = at(format_args!("[{i}]"), u64::dec(item))?;
+        }
+        Ok(out)
+    }
+}
+
+macro_rules! wire_tuple {
+    ($len:literal: $($T:ident $i:tt),*) => {
+        impl<$($T: Wire),*> Wire for ($($T,)*) {
+            #[inline]
+            fn enc<S: Sink>(&self, e: &mut Enc<S>) {
+                e.arr(|e| { $( self.$i.enc(e); )* });
+            }
+            #[inline]
+            #[allow(non_snake_case)]
+            fn dec(v: &Json) -> Result<Self, String> {
+                match v.as_arr() {
+                    Some([$($T),*]) => Ok(($( at(format_args!("[{}]", $i), $T::dec($T))?, )*)),
+                    _ => Err(concat!("not a ", $len, "-element array").to_string()),
+                }
+            }
+        }
+    };
+}
+wire_tuple!(2: A 0, B 1);
+wire_tuple!(3: A 0, B 1, C 2);
+wire_tuple!(4: A 0, B 1, C 2, D 3);
+
+/// Wraps a struct definition and implements [`Wire`] for it: an object with
+/// one member per field, named as the field, in declaration order, every one
+/// required on decode. `=> path` after the closing brace names a
+/// `fn(&Self) -> Result<(), String>` that `dec` runs on the decoded value,
+/// for conditions among fields that no single field's type can hold.
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $ty:ty, )*
+        }
+        $(=> $check:path)?
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: $ty, )*
+        }
+
+        impl $crate::json::Wire for $name {
+            fn enc<S: $crate::json::Sink>(&self, e: &mut $crate::json::Enc<S>) {
+                e.obj(|e| {
+                    $( $crate::json::Wire::enc(&self.$field, e.key(stringify!($field))); )*
+                });
+            }
+
+            fn dec(v: &$crate::json::Json) -> Result<Self, String> {
+                let value = $name { $( $field: v.member(stringify!($field))?, )* };
+                $( $check(&value)?; )?
+                Ok(value)
+            }
+        }
+    };
+}
+
+/// Wraps a struct of `pub u64` counters and implements [`Wire`] for it — an
+/// array of exactly as many integers, in declaration order — and
+/// `accumulate`, which adds another block in field by field. Where fields
+/// carry `= "event.name"`, `as_named` pairs those counters with the trace
+/// event whose emissions they count, in declaration order.
+#[macro_export]
+macro_rules! wire_counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : u64, )*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name {
+            $( $(#[$fmeta])* $fvis $field: u64, )*
+        }
+
+        impl $name {
+            /// Adds `other`'s counters into this block (totals across zones,
+            /// systems or runs).
+            pub fn accumulate(&mut self, other: &$name) {
+                $( self.$field += other.$field; )*
+            }
+        }
+
+        impl $crate::json::Wire for $name {
+            fn enc<S: $crate::json::Sink>(&self, e: &mut $crate::json::Enc<S>) {
+                e.nums([$( self.$field ),*]);
+            }
+
+            fn dec(v: &$crate::json::Json) -> Result<Self, String> {
+                let [$( $field ),*] = $crate::json::Wire::dec(v)?;
+                Ok($name { $( $field ),* })
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $fvis:vis $field:ident : u64 $(= $event:literal)?, )*
+        }
+    ) => {
+        $crate::wire_counters! {
+            $(#[$meta])*
+            $vis struct $name {
+                $( $(#[$fmeta])* $fvis $field: u64, )*
+            }
+        }
+
+        impl $name {
+            /// The traced counters as `(event name, total)` pairs, in
+            /// declaration order: each must equal the number of emissions of
+            /// that event in a trace of the same run.
+            pub fn as_named(&self) -> Vec<(&'static str, u64)> {
+                vec![$( $( ($event, self.$field), )? )*]
+            }
+        }
+    };
+}
+
+/// Wraps an enum definition whose variants are units or carry named fields,
+/// each variant preceded by its wire name, and implements [`Wire`] for it:
+/// `{"<tag>":"<name>",<field>:<value>,…}`, fields in declaration order. The
+/// tag key comes first, before the definition: `"kind": pub enum …`.
+#[macro_export]
+macro_rules! wire_tagged {
+    (
+        $tag:literal:
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $wire:literal $variant:ident
+                $({ $( $(#[$fmeta:meta])* $field:ident : $ty:ty, )* })?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $( $(#[$vmeta])* $variant $({ $( $(#[$fmeta])* $field: $ty, )* })?, )*
+        }
+
+        impl $crate::json::Wire for $name {
+            fn enc<S: $crate::json::Sink>(&self, e: &mut $crate::json::Enc<S>) {
+                e.obj(|e| match self {
+                    $( $name::$variant $({ $( $field, )* })? => {
+                        e.key($tag).str($wire);
+                        $($( $crate::json::Wire::enc($field, e.key(stringify!($field))); )*)?
+                    } )*
+                });
+            }
+
+            fn dec(v: &$crate::json::Json) -> Result<Self, String> {
+                match v.str_of($tag)? {
+                    $( $wire => Ok($name::$variant $({
+                        $( $field: v.member(stringify!($field))?, )*
+                    })?), )*
+                    other => Err(format!("unknown {} `{other}`", $tag)),
+                }
+            }
+        }
+    };
 }
 
 /// Deepest nesting of arrays and objects [`parse`] accepts. A fleet snapshot
@@ -578,20 +843,26 @@ mod tests {
 
     #[test]
     fn required_member_accessors_name_the_member() {
-        let doc = parse(r#"{"n":7,"big":4294967296,"b":true,"s":"x","a":[1]}"#).unwrap();
-        assert_eq!(doc.u64_of("n"), Ok(7));
-        assert_eq!(doc.u32_of("n"), Ok(7));
-        assert_eq!(doc.bool_of("b"), Ok(true));
+        let doc = parse(r#"{"n":7,"big":4294967296,"b":true,"s":"x","a":[1,[2,"3"]]}"#).unwrap();
+        assert_eq!(doc.member::<u64>("n"), Ok(7));
+        assert_eq!(doc.member::<u32>("n"), Ok(7));
+        assert_eq!(doc.member::<usize>("n"), Ok(7));
+        assert_eq!(doc.member::<Option<u8>>("n"), Ok(Some(7)));
+        assert_eq!(doc.member::<bool>("b"), Ok(true));
         assert_eq!(doc.str_of("s"), Ok("x"));
-        assert_eq!(doc.arr_of("a").map(<[Json]>::len), Ok(1));
         assert_eq!(doc.field("gone").unwrap_err(), "missing field `gone`");
-        assert_eq!(doc.u64_of("gone").unwrap_err(), "missing field `gone`");
-        assert_eq!(doc.u64_of("s").unwrap_err(), "field `s` is not a u64");
-        assert_eq!(doc.u32_of("big").unwrap_err(), "field `big` out of u32 range");
-        assert_eq!(doc.bool_of("n").unwrap_err(), "field `n` is not a bool");
-        assert_eq!(doc.str_of("n").unwrap_err(), "field `n` is not a string");
-        assert_eq!(doc.arr_of("n").unwrap_err(), "field `n` is not an array");
+        assert_eq!(doc.member::<u64>("gone").unwrap_err(), "missing field `gone`");
+        assert_eq!(doc.member::<u64>("s").unwrap_err(), "s: not a u64");
+        assert_eq!(doc.member::<u32>("big").unwrap_err(), "big: not a u32");
+        assert_eq!(doc.member::<bool>("n").unwrap_err(), "n: not a bool");
+        assert_eq!(doc.str_of("n").unwrap_err(), "n: not a string");
+        assert_eq!(doc.member::<Vec<u64>>("n").unwrap_err(), "n: not an array");
         assert_eq!(Json::Null.field("n").unwrap_err(), "missing field `n`");
+        // Nested refusals read as the path down to them.
+        assert_eq!(doc.member::<(u64, (u64, u64))>("a").unwrap_err(), "a: [1]: [1]: not a u64");
+        assert_eq!(doc.member::<(u64, u64, u64)>("a").unwrap_err(), "a: not a 3-element array");
+        assert_eq!(doc.member::<[u64; 3]>("a").unwrap_err(), "a: not an array of 3 entries");
+        assert_eq!(doc.member::<Vec<u64>>("a").unwrap_err(), "a: [1]: not a u64");
     }
 
     #[test]

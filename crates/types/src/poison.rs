@@ -38,55 +38,60 @@
 use crate::fail::splitmix64;
 use crate::page::Pfn;
 
-/// When a [`PoisonPolicy`] fires a memory-failure event.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PoisonMode {
-    /// Never strike (the default; zero overhead on the hot path).
-    Never,
-    /// Strike exactly the `n`-th consultation (1-based), once, then disarm.
-    Nth {
-        /// Consultation number to strike on, counting from 1.
-        n: u64,
-    },
-    /// Strike every `n`-th consultation (the 4th, 8th, … for `n = 4`).
-    EveryNth {
-        /// Strike period; must be non-zero.
-        n: u64,
-    },
-    /// Strike a fixed frame on the `n`-th consultation, once — the targeted
-    /// form ("this DIMM address is failing") used by directed tests.
-    Address {
-        /// The frame the strike hits.
-        pfn: Pfn,
-        /// Consultation number to strike on, counting from 1.
-        n: u64,
-    },
-    /// Strike each consultation independently with probability
-    /// `rate_ppm / 1e6`, drawn from a splitmix64 stream seeded with `seed`.
-    /// Parts-per-million keeps the type `Eq`/`Hash`-friendly (no floats).
-    Probability {
-        /// Strike probability in parts per million (1 % = 10_000 ppm).
-        rate_ppm: u32,
-        /// Seed of the deterministic random stream.
-        seed: u64,
-    },
+crate::wire_tagged! {
+    "kind":
+    /// When a [`PoisonPolicy`] fires a memory-failure event.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub enum PoisonMode {
+        /// Never strike (the default; zero overhead on the hot path).
+        "never" Never,
+        /// Strike exactly the `n`-th consultation (1-based), once, then disarm.
+        "nth" Nth {
+            /// Consultation number to strike on, counting from 1.
+            n: u64,
+        },
+        /// Strike every `n`-th consultation (the 4th, 8th, … for `n = 4`).
+        "every_nth" EveryNth {
+            /// Strike period; must be non-zero.
+            n: u64,
+        },
+        /// Strike a fixed frame on the `n`-th consultation, once — the targeted
+        /// form ("this DIMM address is failing") used by directed tests.
+        "address" Address {
+            /// The frame the strike hits.
+            pfn: Pfn,
+            /// Consultation number to strike on, counting from 1.
+            n: u64,
+        },
+        /// Strike each consultation independently with probability
+        /// `rate_ppm / 1e6`, drawn from a splitmix64 stream seeded with `seed`.
+        /// Parts-per-million keeps the type `Eq`/`Hash`-friendly (no floats).
+        "probability" Probability {
+            /// Strike probability in parts per million (1 % = 10_000 ppm).
+            rate_ppm: u32,
+            /// Seed of the deterministic random stream.
+            seed: u64,
+        },
+    }
 }
 
-/// Deterministic memory-failure strike generator.
-///
-/// Consulted at well-defined points (the torture runner's op boundary, a
-/// VM's `poison_tick`), it decides whether a poison event fires and draws
-/// victim indices from its stream, bumping counters either way so tests can
-/// assert exact strike totals under a fixed seed.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PoisonPolicy {
-    mode: PoisonMode,
-    /// Consultations observed (including ones that did not strike).
-    checks: u64,
-    /// Strikes fired so far.
-    events: u64,
-    /// splitmix64 state for [`PoisonMode::Probability`] and victim draws.
-    rng_state: u64,
+crate::wire_struct! {
+    /// Deterministic memory-failure strike generator.
+    ///
+    /// Consulted at well-defined points (the torture runner's op boundary, a
+    /// VM's `poison_tick`), it decides whether a poison event fires and draws
+    /// victim indices from its stream, bumping counters either way so tests can
+    /// assert exact strike totals under a fixed seed.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub struct PoisonPolicy {
+        mode: PoisonMode,
+        /// Consultations observed (including ones that did not strike).
+        checks: u64,
+        /// Strikes fired so far.
+        events: u64,
+        /// splitmix64 state for [`PoisonMode::Probability`] and victim draws.
+        rng_state: u64,
+    }
 }
 
 impl Default for PoisonPolicy {

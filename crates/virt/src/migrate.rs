@@ -235,8 +235,9 @@ fn decode_frame(bytes: &[u8]) -> Option<Frame> {
     let kind = body[0];
     let round = u32::from_le_bytes(body[1..5].try_into().ok()?);
     let seq = u64::from_le_bytes(body[5..13].try_into().ok()?);
-    let len = u64::from_le_bytes(body[13..21].try_into().ok()?) as usize;
-    if body.len() != FRAME_HEADER + len {
+    // The length is the sender's word: compare it, never add to it.
+    let len = u64::from_le_bytes(body[13..21].try_into().ok()?);
+    if (body.len() - FRAME_HEADER) as u64 != len {
         return None;
     }
     Some(Frame { kind, round, seq, payload: body[FRAME_HEADER..].to_vec() })
@@ -312,78 +313,41 @@ impl Default for MigrationConfig {
     }
 }
 
-/// Event-mapped migration counters. Every field increments in lockstep with
-/// exactly one emission of the like-named `migrate.*` trace event, so a
-/// traced run can assert `stats == trace counts` field by field
-/// ([`MigrationStats::as_named`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MigrationStats {
-    /// Data/state chunk transmission attempts (`migrate.chunk_sent`).
-    pub chunks_sent: u64,
-    /// Chunks acknowledged end-to-end (`migrate.chunk_acked`).
-    pub chunks_acked: u64,
-    /// Chunks discarded by the receiver's digest check
-    /// (`migrate.chunk_rejected`).
-    pub chunks_rejected: u64,
-    /// Chunks swallowed by the wire (`migrate.chunk_dropped`).
-    pub chunks_dropped: u64,
-    /// Acknowledgments lost or mangled after a successful apply
-    /// (`migrate.ack_lost`).
-    pub acks_lost: u64,
-    /// Chunk retransmissions (`migrate.retry`).
-    pub retries: u64,
-    /// Injected stalls paid by the sender's clock (`migrate.stall`).
-    pub stalls: u64,
-    /// Pre-copy rounds completed (`migrate.round`).
-    pub rounds: u64,
-    /// Phase timeouts (`migrate.timeout`).
-    pub timeouts: u64,
-    /// Transport disconnects (`migrate.disconnect`).
-    pub disconnects: u64,
-    /// Times a session resumed from its checkpoint (`migrate.resume`).
-    pub resumes: u64,
-    /// Aborted migrations (`migrate.abort`).
-    pub aborts: u64,
-    /// Completed cutovers (`migrate.cutover`).
-    pub cutovers: u64,
-}
-
-impl MigrationStats {
-    /// `(trace event name, counter)` pairs, for stats↔trace equality
-    /// assertions.
-    pub fn as_named(&self) -> [(&'static str, u64); 13] {
-        [
-            ("migrate.chunk_sent", self.chunks_sent),
-            ("migrate.chunk_acked", self.chunks_acked),
-            ("migrate.chunk_rejected", self.chunks_rejected),
-            ("migrate.chunk_dropped", self.chunks_dropped),
-            ("migrate.ack_lost", self.acks_lost),
-            ("migrate.retry", self.retries),
-            ("migrate.stall", self.stalls),
-            ("migrate.round", self.rounds),
-            ("migrate.timeout", self.timeouts),
-            ("migrate.disconnect", self.disconnects),
-            ("migrate.resume", self.resumes),
-            ("migrate.abort", self.aborts),
-            ("migrate.cutover", self.cutovers),
-        ]
-    }
-
-    /// Accumulates another stats block (summing across migrations).
-    pub fn add(&mut self, other: &MigrationStats) {
-        self.chunks_sent += other.chunks_sent;
-        self.chunks_acked += other.chunks_acked;
-        self.chunks_rejected += other.chunks_rejected;
-        self.chunks_dropped += other.chunks_dropped;
-        self.acks_lost += other.acks_lost;
-        self.retries += other.retries;
-        self.stalls += other.stalls;
-        self.rounds += other.rounds;
-        self.timeouts += other.timeouts;
-        self.disconnects += other.disconnects;
-        self.resumes += other.resumes;
-        self.aborts += other.aborts;
-        self.cutovers += other.cutovers;
+contig_types::wire_counters! {
+    /// Event-mapped migration counters. Every field increments in lockstep with
+    /// exactly one emission of the like-named `migrate.*` trace event, so a
+    /// traced run can assert `stats == trace counts` field by field
+    /// ([`MigrationStats::as_named`]).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct MigrationStats {
+        /// Data/state chunk transmission attempts (`migrate.chunk_sent`).
+        pub chunks_sent: u64 = "migrate.chunk_sent",
+        /// Chunks acknowledged end-to-end (`migrate.chunk_acked`).
+        pub chunks_acked: u64 = "migrate.chunk_acked",
+        /// Chunks discarded by the receiver's digest check
+        /// (`migrate.chunk_rejected`).
+        pub chunks_rejected: u64 = "migrate.chunk_rejected",
+        /// Chunks swallowed by the wire (`migrate.chunk_dropped`).
+        pub chunks_dropped: u64 = "migrate.chunk_dropped",
+        /// Acknowledgments lost or mangled after a successful apply
+        /// (`migrate.ack_lost`).
+        pub acks_lost: u64 = "migrate.ack_lost",
+        /// Chunk retransmissions (`migrate.retry`).
+        pub retries: u64 = "migrate.retry",
+        /// Injected stalls paid by the sender's clock (`migrate.stall`).
+        pub stalls: u64 = "migrate.stall",
+        /// Pre-copy rounds completed (`migrate.round`).
+        pub rounds: u64 = "migrate.round",
+        /// Phase timeouts (`migrate.timeout`).
+        pub timeouts: u64 = "migrate.timeout",
+        /// Transport disconnects (`migrate.disconnect`).
+        pub disconnects: u64 = "migrate.disconnect",
+        /// Times a session resumed from its checkpoint (`migrate.resume`).
+        pub resumes: u64 = "migrate.resume",
+        /// Aborted migrations (`migrate.abort`).
+        pub aborts: u64 = "migrate.abort",
+        /// Completed cutovers (`migrate.cutover`).
+        pub cutovers: u64 = "migrate.cutover",
     }
 }
 
@@ -1185,6 +1149,13 @@ mod tests {
             assert!(decode_frame(&bad).is_none(), "flip at {i} must be caught");
         }
         assert!(decode_frame(&frame[..10]).is_none(), "truncation caught");
+        // A 29-byte frame that vouches for itself — digest recomputed — with
+        // a length no frame can have: refused, not added to the header size.
+        let mut huge = encode_frame(FRAME_KIND_ACK, 0, 0, &[]);
+        huge[13..21].copy_from_slice(&u64::MAX.to_le_bytes());
+        let digest = fnv1a64(&huge[..FRAME_HEADER]);
+        huge[FRAME_HEADER..].copy_from_slice(&digest.to_le_bytes());
+        assert!(decode_frame(&huge).is_none(), "u64::MAX length caught");
         // A well-framed chunk whose top payload byte makes a frame number
         // wider than 52 bits: refused, as a mis-sized payload is.
         let mut wide = encode_pages(&[1, 2, 77]);

@@ -897,25 +897,27 @@ impl VirtualMachine {
     }
 }
 
-/// Plain-data image of a whole VM: both [`contig_mm::SystemSnapshot`]
-/// dimensions plus the gPA→hVA wiring between them.
-#[derive(Clone, Debug, PartialEq)]
-pub struct VmSnapshot {
-    /// The guest OS instance.
-    pub guest: contig_mm::SystemSnapshot,
-    /// The host OS instance.
-    pub host: contig_mm::SystemSnapshot,
-    /// The host process backing the VM memory region.
-    pub host_pid: u32,
-    /// Start address of the host VMA holding the VM memory region.
-    pub host_vma_start: u64,
-    /// Host virtual address of guest-physical zero.
-    pub host_vma_base: u64,
-    /// Guest frames held by the balloon driver, ascending (codec v4).
-    pub balloon: Vec<u64>,
-    /// KSM sharing registry: `(host frame, merged guest frames)` records,
-    /// ascending by host frame (codec v4).
-    pub sharing: Vec<(u64, Vec<u64>)>,
+contig_types::wire_struct! {
+    /// Plain-data image of a whole VM: both [`contig_mm::SystemSnapshot`]
+    /// dimensions plus the gPA→hVA wiring between them.
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct VmSnapshot {
+        /// The guest OS instance.
+        pub guest: contig_mm::SystemSnapshot,
+        /// The host OS instance.
+        pub host: contig_mm::SystemSnapshot,
+        /// The host process backing the VM memory region.
+        pub host_pid: u32,
+        /// Start address of the host VMA holding the VM memory region.
+        pub host_vma_start: u64,
+        /// Host virtual address of guest-physical zero.
+        pub host_vma_base: u64,
+        /// Guest frames held by the balloon driver, ascending (codec v4).
+        pub balloon: Vec<u64>,
+        /// KSM sharing registry: `(host frame, merged guest frames)` records,
+        /// ascending by host frame (codec v4).
+        pub sharing: Vec<(u64, Vec<u64>)>,
+    }
 }
 
 /// One guest-visible machine-check: a guest mapping whose guest-physical

@@ -6,7 +6,8 @@
 
 use std::collections::BTreeMap;
 
-use contig::check::{digest_fleet, encode_fleet, json};
+use contig::check::json::{self, Wire};
+use contig::check::digest_fleet;
 use contig::fleet::{GUEST_VMA_BASE, HOST_VMA_BASE};
 use contig::prelude::*;
 use proptest::prelude::*;
@@ -145,9 +146,12 @@ proptest! {
         // The fleet digest is the hash of exactly the bytes the line-buffer
         // sink collects (sharing registries, balloons and tags populated).
         let snap = fleet.snapshot();
-        let line = json::line(|e| encode_fleet(e, &snap));
+        let line = json::line(|e| snap.enc(e));
         prop_assert_eq!(fnv1a64(line.as_bytes()), digest_fleet(&snap));
-        prop_assert_eq!(json::parse(&line).unwrap().to_line(), line);
+        let tree = json::parse(&line).unwrap();
+        prop_assert_eq!(tree.to_line(), line);
+        // ... and reads back, member for member, from the table that wrote it.
+        prop_assert_eq!(FleetSnapshot::dec(&tree).unwrap(), snap);
     }
 
     /// Merge two tenants' same-content pages, then write one of them: the

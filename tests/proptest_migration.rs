@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use contig::check::json::{self, Wire};
 use contig::prelude::*;
 use contig::virt::VmSnapshot;
 use contig_types::splitmix64;
@@ -114,6 +115,10 @@ proptest! {
             prop_assert_eq!(session.stats().resumes, 1);
         }
         prop_assert_eq!(digest_vm(&target.into_vm().snapshot()), baseline);
+        // The counters are a wire block like the snapshots' own.
+        let stats = *session.stats();
+        let tree = json::parse(&json::line(|e| stats.enc(e))).unwrap();
+        prop_assert_eq!(MigrationStats::dec(&tree), Ok(stats));
     }
 
     /// Kill the wire on an arbitrary frame, then abort instead of resuming:

@@ -4,10 +4,10 @@
 
 use proptest::prelude::*;
 
-use contig::check::{
-    decode_vm_file, digest_system, digest_vm, encode_system, encode_vm, encode_vm_file, json,
-    system_from_json, vm_from_json,
-};
+use contig::check::json::{self, Wire};
+use contig::check::{decode_vm_file, digest_system, digest_vm, encode_vm_file};
+use contig::mm::SystemSnapshot;
+use contig::virt::VmSnapshot;
 use contig::prelude::*;
 use contig_types::splitmix64;
 
@@ -96,10 +96,10 @@ proptest! {
 
         // The line buffer and the running hash are fed the same bytes, and
         // the line decodes back to the snapshot through the value tree.
-        let line = json::line(|e| encode_vm(e, &snap));
+        let line = json::line(|e| snap.enc(e));
         prop_assert_eq!(fnv1a64(line.as_bytes()), digest);
         let tree = json::parse(&line).unwrap();
-        prop_assert_eq!(&vm_from_json(&tree).unwrap(), &snap);
+        prop_assert_eq!(&VmSnapshot::dec(&tree).unwrap(), &snap);
         prop_assert_eq!(tree.to_line(), line);
 
         // Restore reproduces the digest and passes the cross-layer audit.
@@ -193,8 +193,8 @@ proptest! {
         let digest = digest_system(&snap);
 
         // The codec preserves the snapshot bit-for-bit.
-        let line = json::line(|e| encode_system(e, &snap));
-        let decoded = system_from_json(&json::parse(&line).unwrap()).unwrap();
+        let line = json::line(|e| snap.enc(e));
+        let decoded = SystemSnapshot::dec(&json::parse(&line).unwrap()).unwrap();
         // The line buffer and the running hash are fed the same bytes.
         prop_assert_eq!(fnv1a64(line.as_bytes()), digest);
         prop_assert_eq!(&decoded, &snap);

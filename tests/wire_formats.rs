@@ -1,22 +1,34 @@
 //! The two wire formats this repository defines — trace JSONL and the
 //! snapshot file — pinned as bytes, and their decoders (with the two that
-//! share their parser: the migration state chunk and the torture repro)
-//! held to "a typed error or a value" on hostile input.
+//! share their parser, the migration state chunk and the torture repro, and
+//! the migration frame that carries the chunk) held to "a typed error or a
+//! value" on hostile input.
 //!
 //! The trace lines are what `export_jsonl` wrote before it was moved onto
 //! the canonical `json` encoder, recorded from that build; only
 //! `metrics.timeline_point` changed since (its float became the integer it
 //! was computed from), and its new line is pinned beside the others.
 
+use contig::buddy::{
+    MachineSnapshot, PcpCounters, PcpSnapshot, PoisonCounters, ZoneCounters, ZoneSnapshot,
+};
+use contig::check::json::Wire;
 use contig::check::{
     decode_repro, decode_vm_file, encode_repro, encode_vm_file, fnv1a64, generate_ops, json,
-    Json, TortureConfig, SNAPSHOT_FORMAT,
+    Json, TortureConfig, TortureOp, SNAPSHOT_FORMAT,
+};
+use contig::fleet::FleetStats;
+use contig::mm::{
+    CacheAllocMode, FaultStatsSnapshot, FileCacheSnapshot, LatencyModel, PageCacheSnapshot,
+    ProcessSnapshot, RecoveryConfig, RecoveryStats, SystemSnapshot, VmaSnapshot,
 };
 use contig::prelude::*;
+use contig::tlb::{CacheSnapshot, TlbSnapshot};
+use contig::virt::{Delivery, TransportClosed};
 use contig::trace::{
     export_jsonl, parse_jsonl, DaemonStage, Dim, FaultClass, Record, RecoveryStage,
 };
-use contig::types::splitmix64;
+use contig::types::{splitmix64, FailMode, FailPolicy};
 
 fn records(events: Vec<TraceEvent>) -> Vec<Record> {
     events
@@ -133,7 +145,7 @@ fn snapshot_decoder_reads_one_version_and_requires_every_member() {
         guest.retain(|(key, _)| key != member);
         assert_eq!(guest.len(), before - 1, "{member} is a guest member");
         let err = decode_vm_file(&snapshot_file(6, &Json::Obj(vm).to_line())).unwrap_err();
-        assert_eq!(err, format!("missing field `{member}`"));
+        assert_eq!(err, format!("guest: missing field `{member}`"));
     }
     for member in ["balloon", "sharing"] {
         let Json::Obj(mut vm) = json::parse(payload).unwrap() else { panic!("payload object") };
@@ -141,24 +153,31 @@ fn snapshot_decoder_reads_one_version_and_requires_every_member() {
         let err = decode_vm_file(&snapshot_file(6, &Json::Obj(vm).to_line())).unwrap_err();
         assert_eq!(err, format!("missing field `{member}`"));
     }
+    // A daemon phase no daemon has is refused by number, not restored as the
+    // epoch start, and the error is the path down to it.
+    assert_eq!(payload.matches(r#""phase":0"#).count(), 2, "guest and host daemons at rest");
+    let err = decode_vm_file(&snapshot_file(6, &payload.replace(r#""phase":0"#, r#""phase":7"#)));
+    assert_eq!(err.unwrap_err(), "guest: daemon: phase: unknown daemon phase 7");
 }
 
-/// `cases` seeded one-byte mutants of `input`: a flipped bit, a deleted
-/// byte, a doubled byte, a truncation, in turn.
+/// One one-byte mutant of `input`, placed by `draw`: a flipped bit, a deleted
+/// byte, a doubled byte or a truncation, as `case` has it.
+fn mutant(input: &[u8], draw: u64, case: usize) -> Vec<u8> {
+    let at = (draw % input.len() as u64) as usize;
+    let mut out = input.to_vec();
+    match case % 4 {
+        0 => out[at] ^= 1 << ((draw >> 32) % 8),
+        1 => drop(out.remove(at)),
+        2 => out.insert(at, input[at]),
+        _ => out.truncate(at),
+    }
+    out
+}
+
+/// `cases` seeded mutants of `input`, each kind in turn.
 fn mutants(input: &[u8], seed: u64, cases: usize) -> impl Iterator<Item = Vec<u8>> + '_ {
     let mut state = seed;
-    (0..cases).map(move |case| {
-        let draw = splitmix64(&mut state);
-        let at = (draw % input.len() as u64) as usize;
-        let mut out = input.to_vec();
-        match case % 4 {
-            0 => out[at] ^= 1 << ((draw >> 32) % 8),
-            1 => drop(out.remove(at)),
-            2 => out.insert(at, input[at]),
-            _ => out.truncate(at),
-        }
-        out
-    })
+    (0..cases).map(move |case| mutant(input, splitmix64(&mut state), case))
 }
 
 /// Three hundred of each kind of mutant, per input.
@@ -261,4 +280,253 @@ fn mutated_torture_repros_decode_or_are_refused() {
         }
     }
     assert!(decoded > 0 && decoded < CASES, "{decoded} of {CASES} mutants decoded");
+}
+
+/// A wire that hands over a mutant of one frame in four, under a trailing
+/// digest recomputed to vouch for it: the digest check passes and the
+/// receiver's length, kind and payload checks are what refuse it.
+struct MutantWire {
+    state: u64,
+    mutated: usize,
+}
+
+impl Transport for MutantWire {
+    fn send(&mut self, frame: &[u8]) -> Result<Delivery, TransportClosed> {
+        let mut frame = frame.to_vec();
+        let draw = splitmix64(&mut self.state);
+        if draw.is_multiple_of(4) {
+            self.mutated += 1;
+            frame = mutant(&frame[..frame.len() - 8], draw >> 2, self.mutated);
+            frame.extend_from_slice(&fnv1a64(&frame).to_le_bytes());
+        }
+        Ok(Delivery::Delivered { frame, delay_ns: 1_000, stalled: None })
+    }
+}
+
+#[test]
+fn mutated_migration_frames_are_refused_or_applied() {
+    let (mut mutated, mut completed, mut rejected) = (0, 0, 0);
+    let mut seed = 0;
+    while mutated < CASES {
+        seed += 1;
+        let mut src = small_vm();
+        let mut dst = MigrationTarget::new(
+            VmConfig::with_mib(16, 64),
+            Box::new(DefaultThpPolicy),
+            Box::new(DefaultThpPolicy),
+        );
+        let mut session = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut wire = MutantWire { state: seed, mutated: 0 };
+        // A typed error or a cutover; a panic fails the test.
+        let run = session.run(&mut src, &mut dst, &mut wire, &SnapshotGuestCodec, |_, _| {});
+        completed += usize::from(run.is_ok());
+        rejected += session.stats().chunks_rejected + session.stats().acks_lost;
+        mutated += wire.mutated;
+    }
+    assert!(completed > 0 && completed < seed as usize, "{completed} of {seed} completed");
+    assert!(rejected > 0, "no mutant reached the checks behind the digest");
+}
+
+/// A hand-made system image with every member the golden file leaves at its
+/// default set to something else; `i` (0..5) picks the injection modes, the
+/// daemon phase and the cache mode, so five of them spell every variant.
+fn pinned_system(i: u64) -> SystemSnapshot {
+    let fail = [
+        FailMode::Never,
+        FailMode::Nth { n: 7 },
+        FailMode::EveryNth { n: 3 },
+        FailMode::MinOrder { min_order: 9 },
+        FailMode::Probability { rate_ppm: 25_000, seed: 0xfeed },
+    ][i as usize];
+    let poison = [
+        PoisonMode::Never,
+        PoisonMode::Nth { n: 5 },
+        PoisonMode::EveryNth { n: 4 },
+        PoisonMode::Address { pfn: Pfn::new(77), n: 2 },
+        PoisonMode::Probability { rate_ppm: 1_000, seed: 0xbad },
+    ][i as usize];
+    let zone = ZoneSnapshot {
+        config: ZoneConfig { base: Pfn::new(1024 * i), frames: 1024, top_order: 10, sorted_top_list: i == 1 },
+        free_lists: vec![vec![1024 * i + 3], vec![], vec![1024 * i + 8, 1024 * i + 4]],
+        allocated: vec![(1024 * i, 1), (1024 * i + 2, 0)],
+        counters: ZoneCounters { allocs: 1, targeted_allocs: 2, targeted_misses: 3, frees: 4, splits: 5, coalesces: 6 },
+        fail: FailPolicy::restore(fail, 10 + i, i, 0x1234 + i),
+        contig_rover: (i != 1).then_some(1024 * i + 512),
+        contig_updates: 9,
+        pcp: i.is_multiple_of(2).then(|| PcpSnapshot {
+            cpus: 2,
+            batch: 4,
+            high: 16,
+            current_cpu: 1,
+            lists: vec![vec![1024 * i + 2], vec![]],
+            counters: PcpCounters { hits: 1, refills: 2, refilled_frames: 3, drains: 4, drained_frames: 5, targeted_evictions: 6 },
+        }),
+        badframes: vec![1024 * i + 2],
+        poison: PoisonCounters { poisoned: 1, quarantined_free: 2, quarantined_pcp: 3, deferred: 4, quarantined_on_free: 5 },
+    };
+    SystemSnapshot {
+        machine: MachineSnapshot { zones: vec![zone], reservations: vec![(1, 4096, 8192)], reservation_rover: 12288 },
+        processes: vec![ProcessSnapshot {
+            pid: 1,
+            pt_levels: 4,
+            vmas: vec![
+                VmaSnapshot { start: 0x1000, len: 0x2000, file: None, offsets: vec![(0x1000, -4096), (0x2000, 1 << 70)], replacement_claimed: true },
+                VmaSnapshot { start: 0x8000, len: 0x1000, file: Some((0, 3)), offsets: vec![], replacement_claimed: false },
+            ],
+            mappings: vec![(0x1000, 1024 * i, 3, false), (0x20_0000, 1024 * i + 512, 255, true)],
+            stats: FaultStatsSnapshot { counters: [1, 2, 3, 4, 5, 6, 7, 8], latencies_ns: vec![1500, 2500], record_latencies: true },
+            home: Some(i),
+        }],
+        page_cache: PageCacheSnapshot {
+            mode: if i.is_multiple_of(2) { CacheAllocMode::CaContiguous } else { CacheAllocMode::Default },
+            readahead_allocs: 2,
+            files: vec![
+                FileCacheSnapshot { pages: vec![(3, 1024 * i + 2)], offset: Some(-8192) },
+                FileCacheSnapshot { pages: vec![], offset: None },
+            ],
+        },
+        next_pid: 2,
+        thp: i % 2 == 1,
+        pt_levels: 5,
+        record_latencies: true,
+        latency: LatencyModel { base_ns: 1, zero_page_ns: 2, placement_ns: 3 },
+        shared: vec![(1024 * i, 2)],
+        now_ns: 99,
+        recovery: RecoveryConfig { max_retries: 3, ..RecoveryConfig::default() },
+        recovery_stats: RecoveryStats { oom_events: 1, compaction_ns: 15, ..RecoveryStats::default() },
+        backoff_rng: 0xc0ffee,
+        poison_policy: PoisonPolicy::restore(poison, 20 + i, i, 0x5678 + i),
+        poison_stats: PoisonStats { strikes: 1, soft_offline_failed: 8, ..PoisonStats::default() },
+        numa_stats: NumaStats { local_allocs: 1, fallback_allocs: 2, migrations: 3 },
+        daemon: DaemonState {
+            enabled: true,
+            config: DaemonConfig { aggressiveness: 3, repair_poison: false, ..DaemonConfig::default() },
+            phase: [DaemonPhase::Compact, DaemonPhase::Promote, DaemonPhase::Repair][(i % 3) as usize],
+            candidates: vec![(1, 0x20_0000), (1, 0x40_0000)],
+            stats: DaemonStats { ticks: 1, policy_updates: 11, compact_frames: 12, repair_frames: 13, ..DaemonStats::default() },
+            ..DaemonState::default()
+        },
+    }
+}
+
+fn pinned_fleet() -> FleetSnapshot {
+    FleetSnapshot {
+        config: FleetConfig::new(2, 64, 16).with_host_nodes(2),
+        hosts: vec![pinned_system(0), pinned_system(1)],
+        sharing: vec![vec![(5, vec![(0, 7), (1, 9)])], vec![]],
+        tenants: (0..3)
+            .map(|t| TenantSnapshot {
+                id: t,
+                guest: pinned_system(2 + t),
+                host_idx: t % 2,
+                host_pid: 1 + t as u32,
+                guest_pid: 1,
+                balloon: vec![4, 5],
+                tags: vec![(0, 42), (3, 43)],
+            })
+            .collect(),
+        stats: FleetStats { balloon_inflates: 1, admits: 8, victim_kills: 13, ..FleetStats::default() },
+        next_tenant: 3,
+        rng: 0xf1ee7,
+        ksm_cursor: 6,
+    }
+}
+
+fn pinned_tlb() -> TlbSnapshot {
+    let cache = |key: u64| CacheSnapshot {
+        sets: 2,
+        ways: 2,
+        slots: vec![Some((key, 3)), None, None, Some((key + 1, 1))],
+        tick: 3,
+        hits: 4,
+        misses: 5,
+    };
+    TlbSnapshot { l1_4k: cache(10), l1_2m: cache(20), l2: cache(30), counters: [9, 4, 3, 2] }
+}
+
+fn pinned_ops() -> Vec<TortureOp> {
+    vec![
+        TortureOp::MapAnon { sel: 1, pages: 2 },
+        TortureOp::MapFile { sel: 3, pages: 4 },
+        TortureOp::Touch { sel: 5, page: 6 },
+        TortureOp::TouchWrite { sel: 7, page: 8 },
+        TortureOp::Populate { sel: 9 },
+        TortureOp::Fork { sel: 10 },
+        TortureOp::ExitProc { sel: 11 },
+        TortureOp::SetFaults { host: true, rate_ppm: 12, seed: 13 },
+        TortureOp::ClearFaults,
+        TortureOp::PoisonFrame { host: false, sel: 14 },
+        TortureOp::SoftOffline { host: true, sel: 15 },
+        TortureOp::SetPoison { host: false, rate_ppm: 16, seed: 17 },
+        TortureOp::ClearPoison,
+        TortureOp::Migrate { seed: 18 },
+        TortureOp::SetTransport { rate_ppm: 19, seed: 20 },
+        TortureOp::ClearTransport,
+        TortureOp::FleetWrite { sel: 21, page: 22, tag: 23 },
+        TortureOp::FleetRead { sel: 24, page: 25 },
+        TortureOp::FleetDiscard { sel: 26, page: 27 },
+        TortureOp::FleetStep,
+        TortureOp::DaemonTick,
+        TortureOp::SetDaemonPolicy { level: 28, budget: u64::MAX },
+    ]
+}
+
+// What the hand-made values below encoded to before the encoders and tree
+// readers were generated from the type definitions, recorded from that build:
+// between them every member the golden file leaves at its default, every
+// injection mode, daemon phase and cache mode, and every torture op.
+
+/// `pinned_fleet()`; the pieces break where a host or guest system starts.
+const PINNED_FLEET: &str = concat!(
+    r#"{"config":{"hosts":2,"host_mib":64,"guest_mib":16,"overcommit_ppm":1600000,"low_watermark_ppm":125000,"high_watermark_ppm":187500,"balloon_step":64,"balloon_retries":4,"backing_attempts":8,"evac_storm_ppm":120000,"evac_attempts":6,"seed":15855216,"host_nodes":2},"hosts":["#,
+    r#"{"machine":{"zones":[{"config":{"base":0,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[3],[],[8,4]],"allocated":[[0,1],[2,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"never"},"attempts":10,"injected":0,"rng_state":4660},"contig_rover":512,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[2],[]],"counters":[1,2,3,4,5,6]},"badframes":[2],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,0,3,false],[2097152,512,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":0}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,2]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"latency":{"base_ns":1,"zero_page_ns":2,"placement_ns":3},"shared":[[0,2]],"now_ns":99,"recovery":{"reclaim":true,"compaction":true,"max_retries":3,"reclaim_batch":256,"compact_budget":128,"backoff_base_ns":200,"backoff_cap_ns":100000,"backoff_seed":12648430,"max_total_attempts":64},"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"never"},"checks":20,"events":0,"rng_state":22136},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"scan_interval":4,"epoch_budget":128,"aggressiveness":3,"thp_threshold_pages":512,"repair_poison":false,"shed_promote_pct":15,"shed_compact_pct":8,"yield_pct":4,"poison_storm_frames":64,"backoff_base_ns":2000,"backoff_cap_ns":500000,"backoff_seed":229556446,"watchdog_vetoes":8},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"candidate_cursor":0,"repair_cursor":0,"budget_left":128,"phase":0,"candidates":[[1,2097152],[1,4194304]],"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"#,
+    r#"{"machine":{"zones":[{"config":{"base":1024,"frames":1024,"top_order":10,"sorted_top_list":true},"free_lists":[[1027],[],[1032,1028]],"allocated":[[1024,1],[1026,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"nth","n":7},"attempts":11,"injected":1,"rng_state":4661},"contig_rover":null,"contig_updates":9,"pcp":null,"badframes":[1026],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,1024,3,false],[2097152,1536,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":1}],"page_cache":{"mode":"default","readahead_allocs":2,"files":[{"pages":[[3,1026]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":true,"pt_levels":5,"record_latencies":true,"latency":{"base_ns":1,"zero_page_ns":2,"placement_ns":3},"shared":[[1024,2]],"now_ns":99,"recovery":{"reclaim":true,"compaction":true,"max_retries":3,"reclaim_batch":256,"compact_budget":128,"backoff_base_ns":200,"backoff_cap_ns":100000,"backoff_seed":12648430,"max_total_attempts":64},"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"nth","n":5},"checks":21,"events":1,"rng_state":22137},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"scan_interval":4,"epoch_budget":128,"aggressiveness":3,"thp_threshold_pages":512,"repair_poison":false,"shed_promote_pct":15,"shed_compact_pct":8,"yield_pct":4,"poison_storm_frames":64,"backoff_base_ns":2000,"backoff_cap_ns":500000,"backoff_seed":229556446,"watchdog_vetoes":8},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"candidate_cursor":0,"repair_cursor":0,"budget_left":128,"phase":1,"candidates":[[1,2097152],[1,4194304]],"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}}],"sharing":[[[5,[[0,7],[1,9]]]],[]],"tenants":[{"id":0,"guest":"#,
+    r#"{"machine":{"zones":[{"config":{"base":2048,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[2051],[],[2056,2052]],"allocated":[[2048,1],[2050,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"every_nth","n":3},"attempts":12,"injected":2,"rng_state":4662},"contig_rover":2560,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[2050],[]],"counters":[1,2,3,4,5,6]},"badframes":[2050],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,2048,3,false],[2097152,2560,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":2}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,2050]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"latency":{"base_ns":1,"zero_page_ns":2,"placement_ns":3},"shared":[[2048,2]],"now_ns":99,"recovery":{"reclaim":true,"compaction":true,"max_retries":3,"reclaim_batch":256,"compact_budget":128,"backoff_base_ns":200,"backoff_cap_ns":100000,"backoff_seed":12648430,"max_total_attempts":64},"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"every_nth","n":4},"checks":22,"events":2,"rng_state":22138},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"scan_interval":4,"epoch_budget":128,"aggressiveness":3,"thp_threshold_pages":512,"repair_poison":false,"shed_promote_pct":15,"shed_compact_pct":8,"yield_pct":4,"poison_storm_frames":64,"backoff_base_ns":2000,"backoff_cap_ns":500000,"backoff_seed":229556446,"watchdog_vetoes":8},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"candidate_cursor":0,"repair_cursor":0,"budget_left":128,"phase":2,"candidates":[[1,2097152],[1,4194304]],"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":0,"host_pid":1,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]},{"id":1,"guest":"#,
+    r#"{"machine":{"zones":[{"config":{"base":3072,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[3075],[],[3080,3076]],"allocated":[[3072,1],[3074,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"min_order","min_order":9},"attempts":13,"injected":3,"rng_state":4663},"contig_rover":3584,"contig_updates":9,"pcp":null,"badframes":[3074],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,3072,3,false],[2097152,3584,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":3}],"page_cache":{"mode":"default","readahead_allocs":2,"files":[{"pages":[[3,3074]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":true,"pt_levels":5,"record_latencies":true,"latency":{"base_ns":1,"zero_page_ns":2,"placement_ns":3},"shared":[[3072,2]],"now_ns":99,"recovery":{"reclaim":true,"compaction":true,"max_retries":3,"reclaim_batch":256,"compact_budget":128,"backoff_base_ns":200,"backoff_cap_ns":100000,"backoff_seed":12648430,"max_total_attempts":64},"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"address","pfn":77,"n":2},"checks":23,"events":3,"rng_state":22139},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"scan_interval":4,"epoch_budget":128,"aggressiveness":3,"thp_threshold_pages":512,"repair_poison":false,"shed_promote_pct":15,"shed_compact_pct":8,"yield_pct":4,"poison_storm_frames":64,"backoff_base_ns":2000,"backoff_cap_ns":500000,"backoff_seed":229556446,"watchdog_vetoes":8},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"candidate_cursor":0,"repair_cursor":0,"budget_left":128,"phase":0,"candidates":[[1,2097152],[1,4194304]],"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":1,"host_pid":2,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]},{"id":2,"guest":"#,
+    r#"{"machine":{"zones":[{"config":{"base":4096,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[4099],[],[4104,4100]],"allocated":[[4096,1],[4098,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"probability","rate_ppm":25000,"seed":65261},"attempts":14,"injected":4,"rng_state":4664},"contig_rover":4608,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[4098],[]],"counters":[1,2,3,4,5,6]},"badframes":[4098],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,4096,3,false],[2097152,4608,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":4}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,4098]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"latency":{"base_ns":1,"zero_page_ns":2,"placement_ns":3},"shared":[[4096,2]],"now_ns":99,"recovery":{"reclaim":true,"compaction":true,"max_retries":3,"reclaim_batch":256,"compact_budget":128,"backoff_base_ns":200,"backoff_cap_ns":100000,"backoff_seed":12648430,"max_total_attempts":64},"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"probability","rate_ppm":1000,"seed":2989},"checks":24,"events":4,"rng_state":22140},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"scan_interval":4,"epoch_budget":128,"aggressiveness":3,"thp_threshold_pages":512,"repair_poison":false,"shed_promote_pct":15,"shed_compact_pct":8,"yield_pct":4,"poison_storm_frames":64,"backoff_base_ns":2000,"backoff_cap_ns":500000,"backoff_seed":229556446,"watchdog_vetoes":8},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"candidate_cursor":0,"repair_cursor":0,"budget_left":128,"phase":1,"candidates":[[1,2097152],[1,4194304]],"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":0,"host_pid":3,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]}],"stats":[1,0,0,0,0,0,0,8,0,0,0,0,13],"next_tenant":3,"rng":990951,"ksm_cursor":6}"#,
+);
+
+/// `pinned_tlb()`.
+const PINNED_TLB: &str = r#"{"l1_4k":{"sets":2,"ways":2,"slots":[[10,3],null,null,[11,1]],"tick":3,"hits":4,"misses":5},"l1_2m":{"sets":2,"ways":2,"slots":[[20,3],null,null,[21,1]],"tick":3,"hits":4,"misses":5},"l2":{"sets":2,"ways":2,"slots":[[30,3],null,null,[31,1]],"tick":3,"hits":4,"misses":5},"counters":[9,4,3,2]}"#;
+
+/// `pinned_ops()` under a seed-3 header with a crash interval.
+const PINNED_REPRO: &str = concat!(
+    r#"{"format":"contig-torture","version":1,"seed":3,"ops":22,"guest_mib":16,"host_mib":64,"faults":true,"sweep_interval":32,"audit_interval":128,"snapshot_interval":64,"crash_interval":40,"inject_model_bug":false,"poison":false,"migrate":false,"pcp":false,"fleet":false,"shards":0,"daemon":false}"#, "\n",
+    r#"{"op":"map_anon","sel":1,"pages":2}"#, "\n",
+    r#"{"op":"map_file","sel":3,"pages":4}"#, "\n",
+    r#"{"op":"touch","sel":5,"page":6}"#, "\n",
+    r#"{"op":"touch_write","sel":7,"page":8}"#, "\n",
+    r#"{"op":"populate","sel":9}"#, "\n",
+    r#"{"op":"fork","sel":10}"#, "\n",
+    r#"{"op":"exit_proc","sel":11}"#, "\n",
+    r#"{"op":"set_faults","host":true,"rate_ppm":12,"seed":13}"#, "\n",
+    r#"{"op":"clear_faults"}"#, "\n",
+    r#"{"op":"poison_frame","host":false,"sel":14}"#, "\n",
+    r#"{"op":"soft_offline","host":true,"sel":15}"#, "\n",
+    r#"{"op":"set_poison","host":false,"rate_ppm":16,"seed":17}"#, "\n",
+    r#"{"op":"clear_poison"}"#, "\n",
+    r#"{"op":"migrate","seed":18}"#, "\n",
+    r#"{"op":"set_transport","rate_ppm":19,"seed":20}"#, "\n",
+    r#"{"op":"clear_transport"}"#, "\n",
+    r#"{"op":"fleet_write","sel":21,"page":22,"tag":23}"#, "\n",
+    r#"{"op":"fleet_read","sel":24,"page":25}"#, "\n",
+    r#"{"op":"fleet_discard","sel":26,"page":27}"#, "\n",
+    r#"{"op":"fleet_step"}"#, "\n",
+    r#"{"op":"daemon_tick"}"#, "\n",
+    r#"{"op":"set_daemon_policy","level":28,"budget":18446744073709551615}"#, "\n",
+);
+
+#[test]
+fn lines_the_golden_file_leaves_at_defaults_are_byte_identical_to_the_recorded_ones() {
+    let fleet = pinned_fleet();
+    assert_eq!(json::line(|e| fleet.enc(e)), PINNED_FLEET);
+    assert_eq!(FleetSnapshot::dec(&json::parse(PINNED_FLEET).unwrap()), Ok(fleet));
+
+    let tlb = pinned_tlb();
+    assert_eq!(json::line(|e| tlb.enc(e)), PINNED_TLB);
+    assert_eq!(TlbSnapshot::dec(&json::parse(PINNED_TLB).unwrap()), Ok(tlb));
+
+    let cfg = TortureConfig { crash_interval: Some(40), ..TortureConfig::with_seed_and_ops(3, 22) };
+    assert_eq!(encode_repro(&cfg, &pinned_ops()), PINNED_REPRO);
+    assert_eq!(decode_repro(PINNED_REPRO), Ok((cfg, pinned_ops())));
 }
