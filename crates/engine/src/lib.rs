@@ -146,8 +146,8 @@ pub struct TaskReport<R> {
     pub wall_ns: u64,
     /// Events left in the task's trace ring when it finished.
     pub trace_events: u64,
-    /// Final metrics snapshot of the task's trace session (empty with
-    /// `probes` off or when the task never attached its tracer).
+    /// Final metrics snapshot of the task's trace session (empty when the
+    /// task never attached its tracer).
     pub metrics: MetricsRegistry,
     /// Final span-profiler snapshot of the task's trace session.
     pub spans: SpanStack,
@@ -660,12 +660,8 @@ mod tests {
         for r in &reports {
             if r.index == 2 {
                 let dump = r.flight_jsonl.as_deref().expect("panicked task dumps flight");
-                // With probes compiled out the dump is legitimately empty;
-                // when anything was recorded it must decode.
-                if !dump.is_empty() {
-                    let parsed = contig_trace::parse_jsonl(dump).expect("decodable dump");
-                    assert!(!parsed.is_empty());
-                }
+                let parsed = contig_trace::parse_jsonl(dump).expect("decodable dump");
+                assert!(!parsed.is_empty());
             } else {
                 assert!(r.flight_jsonl.is_none(), "clean tasks carry no dump");
             }

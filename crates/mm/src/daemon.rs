@@ -8,8 +8,9 @@
 //!
 //! * **Budgeted compaction** — a cursor-resumable migrate scan
 //!   ([`contig_buddy::FrameTable::allocated_blocks_from`]) walks each zone's
-//!   allocated blocks and migrates movable ones downward toward the lowest
-//!   free block, assembling runs of the configured target order.
+//!   allocated blocks and migrates movable ones (`rmap.rs`'s `move_block`,
+//!   over one `FrameUsers` per tick) downward toward the lowest free block,
+//!   assembling runs of the configured target order.
 //! * **THP promotion** — fully-populated, flag-uniform, 2 MiB-aligned runs
 //!   of anonymous base pages inside one VMA are collapsed onto a freshly
 //!   allocated huge frame (khugepaged's collapse). Partially populated
@@ -42,9 +43,8 @@ use contig_trace::{stage, DaemonStage, TraceEvent};
 use contig_types::json::{Enc, Json, Sink, Wire};
 use contig_types::{splitmix64, PageSize, Pfn, VirtAddr};
 
-use crate::page_cache::FileId;
 use crate::pte::{Pte, PteFlags};
-use crate::recovery::MoveKind;
+use crate::rmap::FrameUsers;
 use crate::system::{Pid, System};
 use crate::vma::VmaKind;
 
@@ -295,14 +295,6 @@ impl DaemonState {
     }
 }
 
-/// Reverse maps a tick builds once and keeps fresh across its own moves, so
-/// movability checks stay exact without re-walking every page table per
-/// work unit.
-struct RevMaps {
-    ptes: HashMap<Pfn, Vec<(Pid, VirtAddr, PageSize, PteFlags)>>,
-    cache: HashMap<Pfn, (FileId, u64)>,
-}
-
 /// Per-pid promotion-window cache a tick builds lazily: window start →
 /// `(va, pfn, flags)` per present base page, va-sorted.
 type WindowCache = HashMap<Pid, BTreeMap<u64, Vec<(u64, Pfn, PteFlags)>>>;
@@ -416,7 +408,7 @@ impl System {
         let mut vetoes = 0u64;
         let mut epoch_done = false;
         // Tick-scratch state, built lazily on first use.
-        let mut maps: Option<RevMaps> = None;
+        let mut users: Option<FrameUsers> = None;
         let mut windows = WindowCache::new();
         let mut badlist: Option<Vec<Pfn>> = None;
 
@@ -432,9 +424,9 @@ impl System {
                     self.daemon.phase = DaemonPhase::Promote;
                 }
                 DaemonPhase::Compact => {
-                    let maps = maps.get_or_insert_with(|| self.build_rev_maps());
+                    let users = users.get_or_insert_with(|| self.frame_users());
                     spent += 1;
-                    self.compact_step(maps, &mut vetoes);
+                    self.compact_step(users, &mut vetoes);
                 }
                 DaemonPhase::Promote if shed_promote || cfg.aggressiveness == 0 => {
                     self.daemon.phase = DaemonPhase::Repair;
@@ -459,9 +451,9 @@ impl System {
                     }
                     let pfn = bad[self.daemon.repair_cursor as usize];
                     self.daemon.repair_cursor += 1;
-                    let maps = maps.get_or_insert_with(|| self.build_rev_maps());
+                    let users = users.get_or_insert_with(|| self.frame_users());
                     spent += 1;
-                    self.repair_step(pfn, maps, &mut vetoes);
+                    self.repair_step(pfn, users, &mut vetoes);
                 }
             }
         }
@@ -506,74 +498,9 @@ impl System {
         self.trace_daemon(DaemonStage::Yield, free_pct, ns);
     }
 
-    /// Builds the tick's reverse maps: mapping-head frame → referencing
-    /// PTEs, and cached frame → page-cache slot (same shape the synchronous
-    /// compactor builds per pass).
-    fn build_rev_maps(&self) -> RevMaps {
-        let mut ptes: HashMap<Pfn, Vec<(Pid, VirtAddr, PageSize, PteFlags)>> = HashMap::new();
-        for pid in self.pids() {
-            for m in self.processes[&pid].page_table().iter_mappings() {
-                ptes.entry(m.pte.pfn).or_default().push((pid, m.va, m.size, m.pte.flags));
-            }
-        }
-        let mut cache: HashMap<Pfn, (FileId, u64)> = HashMap::new();
-        for f in 0..self.page_cache.file_count() {
-            let file = FileId(f);
-            for (idx, pfn) in self.page_cache.pages_of(file) {
-                cache.insert(pfn, (file, idx));
-            }
-        }
-        RevMaps { ptes, cache }
-    }
-
-    /// Migrates the movable block `(head, order)` to `dest`, fixing every
-    /// reference and keeping `maps` fresh. Returns the frames moved, or
-    /// `None` when the destination claim was vetoed.
-    fn move_block(
-        &mut self,
-        node: NodeId,
-        head: Pfn,
-        order: u32,
-        dest: Pfn,
-        maps: &mut RevMaps,
-    ) -> Option<u64> {
-        let kind = self.classify_movable(head, order, &maps.ptes, &maps.cache)?;
-        if self.machine.zone_mut(node).alloc_specific(dest, order).is_err() {
-            return None;
-        }
-        match kind {
-            MoveKind::Anon { pid, va, flags } => {
-                if let Some(aspace) = self.processes.get_mut(&pid) {
-                    aspace.page_table_mut().remap(va, Pte::new(dest, flags));
-                }
-                if let Some(refs) = maps.ptes.remove(&head) {
-                    maps.ptes.insert(dest, refs);
-                }
-            }
-            MoveKind::Cache { file, index, ptes } => {
-                self.page_cache.relocate_page(file, index, dest);
-                for (pid, va, flags) in ptes {
-                    if let Some(aspace) = self.processes.get_mut(&pid) {
-                        aspace.page_table_mut().remap(va, Pte::new(dest, flags));
-                    }
-                }
-                if let Some(refs) = maps.ptes.remove(&head) {
-                    maps.ptes.insert(dest, refs);
-                }
-                maps.cache.remove(&head);
-                maps.cache.insert(dest, (file, index));
-            }
-        }
-        self.machine.zone_mut(node).free(head, order);
-        let frames = 1u64 << order;
-        // Migration copies the block's contents.
-        self.advance_clock(frames * self.latency.zero_page_ns);
-        Some(frames)
-    }
-
     /// One compaction work unit: examine the next allocated block at or
     /// above the cursor and migrate it downward if movable.
-    fn compact_step(&mut self, maps: &mut RevMaps, vetoes: &mut u64) {
+    fn compact_step(&mut self, users: &mut FrameUsers, vetoes: &mut u64) {
         let nodes = self.machine.nodes() as u64;
         if self.daemon.compact_node >= nodes {
             self.daemon.compact_node = 0;
@@ -614,7 +541,7 @@ impl System {
         let Some(dest) = self.machine.zone(node).lowest_free_block(order, head) else {
             return;
         };
-        match self.move_block(node, head, order, dest, maps) {
+        match self.move_block(node, head, order, dest, users) {
             Some(frames) => {
                 self.daemon.stats.compact_moves += 1;
                 self.daemon.stats.compact_frames += frames;
@@ -816,7 +743,7 @@ impl System {
     /// One repair work unit: migrate movable blocks out of the 2 MiB
     /// neighbourhood of one quarantined frame, so unaligned contiguity runs
     /// re-form around the hole instead of staying shattered by it.
-    fn repair_step(&mut self, bad: Pfn, maps: &mut RevMaps, vetoes: &mut u64) {
+    fn repair_step(&mut self, bad: Pfn, users: &mut FrameUsers, vetoes: &mut u64) {
         let Some(node) = self.machine.node_of(bad) else { return };
         let wstart = bad.raw() & !(HUGE_PAGES - 1);
         let wend = wstart + HUGE_PAGES;
@@ -842,7 +769,7 @@ impl System {
             else {
                 break;
             };
-            match self.move_block(node, head, order, dest, maps) {
+            match self.move_block(node, head, order, dest, users) {
                 Some(frames) => {
                     moved += 1;
                     self.daemon.stats.repairs += 1;

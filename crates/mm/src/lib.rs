@@ -40,6 +40,7 @@ mod poison;
 mod policy;
 mod pte;
 mod recovery;
+mod rmap;
 mod snapshot;
 mod stats;
 mod system;
@@ -55,6 +56,7 @@ pub use poison::{FailureAction, MemoryFailureOutcome, PoisonStats};
 pub use policy::{BasePagesPolicy, DefaultThpPolicy, FaultCtx, FaultKind, Placement, PlacementPolicy};
 pub use pte::{Pte, PteFlags};
 pub use recovery::{CompactOutcome, RecoveryConfig, RecoveryStats};
+pub use rmap::{FrameRef, FrameUsers, PteRef};
 pub use snapshot::{FaultStatsSnapshot, ProcessSnapshot, SystemSnapshot, VmaSnapshot};
 pub use stats::{FaultStats, LatencyModel};
 pub use system::{

@@ -6,13 +6,14 @@
 //! frame in use the mm layer decides, like the kernel's `memory-failure.c`:
 //!
 //! - a page-cache page is dropped (its content is re-readable from backing
-//!   store): every FILE PTE is unmapped, the cache slot evicted, and the
+//!   store): every PTE on it is unmapped, the cache slot evicted, and the
 //!   frame diverted to quarantine on its way back to the buddy heap;
-//! - a singly-mapped anonymous page is *healed by migration*: a replacement
-//!   block is allocated (leaning on the OOM recovery escalation under
-//!   pressure), the contents copied, the PTE remapped with a TLB shootdown,
-//!   and the stricken block freed — the poisoned frame lands in quarantine,
-//!   its healthy neighbours return to the free lists;
+//! - a movable block (`rmap.rs`'s `classify_movable`: one exclusive
+//!   anonymous mapping) is *healed by migration*: a replacement block is
+//!   allocated (leaning on the OOM recovery escalation under pressure), the
+//!   contents copied, the PTE repointed with a TLB shootdown, and the
+//!   stricken block freed — the poisoned frame lands in quarantine, its
+//!   healthy neighbours return to the free lists;
 //! - a COW-shared or multiply-referenced page is unrecoverable (the copy
 //!   could be stale): every mapping is torn down and each owner receives a
 //!   typed [`FaultError::MemoryFailure`] — the SIGBUS equivalent — carrying
@@ -22,7 +23,9 @@
 //!
 //! [`System::soft_offline`] is the proactive variant: migrate a *suspect*
 //! frame away before it fails, never killing anything — an unmovable page
-//! simply stays put.
+//! simply stays put. Heal and soft-offline share one `evacuate`; who uses
+//! the frame is `rmap.rs`'s answer, re-validated after the allocation
+//! because the escalation's reclaim may evict the very page being moved.
 //!
 //! Every [`PoisonStats`] bump pairs with exactly one `poison.*` trace
 //! emission (the zone emits `poison.quarantine` for `cache_dropped`'s
@@ -31,11 +34,11 @@
 
 use contig_buddy::PoisonDisposition;
 use contig_trace::{stage, TraceEvent};
-use contig_types::{ContigError, FaultError, PageSize, Pfn, PoisonPolicy, VirtAddr};
+use contig_types::{ContigError, FaultError, PageSize, Pfn, PoisonPolicy};
 
-use crate::page_cache::FileId;
-use crate::pte::{Pte, PteFlags};
-use crate::system::{Pid, System};
+use crate::pte::PteFlags;
+use crate::rmap::{FrameRef, MoveKind};
+use crate::system::System;
 
 contig_types::wire_counters! {
     /// Cumulative memory-failure counters. All monotonic and exact under a fixed
@@ -104,10 +107,6 @@ pub struct MemoryFailureOutcome {
     /// the exact poisoned address.
     pub victims: Vec<ContigError>,
 }
-
-/// One mapping referencing a stricken block:
-/// `(pid, head va, size, flags, head pfn)`.
-type FrameRef = (Pid, VirtAddr, PageSize, PteFlags, Pfn);
 
 impl System {
     /// Installs a memory-failure injection policy, consulted by
@@ -185,77 +184,66 @@ impl System {
     /// Recovery for a stricken frame that is allocated: classify its
     /// references and drop, heal, kill, or defer.
     fn recover_poisoned_in_use(&mut self, pfn: Pfn) -> MemoryFailureOutcome {
-        if let Some((file, index)) = self.cache_slot_of(pfn) {
-            self.drop_poisoned_cache_page(file, index, pfn);
-            return MemoryFailureOutcome {
-                pfn,
-                action: FailureAction::CacheDropped,
-                victims: Vec::new(),
-            };
+        let outcome = |action, victims| MemoryFailureOutcome { pfn, action, victims };
+        let users = self.frame_users();
+        if let Some((file, index)) = users.cache_slot(pfn) {
+            // Drop the page: unmap its PTEs, evict the slot. The eviction
+            // frees the frame, which the zone diverts straight to quarantine.
+            self.unmap_mappings_of(&users, pfn);
+            self.page_cache.evict_pages_where(&mut self.machine, file, |idx| idx == index);
+            self.poison_stats.cache_dropped += 1;
+            return outcome(FailureAction::CacheDropped, Vec::new());
         }
-        let refs = self.mappings_covering(pfn);
-        if refs.is_empty() {
+        let refs = users.covering(pfn);
+        let Some(&(_, _, size, _, head)) = refs.first() else {
             // Raw allocation (hog, pinned): the owner's eventual free
             // completes the quarantine.
-            return MemoryFailureOutcome {
-                pfn,
-                action: FailureAction::Deferred,
-                victims: Vec::new(),
-            };
-        }
-        let head = refs[0].4;
-        let recoverable = refs.len() == 1
-            && !refs[0].3.contains(PteFlags::COW)
-            && !refs[0].3.contains(PteFlags::FILE)
-            && self.machine.share_count(head) == 0;
-        if recoverable {
-            let (pid, va, size, flags, _) = refs[0];
-            if let Some(replacement) = self.migrate_poisoned(pid, va, head, size, flags) {
-                return MemoryFailureOutcome {
-                    pfn,
-                    action: FailureAction::Healed { replacement },
-                    victims: Vec::new(),
-                };
+            return outcome(FailureAction::Deferred, Vec::new());
+        };
+        if let Some(kind) = self.classify_movable(head, size.order(), &users) {
+            // Migrate-and-heal: the stricken block is freed, quarantining
+            // the poisoned frame; its healthy neighbours return to the heap.
+            if let Some(replacement) = self.evacuate(pfn, head, size.order(), &kind) {
+                let frames = size.base_pages();
+                self.poison_stats.healed += 1;
+                self.poison_stats.healed_frames += frames;
+                self.tracer.emit(TraceEvent::PoisonHeal {
+                    pfn: head.raw(),
+                    replacement: replacement.raw(),
+                    frames,
+                });
+                return outcome(FailureAction::Healed { replacement }, Vec::new());
             }
             self.poison_stats.heal_failed += 1;
             self.tracer.emit(TraceEvent::PoisonHealFailed { pfn: pfn.raw() });
         }
         let victims = self.kill_mappings(pfn, head, &refs);
-        MemoryFailureOutcome { pfn, action: FailureAction::Killed, victims }
+        outcome(FailureAction::Killed, victims)
     }
 
-    /// Migrate-and-heal: allocate a replacement block (leaning on the OOM
-    /// escalation under pressure), copy, remap with a TLB shootdown, and
-    /// free the stricken block — quarantining the poisoned frame. Returns
-    /// the replacement head, or `None` if no block could be found.
-    fn migrate_poisoned(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        head: Pfn,
-        size: PageSize,
-        flags: PteFlags,
-    ) -> Option<Pfn> {
-        let dest = self.alloc_with_recovery(size.order())?;
-        let frames = size.base_pages();
-        // Copy the surviving contents, then invalidate stale translations:
-        // one page-copy per frame plus one base fault cost for the
-        // shootdown round.
-        {
-            let _shootdown_span = self.tracer.span(stage::TLB_SHOOTDOWN);
-            self.advance_clock(frames * self.latency.zero_page_ns + self.latency.base_ns);
-            if let Some(aspace) = self.processes.get_mut(&pid) {
-                aspace.page_table_mut().remap(va, Pte::new(dest, flags));
-            }
+    /// Moves the users of the block `(head, order)` holding `pfn` onto a
+    /// replacement allocated with the OOM escalation, then quarantines `pfn`
+    /// and frees the block: classify (the caller), allocate, re-validate,
+    /// copy and repoint — one page-copy per frame plus one base fault cost
+    /// for the shootdown round. Returns the replacement head; `None` when
+    /// no block could be found or the escalation's reclaim evicted the page
+    /// meanwhile (the frame is then free, and nothing was touched).
+    fn evacuate(&mut self, pfn: Pfn, head: Pfn, order: u32, kind: &MoveKind) -> Option<Pfn> {
+        let dest = self.alloc_with_recovery(order)?;
+        if !self.still_names(kind, head) {
+            self.machine.free(dest, order);
+            return None;
         }
-        self.machine.free(head, size.order());
-        self.poison_stats.healed += 1;
-        self.poison_stats.healed_frames += frames;
-        self.tracer.emit(TraceEvent::PoisonHeal {
-            pfn: head.raw(),
-            replacement: dest.raw(),
-            frames,
-        });
+        {
+            // A hard failure arrives with the frame already poisoned and
+            // profiles its copy as a TLB shootdown; soft-offline's is bare.
+            let _shootdown_span =
+                self.machine.is_poisoned(pfn).then(|| self.tracer.span(stage::TLB_SHOOTDOWN));
+            self.advance_clock((1u64 << order) * self.latency.zero_page_ns + self.latency.base_ns);
+            self.repoint(kind, dest);
+        }
+        self.machine.poison(pfn);
+        self.machine.free(head, order);
         Some(dest)
     }
 
@@ -295,26 +283,6 @@ impl System {
         victims
     }
 
-    /// Drops a stricken page-cache page: unmap its FILE PTEs, evict the
-    /// slot. The eviction frees the frame, which the zone diverts straight
-    /// to quarantine.
-    fn drop_poisoned_cache_page(&mut self, file: FileId, index: u64, pfn: Pfn) {
-        for pid in self.pids() {
-            let vas: Vec<VirtAddr> = self.processes[&pid]
-                .page_table()
-                .iter_mappings()
-                .filter(|m| m.pte.pfn == pfn && m.pte.flags.contains(PteFlags::FILE))
-                .map(|m| m.va)
-                .collect();
-            let aspace = self.processes.get_mut(&pid).expect("pid from pids()");
-            for va in vas {
-                aspace.page_table_mut().unmap(va);
-            }
-        }
-        self.page_cache.evict_pages_where(&mut self.machine, file, |idx| idx == index);
-        self.poison_stats.cache_dropped += 1;
-    }
-
     /// Proactively drains a *suspect* (still readable) frame: free frames
     /// are quarantined outright, movable pages are migrated away and their
     /// old frame quarantined. Never kills — an unmovable page stays put and
@@ -334,50 +302,23 @@ impl System {
         if self.machine.is_poisoned(pfn) {
             return false;
         }
-        if self.machine.is_free(pfn) || self.machine.pcp_contains(pfn) {
-            // Free or pcp-cached: quarantine directly (no data to move).
-            return !matches!(self.machine.poison(pfn), PoisonDisposition::Deferred);
-        }
-        // Page-cache page: migrate the slot and its FILE PTEs, like
-        // compaction does, then quarantine the old frame.
-        if let Some((file, index)) = self.cache_slot_of(pfn) {
-            let Some(dest) = self.alloc_with_recovery(0) else { return false };
-            self.advance_clock(self.latency.zero_page_ns + self.latency.base_ns);
-            self.page_cache.relocate_page(file, index, dest);
-            for pid in self.pids() {
-                let moves: Vec<(VirtAddr, PteFlags)> = self.processes[&pid]
-                    .page_table()
-                    .iter_mappings()
-                    .filter(|m| m.pte.pfn == pfn && m.pte.flags.contains(PteFlags::FILE))
-                    .map(|m| (m.va, m.pte.flags))
-                    .collect();
-                let aspace = self.processes.get_mut(&pid).expect("pid from pids()");
-                for (va, flags) in moves {
-                    aspace.page_table_mut().remap(va, Pte::new(dest, flags));
-                }
+        if !self.machine.is_free(pfn) && !self.machine.pcp_contains(pfn) {
+            // In use: migrate a movable block away, like compaction does.
+            let users = self.frame_users();
+            let (head, order) = match users.covering(pfn).first() {
+                Some(&(_, _, size, _, head)) => (head, size.order()),
+                None => (pfn, 0), // a cache page nothing maps, or a raw allocation
+            };
+            let Some(kind) = self.classify_movable(head, order, &users) else { return false };
+            if self.evacuate(pfn, head, order, &kind).is_some() {
+                return true;
             }
-            self.machine.poison(pfn);
-            self.machine.free(pfn, 0);
-            return true;
+            // No replacement — unless the escalation's reclaim evicted the
+            // very page, which leaves the frame free: fall through.
         }
-        let refs = self.mappings_covering(pfn);
-        let &[(pid, va, size, flags, head)] = refs.as_slice() else {
-            return false; // unreferenced raw allocation or multiply mapped
-        };
-        if flags.contains(PteFlags::COW)
-            || flags.contains(PteFlags::FILE)
-            || self.machine.share_count(head) > 0
-        {
-            return false;
-        }
-        let Some(dest) = self.alloc_with_recovery(size.order()) else { return false };
-        self.advance_clock(size.base_pages() * self.latency.zero_page_ns + self.latency.base_ns);
-        if let Some(aspace) = self.processes.get_mut(&pid) {
-            aspace.page_table_mut().remap(va, Pte::new(dest, flags));
-        }
-        self.machine.poison(pfn);
-        self.machine.free(head, size.order());
-        true
+        // Free or pcp-cached: quarantine directly (no data to move).
+        (self.machine.is_free(pfn) || self.machine.pcp_contains(pfn))
+            && !matches!(self.machine.poison(pfn), PoisonDisposition::Deferred)
     }
 
     /// Allocation with the bounded OOM-recovery escalation of the fault
@@ -399,33 +340,6 @@ impl System {
             }
         }
     }
-
-    /// The cache slot holding `pfn`, if any.
-    fn cache_slot_of(&self, pfn: Pfn) -> Option<(FileId, u64)> {
-        for f in 0..self.page_cache.file_count() {
-            let file = FileId(f);
-            for (index, frame) in self.page_cache.pages_of(file) {
-                if frame == pfn {
-                    return Some((file, index));
-                }
-            }
-        }
-        None
-    }
-
-    /// Every mapping whose frame block covers `pfn`, in pid order.
-    fn mappings_covering(&self, pfn: Pfn) -> Vec<FrameRef> {
-        let mut refs = Vec::new();
-        for pid in self.pids() {
-            for m in self.processes[&pid].page_table().iter_mappings() {
-                let start = m.pte.pfn.raw();
-                if (start..start + m.size.base_pages()).contains(&pfn.raw()) {
-                    refs.push((pid, m.va, m.size, m.pte.flags, m.pte.pfn));
-                }
-            }
-        }
-        refs
-    }
 }
 
 #[cfg(test)]
@@ -435,7 +349,7 @@ mod tests {
     use crate::system::SystemConfig;
     use crate::vma::VmaKind;
     use contig_buddy::MachineConfig;
-    use contig_types::{PoisonMode, VirtRange};
+    use contig_types::{PoisonMode, VirtAddr, VirtRange};
 
     fn system_mib(mib: u64) -> System {
         System::new(SystemConfig::new(MachineConfig::single_node_mib(mib)))

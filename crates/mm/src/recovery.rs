@@ -9,16 +9,18 @@
 //! falls back to a base page, readahead shrinks to a single page) and finally
 //! surfacing a typed error. Every stage keeps a counter in [`RecoveryStats`]
 //! so experiments can attribute survived pressure to its cause.
+//!
+//! Both stages ask `rmap.rs` who uses a frame: reclaim to unmap a victim's
+//! PTEs, compaction to move blocks with `move_block`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use contig_buddy::NodeId;
 use contig_trace::{stage, RecoveryStage};
-use contig_types::{PageSize, Pfn, VirtAddr};
+use contig_types::Pfn;
 
 use crate::page_cache::FileId;
-use crate::pte::{Pte, PteFlags};
-use crate::system::{Pid, System};
+use crate::system::System;
 
 contig_types::wire_struct! {
     /// Tunables of the out-of-memory recovery escalation.
@@ -123,15 +125,6 @@ pub struct CompactOutcome {
     pub migrated_frames: u64,
 }
 
-/// How one migrated block is referenced, so the move can fix every pointer.
-/// Shared with the background maintenance daemon's migrate scans.
-pub(crate) enum MoveKind {
-    /// Exactly one anonymous PTE covering the whole block.
-    Anon { pid: Pid, va: VirtAddr, flags: PteFlags },
-    /// A page-cache page (order 0) plus any FILE PTEs referencing it.
-    Cache { file: FileId, index: u64, ptes: Vec<(Pid, VirtAddr, PteFlags)> },
-}
-
 impl System {
     /// The recovery tunables in force.
     pub fn recovery_config(&self) -> &RecoveryConfig {
@@ -206,15 +199,7 @@ impl System {
         if batch == 0 {
             return 0;
         }
-        // Reverse map of FILE PTEs so mapped victims can be unmapped first.
-        let mut file_ptes: HashMap<Pfn, Vec<(Pid, VirtAddr)>> = HashMap::new();
-        for pid in self.pids() {
-            for m in self.processes[&pid].page_table().iter_mappings() {
-                if m.pte.flags.contains(PteFlags::FILE) {
-                    file_ptes.entry(m.pte.pfn).or_default().push((pid, m.va));
-                }
-            }
-        }
+        let users = self.frame_users();
         let mut evicted = 0u64;
         // Pass 1: clean pages nothing maps — the cheap victims.
         for f in 0..self.page_cache.file_count() {
@@ -225,7 +210,7 @@ impl System {
             let victims: BTreeSet<u64> = self
                 .page_cache
                 .pages_of(file)
-                .filter(|(_, pfn)| !file_ptes.contains_key(pfn))
+                .filter(|&(_, pfn)| users.mappings_of(pfn).is_empty())
                 .map(|(idx, _)| idx)
                 .take((batch - evicted) as usize)
                 .collect();
@@ -250,14 +235,8 @@ impl System {
             if victims.is_empty() {
                 continue;
             }
-            for (_, pfn) in &victims {
-                if let Some(refs) = file_ptes.get(pfn) {
-                    for &(pid, va) in refs {
-                        if let Some(aspace) = self.processes.get_mut(&pid) {
-                            aspace.page_table_mut().unmap(va);
-                        }
-                    }
-                }
+            for &(_, pfn) in &victims {
+                self.unmap_mappings_of(&users, pfn);
             }
             let indices: BTreeSet<u64> = victims.iter().map(|&(idx, _)| idx).collect();
             evicted += self.page_cache.evict_pages_where(&mut self.machine, file, |idx| {
@@ -272,30 +251,15 @@ impl System {
     /// from the start) until a free block of at least `target_order` exists
     /// or `budget` block moves are spent.
     ///
-    /// A block is movable when the simulator can fix every reference to it:
-    /// an anonymous mapping exactly covering the block and owned by a single
-    /// process, or an order-0 page-cache page (with its FILE mappings).
-    /// COW-shared frames and raw allocations with no mapping (pinned memory,
-    /// fragmenter hogs) are immovable, as in the kernel.
+    /// Movable is the one rule every mover shares (`classify_movable` in
+    /// `rmap.rs`): a single exclusive anonymous mapping exactly covering the
+    /// block, or an order-0 page-cache page with its 4 KiB FILE mappings.
     pub fn compact(&mut self, target_order: u32, budget: u64) -> CompactOutcome {
         let mut out = CompactOutcome::default();
         if budget == 0 {
             return out;
         }
-        // Reverse maps: mapping-head frame -> referencing PTEs / cache slot.
-        let mut ptes: HashMap<Pfn, Vec<(Pid, VirtAddr, PageSize, PteFlags)>> = HashMap::new();
-        for pid in self.pids() {
-            for m in self.processes[&pid].page_table().iter_mappings() {
-                ptes.entry(m.pte.pfn).or_default().push((pid, m.va, m.size, m.pte.flags));
-            }
-        }
-        let mut cache_refs: HashMap<Pfn, (FileId, u64)> = HashMap::new();
-        for f in 0..self.page_cache.file_count() {
-            let file = FileId(f);
-            for (idx, pfn) in self.page_cache.pages_of(file) {
-                cache_refs.insert(pfn, (file, idx));
-            }
-        }
+        let mut users = self.frame_users();
         let mut budget = budget;
         for node in 0..self.machine.nodes() {
             if budget == 0 || self.machine.has_free_block(target_order) {
@@ -312,87 +276,14 @@ impl System {
                 let Some(dest) = self.machine.zone(node).lowest_free_block(order, head) else {
                     continue;
                 };
-                let Some(kind) = self.classify_movable(head, order, &ptes, &cache_refs) else {
-                    continue;
-                };
-                // Claim the destination; injection may veto even migration.
-                if self.machine.zone_mut(node).alloc_specific(dest, order).is_err() {
-                    continue;
+                if let Some(frames) = self.move_block(node, head, order, dest, &mut users) {
+                    out.migrated_blocks += 1;
+                    out.migrated_frames += frames;
+                    budget -= 1;
                 }
-                match kind {
-                    MoveKind::Anon { pid, va, flags } => {
-                        if let Some(aspace) = self.processes.get_mut(&pid) {
-                            aspace.page_table_mut().remap(va, Pte::new(dest, flags));
-                        }
-                    }
-                    MoveKind::Cache { file, index, ptes } => {
-                        self.page_cache.relocate_page(file, index, dest);
-                        for (pid, va, flags) in ptes {
-                            if let Some(aspace) = self.processes.get_mut(&pid) {
-                                aspace.page_table_mut().remap(va, Pte::new(dest, flags));
-                            }
-                        }
-                    }
-                }
-                self.machine.zone_mut(node).free(head, order);
-                let frames = 1u64 << order;
-                out.migrated_blocks += 1;
-                out.migrated_frames += frames;
-                budget -= 1;
-                // Migration copies the block's contents.
-                self.advance_clock(frames * self.latency.zero_page_ns);
             }
         }
         out
-    }
-
-    /// Decides whether the allocated block `[head, head + 2^order)` can be
-    /// migrated, and how to fix its references if so.
-    pub(crate) fn classify_movable(
-        &self,
-        head: Pfn,
-        order: u32,
-        ptes: &HashMap<Pfn, Vec<(Pid, VirtAddr, PageSize, PteFlags)>>,
-        cache_refs: &HashMap<Pfn, (FileId, u64)>,
-    ) -> Option<MoveKind> {
-        // No interior frame may be independently referenced: mappings and
-        // cache slots always point at allocation heads, so anything else
-        // means the block is aliased in a way a move cannot fix.
-        for i in 1..(1u64 << order) {
-            let frame = head.add(i);
-            if ptes.contains_key(&frame) || cache_refs.contains_key(&frame) {
-                return None;
-            }
-        }
-        if let Some(&(file, index)) = cache_refs.get(&head) {
-            if order != 0 {
-                return None;
-            }
-            let mut file_ptes = Vec::new();
-            if let Some(refs) = ptes.get(&head) {
-                for &(pid, va, size, flags) in refs {
-                    // A cache frame must only ever be FILE-mapped at 4 KiB;
-                    // anything else is aliased state the auditor reports.
-                    if !flags.contains(PteFlags::FILE) || size != PageSize::Base4K {
-                        return None;
-                    }
-                    file_ptes.push((pid, va, flags));
-                }
-            }
-            return Some(MoveKind::Cache { file, index, ptes: file_ptes });
-        }
-        let refs = ptes.get(&head)?;
-        let &[(pid, va, size, flags)] = refs.as_slice() else {
-            return None; // shared between mappings: pinned
-        };
-        if size.order() != order
-            || flags.contains(PteFlags::COW)
-            || flags.contains(PteFlags::FILE)
-            || self.machine.share_count(head) > 0
-        {
-            return None;
-        }
-        Some(MoveKind::Anon { pid, va, flags })
     }
 }
 

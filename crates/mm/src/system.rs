@@ -16,6 +16,7 @@ use crate::policy::{FaultCtx, FaultKind, Placement, PlacementPolicy};
 use crate::pte::{Pte, PteFlags};
 use crate::poison::PoisonStats;
 use crate::recovery::{RecoveryConfig, RecoveryStats};
+use crate::rmap::MoveKind;
 use crate::stats::LatencyModel;
 use crate::vma::VmaKind;
 
@@ -693,12 +694,10 @@ impl System {
             .page_table()
             .translate(va)
             .map_err(|_| NodeMigrateError::NotMapped)?;
-        if t.flags.contains(PteFlags::FILE)
-            || t.flags.contains(PteFlags::COW)
-            || self.machine.share_count(t.pfn) > 0
-        {
-            return Err(NodeMigrateError::Shared);
-        }
+        let kind = match self.classify_movable(t.pfn, t.size.order(), &self.frame_users()) {
+            Some(kind @ MoveKind::Anon { .. }) => kind,
+            _ => return Err(NodeMigrateError::Shared),
+        };
         let from = self.machine.node_of(t.pfn).expect("mapped frame belongs to a node");
         if from.0 == target {
             return Ok(t.pfn);
@@ -709,11 +708,7 @@ impl System {
             .alloc(t.size.order())
             .map_err(|_| NodeMigrateError::OutOfMemory)?;
         let page_va = va.align_down(t.size);
-        self.processes
-            .get_mut(&pid)
-            .expect("pid checked above")
-            .page_table_mut()
-            .remap(page_va, Pte::new(new_pfn, t.flags));
+        self.repoint(&kind, new_pfn);
         self.machine.free_page(t.pfn, t.size);
         self.mark_dirty(new_pfn, t.size);
         self.numa_stats.migrations += 1;

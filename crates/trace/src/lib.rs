@@ -30,9 +30,7 @@
 //! ## Overhead
 //!
 //! A disabled [`Tracer`] (the default everywhere) costs one `Option`
-//! branch per probe. Compiling with `--no-default-features` (dropping the
-//! `probes` feature) removes even that: every probe method body becomes
-//! empty and the optimizer deletes the call sites.
+//! branch per probe.
 
 #![warn(missing_docs)]
 
@@ -48,7 +46,7 @@ pub use event::{DaemonStage, Dim, FaultClass, Record, RecoveryStage, TraceEvent}
 pub use export::{export_chrome, export_jsonl, parse_jsonl, record_to_jsonl, ParseError};
 pub use flight::{FlightRecorder, FLIGHT_CAPACITY};
 pub use registry::{Log2Histogram, MetricsRegistry, LOG2_BUCKETS};
-pub use sink::{NullSink, RingSink, TraceSink};
+pub use sink::RingSink;
 pub use span::{
     declare_canonical_metrics, is_valid_span_metric, stage, validate_metric_names, SpanStack,
     StackCell, ENGINE_METRICS, SPAN_STAGES,

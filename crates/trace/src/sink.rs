@@ -1,21 +1,8 @@
-//! Trace sinks: where emitted [`Record`]s go. The default is a bounded
-//! in-memory ring ([`RingSink`]) so tracing a long run costs a fixed amount
-//! of memory; [`NullSink`] discards everything (runtime off-switch, distinct
-//! from the compile-time `probes` feature).
+//! The trace sink: where emitted [`Record`]s go. A bounded in-memory ring
+//! ([`RingSink`]), so tracing a long run costs a fixed amount of memory.
 
 use crate::event::Record;
 use std::collections::VecDeque;
-
-/// A destination for trace records.
-///
-/// Implementations must be cheap: `record` runs inside the fault path's
-/// critical section. The trait is object-safe; sessions store a
-/// `Box<dyn TraceSink + Send>` so sinks can cross into `Send` placement
-/// policies.
-pub trait TraceSink {
-    /// Consumes one record.
-    fn record(&mut self, rec: &Record);
-}
 
 /// A bounded FIFO ring of records. When full, the oldest record is dropped
 /// and [`RingSink::dropped`] is incremented, so a consumer can always tell
@@ -61,25 +48,16 @@ impl RingSink {
     pub fn iter(&self) -> impl Iterator<Item = &Record> {
         self.buf.iter()
     }
-}
 
-impl TraceSink for RingSink {
-    fn record(&mut self, rec: &Record) {
+    /// Consumes one record, evicting the oldest when full. Cheap: it runs
+    /// inside the fault path's critical section.
+    pub fn record(&mut self, rec: &Record) {
         if self.capacity > 0 && self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
         }
         self.buf.push_back(rec.clone());
     }
-}
-
-/// Discards every record. Metrics counters still accumulate; only the event
-/// stream is suppressed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _rec: &Record) {}
 }
 
 #[cfg(test)]

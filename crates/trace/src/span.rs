@@ -12,9 +12,8 @@
 //! `parent;child;leaf` path, exportable in the inferno/flamegraph folded
 //! text format via [`SpanStack::export_collapsed`].
 //!
-//! The stack itself is plain data and always compiled; only the probe entry
-//! points on [`crate::Tracer`] are gated behind the `probes` feature, so
-//! with probes off the whole profiler costs nothing.
+//! The stack itself is plain data; the probe entry points are on
+//! [`crate::Tracer`], where a disabled handle costs one branch.
 
 use std::collections::BTreeMap;
 
@@ -246,7 +245,6 @@ impl SpanStack {
     }
 
     /// The stage name of a node returned by [`SpanStack::exit_node`].
-    #[cfg(feature = "probes")]
     pub(crate) fn node_name(&self, node: usize) -> &'static str {
         self.nodes[node].name
     }

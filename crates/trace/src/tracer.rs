@@ -2,44 +2,19 @@
 //! the [`TraceSession`] that owns the shared sink + registry behind it.
 //!
 //! A `Tracer` is a cheap clone-able handle: either *disabled* (the default —
-//! every probe is a single `Option` branch) or attached to a session. With
-//! the crate's `probes` feature turned off the probe methods compile to
-//! empty bodies, so instrumented hot paths carry no tracing code at all.
+//! every probe is a single `Option` branch) or attached to a session.
 
 use crate::event::{Dim, Record, TraceEvent};
-use crate::flight::FlightRecorder;
-#[cfg(feature = "probes")]
-use crate::flight::FLIGHT_CAPACITY;
-#[cfg(feature = "probes")]
-use crate::registry::Log2Histogram;
-use crate::registry::MetricsRegistry;
-#[cfg(feature = "probes")]
-use crate::sink::{NullSink, RingSink};
-use crate::sink::TraceSink;
+use crate::flight::{FlightRecorder, FLIGHT_CAPACITY};
+use crate::registry::{Log2Histogram, MetricsRegistry};
+use crate::sink::RingSink;
 use crate::span::SpanStack;
 use std::fmt;
-#[cfg(feature = "probes")]
 use std::sync::{Arc, Mutex};
 
-#[cfg(feature = "probes")]
-enum SinkStore {
-    Ring(RingSink),
-    Custom(Box<dyn TraceSink + Send>),
-}
-
-#[cfg(feature = "probes")]
-impl SinkStore {
-    fn record(&mut self, rec: &Record) {
-        match self {
-            SinkStore::Ring(r) => r.record(rec),
-            SinkStore::Custom(s) => s.record(rec),
-        }
-    }
-}
-
-#[cfg(feature = "probes")]
 struct Inner {
-    sink: SinkStore,
+    /// The event stream; `None` for a flight-only session.
+    sink: Option<RingSink>,
     metrics: MetricsRegistry,
     seq: u64,
     clock_ns: u64,
@@ -51,9 +26,8 @@ struct Inner {
     flight: FlightRecorder,
 }
 
-#[cfg(feature = "probes")]
 impl Inner {
-    fn new(sink: SinkStore, flight_capacity: usize) -> Self {
+    fn new(sink: Option<RingSink>, flight_capacity: usize) -> Self {
         Inner {
             sink,
             metrics: MetricsRegistry::new(),
@@ -101,7 +75,6 @@ impl Inner {
 /// under observation, run the workload, then read back
 /// [`TraceSession::records`] and [`TraceSession::metrics`].
 pub struct TraceSession {
-    #[cfg(feature = "probes")]
     inner: Arc<Mutex<Inner>>,
 }
 
@@ -109,38 +82,11 @@ impl TraceSession {
     /// A session recording into a bounded [`RingSink`] of `capacity`
     /// records (0 = unbounded).
     pub fn ring(capacity: usize) -> Self {
-        #[cfg(feature = "probes")]
-        {
-            TraceSession {
-                inner: Arc::new(Mutex::new(Inner::new(
-                    SinkStore::Ring(RingSink::new(capacity)),
-                    FLIGHT_CAPACITY,
-                ))),
-            }
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            let _ = capacity;
-            TraceSession {}
-        }
-    }
-
-    /// A session recording into a custom sink. [`TraceSession::records`]
-    /// returns an empty vector for custom sinks; the sink owns the stream.
-    pub fn with_sink(sink: Box<dyn TraceSink + Send>) -> Self {
-        #[cfg(feature = "probes")]
-        {
-            TraceSession {
-                inner: Arc::new(Mutex::new(Inner::new(
-                    SinkStore::Custom(sink),
-                    FLIGHT_CAPACITY,
-                ))),
-            }
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            let _ = sink;
-            TraceSession {}
+        TraceSession {
+            inner: Arc::new(Mutex::new(Inner::new(
+                Some(RingSink::new(capacity)),
+                FLIGHT_CAPACITY,
+            ))),
         }
     }
 
@@ -149,109 +95,53 @@ impl TraceSession {
     /// [`FlightRecorder`] for post-mortem dumps. This is the always-on mode
     /// the torture harness attaches when full tracing was not requested.
     pub fn flight_only(capacity: usize) -> Self {
-        #[cfg(feature = "probes")]
-        {
-            TraceSession {
-                inner: Arc::new(Mutex::new(Inner::new(
-                    SinkStore::Custom(Box::new(NullSink)),
-                    capacity,
-                ))),
-            }
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            let _ = capacity;
-            TraceSession {}
+        TraceSession {
+            inner: Arc::new(Mutex::new(Inner::new(None, capacity))),
         }
     }
 
     /// A tracer handle feeding this session (dimension [`Dim::None`]).
     pub fn tracer(&self) -> Tracer {
-        #[cfg(feature = "probes")]
-        {
-            Tracer {
-                inner: Some(Arc::clone(&self.inner)),
-                dim: Dim::None,
-            }
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            Tracer::disabled()
+        Tracer {
+            inner: Some(Arc::clone(&self.inner)),
+            dim: Dim::None,
         }
     }
 
-    /// Snapshot of the recorded events, oldest first (empty for custom
-    /// sinks or with `probes` disabled).
+    /// Snapshot of the recorded events, oldest first (empty for a
+    /// flight-only session).
     pub fn records(&self) -> Vec<Record> {
-        #[cfg(feature = "probes")]
-        {
-            match &self.inner.lock().expect("trace session poisoned").sink {
-                SinkStore::Ring(r) => r.snapshot(),
-                SinkStore::Custom(_) => Vec::new(),
-            }
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            Vec::new()
-        }
+        let inner = self.inner.lock().expect("trace session poisoned");
+        inner.sink.as_ref().map_or_else(Vec::new, RingSink::snapshot)
     }
 
     /// Snapshot of the metrics registry.
     pub fn metrics(&self) -> MetricsRegistry {
-        #[cfg(feature = "probes")]
-        {
-            self.inner.lock().expect("trace session poisoned").metrics()
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            MetricsRegistry::new()
-        }
+        self.inner.lock().expect("trace session poisoned").metrics()
     }
 
     /// Snapshot of the span profiler: open-stack state, enter/exit balance,
     /// and the collapsed-stack accumulation of every closed span.
     pub fn spans(&self) -> SpanStack {
-        #[cfg(feature = "probes")]
-        {
-            self.inner.lock().expect("trace session poisoned").spans.clone()
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            SpanStack::new()
-        }
+        self.inner.lock().expect("trace session poisoned").spans.clone()
     }
 
     /// Snapshot of the flight recorder's retained records, oldest first.
     pub fn flight(&self) -> FlightRecorder {
-        #[cfg(feature = "probes")]
-        {
-            self.inner.lock().expect("trace session poisoned").flight.clone()
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            FlightRecorder::new(0)
-        }
+        self.inner.lock().expect("trace session poisoned").flight.clone()
     }
 
     /// The flight recorder's retained records as JSONL — the post-mortem
-    /// `flight_*.jsonl` artifact (empty with `probes` off).
+    /// `flight_*.jsonl` artifact.
     pub fn flight_jsonl(&self) -> String {
         self.flight().to_jsonl()
     }
 
-    /// How many records the ring sink evicted (0 for custom sinks).
+    /// How many records the ring sink evicted (0 for a flight-only
+    /// session).
     pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "probes")]
-        {
-            match &self.inner.lock().expect("trace session poisoned").sink {
-                SinkStore::Ring(r) => r.dropped(),
-                SinkStore::Custom(_) => 0,
-            }
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            0
-        }
+        let inner = self.inner.lock().expect("trace session poisoned");
+        inner.sink.as_ref().map_or(0, RingSink::dropped)
     }
 }
 
@@ -265,9 +155,7 @@ impl fmt::Debug for TraceSession {
 /// subsystem. The default handle is disabled: probes cost one branch.
 #[derive(Clone, Default)]
 pub struct Tracer {
-    #[cfg(feature = "probes")]
     inner: Option<Arc<Mutex<Inner>>>,
-    #[cfg(feature = "probes")]
     dim: Dim,
 }
 
@@ -279,30 +167,15 @@ impl Tracer {
 
     /// Whether this handle feeds a live session.
     pub fn is_enabled(&self) -> bool {
-        #[cfg(feature = "probes")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            false
-        }
+        self.inner.is_some()
     }
 
     /// This handle re-tagged with `dim` — how `contig-virt` distinguishes
     /// guest-dimension from host-dimension events in one session.
     pub fn with_dim(&self, dim: Dim) -> Self {
-        #[cfg(feature = "probes")]
-        {
-            Tracer {
-                inner: self.inner.clone(),
-                dim,
-            }
-        }
-        #[cfg(not(feature = "probes"))]
-        {
-            let _ = dim;
-            Tracer::disabled()
+        Tracer {
+            inner: self.inner.clone(),
+            dim,
         }
     }
 
@@ -310,19 +183,15 @@ impl Tracer {
     /// `now_ns` as their timestamp. Instrumented systems call this whenever
     /// their own simulated clock moves.
     pub fn set_clock(&self, now_ns: u64) {
-        #[cfg(feature = "probes")]
         if let Some(inner) = &self.inner {
             inner.lock().expect("trace session poisoned").clock_ns = now_ns;
         }
-        #[cfg(not(feature = "probes"))]
-        let _ = now_ns;
     }
 
     /// Emits one event: records it to the sink (stamped with the session
     /// clock and a sequence number) and increments the counter named
     /// [`TraceEvent::name`].
     pub fn emit(&self, event: TraceEvent) {
-        #[cfg(feature = "probes")]
         if let Some(inner) = &self.inner {
             let mut inner = inner.lock().expect("trace session poisoned");
             inner.metrics.add(event.name(), 1);
@@ -333,11 +202,11 @@ impl Tracer {
                 event,
             };
             inner.seq += 1;
-            inner.sink.record(&rec);
+            if let Some(ring) = &mut inner.sink {
+                ring.record(&rec);
+            }
             inner.flight.record(&rec);
         }
-        #[cfg(not(feature = "probes"))]
-        let _ = event;
     }
 
     /// Opens a profiling span for `stage`, closed when the returned guard
@@ -346,43 +215,31 @@ impl Tracer {
     /// with profiling on or off. Guards must drop LIFO (ordinary scoping —
     /// including unwinding — guarantees this).
     pub fn span(&self, stage: &'static str) -> ScopedSpan {
-        #[cfg(feature = "probes")]
-        {
-            if let Some(inner) = &self.inner {
-                let mut guard = inner.lock().expect("trace session poisoned");
-                let now = guard.clock_ns;
-                guard.spans.enter(stage, now);
-                drop(guard);
-                return ScopedSpan { inner: Some(Arc::clone(inner)) };
-            }
-            ScopedSpan { inner: None }
+        if let Some(inner) = &self.inner {
+            let mut guard = inner.lock().expect("trace session poisoned");
+            let now = guard.clock_ns;
+            guard.spans.enter(stage, now);
+            drop(guard);
+            return ScopedSpan { inner: Some(Arc::clone(inner)) };
         }
-        #[cfg(not(feature = "probes"))]
-        {
-            let _ = stage;
-            ScopedSpan {}
-        }
+        ScopedSpan { inner: None }
     }
 
     /// Records an instantaneous (zero-duration) span for `stage` — a leaf
     /// mark whose *count* matters, like a pcp hit/miss on the allocation
     /// path. Equivalent to opening and immediately dropping a span.
     pub fn span_mark(&self, stage: &'static str) {
-        #[cfg(feature = "probes")]
         if let Some(inner) = &self.inner {
             let mut guard = inner.lock().expect("trace session poisoned");
             let now = guard.clock_ns;
             guard.spans.enter(stage, now);
             guard.finish_span();
         }
-        #[cfg(not(feature = "probes"))]
-        let _ = stage;
     }
 
     /// Adds `delta` to the named counter without recording an event — for
     /// bulk totals (e.g. injector attempt counts) that would swamp a ring.
     pub fn add(&self, name: &str, delta: u64) {
-        #[cfg(feature = "probes")]
         if let Some(inner) = &self.inner {
             inner
                 .lock()
@@ -390,15 +247,10 @@ impl Tracer {
                 .metrics
                 .add(name, delta);
         }
-        #[cfg(not(feature = "probes"))]
-        {
-            let _ = (name, delta);
-        }
     }
 
     /// Records `value` into the named log2 histogram.
     pub fn observe(&self, name: &str, value: u64) {
-        #[cfg(feature = "probes")]
         if let Some(inner) = &self.inner {
             inner
                 .lock()
@@ -406,25 +258,19 @@ impl Tracer {
                 .metrics
                 .observe(name, value);
         }
-        #[cfg(not(feature = "probes"))]
-        {
-            let _ = (name, value);
-        }
     }
 }
 
 /// RAII guard returned by [`Tracer::span`]: dropping it closes the span at
-/// the session's current simulated clock. With `probes` off (or a disabled
-/// tracer) the guard is inert.
+/// the session's current simulated clock. A disabled tracer's guard is
+/// inert.
 #[must_use = "binding a span guard to `_` closes it immediately; use `let _span = …`"]
 pub struct ScopedSpan {
-    #[cfg(feature = "probes")]
     inner: Option<Arc<Mutex<Inner>>>,
 }
 
 impl Drop for ScopedSpan {
     fn drop(&mut self) {
-        #[cfg(feature = "probes")]
         if let Some(inner) = self.inner.take() {
             // `if let Ok` rather than `expect`: this drop also runs while
             // unwinding a task panic, where a second panic would abort.
@@ -477,7 +323,6 @@ mod tests {
         t.set_clock(99);
     }
 
-    #[cfg(feature = "probes")]
     #[test]
     fn session_records_events_and_counts_them() {
         let session = TraceSession::ring(16);
@@ -505,7 +350,6 @@ mod tests {
         assert_eq!(session.dropped(), 0);
     }
 
-    #[cfg(feature = "probes")]
     #[test]
     fn dims_tag_records_independently() {
         let session = TraceSession::ring(16);
@@ -518,7 +362,6 @@ mod tests {
         assert_eq!(recs[1].dim, Dim::Host);
     }
 
-    #[cfg(feature = "probes")]
     #[test]
     fn spans_measure_simulated_clock_and_balance() {
         let session = TraceSession::ring(16);
@@ -545,7 +388,6 @@ mod tests {
         assert!(spans.export_collapsed().contains("fault;buddy_alloc;pcp_hit 0\n"));
     }
 
-    #[cfg(feature = "probes")]
     #[test]
     fn span_guard_closes_during_unwind() {
         let session = TraceSession::ring(16);
@@ -558,7 +400,6 @@ mod tests {
         assert!(session.spans().is_balanced(), "unwind must close open spans");
     }
 
-    #[cfg(feature = "probes")]
     #[test]
     fn flight_recorder_is_always_on_and_flight_only_discards_stream() {
         let session = TraceSession::ring(2);
@@ -584,27 +425,4 @@ mod tests {
         assert_eq!(parsed.len(), 3);
     }
 
-    #[cfg(not(feature = "probes"))]
-    #[test]
-    fn without_probes_sessions_are_empty() {
-        let session = TraceSession::ring(16);
-        let t = session.tracer();
-        assert!(!t.is_enabled());
-        t.emit(TraceEvent::Alloc { order: 0, pfn: 1 });
-        assert!(session.records().is_empty());
-        assert_eq!(session.metrics().counter("buddy.alloc"), 0);
-    }
-
-    #[cfg(not(feature = "probes"))]
-    #[test]
-    fn without_probes_spans_and_flight_are_noops() {
-        let session = TraceSession::flight_only(16);
-        let t = session.tracer();
-        let _span = t.span(crate::stage::FAULT);
-        t.span_mark(crate::stage::PCP_HIT);
-        assert!(session.spans().is_balanced());
-        assert_eq!(session.spans().enters(), 0);
-        assert!(session.flight().is_empty());
-        assert_eq!(session.flight_jsonl(), "");
-    }
 }

@@ -182,7 +182,6 @@ proptest! {
 
     /// A session's `span.*` histograms are what formatting the metric name
     /// at every exit used to produce.
-    #[cfg(feature = "probes")]
     #[test]
     fn session_histograms_match_per_exit_observes(ops in ops()) {
         let session = contig_trace::TraceSession::flight_only(4);

@@ -766,8 +766,15 @@ impl VirtualMachine {
     /// Panics if no host zone owns `pfn`.
     pub fn poison_host_frame(&mut self, pfn: Pfn) -> HostPoisonReport {
         // Remember the VM-region mapping that may lose its backing: after a
-        // kill the host page table no longer records its extent.
-        let hole = self.host_mapping_covering(pfn);
+        // kill the host page table no longer records its extent. Only a
+        // frame in use has users; free, pcp-cached and already-quarantined
+        // strikes build nothing.
+        let m = self.host.machine();
+        let in_use = !(m.is_free(pfn) || m.pcp_contains(pfn) || m.is_poisoned(pfn));
+        let hole = in_use
+            .then(|| self.host.frame_users().covering(pfn))
+            .and_then(|refs| refs.into_iter().find(|r| r.0 == self.host_pid))
+            .map(|(_, hva, size, ..)| (hva, size));
         let outcome = self.host.memory_failure(pfn);
         let mut guest_mces = Vec::new();
         for victim in &outcome.victims {
@@ -784,7 +791,11 @@ impl VirtualMachine {
                 continue;
             }
             let gpa = PhysAddr::new(addr.raw() - self.host_vma_base.raw());
-            for (pid, va) in self.guest_mappings_of(gpa) {
+            // Every guest mapping composed onto the destroyed guest-physical
+            // page receives the MCE at the va of the affected base page.
+            let gframe = Pfn::new(gpa.raw() / PageSize::Base4K.bytes());
+            for (pid, head_va, _, _, head) in self.guest.frame_users().covering(gframe) {
+                let va = head_va + (gframe.raw() - head.raw()) * PageSize::Base4K.bytes();
                 self.tracer.emit(TraceEvent::PoisonGuestMce {
                     pid: pid.0,
                     va: va.raw(),
@@ -813,35 +824,6 @@ impl VirtualMachine {
     pub fn poison_tick(&mut self) -> Option<HostPoisonReport> {
         let pfn = self.host.poison_draw()?;
         Some(self.poison_host_frame(pfn))
-    }
-
-    /// The VM-backing host mapping whose frame block covers `pfn`, if any.
-    fn host_mapping_covering(&self, pfn: Pfn) -> Option<(VirtAddr, PageSize)> {
-        self.host
-            .aspace(self.host_pid)
-            .page_table()
-            .iter_mappings()
-            .find(|m| {
-                let start = m.pte.pfn.raw();
-                (start..start + m.size.base_pages()).contains(&pfn.raw())
-            })
-            .map(|m| (m.va, m.size))
-    }
-
-    /// Every guest mapping composed onto guest-physical page `gpa`:
-    /// `(pid, guest va of the affected base page)`.
-    fn guest_mappings_of(&self, gpa: PhysAddr) -> Vec<(Pid, VirtAddr)> {
-        let gframe = gpa.raw() / PageSize::Base4K.bytes();
-        let mut hits = Vec::new();
-        for &pid in self.guest.pids().iter() {
-            for m in self.guest.aspace(pid).page_table().iter_mappings() {
-                let start = m.pte.pfn.raw();
-                if (start..start + m.size.base_pages()).contains(&gframe) {
-                    hits.push((pid, m.va + (gframe - start) * PageSize::Base4K.bytes()));
-                }
-            }
-        }
-        hits
     }
 
     /// Re-establishes host backing for `[start, start + len)` after a kill,

@@ -13,10 +13,14 @@
 //! live cursors, partial budget, promotion candidates, backoff RNG —
 //! and restoring must be exact, and the restored system must continue
 //! bit-identically with the original under the same op/tick suffix.
+//!
+//! Every op of the first property also checks the reverse map the movers
+//! share (`System::frame_users`) against the three scans it replaced,
+//! transcribed below from `daemon.rs` and `poison.rs` as they were.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
-use contig::mm::FaultOutcome;
+use contig::mm::{FaultOutcome, FileId, FrameRef, PteRef};
 use contig::prelude::*;
 use contig::types::FaultError;
 use proptest::prelude::*;
@@ -112,6 +116,78 @@ fn assert_conserved(sys: &System, label: &str) {
     m.verify_integrity();
 }
 
+/// `daemon.rs`'s `RevMaps`, as `build_rev_maps` filled it once per tick.
+#[derive(Default)]
+struct RevMaps {
+    ptes: HashMap<Pfn, Vec<PteRef>>,
+    cache: HashMap<Pfn, (FileId, u64)>,
+}
+
+fn build_rev_maps(sys: &System) -> RevMaps {
+    let mut maps = RevMaps::default();
+    for pid in sys.pids() {
+        for m in sys.aspace(pid).page_table().iter_mappings() {
+            maps.ptes.entry(m.pte.pfn).or_default().push((pid, m.va, m.size, m.pte.flags));
+        }
+    }
+    for f in 0..sys.page_cache().file_count() {
+        let file = FileId(f);
+        for (idx, pfn) in sys.page_cache().pages_of(file) {
+            maps.cache.insert(pfn, (file, idx));
+        }
+    }
+    maps
+}
+
+/// `poison.rs`'s scan for the cache slot holding `pfn`.
+fn cache_slot_of(sys: &System, pfn: Pfn) -> Option<(FileId, u64)> {
+    for f in 0..sys.page_cache().file_count() {
+        let file = FileId(f);
+        for (index, frame) in sys.page_cache().pages_of(file) {
+            if frame == pfn {
+                return Some((file, index));
+            }
+        }
+    }
+    None
+}
+
+/// `poison.rs`'s scan for every mapping whose frame block covers `pfn`.
+fn mappings_covering(sys: &System, pfn: Pfn) -> Vec<FrameRef> {
+    let mut refs = Vec::new();
+    for pid in sys.pids() {
+        for m in sys.aspace(pid).page_table().iter_mappings() {
+            let start = m.pte.pfn.raw();
+            if (start..start + m.size.base_pages()).contains(&pfn.raw()) {
+                refs.push((pid, m.va, m.size, m.pte.flags, m.pte.pfn));
+            }
+        }
+    }
+    refs
+}
+
+/// The reverse map agrees with its ancestors: with the daemon's maps over
+/// every frame of the machine, and with the two poison scans on frames
+/// `draw` picks (they cost a walk of every page table each).
+fn assert_frame_users_match_ancestors(sys: &System, mut draw: u64) {
+    let users = sys.frame_users();
+    let old = build_rev_maps(sys);
+    let frames = || (0..sys.machine().total_frames()).map(Pfn::new);
+    let mut ptes: Vec<_> = old.ptes.into_iter().collect();
+    ptes.sort_unstable_by_key(|&(head, _)| head);
+    let heads = frames().filter(|&pfn| !users.mappings_of(pfn).is_empty());
+    assert_eq!(heads.map(|pfn| (pfn, users.mappings_of(pfn).to_vec())).collect::<Vec<_>>(), ptes);
+    let mut slots: Vec<_> = old.cache.into_iter().collect();
+    slots.sort_unstable_by_key(|&(pfn, _)| pfn);
+    let cached = frames().filter_map(|pfn| Some((pfn, users.cache_slot(pfn)?)));
+    assert_eq!(cached.collect::<Vec<_>>(), slots);
+    for _ in 0..4 {
+        let pfn = Pfn::new(splitmix64(&mut draw) % sys.machine().total_frames());
+        assert_eq!(users.covering(pfn), mappings_covering(sys, pfn), "covering {pfn}");
+        assert_eq!(users.cache_slot(pfn), cache_slot_of(sys, pfn), "slot of {pfn}");
+    }
+}
+
 /// Drives the same seeded interleaving against both systems. Daemon ticks
 /// run on both — a strict no-op on the disarmed side, maintenance work on
 /// the armed one — so the streams stay structurally identical.
@@ -172,6 +248,7 @@ fn drive_pair(plain: &mut System, armed: &mut System, seed: u64, ops: usize) {
                 pids[slot] = p;
             }
         }
+        assert_frame_users_match_ancestors(armed, r);
     }
 }
 
