@@ -7,7 +7,9 @@
 //! already carries the bit the new page simply inherits it; otherwise the
 //! run around the new page is measured, and once it crosses the threshold
 //! every PTE in it is marked. Crucially, the exact size and boundaries of
-//! the mapping are never tracked anywhere — this walk is local and bounded.
+//! the mapping are never tracked anywhere — this walk is local and bounded,
+//! and reads adjacent entries of the leaf tables (`PageTable::offset_run`),
+//! not one translation per page.
 
 use contig_mm::{PageTable, PteFlags};
 use contig_types::{MapOffset, PhysAddr, VirtAddr};
@@ -43,46 +45,13 @@ pub fn mark_contiguity(pt: &mut PageTable, va: VirtAddr, threshold_pages: u64) -
         }
     }
 
-    // Measure the run around the new page, bounded by the scan cap.
-    let mut run_start = my_start;
-    let mut scanned = my_size.base_pages();
-    while scanned < SCAN_CAP_PAGES {
-        let Some(prev_last) = run_start.raw().checked_sub(1) else { break };
-        let pva = VirtAddr::new(prev_last);
-        let Ok(t) = pt.translate(pva) else { break };
-        let p_start = pva.align_down(t.size);
-        if MapOffset::between(p_start, PhysAddr::from(t.pfn)) != my_offset {
-            break;
-        }
-        run_start = p_start;
-        scanned += t.size.base_pages();
+    // Measure the run around the new page, bounded by the scan cap, over
+    // adjacent entries; mark it leaf table by leaf table once it is long enough.
+    let run = pt.offset_run(va, SCAN_CAP_PAGES).expect("translated above");
+    if run.pages() >= threshold_pages {
+        pt.add_flags_in(run, PteFlags::CONTIG);
     }
-    let mut run_end = my_start + my_size.bytes();
-    while scanned < SCAN_CAP_PAGES {
-        let Ok(t) = pt.translate(run_end) else { break };
-        if run_end.page_offset(t.size) != 0 {
-            break; // entered the middle of a huge leaf: offset cannot match
-        }
-        if MapOffset::between(run_end, PhysAddr::from(t.pfn)) != my_offset {
-            break;
-        }
-        run_end += t.size.bytes();
-        scanned += t.size.base_pages();
-    }
-
-    let run_pages = (run_end - run_start) >> contig_types::BASE_PAGE_SHIFT;
-    if run_pages >= threshold_pages {
-        let mut cursor = run_start;
-        while cursor < run_end {
-            let size = pt
-                .translate(cursor)
-                .map(|t| t.size)
-                .expect("run interior verified mapped");
-            pt.update_flags(cursor, |f| f | PteFlags::CONTIG);
-            cursor += size.bytes();
-        }
-    }
-    run_pages
+    run.pages()
 }
 
 #[cfg(test)]

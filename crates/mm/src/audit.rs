@@ -225,14 +225,12 @@ impl System {
         // Expand every leaf PTE to its base frames (a 2 MiB leaf covers 512),
         // one flat row per reference; mapping heads that COW-share an
         // anonymous frame are kept apart for the count check.
-        let pids = self.pids();
-        let mapped: u64 =
-            pids.iter().map(|pid| self.processes[pid].page_table().mapped_bytes()).sum();
+        let mapped: u64 = self.processes.iter().map(|(_, a)| a.page_table().mapped_bytes()).sum();
         let mut frame_refs: Vec<(Pfn, Pid, VirtAddr, PteFlags)> =
             Vec::with_capacity((mapped / PageSize::Base4K.bytes()) as usize);
         let mut cow_heads: Vec<Pfn> = Vec::new();
-        for pid in pids {
-            for m in self.processes[&pid].page_table().iter_mappings() {
+        for (pid, aspace) in self.processes.iter() {
+            for m in aspace.page_table().iter_mappings() {
                 report.mappings_checked += 1;
                 if m.pte.flags.contains(PteFlags::COW) && !m.pte.flags.contains(PteFlags::FILE) {
                     cow_heads.push(m.pte.pfn);

@@ -564,7 +564,7 @@ impl System {
             let (pid_raw, w) = self.daemon.candidates[self.daemon.candidate_cursor as usize];
             self.daemon.candidate_cursor += 1;
             let pid = Pid(pid_raw);
-            if !self.processes.contains_key(&pid) {
+            if self.processes.get(pid).is_none() {
                 self.daemon.candidates.retain(|&(p, v)| (p, v) != (pid_raw, w));
                 self.daemon.candidate_cursor -= 1;
                 return;
@@ -632,7 +632,7 @@ impl System {
     ) -> &'a BTreeMap<u64, Vec<(u64, Pfn, PteFlags)>> {
         cache.entry(pid).or_insert_with(|| {
             let mut windows: BTreeMap<u64, Vec<(u64, Pfn, PteFlags)>> = BTreeMap::new();
-            if let Some(aspace) = self.processes.get(&pid) {
+            if let Some(aspace) = self.processes.get(pid) {
                 for m in aspace.page_table().iter_mappings() {
                     if m.size != PageSize::Base4K {
                         continue; // already huge
@@ -666,7 +666,7 @@ impl System {
         if flags.contains(PteFlags::COW) || flags.contains(PteFlags::FILE) {
             return WindowVerdict::No;
         }
-        let Some(aspace) = self.processes.get(&pid) else { return WindowVerdict::No };
+        let Some(aspace) = self.processes.get(pid) else { return WindowVerdict::No };
         let last = VirtAddr::new(w + PageSize::Huge2M.bytes() - PageSize::Base4K.bytes());
         let Some(vma_id) = aspace.vma_containing(VirtAddr::new(w)) else {
             return WindowVerdict::No;
@@ -710,7 +710,7 @@ impl System {
                 return;
             }
         };
-        let Some(aspace) = self.processes.get_mut(&pid) else {
+        let Some(aspace) = self.processes.get_mut(pid) else {
             self.machine.free(block, PageSize::Huge2M.order());
             self.daemon.stats.promote_failed += 1;
             self.trace_daemon(DaemonStage::PromoteFail, HUGE_PAGES, w);

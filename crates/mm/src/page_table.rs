@@ -6,7 +6,9 @@
 //! PMD level, and `(g+1)*(h+1)-1` for a nested 2D walk).
 //!
 //! Tables live in one arena of packed 8-byte entries ([`crate::pte`]) beside an
-//! occupancy bit per entry, so a scan visits only what is mapped (DESIGN §2).
+//! occupancy bit per entry, so a scan visits only what is mapped, and the last
+//! PT table a writer reached is remembered, so the walks of one fault, and of
+//! the next in the same 2 MiB region, skip the upper levels (DESIGN §2).
 
 use contig_types::{PageSize, Pfn, TranslateError, VirtAddr, VirtRange};
 
@@ -23,6 +25,8 @@ pub const LEVELS_LA57: u32 = 5;
 
 /// Level at which 2 MiB leaves live (1 = PT, 2 = PMD, ...).
 const HUGE_LEVEL: u32 = 2;
+/// `va >> REGION_SHIFT` numbers the 2 MiB region a PT table maps.
+const REGION_SHIFT: u32 = contig_types::BASE_PAGE_SHIFT + 9 * (HUGE_LEVEL - 1);
 
 /// The result of a successful page-table walk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,13 +83,23 @@ pub struct PageTable {
     levels: u32,
     /// Mapped leaves by level: `[4 KiB, 2 MiB]`.
     leaves: [u64; 2],
+    /// The PT-level table a `&mut self` walker last reached, as `(region,
+    /// table)`: a walk inside that region is a compare and one load. Tables
+    /// never move; `map(Huge2M)`, which alone can orphan one, drops the pair.
+    last_pt: (u64, usize),
 }
+
+/// The `last_pt` of a table that remembers nothing: no address has this region.
+const NO_PT: (u64, usize) = (u64::MAX, 0);
 
 impl Default for PageTable {
     fn default() -> Self {
         Self::new()
     }
 }
+
+/// A leaf as the run scan sees it: arena slot, level, start address.
+type Leaf = (usize, u32, u64);
 
 fn leaf_of(entry: u64, level: u32) -> (Pte, PageSize) {
     let (_, flags, pfn) = unpack(entry);
@@ -108,7 +122,7 @@ impl PageTable {
     /// Panics unless `levels` is 4 or 5.
     pub fn with_levels(levels: u32) -> Self {
         assert!((LEVELS..=LEVELS_LA57).contains(&levels), "unsupported radix depth {levels}");
-        Self { entries: vec![EMPTY; 512], present: vec![0; 8], levels, leaves: [0; 2] }
+        Self { entries: vec![EMPTY; 512], present: vec![0; 8], levels, leaves: [0; 2], last_pt: NO_PT }
     }
 
     /// The radix depth (4 or 5).
@@ -153,9 +167,15 @@ impl PageTable {
         self.present[table << 3..][..8].iter().any(|&word| word != 0)
     }
 
+    /// Bytes mapped by one entry at `level`.
+    fn span(level: u32) -> u64 {
+        1 << Self::shift(level)
+    }
+
     /// Arena slot and level of the leaf covering `va`.
     fn find(&self, va: VirtAddr) -> Option<(usize, u32)> {
-        let (mut table, mut level) = (0, self.levels);
+        let (mut table, mut level) =
+            if va.raw() >> REGION_SHIFT == self.last_pt.0 { (self.last_pt.1, 1) } else { (0, self.levels) };
         loop {
             let slot = Self::slot(table, va.raw(), level);
             match unpack(self.entries[slot]) {
@@ -164,6 +184,15 @@ impl PageTable {
                 _ => return None,
             }
         }
+    }
+
+    /// [`Self::find`], remembering the PT table a 4 KiB leaf was found in.
+    fn find_mut(&mut self, va: VirtAddr) -> Option<(usize, u32)> {
+        let (slot, level) = self.find(va)?;
+        if level == 1 {
+            self.last_pt = (va.raw() >> REGION_SHIFT, slot >> 9);
+        }
+        Some((slot, level))
     }
 
     /// Installs a leaf mapping `va -> pte` of the given size.
@@ -176,8 +205,10 @@ impl PageTable {
     pub fn map(&mut self, va: VirtAddr, pte: Pte, size: PageSize) {
         assert!(va.is_aligned(size), "mapping {va} unaligned for {size}");
         let leaf_level = if size == PageSize::Huge2M { HUGE_LEVEL } else { 1 };
-        let mut table = 0;
-        for level in (leaf_level + 1..=self.levels).rev() {
+        let region = va.raw() >> REGION_SHIFT;
+        let (mut table, top) =
+            if (leaf_level, region) == (1, self.last_pt.0) { (self.last_pt.1, 1) } else { (0, self.levels) };
+        for level in (leaf_level + 1..=top).rev() {
             let slot = Self::slot(table, va.raw(), level);
             table = match unpack(self.entries[slot]) {
                 (TABLE, _, child) => child as usize,
@@ -203,6 +234,12 @@ impl PageTable {
         }
         self.set(slot, pack(LEAF, pte.flags, pte.pfn.raw()));
         self.leaves[leaf_level as usize - 1] += 1;
+        if leaf_level == 1 {
+            self.last_pt = (region, table);
+        } else if region == self.last_pt.0 {
+            // The huge leaf took the PMD slot that named the remembered table.
+            self.last_pt = NO_PT;
+        }
     }
 
     /// Removes the leaf covering `va` (for huge leaves, any interior address
@@ -212,7 +249,7 @@ impl PageTable {
     /// reclaim page-table pages eagerly); translation correctness is
     /// unaffected.
     pub fn unmap(&mut self, va: VirtAddr) -> Option<(Pte, PageSize)> {
-        let (slot, level) = self.find(va)?;
+        let (slot, level) = self.find_mut(va)?;
         let old = leaf_of(self.entries[slot], level);
         self.set(slot, EMPTY);
         self.leaves[level as usize - 1] -= 1;
@@ -234,15 +271,22 @@ impl PageTable {
     /// `va`. O(levels): the THP fault path uses this to decide whether a huge
     /// fault is still possible.
     pub fn huge_region_populated(&self, va: VirtAddr) -> bool {
+        match self.pt_table(va.raw()) {
+            Ok(table) => self.populated(table),
+            Err(tag) => tag == LEAF,
+        }
+    }
+
+    /// Root walk to `va`'s PT table, or the tag of the entry that ends it.
+    fn pt_table(&self, va: u64) -> Result<usize, u64> {
         let mut table = 0;
         for level in (HUGE_LEVEL..=self.levels).rev() {
-            match unpack(self.entries[Self::slot(table, va.raw(), level)]) {
+            match unpack(self.entries[Self::slot(table, va, level)]) {
                 (TABLE, _, child) => table = child as usize,
-                (tag, ..) => return tag == LEAF,
+                (tag, ..) => return Err(tag),
             }
         }
-        // Reached the PT table under the PMD slot: populated iff any leaf.
-        self.populated(table)
+        Ok(table)
     }
 
     /// Mutates the flags of the leaf covering `va`, returning the new flags.
@@ -251,7 +295,7 @@ impl PageTable {
         va: VirtAddr,
         update: impl FnOnce(PteFlags) -> PteFlags,
     ) -> Option<PteFlags> {
-        let (slot, _) = self.find(va)?;
+        let (slot, _) = self.find_mut(va)?;
         let (_, flags, pfn) = unpack(self.entries[slot]);
         let flags = update(flags);
         self.set(slot, pack(LEAF, flags, pfn));
@@ -261,17 +305,80 @@ impl PageTable {
     /// Replaces the frame of the leaf covering `va` (used by migration and
     /// COW break), preserving size. Returns the old entry.
     pub fn remap(&mut self, va: VirtAddr, new: Pte) -> Option<(Pte, PageSize)> {
-        let (slot, level) = self.find(va)?;
+        let (slot, level) = self.find_mut(va)?;
         let old = leaf_of(self.entries[slot], level);
         self.set(slot, pack(LEAF, new.flags, new.pfn.raw()));
         Some(old)
     }
 
-    /// Panics unless every occupancy bit mirrors its entry (reads the whole arena).
+    /// The leaf covering `va`.
+    fn leaf(&self, va: u64) -> Option<Leaf> {
+        let (slot, level) = self.find(VirtAddr::new(va))?;
+        Some((slot, level, va & !(Self::span(level) - 1)))
+    }
+
+    /// Start address minus backing address of `leaf`, in pages.
+    fn offset_pages(&self, (slot, _, va): Leaf) -> i64 {
+        (va >> contig_types::BASE_PAGE_SHIFT) as i64 - unpack(self.entries[slot]).2 as i64
+    }
+
+    /// The leaf that starts where `leaf` ends (`forward`) or ends where it
+    /// starts: the adjacent entry inside a PT table, a walk at its edges.
+    fn beside(&self, (slot, level, va): Leaf, forward: bool) -> Option<Leaf> {
+        let edge = if forward { ENTRIES_PER_TABLE - 1 } else { 0 };
+        if level == 1 && slot & (ENTRIES_PER_TABLE - 1) != edge {
+            let (slot, va) = if forward { (slot + 1, va + Self::span(1)) } else { (slot - 1, va - Self::span(1)) };
+            return (unpack(self.entries[slot]).0 == LEAF).then_some((slot, 1, va));
+        }
+        self.leaf(if forward { va.checked_add(Self::span(level))? } else { va.checked_sub(1)? })
+    }
+
+    /// The run of leaves around the one covering `va` that continue its
+    /// virtual-to-physical offset, measured backwards then forwards until
+    /// `cap_pages` base pages are counted (the leaf that crosses the cap is
+    /// kept). `None` when `va` is unmapped. For CA paging's marker only.
+    pub fn offset_run(&self, va: VirtAddr, cap_pages: u64) -> Option<VirtRange> {
+        let here = self.leaf(va.raw())?;
+        let offset = self.offset_pages(here);
+        let mut ends = [here; 2];
+        let mut scanned = Self::span(here.1) >> contig_types::BASE_PAGE_SHIFT;
+        for forward in [false, true] {
+            let end = &mut ends[usize::from(forward)];
+            while scanned < cap_pages {
+                match self.beside(*end, forward) {
+                    Some(leaf) if self.offset_pages(leaf) == offset => *end = leaf,
+                    _ => break,
+                }
+                scanned += Self::span(end.1) >> contig_types::BASE_PAGE_SHIFT;
+            }
+        }
+        let [(_, _, start), (_, level, last)] = ends;
+        Some(VirtRange::new(VirtAddr::new(start), last - start + Self::span(level)))
+    }
+
+    /// Adds `flags` to the leaves of `range`, which [`Self::offset_run`]
+    /// measured: entry by entry, walking only from one PT table to the next.
+    pub fn add_flags_in(&mut self, range: VirtRange, flags: PteFlags) {
+        let start = range.start().raw();
+        let mut next = self.leaf(start);
+        while let Some(leaf) = next.filter(|leaf| leaf.2.saturating_sub(start) < range.len()) {
+            let (_, old, pfn) = unpack(self.entries[leaf.0]);
+            self.set(leaf.0, pack(LEAF, old | flags, pfn));
+            next = self.beside(leaf, true);
+        }
+    }
+
+    /// Panics unless every occupancy bit mirrors its entry and the remembered
+    /// PT table is the one a root walk reaches (reads the whole arena).
     pub fn verify_integrity(&self) {
         for (slot, &entry) in self.entries.iter().enumerate() {
             let bit = self.present[slot >> 6] >> (slot & 63) & 1;
             assert_eq!(bit == 1, entry != EMPTY, "occupancy bit of slot {slot} out of step");
+        }
+        let (region, table) = self.last_pt;
+        if self.last_pt != NO_PT {
+            let reached = self.pt_table(region << REGION_SHIFT);
+            assert_eq!(reached, Ok(table), "remembered PT table of region {region:#x} is stale");
         }
     }
 

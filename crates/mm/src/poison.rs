@@ -257,10 +257,10 @@ impl System {
             any_file |= flags.contains(PteFlags::FILE);
             let vma_start = self
                 .processes
-                .get(&pid)
+                .get(pid)
                 .and_then(|a| a.vma_containing(va))
                 .map(|crate::aspace::VmaId(start)| start);
-            if let Some(aspace) = self.processes.get_mut(&pid) {
+            if let Some(aspace) = self.processes.get_mut(pid) {
                 aspace.page_table_mut().unmap(va);
             }
             // The SIGBUS names the exact poisoned page, not the mapping head.

@@ -93,8 +93,8 @@ impl System {
     /// table (pids ascending) and of every file's cached pages.
     pub fn frame_users(&self) -> FrameUsers {
         let mut ptes: HashMap<Pfn, Vec<PteRef>> = HashMap::new();
-        for pid in self.pids() {
-            for m in self.processes[&pid].page_table().iter_mappings() {
+        for (pid, aspace) in self.processes.iter() {
+            for m in aspace.page_table().iter_mappings() {
                 ptes.entry(m.pte.pfn).or_default().push((pid, m.va, m.size, m.pte.flags));
             }
         }
@@ -159,7 +159,7 @@ impl System {
         match *kind {
             MoveKind::Anon { pid, va, .. } => self
                 .processes
-                .get(&pid)
+                .get(pid)
                 .and_then(|aspace| aspace.page_table().translate(va).ok())
                 .is_some_and(|t| t.pfn == head),
             MoveKind::Cache { file, index, .. } => self.page_cache.lookup(file, index) == Some(head),
@@ -170,7 +170,7 @@ impl System {
     /// poisoned-cache-page drop, just before they evict the slot).
     pub(crate) fn unmap_mappings_of(&mut self, users: &FrameUsers, head: Pfn) {
         for &(pid, va, ..) in users.mappings_of(head) {
-            if let Some(aspace) = self.processes.get_mut(&pid) {
+            if let Some(aspace) = self.processes.get_mut(pid) {
                 aspace.page_table_mut().unmap(va);
             }
         }
@@ -192,7 +192,7 @@ impl System {
             }
         };
         for &(pid, va, flags) in ptes {
-            if let Some(aspace) = self.processes.get_mut(&pid) {
+            if let Some(aspace) = self.processes.get_mut(pid) {
                 aspace.page_table_mut().remap(va, Pte::new(dest, flags));
             }
         }

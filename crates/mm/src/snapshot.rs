@@ -13,8 +13,6 @@
 //! The tracer is deliberately *not* captured: trace sessions are observers,
 //! not state, and a restored system comes back with tracing disabled.
 
-use std::collections::HashMap;
-
 use contig_buddy::{Machine, MachineSnapshot};
 use contig_trace::Tracer;
 use contig_types::{MapOffset, PageSize, Pfn, PoisonPolicy, VirtAddr, VirtRange};
@@ -26,7 +24,7 @@ use crate::pte::{Pte, PteFlags};
 use crate::poison::PoisonStats;
 use crate::recovery::{RecoveryConfig, RecoveryStats};
 use crate::stats::{FaultStats, LatencyModel};
-use crate::system::{NumaStats, Pid, System};
+use crate::system::{NumaStats, Pid, ProcessTable, System};
 use crate::vma::VmaKind;
 
 contig_types::wire_struct! {
@@ -129,6 +127,17 @@ contig_types::wire_struct! {
         /// Background maintenance daemon: policy, mid-epoch cursors, counters
         /// (codec v6). Defaulted (disabled) when restoring older images.
         pub daemon: DaemonState,
+    } => SystemSnapshot::validate
+}
+
+impl SystemSnapshot {
+    /// `System::restore` sizes its process table by the largest pid, and a
+    /// system hands out only pids below `next_pid`.
+    fn validate(&self) -> Result<(), String> {
+        match self.processes.iter().find(|proc| proc.pid >= self.next_pid) {
+            Some(proc) => Err(format!("pid {} is not below next_pid {}", proc.pid, self.next_pid)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -156,9 +165,8 @@ fn stats_restore(snap: &FaultStatsSnapshot) -> FaultStats {
 impl System {
     /// Captures the full system as plain data.
     pub fn snapshot(&self) -> SystemSnapshot {
-        let mut processes = Vec::with_capacity(self.processes.len());
-        for pid in self.pids() {
-            let aspace = &self.processes[&pid];
+        let mut processes = Vec::new();
+        for (pid, aspace) in self.processes.iter() {
             let vmas = aspace
                 .vma_ids()
                 .map(|id| {
@@ -228,7 +236,7 @@ impl System {
     /// [`Machine::from_snapshot`]) or a `shared` entry names a frame that
     /// heads no allocation.
     pub fn restore(snap: &SystemSnapshot) -> System {
-        let mut processes = HashMap::with_capacity(snap.processes.len());
+        let mut processes = ProcessTable::default();
         for proc in &snap.processes {
             let mut aspace = AddressSpace::new();
             aspace.set_page_table_levels(proc.pt_levels);

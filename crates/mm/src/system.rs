@@ -1,7 +1,7 @@
 //! The simulated OS instance: physical machine + processes + page cache,
 //! with the demand-paging fault driver that consults a [`PlacementPolicy`].
-
-use std::collections::HashMap;
+//! Processes sit in a pid-indexed table, and an access resolves its address
+//! space once: one body serves `touch`, `touch_write` and `fault`.
 
 use contig_buddy::{Machine, MachineConfig, NodeId};
 use contig_trace::{stage, FaultClass, RecoveryStage, TraceEvent, Tracer};
@@ -23,6 +23,38 @@ use crate::vma::VmaKind;
 /// Process identifier.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Pid(pub u32);
+
+/// The live address spaces, indexed by pid. Pids are handed out from 1 and
+/// never reused, so a lookup is a bounds check, iteration is pid-ascending,
+/// and an exited process leaves an empty pointer behind, not its address space.
+#[derive(Debug, Default)]
+pub(crate) struct ProcessTable(Vec<Option<Box<AddressSpace>>>);
+
+impl ProcessTable {
+    pub(crate) fn get(&self, pid: Pid) -> Option<&AddressSpace> {
+        self.0.get(pid.0 as usize)?.as_deref()
+    }
+
+    pub(crate) fn get_mut(&mut self, pid: Pid) -> Option<&mut AddressSpace> {
+        self.0.get_mut(pid.0 as usize)?.as_deref_mut()
+    }
+
+    pub(crate) fn insert(&mut self, pid: Pid, aspace: AddressSpace) {
+        let slot = pid.0 as usize;
+        self.0.resize_with(self.0.len().max(slot + 1), || None);
+        self.0[slot] = Some(Box::new(aspace));
+    }
+
+    pub(crate) fn remove(&mut self, pid: Pid) -> Option<AddressSpace> {
+        self.0.get_mut(pid.0 as usize)?.take().map(|aspace| *aspace)
+    }
+
+    /// The live processes, pid-ascending.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Pid, &AddressSpace)> {
+        let slots = self.0.iter().enumerate();
+        slots.filter_map(|(pid, slot)| Some((Pid(pid as u32), slot.as_deref()?)))
+    }
+}
 
 /// How many placement retries a single fault may burn before the driver
 /// forces a default allocation; guards against pathological policies.
@@ -195,7 +227,7 @@ impl SystemConfig {
 #[derive(Debug)]
 pub struct System {
     pub(crate) machine: Machine,
-    pub(crate) processes: HashMap<Pid, AddressSpace>,
+    pub(crate) processes: ProcessTable,
     pub(crate) page_cache: PageCache,
     pub(crate) next_pid: u32,
     pub(crate) thp: bool,
@@ -374,13 +406,16 @@ impl FaultFrame<'_> {
         va: VirtAddr,
         size: PageSize,
         kind: FaultKind,
+        absent: bool,
     ) -> Result<FaultOutcome, FaultError> {
         let fault_va = va.align_down(size);
         let tracer = self.tracer;
         let home = self.aspace.home();
         {
+            // `absent`: the caller's probe just missed, and a huge size was
+            // only chosen for an unpopulated region.
             let _pt_span = tracer.span(stage::PT_WALK);
-            if self.aspace.page_table().translate(fault_va).is_ok() {
+            if !absent && self.aspace.page_table().translate(fault_va).is_ok() {
                 return Err(FaultError::AlreadyMapped { addr: va });
             }
         }
@@ -528,7 +563,7 @@ impl System {
     pub fn new(config: SystemConfig) -> Self {
         Self {
             machine: Machine::new(config.machine),
-            processes: HashMap::new(),
+            processes: ProcessTable::default(),
             page_cache: PageCache::new(config.cache_mode),
             next_pid: 1,
             thp: config.thp,
@@ -652,14 +687,14 @@ impl System {
     /// Panics on an unknown pid or a node the machine does not have.
     pub fn set_home_node(&mut self, pid: Pid, node: Option<usize>) {
         let nodes = self.machine.nodes();
-        let Some(aspace) = self.processes.get_mut(&pid) else { panic!("unknown pid {pid:?}") };
+        let Some(aspace) = self.processes.get_mut(pid) else { panic!("unknown pid {pid:?}") };
         assert!(node.is_none_or(|n| n < nodes), "node {node:?} beyond machine topology");
         aspace.set_home(node);
     }
 
     /// The process's NUMA home node, if one is assigned.
     pub fn home_node(&self, pid: Pid) -> Option<usize> {
-        self.processes.get(&pid).and_then(AddressSpace::home)
+        self.processes.get(pid).and_then(AddressSpace::home)
     }
 
     /// Cumulative NUMA placement counters.
@@ -689,7 +724,7 @@ impl System {
         if target >= self.machine.nodes() {
             return Err(NodeMigrateError::BadNode);
         }
-        let aspace = self.processes.get(&pid).ok_or(NodeMigrateError::UnknownPid)?;
+        let aspace = self.processes.get(pid).ok_or(NodeMigrateError::UnknownPid)?;
         let t = aspace
             .page_table()
             .translate(va)
@@ -781,7 +816,7 @@ impl System {
     ///
     /// Panics on an unknown pid.
     pub fn aspace(&self, pid: Pid) -> &AddressSpace {
-        &self.processes[&pid]
+        self.processes.get(pid).expect("unknown pid")
     }
 
     /// Mutable access to a process address space.
@@ -790,14 +825,12 @@ impl System {
     ///
     /// Panics on an unknown pid.
     pub fn aspace_mut(&mut self, pid: Pid) -> &mut AddressSpace {
-        self.processes.get_mut(&pid).expect("unknown pid")
+        self.processes.get_mut(pid).expect("unknown pid")
     }
 
     /// Iterates live pids in creation order.
     pub fn pids(&self) -> Vec<Pid> {
-        let mut pids: Vec<_> = self.processes.keys().copied().collect();
-        pids.sort_unstable();
-        pids
+        self.processes.iter().map(|(pid, _)| pid).collect()
     }
 
     /// The COW sharer count recorded for `pfn`, if the frame is shared.
@@ -898,7 +931,7 @@ impl System {
     ) -> Result<FaultOutcome, ContigError> {
         let vma_start = self
             .processes
-            .get(&pid)
+            .get(pid)
             .and_then(|a| a.vma_containing(va))
             .map(|VmaId(start)| start);
         self.touch(policy, pid, va).map_err(|e| {
@@ -922,10 +955,7 @@ impl System {
         pid: Pid,
         va: VirtAddr,
     ) -> Result<FaultOutcome, FaultError> {
-        if let Ok(t) = self.processes[&pid].page_table().translate(va) {
-            return Ok(FaultOutcome { pfn: t.pfn, size: t.size, already_mapped: true });
-        }
-        self.fault(policy, pid, va, FaultKind::Anon)
+        self.access(policy, pid, va, FaultKind::Anon, true)
     }
 
     /// Touches `va` for writing: breaks copy-on-write shares.
@@ -939,17 +969,7 @@ impl System {
         pid: Pid,
         va: VirtAddr,
     ) -> Result<FaultOutcome, FaultError> {
-        let translation = self.processes[&pid].page_table().translate(va);
-        match translation {
-            Ok(t) if t.flags.contains(PteFlags::COW) => self.fault(policy, pid, va, FaultKind::Cow),
-            Ok(t) => {
-                // Already writable: content still changes, so the migration
-                // dirty log (when armed) must see the store.
-                self.mark_dirty(t.pfn, t.size);
-                Ok(FaultOutcome { pfn: t.pfn, size: t.size, already_mapped: true })
-            }
-            Err(_) => self.fault(policy, pid, va, FaultKind::Anon),
-        }
+        self.access(policy, pid, va, FaultKind::Cow, true)
     }
 
     /// Services a page fault at `va` under the given placement policy.
@@ -961,13 +981,14 @@ impl System {
     /// page, and finally invokes [`PlacementPolicy::post_map`].
     ///
     /// The faulting address space (and with it the home node) is resolved
-    /// once, here, and the first allocation attempt runs on that borrow; only
-    /// an attempt that follows out-of-memory recovery resolves it again,
-    /// because recovery needs the whole system in between.
+    /// once, at entry (a touch probes on the same borrow), for the first
+    /// allocation attempt; only an attempt that follows out-of-memory recovery
+    /// resolves it again, because recovery needs the whole system in between.
     ///
     /// # Errors
     ///
-    /// - [`FaultError::UnmappedAddress`] outside any VMA.
+    /// - [`FaultError::UnmappedAddress`] outside any VMA, and for a `pid`
+    ///   that has exited or never existed (no process maps nothing).
     /// - [`FaultError::AlreadyMapped`] when the page is present (and not a
     ///   COW break).
     /// - [`FaultError::OutOfMemory`] when physical memory is exhausted.
@@ -978,12 +999,44 @@ impl System {
         va: VirtAddr,
         kind: FaultKind,
     ) -> Result<FaultOutcome, FaultError> {
+        self.access(policy, pid, va, kind, false)
+    }
+
+    /// The fault driver. With `touch` it first looks the page up — the one
+    /// probe of a touch — and faults only if the page is absent or, for a
+    /// write (`kind` is `Cow`), still shared.
+    fn access(
+        &mut self,
+        policy: &mut dyn PlacementPolicy,
+        pid: Pid,
+        va: VirtAddr,
+        mut kind: FaultKind,
+        touch: bool,
+    ) -> Result<FaultOutcome, FaultError> {
+        let Some(mut frame) = self.fault_frame(pid) else {
+            return Err(FaultError::UnmappedAddress { addr: va });
+        };
+        let probe = touch.then(|| frame.aspace.page_table().translate(va));
+        match probe {
+            Some(Ok(t)) if kind == FaultKind::Cow && t.flags.contains(PteFlags::COW) => {}
+            Some(Ok(t)) => {
+                if kind == FaultKind::Cow {
+                    // Already writable: content still changes, so the
+                    // migration dirty log (when armed) must see the store.
+                    self.mark_dirty(t.pfn, t.size);
+                }
+                return Ok(FaultOutcome { pfn: t.pfn, size: t.size, already_mapped: true });
+            }
+            Some(Err(_)) => kind = FaultKind::Anon,
+            None => {}
+        }
+        // A probe that missed spares the first allocation attempt its own.
+        let absent = matches!(probe, Some(Err(_)));
         // Re-align the session clock to this system's timeline before the
         // span opens: under nested virt the guest and host systems share one
         // session, and whichever faulted last left *its* clock behind.
-        self.tracer.set_clock(self.now_ns);
-        let _fault_span = self.tracer.span(stage::FAULT);
-        let mut frame = self.fault_frame(pid);
+        frame.tracer.set_clock(*frame.now_ns);
+        let _fault_span = frame.tracer.span(stage::FAULT);
         let vma_lookup = {
             let _vma_span = frame.tracer.span(stage::VMA_WALK);
             frame.aspace.vma_containing(va)
@@ -992,7 +1045,9 @@ impl System {
             self.tracer.emit(TraceEvent::FaultFailed { pid: pid.0, va: va.raw() });
             return Err(FaultError::UnmappedAddress { addr: va });
         };
-        let kind = match frame.aspace.vma(vma_id).kind() {
+        let vma = frame.aspace.vma(vma_id);
+        let (vma_kind, vma_range) = (vma.kind(), vma.range());
+        let kind = match vma_kind {
             VmaKind::File { .. } if kind == FaultKind::Anon => FaultKind::FileRead,
             _ => kind,
         };
@@ -1011,10 +1066,11 @@ impl System {
                 let first = frame.try_cow_break(policy, pid, vma_id, va);
                 self.cow_fault(policy, pid, vma_id, va, first)
             }
-            FaultKind::FileRead => self.file_fault(policy, pid, vma_id, va),
+            FaultKind::FileRead => self.file_fault(policy, pid, vma_id, va, vma_kind, vma_range),
             FaultKind::Anon => {
                 let size = frame.anon_fault_size(policy, vma_id, va);
-                let first = frame.try_alloc_and_map(policy, vma_id, va, size, FaultKind::Anon);
+                let first =
+                    frame.try_alloc_and_map(policy, vma_id, va, size, FaultKind::Anon, absent);
                 self.anon_fault(policy, pid, vma_id, va, size, first)
             }
         };
@@ -1047,10 +1103,11 @@ impl System {
     }
 
     /// Splits the system into the parts an allocation attempt of `pid` works
-    /// on — the one `processes` probe of a fault.
-    fn fault_frame(&mut self, pid: Pid) -> FaultFrame<'_> {
-        FaultFrame {
-            aspace: self.processes.get_mut(&pid).expect("unknown pid"),
+    /// on — the one `processes` lookup of a fault. `None` for a pid that is
+    /// not live.
+    fn fault_frame(&mut self, pid: Pid) -> Option<FaultFrame<'_>> {
+        Some(FaultFrame {
+            aspace: self.processes.get_mut(pid)?,
             machine: &mut self.machine,
             page_cache: &mut self.page_cache,
             numa_stats: &mut self.numa_stats,
@@ -1058,7 +1115,7 @@ impl System {
             latency: &self.latency,
             tracer: &self.tracer,
             thp: self.thp,
-        }
+        })
     }
 
     /// One round of the out-of-memory escalation every fault kind shares:
@@ -1139,8 +1196,8 @@ impl System {
                 }
                 Err(e) => return Err(e),
             }
-            attempt =
-                self.fault_frame(pid).try_alloc_and_map(policy, vma_id, va, size, FaultKind::Anon);
+            let mut frame = self.fault_frame(pid).expect("recovery exits no process");
+            attempt = frame.try_alloc_and_map(policy, vma_id, va, size, FaultKind::Anon, false);
         }
     }
 
@@ -1175,7 +1232,8 @@ impl System {
                 }
                 Err(e) => return Err(e),
             }
-            attempt = self.fault_frame(pid).try_cow_break(policy, pid, vma_id, va);
+            let mut frame = self.fault_frame(pid).expect("recovery exits no process");
+            attempt = frame.try_cow_break(policy, pid, vma_id, va);
         }
     }
 
@@ -1185,16 +1243,17 @@ impl System {
         pid: Pid,
         vma_id: VmaId,
         va: VirtAddr,
+        vma_kind: VmaKind,
+        vma_range: contig_types::VirtRange,
     ) -> Result<FaultOutcome, FaultError> {
         /// Pages fetched around a file fault, like Linux's default readahead
         /// window (128 KiB).
         const READAHEAD_PAGES: u64 = 32;
-        let vma = self.aspace(pid).vma(vma_id);
-        let VmaKind::File { file, start_page } = vma.kind() else {
+        let VmaKind::File { file, start_page } = vma_kind else {
             unreachable!("file fault on anonymous VMA");
         };
-        let vma_start = vma.range().start();
-        let vma_pages = vma.range().pages();
+        let vma_start = vma_range.start();
+        let vma_pages = vma_range.pages();
         let page_va = va.align_down(PageSize::Base4K);
         let vma_index = (page_va - vma_start) / PageSize::Base4K.bytes();
         let file_index = start_page + vma_index;
@@ -1241,7 +1300,7 @@ impl System {
             .ok_or(FaultError::OutOfMemory { addr: va, size: PageSize::Base4K })?;
         // Readahead may have gone through recovery, which needs the whole
         // system: the mapping step resolves the address space afresh.
-        let frame = self.fault_frame(pid);
+        let frame = self.fault_frame(pid).expect("recovery exits no process");
         let home = frame.aspace.home();
         {
             let _pt_span = frame.tracer.span(stage::PT_WALK);
@@ -1281,7 +1340,7 @@ impl System {
     /// shares it into a new process, as `fork` would. Returns the child pid.
     pub fn fork_vma(&mut self, pid: Pid, vma_id: VmaId) -> Pid {
         let child = self.spawn();
-        let parent = self.processes.get_mut(&pid).expect("unknown pid");
+        let parent = self.processes.get_mut(pid).expect("unknown pid");
         let range = parent.vma(vma_id).range();
         let kind = parent.vma(vma_id).kind();
         let mut pages = Vec::new();
@@ -1292,7 +1351,7 @@ impl System {
                 pages.push(mapped);
             }
         }
-        let child_aspace = self.processes.get_mut(&child).expect("child pid");
+        let child_aspace = self.processes.get_mut(child).expect("child pid");
         child_aspace.map_vma(range, kind);
         for m in &pages {
             child_aspace
@@ -1314,7 +1373,7 @@ impl System {
     ///
     /// Panics on an unknown pid.
     pub fn exit(&mut self, pid: Pid) {
-        let aspace = self.processes.remove(&pid).expect("unknown pid");
+        let aspace = self.processes.remove(pid).expect("unknown pid");
         for m in aspace.page_table().iter_mappings() {
             if m.pte.flags.contains(PteFlags::FILE) {
                 continue;
@@ -1359,14 +1418,14 @@ impl System {
     ) -> Result<KsmMergeOutcome, KsmError> {
         let kt = self
             .processes
-            .get(&keeper.0)
+            .get(keeper.0)
             .ok_or(KsmError::UnknownPid)?
             .page_table()
             .translate(keeper.1)
             .map_err(|_| KsmError::NotMapped)?;
         let dt = self
             .processes
-            .get(&donor.0)
+            .get(donor.0)
             .ok_or(KsmError::UnknownPid)?
             .page_table()
             .translate(donor.1)
@@ -1386,12 +1445,12 @@ impl System {
         let keeper_va = keeper.1.align_down(PageSize::Base4K);
         let donor_va = donor.1.align_down(PageSize::Base4K);
         self.processes
-            .get_mut(&keeper.0)
+            .get_mut(keeper.0)
             .expect("keeper pid")
             .page_table_mut()
             .update_flags(keeper_va, |f| f.difference(PteFlags::WRITE) | PteFlags::COW);
         self.processes
-            .get_mut(&donor.0)
+            .get_mut(donor.0)
             .expect("donor pid")
             .page_table_mut()
             .remap(
@@ -1419,7 +1478,7 @@ impl System {
     /// Returns the frame the leaf pointed at and whether it actually
     /// reached the free lists, or `None` when `va` has no 4 KiB leaf.
     pub fn unmap_base_page(&mut self, pid: Pid, va: VirtAddr) -> Option<(Pfn, bool)> {
-        let aspace = self.processes.get_mut(&pid)?;
+        let aspace = self.processes.get_mut(pid)?;
         let t = aspace.page_table().translate(va).ok()?;
         if t.size != PageSize::Base4K {
             return None;
@@ -1449,7 +1508,7 @@ impl System {
         pid: Pid,
         vma_id: VmaId,
     ) -> Result<(), FaultError> {
-        let range = self.processes[&pid].vma(vma_id).range();
+        let range = self.aspace(pid).vma(vma_id).range();
         let mut va = range.start();
         while va < range.end() {
             let out = self.touch(policy, pid, va)?;
@@ -1478,7 +1537,7 @@ impl System {
         pid: Pid,
         vma_id: VmaId,
     ) -> Result<u64, FaultError> {
-        let aspace = self.processes.get_mut(&pid).expect("unknown pid");
+        let aspace = self.processes.get_mut(pid).expect("unknown pid");
         assert_eq!(
             aspace.vma(vma_id).kind(),
             VmaKind::Anon,

@@ -35,15 +35,17 @@ fn va_2m(slot: u64) -> VirtAddr {
     VirtAddr::new(slot * (2 << 20))
 }
 
-/// An op of the sparse reference-model test; `SparseVa`s name its targets.
-#[derive(Clone, Debug)]
+/// An op of the sparse reference-model test, applied at a `SparseVa`.
+#[derive(Clone, Copy, Debug)]
 enum SparseOp {
-    Map { at: SparseVa, huge: bool, pfn: u64, flags: u8 },
-    Unmap(SparseVa),
-    Remap { at: SparseVa, pfn: u64, flags: u8 },
-    OrFlags { at: SparseVa, flags: u8 },
-    Translate(SparseVa),
-    RegionPopulated(SparseVa),
+    Map { huge: bool, pfn: u64, flags: u8 },
+    Unmap,
+    Remap { pfn: u64, flags: u8 },
+    OrFlags { flags: u8 },
+    Translate,
+    RegionPopulated,
+    /// The life of a PT table that ends orphaned: see `recycle`.
+    Recycle { pfn: u64, flags: u8 },
 }
 
 /// A deliberately sparse address: one of a few far-apart 4 MiB windows
@@ -77,29 +79,138 @@ fn sparse_va() -> impl Strategy<Value = SparseVa> {
 
 fn sparse_op() -> impl Strategy<Value = SparseOp> {
     let pfn = 0u64..=Pte::MAX_PFN.raw();
+    let map = || {
+        (any::<bool>(), 0u64..=Pte::MAX_PFN.raw(), any::<u8>())
+            .prop_map(|(huge, pfn, flags)| SparseOp::Map { huge, pfn, flags })
+    };
     prop_oneof![
-        (sparse_va(), any::<bool>(), pfn.clone(), any::<u8>())
-            .prop_map(|(at, huge, pfn, flags)| SparseOp::Map { at, huge, pfn, flags }),
-        (sparse_va(), any::<bool>(), pfn.clone(), any::<u8>())
-            .prop_map(|(at, huge, pfn, flags)| SparseOp::Map { at, huge, pfn, flags }),
-        sparse_va().prop_map(SparseOp::Unmap),
-        sparse_va().prop_map(SparseOp::Unmap),
-        (sparse_va(), pfn, any::<u8>()).prop_map(|(at, pfn, flags)| SparseOp::Remap {
-            at,
-            pfn,
-            flags
-        }),
-        (sparse_va(), any::<u8>()).prop_map(|(at, flags)| SparseOp::OrFlags { at, flags }),
-        sparse_va().prop_map(SparseOp::Translate),
-        sparse_va().prop_map(SparseOp::RegionPopulated),
+        map(),
+        map(),
+        Just(SparseOp::Unmap),
+        Just(SparseOp::Unmap),
+        (pfn.clone(), any::<u8>()).prop_map(|(pfn, flags)| SparseOp::Remap { pfn, flags }),
+        any::<u8>().prop_map(|flags| SparseOp::OrFlags { flags }),
+        Just(SparseOp::Translate),
+        Just(SparseOp::RegionPopulated),
+        (pfn, any::<u8>()).prop_map(|(pfn, flags)| SparseOp::Recycle { pfn, flags }),
     ]
 }
 
-/// The model: leaf start address → (entry, size). Returns the leaf covering
-/// `va`, if any.
-fn covering(model: &BTreeMap<u64, (Pte, PageSize)>, va: u64) -> Option<(u64, Pte, PageSize)> {
+/// The model: leaf start address → (entry, size).
+type Model = BTreeMap<u64, (Pte, PageSize)>;
+
+/// The leaf of the model covering `va`, if any.
+fn covering(model: &Model, va: u64) -> Option<(u64, Pte, PageSize)> {
     let (&start, &(pte, size)) = model.range(..=va).next_back()?;
     (va < start + size.bytes()).then_some((start, pte, size))
+}
+
+/// Applies one op other than `Recycle` at `va` to the table and to the model
+/// and requires the same answer of both.
+fn apply(pt: &mut PageTable, model: &mut Model, va: VirtAddr, op: SparseOp) {
+    let levels = pt.levels();
+    let want = covering(model, va.raw());
+    match op {
+        SparseOp::Map { huge, pfn, flags } => {
+            let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
+            let va = va.align_down(size).raw();
+            // Legal iff no leaf overlaps [va, va + size).
+            let clear = covering(model, va).is_none()
+                && model.range(va..va + size.bytes()).next().is_none();
+            if clear {
+                let pte = Pte::new(Pfn::new(pfn), PteFlags::from_bits(flags));
+                pt.map(VirtAddr::new(va), pte, size);
+                model.insert(va, (pte, size));
+            }
+        }
+        SparseOp::Unmap => {
+            prop_assert_eq!(pt.unmap(va), want.map(|(_, pte, size)| (pte, size)));
+            if let Some((start, ..)) = want {
+                model.remove(&start);
+            }
+        }
+        SparseOp::Remap { pfn, flags } => {
+            let new = Pte::new(Pfn::new(pfn), PteFlags::from_bits(flags));
+            prop_assert_eq!(pt.remap(va, new), want.map(|(_, pte, size)| (pte, size)));
+            if let Some((start, _, size)) = want {
+                model.insert(start, (new, size));
+            }
+        }
+        SparseOp::OrFlags { flags } => {
+            let or = PteFlags::from_bits(flags);
+            prop_assert_eq!(
+                pt.update_flags(va, |f| f | or),
+                want.map(|(_, pte, _)| pte.flags | or)
+            );
+            if let Some((start, pte, size)) = want {
+                model.insert(start, (Pte::new(pte.pfn, pte.flags | or), size));
+            }
+        }
+        SparseOp::Translate => {
+            let got = pt.translate(va).ok().map(|t| (t.pfn, t.flags, t.size, t.levels));
+            let want = want.map(|(_, pte, size)| {
+                let walked = levels - u32::from(size == PageSize::Huge2M);
+                (pte.pfn, pte.flags, size, walked)
+            });
+            prop_assert_eq!(got, want);
+        }
+        SparseOp::RegionPopulated => {
+            let region = va.align_down(PageSize::Huge2M).raw();
+            let region = region..region + PageSize::Huge2M.bytes();
+            let want = model.range(region).next().is_some();
+            prop_assert_eq!(pt.huge_region_populated(va), want);
+        }
+        SparseOp::Recycle { .. } => unreachable!("expanded by `recycle`"),
+    }
+}
+
+/// The steps of `Recycle` on the 2 MiB region of `va`: 4 KiB maps, all of
+/// them unmapped, a 2 MiB map over the emptied PT table (which orphans it),
+/// that unmapped too, and a 4 KiB map again. After each stage come reads and
+/// in-place writes inside the region the table last walked to and just
+/// outside it, and at the address whose page number is the region's number —
+/// the one a remembered-region compare with the wrong shift would serve from
+/// the wrong table, so the last 4 KiB page sits at that index.
+fn recycle(model: &Model, va: VirtAddr, pfn: u64, flags: u8) -> Vec<(VirtAddr, SparseOp)> {
+    let region = va.align_down(PageSize::Huge2M);
+    let tag = region.raw() >> 21;
+    let page = |index: u64| region + index * 4096;
+    let around = [
+        Some(page(0)),
+        Some(page(tag & 511)),
+        Some(page(511)),
+        region.raw().checked_sub(4096).map(VirtAddr::new),
+        Some(page(512)),
+        Some(VirtAddr::new(tag << 12)),
+    ];
+    let probes = |steps: &mut Vec<(VirtAddr, SparseOp)>| {
+        for at in around.into_iter().flatten() {
+            steps.push((at, SparseOp::Translate));
+            steps.push((at, SparseOp::OrFlags { flags }));
+            steps.push((at, SparseOp::Translate));
+            steps.push((at, SparseOp::Remap { pfn: pfn ^ 1, flags }));
+            steps.push((at, SparseOp::Translate));
+        }
+    };
+    // Whatever the stream left in the region goes first.
+    let mut steps: Vec<_> = model
+        .range(..region.raw() + PageSize::Huge2M.bytes())
+        .rev()
+        .take_while(|(&start, &(_, size))| start + size.bytes() > region.raw())
+        .map(|(&start, _)| (VirtAddr::new(start), SparseOp::Unmap))
+        .collect();
+    let small = [0, tag & 511, 511];
+    for index in small {
+        steps.push((page(index), SparseOp::Map { huge: false, pfn, flags }));
+    }
+    probes(&mut steps);
+    steps.extend(small.map(|index| (page(index), SparseOp::Unmap)));
+    steps.push((region, SparseOp::Map { huge: true, pfn, flags }));
+    probes(&mut steps);
+    steps.push((page(7), SparseOp::Unmap));
+    steps.push((page(tag & 511), SparseOp::Map { huge: false, pfn, flags }));
+    probes(&mut steps);
+    steps
 }
 
 proptest! {
@@ -112,92 +223,41 @@ proptest! {
     #[test]
     fn sparse_page_table_matches_btreemap_model(
         la57 in any::<bool>(),
-        ops in proptest::collection::vec((sparse_op(), sparse_va(), sparse_va()), 1..120),
+        ops in proptest::collection::vec(((sparse_va(), sparse_op()), sparse_va(), sparse_va()), 1..120),
     ) {
         let levels = if la57 { LEVELS_LA57 } else { LEVELS };
         let mut pt = PageTable::with_levels(levels);
-        let mut model: BTreeMap<u64, (Pte, PageSize)> = BTreeMap::new();
-        for (op, lo, hi) in ops {
-            match op {
-                SparseOp::Map { at, huge, pfn, flags } => {
-                    let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
-                    let va = at.resolve(levels).align_down(size).raw();
-                    // Legal iff no leaf overlaps [va, va + size).
-                    let clear = covering(&model, va).is_none()
-                        && model.range(va..va + size.bytes()).next().is_none();
-                    if clear {
-                        let pte = Pte::new(Pfn::new(pfn), PteFlags::from_bits(flags));
-                        pt.map(VirtAddr::new(va), pte, size);
-                        model.insert(va, (pte, size));
-                    }
-                }
-                SparseOp::Unmap(at) => {
-                    let va = at.resolve(levels);
-                    let want = covering(&model, va.raw());
-                    prop_assert_eq!(pt.unmap(va), want.map(|(_, pte, size)| (pte, size)));
-                    if let Some((start, ..)) = want {
-                        model.remove(&start);
-                    }
-                }
-                SparseOp::Remap { at, pfn, flags } => {
-                    let va = at.resolve(levels);
-                    let new = Pte::new(Pfn::new(pfn), PteFlags::from_bits(flags));
-                    let want = covering(&model, va.raw());
-                    prop_assert_eq!(pt.remap(va, new), want.map(|(_, pte, size)| (pte, size)));
-                    if let Some((start, _, size)) = want {
-                        model.insert(start, (new, size));
-                    }
-                }
-                SparseOp::OrFlags { at, flags } => {
-                    let va = at.resolve(levels);
-                    let or = PteFlags::from_bits(flags);
-                    let want = covering(&model, va.raw());
-                    prop_assert_eq!(
-                        pt.update_flags(va, |f| f | or),
-                        want.map(|(_, pte, _)| pte.flags | or)
-                    );
-                    if let Some((start, pte, size)) = want {
-                        model.insert(start, (Pte::new(pte.pfn, pte.flags | or), size));
-                    }
-                }
-                SparseOp::Translate(at) => {
-                    let va = at.resolve(levels);
-                    let got = pt.translate(va).ok().map(|t| (t.pfn, t.flags, t.size, t.levels));
-                    let want = covering(&model, va.raw()).map(|(_, pte, size)| {
-                        let walked = levels - u32::from(size == PageSize::Huge2M);
-                        (pte.pfn, pte.flags, size, walked)
-                    });
-                    prop_assert_eq!(got, want);
-                }
-                SparseOp::RegionPopulated(at) => {
-                    let va = at.resolve(levels);
-                    let region = va.align_down(PageSize::Huge2M).raw();
-                    let region = region..region + PageSize::Huge2M.bytes();
-                    let want = model.range(region).next().is_some();
-                    prop_assert_eq!(pt.huge_region_populated(va), want);
-                }
-            }
-            let leaf = |(&va, &(pte, size)): (&u64, &(Pte, PageSize))| {
-                MappedPage { va: VirtAddr::new(va), pte, size }
+        let mut model = Model::new();
+        for ((at, op), lo, hi) in ops {
+            let va = at.resolve(levels);
+            let steps = match op {
+                SparseOp::Recycle { pfn, flags } => recycle(&model, va, pfn, flags),
+                op => vec![(va, op)],
             };
-            let want: Vec<MappedPage> = model.iter().map(leaf).collect();
-            prop_assert_eq!(pt.iter_mappings().size_hint(), (want.len(), Some(want.len())));
-            prop_assert_eq!(pt.iter_mappings().collect::<Vec<_>>(), want);
-            let (lo, hi) = (lo.resolve(levels).raw(), hi.resolve(levels).raw());
-            let (lo, hi) = (lo.min(hi), lo.max(hi));
-            let range = VirtRange::from_bounds(VirtAddr::new(lo), VirtAddr::new(hi));
-            let ranged = pt.mappings_in(range);
-            prop_assert!(ranged.size_hint().1 == Some(want.len()));
-            prop_assert_eq!(
-                ranged.collect::<Vec<_>>(),
-                model.range(lo..hi).map(leaf).collect::<Vec<_>>()
-            );
-            let huge = model.values().filter(|(_, size)| *size == PageSize::Huge2M).count() as u64;
-            prop_assert_eq!(pt.mapped_huge_pages(), huge);
-            let base = model.len() as u64 - huge;
-            prop_assert_eq!(pt.mapped_base_pages(), base);
-            prop_assert_eq!(pt.mapped_bytes(), base * 4096 + huge * (2 << 20));
-            pt.verify_integrity();
+            for (va, op) in steps {
+                apply(&mut pt, &mut model, va, op);
+                let leaf = |(&va, &(pte, size)): (&u64, &(Pte, PageSize))| {
+                    MappedPage { va: VirtAddr::new(va), pte, size }
+                };
+                let want: Vec<MappedPage> = model.iter().map(leaf).collect();
+                prop_assert_eq!(pt.iter_mappings().size_hint(), (want.len(), Some(want.len())));
+                prop_assert_eq!(pt.iter_mappings().collect::<Vec<_>>(), want);
+                let (lo, hi) = (lo.resolve(levels).raw(), hi.resolve(levels).raw());
+                let (lo, hi) = (lo.min(hi), lo.max(hi));
+                let range = VirtRange::from_bounds(VirtAddr::new(lo), VirtAddr::new(hi));
+                let ranged = pt.mappings_in(range);
+                prop_assert!(ranged.size_hint().1 == Some(want.len()));
+                prop_assert_eq!(
+                    ranged.collect::<Vec<_>>(),
+                    model.range(lo..hi).map(leaf).collect::<Vec<_>>()
+                );
+                let huge = model.values().filter(|(_, size)| *size == PageSize::Huge2M).count() as u64;
+                prop_assert_eq!(pt.mapped_huge_pages(), huge);
+                let base = model.len() as u64 - huge;
+                prop_assert_eq!(pt.mapped_base_pages(), base);
+                prop_assert_eq!(pt.mapped_bytes(), base * 4096 + huge * (2 << 20));
+                pt.verify_integrity();
+            }
         }
     }
 

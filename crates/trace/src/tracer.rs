@@ -152,11 +152,19 @@ impl fmt::Debug for TraceSession {
 }
 
 /// A cheap handle to a [`TraceSession`], carried by every instrumented
-/// subsystem. The default handle is disabled: probes cost one branch.
+/// subsystem. The default handle is disabled: every probe below inlines to
+/// one test of `inner` at its call site and calls nothing.
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Mutex<Inner>>>,
     dim: Dim,
+}
+
+/// The out-of-line half of every probe: `probe` on the locked session.
+#[cold]
+#[inline(never)]
+fn attached<R>(inner: &Mutex<Inner>, probe: impl FnOnce(&mut Inner) -> R) -> R {
+    probe(&mut inner.lock().expect("trace session poisoned"))
 }
 
 impl Tracer {
@@ -166,6 +174,7 @@ impl Tracer {
     }
 
     /// Whether this handle feeds a live session.
+    #[inline(always)]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
@@ -182,30 +191,33 @@ impl Tracer {
     /// Advances the session's simulated clock; subsequent records carry
     /// `now_ns` as their timestamp. Instrumented systems call this whenever
     /// their own simulated clock moves.
+    #[inline(always)]
     pub fn set_clock(&self, now_ns: u64) {
         if let Some(inner) = &self.inner {
-            inner.lock().expect("trace session poisoned").clock_ns = now_ns;
+            attached(inner, |session| session.clock_ns = now_ns);
         }
     }
 
     /// Emits one event: records it to the sink (stamped with the session
     /// clock and a sequence number) and increments the counter named
     /// [`TraceEvent::name`].
+    #[inline(always)]
     pub fn emit(&self, event: TraceEvent) {
         if let Some(inner) = &self.inner {
-            let mut inner = inner.lock().expect("trace session poisoned");
-            inner.metrics.add(event.name(), 1);
-            let rec = Record {
-                seq: inner.seq,
-                ts_ns: inner.clock_ns,
-                dim: self.dim,
-                event,
-            };
-            inner.seq += 1;
-            if let Some(ring) = &mut inner.sink {
-                ring.record(&rec);
-            }
-            inner.flight.record(&rec);
+            attached(inner, |session| {
+                session.metrics.add(event.name(), 1);
+                let rec = Record {
+                    seq: session.seq,
+                    ts_ns: session.clock_ns,
+                    dim: self.dim,
+                    event,
+                };
+                session.seq += 1;
+                if let Some(ring) = &mut session.sink {
+                    ring.record(&rec);
+                }
+                session.flight.record(&rec);
+            });
         }
     }
 
@@ -214,69 +226,66 @@ impl Tracer {
     /// clock, so spans observe without perturbing: digests are identical
     /// with profiling on or off. Guards must drop LIFO (ordinary scoping —
     /// including unwinding — guarantees this).
+    #[inline(always)]
     pub fn span(&self, stage: &'static str) -> ScopedSpan {
-        if let Some(inner) = &self.inner {
-            let mut guard = inner.lock().expect("trace session poisoned");
-            let now = guard.clock_ns;
-            guard.spans.enter(stage, now);
-            drop(guard);
-            return ScopedSpan { inner: Some(Arc::clone(inner)) };
-        }
-        ScopedSpan { inner: None }
+        let Some(inner) = &self.inner else { return ScopedSpan { inner: None } };
+        attached(inner, |session| session.spans.enter(stage, session.clock_ns));
+        ScopedSpan { inner: Some(Arc::clone(inner)) }
     }
 
     /// Records an instantaneous (zero-duration) span for `stage` — a leaf
     /// mark whose *count* matters, like a pcp hit/miss on the allocation
     /// path. Equivalent to opening and immediately dropping a span.
+    #[inline(always)]
     pub fn span_mark(&self, stage: &'static str) {
         if let Some(inner) = &self.inner {
-            let mut guard = inner.lock().expect("trace session poisoned");
-            let now = guard.clock_ns;
-            guard.spans.enter(stage, now);
-            guard.finish_span();
+            attached(inner, |session| {
+                session.spans.enter(stage, session.clock_ns);
+                session.finish_span();
+            });
         }
     }
 
     /// Adds `delta` to the named counter without recording an event — for
     /// bulk totals (e.g. injector attempt counts) that would swamp a ring.
+    #[inline(always)]
     pub fn add(&self, name: &str, delta: u64) {
         if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("trace session poisoned")
-                .metrics
-                .add(name, delta);
+            attached(inner, |session| session.metrics.add(name, delta));
         }
     }
 
     /// Records `value` into the named log2 histogram.
+    #[inline(always)]
     pub fn observe(&self, name: &str, value: u64) {
         if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("trace session poisoned")
-                .metrics
-                .observe(name, value);
+            attached(inner, |session| session.metrics.observe(name, value));
         }
     }
 }
 
 /// RAII guard returned by [`Tracer::span`]: dropping it closes the span at
 /// the session's current simulated clock. A disabled tracer's guard is
-/// inert.
+/// inert: its drop is the same inlined test.
 #[must_use = "binding a span guard to `_` closes it immediately; use `let _span = …`"]
 pub struct ScopedSpan {
     inner: Option<Arc<Mutex<Inner>>>,
 }
 
 impl Drop for ScopedSpan {
+    #[inline(always)]
     fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
+        #[cold]
+        #[inline(never)]
+        fn close(inner: Arc<Mutex<Inner>>) {
             // `if let Ok` rather than `expect`: this drop also runs while
             // unwinding a task panic, where a second panic would abort.
             if let Ok(mut guard) = inner.lock() {
                 guard.finish_span();
             }
+        }
+        if let Some(inner) = self.inner.take() {
+            close(inner);
         }
     }
 }

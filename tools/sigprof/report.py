@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Symbolise a prof.so dump and print where the samples went.
+
+    report.py BINARY [DUMP ...] [--top N] [--callers SUBSTRING] [--depth D]
+
+Prints each function's self share (samples whose RIP is inside it) and
+inclusive share (samples with it anywhere on the stack). With --callers, also
+the most frequent caller chains of every function whose demangled name
+contains SUBSTRING, innermost caller first. Several dumps of one binary are
+pooled. Symbols come from `nm -C`, so only the program's own text is named;
+everything else is [library or kernel].
+"""
+import argparse
+import bisect
+import collections
+import os
+import subprocess
+
+
+def symbols(binary):
+    out = subprocess.run(["nm", "-C", "--defined-only", "-n", binary],
+                         capture_output=True, text=True, check=True).stdout
+    table = []
+    for line in out.splitlines():
+        addr, kind, name = line.split(" ", 2)
+        if kind in "tTwW":
+            table.append((int(addr, 16), name))
+    return [a for a, _ in table], [n for _, n in table]
+
+
+def load(dump, binary):
+    """The samples of one dump as lists of offsets into the binary (-1 outside it)."""
+    base, end, samples, in_samples = None, 0, [], False
+    real = os.path.realpath(binary)
+    for line in open(dump):
+        if in_samples:
+            samples.append([int(word, 16) for word in line.split()])
+        elif line.startswith("--samples--"):
+            in_samples = True
+        elif line.rstrip().endswith(real):
+            lo, hi = (int(word, 16) for word in line.split()[0].split("-"))
+            base = lo if base is None else base  # first mapping: file offset 0
+            end = hi
+    if base is None:
+        raise SystemExit(f"{real} is not in the dump's maps; pass the path the program ran from")
+    return [[addr - base if base <= addr < end else -1 for addr in sample] for sample in samples]
+
+
+def main():
+    args = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    args.add_argument("binary")
+    args.add_argument("dump", nargs="*", default=["sigprof.out"])
+    args.add_argument("--top", type=int, default=30)
+    args.add_argument("--callers")
+    args.add_argument("--depth", type=int, default=4)
+    args = args.parse_args()
+    addrs, names = symbols(args.binary)
+    samples = [sample for dump in args.dump for sample in load(dump, args.binary)]
+
+    def name(offset):
+        at = bisect.bisect_right(addrs, offset) - 1
+        return names[at] if offset >= 0 and at >= 0 else "[library or kernel]"
+
+    self_n, incl_n, chains = collections.Counter(), collections.Counter(), collections.Counter()
+    for sample in samples:
+        stack = [name(addr) for addr in sample]
+        self_n[stack[0]] += 1
+        incl_n.update(set(stack))
+        if args.callers:
+            for at, frame in enumerate(stack):
+                if args.callers in frame:
+                    chains[(frame, " <- ".join(stack[at + 1:at + 1 + args.depth]))] += 1
+                    break
+    total = max(len(samples), 1)
+    print(f"{len(samples)} samples")
+    print(f"{'self %':>7} {'incl %':>7}  function")
+    for func, n in self_n.most_common(args.top):
+        print(f"{100 * n / total:7.2f} {100 * incl_n[func] / total:7.2f}  {func}")
+    print(f"\n{'incl %':>7}  function (by inclusive share)")
+    for func, n in incl_n.most_common(args.top):
+        print(f"{100 * n / total:7.2f}  {func}")
+    if args.callers:
+        print(f"\ncaller chains of *{args.callers}*")
+        for (func, chain), n in chains.most_common(args.top):
+            print(f"{100 * n / total:7.2f}  {func} <- {chain}")
+
+
+if __name__ == "__main__":
+    main()
