@@ -80,7 +80,7 @@ const COMMANDS: &[Command] = &[
     ),
     tool(
         "obs-report",
-        "span profile, engine contention, flight-recorder self-test",
+        "span profile (engine sweep or torture run), flight-recorder self-test",
         obs_report::FLAGS,
         obs_report::run,
     ),

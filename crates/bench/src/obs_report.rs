@@ -5,11 +5,10 @@
 //! - **Engine profile** (default): runs a multi-VM fault sweep through the
 //!   parallel experiment engine at 8 workers with per-task span profiling
 //!   attached, then renders per-stage latency tables (count, self-time,
-//!   total-time in simulated ns), the top-k hottest stages by self-time,
-//!   and the engine's worker-skew/steal/queue contention summary. Writes
-//!   the merged profile as a collapsed-stack file (`--folded PATH`,
-//!   default `obs_folded.txt`) ready for `inferno-flamegraph` /
-//!   `flamegraph.pl`.
+//!   total-time in simulated ns) and the top-k hottest stages by
+//!   self-time. Writes the merged profile as a collapsed-stack file
+//!   (`--folded PATH`, default `obs_folded.txt`) ready for
+//!   `inferno-flamegraph` / `flamegraph.pl`.
 //! - **Torture profile** (`--torture`): runs one seeded differential
 //!   torture run (`--ops N`) with the always-on flight recorder attached
 //!   and renders the same stage tables from its whole-run span profile. If
@@ -21,15 +20,15 @@
 //!   decodable or the command exits non-zero — CI runs this to prove the
 //!   post-mortem path works before anyone needs it.
 //!
-//! Compiled without the `probes` feature every profile is empty; the
-//! command says so and exits non-zero rather than printing a page of zeros.
+//! When no spans were recorded the command says so and exits non-zero
+//! rather than printing a page of zeros.
 
 use std::process::ExitCode;
 
 use contig_buddy::{MachineConfig, PcpConfig};
 use contig_check::{run_torture, TortureConfig};
 use contig_core::CaPaging;
-use contig_engine::{run_seeded_with_stats, ContentionStats, PoolConfig};
+use contig_engine::{run_seeded, PoolConfig};
 use contig_metrics::TextTable;
 use contig_mm::{System, SystemConfig, VmaKind};
 use contig_trace::{parse_jsonl, SpanStack, Tracer};
@@ -164,19 +163,6 @@ fn render_stages(spans: &SpanStack, top: usize) {
     println!();
 }
 
-/// Renders the engine contention summary: per-pool steal and queue-depth
-/// counters plus the exec/task skew across workers.
-fn render_contention(stats: &ContentionStats) {
-    let mut table = TextTable::new(&["counter", "value"]);
-    for (name, value) in stats.as_named() {
-        table.row(&[name.to_string(), value.to_string()]);
-    }
-    table.row(&["exec_skew_milli".to_string(), stats.exec_skew_milli().to_string()]);
-    table.row(&["task_skew_milli".to_string(), stats.task_skew_milli().to_string()]);
-    println!("engine contention ({} workers):", stats.workers.len());
-    println!("{}", table.render());
-}
-
 /// Writes the collapsed-stack file and reports where it went.
 fn write_folded(spans: &SpanStack, path: &str) {
     let folded = spans.export_collapsed();
@@ -190,18 +176,17 @@ fn write_folded(spans: &SpanStack, path: &str) {
 /// Engine-sweep profile: the default mode.
 fn run_engine_profile(args: &Args) -> u8 {
     println!("== obs_report — engine profile == tasks={} seed={:#x}", args.tasks, args.seed);
-    let (reports, contention) =
-        run_seeded_with_stats(PoolConfig::new(8), args.seed, args.tasks, |ctx| {
-            let tracer = ctx.trace.tracer();
-            profile_task(ctx.seed, &tracer)
-        });
+    let reports = run_seeded(PoolConfig::new(8), args.seed, args.tasks, |ctx| {
+        let tracer = ctx.trace.tracer();
+        profile_task(ctx.seed, &tracer)
+    });
     let faults: u64 = reports.iter().map(|r| *r.ok().expect("profile task panicked")).sum();
     let mut spans = SpanStack::new();
     for r in &reports {
         spans.merge(&r.spans);
     }
     if spans.enters() == 0 {
-        eprintln!("obs_report: no spans recorded — contig-trace probes are compiled out");
+        eprintln!("obs_report: no spans were recorded");
         return 1;
     }
     if !spans.is_balanced() {
@@ -211,7 +196,6 @@ fn run_engine_profile(args: &Args) -> u8 {
     }
     println!("{} tasks, {} driven faults\n", reports.len(), faults);
     render_stages(&spans, args.top);
-    render_contention(&contention);
     write_folded(&spans, &args.folded);
     0
 }
@@ -221,7 +205,7 @@ fn run_torture_profile(args: &Args) -> u8 {
     println!("== obs_report — torture profile == seed={:#x} ops={}", args.seed, args.ops);
     let report = run_torture(&TortureConfig::with_seed_and_ops(args.seed, args.ops));
     if report.spans.enters() == 0 {
-        eprintln!("obs_report: no spans recorded — contig-trace probes are compiled out");
+        eprintln!("obs_report: no spans were recorded");
         return 1;
     }
     println!(
@@ -262,7 +246,7 @@ fn run_inject_panic(args: &Args) -> u8 {
     // The panic is the point — keep its backtrace out of the logs.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let (reports, _) = run_seeded_with_stats(PoolConfig::new(2), args.seed, tasks, move |ctx| {
+    let reports = run_seeded(PoolConfig::new(2), args.seed, tasks, move |ctx| {
         let tracer = ctx.trace.tracer();
         let faults = profile_task(ctx.seed, &tracer);
         assert!(
@@ -279,10 +263,7 @@ fn run_inject_panic(args: &Args) -> u8 {
         return 1;
     };
     if dump.is_empty() {
-        eprintln!(
-            "obs_report: flight dump is empty \
-             (expected under --no-default-features, a failure otherwise)"
-        );
+        eprintln!("obs_report: flight dump is empty — no events were recorded");
         return 1;
     }
     let records = match parse_jsonl(dump) {

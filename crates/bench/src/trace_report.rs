@@ -119,20 +119,15 @@ pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
     sys.set_tracer(session.tracer());
     let mapped = run_workload(&mut sys, &session, args.mib);
 
-    if !session.tracer().is_enabled() {
-        eprintln!("trace_report: contig-trace probes are compiled out; no trace to report");
-        return Ok(ExitCode::FAILURE);
-    }
-
     let records = session.records();
     let mut metrics = session.metrics();
 
     // A typo in a probe name must fail the report, not silently render as
-    // one more row: every `span.*` / `engine.*` metric has to come from the
-    // canonical taxonomy.
+    // one more row: every `span.*` metric has to come from the canonical
+    // taxonomy.
     let offenders = validate_metric_names(&metrics);
     if !offenders.is_empty() {
-        eprintln!("trace_report: unknown span/engine metric names: {}", offenders.join(", "));
+        eprintln!("trace_report: unknown span metric names: {}", offenders.join(", "));
         return Ok(ExitCode::FAILURE);
     }
     // Declare the whole canon so stages that never fired render as explicit

@@ -44,11 +44,10 @@ pub fn digest_tlb(snap: &TlbSnapshot) -> u64 {
     digest(|e| snap.enc(e))
 }
 
-/// Folds per-shard digests into one, hashing each digest's 8 little-endian
-/// bytes in slice order. Callers must present shards in canonical (shard-id)
-/// order; given that, the fold is independent of which worker produced which
-/// digest when — the property that lets a sharded engine run keep the
-/// 1-vs-N-worker bit-identical determinism guarantee.
+/// Folds per-task digests into one, hashing each digest's 8 little-endian
+/// bytes in slice order. Callers present digests in canonical (task-index)
+/// order — the order engine reports come back in — so the fold is
+/// independent of which worker produced which digest when.
 pub fn fold_digests(digests: &[u64]) -> u64 {
     let mut hash = Fnv1a64::new();
     for d in digests {
@@ -78,8 +77,8 @@ mod tests {
     fn fold_digests_is_order_sensitive_and_canonical() {
         let a = fold_digests(&[1, 2, 3]);
         let b = fold_digests(&[3, 2, 1]);
-        assert_ne!(a, b, "shard order must matter");
-        assert_eq!(a, fold_digests(&[1, 2, 3]), "same shards, same fold");
+        assert_ne!(a, b, "digest order must matter");
+        assert_eq!(a, fold_digests(&[1, 2, 3]), "same digests, same fold");
         // The fold is exactly FNV-1a over the concatenated LE bytes.
         let mut bytes = Vec::new();
         for d in [1u64, 2, 3] {

@@ -1,18 +1,17 @@
-//! Work-stealing experiment engine.
+//! Parallel experiment engine.
 //!
 //! Virtual-memory simulators become research-useful once experiment sweeps
 //! run at scale (cf. Virtuoso): a figure is dozens of independent
 //! `System`/`VirtualMachine` simulations, and nothing about them shares
-//! state. This crate runs such sweeps on a pool of `std::thread` workers
-//! with:
+//! state. This crate runs such sweeps on `std::thread` workers with:
 //!
 //! - **Deterministic per-task seeds** — task `i` always receives
 //!   `splitmix64(base_seed + i)`, so results are bit-identical regardless of
 //!   worker count or scheduling (the property checked by the repo's
 //!   1-vs-8-worker determinism test).
-//! - **Work stealing** — tasks are dealt round-robin onto per-worker deques;
-//!   a worker pops its own queue from the front and steals from the back of
-//!   others when idle, so uneven task durations do not strand workers.
+//! - **One shared task cursor** — each worker claims the next unclaimed task
+//!   index from one atomic counter, so a worker that finishes early simply
+//!   takes the next task and uneven task durations do not strand workers.
 //! - **Panic isolation** — a panicking task is caught, reported as a failed
 //!   [`TaskReport`], and never takes down the pool or sibling tasks.
 //! - **Per-task trace sessions** — every task gets its own
@@ -32,72 +31,27 @@
 //! assert!(reports.iter().all(|r| r.outcome.is_ok()));
 //! ```
 
-use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-use contig_trace::{MetricsRegistry, SpanStack, TraceSession, Tracer};
+use contig_trace::{SpanStack, TraceSession};
 use contig_types::splitmix64;
 
 /// How many events each task's private trace ring retains.
 const TASK_TRACE_CAPACITY: usize = 4096;
 
-/// Environment variable naming a directory where the engine dumps a
-/// panicking task's flight recorder as `flight_task<i>.jsonl`. Unset (the
-/// default) the dump still rides along on [`TaskReport::flight_jsonl`];
-/// setting it makes the post-mortem land on disk even when the caller
-/// ignores the report.
-pub const FLIGHT_DIR_ENV: &str = "CONTIG_FLIGHT_DIR";
-
-/// How tasks bind to workers in one [`run_seeded`] sweep.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Affinity {
-    /// Tasks are dealt round-robin and idle workers steal from siblings —
-    /// the latency-optimal default for uneven task durations.
-    #[default]
-    WorkSteal,
-    /// Task `i` belongs to shard `i % shards` and always runs on the worker
-    /// owning that shard (`shard % workers`); stealing is disabled, so a
-    /// shard's tasks execute in index order on one thread. This is the zone
-    /// sharding mode: tasks homed on the same machine zone never contend
-    /// with another worker's shard.
-    ShardPinned {
-        /// Shard count. Clamped to at least 1.
-        shards: usize,
-    },
-}
-
 /// Pool shape for one [`run_seeded`] sweep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolConfig {
-    /// Worker threads to spawn. Clamped to at least 1.
+    /// Worker threads to spawn. [`run_seeded`] clamps it to `1..=tasks`.
     pub workers: usize,
-    /// Task-to-worker binding policy.
-    pub affinity: Affinity,
 }
 
 impl PoolConfig {
-    /// A pool of `workers` threads with work-stealing affinity.
+    /// A pool of `workers` threads.
     pub fn new(workers: usize) -> Self {
-        Self { workers: workers.max(1), affinity: Affinity::WorkSteal }
-    }
-
-    /// A pool of `workers` threads where tasks pin to `shards` shards
-    /// ([`Affinity::ShardPinned`]).
-    pub fn pinned(workers: usize, shards: usize) -> Self {
-        Self {
-            workers: workers.max(1),
-            affinity: Affinity::ShardPinned { shards: shards.max(1) },
-        }
-    }
-
-    /// The shard task `index` belongs to, or `None` under work stealing.
-    pub fn shard_of(&self, index: usize) -> Option<usize> {
-        match self.affinity {
-            Affinity::WorkSteal => None,
-            Affinity::ShardPinned { shards } => Some(index % shards.max(1)),
-        }
+        Self { workers }
     }
 }
 
@@ -110,27 +64,8 @@ pub struct TaskCtx {
     /// Deterministic seed: `splitmix64(base_seed + index)`. Independent of
     /// worker count and scheduling order.
     pub seed: u64,
-    /// The shard this task is pinned to under [`Affinity::ShardPinned`]
-    /// (`index % shards`); `None` under work stealing. Depends only on the
-    /// pool config and index, so it is safe to key simulation state on.
-    pub shard: Option<usize>,
     /// This task's private trace session (ring sink).
     pub trace: TraceSession,
-    /// Zone/shard ids this task reported touching (see
-    /// [`TaskCtx::note_zone_touch`]).
-    zone_touches: Vec<u64>,
-}
-
-impl TaskCtx {
-    /// Declares that this task touched (faulted into, allocated from) the
-    /// zone or shard `zone`. The engine folds overlaps across tasks into
-    /// the [`ContentionStats`] zone-conflict count — the telemetry that
-    /// tells the sharding work whether independent tasks actually land on
-    /// disjoint shards. Depends only on what tasks report, never on
-    /// scheduling, so the fold is deterministic.
-    pub fn note_zone_touch(&mut self, zone: u64) {
-        self.zone_touches.push(zone);
-    }
 }
 
 /// Outcome of one task.
@@ -142,18 +77,8 @@ pub struct TaskReport<R> {
     pub seed: u64,
     /// The task's return value, or the panic message if it panicked.
     pub outcome: Result<R, String>,
-    /// Wall-clock nanoseconds the task body took on its worker.
-    pub wall_ns: u64,
-    /// Events left in the task's trace ring when it finished.
-    pub trace_events: u64,
-    /// Final metrics snapshot of the task's trace session (empty when the
-    /// task never attached its tracer).
-    pub metrics: MetricsRegistry,
     /// Final span-profiler snapshot of the task's trace session.
     pub spans: SpanStack,
-    /// Zone ids the task reported via [`TaskCtx::note_zone_touch`],
-    /// sorted and deduplicated.
-    pub zones: Vec<u64>,
     /// The task's flight-recorder dump, captured when (and only when) the
     /// task panicked — the engine-side post-mortem artifact.
     pub flight_jsonl: Option<String>,
@@ -163,122 +88,6 @@ impl<R> TaskReport<R> {
     /// The successful result, if any.
     pub fn ok(&self) -> Option<&R> {
         self.outcome.as_ref().ok()
-    }
-}
-
-/// Contention counters of one pool worker. Steal and queue-depth numbers
-/// describe *this run's* scheduling (they vary with timing, like wall
-/// clocks); task results never depend on them.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Tasks this worker executed.
-    pub tasks_run: u64,
-    /// Steal probes into sibling queues (one per queue inspected).
-    pub steals_attempted: u64,
-    /// Steal probes that came back with a task.
-    pub steals_succeeded: u64,
-    /// Sum of own-queue depths sampled after each own-queue pop.
-    pub queue_depth_sum: u64,
-    /// Number of own-queue depth samples taken.
-    pub queue_depth_samples: u64,
-    /// Deepest own-queue depth sampled.
-    pub queue_depth_max: u64,
-    /// Wall-clock nanoseconds this worker spent inside task bodies.
-    pub exec_ns: u64,
-}
-
-/// Engine contention telemetry for one [`run_seeded_with_stats`] sweep:
-/// per-worker steal/queue counters, task wall-time skew, and zone-touch
-/// conflicts, folded deterministically (workers in id order, zones in task
-/// order) into one report.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ContentionStats {
-    /// Per-worker counters, indexed by worker id.
-    pub workers: Vec<WorkerStats>,
-    /// Tasks the sweep ran.
-    pub tasks: u64,
-    /// Distinct zone ids reported by any task.
-    pub zones_touched: u64,
-    /// Sum over zones of `(touching_tasks - 1)` — how much of the task set
-    /// piles onto shared zones (0 when every task has its own zone).
-    pub zone_conflicts: u64,
-    /// Slowest single task's wall time.
-    pub task_wall_max_ns: u64,
-    /// Sum of all task wall times.
-    pub task_wall_sum_ns: u64,
-}
-
-impl ContentionStats {
-    /// Total steal probes across workers.
-    pub fn steals_attempted(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals_attempted).sum()
-    }
-
-    /// Total successful steals across workers.
-    pub fn steals_succeeded(&self) -> u64 {
-        self.workers.iter().map(|w| w.steals_succeeded).sum()
-    }
-
-    /// Sum of sampled own-queue depths across workers.
-    pub fn queue_depth_sum(&self) -> u64 {
-        self.workers.iter().map(|w| w.queue_depth_sum).sum()
-    }
-
-    /// Total own-queue depth samples across workers.
-    pub fn queue_depth_samples(&self) -> u64 {
-        self.workers.iter().map(|w| w.queue_depth_samples).sum()
-    }
-
-    /// Busiest worker's exec time over the mean worker exec time, in
-    /// thousandths (1000 = perfectly balanced). 0 when no work ran.
-    pub fn exec_skew_milli(&self) -> u64 {
-        let total: u64 = self.workers.iter().map(|w| w.exec_ns).sum();
-        let max = self.workers.iter().map(|w| w.exec_ns).max().unwrap_or(0);
-        if total == 0 || self.workers.is_empty() {
-            return 0;
-        }
-        let mean = total / self.workers.len() as u64;
-        if mean == 0 {
-            return 0;
-        }
-        max * 1000 / mean
-    }
-
-    /// Slowest task's wall time over the mean task wall time, in
-    /// thousandths — how uneven the task durations themselves are.
-    pub fn task_skew_milli(&self) -> u64 {
-        if self.tasks == 0 || self.task_wall_sum_ns == 0 {
-            return 0;
-        }
-        let mean = self.task_wall_sum_ns / self.tasks;
-        if mean == 0 {
-            return 0;
-        }
-        self.task_wall_max_ns * 1000 / mean
-    }
-
-    /// The aggregate counters under their canonical `engine.*` names (the
-    /// [`contig_trace::ENGINE_METRICS`] taxonomy, name-sorted) — what
-    /// [`ContentionStats::emit`] writes, counter for counter.
-    pub fn as_named(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("engine.queue_depth_sample", self.queue_depth_samples()),
-            ("engine.queue_depth_sum", self.queue_depth_sum()),
-            ("engine.steal_attempt", self.steals_attempted()),
-            ("engine.steal_hit", self.steals_succeeded()),
-            ("engine.task_run", self.tasks),
-            ("engine.zone_conflict", self.zone_conflicts),
-            ("engine.zone_touch", self.zones_touched),
-        ]
-    }
-
-    /// Adds every [`ContentionStats::as_named`] counter to `tracer`, so a
-    /// report's registry carries the engine telemetry 1:1 with this struct
-    /// (the stats↔trace equality the tests pin).
-    pub fn emit(&self, tracer: &Tracer) {
-        for (name, value) in self.as_named() {
-            tracer.add(name, value);
-        }
     }
 }
 
@@ -301,192 +110,73 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `tasks` independent seeded tasks over a work-stealing pool of
-/// `config.workers` threads and returns one [`TaskReport`] per task, in
+/// Runs task `index` under a fresh [`TaskCtx`], catching a panic into an
+/// `Err` outcome that carries the task's flight recorder.
+fn run_task<R>(f: &impl Fn(&mut TaskCtx) -> R, base_seed: u64, index: usize) -> TaskReport<R> {
+    let mut ctx = TaskCtx {
+        index,
+        seed: task_seed(base_seed, index),
+        trace: TraceSession::ring(TASK_TRACE_CAPACITY),
+    };
+    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut ctx))).map_err(panic_message);
+    let flight_jsonl = outcome.is_err().then(|| ctx.trace.flight_jsonl());
+    TaskReport { index, seed: ctx.seed, outcome, spans: ctx.trace.spans(), flight_jsonl }
+}
+
+/// Runs `tasks` independent seeded tasks on `config.workers` threads
+/// (clamped to `1..=tasks`) and returns one [`TaskReport`] per task, in
 /// task order.
 ///
-/// The task closure runs concurrently on pool workers; it must be `Sync`
-/// (shared by reference) and is handed a fresh [`TaskCtx`] per task. Task
-/// results depend only on `(base_seed, index)`, never on the worker count —
-/// the engine's core determinism contract.
+/// Every worker claims the next task index from one shared counter, runs
+/// it, and writes its report into that index's slot, so each task runs
+/// exactly once. The task closure runs concurrently on the workers; it must
+/// be `Sync` (shared by reference) and is handed a fresh [`TaskCtx`] per
+/// task. Task results depend only on `(base_seed, index)`, never on the
+/// worker count — the engine's core determinism contract.
 ///
 /// # Panics
 ///
 /// Never propagates task panics (they surface as `Err` outcomes); panics
-/// only if a pool lock is poisoned, which a caught task panic cannot cause.
+/// only if a slot lock is poisoned, which a caught task panic cannot cause.
 pub fn run_seeded<R, F>(config: PoolConfig, base_seed: u64, tasks: usize, f: F) -> Vec<TaskReport<R>>
 where
     R: Send,
     F: Fn(&mut TaskCtx) -> R + Sync,
 {
-    run_seeded_with_stats(config, base_seed, tasks, f).0
-}
-
-/// [`run_seeded`], additionally returning the sweep's [`ContentionStats`].
-///
-/// Task results and report order keep the same determinism contract as
-/// `run_seeded`; the contention counters describe this particular run's
-/// scheduling (steals and queue depths vary with timing, zone-touch folds
-/// do not).
-pub fn run_seeded_with_stats<R, F>(
-    config: PoolConfig,
-    base_seed: u64,
-    tasks: usize,
-    f: F,
-) -> (Vec<TaskReport<R>>, ContentionStats)
-where
-    R: Send,
-    F: Fn(&mut TaskCtx) -> R + Sync,
-{
-    let workers = config.workers.min(tasks.max(1));
-    let stealing = matches!(config.affinity, Affinity::WorkSteal);
-    // Deal tasks onto per-worker deques up front; there is no dynamic
-    // submission, so no condvar is needed — a worker exits once every deque
-    // is empty. Work stealing deals round-robin by task index; shard
-    // pinning deals every task of shard `s` to worker `s % workers`.
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for index in 0..tasks {
-        let worker = match config.shard_of(index) {
-            None => index % workers,
-            Some(shard) => shard % workers,
-        };
-        queues[worker].lock().expect("queue poisoned").push_back(index);
-    }
-    let slots: Vec<Mutex<Option<TaskReport<R>>>> =
-        (0..tasks).map(|_| Mutex::new(None)).collect();
-    let worker_slots: Vec<Mutex<WorkerStats>> =
-        (0..workers).map(|_| Mutex::new(WorkerStats::default())).collect();
-
+    let workers = config.workers.max(1).min(tasks);
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<TaskReport<R>>>> = (0..tasks).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for me in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let worker_slots = &worker_slots;
-            let f = &f;
-            scope.spawn(move || {
-                let mut stats = WorkerStats::default();
-                loop {
-                    // Own queue first (front: the tasks dealt to us, in
-                    // order)…
-                    let mut next = {
-                        let mut queue = queues[me].lock().expect("queue poisoned");
-                        let popped = queue.pop_front();
-                        if popped.is_some() {
-                            let depth = queue.len() as u64;
-                            stats.queue_depth_sum += depth;
-                            stats.queue_depth_samples += 1;
-                            stats.queue_depth_max = stats.queue_depth_max.max(depth);
-                        }
-                        popped
-                    };
-                    if next.is_none() && stealing {
-                        // …then steal from the back of a sibling's queue.
-                        // Pinned pools never steal: a shard's tasks must
-                        // stay on their owning worker.
-                        for (other, queue) in queues.iter().enumerate() {
-                            if other == me {
-                                continue;
-                            }
-                            stats.steals_attempted += 1;
-                            next = queue.lock().expect("queue poisoned").pop_back();
-                            if next.is_some() {
-                                stats.steals_succeeded += 1;
-                                break;
-                            }
-                        }
-                    }
-                    let Some(index) = next else { break };
-                    let mut ctx = TaskCtx {
-                        index,
-                        seed: task_seed(base_seed, index),
-                        shard: config.shard_of(index),
-                        trace: TraceSession::ring(TASK_TRACE_CAPACITY),
-                        zone_touches: Vec::new(),
-                    };
-                    let start = Instant::now();
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut ctx)))
-                        .map_err(panic_message);
-                    let wall_ns =
-                        u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    stats.tasks_run += 1;
-                    stats.exec_ns = stats.exec_ns.saturating_add(wall_ns);
-                    let flight_jsonl = if outcome.is_err() {
-                        Some(dump_flight(&ctx.trace, index))
-                    } else {
-                        None
-                    };
-                    let mut zones = std::mem::take(&mut ctx.zone_touches);
-                    zones.sort_unstable();
-                    zones.dedup();
-                    let report = TaskReport {
-                        index,
-                        seed: ctx.seed,
-                        outcome,
-                        wall_ns,
-                        trace_events: ctx.trace.records().len() as u64,
-                        metrics: ctx.trace.metrics(),
-                        spans: ctx.trace.spans(),
-                        zones,
-                        flight_jsonl,
-                    };
-                    *slots[index].lock().expect("slot poisoned") = Some(report);
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                // Relaxed suffices: the counter publishes no data, and every
+                // `fetch_add` returns a distinct index. Reports reach the
+                // caller through the slot mutexes and the scope's join.
+                let index = next.fetch_add(1, Ordering::Relaxed);
+                if index >= tasks {
+                    break;
                 }
-                *worker_slots[me].lock().expect("worker slot poisoned") = stats;
+                let report = run_task(&f, base_seed, index);
+                *slots[index].lock().expect("slot poisoned") = Some(report);
             });
         }
     });
-
-    let reports: Vec<TaskReport<R>> = slots
+    slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("slot poisoned")
-                .expect("every dealt task writes its slot exactly once")
+                .expect("every task index is claimed exactly once")
         })
-        .collect();
-    let workers: Vec<WorkerStats> = worker_slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("worker slot poisoned"))
-        .collect();
-
-    // Zone fold: reports are already in task order, so the conflict counts
-    // are independent of which worker ran what when.
-    let mut zone_tasks: BTreeMap<u64, u64> = BTreeMap::new();
-    for report in &reports {
-        for &zone in &report.zones {
-            *zone_tasks.entry(zone).or_insert(0) += 1;
-        }
-    }
-    let stats = ContentionStats {
-        workers,
-        tasks: reports.len() as u64,
-        zones_touched: zone_tasks.len() as u64,
-        zone_conflicts: zone_tasks.values().map(|&n| n.saturating_sub(1)).sum(),
-        task_wall_max_ns: reports.iter().map(|r| r.wall_ns).max().unwrap_or(0),
-        task_wall_sum_ns: reports.iter().map(|r| r.wall_ns).fold(0, u64::saturating_add),
-    };
-    (reports, stats)
-}
-
-/// Captures a panicking task's flight recorder and, when [`FLIGHT_DIR_ENV`]
-/// names a directory, drops it there as `flight_task<i>.jsonl`. Best
-/// effort: a failed write is reported on stderr, never panicked on (this
-/// runs on the panic path).
-fn dump_flight(trace: &TraceSession, index: usize) -> String {
-    let jsonl = trace.flight_jsonl();
-    if let Some(dir) = std::env::var_os(FLIGHT_DIR_ENV) {
-        let path = std::path::Path::new(&dir).join(format!("flight_task{index}.jsonl"));
-        if let Err(e) = std::fs::write(&path, &jsonl) {
-            eprintln!("engine: failed to dump flight recorder to {}: {e}", path.display());
-        }
-    }
-    jsonl
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use std::sync::atomic::AtomicU32;
+    use std::time::Duration;
 
     #[test]
     fn reports_come_back_in_task_order() {
@@ -531,122 +221,37 @@ mod tests {
     }
 
     #[test]
-    fn idle_workers_steal_queued_tasks() {
-        // One task is dealt per worker; make worker 0's task slow so its
-        // remaining share (none here — use more tasks) gets stolen. With 2
-        // workers and 8 tasks dealt round-robin, worker 1 finishing first
-        // must steal from worker 0's deque rather than idling.
-        let slow = std::sync::atomic::AtomicUsize::new(0);
-        let reports = run_seeded(PoolConfig::new(2), 1, 8, |ctx| {
-            if ctx.index == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(30));
-            }
-            slow.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            ctx.index
-        });
-        assert_eq!(reports.len(), 8);
-        assert!(reports.iter().all(|r| r.outcome.is_ok()));
+    fn a_zero_worker_literal_runs_on_one_worker() {
+        // `workers` is public, so a literal bypasses `PoolConfig::new`;
+        // `run_seeded` itself must clamp it.
+        let reports = run_seeded(PoolConfig { workers: 0 }, 1, 3, |c| c.index);
+        let results: Vec<usize> = reports.iter().map(|r| *r.ok().unwrap()).collect();
+        assert_eq!(results, [0, 1, 2]);
     }
 
     #[test]
-    fn pinned_pool_never_steals_and_keeps_shard_order() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // 4 shards on 2 workers: shards {0,2} run on worker 0, {1,3} on
-        // worker 1. Record a per-shard execution sequence and check each
-        // shard's tasks ran in index order.
-        let order: Vec<Mutex<Vec<usize>>> = (0..4).map(|_| Mutex::new(Vec::new())).collect();
-        let ran = AtomicUsize::new(0);
-        let (reports, stats) =
-            run_seeded_with_stats(PoolConfig::pinned(2, 4), 11, 16, |ctx| {
-                let shard = ctx.shard.expect("pinned ctx carries its shard");
-                assert_eq!(shard, ctx.index % 4);
-                order[shard].lock().unwrap().push(ctx.index);
-                ran.fetch_add(1, Ordering::Relaxed);
-                ctx.index
-            });
-        assert_eq!(reports.len(), 16);
-        assert_eq!(ran.load(Ordering::Relaxed), 16);
-        assert_eq!(stats.steals_attempted(), 0, "pinned pools must not steal");
-        for (shard, seq) in order.iter().enumerate() {
-            let seq = seq.lock().unwrap();
-            let expect: Vec<usize> = (0..16).filter(|i| i % 4 == shard).collect();
-            assert_eq!(*seq, expect, "shard {shard} ran out of order");
-        }
-    }
-
-    #[test]
-    fn pinned_results_match_worksteal_results() {
-        let steal = run_seeded(PoolConfig::new(4), 77, 24, |ctx| ctx.seed ^ ctx.index as u64);
-        let pinned =
-            run_seeded(PoolConfig::pinned(4, 8), 77, 24, |ctx| ctx.seed ^ ctx.index as u64);
-        for (a, b) in steal.iter().zip(&pinned) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.ok(), b.ok(), "affinity changed a task result");
-        }
-    }
-
-    #[test]
-    fn shard_of_is_stable_and_none_under_worksteal() {
-        let ws = PoolConfig::new(4);
-        assert_eq!(ws.shard_of(5), None);
-        let pinned = PoolConfig::pinned(4, 3);
-        assert_eq!(pinned.shard_of(0), Some(0));
-        assert_eq!(pinned.shard_of(4), Some(1));
-        assert_eq!(pinned.shard_of(5), Some(2));
-        // Degenerate shard counts clamp instead of dividing by zero.
-        assert_eq!(PoolConfig::pinned(2, 0).shard_of(9), Some(0));
-    }
-
-    #[test]
-    fn contention_stats_fold_deterministically() {
-        let (reports, stats) = run_seeded_with_stats(PoolConfig::new(4), 3, 12, |ctx| {
-            // Even tasks share zone 0; odd tasks get private zones.
-            if ctx.index % 2 == 0 {
-                ctx.note_zone_touch(0);
-            } else {
-                ctx.note_zone_touch(100 + ctx.index as u64);
-            }
-            ctx.note_zone_touch(0); // duplicate notes dedup per task
-            ctx.index
-        });
-        assert_eq!(reports.len(), 12);
-        assert_eq!(stats.tasks, 12);
-        // Zone 0 is touched by all 12 tasks (dedup keeps the even/odd split
-        // from mattering): 11 conflicts there, none on the private zones.
-        assert_eq!(stats.zones_touched, 7);
-        assert_eq!(stats.zone_conflicts, 11);
-        let tasks_run: u64 = stats.workers.iter().map(|w| w.tasks_run).sum();
-        assert_eq!(tasks_run, 12);
-        assert_eq!(stats.queue_depth_samples() + stats.steals_succeeded(), 12);
-        assert!(stats.task_wall_sum_ns > 0);
-        assert!(stats.task_skew_milli() >= 1000 || stats.task_skew_milli() == 0);
-        for r in &reports {
-            assert_eq!(r.zones.iter().filter(|&&z| z == 0).count(), 1, "zones dedup");
-        }
-    }
-
-    #[test]
-    fn contention_stats_emit_matches_as_named() {
-        let (_, stats) = run_seeded_with_stats(PoolConfig::new(2), 9, 6, |ctx| {
-            ctx.note_zone_touch(ctx.index as u64 % 2);
-            ctx.index
-        });
-        // Canonical names match the trace-crate taxonomy, in order.
-        let names: Vec<&str> = stats.as_named().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, contig_trace::ENGINE_METRICS);
-        // Emitting into a session reproduces the struct counter for counter.
-        let session = TraceSession::ring(16);
-        stats.emit(&session.tracer());
-        let metrics = session.metrics();
-        for (name, value) in stats.as_named() {
-            let counted = metrics.counter(name);
-            if session.tracer().is_enabled() {
-                assert_eq!(counted, value, "stats↔trace divergence on {name}");
-            } else {
-                assert_eq!(counted, 0);
+    fn every_task_runs_exactly_once() {
+        const BASE: u64 = 0x5EED;
+        for workers in [1, 2, 3, 8] {
+            for tasks in [0, 1, 7, 64] {
+                let runs: Vec<AtomicU32> = (0..tasks).map(|_| AtomicU32::new(0)).collect();
+                let reports = run_seeded(PoolConfig::new(workers), BASE, tasks, |ctx| {
+                    // Uneven durations: 0–1.2 ms by index, so workers
+                    // overtake each other and claim out of step.
+                    std::thread::sleep(Duration::from_micros((ctx.index % 5) as u64 * 300));
+                    runs[ctx.index].fetch_add(1, Ordering::Relaxed);
+                    ctx.index
+                });
+                assert_eq!(reports.len(), tasks, "{workers} workers, {tasks} tasks");
+                for (i, (r, ran)) in reports.iter().zip(&runs).enumerate() {
+                    let ran = ran.load(Ordering::Relaxed);
+                    assert_eq!(ran, 1, "{workers} workers: task {i} of {tasks} ran {ran} times");
+                    assert_eq!(r.index, i, "reports must come back in index order");
+                    assert_eq!(r.seed, task_seed(BASE, i));
+                    assert_eq!(r.ok(), Some(&i));
+                }
             }
         }
-        assert!(contig_trace::validate_metric_names(&metrics).is_empty());
     }
 
     #[test]

@@ -49,6 +49,6 @@ pub use registry::{Log2Histogram, MetricsRegistry, LOG2_BUCKETS};
 pub use sink::RingSink;
 pub use span::{
     declare_canonical_metrics, is_valid_span_metric, stage, validate_metric_names, SpanStack,
-    StackCell, ENGINE_METRICS, SPAN_STAGES,
+    StackCell, SPAN_STAGES,
 };
 pub use tracer::{ScopedSpan, TraceSession, Tracer};

@@ -154,13 +154,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Pre-registers the counter `name` at zero (no-op if it exists).
-    pub fn declare_counter(&mut self, name: &str) {
-        if !self.counters.contains_key(name) {
-            self.counters.insert(name.to_owned(), 0);
-        }
-    }
-
     /// Current value of the counter `name` (0 if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)

@@ -78,20 +78,6 @@ pub const SPAN_STAGES: &[&str] = &[
     stage::VMA_WALK,
 ];
 
-/// Canonical `engine.*` contention counter names, sorted — emitted by
-/// `contig-engine`'s `ContentionStats::emit` and whitelisted by
-/// [`validate_metric_names`]. Kept here so the engine and every report
-/// agree on one spelling.
-pub const ENGINE_METRICS: &[&str] = &[
-    "engine.queue_depth_sample",
-    "engine.queue_depth_sum",
-    "engine.steal_attempt",
-    "engine.steal_hit",
-    "engine.task_run",
-    "engine.zone_conflict",
-    "engine.zone_touch",
-];
-
 /// The two histogram suffixes every stage feeds.
 const SPAN_SUFFIXES: [&str; 2] = ["total_ns", "self_ns"];
 
@@ -103,44 +89,31 @@ pub fn is_valid_span_metric(name: &str) -> bool {
     SPAN_STAGES.contains(&stage) && SPAN_SUFFIXES.contains(&suffix)
 }
 
-/// Checks every `span.*` / `engine.*` counter and histogram name in
-/// `registry` against the canonical taxonomy and returns the offenders,
-/// sorted. Reports call this so a typoed stage name fails loudly instead of
-/// silently forking a new metric.
+/// Checks every `span.*` counter and histogram name in `registry` against
+/// the canonical taxonomy and returns the offenders, sorted. Reports call
+/// this so a typoed stage name fails loudly instead of silently forking a
+/// new metric.
 pub fn validate_metric_names(registry: &MetricsRegistry) -> Vec<String> {
-    let mut bad = Vec::new();
-    let names = registry
+    let mut bad: Vec<String> = registry
         .counters()
-        .map(|(n, _)| n.to_owned())
-        .chain(registry.histograms().map(|(n, _)| n.to_owned()));
-    for name in names {
-        let ok = if name.starts_with("span.") {
-            is_valid_span_metric(&name)
-        } else if name.starts_with("engine.") {
-            ENGINE_METRICS.contains(&name.as_str())
-        } else {
-            true
-        };
-        if !ok {
-            bad.push(name);
-        }
-    }
+        .map(|(n, _)| n)
+        .chain(registry.histograms().map(|(n, _)| n))
+        .filter(|name| name.starts_with("span.") && !is_valid_span_metric(name))
+        .map(str::to_owned)
+        .collect();
     bad.sort();
     bad.dedup();
     bad
 }
 
-/// Pre-registers every canonical `span.*` histogram and `engine.*` counter
-/// in `registry` at zero, so reports render explicit zero rows for stages
-/// that never fired instead of silently omitting them.
+/// Pre-registers every canonical `span.*` histogram in `registry` at zero,
+/// so reports render explicit zero rows for stages that never fired instead
+/// of silently omitting them.
 pub fn declare_canonical_metrics(registry: &mut MetricsRegistry) {
     for stage in SPAN_STAGES {
         for suffix in SPAN_SUFFIXES {
             registry.declare_histogram(&format!("span.{stage}.{suffix}"));
         }
-    }
-    for name in ENGINE_METRICS {
-        registry.declare_counter(name);
     }
 }
 
@@ -423,10 +396,11 @@ mod tests {
         declare_canonical_metrics(&mut reg);
         assert!(validate_metric_names(&reg).is_empty());
         reg.observe("span.fautl.total_ns", 1);
-        reg.add("engine.steal_hits", 1);
+        reg.add("span.fault.mean_ns", 1);
+        reg.add("buddy.alloc", 1);
         assert_eq!(
             validate_metric_names(&reg),
-            vec!["engine.steal_hits".to_string(), "span.fautl.total_ns".to_string()]
+            vec!["span.fault.mean_ns".to_string(), "span.fautl.total_ns".to_string()]
         );
     }
 
@@ -436,7 +410,7 @@ mod tests {
         declare_canonical_metrics(&mut reg);
         let h = reg.histogram("span.tlb_shootdown.total_ns").expect("declared");
         assert_eq!(h.count(), 0);
-        assert_eq!(reg.counter("engine.steal_attempt"), 0);
-        assert!(reg.counters().any(|(n, _)| n == "engine.steal_attempt"));
+        assert_eq!(reg.histograms().count(), SPAN_STAGES.len() * SPAN_SUFFIXES.len());
+        assert_eq!(reg.counters().count(), 0, "only span histograms are declared");
     }
 }

@@ -70,10 +70,7 @@ pub mod prelude {
         TortureConfig, TortureFailure, TortureReport,
     };
     pub use contig_core::{CaConfig, CaPaging, SpotConfig, SpotPredictor};
-    pub use contig_engine::{
-        run_seeded, run_seeded_with_stats, Affinity, ContentionStats, PoolConfig, TaskCtx,
-        TaskReport, WorkerStats,
-    };
+    pub use contig_engine::{run_seeded, PoolConfig, TaskCtx, TaskReport};
     pub use contig_fleet::{
         Fleet, FleetAuditReport, FleetConfig, FleetError, FleetHost, FleetSnapshot, FleetStats,
         Tenant, TenantId, TenantSnapshot,
@@ -90,8 +87,7 @@ pub mod prelude {
     pub use contig_tlb::{Access, MemorySim, MissHandler, MissHandling, TlbConfig};
     pub use contig_trace::{
         declare_canonical_metrics, stage, validate_metric_names, FlightRecorder, ScopedSpan,
-        SpanStack, StackCell, TraceEvent, TraceSession, Tracer, ENGINE_METRICS, FLIGHT_CAPACITY,
-        SPAN_STAGES,
+        SpanStack, StackCell, TraceEvent, TraceSession, Tracer, FLIGHT_CAPACITY, SPAN_STAGES,
     };
     pub use contig_types::{
         fnv1a64, ContigMapping, MapOffset, PageSize, PhysAddr, Pfn, PoisonMode, PoisonPolicy,

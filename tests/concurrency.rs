@@ -1,11 +1,10 @@
 //! Concurrency coverage: the CA-paging replacement-claim semantics of paper
 //! §III-C, thread-safety of the core types, and parallel experiment runs.
 
-use std::sync::Arc;
+use std::sync::Mutex;
+use std::thread;
 
 use contig::prelude::*;
-use crossbeam::thread;
-use parking_lot::Mutex;
 
 #[test]
 fn core_types_are_send_and_sync() {
@@ -85,30 +84,27 @@ fn parallel_experiments_match_sequential() {
         maps.len()
     };
     let sequential: Vec<usize> = (0..4).map(run_one).collect();
-    let parallel = Arc::new(Mutex::new(vec![0usize; 4]));
+    let parallel = Mutex::new(vec![0usize; 4]);
     thread::scope(|s| {
         for seed in 0..4u64 {
-            let parallel = Arc::clone(&parallel);
-            s.spawn(move |_| {
+            let parallel = &parallel;
+            s.spawn(move || {
                 let got = run_one(seed);
-                parallel.lock()[seed as usize] = got;
+                parallel.lock().unwrap()[seed as usize] = got;
             });
         }
-    })
-    .unwrap();
-    assert_eq!(*parallel.lock(), sequential);
+    });
+    assert_eq!(*parallel.lock().unwrap(), sequential);
 }
 
 /// A shared system behind a mutex services interleaved faults from multiple
 /// threads without corrupting buddy state.
 #[test]
 fn threaded_faults_on_shared_system() {
-    let sys = Arc::new(Mutex::new(System::new(SystemConfig::new(
-        MachineConfig::single_node_mib(128),
-    ))));
+    let sys = Mutex::new(System::new(SystemConfig::new(MachineConfig::single_node_mib(128))));
     let mut pids = Vec::new();
     for _ in 0..4 {
-        let mut guard = sys.lock();
+        let mut guard = sys.lock().unwrap();
         let pid = guard.spawn();
         guard
             .aspace_mut(pid)
@@ -117,18 +113,17 @@ fn threaded_faults_on_shared_system() {
     }
     thread::scope(|s| {
         for &pid in &pids {
-            let sys = Arc::clone(&sys);
-            s.spawn(move |_| {
+            let sys = &sys;
+            s.spawn(move || {
                 let mut ca = CaPaging::new();
                 for i in 0..(8 << 20) / (2 << 20) {
                     let va = VirtAddr::new(0x40_0000 + i * (2 << 20));
-                    sys.lock().touch(&mut ca, pid, va).unwrap();
+                    sys.lock().unwrap().touch(&mut ca, pid, va).unwrap();
                 }
             });
         }
-    })
-    .unwrap();
-    let guard = sys.lock();
+    });
+    let guard = sys.lock().unwrap();
     for &pid in &pids {
         assert_eq!(guard.aspace(pid).mapped_bytes(), 8 << 20);
     }
@@ -539,11 +534,10 @@ fn profiled_runs_match_untraced_digests_at_all_worker_counts() {
     let serial: Vec<u64> =
         (0..ENGINE_TASKS).map(|i| engine_experiment(task_seed(ENGINE_SEED, i))).collect();
     for workers in [1usize, 8] {
-        let (reports, contention) =
-            run_seeded_with_stats(PoolConfig::new(workers), ENGINE_SEED, ENGINE_TASKS, |ctx| {
-                let tracer = ctx.trace.tracer();
-                engine_experiment_with(ctx.seed, Some(&tracer))
-            });
+        let reports = run_seeded(PoolConfig::new(workers), ENGINE_SEED, ENGINE_TASKS, |ctx| {
+            let tracer = ctx.trace.tracer();
+            engine_experiment_with(ctx.seed, Some(&tracer))
+        });
         let digests: Vec<u64> =
             reports.iter().map(|r| *r.ok().expect("profiled task panicked")).collect();
         assert_eq!(
@@ -553,134 +547,6 @@ fn profiled_runs_match_untraced_digests_at_all_worker_counts() {
         for r in &reports {
             assert!(r.spans.is_balanced(), "task {} left unbalanced spans", r.index);
         }
-        assert_eq!(contention.tasks, ENGINE_TASKS as u64);
-    }
-}
-
-/// Engine contention counters round-trip the trace registry 1:1 — the
-/// stats ledger and the `engine.*` trace counters are the same numbers.
-#[test]
-fn contention_counters_round_trip_through_the_trace_registry() {
-    let (_, stats) = run_seeded_with_stats(PoolConfig::new(4), ENGINE_SEED, ENGINE_TASKS, |ctx| {
-        engine_experiment(ctx.seed)
-    });
-    let session = TraceSession::ring(16);
-    stats.emit(&session.tracer());
-    if session.tracer().is_enabled() {
-        let metrics = session.metrics();
-        for (name, value) in stats.as_named() {
-            assert_eq!(metrics.counter(name), value, "{name} diverged between stats and trace");
-        }
-        assert!(validate_metric_names(&metrics).is_empty());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded (zone-pinned) engine mode: 1-vs-N bit-identical determinism.
-// ---------------------------------------------------------------------------
-
-const SHARDS: usize = 4;
-
-/// Folds per-task digests the way the sharded engine does: tasks group by
-/// shard (`index % SHARDS`), each shard folds in task order, and the run
-/// digest folds the shard digests in shard-id order — canonical regardless
-/// of which worker owned which shard.
-fn fold_sharded_run(digests: &[u64]) -> u64 {
-    let shard_folds: Vec<u64> = (0..SHARDS)
-        .map(|s| {
-            let lane: Vec<u64> = digests
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % SHARDS == s)
-                .map(|(_, &d)| d)
-                .collect();
-            fold_digests(&lane)
-        })
-        .collect();
-    fold_digests(&shard_folds)
-}
-
-fn sharded_digests_at(workers: usize) -> Vec<u64> {
-    let (reports, contention) = run_seeded_with_stats(
-        PoolConfig::pinned(workers, SHARDS),
-        ENGINE_SEED,
-        ENGINE_TASKS,
-        |ctx| {
-            let shard = ctx.shard.expect("pinned mode must expose the task's shard");
-            assert_eq!(shard, ctx.index % SHARDS, "shard assignment must be positional");
-            ctx.note_zone_touch(shard as u64);
-            engine_experiment(ctx.seed)
-        },
-    );
-    assert_eq!(contention.steals_attempted(), 0, "pinned mode must never steal");
-    reports.iter().map(|r| *r.ok().expect("sharded task panicked")).collect()
-}
-
-/// Sharded-mode acceptance: zone-pinned scheduling at 1, 2, 4, and 8
-/// workers produces bit-identical per-task digests AND a bit-identical
-/// canonical run fold — the property the perf suite's scaling sweep rides
-/// on.
-#[test]
-fn sharded_engine_digests_are_worker_count_independent() {
-    let serial: Vec<u64> =
-        (0..ENGINE_TASKS).map(|i| engine_experiment(task_seed(ENGINE_SEED, i))).collect();
-    let reference_fold = fold_sharded_run(&serial);
-    for workers in [1usize, 2, 4, 8] {
-        let digests = sharded_digests_at(workers);
-        assert_eq!(digests, serial, "{workers}-worker sharded run diverged from serial");
-        assert_eq!(
-            fold_sharded_run(&digests),
-            reference_fold,
-            "{workers}-worker canonical fold diverged"
-        );
-    }
-    // The fold is genuinely order-sensitive: permuting lanes must not
-    // silently produce the same digest.
-    let mut permuted = serial.clone();
-    permuted.swap(0, 1);
-    assert_ne!(fold_sharded_run(&permuted), reference_fold, "fold ignored task order");
-}
-
-/// Fleet and migration workloads survive shard pinning too: the heaviest
-/// multi-layer tasks (overcommit fleets, lossy live migrations) fold to the
-/// same canonical digest at every worker count.
-#[test]
-fn sharded_fleet_and_migration_workloads_fold_identically() {
-    let fleet_serial: Vec<u64> = (0..ENGINE_TASKS)
-        .map(|i| fleet_engine_experiment(task_seed(ENGINE_SEED, i)).0)
-        .collect();
-    let migration_serial: Vec<u64> = (0..ENGINE_TASKS)
-        .map(|i| migration_engine_experiment(task_seed(ENGINE_SEED, i)).0)
-        .collect();
-    for workers in [1usize, 4, 8] {
-        let fleet_run: Vec<u64> = run_seeded(
-            PoolConfig::pinned(workers, SHARDS),
-            ENGINE_SEED,
-            ENGINE_TASKS,
-            |ctx| fleet_engine_experiment(ctx.seed).0,
-        )
-        .iter()
-        .map(|r| *r.ok().expect("sharded fleet task panicked"))
-        .collect();
-        assert_eq!(
-            fold_sharded_run(&fleet_run),
-            fold_sharded_run(&fleet_serial),
-            "{workers}-worker sharded fleet fold diverged"
-        );
-        let migration_run: Vec<u64> = run_seeded(
-            PoolConfig::pinned(workers, SHARDS),
-            ENGINE_SEED,
-            ENGINE_TASKS,
-            |ctx| migration_engine_experiment(ctx.seed).0,
-        )
-        .iter()
-        .map(|r| *r.ok().expect("sharded migration task panicked"))
-        .collect();
-        assert_eq!(
-            fold_sharded_run(&migration_run),
-            fold_sharded_run(&migration_serial),
-            "{workers}-worker sharded migration fold diverged"
-        );
     }
 }
 

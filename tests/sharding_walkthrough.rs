@@ -1,21 +1,19 @@
 //! Pins the README's "Scaling to 8 workers" walkthrough: the code shown
-//! there must keep compiling and its claims must keep holding — shard-pinned
-//! scheduling is worker-count independent, zone-homed faults allocate
-//! locally, and the canonical per-shard digest fold agrees at 1 and 8
-//! workers.
+//! there must keep compiling and its claims must keep holding — engine
+//! results are worker-count independent, zone-homed faults allocate
+//! locally, and the folded run digest agrees at 1 and 8 workers.
 
 use contig::prelude::*;
 
 #[test]
 fn scaling_to_8_workers() {
-    // Four zones, one zone-homed experiment per task, tasks pinned to shards
-    // by index. Worker count is free to vary; the results are not.
+    // Four zones, one experiment per task, task `i` homed on zone `i % 4`.
+    // Worker count is free to vary; the results are not.
     let run = |workers: usize| -> Vec<u64> {
-        run_seeded(PoolConfig::pinned(workers, 4), 0xC0FFEE, 16, |ctx| {
-            let shard = ctx.shard.unwrap(); // stable: task index % 4
+        run_seeded(PoolConfig::new(workers), 0xC0FFEE, 16, |ctx| {
             let mut sys =
                 System::new(SystemConfig::new(MachineConfig::with_node_mib(&[16, 16, 16, 16])));
-            let pid = sys.spawn_on(shard); // faults land on the home zone
+            let pid = sys.spawn_on(ctx.index % 4); // faults land on the home zone
             sys.aspace_mut(pid)
                 .map_vma(VirtRange::new(VirtAddr::new(0x4000_0000), 8 << 20), VmaKind::Anon);
             let mut thp = DefaultThpPolicy;
@@ -30,23 +28,12 @@ fn scaling_to_8_workers() {
         .collect()
     };
 
-    // The canonical run digest: fold each shard's digests in task order, then
-    // fold the shard digests in shard-id order. 1 worker and 8 workers agree
-    // bit for bit — per task and folded.
-    let fold = |d: &[u64]| -> u64 {
-        let lanes: Vec<u64> = (0..4)
-            .map(|s| {
-                let lane: Vec<u64> =
-                    d.iter().enumerate().filter(|(i, _)| i % 4 == s).map(|(_, &x)| x).collect();
-                fold_digests(&lane)
-            })
-            .collect();
-        fold_digests(&lanes)
-    };
+    // The run digest folds the per-task digests in task order. 1 worker and
+    // 8 workers agree bit for bit — per task and folded.
     let one = run(1);
     let eight = run(8);
     assert_eq!(one, eight);
-    assert_eq!(fold(&one), fold(&eight));
+    assert_eq!(fold_digests(&one), fold_digests(&eight));
 
     // Beyond the README text: the walkthrough's narration is also true.
     assert_eq!(one.len(), 16);
