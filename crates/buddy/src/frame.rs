@@ -194,11 +194,35 @@ impl FrameTable {
 
     /// Allocated heads with a non-zero share count, in address order.
     pub fn shared_heads(&self) -> impl Iterator<Item = (Pfn, u32)> + '_ {
-        self.entries
-            .iter()
-            .enumerate()
+        self.heads(0)
             .filter(|(_, e)| e.is_allocated_head() && e.aux != 0)
-            .map(|(i, e)| (self.base.add(i as u64), e.aux))
+            .map(|(pfn, e)| (pfn, e.aux))
+    }
+
+    /// Every entry from `start` on that carries the head bit, in address
+    /// order — exactly what a filter over every entry finds, on any table.
+    /// A head of order `k` is trusted to cover its `2^k − 1` tails only once
+    /// they are verified: their `meta` words are OR-folded (no short-circuit,
+    /// so the fold vectorises) and the walk jumps past the block when no tail
+    /// carries the head bit, and steps one entry otherwise, so a stray head
+    /// inside a block is still found. The cost follows the blocks, not the
+    /// frames, on a well-formed table.
+    fn heads(&self, start: usize) -> impl Iterator<Item = (Pfn, Entry)> + '_ {
+        let mut at = start;
+        std::iter::from_fn(move || {
+            while let Some(&e) = self.entries.get(at) {
+                let head = at;
+                at += 1;
+                if e.has(HEAD) {
+                    let end = (head + (1usize << e.order())).min(self.entries.len());
+                    if self.entries[at..end].iter().fold(0, |acc, t| acc | t.meta) & HEAD == 0 {
+                        at = end;
+                    }
+                    return Some((self.base.add(head as u64), e));
+                }
+            }
+            None
+        })
     }
 
     /// # Panics
@@ -318,7 +342,9 @@ impl FrameTable {
 
     /// Iterates maximal runs of consecutive free frames as `(head, len)`
     /// pairs, ignoring buddy block boundaries. This is the *unaligned* free
-    /// contiguity the paper's Fig. 9 histograms.
+    /// contiguity the paper's Fig. 9 histograms. It reads every entry, heads
+    /// or not: the auditor recounts free frames from it, so it must not
+    /// trust a head's order.
     pub fn free_runs(&self) -> impl Iterator<Item = (Pfn, u64)> + '_ {
         let mut next = self.base;
         self.entries.chunk_by(|a, b| a.has(ALLOCATED) == b.has(ALLOCATED)).filter_map(move |run| {
@@ -335,12 +361,7 @@ impl FrameTable {
     }
 
     fn allocated_heads(&self, start: usize) -> impl Iterator<Item = (Pfn, u32)> + '_ {
-        let first = self.base.add(start as u64);
-        self.entries[start..]
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_allocated_head())
-            .map(move |(i, e)| (first.add(i as u64), e.order()))
+        self.heads(start).filter(|(_, e)| e.is_allocated_head()).map(|(pfn, e)| (pfn, e.order()))
     }
 
     /// Iterates at most `limit` allocated blocks whose head lies at or above
@@ -485,5 +506,83 @@ mod tests {
         t.set_pcp_resident(Pfn::new(0), true);
         t.set_pcp_resident(Pfn::new(0), false);
         assert!(t.is_poisoned(Pfn::new(0)));
+    }
+
+    /// The walks' answers against the per-entry filters they replaced,
+    /// transcribed: from every start, under every small limit.
+    fn assert_walks_are_exact(t: &FrameTable) {
+        let filter = |start: usize| -> Vec<(Pfn, u32)> {
+            let first = t.base.add(start as u64);
+            t.entries[start..]
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.is_allocated_head())
+                .map(move |(i, e)| (first.add(i as u64), e.order()))
+                .collect()
+        };
+        let shared: Vec<_> = t
+            .entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.is_allocated_head() && e.aux != 0)
+            .map(|(i, e)| (t.base.add(i as u64), e.aux))
+            .collect();
+        assert_eq!(t.allocated_blocks().collect::<Vec<_>>(), filter(0));
+        assert_eq!(t.shared_heads().collect::<Vec<_>>(), shared);
+        for from in 0..t.base.raw() + t.len() + 2 {
+            let start = from.saturating_sub(t.base.raw()).min(t.len()) as usize;
+            let want = filter(start);
+            for limit in [0, 1, 2, 3, u64::MAX] {
+                let got: Vec<_> = t.allocated_blocks_from(Pfn::new(from), limit).collect();
+                let want = &want[..want.len().min(limit as usize)];
+                assert_eq!(got, want, "from {from} limit {limit}");
+            }
+        }
+    }
+
+    #[test]
+    fn walks_are_exact_on_malformed_tables() {
+        let head = |order| Entry::new(FrameState::AllocatedHead { order }, 0, 0);
+        // A stray (shared) head inside an allocated block, and one inside a
+        // free block.
+        let mut t = FrameTable::new(Pfn::new(4), 32);
+        t.mark_allocated_block(Pfn::new(4), 3);
+        t.entries[5] = Entry::new(FrameState::AllocatedHead { order: 0 }, 0, 2);
+        t.mark_free_block(Pfn::new(12), 3, 0);
+        t.entries[13] = head(1);
+        t.mark_allocated_block(Pfn::new(20), 4);
+        t.set_share_count(Pfn::new(20), 3);
+        assert_walks_are_exact(&t);
+        // The only stray right behind its head: the first tail is folded too.
+        let mut t = FrameTable::new(Pfn::new(0), 8);
+        t.mark_allocated_block(Pfn::new(0), 3);
+        t.entries[1] = head(0);
+        assert_walks_are_exact(&t);
+        // A run of free tails with no head in front of it, then a head whose
+        // order overruns the zone end.
+        let mut t = FrameTable::new(Pfn::new(0), 12);
+        t.entries[6] = head(0);
+        t.entries[8] = Entry::new(FrameState::AllocatedHead { order: 3 }, 0, 1);
+        t.entries[11] = head(2);
+        assert_walks_are_exact(&t);
+        let mut t = FrameTable::new(Pfn::new(0), 8);
+        t.entries[0] = Entry::new(FrameState::FreeHead { order: ORDER_MASK }, 0, 0);
+        t.entries[7] = head(ORDER_MASK);
+        assert_walks_are_exact(&t);
+        // Arbitrary entries: every state, order, flag and second half.
+        let mut rng = 26;
+        for _ in 0..200 {
+            let mut t = FrameTable::new(Pfn::new(contig_types::splitmix64(&mut rng) % 5), 40);
+            for e in &mut t.entries {
+                let draw = contig_types::splitmix64(&mut rng);
+                let flags = draw as u32 & (ALLOCATED | PCP_RESIDENT | POISONED);
+                // One head in eight, so that some blocks hold no stray head.
+                let order = (draw >> 16) as u32 % 6;
+                let is_head = (draw >> 24).is_multiple_of(8);
+                let head = if is_head { HEAD | order << ORDER_SHIFT } else { 0 };
+                *e = Entry { meta: flags | head, aux: (draw >> 40) as u32 % 3 };
+            }
+            assert_walks_are_exact(&t);
+        }
     }
 }

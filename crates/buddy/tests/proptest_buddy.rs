@@ -402,6 +402,116 @@ proptest! {
     }
 }
 
+/// An operation for the frame-walk test: the allocator mix, poison, pcp
+/// traffic, `split_page()` and COW share counts.
+#[derive(Clone, Debug)]
+enum WalkOp {
+    Alloc { order: u32 },
+    AllocSpecific { slot: u64, order: u32 },
+    Free { nth: usize },
+    Poison { pfn: u64 },
+    SetCpu { cpu: usize },
+    Drain,
+    Split { nth: usize, by: u32 },
+    Share { nth: usize, count: u32 },
+    Walk { from: u64, limit: u64 },
+}
+
+fn walk_op_strategy() -> impl Strategy<Value = WalkOp> {
+    prop_oneof![
+        (0u32..=6).prop_map(|order| WalkOp::Alloc { order }),
+        (0u64..1024, 0u32..=6).prop_map(|(slot, order)| WalkOp::AllocSpecific { slot, order }),
+        (0usize..64).prop_map(|nth| WalkOp::Free { nth }),
+        (0u64..1024).prop_map(|pfn| WalkOp::Poison { pfn }),
+        (0usize..2).prop_map(|cpu| WalkOp::SetCpu { cpu }),
+        Just(WalkOp::Drain),
+        (0usize..64, 1u32..=3).prop_map(|(nth, by)| WalkOp::Split { nth, by }),
+        (0usize..64, 0u32..4).prop_map(|(nth, count)| WalkOp::Share { nth, count }),
+        (0u64..1100, 0u64..40).prop_map(|(from, limit)| WalkOp::Walk { from, limit }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `allocated_blocks`, `allocated_blocks_from` and `shared_heads` skip
+    /// the tails of verified blocks; whatever the interleaving, they answer
+    /// exactly what a filter over every frame's state answers.
+    #[test]
+    fn frame_walks_equal_the_per_frame_filters(
+        ops in proptest::collection::vec(walk_op_strategy(), 1..150),
+    ) {
+        const FRAMES: u64 = 1024;
+        let mut zone = Zone::new(ZoneConfig::with_frames(FRAMES));
+        zone.enable_pcp(PcpConfig { cpus: 2, batch: 4, high: 8 });
+        let mut live: Vec<(Pfn, u32)> = Vec::new();
+        for op in ops {
+            let (mut from, mut limit) = (0, u64::MAX);
+            match op {
+                WalkOp::Alloc { order } => {
+                    if let Ok(head) = zone.alloc(order) {
+                        live.push((head, order));
+                    }
+                }
+                WalkOp::AllocSpecific { slot, order } => {
+                    let target = Pfn::new((slot << order) % FRAMES);
+                    let fits = target.raw() + (1 << order) <= FRAMES;
+                    if fits && zone.alloc_specific(target, order).is_ok() {
+                        live.push((target, order));
+                    }
+                }
+                WalkOp::Free { nth } if !live.is_empty() => {
+                    let (head, order) = live.swap_remove(nth % live.len());
+                    zone.free(head, order);
+                }
+                WalkOp::Poison { pfn } => {
+                    zone.poison(Pfn::new(pfn % FRAMES));
+                }
+                WalkOp::SetCpu { cpu } => zone.set_cpu(cpu),
+                WalkOp::Drain => {
+                    zone.drain_pcp();
+                }
+                WalkOp::Split { nth, by } if !live.is_empty() => {
+                    let (head, order) = live.swap_remove(nth % live.len());
+                    let new_order = order.saturating_sub(by);
+                    zone.split_allocated(head, new_order);
+                    let pieces = 0..1u64 << (order - new_order);
+                    live.extend(pieces.map(|i| (head.add(i << new_order), new_order)));
+                }
+                WalkOp::Share { nth, count } if !live.is_empty() => {
+                    zone.set_share_count(live[nth % live.len()].0, count);
+                }
+                WalkOp::Walk { from: f, limit: l } => (from, limit) = (f, l),
+                _ => {}
+            }
+            let table = zone.frame_table();
+            let heads: Vec<(Pfn, u32)> = (0..FRAMES)
+                .map(Pfn::new)
+                .filter_map(|p| match table.state(p) {
+                    contig_buddy::FrameState::AllocatedHead { order } => Some((p, order)),
+                    _ => None,
+                })
+                .collect();
+            let shared: Vec<(Pfn, u32)> = heads
+                .iter()
+                .map(|&(p, _)| (p, table.share_count(p)))
+                .filter(|&(_, count)| count != 0)
+                .collect();
+            let resumed: Vec<(Pfn, u32)> = heads
+                .iter()
+                .copied()
+                .filter(|&(p, _)| p.raw() >= from)
+                .take(limit as usize)
+                .collect();
+            prop_assert_eq!(table.allocated_blocks().collect::<Vec<_>>(), heads);
+            prop_assert_eq!(table.shared_heads().collect::<Vec<_>>(), shared);
+            let got: Vec<_> = table.allocated_blocks_from(Pfn::new(from), limit).collect();
+            prop_assert_eq!(got, resumed);
+        }
+        zone.verify_integrity();
+    }
+}
+
 /// An operation for the pcp differential test, including CPU migration and
 /// explicit drains.
 #[derive(Clone, Debug)]

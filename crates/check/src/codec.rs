@@ -5,9 +5,10 @@
 //! cross the wire: each is wrapped where it is defined in one of
 //! `contig_types`' table macros (`wire_struct!`, `wire_counters!`,
 //! `wire_tagged!`), so its [`Wire`] impl — canonical single-line JSON out
-//! through an [`Enc`](crate::json::Enc), the parsed [`Json`](crate::Json)
-//! value back in — is expanded from the declaration and cannot disagree with
-//! it. What is left here is what is about files: a VM image in two lines,
+//! through an [`Enc`](crate::json::Enc), pulled back member by member off a
+//! [`Dec`](crate::json::Dec) — is expanded from the declaration and cannot
+//! disagree with it. What is left here is what is about files: a VM image in
+//! two lines,
 //!
 //! ```text
 //! {"format":"contig-snapshot","version":6,"digest":<fnv1a64>}
@@ -20,10 +21,9 @@
 //! line, so corruption is detected before a restore is attempted. Nothing
 //! may follow the payload line.
 //!
-//! Objects are written in declaration order, every member is required on
-//! decode and an unset `Option` is `null`, never left out; with the
-//! integer-only number model this makes the encoding canonical, which is what
-//! lets [`crate::digest`] hash the bytes as they are emitted. Reordering,
+//! Every member is written, and required on decode, once and in declaration
+//! order (an unset `Option` is `null`), so the encoding is canonical and
+//! [`crate::digest`] hashes the bytes as they are emitted. Reordering,
 //! renaming, adding or removing a field of a wrapped type is therefore a
 //! format change and needs a new [`SNAPSHOT_VERSION`].
 
@@ -31,15 +31,13 @@ use contig_mm::SystemSnapshot;
 use contig_virt::VmSnapshot;
 
 use crate::digest::fnv1a64;
-use crate::json::{line, parse, Wire};
+use crate::json::{decode, line, parse, Wire};
 
 /// Snapshot file format version: the one the encoder writes and the only
 /// version read.
 pub const SNAPSHOT_VERSION: i128 = 6;
 /// `format` tag of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "contig-snapshot";
-
-type DecodeResult<T> = Result<T, String>;
 
 /// Serializes a [`VmSnapshot`] to the two-line JSONL snapshot format
 /// (versioned header with digest, then the payload).
@@ -62,7 +60,7 @@ pub fn encode_vm_file(snap: &VmSnapshot) -> String {
 /// Rejects missing headers, unknown format tags, any version but
 /// [`SNAPSHOT_VERSION`], digest mismatches (corruption), malformed payloads,
 /// and anything but blank lines after the payload.
-pub fn decode_vm_file(text: &str) -> DecodeResult<VmSnapshot> {
+pub fn decode_vm_file(text: &str) -> Result<VmSnapshot, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header_line = lines.next().ok_or("empty snapshot file")?;
     let payload_line = lines.next().ok_or("snapshot file has no payload line")?;
@@ -85,7 +83,7 @@ pub fn decode_vm_file(text: &str) -> DecodeResult<VmSnapshot> {
     if want != got {
         return Err(format!("digest mismatch: header {want:#x}, payload {got:#x}"));
     }
-    VmSnapshot::dec(&parse(payload_line).map_err(|e| format!("bad payload: {e}"))?)
+    decode(payload_line, "bad payload")
 }
 
 /// Writes a snapshot file to `path`.
@@ -102,7 +100,7 @@ pub fn write_vm_file(path: &std::path::Path, snap: &VmSnapshot) -> std::io::Resu
 /// # Errors
 ///
 /// I/O failures and every validation failure of [`decode_vm_file`].
-pub fn read_vm_file(path: &std::path::Path) -> DecodeResult<VmSnapshot> {
+pub fn read_vm_file(path: &std::path::Path) -> Result<VmSnapshot, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
     decode_vm_file(&text)
 }
@@ -122,6 +120,6 @@ impl contig_virt::GuestStateCodec for SnapshotGuestCodec {
     fn decode(&self, bytes: &[u8]) -> Result<SystemSnapshot, String> {
         let text =
             std::str::from_utf8(bytes).map_err(|e| format!("state chunk not UTF-8: {e}"))?;
-        SystemSnapshot::dec(&parse(text).map_err(|e| format!("state chunk not JSON: {e}"))?)
+        decode(text, "state chunk not JSON")
     }
 }

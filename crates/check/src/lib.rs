@@ -115,7 +115,7 @@ mod tests {
         }
         let snap = tlb.snapshot();
         let line = json::line(|e| snap.enc(e));
-        let decoded = TlbSnapshot::dec(&json::parse(&line).unwrap()).unwrap();
+        let decoded = json::decode::<TlbSnapshot>(&line, "tlb").unwrap();
         assert_eq!(decoded, snap);
         assert_eq!(fnv1a64(line.as_bytes()), digest_tlb(&snap));
         assert_eq!(TlbHierarchy::from_snapshot(&decoded).unwrap().snapshot(), snap);
@@ -132,7 +132,7 @@ mod tests {
         let good = image("1", "2", "[[5,1],null]");
         let decode = |l2: &str| {
             let doc = format!(r#"{{"l1_4k":{good},"l1_2m":{good},"l2":{l2},"counters":[0,0,0,0]}}"#);
-            contig_tlb::TlbSnapshot::dec(&json::parse(&doc).unwrap())
+            json::decode::<contig_tlb::TlbSnapshot>(&doc, "not JSON")
         };
         assert!(contig_tlb::TlbHierarchy::from_snapshot(&decode(&good).unwrap()).is_ok());
         for (l2, why) in [

@@ -11,7 +11,7 @@
 //! {"op":"touch","sel":0,"page":4}
 //! ```
 
-use crate::json::{line, parse, Json, Wire};
+use crate::json::{decode, line, parse, Json, Wire};
 use crate::torture::{TortureConfig, TortureOp};
 
 /// Current repro file format version.
@@ -75,9 +75,14 @@ pub fn decode_repro(text: &str) -> Result<(TortureConfig, Vec<TortureOp>), Strin
     }
     // A member the header lacks is one the file predates: each subsystem
     // added since version 1 defaults to off (`shards` to 0, the flat
-    // machine), so old artifacts replay byte-identically.
-    fn since_v1<T: Wire + Default>(header: &Json, key: &str) -> T {
-        header.member(key).unwrap_or_default()
+    // machine), so old artifacts replay byte-identically; an absent crash
+    // interval is none. A member the header has must be well-formed: a
+    // malformed one defaulted would replay another run than it recorded.
+    fn or_default<T: Wire + Default>(header: &Json, key: &str) -> Result<T, String> {
+        match header.get(key) {
+            None => Ok(T::default()),
+            Some(_) => header.member(key),
+        }
     }
     let mut cfg = TortureConfig {
         seed: header.member("seed")?,
@@ -88,21 +93,18 @@ pub fn decode_repro(text: &str) -> Result<(TortureConfig, Vec<TortureOp>), Strin
         sweep_interval: header.member("sweep_interval")?,
         audit_interval: header.member("audit_interval")?,
         snapshot_interval: header.member("snapshot_interval")?,
-        crash_interval: match header.get("crash_interval") {
-            None => None,
-            Some(_) => header.member("crash_interval")?,
-        },
+        crash_interval: or_default(&header, "crash_interval")?,
         inject_model_bug: header.member("inject_model_bug")?,
-        poison: since_v1(&header, "poison"),
-        migrate: since_v1(&header, "migrate"),
-        pcp: since_v1(&header, "pcp"),
-        fleet: since_v1(&header, "fleet"),
-        shards: since_v1(&header, "shards"),
-        daemon: since_v1(&header, "daemon"),
+        poison: or_default(&header, "poison")?,
+        migrate: or_default(&header, "migrate")?,
+        pcp: or_default(&header, "pcp")?,
+        fleet: or_default(&header, "fleet")?,
+        shards: or_default(&header, "shards")?,
+        daemon: or_default(&header, "daemon")?,
     };
     let mut ops = Vec::new();
     for op_line in lines {
-        ops.push(TortureOp::dec(&parse(op_line).map_err(|e| format!("bad op line: {e}"))?)?);
+        ops.push(decode(op_line, "bad op line")?);
     }
     if ops.len() != cfg.ops {
         return Err(format!("header promises {} ops, file has {}", cfg.ops, ops.len()));
@@ -212,6 +214,20 @@ mod tests {
             .replace(",\"daemon\":false", "");
         let (cfg3, _) = decode_repro(&legacy).expect("pre-daemon header must decode");
         assert!(!cfg3.daemon);
+    }
+
+    #[test]
+    fn malformed_header_members_are_refused_not_defaulted() {
+        // Only a member the header lacks defaults; one it carries in the
+        // wrong type would replay a different run than the file recorded.
+        let text = encode_repro(&TortureConfig::with_seed_and_ops(5, 0), &[]);
+        for (member, bad, why) in [
+            ("\"poison\":false", "\"poison\":7", "poison: not a bool"),
+            ("\"shards\":0", "\"shards\":\"four\"", "shards: not a usize"),
+            ("\"crash_interval\":101", "\"crash_interval\":-1", "crash_interval: not a usize"),
+        ] {
+            assert_eq!(decode_repro(&text.replace(member, bad)), Err(why.to_string()));
+        }
     }
 
     #[test]

@@ -547,18 +547,28 @@ struct VmaRec {
 struct RunnerState {
     pids: Vec<Pid>,
     vmas: Vec<VmaRec>,
-    /// Per-pid bump cursor for fresh VMA placement.
-    cursors: BTreeMap<u32, u64>,
-    /// The flat model: `(pid, page va)` → expectation.
-    oracle: BTreeMap<(u32, u64), PageExpect>,
+    /// Per-pid bump cursor for fresh VMA placement, indexed by pid.
+    cursors: Vec<u64>,
+    /// The flat model, indexed by pid: each page the pid has mapped, by
+    /// page va, ascending, with its expectation.
+    oracle: Vec<Vec<(u64, PageExpect)>>,
     /// Armed transport storm as `(rate_ppm, seed)`. Each migration derives
     /// a *fresh* policy from these plus its own op seed, so migrations stay
     /// deterministic per op and checkpoint restores replay identically.
     transport: Option<(u32, u64)>,
-    /// The fleet content model: `(tenant, workload page)` → expected tag.
-    /// Entries of victim-killed tenants are dropped when the kill is
-    /// observed; ballooning, KSM, and evacuation must never change a tag.
-    fleet_tags: BTreeMap<(u64, u64), u64>,
+    /// The fleet content model, indexed by tenant then workload page: the
+    /// expected tag, 0 for none (tags start at 1). Entries of victim-killed
+    /// tenants are dropped when the kill is observed; ballooning, KSM, and
+    /// evacuation must never change a tag.
+    fleet_tags: Vec<Vec<u64>>,
+}
+
+/// `v[i]`, growing `v` with defaults to hold it.
+fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
+    if v.len() <= i {
+        v.resize_with(i + 1, T::default);
+    }
+    &mut v[i]
 }
 
 struct Exec {
@@ -646,50 +656,30 @@ impl Exec {
     /// then holds it to that story).
     fn note_pages(&mut self, pid: Pid, base: u64, count: u64) {
         let pt = self.vm.guest().aspace(pid).page_table();
-        let mut updates = Vec::with_capacity(count as usize);
-        for i in 0..count {
-            let va = VirtAddr::new(base + i * 4096);
-            match pt.translate(va) {
-                Ok(t) => updates
-                    .push((va.raw(), Some(PageExpect { write: t.flags.contains(PteFlags::WRITE) }))),
-                Err(_) => updates.push((va.raw(), None)),
-            }
-        }
-        for (va, expect) in updates {
-            match expect {
-                Some(e) => {
-                    self.st.oracle.insert((pid.0, va), e);
-                }
-                None => {
-                    self.st.oracle.remove(&(pid.0, va));
-                }
-            }
-        }
+        let mapped = (0..count).filter_map(|i| {
+            let va = base + i * 4096;
+            let t = pt.translate(VirtAddr::new(va)).ok()?;
+            Some((va, PageExpect { write: t.flags.contains(PteFlags::WRITE) }))
+        });
+        // The run's pages replace whatever the model held for them.
+        let pages = slot(&mut self.st.oracle, pid.0 as usize);
+        let from = pages.partition_point(|&(va, _)| va < base);
+        let to = pages.partition_point(|&(va, _)| va < base + count * 4096);
+        pages.splice(from..to, mapped);
     }
 
     /// Rebuilds the whole oracle view of one pid from its page table. Used
     /// after multi-page ops (fork, populate) and after failed faults, where
     /// the stack may have made partial progress before erroring out.
     fn sync_pid(&mut self, pid: Pid) {
-        let keys: Vec<_> = self
-            .st
-            .oracle
-            .range((pid.0, 0)..=(pid.0, u64::MAX))
-            .map(|(&k, _)| k)
-            .collect();
-        for k in keys {
-            self.st.oracle.remove(&k);
-        }
-        let mut entries = Vec::new();
+        let pages = slot(&mut self.st.oracle, pid.0 as usize);
+        pages.clear();
+        // `iter_mappings` ascends, so the pages stay in va order.
         for m in self.vm.guest().aspace(pid).page_table().iter_mappings() {
-            let write = m.pte.flags.contains(PteFlags::WRITE);
-            let pages = m.size.bytes() / 4096;
+            let expect = PageExpect { write: m.pte.flags.contains(PteFlags::WRITE) };
             let base = m.va.raw();
-            for i in 0..pages {
-                entries.push(((pid.0, base + i * 4096), PageExpect { write }));
-            }
+            pages.extend((0..m.size.bytes() / 4096).map(|i| (base + i * 4096, expect)));
         }
-        self.st.oracle.extend(entries);
     }
 
     fn vmas_of(&self, pid: Pid) -> usize {
@@ -715,7 +705,7 @@ impl Exec {
                 self.vm.guest_mut().set_home_node(pid, Some(node));
             }
             self.st.pids.push(pid);
-            self.st.cursors.insert(pid.0, VA_BASE);
+            *slot(&mut self.st.cursors, pid.0 as usize) = VA_BASE;
             pid
         } else {
             self.st.pids[((sel / 4) as usize) % self.st.pids.len()]
@@ -726,7 +716,7 @@ impl Exec {
         let pages =
             1 + pages_seed % if file { MAX_FILE_PAGES } else { MAX_ANON_PAGES };
         let len = pages * 4096;
-        let start = self.st.cursors[&pid.0];
+        let start = self.st.cursors[pid.0 as usize];
         let kind = if file {
             let f = self.vm.guest_mut().page_cache_mut().create_file();
             VmaKind::File { file: f, start_page: 0 }
@@ -739,7 +729,7 @@ impl Exec {
             .aspace_mut(pid)
             .map_vma(VirtRange::new(VirtAddr::new(start), len), kind);
         let advance = len.div_ceil(VMA_GAP) * VMA_GAP + VMA_GAP;
-        self.st.cursors.insert(pid.0, start + advance);
+        self.st.cursors[pid.0 as usize] = start + advance;
         self.st.vmas.push(VmaRec { pid, id, start, pages, anon: !file });
         self.report.maps += 1;
     }
@@ -794,8 +784,8 @@ impl Exec {
                 self.st.pids.push(child);
                 // The child's only VMA is the forked one; future fresh maps
                 // must land past the parent's cursor to dodge it.
-                let parent_cursor = self.st.cursors[&rec.pid.0];
-                self.st.cursors.insert(child.0, parent_cursor);
+                let parent_cursor = self.st.cursors[rec.pid.0 as usize];
+                *slot(&mut self.st.cursors, child.0 as usize) = parent_cursor;
                 self.st.vmas.push(VmaRec { pid: child, ..rec });
                 self.sync_pid(rec.pid);
                 self.sync_pid(child);
@@ -809,20 +799,12 @@ impl Exec {
                 self.vm.exit_guest_process(pid);
                 self.st.pids.retain(|&p| p != pid);
                 self.st.vmas.retain(|v| v.pid != pid);
-                self.st.cursors.remove(&pid.0);
-                // With `inject_model_bug` set, the dead process's oracle
-                // entries are deliberately left behind, so the next sweep
-                // finds stale state — the seeded bug the minimizer shrinks.
+                // The dead pid's cursor is never read again: pids are not
+                // reused. With `inject_model_bug` set, its oracle entries are
+                // deliberately left behind, so the next sweep finds stale
+                // state — the seeded bug the minimizer shrinks.
                 if !self.cfg.inject_model_bug {
-                    let keys: Vec<_> = self
-                        .st
-                        .oracle
-                        .range((pid.0, 0)..=(pid.0, u64::MAX))
-                        .map(|(&k, _)| k)
-                        .collect();
-                    for k in keys {
-                        self.st.oracle.remove(&k);
-                    }
+                    slot(&mut self.st.oracle, pid.0 as usize).clear();
                 }
                 self.report.exits += 1;
             }
@@ -953,8 +935,12 @@ impl Exec {
     /// inside one can escalate all the way to a victim kill.
     fn fleet_sync_tenants(&mut self) {
         let Some(fleet) = &self.fleet else { return };
-        let alive: Vec<u64> = fleet.tenant_ids().iter().map(|t| t.0).collect();
-        self.st.fleet_tags.retain(|&(t, _), _| alive.binary_search(&t).is_ok());
+        let alive = fleet.tenant_ids();
+        for (t, tags) in self.st.fleet_tags.iter_mut().enumerate() {
+            if alive.binary_search(&TenantId(t as u64)).is_err() {
+                tags.clear();
+            }
+        }
     }
 
     fn fleet_write(&mut self, sel: u64, page: u64, tag: u64) {
@@ -965,7 +951,7 @@ impl Exec {
         let fleet = self.fleet.as_mut().expect("target implies fleet");
         match fleet.tenant_write(id, page, tag) {
             Ok(()) => {
-                self.st.fleet_tags.insert((id.0, page), tag);
+                *slot(slot(&mut self.st.fleet_tags, id.0 as usize), page as usize) = tag;
             }
             Err(e) => {
                 // Overcommit must degrade gracefully: a tenant write never
@@ -983,7 +969,8 @@ impl Exec {
         let fleet = self.fleet.as_mut().expect("target implies fleet");
         match fleet.tenant_read(id, page) {
             Ok(got) => {
-                let want = self.st.fleet_tags.get(&(id.0, page)).copied();
+                let tags = self.st.fleet_tags.get(id.0 as usize);
+                let want = tags.and_then(|t| t.get(page as usize)).copied().filter(|&t| t != 0);
                 if got != want {
                     self.fail_fleet(
                         op_index,
@@ -1009,7 +996,10 @@ impl Exec {
         let fleet = self.fleet.as_mut().expect("target implies fleet");
         match fleet.tenant_discard(id, page) {
             Ok(_) => {
-                self.st.fleet_tags.remove(&(id.0, page));
+                let tags = self.st.fleet_tags.get_mut(id.0 as usize);
+                if let Some(tag) = tags.and_then(|t| t.get_mut(page as usize)) {
+                    *tag = 0;
+                }
             }
             Err(e) => {
                 self.fail_fleet(op_index, format!("tenant {} discard page {page}: {e}", id.0));
@@ -1204,27 +1194,31 @@ impl Exec {
         };
         // Forward: every page the model believes mapped must still translate
         // with the recorded write permission.
-        for (&(pid, va), expect) in &self.st.oracle {
+        for (pid, pages) in self.st.oracle.iter().enumerate() {
+            let Some(&(va, _)) = pages.first() else { continue };
+            let pid = pid as u32;
             if !self.st.pids.contains(&Pid(pid)) {
                 return diverged(format!(
                     "oracle holds page {va:#x} of exited pid {pid}"
                 ));
             }
             let pt = self.vm.guest().aspace(Pid(pid)).page_table();
-            match pt.translate(VirtAddr::new(va)) {
-                Ok(t) => {
-                    let write = t.flags.contains(PteFlags::WRITE);
-                    if write != expect.write {
+            for &(va, expect) in pages {
+                match pt.translate(VirtAddr::new(va)) {
+                    Ok(t) => {
+                        let write = t.flags.contains(PteFlags::WRITE);
+                        if write != expect.write {
+                            return diverged(format!(
+                                "pid {pid} page {va:#x}: write bit {write}, model says {}",
+                                expect.write
+                            ));
+                        }
+                    }
+                    Err(e) => {
                         return diverged(format!(
-                            "pid {pid} page {va:#x}: write bit {write}, model says {}",
-                            expect.write
+                            "pid {pid} page {va:#x} expected mapped, translate failed: {e:?}"
                         ));
                     }
-                }
-                Err(e) => {
-                    return diverged(format!(
-                        "pid {pid} page {va:#x} expected mapped, translate failed: {e:?}"
-                    ));
                 }
             }
         }
@@ -1232,12 +1226,13 @@ impl Exec {
         // walking, tally per-frame references for the sharing check.
         let mut refs: BTreeMap<(u64, bool), (u64, bool)> = BTreeMap::new();
         for &pid in &self.st.pids {
+            let known = self.st.oracle.get(pid.0 as usize).map_or(&[][..], Vec::as_slice);
             for m in self.vm.guest().aspace(pid).page_table().iter_mappings() {
                 let pages = m.size.bytes() / 4096;
                 let base = m.va.raw();
                 for i in 0..pages {
                     let va = base + i * 4096;
-                    if !self.st.oracle.contains_key(&(pid.0, va)) {
+                    if known.binary_search_by_key(&va, |&(va, _)| va).is_err() {
                         return diverged(format!(
                             "pid {} page {va:#x} mapped but unknown to the model",
                             pid.0

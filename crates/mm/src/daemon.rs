@@ -40,7 +40,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use contig_buddy::{FrameState, NodeId};
 use contig_trace::{stage, DaemonStage, TraceEvent};
-use contig_types::json::{Enc, Json, Sink, Wire};
+use contig_types::json::{Dec, Enc, Sink, Wire};
 use contig_types::{splitmix64, PageSize, Pfn, VirtAddr};
 
 use crate::pte::{Pte, PteFlags};
@@ -163,8 +163,8 @@ impl Wire for DaemonPhase {
     fn enc<S: Sink>(&self, e: &mut Enc<S>) {
         e.num(*self as u8);
     }
-    fn dec(v: &Json) -> Result<Self, String> {
-        match u64::dec(v)? {
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+        match u64::dec(d)? {
             0 => Ok(DaemonPhase::Compact),
             1 => Ok(DaemonPhase::Promote),
             2 => Ok(DaemonPhase::Repair),

@@ -9,7 +9,7 @@
 use std::collections::BTreeMap;
 
 use contig_buddy::Machine;
-use contig_types::json::{Enc, Json, Sink, Wire};
+use contig_types::json::{Dec, Enc, Sink, Wire};
 use contig_types::{AllocError, MapOffset, PageSize, Pfn, VirtAddr};
 
 /// Identifier of a cached file.
@@ -34,8 +34,8 @@ impl Wire for CacheAllocMode {
             CacheAllocMode::CaContiguous => "ca_contiguous",
         });
     }
-    fn dec(v: &Json) -> Result<Self, String> {
-        match v.as_str() {
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+        match d.str().ok().as_deref() {
             Some("default") => Ok(CacheAllocMode::Default),
             Some("ca_contiguous") => Ok(CacheAllocMode::CaContiguous),
             other => Err(format!("unknown cache mode {other:?}")),

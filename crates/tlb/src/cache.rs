@@ -117,7 +117,10 @@ impl SetAssocCache {
 
     /// Inserts `key`, evicting the LRU way of its set if needed. Inserting a
     /// present key refreshes it.
-    #[inline]
+    // Out of line on purpose: whether LLVM inlines it into the three fills
+    // of `MemorySim::walk` flips with unrelated edits to this crate (no LTO),
+    // and inlined there it cost `translation_replay` 1–3 % of events/s.
+    #[inline(never)]
     pub fn fill(&mut self, key: u64) {
         self.tick += 1;
         let set = self.set_of(key);

@@ -8,7 +8,7 @@
 //! name lookup and both directions of the JSONL field codec are expanded from
 //! that one declaration, so they cannot disagree.
 
-use contig_types::json::{Enc, Json, Sink, Wire};
+use contig_types::json::{Dec, Enc, Json, Sink, Wire};
 
 /// Which translation dimension produced an event in a virtualized run.
 ///
@@ -227,9 +227,9 @@ impl Wire for FaultClass {
     fn enc<S: Sink>(&self, e: &mut Enc<S>) {
         e.str(self.as_str());
     }
-    fn dec(v: &Json) -> Result<Self, String> {
-        let tag = v.as_str().ok_or("not a string")?;
-        FaultClass::from_tag(tag).ok_or_else(|| format!("unknown fault class `{tag}`"))
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+        let tag = d.str()?;
+        FaultClass::from_tag(&tag).ok_or_else(|| format!("unknown fault class `{tag}`"))
     }
 }
 

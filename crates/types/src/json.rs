@@ -1,15 +1,17 @@
-//! A minimal JSON value, writer, and parser.
+//! A minimal JSON value, writer, and reader.
 //!
 //! Hand-rolled because the build environment is offline, and in this crate
 //! because both wire formats need it: the trace JSONL of `contig-trace` and
-//! the snapshot codec of `contig-check`, which sits above it. They need only
-//! a small, fully deterministic subset: object key order is *preserved* (not sorted),
-//! so the serialized form of a snapshot is canonical and safe to digest, and
+//! the snapshot codec of `contig-check`, which sits above it. They need only a
+//! small, fully deterministic subset: object key order is *preserved* (not
+//! sorted), so the serialized form of a snapshot is canonical and safe to
+//! digest, and
 //! numbers are `i128` (no floats — every quantity in the simulator is an
 //! integer, and `i128` covers both `u64` counters and signed [`MapOffset`]
-//! distances exactly). The writer ([`Enc`]) needs no value: encoders call it
-//! member by member and it emits into a [`Sink`], so a digest hashes a
-//! snapshot's encoding without ever holding it.
+//! distances exactly). Neither the writer ([`Enc`]) nor the reader ([`Dec`])
+//! needs a value: encoders emit member by member into a [`Sink`], so a digest
+//! hashes an encoding it never holds, and decoders pull members off the text
+//! in the order the encoder wrote them. [`parse`] builds a [`Json`] value.
 //!
 //! What a type looks like on the wire is decided by its *definition*:
 //! [`Wire`] is implemented here once for the integers, `bool`, [`Pfn`],
@@ -20,9 +22,13 @@
 //! [`wire_counters!`](crate::wire_counters) (an all-`u64` block as an array
 //! in declaration order) and [`wire_tagged!`](crate::wire_tagged) (an enum
 //! as `{"<tag>":"<name>",fields…}`). A field is therefore spelled once, and
-//! reordering or renaming the fields of a wrapped type *is* a format change.
+//! reordering or renaming the fields of a wrapped type *is* a format change:
+//! the reader refuses a member that is missing, out of order, repeated or
+//! undeclared.
 //!
 //! [`MapOffset`]: crate::MapOffset
+
+use std::borrow::Cow;
 
 use crate::{Fnv1a64, Pfn};
 
@@ -51,54 +57,34 @@ impl Json {
     }
 
     /// The object member named `key`.
-    #[inline]
     pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
+        let Json::Obj(members) = self else { return None };
+        members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     /// The value as an integer, if it is one.
-    #[inline]
     pub fn as_num(&self) -> Option<i128> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
+        if let Json::Num(n) = self { Some(*n) } else { None }
     }
 
     /// The value as a `u64`, if it is an in-range integer.
-    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         self.as_num().and_then(|n| u64::try_from(n).ok())
     }
 
     /// The value as a bool, if it is one.
-    #[inline]
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
+        if let Json::Bool(b) = self { Some(*b) } else { None }
     }
 
     /// The value as a string slice, if it is one.
-    #[inline]
     pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
+        if let Json::Str(s) = self { Some(s) } else { None }
     }
 
     /// The value as an array slice, if it is one.
-    #[inline]
     pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
+        if let Json::Arr(items) = self { Some(items) } else { None }
     }
 
     /// The member named `key`, which the object must have.
@@ -107,22 +93,19 @@ impl Json {
     ///
     /// This, [`Json::str_of`] and [`Json::member`] name the member that is
     /// missing or is not of the type asked for.
-    #[inline]
     pub fn field(&self, key: &str) -> Result<&Json, String> {
         self.get(key).ok_or_else(|| format!("missing field `{key}`"))
     }
 
     /// The string member named `key`.
-    #[inline]
     pub fn str_of(&self, key: &str) -> Result<&str, String> {
         self.field(key)?.as_str().ok_or_else(|| format!("{key}: not a string"))
     }
 
-    /// The member named `key`, decoded as a `T`; what `T` refuses is reported
-    /// under the member's name, so nested errors read as a path.
-    #[inline]
+    /// The member named `key` as a `T`, read by [`decode`] from its canonical
+    /// spelling; refusals are reported under its name, so nested ones read as a path.
     pub fn member<T: Wire>(&self, key: &str) -> Result<T, String> {
-        at(key, T::dec(self.field(key)?))
+        at(key, decode(&self.field(key)?.to_line(), "not JSON"))
     }
 
     /// Serializes to a single-line JSON string (the canonical form digests
@@ -319,19 +302,33 @@ pub fn digest(f: impl FnOnce(&mut Enc<Fnv1a64>)) -> u64 {
 }
 
 /// A type with one canonical spelling on the wire: `enc` writes it through
-/// an [`Enc`], `dec` reads it back from the parsed value and refuses anything
-/// `enc` cannot have written for a value of the type.
+/// an [`Enc`], `dec` pulls it back off a [`Dec`] and refuses anything `enc`
+/// cannot have written for a value of the type.
 pub trait Wire: Sized {
     /// Writes the value; inside an object the caller has written the key.
     fn enc<S: Sink>(&self, e: &mut Enc<S>);
 
-    /// Reads the value back.
+    /// Reads the value at the reader, leaving the reader past it.
     ///
     /// # Errors
     ///
-    /// What is wrong with `v`, prefixed with the path of members and indices
-    /// down to it (`processes: [0]: mappings: [3]: …`).
-    fn dec(v: &Json) -> Result<Self, String>;
+    /// What is wrong with the value, prefixed with the path of members and
+    /// indices down to it (`processes: [0]: mappings: [3]: …`).
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String>;
+}
+
+/// Reads `input` as exactly one `T`, in one pass and without a [`Json`] tree.
+///
+/// # Errors
+///
+/// If `input` is not one JSON document, what [`parse`] says of it behind
+/// `not_json` (`"bad payload: …"`): a syntax error anywhere outranks a value
+/// that does not fit before it. Otherwise the path down to what does not fit.
+pub fn decode<T: Wire>(input: &str, not_json: &str) -> Result<T, String> {
+    let mut d = Dec { text: input, pos: 0, depth: 0 };
+    let read = T::dec(&mut d).and_then(|value| d.finish().map(|()| value));
+    // Only a refused input is parsed a second time.
+    read.map_err(|e| parse(input).map_or_else(|syntax| format!("{not_json}: {syntax}"), |_| e))
 }
 
 /// `read`, with an error prefixed by the place it was read from.
@@ -348,8 +345,10 @@ macro_rules! wire_int {
                 e.num(*self as i128);
             }
             #[inline]
-            fn dec(v: &Json) -> Result<Self, String> {
-                let n = v.as_num().and_then(|n| $ty::try_from(n).ok());
+            fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+                d.skip_ws();
+                let n = matches!(d.peek(), Some(b'-' | b'0'..=b'9')).then(|| d.number().ok());
+                let n = n.flatten().and_then(|n| $ty::try_from(n).ok());
                 n.ok_or_else(|| concat!("not a ", stringify!($ty)).to_string())
             }
         }
@@ -363,8 +362,13 @@ impl Wire for bool {
         e.bool(*self);
     }
     #[inline]
-    fn dec(v: &Json) -> Result<Self, String> {
-        v.as_bool().ok_or_else(|| "not a bool".to_string())
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+        d.skip_ws();
+        match d.peek() {
+            Some(b't') => d.literal("true").map(|()| true),
+            Some(b'f') => d.literal("false").map(|()| false),
+            _ => Err("not a bool".to_string()),
+        }
     }
 }
 
@@ -374,73 +378,67 @@ impl Wire for Pfn {
         e.num(self.raw());
     }
     #[inline]
-    fn dec(v: &Json) -> Result<Self, String> {
-        u64::dec(v).map(Pfn::new)
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+        u64::dec(d).map(Pfn::new)
     }
 }
 
 /// `null` when unset, never left out.
 impl<T: Wire> Wire for Option<T> {
-    #[inline]
     fn enc<S: Sink>(&self, e: &mut Enc<S>) {
         match self {
             Some(value) => value.enc(e),
             None => e.null(),
         }
     }
-    #[inline]
-    fn dec(v: &Json) -> Result<Self, String> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::dec(other).map(Some),
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+        d.skip_ws();
+        if d.peek() == Some(b'n') {
+            return d.literal("null").map(|()| None);
         }
+        T::dec(d).map(Some)
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    #[inline]
     fn enc<S: Sink>(&self, e: &mut Enc<S>) {
         e.arr(|e| self.iter().for_each(|item| item.enc(e)));
     }
-    #[inline]
-    fn dec(v: &Json) -> Result<Self, String> {
-        let items = v.as_arr().ok_or("not an array")?;
-        items.iter().enumerate().map(|(i, item)| at(format_args!("[{i}]"), T::dec(item))).collect()
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+        d.open(b'[', "not an array")?;
+        let mut items = Vec::new();
+        while d.more(b']', items.is_empty())? {
+            items.push(at(format_args!("[{}]", items.len()), T::dec(d))?);
+        }
+        Ok(items)
     }
 }
 
 /// Exactly `N` integers: a block that grew or shrank is another format.
 impl<const N: usize> Wire for [u64; N] {
-    #[inline]
     fn enc<S: Sink>(&self, e: &mut Enc<S>) {
         e.nums(*self);
     }
-    #[inline]
-    fn dec(v: &Json) -> Result<Self, String> {
-        let items = v.as_arr().filter(|items| items.len() == N);
-        let items = items.ok_or_else(|| format!("not an array of {N} entries"))?;
-        let mut out = [0; N];
-        for (i, item) in items.iter().enumerate() {
-            out[i] = at(format_args!("[{i}]"), u64::dec(item))?;
-        }
-        Ok(out)
+    fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+        d.fixed(N, || format!("not an array of {N} entries"), |d| {
+            let mut out = [0; N];
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = d.item(i)?;
+            }
+            Ok(out)
+        })
     }
 }
 
 macro_rules! wire_tuple {
     ($len:literal: $($T:ident $i:tt),*) => {
         impl<$($T: Wire),*> Wire for ($($T,)*) {
-            #[inline]
             fn enc<S: Sink>(&self, e: &mut Enc<S>) {
                 e.arr(|e| { $( self.$i.enc(e); )* });
             }
-            #[inline]
-            #[allow(non_snake_case)]
-            fn dec(v: &Json) -> Result<Self, String> {
-                match v.as_arr() {
-                    Some([$($T),*]) => Ok(($( at(format_args!("[{}]", $i), $T::dec($T))?, )*)),
-                    _ => Err(concat!("not a ", $len, "-element array").to_string()),
-                }
+            fn dec(d: &mut Dec<'_>) -> Result<Self, String> {
+                let wrong = || concat!("not a ", $len, "-element array").to_string();
+                d.fixed($len, wrong, |d| Ok(($( d.item::<$T>($i)?, )*)))
             }
         }
     };
@@ -450,8 +448,8 @@ wire_tuple!(3: A 0, B 1, C 2);
 wire_tuple!(4: A 0, B 1, C 2, D 3);
 
 /// Wraps a struct definition and implements [`Wire`] for it: an object with
-/// one member per field, named as the field, in declaration order, every one
-/// required on decode. `=> path` after the closing brace names a
+/// one member per field, named as the field, in declaration order, each one
+/// required on decode, in that order. `=> path` after the closing brace names a
 /// `fn(&Self) -> Result<(), String>` that `dec` runs on the decoded value,
 /// for conditions among fields that no single field's type can hold.
 #[macro_export]
@@ -475,8 +473,10 @@ macro_rules! wire_struct {
                 });
             }
 
-            fn dec(v: &$crate::json::Json) -> Result<Self, String> {
-                let value = $name { $( $field: v.member(stringify!($field))?, )* };
+            fn dec(d: &mut $crate::json::Dec<'_>) -> Result<Self, String> {
+                let mut members = d.obj(&[$( stringify!($field) ),*])?;
+                let value = $name { $( $field: members.next($crate::json::Wire::dec)?, )* };
+                members.end()?;
                 $( $check(&value)?; )?
                 Ok(value)
             }
@@ -515,8 +515,8 @@ macro_rules! wire_counters {
                 e.nums([$( self.$field ),*]);
             }
 
-            fn dec(v: &$crate::json::Json) -> Result<Self, String> {
-                let [$( $field ),*] = $crate::json::Wire::dec(v)?;
+            fn dec(d: &mut $crate::json::Dec<'_>) -> Result<Self, String> {
+                let [$( $field ),*] = $crate::json::Wire::dec(d)?;
                 Ok($name { $( $field ),* })
             }
         }
@@ -577,11 +577,20 @@ macro_rules! wire_tagged {
                 });
             }
 
-            fn dec(v: &$crate::json::Json) -> Result<Self, String> {
-                match v.str_of($tag)? {
-                    $( $wire => Ok($name::$variant $({
-                        $( $field: v.member(stringify!($field))?, )*
-                    })?), )*
+            fn dec(d: &mut $crate::json::Dec<'_>) -> Result<Self, String> {
+                // Until the tag names the variant, any variant's field may
+                // follow it.
+                let mut members = d.obj(&[$tag $($($(, stringify!($field))*)?)*])?;
+                let tag = members.next($crate::json::Dec::str)?;
+                match &*tag {
+                    $( $wire => {
+                        #[allow(unused_mut)]
+                        let mut members = members.then(&[$tag $($(, stringify!($field))*)?]);
+                        let value = $name::$variant $({
+                            $( $field: members.next($crate::json::Wire::dec)?, )*
+                        })?;
+                        members.end().map(|()| value)
+                    } )*
                     other => Err(format!("unknown {} `{other}`", $tag)),
                 }
             }
@@ -589,9 +598,9 @@ macro_rules! wire_tagged {
     };
 }
 
-/// Deepest nesting of arrays and objects [`parse`] accepts. A fleet snapshot
-/// nests about ten deep; the bound keeps hostile input from overflowing the
-/// parser's stack.
+/// Deepest nesting of arrays and objects [`parse`] and [`decode`] accept. A
+/// fleet snapshot nests about ten deep; the bound keeps hostile input from
+/// overflowing the reader's stack.
 pub const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document from `input`.
@@ -601,26 +610,26 @@ pub const MAX_DEPTH: usize = 64;
 /// A human-readable description of the first syntax error, with its byte
 /// offset.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
-    p.skip_ws();
-    let value = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(value)
+    let mut d = Dec { text: input, pos: 0, depth: 0 };
+    d.skip_ws();
+    let value = d.value()?;
+    d.finish().map(|()| value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// The pull reader over a JSON text: one lexer under both [`parse`] and
+/// every [`Wire::dec`]. A typed read skips whitespace, then takes exactly
+/// the value asked for or refuses it.
+#[derive(Clone, Debug)]
+pub struct Dec<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects open around `pos`.
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Dec<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -630,50 +639,117 @@ impl Parser<'_> {
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+        if self.peek() != Some(b) {
+            return Err(format!("expected '{}' at byte {}", b as char, self.pos));
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
+    fn literal(&mut self, word: &str) -> Result<(), String> {
+        if !self.text[self.pos..].starts_with(word) {
+            return Err(format!("invalid literal at byte {}", self.pos));
         }
+        self.pos += word.len();
+        Ok(())
     }
 
+    fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        self.peek().map_or(Ok(()), |_| Err(format!("trailing data at byte {}", self.pos)))
+    }
+
+    /// The next value as a tree.
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
-                Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos))
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't' | b'f') => bool::dec(self).map(Json::Bool),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'[') => {
+                self.open(b'[', "")?;
+                let mut items = Vec::new();
+                while self.more(b']', items.is_empty())? {
+                    items.push(self.value()?);
+                }
+                Ok(Json::Arr(items))
             }
-            Some(open @ (b'[' | b'{')) => {
-                self.depth += 1;
-                let value = if open == b'[' { self.array() } else { self.object() };
-                self.depth -= 1;
-                value
+            Some(b'{') => {
+                self.open(b'{', "")?;
+                let mut members = Vec::new();
+                while self.more(b'}', members.is_empty())? {
+                    let key = self.key("")?.into_owned();
+                    members.push((key, self.value()?));
+                }
+                Ok(Json::Obj(members))
             }
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+    /// Enters the array or object `bracket` opens; `otherwise` if the next
+    /// value is something else.
+    fn open(&mut self, bracket: u8, otherwise: &str) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() != Some(bracket) {
+            return Err(otherwise.to_string());
         }
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Whether another item follows in the array or object last opened,
+    /// closed by `close`; `first` is whether none was read yet. Consumes the
+    /// comma, or the closing bracket.
+    fn more(&mut self, close: u8, first: bool) -> Result<bool, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ if first => Ok(true),
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            _ => Err(format!("expected ',' or '{}' at byte {}", close as char, self.pos)),
+        }
+    }
+
+    /// A member's key and its colon. The key the caller expects (no quote or
+    /// backslash in it) is tried byte for byte first: field names need no
+    /// escape, so the common case scans for none.
+    fn key(&mut self, expect: &str) -> Result<Cow<'a, str>, String> {
+        let n = expect.len();
+        let key = match self.text.as_bytes().get(self.pos..self.pos + n + 2) {
+            Some([b'"', name @ .., b'"']) if name == expect.as_bytes() => {
+                self.pos += n + 2;
+                Cow::Borrowed(&self.text[self.pos - n - 1..self.pos - 1])
+            }
+            _ => self.string()?,
+        };
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    fn number(&mut self) -> Result<i128, String> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        self.pos += usize::from(negative);
         let digits = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        // Accumulated while scanning; exact while it has at most 19 digits.
+        let mut n = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            n = n.wrapping_mul(10).wrapping_add(u64::from(d - b'0'));
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
@@ -681,117 +757,172 @@ impl Parser<'_> {
         }
         // The writer emits the shortest decimal form and nothing else is
         // canonical: no bare sign, no zero in front of another digit.
-        if self.pos == digits || (self.bytes[digits] == b'0' && self.pos > digits + 1) {
+        let len = self.pos - digits;
+        if len == 0 || (len > 1 && self.text.as_bytes()[digits] == b'0') {
             return Err(format!("malformed number at byte {start}"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        text.parse::<i128>()
-            .map(Json::Num)
-            .map_err(|_| format!("number out of range at byte {start}"))
+        if len <= 19 {
+            return Ok(if negative { -i128::from(n) } else { i128::from(n) });
+        }
+        let n = self.text[start..self.pos].parse();
+        n.map_err(|_| format!("number out of range at byte {start}"))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// The next value as a string, borrowed from the text unless it holds an
+    /// escape; `not a string` if it is something else.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        if self.peek() != Some(b'"') {
+            return Err("not a string".to_string());
+        }
+        self.string()
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
+            // The whole run up to the next quote or escape in one step. Both
+            // delimiters are ASCII, so the run ends on a scalar boundary.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let len = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
+            let run = &self.text[self.pos..self.pos + len.unwrap_or(rest.len())];
+            self.pos += run.len();
+            if out.is_empty() {
+                out = Cow::Borrowed(run);
+            } else {
+                out.to_mut().push_str(run);
+            }
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            out.push(
-                                char::from_u32(code).ok_or("surrogate \\u escape unsupported")?,
-                            );
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or escape in
-                    // one step. Both delimiters are ASCII, so the run ends
-                    // on a scalar boundary and multi-byte sequences pass
-                    // through unchanged; only the run is validated.
-                    let rest = &self.bytes[self.pos..];
-                    let len = rest.iter().position(|b| matches!(b, b'"' | b'\\'));
-                    let run = std::str::from_utf8(&rest[..len.unwrap_or(rest.len())])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    out.push_str(run);
-                    self.pos += run.len();
-                }
+                _ => self.pos += 1, // an escape
             }
+            let escaped = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    let hex = self.text.get(self.pos + 1..self.pos + 5);
+                    let code = u32::from_str_radix(hex.ok_or("truncated \\u escape")?, 16)
+                        .map_err(|_| "bad \\u escape".to_string())?;
+                    self.pos += 4;
+                    char::from_u32(code).ok_or("surrogate \\u escape unsupported")?
+                }
+                other => return Err(format!("bad escape {other:?}")),
+            };
+            out.to_mut().push(escaped);
+            self.pos += 1;
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+    /// Opens an object whose members are `fields`, read in that order; `not
+    /// an object` if the next value is something else.
+    pub fn obj(&mut self, fields: &'static [&'static str]) -> Result<Members<'_, 'a>, String> {
+        self.open(b'{', "not an object")?;
+        Ok(Members { d: self, fields, read: 0 })
+    }
+
+    /// Item `i` of the array open at the reader.
+    fn item<T: Wire>(&mut self, i: usize) -> Result<T, String> {
+        if !self.more(b']', i == 0)? {
+            return Err("too few items".to_string());
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+        at(format_args!("[{i}]"), T::dec(self))
+    }
+
+    /// An array of exactly `n` items, which `read` takes with [`Dec::item`].
+    /// Any refusal is `wrong()` unless the value is an array of `n` items:
+    /// the count is judged before the items.
+    fn fixed<T>(
+        &mut self,
+        n: usize,
+        wrong: impl FnOnce() -> String,
+        read: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let mut start = self.clone();
+        let value = self.open(b'[', "").and_then(|()| read(self));
+        let value = value
+            .and_then(|v| (!self.more(b']', n == 0)?).then_some(v).ok_or_else(String::new));
+        value.map_err(|e| {
+            start.skip_ws();
+            match start.value() {
+                Ok(Json::Arr(items)) if items.len() == n => e,
+                _ => wrong(),
             }
+        })
+    }
+}
+
+/// The members of an object [`Dec::obj`] opened, read in declaration order.
+pub struct Members<'d, 'a> {
+    d: &'d mut Dec<'a>,
+    fields: &'static [&'static str],
+    read: usize,
+}
+
+impl<'a> Members<'_, 'a> {
+    /// The next declared member, read by `read` (a [`Wire::dec`]). Refuses a
+    /// member that is missing, out of order, repeated or undeclared, and
+    /// reports what `read` refuses under the member's name.
+    pub fn next<T>(
+        &mut self,
+        read: impl FnOnce(&mut Dec<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let name = self.fields[self.read];
+        let found = if self.d.more(b'}', self.read == 0)? { Some(self.d.key(name)?) } else { None };
+        if found.as_deref() != Some(name) {
+            return Err(self.refuse(found.as_deref()));
+        }
+        self.read += 1;
+        at(name, read(self.d))
+    }
+
+    /// Goes on with the members `fields` declares, the ones read so far
+    /// first: a tagged enum's variant extends its tag.
+    pub fn then(self, fields: &'static [&'static str]) -> Self {
+        Members { fields, ..self }
+    }
+
+    /// Closes the object; refuses a member past the declared ones.
+    pub fn end(self) -> Result<(), String> {
+        if !self.d.more(b'}', self.read == 0)? {
+            return Ok(());
+        }
+        let key = self.d.key("")?;
+        Err(self.refuse(Some(&key)))
+    }
+
+    /// Why `found` (`None`: the object closed) is not the next declared
+    /// member. Only error paths look past it, at the rest of the object.
+    fn refuse(&self, found: Option<&str>) -> String {
+        match (found, self.fields.get(self.read)) {
+            (Some(key), _) if self.fields[..self.read].contains(&key) => {
+                format!("duplicate field `{key}`")
+            }
+            (Some(key), _) if !self.fields.contains(&key) => format!("unknown field `{key}`"),
+            (Some(_), Some(want)) if self.follows(want) => format!("field `{want}` out of order"),
+            (_, want) => format!("missing field `{}`", want.unwrap_or(&"")),
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+    /// Whether a member called `name` follows the one whose value is next.
+    fn follows(&self, name: &str) -> bool {
+        let mut d = self.d.clone();
+        while d.value().is_ok() && d.more(b'}', false) == Ok(true) {
+            match d.key(name) {
+                Ok(key) if key == name => return true,
+                Ok(_) => {}
+                Err(_) => return false,
             }
         }
+        false
     }
 }
 
@@ -863,6 +994,15 @@ mod tests {
         assert_eq!(doc.member::<(u64, u64, u64)>("a").unwrap_err(), "a: not a 3-element array");
         assert_eq!(doc.member::<[u64; 3]>("a").unwrap_err(), "a: not an array of 3 entries");
         assert_eq!(doc.member::<Vec<u64>>("a").unwrap_err(), "a: [1]: not a u64");
+    }
+
+    #[test]
+    fn a_syntax_error_outranks_a_value_that_does_not_fit_before_it() {
+        let read = |text| decode::<Vec<u64>>(text, "not JSON");
+        assert_eq!(read(" [1, 2 ]\n"), Ok(vec![1, 2]));
+        assert_eq!(read(r#"["a",1]"#).unwrap_err(), "[0]: not a u64");
+        assert_eq!(read(r#"["a",1 2]"#).unwrap_err(), "not JSON: expected ',' or ']' at byte 7");
+        assert_eq!(read("[1] 2").unwrap_err(), "not JSON: trailing data at byte 4");
     }
 
     #[test]

@@ -151,7 +151,7 @@ proptest! {
         let tree = json::parse(&line).unwrap();
         prop_assert_eq!(tree.to_line(), line);
         // ... and reads back, member for member, from the table that wrote it.
-        prop_assert_eq!(FleetSnapshot::dec(&tree).unwrap(), snap);
+        prop_assert_eq!(json::decode::<FleetSnapshot>(&line, "fleet").unwrap(), snap);
     }
 
     /// Merge two tenants' same-content pages, then write one of them: the

@@ -99,7 +99,7 @@ proptest! {
         let line = json::line(|e| snap.enc(e));
         prop_assert_eq!(fnv1a64(line.as_bytes()), digest);
         let tree = json::parse(&line).unwrap();
-        prop_assert_eq!(&VmSnapshot::dec(&tree).unwrap(), &snap);
+        prop_assert_eq!(&json::decode::<VmSnapshot>(&line, "vm").unwrap(), &snap);
         prop_assert_eq!(tree.to_line(), line);
 
         // Restore reproduces the digest and passes the cross-layer audit.
@@ -194,7 +194,7 @@ proptest! {
 
         // The codec preserves the snapshot bit-for-bit.
         let line = json::line(|e| snap.enc(e));
-        let decoded = SystemSnapshot::dec(&json::parse(&line).unwrap()).unwrap();
+        let decoded = json::decode::<SystemSnapshot>(&line, "system").unwrap();
         // The line buffer and the running hash are fed the same bytes.
         prop_assert_eq!(fnv1a64(line.as_bytes()), digest);
         prop_assert_eq!(&decoded, &snap);

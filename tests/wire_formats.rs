@@ -160,6 +160,43 @@ fn snapshot_decoder_reads_one_version_and_requires_every_member() {
     assert_eq!(err.unwrap_err(), "guest: daemon: phase: unknown daemon phase 7");
 }
 
+/// The reader takes an object's members in declaration order, once each, and
+/// names the first that is not where the encoder puts it.
+#[test]
+fn decoders_refuse_members_out_of_their_declared_order() {
+    let model = |text: &str| json::decode::<LatencyModel>(text, "not JSON");
+    let want = LatencyModel { base_ns: 1, zero_page_ns: 2, placement_ns: 3 };
+    assert_eq!(model(r#"{"base_ns":1,"zero_page_ns":2,"placement_ns":3}"#), Ok(want));
+    assert_eq!(model(" {\"base_ns\": 1, \"zero_page_ns\": 2,\n\"placement_ns\": 3} "), Ok(want));
+    for (text, why) in [
+        (r#"{"zero_page_ns":2,"base_ns":1,"placement_ns":3}"#, "field `base_ns` out of order"),
+        (r#"{"base_ns":1,"base_ns":1,"zero_page_ns":2,"placement_ns":3}"#, "duplicate field `base_ns`"),
+        (r#"{"base_ns":1,"zero_page_ns":2,"placement_ns":3,"base_ns":1}"#, "duplicate field `base_ns`"),
+        (r#"{"base_ns":1,"spare":0,"zero_page_ns":2,"placement_ns":3}"#, "unknown field `spare`"),
+        (r#"{"base_ns":1,"zero_page_ns":2,"placement_ns":3,"spare":0}"#, "unknown field `spare`"),
+        (r#"{"base_ns":1,"placement_ns":3}"#, "missing field `zero_page_ns`"),
+        (r#"{"base_ns":1,"zero_page_ns":2}"#, "missing field `placement_ns`"),
+        (r#"{"base_ns":1,"zero_page_ns":-2,"placement_ns":3}"#, "zero_page_ns: not a u64"),
+        ("[1,2,3]", "not an object"),
+        (r#"{"base_ns":1,"zero_page_ns":2,"placement_ns":3"#, "not JSON: expected ',' or '}' at byte 46"),
+    ] {
+        assert_eq!(model(text), Err(why.to_string()), "{text}");
+    }
+    let mode = |text: &str| json::decode::<FailMode>(text, "not JSON");
+    assert_eq!(mode(r#"{"kind":"nth","n":7}"#), Ok(FailMode::Nth { n: 7 }));
+    for (text, why) in [
+        (r#"{"kind":"sometimes","n":7}"#, "unknown kind `sometimes`"),
+        (r#"{"n":7}"#, "missing field `kind`"),
+        (r#"{"n":7,"kind":"nth"}"#, "field `kind` out of order"),
+        (r#"{"kind":"nth"}"#, "missing field `n`"),
+        (r#"{"kind":"nth","n":7,"n":7}"#, "duplicate field `n`"),
+        (r#"{"kind":"never","n":7}"#, "unknown field `n`"),
+        (r#"{"kind":7}"#, "kind: not a string"),
+    ] {
+        assert_eq!(mode(text), Err(why.to_string()), "{text}");
+    }
+}
+
 /// One one-byte mutant of `input`, placed by `draw`: a flipped bit, a deleted
 /// byte, a doubled byte or a truncation, as `case` has it.
 fn mutant(input: &[u8], draw: u64, case: usize) -> Vec<u8> {
@@ -520,11 +557,11 @@ const PINNED_REPRO: &str = concat!(
 fn lines_the_golden_file_leaves_at_defaults_are_byte_identical_to_the_recorded_ones() {
     let fleet = pinned_fleet();
     assert_eq!(json::line(|e| fleet.enc(e)), PINNED_FLEET);
-    assert_eq!(FleetSnapshot::dec(&json::parse(PINNED_FLEET).unwrap()), Ok(fleet));
+    assert_eq!(json::decode::<FleetSnapshot>(PINNED_FLEET, "fleet"), Ok(fleet));
 
     let tlb = pinned_tlb();
     assert_eq!(json::line(|e| tlb.enc(e)), PINNED_TLB);
-    assert_eq!(TlbSnapshot::dec(&json::parse(PINNED_TLB).unwrap()), Ok(tlb));
+    assert_eq!(json::decode::<TlbSnapshot>(PINNED_TLB, "tlb"), Ok(tlb));
 
     let cfg = TortureConfig { crash_interval: Some(40), ..TortureConfig::with_seed_and_ops(3, 22) };
     assert_eq!(encode_repro(&cfg, &pinned_ops()), PINNED_REPRO);

@@ -1,9 +1,12 @@
 // SIGPROF sampler, preloaded into an unmodified binary:
 //   gcc -O2 -shared -fPIC -o prof.so prof.c && LD_PRELOAD=./prof.so <program>
-// Every millisecond of CPU time the handler records RIP and up to 24 return
-// addresses from the frame-pointer chain (build the program with
-// `-C force-frame-pointers=yes`); at exit /proc/self/maps and the samples go
-// to $SIGPROF_OUT (default ./sigprof.out) for report.py. x86-64 Linux only.
+// Every millisecond of CPU time the handler records RIP, the word at RSP and
+// up to 23 return addresses from the frame-pointer chain (build the program
+// with `-C force-frame-pointers=yes`). A leaf routine that sets up no frame
+// (memcpy, malloc's fast path) leaves its caller only in that word, which
+// is 0 when RSP is off the main thread's stack. At exit /proc/self/maps and
+// the samples go to $SIGPROF_OUT (default ./sigprof.out) for report.py.
+// x86-64 Linux only.
 #define _GNU_SOURCE
 #include <pthread.h>
 #include <signal.h>
@@ -13,7 +16,7 @@
 #include <sys/time.h>
 #include <ucontext.h>
 
-#define DEPTH 25          // RIP + 24 callers
+#define DEPTH 25          // RIP, the word at RSP, 23 callers
 #define MAX_SAMPLES (1 << 18) // 262 s at 1 kHz; later samples are dropped
 
 static uint64_t samples[MAX_SAMPLES][DEPTH];
@@ -30,9 +33,10 @@ static void on_prof(int sig, siginfo_t *info, void *uc) {
     uint64_t *out = samples[n];
     out[0] = regs[REG_RIP];
     uintptr_t sp = regs[REG_RSP], fp = regs[REG_RBP];
-    if (sp < stack_lo || sp >= stack_hi) return;
+    if (sp < stack_lo || sp + 8 > stack_hi) return;
+    out[1] = *(uint64_t *)sp;
     // A frame is [saved rbp, return address]; the chain must climb the stack.
-    for (int depth = 1; depth < DEPTH; depth++) {
+    for (int depth = 2; depth < DEPTH; depth++) {
         if (fp < sp || fp + 16 > stack_hi || (fp & 7)) break;
         uint64_t ret = ((uint64_t *)fp)[1];
         if (!ret) break;
@@ -54,7 +58,8 @@ static void dump(void) {
     fputs("--samples--\n", out);
     long n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;
     for (long i = 0; i < n; i++) {
-        for (int d = 0; d < DEPTH && samples[i][d]; d++)
+        // RIP and the RSP word always (the word may be 0), then the chain.
+        for (int d = 0; d < DEPTH && (d < 2 || samples[i][d]); d++)
             fprintf(out, d ? " %lx" : "%lx", (unsigned long)samples[i][d]);
         fputc('\n', out);
     }

@@ -6,9 +6,12 @@
 Prints each function's self share (samples whose RIP is inside it) and
 inclusive share (samples with it anywhere on the stack). With --callers, also
 the most frequent caller chains of every function whose demangled name
-contains SUBSTRING, innermost caller first. Several dumps of one binary are
-pooled. Symbols come from `nm -C`, so only the program's own text is named;
-everything else is [library or kernel].
+contains SUBSTRING, innermost caller first. --top 0 prints every row. Several
+dumps of one binary are pooled. Symbols come from `nm -C`, so only the
+program's own text is named. A sample whose RIP is outside it (a library
+leaf such as memcpy) is charged to the word at RSP when that word points
+into the program's text, as `<caller> (via library)`; everything else is
+[library or kernel].
 """
 import argparse
 import bisect
@@ -29,8 +32,10 @@ def symbols(binary):
 
 
 def load(dump, binary):
-    """The samples of one dump as lists of offsets into the binary (-1 outside it)."""
-    base, end, samples, in_samples = None, 0, [], False
+    """The samples of one dump as lists of offsets into the binary (-1 outside
+    it): RIP, the word at RSP, then the return addresses; and the offsets of
+    the binary's executable mapping."""
+    base, end, text, samples, in_samples = None, 0, range(0), [], False
     real = os.path.realpath(binary)
     for line in open(dump):
         if in_samples:
@@ -38,12 +43,16 @@ def load(dump, binary):
         elif line.startswith("--samples--"):
             in_samples = True
         elif line.rstrip().endswith(real):
-            lo, hi = (int(word, 16) for word in line.split()[0].split("-"))
+            span, perms = line.split()[:2]
+            lo, hi = (int(word, 16) for word in span.split("-"))
             base = lo if base is None else base  # first mapping: file offset 0
             end = hi
+            if "x" in perms:
+                text = range(lo - base, hi - base)
     if base is None:
         raise SystemExit(f"{real} is not in the dump's maps; pass the path the program ran from")
-    return [[addr - base if base <= addr < end else -1 for addr in sample] for sample in samples]
+    offsets = [[addr - base if base <= addr < end else -1 for addr in sample] for sample in samples]
+    return offsets, text
 
 
 def main():
@@ -55,15 +64,25 @@ def main():
     args.add_argument("--depth", type=int, default=4)
     args = args.parse_args()
     addrs, names = symbols(args.binary)
-    samples = [sample for dump in args.dump for sample in load(dump, args.binary)]
+    top = args.top or None  # most_common(None) is every row
+    samples = []
+    for dump in args.dump:
+        offsets, text = load(dump, args.binary)
+        samples += [(sample, text) for sample in offsets]
 
     def name(offset):
         at = bisect.bisect_right(addrs, offset) - 1
         return names[at] if offset >= 0 and at >= 0 else "[library or kernel]"
 
     self_n, incl_n, chains = collections.Counter(), collections.Counter(), collections.Counter()
-    for sample in samples:
-        stack = [name(addr) for addr in sample]
+    for (rip, word, *callers), text in samples:
+        stack = [name(addr) for addr in callers]
+        if rip < 0 and word in text:
+            # A leaf outside the binary: its return address names the caller
+            # the frame-pointer chain skips.
+            stack = [f"{name(word)} (via library)", name(word)] + stack
+        else:
+            stack = [name(rip)] + stack
         self_n[stack[0]] += 1
         incl_n.update(set(stack))
         if args.callers:
@@ -74,14 +93,14 @@ def main():
     total = max(len(samples), 1)
     print(f"{len(samples)} samples")
     print(f"{'self %':>7} {'incl %':>7}  function")
-    for func, n in self_n.most_common(args.top):
+    for func, n in self_n.most_common(top):
         print(f"{100 * n / total:7.2f} {100 * incl_n[func] / total:7.2f}  {func}")
     print(f"\n{'incl %':>7}  function (by inclusive share)")
-    for func, n in incl_n.most_common(args.top):
+    for func, n in incl_n.most_common(top):
         print(f"{100 * n / total:7.2f}  {func}")
     if args.callers:
         print(f"\ncaller chains of *{args.callers}*")
-        for (func, chain), n in chains.most_common(args.top):
+        for (func, chain), n in chains.most_common(top):
             print(f"{100 * n / total:7.2f}  {func} <- {chain}")
 
 
