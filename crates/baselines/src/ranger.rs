@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use contig_mm::{PageTable, Pid, Pte, PteFlags, System};
-use contig_types::{MapOffset, PageSize, PhysAddr, Pfn, VirtAddr};
+use contig_types::{ContigMapping, MapOffset, PageSize, PhysAddr, Pfn, VirtAddr, VirtRange};
 
 /// Counters exposed by [`RangerDaemon`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -208,19 +208,16 @@ impl RangerDaemon {
         let mut reanchors = 0usize;
         // Walk the VMA's leaves; migrate any leaf not at its anchored target
         // and not already inside a protected (large) run.
-        let runs = contig_mm::contiguous_mappings(sys.aspace(pid).page_table());
-        let protected = |va: VirtAddr| {
-            runs.iter()
-                .any(|m| m.virt.contains(va) && m.len() >= PROTECTED_RUN_BYTES)
-        };
-        let leaves: Vec<(VirtAddr, Pte, PageSize)> = sys
+        let mut protected =
+            ProtectedRuns::new(contig_mm::contiguous_mappings(sys.aspace(pid).page_table()));
+        let leaves: Vec<VirtAddr> = sys
             .aspace(pid)
             .page_table()
             .mappings_in(range)
-            .filter(|m| !protected(m.va))
-            .map(|m| (m.va, m.pte, m.size))
+            .filter(|m| !protected.contains(m.va))
+            .map(|m| m.va)
             .collect();
-        for (va, _, _) in leaves {
+        for va in leaves {
             if *budget == 0 {
                 return;
             }
@@ -279,6 +276,31 @@ impl RangerDaemon {
     }
 }
 
+/// The contiguous runs of at least [`PROTECTED_RUN_BYTES`], asked about in
+/// ascending VA order: the runs are VA-sorted and disjoint, so one cursor
+/// answers each query, for O(leaves + runs) per VMA instead of a scan of
+/// every run per leaf.
+struct ProtectedRuns {
+    runs: Vec<VirtRange>,
+    next: usize,
+}
+
+impl ProtectedRuns {
+    fn new(runs: Vec<ContigMapping>) -> Self {
+        let runs = runs.into_iter().filter(|m| m.len() >= PROTECTED_RUN_BYTES).map(|m| m.virt);
+        Self { runs: runs.collect(), next: 0 }
+    }
+
+    /// Whether `va` lies inside a protected run; `va` must not be below the
+    /// previous query's.
+    fn contains(&mut self, va: VirtAddr) -> bool {
+        while self.runs.get(self.next).is_some_and(|r| r.end() <= va) {
+            self.next += 1;
+        }
+        self.runs.get(self.next).is_some_and(|r| r.contains(va))
+    }
+}
+
 /// An anchor mapping `va` to the start of the largest free cluster, huge
 /// aligned; `None` when no free cluster exists.
 fn free_cluster_anchor(sys: &System, va: VirtAddr) -> Option<MapOffset> {
@@ -327,7 +349,6 @@ mod tests {
     use super::*;
     use contig_buddy::MachineConfig;
     use contig_mm::{contiguous_mappings, DefaultThpPolicy, SystemConfig, VmaKind};
-    use contig_types::VirtRange;
 
     fn fragmented_system() -> (System, Pid, contig_mm::VmaId) {
         let mut sys = System::new(SystemConfig::new(MachineConfig::single_node_mib(128)));
@@ -394,6 +415,35 @@ mod tests {
         let migrated = ranger.stats().pages_migrated;
         ranger.epoch(&mut sys, &[pid]);
         assert_eq!(ranger.stats().pages_migrated, migrated, "no churn after convergence");
+    }
+
+    proptest::proptest! {
+        /// The cursor answers every leaf as the per-leaf scan over all runs
+        /// did, on VA-sorted disjoint runs (some touching, some protected)
+        /// and ascending leaves. Runs are whole MiBs and leaves quarter
+        /// MiBs, so leaves often sit exactly on a run boundary.
+        #[test]
+        fn protected_cursor_matches_the_run_scan(
+            shape in proptest::collection::vec((0u64..4, 1u64..16), 0..24),
+            leaves in proptest::collection::btree_set(0u64..1600, 0..200),
+        ) {
+            const MIB: u64 = 1 << 20;
+            let mut runs = Vec::new();
+            let mut at = 0;
+            for (gap, len) in shape {
+                let va = VirtAddr::new((at + gap) * MIB);
+                runs.push(ContigMapping::new(va, PhysAddr::new(at * MIB), len * MIB));
+                at += gap + len;
+            }
+            let scan = |va: VirtAddr| {
+                runs.iter().any(|m| m.virt.contains(va) && m.len() >= PROTECTED_RUN_BYTES)
+            };
+            let mut cursor = ProtectedRuns::new(runs.clone());
+            for leaf in leaves {
+                let va = VirtAddr::new(leaf * MIB / 4);
+                proptest::prop_assert_eq!(cursor.contains(va), scan(va), "leaf {}", va);
+            }
+        }
     }
 
     #[test]

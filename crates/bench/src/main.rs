@@ -15,6 +15,7 @@ mod torture;
 mod trace_report;
 
 use std::process::ExitCode;
+use std::time::Instant;
 
 use cli::{Options, UsageError};
 
@@ -89,13 +90,16 @@ const COMMANDS: &[Command] = &[
 
 /// Runs every table/figure regenerator in sequence — the one-command
 /// reproduction of the paper's evaluation section, and what
-/// `EXPERIMENTS.md` is written from.
+/// `EXPERIMENTS.md` is written from. Each command's wall time goes to
+/// stderr, one line per command, so stdout stays the reproducible result.
 fn all(argv: &[String]) -> Result<ExitCode, UsageError> {
     let opts = Options::parse(argv)?;
     for command in COMMANDS {
         if let Run::Paper(run) = command.run {
             println!("\n{}\n", "=".repeat(72));
+            let started = Instant::now();
             run(&opts);
+            eprintln!("{}: {:.1} s", command.name, started.elapsed().as_secs_f64());
         }
     }
     println!("\n{}", "=".repeat(72));

@@ -11,6 +11,13 @@ use contig_workloads::Workload;
 pub fn run(opts: &Options) {
     header("Fig. 7 — native contiguity, no memory pressure", "paper Fig. 7 (a,b,c)", opts);
     let env = opts.env();
+    // One run per cell; the three tables are three views of the same runs.
+    // The paper excludes eager for hashjoin and eager+ranger for BT (no NUMA
+    // support in those prototypes); our versions handle NUMA, so every cell
+    // is filled.
+    let rows = Workload::ALL.map(|w| {
+        (w, PolicyKind::FIG7.map(|p| contiguity::run_native(&env, w, p, 0.0, 42).metrics))
+    });
     for (title, metric) in [
         ("(a) #mappings for 99% coverage (lower is better)", 0),
         ("(b) top-32 coverage (higher is better)", 1),
@@ -20,17 +27,13 @@ pub fn run(opts: &Options) {
         let mut table = TextTable::new(&[
             "workload", "THP", "Ingens", "CA", "eager", "ranger", "ideal",
         ]);
-        for w in Workload::ALL {
+        for (w, runs) in &rows {
             let mut cells = vec![w.name().to_string()];
-            for p in PolicyKind::FIG7 {
-                // The paper excludes eager for hashjoin and eager+ranger for
-                // BT (no NUMA support in those prototypes); our versions
-                // handle NUMA, so every cell is filled.
-                let run = contiguity::run_native(&env, w, p, 0.0, 42);
+            for run in runs {
                 cells.push(match metric {
-                    0 => run.metrics.n99.to_string(),
-                    1 => pct(run.metrics.top32),
-                    _ => pct(run.metrics.top128),
+                    0 => run.n99.to_string(),
+                    1 => pct(run.top32),
+                    _ => pct(run.top128),
                 });
             }
             table.row(&cells);

@@ -21,6 +21,11 @@ pub fn run(opts: &Options) {
         PolicyKind::Ranger,
         PolicyKind::Ideal,
     ];
+    // One run per cell; the three tables are three views of the same runs.
+    let pressures = [0.0, 0.1, 0.25, 0.4, 0.5];
+    let rows = pressures.map(|pressure| {
+        policies.map(|p| workloads.map(|w| contiguity::run_native(&env, w, p, pressure, 7).metrics))
+    });
     for (title, metric) in [
         ("(a) #mappings for 99% coverage (geomean, lower is better)", 0usize),
         ("(b) top-32 coverage (geomean)", 1),
@@ -30,18 +35,12 @@ pub fn run(opts: &Options) {
         let mut table = TextTable::new(&[
             "pressure", "THP", "Ingens", "CA", "eager", "ranger", "ideal",
         ]);
-        for pressure in [0.0, 0.1, 0.25, 0.4, 0.5] {
+        for (pressure, row) in pressures.iter().zip(&rows) {
             let mut cells = vec![format!("hog-{:.0}%", pressure * 100.0)];
-            for p in policies {
-                let mut n99s = Vec::new();
-                let mut top32s = Vec::new();
-                let mut top128s = Vec::new();
-                for w in workloads {
-                    let run = contiguity::run_native(&env, w, p, pressure, 7);
-                    n99s.push(run.metrics.n99 as u64);
-                    top32s.push(run.metrics.top32.max(1e-9));
-                    top128s.push(run.metrics.top128.max(1e-9));
-                }
+            for runs in row {
+                let n99s = runs.map(|m| m.n99 as u64);
+                let top32s = runs.map(|m| m.top32.max(1e-9));
+                let top128s = runs.map(|m| m.top128.max(1e-9));
                 cells.push(match metric {
                     0 => format!("{:.0}", geomean_counts(&n99s)),
                     1 => pct(geomean(&top32s).unwrap_or(0.0)),

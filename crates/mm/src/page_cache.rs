@@ -7,6 +7,7 @@
 //! part of CA paging's fragmentation restraint (Fig. 9).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use contig_buddy::Machine;
 use contig_types::json::{Dec, Enc, Sink, Wire};
@@ -122,6 +123,43 @@ impl PageCache {
         self.files[file.0 as usize].pages.get(&index).copied()
     }
 
+    /// The cached `(file page index, frame)` pairs of `file` inside
+    /// `[start, start + count)`, in index order — one ordered walk instead of
+    /// one [`PageCache::lookup`] per index. The window's end saturates at
+    /// `u64::MAX`, so a window never wraps around the index space.
+    pub fn window(
+        &self,
+        file: FileId,
+        start: u64,
+        count: u64,
+    ) -> impl Iterator<Item = (u64, Pfn)> + '_ {
+        self.files[file.0 as usize]
+            .pages
+            .range(start..start.saturating_add(count))
+            .map(|(&idx, &pfn)| (idx, pfn))
+    }
+
+    /// The runs of `[start, start + count)` (end saturating as in
+    /// [`PageCache::window`]) that `file` does not cache, in index order,
+    /// from one window walk. There is at most one run more than there are
+    /// cached pages, whatever `count` is.
+    fn gaps(&self, file: FileId, start: u64, count: u64) -> Vec<Range<u64>> {
+        let mut gaps = Vec::new();
+        let mut next = start;
+        for (index, _) in self.window(file, start, count) {
+            if index > next {
+                gaps.push(next..index);
+            }
+            // Cannot overflow: `index` lies below the window's end.
+            next = index + 1;
+        }
+        let end = start.saturating_add(count);
+        if next < end {
+            gaps.push(next..end);
+        }
+        gaps
+    }
+
     /// The frames of `file` in file-page order.
     pub fn frames_of(&self, file: FileId) -> Vec<Pfn> {
         self.files[file.0 as usize].pages.values().copied().collect()
@@ -144,10 +182,12 @@ impl PageCache {
     }
 
     /// Ensures file pages `[start, start + count)` are cached, allocating
-    /// missing ones according to the cache's discipline. Default-mode
-    /// readahead batches the whole window through [`Machine::alloc_bulk`] —
-    /// one zone pass instead of one scan per page; CA mode keeps the
-    /// per-page targeted path (each page has its own designated frame).
+    /// missing ones in index order according to the cache's discipline; the
+    /// window is clamped to the index space as in [`PageCache::window`].
+    /// Default-mode readahead batches the whole window through
+    /// [`Machine::alloc_bulk`] — one zone pass instead of one scan per page;
+    /// CA mode keeps the per-page targeted path (each page has its own
+    /// designated frame).
     ///
     /// # Errors
     ///
@@ -160,12 +200,10 @@ impl PageCache {
         start: u64,
         count: u64,
     ) -> Result<(), AllocError> {
+        let gaps = self.gaps(file, start, count);
         if matches!(self.mode, CacheAllocMode::Default) {
-            let missing: Vec<u64> = (start..start + count)
-                .filter(|index| !self.files[file.0 as usize].pages.contains_key(index))
-                .collect();
-            let (frames, err) = machine.alloc_bulk(missing.len() as u64);
-            for (&index, &pfn) in missing.iter().zip(&frames) {
+            let (frames, err) = machine.alloc_bulk(gaps.iter().map(|g| g.end - g.start).sum());
+            for (index, pfn) in gaps.into_iter().flatten().zip(frames) {
                 self.readahead_allocs += 1;
                 self.files[file.0 as usize].pages.insert(index, pfn);
             }
@@ -174,10 +212,7 @@ impl PageCache {
                 None => Ok(()),
             };
         }
-        for index in start..start + count {
-            if self.files[file.0 as usize].pages.contains_key(&index) {
-                continue;
-            }
+        for index in gaps.into_iter().flatten() {
             let pfn = self.alloc_contiguous(machine, file, index)?;
             self.readahead_allocs += 1;
             self.files[file.0 as usize].pages.insert(index, pfn);
@@ -194,7 +229,10 @@ impl PageCache {
         file: FileId,
         index: u64,
     ) -> Result<Pfn, AllocError> {
-        let file_va = VirtAddr::new(index * PageSize::Base4K.bytes());
+        // Indices past 2^52 wrap the file's byte space. The offset is only a
+        // placement hint and every target is checked free, so a wrapped
+        // address costs at most a fresh placement decision.
+        let file_va = VirtAddr::new(index.wrapping_mul(PageSize::Base4K.bytes()));
         let entry = &mut self.files[file.0 as usize];
         if let Some(off) = entry.offset {
             if let Some(target) = off.target_frame(file_va.page_number()) {

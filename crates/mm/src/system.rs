@@ -1256,8 +1256,13 @@ impl System {
         let vma_pages = vma_range.pages();
         let page_va = va.align_down(PageSize::Base4K);
         let vma_index = (page_va - vma_start) / PageSize::Base4K.bytes();
-        let file_index = start_page + vma_index;
-        let mut window = READAHEAD_PAGES.min(vma_pages - vma_index);
+        // File page indices live in `[0, u64::MAX)`: a page's window must end
+        // inside the index space. A VMA reaching past it has no file page
+        // there to map.
+        let Some(file_index) = start_page.checked_add(vma_index).filter(|&i| i < u64::MAX) else {
+            return Err(FaultError::UnmappedAddress { addr: va });
+        };
+        let mut window = READAHEAD_PAGES.min(vma_pages - vma_index).min(u64::MAX - file_index);
         // Pressure escalation for readahead: recover and retry, then shrink
         // the window to the single faulting page before giving up.
         let mut esc = Escalation::default();

@@ -327,14 +327,12 @@ impl VirtualMachine {
         if let Some(vma_id) = aspace.vma_containing(va) {
             if let VmaKind::File { file, start_page } = aspace.vma(vma_id).kind() {
                 let vma_start = aspace.vma(vma_id).range().start();
-                let index = start_page + (va.align_down(PageSize::Base4K) - vma_start) / 4096;
-                let window_end = index + 32;
-                let mut frames = Vec::new();
-                for i in index..window_end {
-                    if let Some(pfn) = self.guest.page_cache().lookup(file, i) {
-                        frames.push(pfn);
-                    }
-                }
+                let vma_index = (va.align_down(PageSize::Base4K) - vma_start) / 4096;
+                // The guest fault succeeded, so the index fits; the window
+                // end saturates at the top of the index space.
+                let index = start_page.saturating_add(vma_index);
+                let frames: Vec<Pfn> =
+                    self.guest.page_cache().window(file, index, 32).map(|(_, pfn)| pfn).collect();
                 for pfn in frames {
                     self.back_gpa_range(va, PhysAddr::from(pfn), PageSize::Base4K.bytes())?;
                 }
