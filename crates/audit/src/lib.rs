@@ -2,9 +2,10 @@
 //!
 //! The single-system walk — every page table of every address space
 //! cross-checked against buddy-allocator ownership, page-cache inventory,
-//! and COW bookkeeping — lives in `contig-mm` as [`System::audit`]
-//! (re-exported here). This crate adds the *nested* dimension:
-//! [`audit_vm`] audits the guest and host [`System`]s of a
+//! and COW bookkeeping — is `contig-mm`'s
+//! [`System::audit`](contig_mm::System::audit), whose report types are
+//! re-exported here. This crate adds the *nested* dimension:
+//! [`audit_vm`] audits the guest and host [`System`](contig_mm::System)s of a
 //! [`VirtualMachine`] independently and then checks the composition glue
 //! between them — every guest-physical address a guest page table names
 //! must be a frame the guest machine actually owns, and host backing (when
@@ -43,13 +44,13 @@
 
 pub use contig_mm::{AuditReport, AuditViolation};
 
-use contig_mm::{Pid, System};
+use contig_mm::Pid;
 use contig_types::{PageSize, PhysAddr, VirtAddr};
 use contig_virt::VirtualMachine;
 
 /// A violation of the guest↔host composition invariants.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum VmAuditViolation {
+pub(crate) enum VmAuditViolation {
     /// A guest page table names a guest-physical frame outside the VM
     /// memory region — nothing on the host can ever back it.
     GuestFrameOutOfRange {
@@ -58,16 +59,6 @@ pub enum VmAuditViolation {
         /// Guest virtual address of the mapping.
         va: VirtAddr,
         /// The out-of-range guest-physical address.
-        gpa: PhysAddr,
-    },
-    /// Host backing exists for a guest mapping but the composed walk fails:
-    /// the host leaf does not cover the full guest-physical page.
-    PartialHostBacking {
-        /// Guest process owning the mapping.
-        pid: Pid,
-        /// Guest virtual address of the mapping.
-        va: VirtAddr,
-        /// Guest-physical address whose backing is torn.
         gpa: PhysAddr,
     },
     /// A guest mapping composes onto a *poisoned* host frame: the hwpoison
@@ -90,10 +81,6 @@ impl std::fmt::Display for VmAuditViolation {
                 f,
                 "guest pid {pid:?} va {va:?}: gpa {gpa:?} outside the VM memory region"
             ),
-            Self::PartialHostBacking { pid, va, gpa } => write!(
-                f,
-                "guest pid {pid:?} va {va:?}: gpa {gpa:?} only partially host-backed"
-            ),
             Self::PoisonedHostBacking { pid, va, gpa } => write!(
                 f,
                 "guest pid {pid:?} va {va:?}: gpa {gpa:?} backed by a poisoned host frame"
@@ -106,24 +93,19 @@ impl std::fmt::Display for VmAuditViolation {
 #[derive(Clone, Debug)]
 pub struct VmAuditReport {
     /// The guest OS audited as a system of its own.
-    pub guest: AuditReport,
+    pub(crate) guest: AuditReport,
     /// The host OS audited as a system of its own.
-    pub host: AuditReport,
+    pub(crate) host: AuditReport,
     /// Composition violations between the two dimensions.
-    pub violations: Vec<VmAuditViolation>,
+    pub(crate) violations: Vec<VmAuditViolation>,
     /// Guest 4 KiB pages that are mapped in a guest page table and fully
     /// backed by host memory (counted per guest mapping: a KSM-shared host
     /// frame reachable from several guest pages contributes once per page).
-    pub backed_pages: u64,
-    /// Unique host frames reachable from guest page tables — the
-    /// deduplicated view: a KSM-merged frame counts once however many guest
-    /// pages share it, so `total − free − cached` host-frame arithmetic
-    /// stays exact under fleet-wide same-page merging.
-    pub backed_host_frames: u64,
+    pub(crate) backed_pages: u64,
     /// Guest mappings whose guest-physical frame currently has no host
     /// backing at all — legal after a nested-fault OOM, healed on the next
     /// touch. `(pid, va)` of each affected guest base page.
-    pub unbacked: Vec<(Pid, VirtAddr)>,
+    pub(crate) unbacked: Vec<(Pid, VirtAddr)>,
 }
 
 impl VmAuditReport {
@@ -162,7 +144,6 @@ pub fn audit_vm(vm: &VirtualMachine) -> VmAuditReport {
     let mut violations = Vec::new();
     let mut unbacked = Vec::new();
     let mut backed_pages = 0u64;
-    let mut host_frames = Vec::new();
 
     let guest_bytes = vm.guest().machine().total_frames() * PageSize::Base4K.bytes();
     let host_pt = vm.host().aspace(vm.host_pid()).page_table();
@@ -189,7 +170,6 @@ pub fn audit_vm(vm: &VirtualMachine) -> VmAuditReport {
                             });
                         } else {
                             backed_pages += 1;
-                            host_frames.push(t.frame_for(hva));
                         }
                     }
                     Err(_) => unbacked.push((pid, va)),
@@ -198,23 +178,7 @@ pub fn audit_vm(vm: &VirtualMachine) -> VmAuditReport {
         }
     }
 
-    // Distinct host frames: KSM-merged guest pages name the same one.
-    host_frames.sort_unstable();
-    host_frames.dedup();
-    VmAuditReport {
-        guest,
-        host,
-        violations,
-        backed_pages,
-        backed_host_frames: host_frames.len() as u64,
-        unbacked,
-    }
-}
-
-/// Audits a native (non-virtualized) [`System`]. Thin alias for
-/// [`System::audit`] so callers can treat both execution modes uniformly.
-pub fn audit_system(sys: &System) -> AuditReport {
-    sys.audit()
+    VmAuditReport { guest, host, violations, backed_pages, unbacked }
 }
 
 #[cfg(test)]
@@ -311,20 +275,5 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, VmAuditViolation::PoisonedHostBacking { .. })));
-    }
-
-    #[test]
-    fn native_alias_matches_system_audit() {
-        let mut vm = vm();
-        let pid = vm.guest_mut().spawn();
-        let vma = vm
-            .guest_mut()
-            .aspace_mut(pid)
-            .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 2 << 20), VmaKind::Anon);
-        vm.populate_vma(pid, vma).unwrap();
-        let direct = vm.guest().audit();
-        let alias = audit_system(vm.guest());
-        assert_eq!(direct.is_clean(), alias.is_clean());
-        assert_eq!(direct.mappings_checked, alias.mappings_checked);
     }
 }

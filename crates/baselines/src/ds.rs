@@ -10,15 +10,6 @@
 use contig_tlb::{Access, MissHandler, MissHandling, WalkResult};
 use contig_types::ContigMapping;
 
-/// Counters exposed by [`DirectSegment`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DsStats {
-    /// Misses translated by the segment (no walk).
-    pub segment_hits: u64,
-    /// Misses outside the segment (nested walk at base-page cost).
-    pub outside: u64,
-}
-
 /// The dual-direct-mode segment on the miss path.
 ///
 /// # Examples
@@ -40,33 +31,22 @@ pub struct DsStats {
 #[derive(Clone, Copy, Debug)]
 pub struct DirectSegment {
     segment: ContigMapping,
-    stats: DsStats,
 }
 
 impl DirectSegment {
     /// A segment covering the given 2D mapping.
     pub fn new(segment: ContigMapping) -> Self {
-        Self { segment, stats: DsStats::default() }
-    }
-
-    /// The configured segment.
-    pub fn segment(&self) -> ContigMapping {
-        self.segment
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> DsStats {
-        self.stats
+        Self { segment }
     }
 }
 
 impl MissHandler for DirectSegment {
+    /// Misses inside the segment translate with no walk; the rest pay a
+    /// nested walk at base-page cost.
     fn on_miss(&mut self, access: Access, _walk: &WalkResult) -> MissHandling {
         if self.segment.virt.contains(access.va) {
-            self.stats.segment_hits += 1;
             MissHandling::Hidden
         } else {
-            self.stats.outside += 1;
             MissHandling::Exposed
         }
     }
@@ -99,8 +79,6 @@ mod tests {
         assert_eq!(ds.on_miss(Access::read(0, VirtAddr::new(0x1000)), &walk()), MissHandling::Hidden);
         assert_eq!(ds.on_miss(Access::read(0, VirtAddr::new(0x2fff)), &walk()), MissHandling::Hidden);
         assert_eq!(ds.on_miss(Access::read(0, VirtAddr::new(0x3000)), &walk()), MissHandling::Exposed);
-        assert_eq!(ds.stats().segment_hits, 2);
-        assert_eq!(ds.stats().outside, 2);
     }
 
     #[test]

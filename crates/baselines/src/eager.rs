@@ -13,19 +13,6 @@
 use contig_mm::{FaultCtx, FaultKind, Placement, PlacementPolicy, Pte, PteFlags};
 use contig_types::{PageSize, VirtAddr};
 
-/// Counters exposed by [`EagerPaging`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EagerStats {
-    /// VMAs fully pre-allocated.
-    pub vmas_populated: u64,
-    /// Bytes allocated eagerly.
-    pub bytes_allocated: u64,
-    /// Distinct buddy blocks used.
-    pub blocks_used: u64,
-    /// VMAs that could not be fully populated (out of memory tail).
-    pub partial_populations: u64,
-}
-
 /// The eager pre-allocation policy.
 ///
 /// # Examples
@@ -50,19 +37,12 @@ pub struct EagerStats {
 /// # Ok::<(), contig_types::FaultError>(())
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct EagerPaging {
-    stats: EagerStats,
-}
+pub struct EagerPaging;
 
 impl EagerPaging {
     /// A fresh eager-paging policy.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> EagerStats {
-        self.stats
+        Self
     }
 
     /// Maps `[block_pa, block_pa + bytes)` onto `[va, va + bytes)` using huge
@@ -116,7 +96,6 @@ impl PlacementPolicy for EagerPaging {
             .expect("machine has zones");
         let mut va = range.start();
         let mut mapped_any = false;
-        let mut exhausted = false;
         while va < range.end() {
             if ctx.page_table.translate(va).is_ok() {
                 va += PageSize::Base4K.bytes();
@@ -131,22 +110,13 @@ impl PlacementPolicy for EagerPaging {
                     Err(_) => break None,
                 }
             };
-            let Some(block) = block else {
-                exhausted = true;
-                break;
-            };
+            // Out of memory: the population stays partial.
+            let Some(block) = block else { break };
             let bytes = (1u64 << order) * PageSize::Base4K.bytes();
             Self::map_block(ctx, va, block, order, bytes);
-            self.stats.blocks_used += 1;
-            self.stats.bytes_allocated += bytes;
             ctx.extra_zeroed_pages += 1 << order;
             mapped_any = true;
             va += bytes;
-        }
-        if exhausted {
-            self.stats.partial_populations += 1;
-        } else {
-            self.stats.vmas_populated += 1;
         }
         // The faulting page itself must be mapped for the Handled contract;
         // if memory ran out before reaching it, defer to the default path.
@@ -188,7 +158,6 @@ mod tests {
         let mut eager = EagerPaging::new();
         sys.touch(&mut eager, pid, VirtAddr::new(0x41_0000)).unwrap();
         assert_eq!(sys.aspace(pid).mapped_bytes(), 32 << 20);
-        assert_eq!(eager.stats().vmas_populated, 1);
         let _ = vma;
         // With a raised MAX_ORDER on a fresh machine, one 32 MiB block
         // suffices: a single contiguous mapping.
@@ -240,8 +209,8 @@ mod tests {
         // 8 MiB machine cannot back a 16 MiB VMA: the fault itself is fine
         // (the VMA start gets memory) but population is partial.
         sys.touch(&mut eager, pid, VirtAddr::new(0x40_0000)).unwrap();
-        assert_eq!(eager.stats().partial_populations, 1);
-        assert!(sys.aspace(pid).mapped_bytes() <= 8 << 20);
+        let mapped = sys.aspace(pid).mapped_bytes();
+        assert!(mapped > 0 && mapped <= 8 << 20, "{mapped}");
     }
 
     #[test]
@@ -270,6 +239,6 @@ mod tests {
         sys.touch(&mut eager, pid, VirtAddr::new(0x40_0000)).unwrap();
         let out = sys.touch(&mut eager, pid, VirtAddr::new(0x70_0000)).unwrap();
         assert!(out.already_mapped);
-        assert_eq!(eager.stats().vmas_populated, 1);
+        assert_eq!(sys.aspace(pid).stats().total_faults(), 1);
     }
 }

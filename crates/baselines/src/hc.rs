@@ -222,17 +222,6 @@ mod tests {
     }
 }
 
-/// Counters exposed by [`VhcAnchorTlb`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VhcStats {
-    /// Misses covered by a cached anchor entry (walk hidden).
-    pub anchor_hits: u64,
-    /// Misses that computed and cached a fresh anchor entry.
-    pub anchor_fills: u64,
-    /// Misses whose address no anchor can cover (unaligned heads, holes).
-    pub uncovered: u64,
-}
-
 /// The emulated vHC anchor TLB on the last-level miss path.
 ///
 /// An anchor entry describes the contiguous run *starting at* an
@@ -266,7 +255,6 @@ pub struct VhcAnchorTlb {
     /// Oracle coalesced page table: the process's mappings, sorted by VA.
     table: Vec<ContigMapping>,
     tick: u64,
-    stats: VhcStats,
 }
 
 impl VhcAnchorTlb {
@@ -280,14 +268,7 @@ impl VhcAnchorTlb {
         assert!(capacity > 0, "anchor TLB needs capacity");
         assert!(distance_pages > 0, "anchor distance must be positive");
         mappings.sort_by_key(|m| m.virt.start());
-        Self {
-            entries: Vec::new(),
-            capacity,
-            distance_pages,
-            table: mappings,
-            tick: 0,
-            stats: VhcStats::default(),
-        }
+        Self { entries: Vec::new(), capacity, distance_pages, table: mappings, tick: 0 }
     }
 
     /// An anchor TLB whose distance adapts to the mappings, as the vHC OS
@@ -295,16 +276,6 @@ impl VhcAnchorTlb {
     pub fn with_adaptive_distance(capacity: usize, mappings: Vec<ContigMapping>) -> Self {
         let d = anchor_distance_pages(&mappings);
         Self::new(capacity, d, mappings)
-    }
-
-    /// The anchor distance in force, in base pages.
-    pub fn distance_pages(&self) -> u64 {
-        self.distance_pages
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> VhcStats {
-        self.stats
     }
 
     fn window_bytes(&self) -> u64 {
@@ -340,12 +311,10 @@ impl contig_tlb::MissHandler for VhcAnchorTlb {
         if let Some(e) = self.entries.iter_mut().find(|e| e.0 == anchor) {
             e.2 = self.tick;
             if access.va.raw() < anchor + e.1 {
-                self.stats.anchor_hits += 1;
                 return contig_tlb::MissHandling::Hidden;
             }
             // Anchor cached but this address lies beyond its coverage (an
             // unaligned head or hole): the walk is exposed.
-            self.stats.uncovered += 1;
             return contig_tlb::MissHandling::Exposed;
         }
         let coverage = self.coverage_at(anchor);
@@ -362,9 +331,6 @@ impl contig_tlb::MissHandler for VhcAnchorTlb {
                 self.entries.swap_remove(victim);
             }
             self.entries.push((anchor, coverage, self.tick));
-            self.stats.anchor_fills += 1;
-        } else {
-            self.stats.uncovered += 1;
         }
         contig_tlb::MissHandling::Exposed
     }
@@ -417,7 +383,7 @@ mod anchor_tlb_tests {
             vhc.on_miss(Access::read(1, VirtAddr::new(0x81_0000)), &walk()),
             MissHandling::Hidden
         );
-        assert_eq!(vhc.stats().anchor_fills, 2);
+        assert_eq!(vhc.entries.len(), 2, "one anchor entry per window");
     }
 
     #[test]
@@ -432,8 +398,7 @@ mod anchor_tlb_tests {
                 MissHandling::Exposed
             );
         }
-        assert_eq!(vhc.stats().anchor_hits, 0);
-        assert!(vhc.stats().uncovered >= 3);
+        assert!(vhc.entries.is_empty(), "no anchor entry covers the head");
         // The aligned part (second window, anchored at 0x40_0000) works.
         vhc.on_miss(Access::read(1, VirtAddr::new(0x40_0000)), &walk());
         assert_eq!(
@@ -465,7 +430,7 @@ mod anchor_tlb_tests {
     fn adaptive_distance_matches_analysis() {
         let maps = vec![mapping(0, 256 << 20)];
         let vhc = VhcAnchorTlb::with_adaptive_distance(32, maps.clone());
-        assert_eq!(vhc.distance_pages(), anchor_distance_pages(&maps));
+        assert_eq!(vhc.distance_pages, anchor_distance_pages(&maps));
     }
 
     #[test]

@@ -37,8 +37,6 @@ pub struct IdealPaging {
     /// Planned sub-placements per VMA start: `(vma-relative byte, offset)`
     /// pairs sorted by the relative byte.
     plan: HashMap<u64, Vec<(u64, MapOffset)>>,
-    /// Placements that could not be planned (insufficient free memory).
-    unplanned_bytes: u64,
 }
 
 impl IdealPaging {
@@ -54,7 +52,6 @@ impl IdealPaging {
         let mut order: Vec<&VirtRange> = vmas.iter().collect();
         order.sort_by_key(|r| std::cmp::Reverse(r.len()));
         let mut plan: HashMap<u64, Vec<(u64, MapOffset)>> = HashMap::new();
-        let mut unplanned = 0u64;
         for range in order {
             let mut covered = 0u64;
             let entries = plan.entry(range.start().raw()).or_default();
@@ -75,10 +72,8 @@ impl IdealPaging {
                             .max_by_key(|(_, (_, len))| *len)
                             .map(|(i, _)| i)
                     });
-                let Some(idx) = candidate else {
-                    unplanned += need;
-                    break;
-                };
+                // Out of free memory: the rest of the range stays unplanned.
+                let Some(idx) = candidate else { break };
                 let (start, len) = clusters[idx];
                 // Keep huge faults serviceable: align the sub-region base.
                 let base = start.align_up(PageSize::Huge2M);
@@ -101,18 +96,7 @@ impl IdealPaging {
             }
             entries.sort_by_key(|&(rel, _)| rel);
         }
-        Self { plan, unplanned_bytes: unplanned }
-    }
-
-    /// Bytes the planner could not place contiguously.
-    pub fn unplanned_bytes(&self) -> u64 {
-        self.unplanned_bytes
-    }
-
-    /// Number of planned sub-regions across all VMAs (1 per VMA = perfectly
-    /// contiguous plan).
-    pub fn planned_regions(&self) -> usize {
-        self.plan.values().map(Vec::len).sum()
+        Self { plan }
     }
 }
 
@@ -159,8 +143,7 @@ mod tests {
         let range = VirtRange::new(VirtAddr::new(0x40_0000), 16 << 20);
         let vma = sys.aspace_mut(pid).map_vma(range, VmaKind::Anon);
         let mut ideal = IdealPaging::plan(sys.machine(), &[range]);
-        assert_eq!(ideal.planned_regions(), 1);
-        assert_eq!(ideal.unplanned_bytes(), 0);
+        assert_eq!(ideal.plan[&range.start().raw()].len(), 1, "one sub-region");
         sys.populate_vma(&mut ideal, pid, vma).unwrap();
         assert_eq!(contiguous_mappings(sys.aspace(pid).page_table()).len(), 1);
     }
@@ -178,14 +161,6 @@ mod tests {
         let (_, off) = ideal.plan[&range.start().raw()][0];
         let base = off.apply(range.start());
         assert_eq!(base, PhysAddr::new(0), "the 8 MiB cluster fits exactly");
-    }
-
-    #[test]
-    fn oversubscribed_plan_reports_unplanned() {
-        let sys = System::new(SystemConfig::new(MachineConfig::single_node_mib(16)));
-        let range = VirtRange::new(VirtAddr::new(0x40_0000), 64 << 20);
-        let ideal = IdealPaging::plan(sys.machine(), &[range]);
-        assert!(ideal.unplanned_bytes() > 0);
     }
 
     #[test]

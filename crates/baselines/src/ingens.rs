@@ -18,7 +18,7 @@ pub struct IngensStats {
     /// Base pages migrated during promotions.
     pub pages_migrated: u64,
     /// Promotion attempts skipped for lack of a free huge frame.
-    pub promotion_failures: u64,
+    pub(crate) promotion_failures: u64,
 }
 
 /// The Ingens fault policy plus asynchronous promotion daemon.
@@ -43,33 +43,18 @@ pub struct IngensStats {
 /// assert!(sys.aspace(pid).page_table().mapped_huge_pages() > 0);
 /// # Ok::<(), contig_types::FaultError>(())
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct IngensPolicy {
-    /// Utilization threshold above which a region is promoted.
-    utilization_threshold: f64,
     stats: IngensStats,
 }
 
-impl Default for IngensPolicy {
-    fn default() -> Self {
-        Self { utilization_threshold: 0.9, stats: IngensStats::default() }
-    }
-}
+/// Utilization above which a 2 MiB region is promoted (the paper's 90 %).
+const UTILIZATION_THRESHOLD: f64 = 0.9;
 
 impl IngensPolicy {
     /// Ingens with the paper's 90 % utilization threshold.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Ingens with an explicit utilization threshold in `(0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the threshold is out of range.
-    pub fn with_threshold(threshold: f64) -> Self {
-        assert!(threshold > 0.0 && threshold <= 1.0, "threshold {threshold} out of range");
-        Self { utilization_threshold: threshold, stats: IngensStats::default() }
     }
 
     /// Counters accumulated so far.
@@ -85,7 +70,7 @@ impl IngensPolicy {
         // leaves and no huge leaf yet.
         let candidates = {
             let pt = sys.aspace(pid).page_table();
-            candidate_regions(pt, self.utilization_threshold)
+            candidate_regions(pt, UTILIZATION_THRESHOLD)
         };
         for region in candidates {
             let Ok(huge_frame) = sys.machine_mut().alloc_page(PageSize::Huge2M) else {
@@ -207,28 +192,5 @@ mod tests {
         ingens.promote(&mut sys, pid);
         assert_eq!(ingens.stats().promotions, 0);
         assert_eq!(sys.aspace(pid).page_table().mapped_huge_pages(), 0);
-    }
-
-    #[test]
-    fn custom_threshold_promotes_sparser_regions() {
-        let mut sys = system();
-        let pid = sys.spawn();
-        sys.aspace_mut(pid)
-            .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 2 << 20), VmaKind::Anon);
-        let mut ingens = IngensPolicy::with_threshold(0.5);
-        for i in 0..300u64 {
-            sys.touch(&mut ingens, pid, VirtAddr::new(0x40_0000 + i * 4096)).unwrap();
-        }
-        ingens.promote(&mut sys, pid);
-        assert_eq!(ingens.stats().promotions, 1);
-        // Promotion allocates the full huge page: bloat appears (Ingens
-        // trades it off via the threshold).
-        assert_eq!(sys.aspace(pid).mapped_bytes(), 2 << 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn zero_threshold_rejected() {
-        let _ = IngensPolicy::with_threshold(0.0);
     }
 }

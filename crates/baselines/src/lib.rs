@@ -29,10 +29,10 @@ mod ingens;
 mod ranger;
 mod rmm;
 
-pub use ds::{DirectSegment, DsStats};
-pub use eager::{EagerPaging, EagerStats};
-pub use hc::{anchor_distance_pages, anchor_entries_for_coverage, ranges_for_coverage, VhcAnchorTlb, VhcStats};
+pub use ds::DirectSegment;
+pub use eager::EagerPaging;
+pub use hc::{anchor_distance_pages, anchor_entries_for_coverage, ranges_for_coverage, VhcAnchorTlb};
 pub use ideal::IdealPaging;
-pub use ingens::{IngensPolicy, IngensStats};
-pub use ranger::{largest_mapping_fraction, run_ranger_to_convergence, RangerDaemon, RangerStats};
+pub use ingens::IngensPolicy;
+pub use ranger::{run_ranger_to_convergence, RangerDaemon};
 pub use rmm::{VrmmRangeTlb, VrmmStats};

@@ -10,23 +10,23 @@
 
 use std::collections::HashMap;
 
-use contig_mm::{PageTable, Pid, Pte, PteFlags, System};
+use contig_mm::{Pid, Pte, PteFlags, System};
 use contig_types::{ContigMapping, MapOffset, PageSize, PhysAddr, Pfn, VirtAddr, VirtRange};
 
 /// Counters exposed by [`RangerDaemon`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RangerStats {
     /// Defragmentation epochs executed.
-    pub epochs: u64,
+    pub(crate) epochs: u64,
     /// Base pages moved (a 2 MiB migration counts 512).
     pub pages_migrated: u64,
     /// TLB shootdowns issued (one per migrated leaf).
     pub shootdowns: u64,
     /// Migrations skipped because the destination was pinned or unknown.
-    pub skipped: u64,
+    pub(crate) skipped: u64,
     /// Occupant leaves displaced out of a migration destination (page
     /// exchange).
-    pub displaced: u64,
+    pub(crate) displaced: u64,
 }
 
 /// The asynchronous defragmentation daemon.
@@ -333,22 +333,22 @@ pub fn run_ranger_to_convergence(
     executed
 }
 
-/// Read-only check used in tests and experiments: fraction of a page table's
-/// mapped bytes covered by its single largest contiguous mapping.
-pub fn largest_mapping_fraction(pt: &PageTable) -> f64 {
-    let maps = contig_mm::contiguous_mappings(pt);
-    let total: u64 = maps.iter().map(|m| m.len()).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    maps.iter().map(|m| m.len()).max().unwrap_or(0) as f64 / total as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use contig_buddy::MachineConfig;
-    use contig_mm::{contiguous_mappings, DefaultThpPolicy, SystemConfig, VmaKind};
+    use contig_mm::{contiguous_mappings, DefaultThpPolicy, PageTable, SystemConfig, VmaKind};
+
+    /// Fraction of a page table's mapped bytes covered by its single
+    /// largest contiguous mapping.
+    fn largest_mapping_fraction(pt: &PageTable) -> f64 {
+        let maps = contiguous_mappings(pt);
+        let total: u64 = maps.iter().map(|m| m.len()).sum();
+        if total == 0 {
+            return 0.0;
+        }
+        maps.iter().map(|m| m.len()).max().unwrap_or(0) as f64 / total as f64
+    }
 
     fn fragmented_system() -> (System, Pid, contig_mm::VmaId) {
         let mut sys = System::new(SystemConfig::new(MachineConfig::single_node_mib(128)));

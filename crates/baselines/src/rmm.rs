@@ -65,21 +65,9 @@ impl VrmmRangeTlb {
         Self { cached: Vec::new(), capacity, table: ranges, tick: 0, stats: VrmmStats::default() }
     }
 
-    /// Replaces the range table (after the OS changed the mappings).
-    pub fn set_ranges(&mut self, mut ranges: Vec<ContigMapping>) {
-        ranges.sort_by_key(|m| m.virt.start());
-        self.table = ranges;
-        self.cached.clear();
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> VrmmStats {
         self.stats
-    }
-
-    /// The number of ranges currently in the (oracle) range table.
-    pub fn table_len(&self) -> usize {
-        self.table.len()
     }
 
     fn lookup_cached(&mut self, va: VirtAddr) -> bool {
@@ -204,19 +192,6 @@ mod tests {
             MissHandling::Exposed,
             "evicted range must refill"
         );
-    }
-
-    #[test]
-    fn set_ranges_flushes_the_tlb() {
-        let mut rmm = VrmmRangeTlb::new(4, vec![mapping(0, 0x100_0000, 1 << 20)]);
-        rmm.on_miss(Access::read(1, VirtAddr::new(0)), &walk());
-        rmm.set_ranges(vec![mapping(0, 0x200_0000, 1 << 20)]);
-        assert_eq!(
-            rmm.on_miss(Access::read(1, VirtAddr::new(0)), &walk()),
-            MissHandling::Exposed,
-            "cached entry must not survive a table swap"
-        );
-        assert_eq!(rmm.table_len(), 1);
     }
 
     #[test]

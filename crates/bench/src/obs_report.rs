@@ -25,16 +25,16 @@
 
 use std::process::ExitCode;
 
-use contig_buddy::{MachineConfig, PcpConfig};
 use contig_check::{run_torture, TortureConfig};
 use contig_core::CaPaging;
 use contig_engine::{run_seeded, PoolConfig};
 use contig_metrics::TextTable;
-use contig_mm::{System, SystemConfig, VmaKind};
+use contig_mm::VmaId;
 use contig_trace::{parse_jsonl, SpanStack, Tracer};
-use contig_types::{splitmix64, FailMode, FailPolicy, FaultError, VirtAddr, VirtRange};
+use contig_types::splitmix64;
 
 use crate::cli::{parse, unknown, UsageError};
+use crate::trace_report::{mapped_or_oom, pressured_hog};
 
 /// The command's flag synopsis.
 pub const FLAGS: &str = "[--tasks N] [--seed N] [--ops N] [--torture] [--inject-panic] \
@@ -78,63 +78,22 @@ fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
     })
 }
 
-/// One profiled fault workload, built to light up every stage: a hog pins
-/// half the machine (so OOM recovery fires), a file VMA streams order-0
-/// faults through the pcp caches, a CA-paged anon VMA demand-faults huge
-/// pages under seeded allocation-failure injection, and a COW fork breaks
-/// a slice of the shared pages, all rotating over simulated CPUs.
+/// One profiled fault workload: the pressured hog workload on a 32–48 MiB
+/// machine, then a COW fork whose write storm breaks a slice of the shared
+/// anonymous pages. Returns the number of touches.
 fn profile_task(seed: u64, tracer: &Tracer) -> u64 {
     let mut rng = seed;
     let mib = 32 + (splitmix64(&mut rng) % 3) * 8;
-    let mut sys = System::new(SystemConfig::new(MachineConfig::single_node_mib(mib)));
-    sys.set_tracer(tracer.clone());
-    sys.enable_pcp(PcpConfig { cpus: 4, batch: 16, high: 64 });
-    let _hog = contig_buddy::Hog::occupy(sys.machine_mut(), 0.5, 11);
-    sys.set_fail_policy(FailPolicy::new(FailMode::EveryNth { n: 64 }));
-    let pid = sys.spawn();
     let mut ca = CaPaging::new();
-    let mut faults = 0u64;
-    let mut touch = |sys: &mut System, ca: &mut CaPaging, pid, va: u64, write: bool| {
-        let va = VirtAddr::new(va);
-        let result =
-            if write { sys.touch_write(ca, pid, va) } else { sys.touch(ca, pid, va) };
-        match result {
-            Ok(_) | Err(FaultError::OutOfMemory { .. }) => faults += 1,
-            Err(other) => panic!("untyped failure escaped the fault path: {other:?}"),
-        }
-    };
-
-    // File stream: order-0 page-cache faults exercising pcp hit/miss.
-    let file = sys.page_cache_mut().create_file();
-    let file_len: u64 = 2 << 20;
-    sys.aspace_mut(pid).map_vma(
-        VirtRange::new(VirtAddr::new(0x9000_0000), file_len),
-        VmaKind::File { file, start_page: 0 },
-    );
-    for i in 0..file_len / 4096 {
-        sys.set_cpu((i % 4) as usize);
-        touch(&mut sys, &mut ca, pid, 0x9000_0000 + i * 4096, false);
-    }
-
-    // CA-paged anon VMA under pressure: huge faults, some hitting recovery.
-    let vma_bytes: u64 = 6 << 20;
-    let vma = sys
-        .aspace_mut(pid)
-        .map_vma(VirtRange::new(VirtAddr::new(0x4000_0000), vma_bytes), VmaKind::Anon);
-    for i in 0..vma_bytes / 4096 {
-        sys.set_cpu((i % 4) as usize);
-        touch(&mut sys, &mut ca, pid, 0x4000_0000 + i * 4096, false);
-    }
-
-    // COW fork + write storm breaking shared pages.
-    let child = sys.fork_vma(pid, vma);
+    let (mut sys, pid, anon, touches) = pressured_hog(mib, tracer, &mut ca);
+    let child = sys.fork_vma(pid, VmaId(anon.start()));
     for i in 0..128u64 {
         sys.set_cpu((i % 4) as usize);
-        let page = splitmix64(&mut rng) % (vma_bytes / 4096);
-        touch(&mut sys, &mut ca, child, 0x4000_0000 + page * 4096, true);
+        let va = anon.start() + (splitmix64(&mut rng) % anon.pages()) * 4096;
+        mapped_or_oom(sys.touch_write(&mut ca, child, va));
     }
     sys.exit(child);
-    faults
+    touches + 128
 }
 
 /// Renders the per-stage table: every stage that fired, with counts and

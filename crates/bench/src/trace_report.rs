@@ -1,10 +1,11 @@
 //! `trace-report` — BadgerTrap-style observability report for the whole
 //! fault/allocation path.
 //!
-//! Runs a small pressured hog workload (hog pins half the machine, a file
-//! streams through the page cache, CA paging demand-faults an anonymous VMA
-//! under seeded allocation-failure injection, a TLB simulation replays the
-//! mapped footprint), with every subsystem probe feeding one
+//! Runs the pressured hog workload ([`pressured_hog`]: hog pins half the
+//! machine, a file streams through the page cache, CA paging demand-faults
+//! an anonymous VMA under seeded allocation-failure injection), then a TLB
+//! simulation replays the mapped footprint, with every subsystem probe
+//! feeding one
 //! [`contig_trace::TraceSession`]. Renders the per-subsystem event and
 //! metric summary, writes the raw trace as JSONL (plus a chrome://tracing
 //! view), and self-validates: the command exits non-zero when the trace is
@@ -16,13 +17,14 @@
 
 use std::process::ExitCode;
 
+use contig_buddy::{Hog, MachineConfig, PcpConfig};
 use contig_core::CaPaging;
 use contig_metrics::TextTable;
-use contig_mm::{System, SystemConfig, VmaKind};
+use contig_mm::{Pid, System, SystemConfig, VmaKind};
 use contig_tlb::{Access, MemorySim, NoScheme, TlbConfig, WalkCostModel};
 use contig_trace::{
     declare_canonical_metrics, export_chrome, export_jsonl, parse_jsonl, validate_metric_names,
-    TraceSession,
+    TraceSession, Tracer,
 };
 use contig_types::{FailMode, FailPolicy, FaultError, VirtAddr, VirtRange};
 use contig_virt::NativeBackend;
@@ -58,50 +60,69 @@ fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
     })
 }
 
-/// Drives the traced workload; returns the mapped anonymous bytes.
-fn run_workload(sys: &mut System, session: &TraceSession, mib: u64) -> u64 {
-    let _hog = contig_buddy::Hog::occupy(sys.machine_mut(), 0.5, 11);
+/// The pressured hog workload `trace-report` and `obs-report` both drive on
+/// a `mib` MiB machine, built to light up every stage of the fault path: a
+/// hog pins half the machine, so OOM recovery fires; a file VMA streams
+/// order-0 faults through the page cache and the pcp caches; a CA-paged
+/// anonymous VMA demand-faults under `EveryNth(50)` allocation-failure
+/// injection. Each touch runs on the next of four simulated CPUs and either
+/// maps or fails with a typed OOM. Returns the system, the process, its
+/// anonymous range and the number of touches.
+pub(crate) fn pressured_hog(
+    mib: u64,
+    tracer: &Tracer,
+    ca: &mut CaPaging,
+) -> (System, Pid, VirtRange, u64) {
+    let mut sys = System::new(SystemConfig::new(MachineConfig::single_node_mib(mib)));
+    sys.set_tracer(tracer.clone());
+    sys.enable_pcp(PcpConfig { cpus: 4, batch: 16, high: 64 });
+    let _hog = Hog::occupy(sys.machine_mut(), 0.5, 11);
+    sys.set_fail_policy(FailPolicy::new(FailMode::EveryNth { n: 50 }));
     let pid = sys.spawn();
     let file = sys.page_cache_mut().create_file();
-    let file_len = (mib << 20) / 8;
-    let anon_len = (mib << 20) / 2;
-    sys.aspace_mut(pid).map_vma(
-        VirtRange::new(VirtAddr::new(FILE_BASE), file_len),
-        VmaKind::File { file, start_page: 0 },
-    );
-    sys.aspace_mut(pid)
-        .map_vma(VirtRange::new(VirtAddr::new(ANON_BASE), anon_len), VmaKind::Anon);
-    sys.set_fail_policy(FailPolicy::new(FailMode::EveryNth { n: 50 }));
+    let stream = VirtRange::new(VirtAddr::new(FILE_BASE), (mib << 20) / 8);
+    let anon = VirtRange::new(VirtAddr::new(ANON_BASE), (mib << 20) / 2);
+    sys.aspace_mut(pid).map_vma(stream, VmaKind::File { file, start_page: 0 });
+    sys.aspace_mut(pid).map_vma(anon, VmaKind::Anon);
+    let mut touches = 0;
+    for va in page_addrs(stream).chain(page_addrs(anon)) {
+        sys.set_cpu((touches % 4) as usize);
+        mapped_or_oom(sys.touch(ca, pid, va));
+        touches += 1;
+    }
+    (sys, pid, anon, touches)
+}
 
+/// Accepts a fault that mapped or failed with a typed OOM; anything else
+/// escaped the fault path untyped.
+pub(crate) fn mapped_or_oom<T>(result: Result<T, FaultError>) {
+    match result {
+        Ok(_) | Err(FaultError::OutOfMemory { .. }) => {}
+        Err(other) => panic!("untyped failure escaped the fault path: {other:?}"),
+    }
+}
+
+/// The address of each 4 KiB page of `range`.
+fn page_addrs(range: VirtRange) -> impl Iterator<Item = VirtAddr> {
+    range.iter_pages().map(|page| VirtAddr::new(page.byte_offset()))
+}
+
+/// Drives the traced workload, then replays its anonymous footprint through
+/// the TLB model; returns the mapped bytes.
+fn run_workload(session: &TraceSession, mib: u64) -> u64 {
     let mut ca = CaPaging::new();
     ca.set_tracer(session.tracer());
+    let (sys, pid, anon, _) = pressured_hog(mib, &session.tracer(), &mut ca);
 
-    for i in 0..file_len / 4096 {
-        match sys.touch(&mut ca, pid, VirtAddr::new(FILE_BASE + i * 4096)) {
-            Ok(_) | Err(FaultError::OutOfMemory { .. }) => {}
-            Err(other) => panic!("untyped failure escaped the fault path: {other:?}"),
-        }
-    }
-    let mut va = VirtAddr::new(ANON_BASE);
-    let end = VirtAddr::new(ANON_BASE + anon_len);
-    while va < end {
-        match sys.touch(&mut ca, pid, va) {
-            Ok(out) => va = va.align_down(out.size) + out.size.bytes(),
-            Err(FaultError::OutOfMemory { .. }) => va += 4096u64,
-            Err(other) => panic!("untyped failure escaped the fault path: {other:?}"),
-        }
-    }
-
-    // Replay the anonymous footprint through the TLB model: a strided scan
-    // that produces both TLB hits and last-level misses with page walks.
+    // A strided scan that produces both TLB hits and last-level misses with
+    // page walks.
     let mut sim = MemorySim::new(TlbConfig::broadwell(), WalkCostModel::default());
     sim.set_tracer(session.tracer());
-    let backend = NativeBackend::new(sys.aspace(pid).page_table());
-    let mut scheme = NoScheme;
-    let accesses = (0..anon_len / 4096)
-        .filter(|i| sys.aspace(pid).page_table().translate(VirtAddr::new(ANON_BASE + i * 4096)).is_ok())
-        .map(|i| Access::read(1, VirtAddr::new(ANON_BASE + i * 4096)));
-    sim.run(&backend, &mut scheme, accesses);
+    let table = sys.aspace(pid).page_table();
+    let backend = NativeBackend::new(table);
+    let accesses =
+        page_addrs(anon).filter(|&va| table.translate(va).is_ok()).map(|va| Access::read(1, va));
+    sim.run(&backend, &mut NoScheme, accesses);
 
     // The post-run audit reports through the same trace session.
     let report = sys.audit();
@@ -114,10 +135,7 @@ fn run_workload(sys: &mut System, session: &TraceSession, mib: u64) -> u64 {
 pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
     let args = parse_args(argv)?;
     let session = TraceSession::ring(1 << 20);
-    let mut sys =
-        System::new(SystemConfig::new(contig_buddy::MachineConfig::single_node_mib(args.mib)));
-    sys.set_tracer(session.tracer());
-    let mapped = run_workload(&mut sys, &session, args.mib);
+    let mapped = run_workload(&session, args.mib);
 
     let records = session.records();
     let mut metrics = session.metrics();

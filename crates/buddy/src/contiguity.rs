@@ -26,7 +26,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// The physical byte extent of the cluster.
-    pub fn range(&self) -> PhysRange {
+    pub(crate) fn range(&self) -> PhysRange {
         PhysRange::new(PhysAddr::from(self.start), self.frames * contig_types::BASE_PAGE_SIZE)
     }
 
@@ -77,18 +77,8 @@ impl ContiguityMap {
         }
     }
 
-    /// Number of distinct clusters currently tracked.
-    pub fn len(&self) -> usize {
-        self.clusters.len()
-    }
-
-    /// Whether no free top-order blocks exist.
-    pub fn is_empty(&self) -> bool {
-        self.clusters.is_empty()
-    }
-
     /// Total number of map updates performed (for overhead accounting).
-    pub fn update_count(&self) -> u64 {
+    pub(crate) fn update_count(&self) -> u64 {
         self.updates
     }
 
@@ -98,7 +88,7 @@ impl ContiguityMap {
     }
 
     /// The cluster containing `pfn`, if any.
-    pub fn cluster_containing(&self, pfn: Pfn) -> Option<Cluster> {
+    pub(crate) fn cluster_containing(&self, pfn: Pfn) -> Option<Cluster> {
         let (&start, &frames) = self.clusters.range(..=pfn).next_back()?;
         if pfn.raw() < start.raw() + frames {
             Some(Cluster { start, frames })
@@ -118,11 +108,6 @@ impl ContiguityMap {
     /// Iterates clusters in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = Cluster> + '_ {
         self.clusters.iter().map(|(&start, &frames)| Cluster { start, frames })
-    }
-
-    /// Total free frames accounted by the map (top-order-block granularity).
-    pub fn free_frames(&self) -> u64 {
-        self.clusters.values().sum()
     }
 
     /// Called by the zone when a block enters the top-order free list.
@@ -179,7 +164,7 @@ impl ContiguityMap {
     /// returns the first cluster of at least `frames` frames; if none is large
     /// enough anywhere, returns the largest cluster found. Advances the rover
     /// past the chosen cluster so it is the last one reconsidered.
-    pub fn next_fit(&mut self, frames: u64) -> Option<Cluster> {
+    pub(crate) fn next_fit(&mut self, frames: u64) -> Option<Cluster> {
         if self.clusters.is_empty() {
             return None;
         }
@@ -219,7 +204,7 @@ impl ContiguityMap {
 
     /// Current rover position (for inspection and tests); `None` before the
     /// first placement.
-    pub fn rover(&self) -> Option<Pfn> {
+    pub(crate) fn rover(&self) -> Option<Pfn> {
         self.rover
     }
 
@@ -229,7 +214,7 @@ impl ContiguityMap {
     /// from the same position the live run would have — while the update
     /// counter only feeds overhead accounting, but both must round-trip for
     /// the state digest to be stable across `restore(snapshot(s))`.
-    pub fn restore_cursor(&mut self, rover: Option<Pfn>, updates: u64) {
+    pub(crate) fn restore_cursor(&mut self, rover: Option<Pfn>, updates: u64) {
         self.rover = rover;
         self.updates = updates;
     }
@@ -263,9 +248,9 @@ mod tests {
     #[test]
     fn merge_bridges_predecessor_and_successor() {
         let mut m = map_with_blocks(2, &[0, 8]);
-        assert_eq!(m.len(), 2);
+        assert_eq!(m.iter().count(), 2);
         m.on_block_freed(Pfn::new(4));
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.iter().count(), 1);
         assert_eq!(m.largest().unwrap(), Cluster { start: Pfn::new(0), frames: 12 });
     }
 
@@ -336,11 +321,5 @@ mod tests {
         assert!(m.cluster_containing(Pfn::new(4)).is_some());
         assert!(m.cluster_containing(Pfn::new(7)).is_some());
         assert_eq!(m.cluster_containing(Pfn::new(8)), None);
-    }
-
-    #[test]
-    fn free_frames_sums_clusters() {
-        let m = map_with_blocks(3, &[0, 16]);
-        assert_eq!(m.free_frames(), 16);
     }
 }

@@ -34,7 +34,7 @@ pub enum FrameState {
 
 impl FrameState {
     /// Whether the frame is free (head or tail of a free block).
-    pub const fn is_free(self) -> bool {
+    pub(crate) const fn is_free(self) -> bool {
         matches!(self, FrameState::FreeHead { .. } | FrameState::FreeTail)
     }
 }
@@ -116,24 +116,14 @@ impl FrameTable {
         Self { base, entries: vec![Entry::FREE_TAIL; frames as usize] }
     }
 
-    /// First frame number of the zone.
-    pub const fn base(&self) -> Pfn {
-        self.base
-    }
-
     /// Number of frames tracked.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.entries.len() as u64
-    }
-
-    /// Whether the table tracks zero frames.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Whether `pfn` falls inside this zone.
     #[inline]
-    pub fn contains(&self, pfn: Pfn) -> bool {
+    pub(crate) fn contains(&self, pfn: Pfn) -> bool {
         pfn >= self.base && pfn.raw() < self.base.raw() + self.len()
     }
 
@@ -174,13 +164,13 @@ impl FrameTable {
     /// Whether the frame is parked on a per-CPU cache list (it then reads as
     /// an allocated order-0 block). False outside the zone.
     #[inline]
-    pub fn is_pcp_resident(&self, pfn: Pfn) -> bool {
+    pub(crate) fn is_pcp_resident(&self, pfn: Pfn) -> bool {
         self.contains(pfn) && self.entry(pfn).has(PCP_RESIDENT)
     }
 
     /// Whether the frame is marked poisoned. False outside the zone.
     #[inline]
-    pub fn is_poisoned(&self, pfn: Pfn) -> bool {
+    pub(crate) fn is_poisoned(&self, pfn: Pfn) -> bool {
         self.contains(pfn) && self.entry(pfn).has(POISONED)
     }
 
@@ -325,7 +315,7 @@ impl FrameTable {
     /// Buddy blocks are naturally aligned, so the head must be one of the
     /// `max_order + 1` alignment candidates of `pfn`; we test them from the
     /// smallest up.
-    pub fn free_block_containing(&self, pfn: Pfn, max_order: u32) -> Option<(Pfn, u32)> {
+    pub(crate) fn free_block_containing(&self, pfn: Pfn, max_order: u32) -> Option<(Pfn, u32)> {
         if !self.is_free(pfn) {
             return None;
         }

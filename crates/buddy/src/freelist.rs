@@ -48,7 +48,7 @@ impl FreeList {
 
     /// Number of blocks on the list.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             FreeList::Lifo(l) => l.len(),
             FreeList::Sorted(s) => s.len(),
@@ -57,7 +57,7 @@ impl FreeList {
 
     /// Whether the list holds no blocks.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

@@ -34,10 +34,10 @@ pub struct Hog {
 impl Hog {
     /// Order of each hogged block: 4 MiB, comfortably above the 2 MiB huge
     /// page so THP-sized holes remain abundant.
-    pub const BLOCK_ORDER: u32 = 10;
+    pub(crate) const BLOCK_ORDER: u32 = 10;
 
     /// Pins approximately `fraction` of the machine's memory (0.0–1.0) in
-    /// scattered [`Hog::BLOCK_ORDER`] blocks chosen pseudo-randomly with the
+    /// scattered `Hog::BLOCK_ORDER` blocks chosen pseudo-randomly with the
     /// given seed.
     ///
     /// # Panics
@@ -71,11 +71,6 @@ impl Hog {
             }
         }
         Hog { blocks }
-    }
-
-    /// Number of pinned blocks.
-    pub fn blocks(&self) -> usize {
-        self.blocks.len()
     }
 
     /// Frames pinned by the hog.
@@ -134,7 +129,7 @@ mod tests {
     fn zero_fraction_is_a_noop() {
         let mut m = Machine::new(MachineConfig::single_node_mib(16));
         let hog = Hog::occupy(&mut m, 0.0, 3);
-        assert_eq!(hog.blocks(), 0);
+        assert_eq!(hog.pinned_frames(), 0);
         assert_eq!(m.free_frames(), m.total_frames());
     }
 

@@ -45,7 +45,7 @@ mod pcp;
 mod stats;
 mod zone;
 
-pub use contiguity::{Cluster, ContiguityMap};
+pub use contiguity::ContiguityMap;
 pub use frame::{FrameState, FrameTable};
 pub use freelist::FreeList;
 pub use hog::Hog;

@@ -6,7 +6,7 @@ use contig_trace::Tracer;
 use contig_types::{AllocError, FailPolicy, PageSize, PhysRange, Pfn};
 
 use crate::stats::FreeBlockHistogram;
-use crate::zone::{PoisonCounters, PoisonDisposition, Zone, ZoneConfig, ZoneCounters, ZoneSnapshot};
+use crate::zone::{PoisonDisposition, Zone, ZoneConfig, ZoneCounters, ZoneSnapshot};
 
 /// Index of a NUMA node / zone within a [`Machine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -241,15 +241,6 @@ impl Machine {
         self.zones.iter().map(Zone::poisoned_frames).sum()
     }
 
-    /// Machine-wide poison counters (sum over zones).
-    pub fn poison_counters(&self) -> PoisonCounters {
-        let mut total = PoisonCounters::default();
-        for z in &self.zones {
-            total.accumulate(z.poison_counters());
-        }
-        total
-    }
-
     /// Iterates every quarantined frame machine-wide, in address order.
     pub fn badframes(&self) -> impl Iterator<Item = Pfn> + '_ {
         self.zones.iter().flat_map(|z| z.badframes())
@@ -368,7 +359,7 @@ impl Machine {
     /// wraps deterministically instead of always starting at node 0. With an
     /// armed fault-injection policy the cursor starts over at `home` for
     /// every frame, which is exactly the per-frame [`Machine::alloc_on`] loop.
-    pub fn alloc_bulk_on(&mut self, home: NodeId, count: u64) -> (Vec<Pfn>, Option<AllocError>) {
+    pub(crate) fn alloc_bulk_on(&mut self, home: NodeId, count: u64) -> (Vec<Pfn>, Option<AllocError>) {
         let n = self.zones.len();
         let mut got = Vec::with_capacity(count.min(65_536) as usize);
         let armed = self.zones.iter().any(|z| z.fail_policy().is_armed());

@@ -24,7 +24,7 @@ impl SizeClass {
         [SizeClass::Under2M, SizeClass::From2MTo32M, SizeClass::From32MTo1G, SizeClass::Over1G];
 
     /// Classifies a run of `bytes` bytes.
-    pub fn of_bytes(bytes: u64) -> Self {
+    pub(crate) fn of_bytes(bytes: u64) -> Self {
         const MIB: u64 = 1 << 20;
         const GIB: u64 = 1 << 30;
         match bytes {
@@ -84,13 +84,8 @@ impl FreeBlockHistogram {
         self.bytes.iter().sum()
     }
 
-    /// Free bytes in one class.
-    pub fn bytes_in(&self, class: SizeClass) -> u64 {
-        self.bytes[class as usize]
-    }
-
     /// Number of maximal runs in one class.
-    pub fn runs_in(&self, class: SizeClass) -> u64 {
+    pub(crate) fn runs_in(&self, class: SizeClass) -> u64 {
         self.runs[class as usize]
     }
 
@@ -146,7 +141,7 @@ mod tests {
         assert_eq!(h.runs_in(SizeClass::Under2M), 1);
         assert_eq!(h.runs_in(SizeClass::From2MTo32M), 1);
         assert_eq!(h.runs_in(SizeClass::Over1G), 1);
-        assert_eq!(h.bytes_in(SizeClass::Over1G), 1 << 30);
+        assert_eq!(h.bytes[SizeClass::Over1G as usize], 1 << 30);
     }
 
     #[test]

@@ -3,13 +3,12 @@
 use std::collections::BTreeSet;
 
 use contig_trace::{stage, TraceEvent, Tracer};
-use contig_types::{AllocError, FailPolicy, PageSize, PhysRange, Pfn};
+use contig_types::{AllocError, FailPolicy, PhysRange, Pfn};
 
 use crate::contiguity::ContiguityMap;
 use crate::frame::{FrameState, FrameTable};
 use crate::freelist::FreeList;
 use crate::pcp::{PcpConfig, PcpCounters, PcpSnapshot, PcpState};
-use crate::stats::FreeBlockHistogram;
 
 /// Default top buddy order: blocks of `2^10` frames = 4 MiB, matching Linux's
 /// `MAX_ORDER = 11` convention of eleven lists for orders `0..=10`.
@@ -166,7 +165,7 @@ pub struct Zone {
     contiguity: ContiguityMap,
     counters: ZoneCounters,
     /// Deterministic fault injection consulted before every allocation
-    /// attempt; [`FailPolicy::never`] (the default) costs one branch.
+    /// attempt; `FailMode::Never` (the default) costs one inlined test.
     fail: FailPolicy,
     /// Observability probes; [`Tracer::disabled`] (the default) costs one
     /// branch per allocator operation.
@@ -207,7 +206,7 @@ impl Zone {
             free_frames: 0,
             contiguity: ContiguityMap::new(config.top_order),
             counters: ZoneCounters::default(),
-            fail: FailPolicy::never(),
+            fail: FailPolicy::default(),
             tracer: Tracer::disabled(),
             pcp: None,
             badframes: BTreeSet::new(),
@@ -255,7 +254,7 @@ impl Zone {
     /// Rebuilds a zone from a snapshot, byte-for-byte equivalent to the
     /// captured one: free lists are reinstalled in their captured order so
     /// subsequent allocations carve the same blocks the original would have.
-    /// The tracer comes back disabled; re-attach with [`Zone::set_tracer`].
+    /// The tracer comes back disabled; re-attach with `Zone::set_tracer`.
     ///
     /// # Panics
     ///
@@ -356,7 +355,7 @@ impl Zone {
     }
 
     /// Whether `pfn` belongs to this zone.
-    pub fn contains(&self, pfn: Pfn) -> bool {
+    pub(crate) fn contains(&self, pfn: Pfn) -> bool {
         self.frames.contains(pfn)
     }
 
@@ -378,11 +377,6 @@ impl Zone {
     pub fn enable_pcp(&mut self, config: PcpConfig) {
         assert!(self.pcp.is_none(), "pcp layer already enabled");
         self.pcp = Some(PcpState::new(config));
-    }
-
-    /// Whether the per-CPU frame-cache layer is enabled.
-    pub fn pcp_enabled(&self) -> bool {
-        self.pcp.is_some()
     }
 
     /// Selects the simulated CPU whose pcp list serves subsequent order-0
@@ -411,7 +405,7 @@ impl Zone {
     }
 
     /// Event counters of the pcp layer, if enabled.
-    pub fn pcp_counters(&self) -> Option<PcpCounters> {
+    pub(crate) fn pcp_counters(&self) -> Option<PcpCounters> {
         self.pcp.as_ref().map(|p| p.counters)
     }
 
@@ -485,12 +479,6 @@ impl Zone {
         &self.contiguity
     }
 
-    /// Mutable access to the contiguity map — exposed for placement policies
-    /// that drive the next-fit rover.
-    pub fn contiguity_map_mut(&mut self) -> &mut ContiguityMap {
-        &mut self.contiguity
-    }
-
     /// Event counters.
     pub fn counters(&self) -> &ZoneCounters {
         &self.counters
@@ -499,30 +487,25 @@ impl Zone {
     /// Attaches observability probes: every allocator operation emits a
     /// `buddy.*` event, injector consultations bump the `fail.attempts`
     /// counter, and injected failures emit `inject.failure`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// The attached tracer handle (disabled by default).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
     }
 
     /// Installs a fault-injection policy consulted before every allocation
     /// attempt (see [`FailPolicy`]). Replaces any previous policy.
-    pub fn set_fail_policy(&mut self, policy: FailPolicy) {
+    pub(crate) fn set_fail_policy(&mut self, policy: FailPolicy) {
         self.fail = policy;
     }
 
     /// The fault-injection policy in force (attempt/injection counters live
     /// on it).
-    pub fn fail_policy(&self) -> &FailPolicy {
+    pub(crate) fn fail_policy(&self) -> &FailPolicy {
         &self.fail
     }
 
     /// Removes any fault-injection policy, returning the old one with its
     /// final counters.
-    pub fn clear_fail_policy(&mut self) -> FailPolicy {
+    pub(crate) fn clear_fail_policy(&mut self) -> FailPolicy {
         std::mem::take(&mut self.fail)
     }
 
@@ -590,11 +573,6 @@ impl Zone {
         self.badframes.len() as u64
     }
 
-    /// Memory-failure counters.
-    pub fn poison_counters(&self) -> &PoisonCounters {
-        &self.poison_counters
-    }
-
     /// Whether a free block of at least `order` exists (without allocating).
     /// A non-empty pcp list satisfies an order-0 query — those frames are
     /// allocatable without any buddy block existing; for larger orders the
@@ -644,7 +622,7 @@ impl Zone {
             return Err(AllocError::OutOfMemory { order });
         }
         self.tracer.add("fail.attempts", 1);
-        if self.fail.should_fail(order) {
+        if self.fail.decide(order) {
             self.tracer.emit(TraceEvent::InjectedFailure { order, targeted: false });
             return Err(AllocError::OutOfMemory { order });
         }
@@ -693,7 +671,7 @@ impl Zone {
             return Err(AllocError::OutOfZone { target });
         }
         self.tracer.add("fail.attempts", 1);
-        if self.fail.should_fail(order) {
+        if self.fail.decide(order) {
             // Injected targeted failures surface as a busy target: the
             // realistic race where another allocation claimed the frame
             // between the policy's free check and the claim attempt.
@@ -957,15 +935,6 @@ impl Zone {
         Some(head)
     }
 
-    /// Convenience wrapper: allocate one page of the given size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`AllocError`] from [`Zone::alloc`].
-    pub fn alloc_page(&mut self, size: PageSize) -> Result<Pfn, AllocError> {
-        self.alloc(size.order())
-    }
-
     /// Splits an *allocated* block into `2^(order - new_order)` independently
     /// freeable allocated blocks of `new_order` — Linux's `split_page()`.
     /// Eager paging uses this after grabbing a high-order block so the pages
@@ -997,14 +966,9 @@ impl Zone {
 
     /// Next-fit placement over the contiguity map (paper Fig. 4). Returns the
     /// chosen free cluster as a byte range.
-    pub fn next_fit_cluster(&mut self, bytes: u64) -> Option<PhysRange> {
+    pub(crate) fn next_fit_cluster(&mut self, bytes: u64) -> Option<PhysRange> {
         let frames = bytes.div_ceil(contig_types::BASE_PAGE_SIZE);
         self.contiguity.next_fit(frames).map(|c| c.range())
-    }
-
-    /// Histogram of *unaligned* maximal free runs (paper Fig. 9).
-    pub fn free_block_histogram(&self) -> FreeBlockHistogram {
-        FreeBlockHistogram::from_runs(self.frames.free_runs())
     }
 
     /// Exhaustively checks the allocator's internal invariants. Intended for
@@ -1183,7 +1147,7 @@ mod tests {
         let z = zone(4096);
         assert_eq!(z.free_frames(), 4096);
         z.verify_integrity();
-        assert_eq!(z.contiguity_map().len(), 1);
+        assert_eq!(z.contiguity_map().iter().count(), 1);
         assert_eq!(z.contiguity_map().largest().unwrap().frames, 4096);
     }
 
@@ -1336,12 +1300,12 @@ mod tests {
     #[test]
     fn contiguity_map_tracks_alloc_and_free() {
         let mut z = zone(4096);
-        assert_eq!(z.contiguity_map().len(), 1);
+        assert_eq!(z.contiguity_map().iter().count(), 1);
         // Claim the middle top-order block: the cluster splits.
         z.alloc_specific(Pfn::new(1024), DEFAULT_TOP_ORDER).unwrap();
-        assert_eq!(z.contiguity_map().len(), 2);
+        assert_eq!(z.contiguity_map().iter().count(), 2);
         z.free(Pfn::new(1024), DEFAULT_TOP_ORDER);
-        assert_eq!(z.contiguity_map().len(), 1);
+        assert_eq!(z.contiguity_map().iter().count(), 1);
         z.verify_integrity();
     }
 
@@ -1591,14 +1555,14 @@ mod tests {
         let head = z.alloc(3).unwrap();
         let victim = head.add(5);
         assert_eq!(z.poison(victim), PoisonDisposition::Deferred);
-        assert_eq!(z.poison_counters().deferred, 1);
+        assert_eq!(z.poison_counters.deferred, 1);
         z.verify_integrity();
         // Freeing the block quarantines the badframe and frees the rest.
         z.free(head, 3);
         z.verify_integrity();
         assert_eq!(z.free_frames(), 1023);
         assert!(!z.is_free(victim));
-        assert_eq!(z.poison_counters().quarantined_on_free, 1);
+        assert_eq!(z.poison_counters.quarantined_on_free, 1);
     }
 
     #[test]
@@ -1648,7 +1612,7 @@ mod tests {
         restored.verify_integrity();
         assert!(restored.is_poisoned(Pfn::new(17)));
         assert!(restored.is_poisoned(held.add(1)));
-        assert_eq!(restored.poison_counters(), z.poison_counters());
+        assert_eq!(restored.poison_counters, z.poison_counters);
         assert_eq!(restored.snapshot(), snap);
     }
 

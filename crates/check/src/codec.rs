@@ -35,7 +35,7 @@ use crate::json::{decode, line, parse, Wire};
 
 /// Snapshot file format version: the one the encoder writes and the only
 /// version read.
-pub const SNAPSHOT_VERSION: i128 = 6;
+pub(crate) const SNAPSHOT_VERSION: i128 = 6;
 /// `format` tag of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "contig-snapshot";
 
@@ -58,7 +58,7 @@ pub fn encode_vm_file(snap: &VmSnapshot) -> String {
 /// # Errors
 ///
 /// Rejects missing headers, unknown format tags, any version but
-/// [`SNAPSHOT_VERSION`], digest mismatches (corruption), malformed payloads,
+/// `SNAPSHOT_VERSION`, digest mismatches (corruption), malformed payloads,
 /// and anything but blank lines after the payload.
 pub fn decode_vm_file(text: &str) -> Result<VmSnapshot, String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
@@ -84,25 +84,6 @@ pub fn decode_vm_file(text: &str) -> Result<VmSnapshot, String> {
         return Err(format!("digest mismatch: header {want:#x}, payload {got:#x}"));
     }
     decode(payload_line, "bad payload")
-}
-
-/// Writes a snapshot file to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_vm_file(path: &std::path::Path, snap: &VmSnapshot) -> std::io::Result<()> {
-    std::fs::write(path, encode_vm_file(snap))
-}
-
-/// Reads and validates a snapshot file from `path`.
-///
-/// # Errors
-///
-/// I/O failures and every validation failure of [`decode_vm_file`].
-pub fn read_vm_file(path: &std::path::Path) -> Result<VmSnapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path:?}: {e}"))?;
-    decode_vm_file(&text)
 }
 
 /// [`contig_virt::GuestStateCodec`] over the versioned JSON snapshot codec:

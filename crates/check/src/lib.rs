@@ -5,17 +5,17 @@
 //! `contig-mm`/`contig-virt`/`contig-buddy`/`contig-tlb` export plain-data
 //! snapshot types and exact `restore` constructors; this crate gives them
 //!
-//! - a **versioned JSONL codec** ([`codec`]) over the workspace's one
+//! - a **versioned JSONL codec** (`codec`) over the workspace's one
 //!   hand-rolled JSON model (`contig_types::json`, re-exported here as
 //!   [`json`]) whose canonical encoding is safe to hash,
-//! - **FNV-1a-64 state digests** ([`digest`]) so "recovered exactly" is a
+//! - **FNV-1a-64 state digests** (`digest`) so "recovered exactly" is a
 //!   single integer comparison,
-//! - a **seeded torture runner** ([`torture`]) that drives the whole
+//! - a **seeded torture runner** (`torture`) that drives the whole
 //!   two-dimensional stack against a flat oracle, audits cross-layer
 //!   invariants, and simulates crashes at op boundaries (restore last
 //!   checkpoint, replay the journal, require digest equality),
 //! - a **ddmin minimizer** ([`minimize()`]) plus a replayable JSONL repro
-//!   format ([`replay`]) so a CI failure shrinks to a few ops anyone can
+//!   format (`replay`) so a CI failure shrinks to a few ops anyone can
 //!   re-run with the `torture_replay` binary.
 //!
 //! # Examples
@@ -30,20 +30,17 @@
 
 #![warn(missing_docs)]
 
-pub mod codec;
-pub mod digest;
+pub(crate) mod codec;
+pub(crate) mod digest;
 pub mod minimize;
-pub mod replay;
-pub mod torture;
+pub(crate) mod replay;
+pub(crate) mod torture;
 
-pub use codec::{
-    decode_vm_file, encode_vm_file, read_vm_file, write_vm_file, SnapshotGuestCodec,
-    SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
-};
+pub use codec::{decode_vm_file, encode_vm_file, SnapshotGuestCodec, SNAPSHOT_FORMAT};
 pub use digest::{digest_fleet, digest_system, digest_tlb, digest_vm, fnv1a64, fold_digests};
 pub use contig_types::json::{self, Json};
 pub use minimize::{minimize, Minimized};
-pub use replay::{decode_repro, encode_repro, read_repro, write_repro, REPRO_FORMAT, REPRO_VERSION};
+pub use replay::{decode_repro, encode_repro, read_repro};
 pub use torture::{
     generate_ops, run_ops, run_torture, TortureConfig, TortureFailure, TortureOp, TortureReport,
 };
@@ -51,6 +48,7 @@ pub use torture::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::SNAPSHOT_VERSION;
     use crate::json::Wire;
     use contig_mm::{DefaultThpPolicy, VmaKind};
     use contig_types::{VirtAddr, VirtRange};

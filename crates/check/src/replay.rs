@@ -15,9 +15,9 @@ use crate::json::{decode, line, parse, Json, Wire};
 use crate::torture::{TortureConfig, TortureOp};
 
 /// Current repro file format version.
-pub const REPRO_VERSION: i128 = 1;
+pub(crate) const REPRO_VERSION: i128 = 1;
 /// `format` tag of repro files.
-pub const REPRO_FORMAT: &str = "contig-torture";
+pub(crate) const REPRO_FORMAT: &str = "contig-torture";
 
 /// Serializes a config and op sequence as a replayable JSONL repro file.
 pub fn encode_repro(cfg: &TortureConfig, ops: &[TortureOp]) -> String {
@@ -113,19 +113,6 @@ pub fn decode_repro(text: &str) -> Result<(TortureConfig, Vec<TortureOp>), Strin
     // from the seed, and a repro file carries the explicit sequence instead.
     cfg.ops = ops.len();
     Ok((cfg, ops))
-}
-
-/// Writes a repro file to `path`.
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_repro(
-    path: &std::path::Path,
-    cfg: &TortureConfig,
-    ops: &[TortureOp],
-) -> std::io::Result<()> {
-    std::fs::write(path, encode_repro(cfg, ops))
 }
 
 /// Reads a repro file from `path`.

@@ -392,7 +392,7 @@ pub enum TortureFailure {
 
 impl TortureFailure {
     /// Stable failure class, used by the minimizer to match failures.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             TortureFailure::OracleDivergence { .. } => "oracle-divergence",
             TortureFailure::AuditFindings { .. } => "audit-findings",
@@ -462,19 +462,19 @@ pub struct TortureReport {
     /// (they are attached whenever [`TortureConfig::poison`] or
     /// [`TortureConfig::migrate`] is set and the `probes` feature is
     /// compiled in).
-    pub trace_enabled: bool,
+    pub(crate) trace_enabled: bool,
     /// Whole-run `poison.event` trace total (0 unless `trace_enabled`).
-    pub trace_strikes: u64,
+    pub(crate) trace_strikes: u64,
     /// Whole-run `poison.heal` trace total.
-    pub trace_heals: u64,
+    pub(crate) trace_heals: u64,
     /// Whole-run `poison.heal_failed` trace total.
-    pub trace_heal_failures: u64,
+    pub(crate) trace_heal_failures: u64,
     /// Whole-run `poison.sigbus` trace total.
-    pub trace_sigbus: u64,
+    pub(crate) trace_sigbus: u64,
     /// Whole-run `migrate.*` trace totals, counter for counter (all zero
     /// unless `trace_enabled`). The acceptance bar is
     /// `trace_migrate == migrate_stats`, exactly.
-    pub trace_migrate: MigrationStats,
+    pub(crate) trace_migrate: MigrationStats,
     /// Fleet ops executed (0 unless [`TortureConfig::fleet`]).
     pub fleet_ops: u64,
     /// Fleet tenants still alive at run end.
@@ -485,7 +485,7 @@ pub struct TortureReport {
     /// Whole-run `balloon.*`/`ksm.*`/`fleet.*` trace totals, counter for
     /// counter (all zero unless `trace_enabled`). The acceptance bar is
     /// `trace_fleet == fleet_stats`, exactly.
-    pub trace_fleet: FleetStats,
+    pub(crate) trace_fleet: FleetStats,
     /// Digest of the final fleet state (0 unless [`TortureConfig::fleet`]).
     pub fleet_digest: u64,
     /// `DaemonTick` ops executed (0 unless [`TortureConfig::daemon`]).
@@ -499,7 +499,7 @@ pub struct TortureReport {
     /// Whole-run `daemon.*` trace totals (all zero unless `trace_enabled`).
     /// The acceptance bar is `trace_daemon.as_named() ==
     /// daemon_stats.as_named()`, counter for counter.
-    pub trace_daemon: DaemonStats,
+    pub(crate) trace_daemon: DaemonStats,
     /// Digest of the final state.
     pub final_digest: u64,
     /// Whole-run metrics snapshot (event counters plus `span.*` stage

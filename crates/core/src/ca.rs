@@ -18,7 +18,7 @@
 
 use contig_mm::{FaultCtx, Placement, PlacementPolicy};
 use contig_trace::{TraceEvent, Tracer};
-use contig_types::{MapOffset, PageSize, PhysAddr, Pfn};
+use contig_types::{MapOffset, PageSize, Pfn};
 
 use crate::marking::mark_contiguity;
 
@@ -69,13 +69,13 @@ pub struct CaStats {
     /// Targets found busy.
     pub target_busy: u64,
     /// 4 KiB faults that fell back to default allocation.
-    pub fallbacks_4k: u64,
+    pub(crate) fallbacks_4k: u64,
     /// Re-placements suppressed because another fault held the VMA's
     /// replacement claim.
     pub replacement_races: u64,
     /// Placements whose contiguity target was shrunk because preceding
     /// targets were repeatedly busy (graceful degradation under pressure).
-    pub degraded_placements: u64,
+    pub(crate) degraded_placements: u64,
 }
 
 /// The CA paging placement policy.
@@ -150,32 +150,14 @@ impl CaPaging {
         self.tracer = tracer;
     }
 
-    /// The tuning in force.
-    pub fn config(&self) -> CaConfig {
-        self.config
-    }
-
     /// Counters accumulated so far.
     pub fn stats(&self) -> CaStats {
         self.stats
     }
 
-    /// The marking threshold currently in force (config value, or the
-    /// adapted one when `adaptive_threshold` is on).
-    pub fn current_threshold(&self) -> u64 {
-        self.threshold
-    }
-
     /// The reservation owner id for one VMA of this instance.
     fn owner_of(&self, vma_start: u64) -> u64 {
         self.instance.wrapping_mul(0x9E37_79B9).wrapping_add(vma_start >> 12)
-    }
-
-    /// Releases every reservation this policy instance holds (process exit).
-    pub fn release_reservations(&self, machine: &mut contig_buddy::Machine, vma_starts: &[u64]) {
-        for &start in vma_starts {
-            machine.release_reservations(self.owner_of(start));
-        }
     }
 
     /// Runs a placement decision: search the contiguity map with next-fit,
@@ -343,13 +325,6 @@ impl PlacementPolicy for CaPaging {
             self.threshold = (self.ewma_run_pages / 8).clamp(16, 512);
         }
     }
-}
-
-/// Convenience: the physical address at which a placement would map `va`
-/// given a chosen cluster start — exposed for tests and the ideal-paging
-/// planner.
-pub fn placement_target(cluster_start: PhysAddr, va_size: PageSize) -> PhysAddr {
-    cluster_start.align_up(va_size)
 }
 
 #[cfg(test)]
@@ -556,7 +531,7 @@ mod tests {
         // A default allocation proceeds despite the standing reservation.
         let p = sys.machine_mut().alloc_page(contig_types::PageSize::Huge2M).unwrap();
         sys.machine_mut().free_page(p, contig_types::PageSize::Huge2M);
-        ca.release_reservations(sys.machine_mut(), &[0x40_0000]);
+        sys.machine_mut().release_reservations(ca.owner_of(0x40_0000));
         assert_eq!(sys.machine().reserved_bytes(), 0);
     }
 
@@ -569,14 +544,14 @@ mod tests {
             adaptive_threshold: true,
             ..CaConfig::default()
         });
-        assert_eq!(ca.current_threshold(), 32);
+        assert_eq!(ca.threshold, 32);
         sys.populate_vma(&mut ca, pid, vma).unwrap();
         assert!(
-            ca.current_threshold() > 32,
+            ca.threshold > 32,
             "an 8192-page run must raise the threshold, got {}",
-            ca.current_threshold()
+            ca.threshold
         );
-        assert!(ca.current_threshold() <= 512, "clamped at 512");
+        assert!(ca.threshold <= 512, "clamped at 512");
     }
 
     #[test]

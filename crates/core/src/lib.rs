@@ -39,6 +39,6 @@ mod ca;
 mod marking;
 mod spot;
 
-pub use ca::{placement_target, CaConfig, CaPaging, CaStats};
+pub use ca::{CaConfig, CaPaging};
 pub use marking::mark_contiguity;
 pub use spot::{SpotConfig, SpotPredictor, SpotStats};

@@ -142,19 +142,9 @@ impl SpotPredictor {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> SpotConfig {
-        self.config
-    }
-
     /// Outcome counters.
     pub fn stats(&self) -> SpotStats {
         self.stats
-    }
-
-    /// Resets the outcome counters (not the table contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = SpotStats::default();
     }
 
     fn set_range(&self, pc: u64) -> std::ops::Range<usize> {

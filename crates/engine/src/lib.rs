@@ -45,7 +45,7 @@ const TASK_TRACE_CAPACITY: usize = 4096;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Worker threads to spawn. [`run_seeded`] clamps it to `1..=tasks`.
-    pub workers: usize,
+    pub(crate) workers: usize,
 }
 
 impl PoolConfig {

@@ -290,18 +290,13 @@ impl Tenant {
         self.guest_pid
     }
 
-    /// Guest frames currently held by the balloon, ascending.
-    pub fn ballooned(&self) -> Vec<u64> {
-        self.balloon.iter().copied().collect()
-    }
-
     /// The content-tag model: workload page index → last written tag.
     pub fn tags(&self) -> &BTreeMap<u64, u64> {
         &self.tags
     }
 
     /// Total guest-physical frames (the committed size of this tenant).
-    pub fn guest_frames(&self) -> u64 {
+    pub(crate) fn guest_frames(&self) -> u64 {
         self.guest.machine().total_frames()
     }
 
@@ -311,7 +306,7 @@ impl Tenant {
     }
 
     /// Host frames currently backing this tenant's VM region.
-    pub fn backed_frames(&self, host: &System) -> u64 {
+    pub(crate) fn backed_frames(&self, host: &System) -> u64 {
         host.aspace(self.host_pid)
             .page_table()
             .iter_mappings()
@@ -365,7 +360,7 @@ fn registry_purge(sharing: &mut BTreeMap<u64, Vec<(u64, u64)>>, tenant: u64) {
 
 /// One host's sharing registry in snapshot form: `(pfn, members)` records,
 /// pfn-ascending, each member a `(tenant, gframe)` pair.
-pub type SharingSnapshot = Vec<(u64, Vec<(u64, u64)>)>;
+pub(crate) type SharingSnapshot = Vec<(u64, Vec<(u64, u64)>)>;
 
 contig_types::wire_struct! {
     /// Plain-data image of one tenant.
@@ -420,13 +415,13 @@ contig_types::wire_struct! {
 #[derive(Clone, Debug, Default)]
 pub struct FleetAuditReport {
     /// Every violation found, as human-readable descriptions.
-    pub violations: Vec<String>,
+    pub(crate) violations: Vec<String>,
     /// Hosts checked.
-    pub hosts_checked: u64,
+    pub(crate) hosts_checked: u64,
     /// Tenants checked.
-    pub tenants_checked: u64,
+    pub(crate) tenants_checked: u64,
     /// Host frames currently shared under a KSM record.
-    pub shared_frames: u64,
+    pub(crate) shared_frames: u64,
 }
 
 impl FleetAuditReport {
@@ -543,11 +538,6 @@ impl Fleet {
         }
     }
 
-    /// The construction parameters in force.
-    pub fn config(&self) -> &FleetConfig {
-        &self.cfg
-    }
-
     /// Cumulative counters.
     pub fn stats(&self) -> &FleetStats {
         &self.stats
@@ -569,13 +559,13 @@ impl Fleet {
     }
 
     /// Free frames on host `h`.
-    pub fn host_free(&self, h: usize) -> u64 {
+    pub(crate) fn host_free(&self, h: usize) -> u64 {
         self.hosts[h].system.machine().free_frames()
     }
 
     /// Guest frames committed to host `h` by admission (balloons do not
     /// reduce commitment — they are reclaim, not a contract change).
-    pub fn committed(&self, h: usize) -> u64 {
+    pub(crate) fn committed(&self, h: usize) -> u64 {
         self.tenants
             .values()
             .filter(|t| t.host_idx == h)
@@ -1068,10 +1058,6 @@ impl Fleet {
     /// Runs the full escalation ladder on host `h` until its free frames
     /// reach the high watermark or every rung is exhausted. `protect` is
     /// never evacuated or killed (it is mid-fault in the caller).
-    pub fn relieve_host(&mut self, h: usize) {
-        self.relieve(h, None);
-    }
-
     fn relieve(&mut self, h: usize, protect: Option<TenantId>) {
         let free0 = self.host_free(h);
         self.stats.pressure_events += 1;
@@ -1156,7 +1142,7 @@ impl Fleet {
     /// host until cutover: an aborted migration rolls the destination back
     /// frame-exact and leaves the tenant untouched. Returns whether the
     /// tenant moved.
-    pub fn evacuate(&mut self, id: TenantId, dest: usize) -> bool {
+    pub(crate) fn evacuate(&mut self, id: TenantId, dest: usize) -> bool {
         let Some(t) = self.tenants.get(&id) else {
             return false;
         };
@@ -1285,7 +1271,7 @@ impl Fleet {
     /// Tears tenant `id` down leak-free: sharing-registry members die first,
     /// then the host process exit returns every exclusively owned frame (and
     /// every last-sharer KSM frame) to the buddy. Returns frames freed.
-    pub fn victim_kill(&mut self, id: TenantId) -> u64 {
+    pub(crate) fn victim_kill(&mut self, id: TenantId) -> u64 {
         let Some(t) = self.tenants.remove(&id) else {
             return 0;
         };

@@ -41,11 +41,6 @@ impl CoverageStats {
         self.total
     }
 
-    /// Number of mappings.
-    pub fn mapping_count(&self) -> usize {
-        self.lens.len()
-    }
-
     /// Bytes covered by the `k` largest mappings.
     pub fn top_k_bytes(&self, k: usize) -> u64 {
         self.lens.iter().take(k).sum()
@@ -113,23 +108,12 @@ impl TimelinePoint {
     }
 
     /// The trace event carrying this sample, for emission through a
-    /// [`contig_trace::Tracer`] and recovery via [`TimelinePoint::from_event`].
+    /// [`contig_trace::Tracer`].
     pub fn to_event(self) -> contig_trace::TraceEvent {
         contig_trace::TraceEvent::TimelinePoint {
             t: self.t,
             top32_bytes: self.top32_bytes,
             mapped_bytes: self.mapped_bytes,
-        }
-    }
-
-    /// Recovers the sample from a `metrics.timeline_point` trace event;
-    /// `None` for any other event kind.
-    pub fn from_event(event: &contig_trace::TraceEvent) -> Option<Self> {
-        match *event {
-            contig_trace::TraceEvent::TimelinePoint { t, top32_bytes, mapped_bytes } => {
-                Some(Self { t, top32_bytes, mapped_bytes })
-            }
-            _ => None,
         }
     }
 }
@@ -182,7 +166,7 @@ mod tests {
         maps.extend(std::iter::repeat_n(mapping(1 << 20), 10));
         let c = CoverageStats::from_mappings(&maps);
         assert_eq!(c.mappings_for_coverage(0.99), 1);
-        assert_eq!(c.mapping_count(), 11);
+        assert_eq!(c.lens.len(), 11);
         assert_eq!(c.largest_bytes(), 990 << 20);
     }
 
@@ -209,8 +193,15 @@ mod tests {
         }
         let jsonl = contig_trace::export_jsonl(&session.records());
         let parsed = contig_trace::parse_jsonl(&jsonl).expect("exported trace must parse");
-        let back: Vec<TimelinePoint> =
-            parsed.iter().filter_map(|r| TimelinePoint::from_event(&r.event)).collect();
+        let back: Vec<TimelinePoint> = parsed
+            .iter()
+            .filter_map(|r| match r.event {
+                contig_trace::TraceEvent::TimelinePoint { t, top32_bytes, mapped_bytes } => {
+                    Some(TimelinePoint { t, top32_bytes, mapped_bytes })
+                }
+                _ => None,
+            })
+            .collect();
         assert_eq!(back, points, "JSONL round-trip must preserve every sample exactly");
     }
 }

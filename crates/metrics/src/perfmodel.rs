@@ -18,9 +18,9 @@ pub struct PerfModelConfig {
     /// Baseline cycles per memory reference when translation never misses.
     /// Folds in the core CPI of the paper's memory-bound workloads
     /// (calibrated so the THP+THP geomean lands near the measured ~16.5 %).
-    pub base_cycles_per_access: f64,
+    pub(crate) base_cycles_per_access: f64,
     /// Pipeline-flush penalty added to a mispredicted walk (paper: 20).
-    pub mispredict_penalty_cycles: f64,
+    pub(crate) mispredict_penalty_cycles: f64,
 }
 
 impl Default for PerfModelConfig {
@@ -61,7 +61,7 @@ impl PerfModel {
 
     /// The ideal execution time (cycles) for a run: pure compute with no
     /// translation overhead.
-    pub fn ideal_cycles(&self, report: &SimReport) -> f64 {
+    pub(crate) fn ideal_cycles(&self, report: &SimReport) -> f64 {
         report.accesses as f64 * self.config.base_cycles_per_access
     }
 
@@ -87,11 +87,6 @@ impl PerfModel {
     /// leaves exposed).
     pub fn total_cycles(&self, report: &SimReport) -> f64 {
         self.ideal_cycles(report) * (1.0 + self.scheme_overhead(report))
-    }
-
-    /// The constants in force.
-    pub fn config(&self) -> PerfModelConfig {
-        self.config
     }
 }
 

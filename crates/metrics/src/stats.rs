@@ -88,11 +88,6 @@ impl TextTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Whether the table has no data rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -166,7 +161,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0].len(), lines[2].len());
         assert!(!t.is_empty());
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
     }
 
     #[test]

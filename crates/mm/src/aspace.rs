@@ -42,7 +42,7 @@ impl AddressSpace {
     }
 
     /// An address space whose statistics record individual fault latencies.
-    pub fn with_latency_recording() -> Self {
+    pub(crate) fn with_latency_recording() -> Self {
         Self { stats: FaultStats::recording(), ..Self::default() }
     }
 
@@ -75,12 +75,6 @@ impl AddressSpace {
         VmaId(range.start())
     }
 
-    /// Removes a VMA *descriptor*. Frames mapped under it must be released
-    /// through the owning [`crate::System`], which knows frame ownership.
-    pub fn remove_vma(&mut self, id: VmaId) -> Option<Vma> {
-        self.vmas.remove(&id.0)
-    }
-
     /// The VMA with the given id.
     ///
     /// # Panics
@@ -110,11 +104,6 @@ impl AddressSpace {
         self.vmas.keys().map(|&start| VmaId(start))
     }
 
-    /// Number of VMAs.
-    pub fn vma_count(&self) -> usize {
-        self.vmas.len()
-    }
-
     /// The process page table.
     pub fn page_table(&self) -> &PageTable {
         &self.page_table
@@ -131,7 +120,7 @@ impl AddressSpace {
     ///
     /// Panics if any mapping was already installed, or on an unsupported
     /// depth.
-    pub fn set_page_table_levels(&mut self, levels: u32) {
+    pub(crate) fn set_page_table_levels(&mut self, levels: u32) {
         assert_eq!(self.page_table.mapped_bytes(), 0, "depth change after mappings exist");
         self.page_table = PageTable::with_levels(levels);
     }
@@ -142,13 +131,13 @@ impl AddressSpace {
     }
 
     /// Mutable access to the statistics.
-    pub fn stats_mut(&mut self) -> &mut FaultStats {
+    pub(crate) fn stats_mut(&mut self) -> &mut FaultStats {
         &mut self.stats
     }
 
     /// The NUMA home node, if one is assigned (see
     /// [`crate::System::set_home_node`]).
-    pub fn home(&self) -> Option<usize> {
+    pub(crate) fn home(&self) -> Option<usize> {
         self.home
     }
 
@@ -169,11 +158,6 @@ impl AddressSpace {
     pub fn mapped_bytes(&self) -> u64 {
         self.page_table.mapped_bytes()
     }
-
-    /// Sum of VMA lengths (the declared virtual footprint).
-    pub fn virtual_bytes(&self) -> u64 {
-        self.vmas.values().map(|v| v.range().len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -193,7 +177,7 @@ mod tests {
         assert_eq!(a.vma_containing(VirtAddr::new(0x2fff)), Some(low));
         assert_eq!(a.vma_containing(VirtAddr::new(0x3000)), None);
         assert_eq!(a.vma_containing(VirtAddr::new(0x10_0abc)), Some(high));
-        assert_eq!(a.vma_count(), 2);
+        assert_eq!(a.vmas.len(), 2);
     }
 
     #[test]
@@ -210,23 +194,5 @@ mod tests {
     fn unaligned_vma_rejected() {
         let mut a = AddressSpace::new();
         a.map_vma(range(0x1234, 0x1000), VmaKind::Anon);
-    }
-
-    #[test]
-    fn remove_vma_forgets_descriptor() {
-        let mut a = AddressSpace::new();
-        let id = a.map_vma(range(0x1000, 0x1000), VmaKind::Anon);
-        assert!(a.remove_vma(id).is_some());
-        assert!(a.remove_vma(id).is_none());
-        assert_eq!(a.vma_containing(VirtAddr::new(0x1000)), None);
-    }
-
-    #[test]
-    fn virtual_bytes_sums_vmas() {
-        let mut a = AddressSpace::new();
-        a.map_vma(range(0x1000, 0x2000), VmaKind::Anon);
-        a.map_vma(range(0x100_0000, 0x40_0000), VmaKind::Anon);
-        assert_eq!(a.virtual_bytes(), 0x40_2000);
-        assert_eq!(a.mapped_bytes(), 0);
     }
 }

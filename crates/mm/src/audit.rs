@@ -182,13 +182,13 @@ impl fmt::Display for AuditViolation {
 #[derive(Clone, Debug, Default)]
 pub struct AuditReport {
     /// Every invariant violation found, in discovery order.
-    pub violations: Vec<AuditViolation>,
+    pub(crate) violations: Vec<AuditViolation>,
     /// Leaf PTEs walked.
-    pub mappings_checked: u64,
+    pub(crate) mappings_checked: u64,
     /// Distinct base frames referenced by mappings.
-    pub frames_checked: u64,
+    pub(crate) frames_checked: u64,
     /// Page-cache pages walked.
-    pub cached_pages_checked: u64,
+    pub(crate) cached_pages_checked: u64,
 }
 
 impl AuditReport {

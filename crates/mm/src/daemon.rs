@@ -41,7 +41,7 @@ use std::collections::{BTreeMap, HashMap};
 use contig_buddy::{FrameState, NodeId};
 use contig_trace::{stage, DaemonStage, TraceEvent};
 use contig_types::json::{Dec, Enc, Sink, Wire};
-use contig_types::{splitmix64, PageSize, Pfn, VirtAddr};
+use contig_types::{jittered_backoff, PageSize, Pfn, VirtAddr};
 
 use crate::pte::{Pte, PteFlags};
 use crate::rmap::FrameUsers;
@@ -125,7 +125,7 @@ impl Default for DaemonConfig {
 
 impl DaemonConfig {
     /// The buddy order compaction assembles toward at this aggressiveness.
-    pub fn target_order(&self) -> u32 {
+    pub(crate) fn target_order(&self) -> u32 {
         match self.aggressiveness {
             0 => 0,
             1 => 4,
@@ -135,7 +135,7 @@ impl DaemonConfig {
     }
 
     /// Work units one tick may spend (bounded further by the epoch budget).
-    pub fn tick_quantum(&self) -> u64 {
+    pub(crate) fn tick_quantum(&self) -> u64 {
         match self.aggressiveness {
             0 => 0,
             1 => 8,
@@ -333,11 +333,6 @@ impl System {
         self.set_daemon_config(config);
     }
 
-    /// Disables ticks without discarding state or counters.
-    pub fn disable_daemon(&mut self) {
-        self.daemon.enabled = false;
-    }
-
     /// Swaps the daemon policy at runtime. The in-flight epoch is restarted
     /// under the new budget (cursors reset — a policy change re-scopes what
     /// an epoch even means), remembered candidates survive, and the backoff
@@ -485,15 +480,8 @@ impl System {
         self.daemon.yield_streak += 1;
         self.daemon.reset_epoch();
         let cfg = self.daemon.config;
-        let ns = if cfg.backoff_base_ns == 0 {
-            0
-        } else {
-            let exp = cfg
-                .backoff_base_ns
-                .saturating_mul(1u64 << (self.daemon.yield_streak - 1).min(16))
-                .min(cfg.backoff_cap_ns);
-            exp + splitmix64(&mut self.daemon.backoff_rng) % (exp / 2 + 1)
-        };
+        let (base, cap, k) = (cfg.backoff_base_ns, cfg.backoff_cap_ns, self.daemon.yield_streak - 1);
+        let ns = jittered_backoff(base, cap, k, 16, &mut self.daemon.backoff_rng);
         self.daemon.backoff_until_ns = self.now_ns + ns;
         self.trace_daemon(DaemonStage::Yield, free_pct, ns);
     }

@@ -51,16 +51,16 @@ pub use audit::{AuditReport, AuditViolation};
 pub use daemon::{DaemonConfig, DaemonPhase, DaemonState, DaemonStats};
 pub use extract::{compose_mappings, contiguous_mappings};
 pub use page_cache::{CacheAllocMode, FileCacheSnapshot, FileId, PageCache, PageCacheSnapshot};
-pub use page_table::{MappedPage, PageTable, Translation, ENTRIES_PER_TABLE, LEVELS, LEVELS_LA57};
+pub use page_table::{MappedPage, PageTable, LEVELS, LEVELS_LA57};
 pub use poison::{FailureAction, MemoryFailureOutcome, PoisonStats};
 pub use policy::{BasePagesPolicy, DefaultThpPolicy, FaultCtx, FaultKind, Placement, PlacementPolicy};
 pub use pte::{Pte, PteFlags};
-pub use recovery::{CompactOutcome, RecoveryConfig, RecoveryStats};
-pub use rmap::{FrameRef, FrameUsers, PteRef};
+pub use recovery::{RecoveryConfig, RecoveryStats};
+pub use rmap::{FrameRef, PteRef};
 pub use snapshot::{FaultStatsSnapshot, ProcessSnapshot, SystemSnapshot, VmaSnapshot};
 pub use stats::{FaultStats, LatencyModel};
 pub use system::{
     FaultOutcome, KsmError, KsmMergeOutcome, NodeMigrateError, NumaStats, Pid, System,
     SystemConfig,
 };
-pub use vma::{OffsetSet, Vma, VmaKind, MAX_OFFSETS_PER_VMA};
+pub use vma::{OffsetSet, VmaKind, MAX_OFFSETS_PER_VMA};

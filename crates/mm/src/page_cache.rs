@@ -87,11 +87,6 @@ impl PageCache {
         Self { files: Vec::new(), mode, readahead_allocs: 0 }
     }
 
-    /// The allocation discipline in force.
-    pub fn mode(&self) -> CacheAllocMode {
-        self.mode
-    }
-
     /// Registers a new (empty) file.
     pub fn create_file(&mut self) -> FileId {
         self.files.push(CachedFile::default());
@@ -106,16 +101,6 @@ impl PageCache {
     /// Number of cached pages of `file`.
     pub fn cached_pages(&self, file: FileId) -> u64 {
         self.files[file.0 as usize].pages.len() as u64
-    }
-
-    /// Total pages cached across all files.
-    pub fn total_cached_pages(&self) -> u64 {
-        self.files.iter().map(|f| f.pages.len() as u64).sum()
-    }
-
-    /// Readahead allocations performed so far.
-    pub fn readahead_allocs(&self) -> u64 {
-        self.readahead_allocs
     }
 
     /// The frame backing file page `index`, if cached.
@@ -308,7 +293,7 @@ impl PageCache {
 
     /// Rebuilds a cache from a checkpoint. The caller is responsible for the
     /// machine-side frame state (restored from the same snapshot).
-    pub fn from_snapshot(snap: &PageCacheSnapshot) -> Self {
+    pub(crate) fn from_snapshot(snap: &PageCacheSnapshot) -> Self {
         Self {
             files: snap
                 .files
@@ -367,7 +352,7 @@ mod tests {
         assert_eq!(m.free_frames(), m.total_frames() - 16);
         // Repeated readahead is idempotent.
         cache.readahead(&mut m, f, 0, 16).unwrap();
-        assert_eq!(cache.readahead_allocs(), 16);
+        assert_eq!(cache.readahead_allocs, 16);
     }
 
     #[test]

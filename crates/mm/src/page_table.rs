@@ -15,7 +15,7 @@ use contig_types::{PageSize, Pfn, TranslateError, VirtAddr, VirtRange};
 use crate::pte::{pack, unpack, Pte, PteFlags, EMPTY, LEAF, TABLE};
 
 /// Entries per table at every level (x86-64: 9 bits of index).
-pub const ENTRIES_PER_TABLE: usize = 512;
+pub(crate) const ENTRIES_PER_TABLE: usize = 512;
 /// Default number of radix levels (PGD, PUD, PMD, PT).
 pub const LEVELS: u32 = 4;
 /// Radix levels with Intel's 57-bit "la57" extension (5-level paging). The

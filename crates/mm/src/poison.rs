@@ -93,6 +93,9 @@ pub enum FailureAction {
     /// An unreferenced raw allocation: quarantine completes when the owner
     /// frees the block.
     Deferred,
+    /// No zone owns the frame (Linux's `-ENXIO`): the strike was refused
+    /// before any counter, trace event or clock moved.
+    NoSuchFrame,
 }
 
 /// Result of one [`System::memory_failure`] strike.
@@ -117,7 +120,7 @@ impl System {
 
     /// Removes poison injection (the default).
     pub fn clear_poison_policy(&mut self) {
-        self.poison_policy = PoisonPolicy::never();
+        self.poison_policy = PoisonPolicy::default();
     }
 
     /// The poison-injection policy in force.
@@ -146,22 +149,23 @@ impl System {
     /// the strike through their own handler (guest MCE delivery, re-backing)
     /// instead of the bare [`System::memory_failure`].
     pub fn poison_draw(&mut self) -> Option<Pfn> {
-        if !self.poison_policy.is_armed() || !self.poison_policy.should_poison() {
+        if !self.poison_policy.is_armed() || !self.poison_policy.decide(()) {
             return None;
         }
-        Some(match self.poison_policy.target() {
+        Some(match self.poison_policy.mode().target() {
             Some(target) => target,
             None => Pfn::new(self.poison_policy.draw_index(self.machine.total_frames())),
         })
     }
 
     /// Handles an uncorrectable memory error on `pfn`: quarantines the frame
-    /// and heals or kills its users, per the module-level rules.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no zone owns `pfn`.
+    /// and heals or kills its users, per the module-level rules. A frame no
+    /// zone owns is refused with [`FailureAction::NoSuchFrame`].
     pub fn memory_failure(&mut self, pfn: Pfn) -> MemoryFailureOutcome {
+        if self.machine.node_of(pfn).is_none() {
+            let action = FailureAction::NoSuchFrame;
+            return MemoryFailureOutcome { pfn, action, victims: Vec::new() };
+        }
         self.poison_stats.strikes += 1;
         self.tracer.emit(TraceEvent::PoisonEvent { pfn: pfn.raw() });
         match self.machine.poison(pfn) {
@@ -332,7 +336,7 @@ impl System {
                 Err(_) => {
                     attempts += 1;
                     if attempts <= self.recovery.max_retries && self.try_recover(order) {
-                        self.retry_backoff(attempts);
+                        self.backoff_sleep(attempts);
                         continue;
                     }
                     return None;

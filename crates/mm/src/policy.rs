@@ -4,7 +4,6 @@
 use contig_buddy::Machine;
 use contig_types::{PageSize, Pfn, VirtAddr};
 
-use crate::page_cache::PageCache;
 use crate::page_table::PageTable;
 use crate::stats::FaultStats;
 use crate::vma::Vma;
@@ -46,8 +45,6 @@ pub struct FaultCtx<'a> {
     pub vma: &'a mut Vma,
     /// The faulting process page table.
     pub page_table: &'a mut PageTable,
-    /// The system page cache (for file faults).
-    pub page_cache: &'a mut PageCache,
     /// Fault virtual address, aligned down to `size`.
     pub va: VirtAddr,
     /// Page size being allocated.
@@ -138,13 +135,6 @@ impl PlacementPolicy for BasePagesPolicy {
     }
 }
 
-impl BasePagesPolicy {
-    /// Whether the policy forbids huge-page faults.
-    pub const fn disables_thp(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,7 +145,6 @@ mod tests {
         // exercised end-to-end in the system tests.
         assert_eq!(DefaultThpPolicy.name(), "THP");
         assert_eq!(BasePagesPolicy.name(), "4K");
-        assert!(BasePagesPolicy.disables_thp());
     }
 
     #[test]

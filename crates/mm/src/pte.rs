@@ -42,18 +42,18 @@ impl PteFlags {
 
     /// Union of the two flag sets.
     #[must_use]
-    pub const fn union(self, other: PteFlags) -> PteFlags {
+    pub(crate) const fn union(self, other: PteFlags) -> PteFlags {
         PteFlags(self.0 | other.0)
     }
 
     /// `self` with the bits of `other` cleared.
     #[must_use]
-    pub const fn difference(self, other: PteFlags) -> PteFlags {
+    pub(crate) const fn difference(self, other: PteFlags) -> PteFlags {
         PteFlags(self.0 & !other.0)
     }
 
     /// The raw bit pattern.
-    pub const fn bits(self) -> u8 {
+    pub(crate) const fn bits(self) -> u8 {
         self.0
     }
 

@@ -118,18 +118,14 @@ contig_types::wire_counters! {
 
 /// Result of one [`System::compact`] pass.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CompactOutcome {
+pub(crate) struct CompactOutcome {
     /// Buddy blocks migrated.
-    pub migrated_blocks: u64,
+    pub(crate) migrated_blocks: u64,
     /// Base frames those blocks covered.
-    pub migrated_frames: u64,
+    pub(crate) migrated_frames: u64,
 }
 
 impl System {
-    /// The recovery tunables in force.
-    pub fn recovery_config(&self) -> &RecoveryConfig {
-        &self.recovery
-    }
 
     /// Replaces the recovery tunables and reseeds the backoff jitter source,
     /// so two systems given the same config behave identically from here on.
@@ -195,7 +191,7 @@ impl System {
     /// Evicts up to `batch` page-cache pages, clean (unmapped) pages first.
     /// Mapped file pages are unmapped from every referencing process before
     /// eviction, so no page table is left with a dangling translation.
-    pub fn reclaim_cache_pages(&mut self, batch: u64) -> u64 {
+    pub(crate) fn reclaim_cache_pages(&mut self, batch: u64) -> u64 {
         if batch == 0 {
             return 0;
         }
@@ -254,7 +250,7 @@ impl System {
     /// Movable is the one rule every mover shares (`classify_movable` in
     /// `rmap.rs`): a single exclusive anonymous mapping exactly covering the
     /// block, or an order-0 page-cache page with its 4 KiB FILE mappings.
-    pub fn compact(&mut self, target_order: u32, budget: u64) -> CompactOutcome {
+    pub(crate) fn compact(&mut self, target_order: u32, budget: u64) -> CompactOutcome {
         let mut out = CompactOutcome::default();
         if budget == 0 {
             return out;

@@ -33,7 +33,7 @@ impl Default for LatencyModel {
 impl LatencyModel {
     /// Latency of a fault that zeroed `pages` base pages and ran
     /// `placements` placement decisions.
-    pub fn fault_ns(&self, pages: u64, placements: u64) -> u64 {
+    pub(crate) fn fault_ns(&self, pages: u64, placements: u64) -> u64 {
         self.base_ns + pages * self.zero_page_ns + placements * self.placement_ns
     }
 }
@@ -73,7 +73,7 @@ pub struct FaultStats {
 impl FaultStats {
     /// Statistics that additionally record every fault latency so
     /// percentiles can be computed (Table V).
-    pub fn recording() -> Self {
+    pub(crate) fn recording() -> Self {
         Self { record_latencies: true, ..Self::default() }
     }
 
@@ -83,7 +83,7 @@ impl FaultStats {
     }
 
     /// Records one serviced fault.
-    pub fn record_fault(&mut self, size: PageSize, latency_ns: u64) {
+    pub(crate) fn record_fault(&mut self, size: PageSize, latency_ns: u64) {
         match size {
             PageSize::Base4K => self.faults_4k += 1,
             PageSize::Huge2M => self.faults_2m += 1,
@@ -116,13 +116,13 @@ impl FaultStats {
     }
 
     /// Whether individual fault latencies are being recorded.
-    pub fn is_recording(&self) -> bool {
+    pub(crate) fn is_recording(&self) -> bool {
         self.record_latencies
     }
 
     /// The recorded per-fault latencies in service order (empty unless
     /// recording) — snapshot source for crash-consistency checkpoints.
-    pub fn recorded_latencies(&self) -> &[u64] {
+    pub(crate) fn recorded_latencies(&self) -> &[u64] {
         &self.latencies_ns
     }
 
@@ -130,7 +130,7 @@ impl FaultStats {
     /// counters in declaration order: `faults_4k, faults_2m, cow_faults,
     /// thp_fallbacks, ca_target_hits, ca_target_misses, placements,
     /// total_fault_ns`.
-    pub fn restore(counters: [u64; 8], latencies_ns: Vec<u64>, record_latencies: bool) -> Self {
+    pub(crate) fn restore(counters: [u64; 8], latencies_ns: Vec<u64>, record_latencies: bool) -> Self {
         Self {
             faults_4k: counters[0],
             faults_2m: counters[1],

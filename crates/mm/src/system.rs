@@ -6,7 +6,7 @@
 use contig_buddy::{Machine, MachineConfig, NodeId};
 use contig_trace::{stage, FaultClass, RecoveryStage, TraceEvent, Tracer};
 use contig_types::{
-    splitmix64, AllocError, ContigError, FailPolicy, FaultError, PageSize, Pfn, PoisonPolicy,
+    jittered_backoff, AllocError, ContigError, FailPolicy, FaultError, PageSize, Pfn, PoisonPolicy,
     VirtAddr,
 };
 
@@ -80,7 +80,7 @@ pub struct KsmMergeOutcome {
     pub dropped: Pfn,
     /// Whether the dropped frame actually returned to the buddy (false when
     /// it remains COW-shared with other mappings).
-    pub donor_freed: bool,
+    pub(crate) donor_freed: bool,
 }
 
 /// Why a [`System::ksm_merge`] was refused. Merges are best-effort — the
@@ -278,7 +278,6 @@ struct Escalation {
 /// `processes` at every level of the fault path.
 struct FaultFrame<'a> {
     machine: &'a mut Machine,
-    page_cache: &'a mut PageCache,
     aspace: &'a mut AddressSpace,
     numa_stats: &'a mut NumaStats,
     now_ns: &'a mut u64,
@@ -424,7 +423,6 @@ impl FaultFrame<'_> {
             machine: &mut *self.machine,
             vma,
             page_table,
-            page_cache: &mut *self.page_cache,
             va: fault_va,
             size,
             kind,
@@ -517,7 +515,6 @@ impl FaultFrame<'_> {
             machine: &mut *self.machine,
             vma,
             page_table,
-            page_cache: &mut *self.page_cache,
             va: page_va,
             size,
             kind: FaultKind::Cow,
@@ -574,7 +571,7 @@ impl System {
             recovery: config.recovery,
             recovery_stats: RecoveryStats::default(),
             backoff_rng: config.recovery.backoff_seed,
-            poison_policy: PoisonPolicy::never(),
+            poison_policy: PoisonPolicy::default(),
             poison_stats: PoisonStats::default(),
             dirty_log: None,
             numa_stats: NumaStats::default(),
@@ -620,20 +617,15 @@ impl System {
     }
 
     /// Sleeps (in simulated time) before the `attempt`-th allocation retry:
-    /// seeded exponential backoff with deterministic jitter, so a storm of
-    /// competing faults does not hammer the recovery path in lockstep.
-    /// Returns the delay for trace attribution.
-    pub(crate) fn retry_backoff(&mut self, attempt: u32) -> u64 {
-        let cfg = self.recovery;
-        if cfg.backoff_base_ns == 0 {
-            return 0;
-        }
-        let exp = cfg
-            .backoff_base_ns
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
-            .min(cfg.backoff_cap_ns);
-        let jitter = splitmix64(&mut self.backoff_rng) % (exp / 2 + 1);
-        let ns = exp + jitter;
+    /// [`jittered_backoff`] on the recovery seed, so a storm of competing
+    /// faults does not hammer the recovery path in lockstep. The balloon
+    /// driver's deflate re-backing and the fleet's retries sleep through it
+    /// too, so they stay deterministic per seed. Returns the delay paid, in
+    /// nanoseconds.
+    pub fn backoff_sleep(&mut self, attempt: u32) -> u64 {
+        let (base, cap) = (self.recovery.backoff_base_ns, self.recovery.backoff_cap_ns);
+        let k = u64::from(attempt.saturating_sub(1));
+        let ns = jittered_backoff(base, cap, k, 20, &mut self.backoff_rng);
         self.recovery_stats.backoff_ns += ns;
         self.advance_clock(ns);
         ns
@@ -798,11 +790,6 @@ impl System {
         pred: impl Fn(u64) -> bool,
     ) -> u64 {
         self.page_cache.evict_pages_where(&mut self.machine, file, pred)
-    }
-
-    /// Whether THP is enabled.
-    pub fn thp_enabled(&self) -> bool {
-        self.thp
     }
 
     /// The simulated clock in nanoseconds.
@@ -1109,7 +1096,6 @@ impl System {
         Some(FaultFrame {
             aspace: self.processes.get_mut(pid)?,
             machine: &mut self.machine,
-            page_cache: &mut self.page_cache,
             numa_stats: &mut self.numa_stats,
             now_ns: &mut self.now_ns,
             latency: &self.latency,
@@ -1140,7 +1126,7 @@ impl System {
         if recovered_now {
             {
                 let _backoff_span = self.tracer.span(stage::BACKOFF);
-                self.retry_backoff(esc.total_attempts);
+                self.backoff_sleep(esc.total_attempts);
             }
             self.recovery_stats.retries += 1;
             self.trace_recovery(RecoveryStage::Retry, order.into(), 0, 0);
@@ -1325,7 +1311,6 @@ impl System {
             machine: frame.machine,
             vma,
             page_table,
-            page_cache: frame.page_cache,
             va: page_va,
             size: PageSize::Base4K,
             kind: FaultKind::FileRead,
@@ -1389,15 +1374,6 @@ impl System {
                 self.machine.free_page(m.pte.pfn, m.size);
             }
         }
-    }
-
-    /// Public wrapper over the seeded retry backoff: sleeps (in simulated
-    /// time) before the `attempt`-th retry of an external operation — the
-    /// balloon driver's deflate re-backing reuses the exact recovery-path
-    /// jitter so fleet retries stay deterministic per seed. Returns the
-    /// delay paid, in nanoseconds.
-    pub fn backoff_sleep(&mut self, attempt: u32) -> u64 {
-        self.retry_backoff(attempt)
     }
 
     /// KSM-style same-page merge: points the `donor` mapping at the
@@ -1521,90 +1497,6 @@ impl System {
         }
         Ok(())
     }
-
-    /// Batched population of an anonymous VMA: every absent base page is
-    /// backed in one [`Machine::alloc_bulk`] pass instead of one zone scan
-    /// per fault — the `MAP_POPULATE` fast path that pairs with the pcp
-    /// layer. Bypasses placement policies, THP, and OOM recovery (default
-    /// placement, base pages only); callers that need those use
-    /// [`System::populate_vma`]. Returns the number of pages mapped.
-    ///
-    /// # Errors
-    ///
-    /// [`FaultError::OutOfMemory`] at the first page the batch could not
-    /// back; earlier pages stay mapped.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown pid or a file-backed VMA.
-    pub fn populate_vma_batched(
-        &mut self,
-        pid: Pid,
-        vma_id: VmaId,
-    ) -> Result<u64, FaultError> {
-        let aspace = self.processes.get_mut(pid).expect("unknown pid");
-        assert_eq!(
-            aspace.vma(vma_id).kind(),
-            VmaKind::Anon,
-            "populate_vma_batched is anonymous-memory only; use readahead + populate_vma"
-        );
-        let range = aspace.vma(vma_id).range();
-        let step = PageSize::Base4K.bytes();
-        let mut missing = Vec::new();
-        let mut va = range.start();
-        while va < range.end() {
-            if aspace.page_table().translate(va).is_err() {
-                missing.push(va);
-            }
-            va += step;
-        }
-        if missing.is_empty() {
-            return Ok(0);
-        }
-        let home = aspace.home();
-        let (frames, err) = match home {
-            Some(h) => self.machine.alloc_bulk_on(NodeId(h), missing.len() as u64),
-            None => self.machine.alloc_bulk(missing.len() as u64),
-        };
-        if let Some(h) = home {
-            let local = frames
-                .iter()
-                .filter(|&&p| self.machine.node_of(p) == Some(NodeId(h)))
-                .count() as u64;
-            let spilled = frames.len() as u64 - local;
-            self.numa_stats.local_allocs += local;
-            self.numa_stats.fallback_allocs += spilled;
-            if spilled > 0 {
-                // One event per batch, not per frame: the count lives in
-                // `NumaStats`, the trace marks that the spill happened.
-                let got = frames
-                    .iter()
-                    .find_map(|&p| self.machine.node_of(p).filter(|n| n.0 != h))
-                    .expect("spilled frames exist");
-                self.tracer.emit(TraceEvent::ZoneFallback {
-                    home: h as u64,
-                    got: got.0 as u64,
-                    order: 0,
-                });
-            }
-        }
-        let (_, page_table, stats) = aspace.fault_parts(vma_id);
-        let mut batch_ns = 0u64;
-        for (&va, &pfn) in missing.iter().zip(&frames) {
-            page_table.map(va, Pte::new(pfn, PteFlags::WRITE), PageSize::Base4K);
-            let latency = self.latency.fault_ns(1, 0);
-            stats.record_fault(PageSize::Base4K, latency);
-            batch_ns += latency;
-        }
-        self.now_ns += batch_ns;
-        self.tracer.set_clock(self.now_ns);
-        self.tracer.add("mm.populate_batched", frames.len() as u64);
-        if err.is_some() {
-            let addr = missing[frames.len()];
-            return Err(FaultError::OutOfMemory { addr, size: PageSize::Base4K });
-        }
-        Ok(frames.len() as u64)
-    }
 }
 
 #[cfg(test)]
@@ -1682,37 +1574,6 @@ mod tests {
         sys.exit(pid);
         assert_eq!(sys.machine().free_frames(), sys.machine().total_frames());
         sys.machine().verify_integrity();
-    }
-
-    #[test]
-    fn populate_vma_batched_maps_every_absent_page() {
-        let mut sys = small_system();
-        sys.enable_pcp(contig_buddy::PcpConfig::with_cpus(2));
-        let pid = sys.spawn();
-        let vma = anon_vma(&mut sys, pid, 0x40_0000, 0x10_0000);
-        // Pre-fault one page; the batch must skip it.
-        let mut policy = BasePagesPolicy;
-        sys.touch(&mut policy, pid, VirtAddr::new(0x40_2000)).unwrap();
-        let mapped = sys.populate_vma_batched(pid, vma).unwrap();
-        assert_eq!(mapped, 0x10_0000 / 4096 - 1);
-        assert_eq!(sys.aspace(pid).mapped_bytes(), 0x10_0000);
-        assert_eq!(sys.populate_vma_batched(pid, vma).unwrap(), 0, "idempotent");
-        assert_eq!(sys.aspace(pid).stats().faults_4k, 0x10_0000 / 4096);
-        sys.exit(pid);
-        sys.drain_pcp();
-        assert_eq!(sys.machine().free_frames(), sys.machine().total_frames());
-        sys.machine().verify_integrity();
-    }
-
-    #[test]
-    fn populate_vma_batched_surfaces_oom_mid_batch() {
-        let mut sys = System::new(SystemConfig::new(MachineConfig::with_node_mib(&[1])));
-        let pid = sys.spawn();
-        // 2 MiB VMA against a 1 MiB machine: the batch runs dry half-way.
-        let vma = anon_vma(&mut sys, pid, 0x40_0000, 0x20_0000);
-        let err = sys.populate_vma_batched(pid, vma).unwrap_err();
-        assert!(matches!(err, FaultError::OutOfMemory { .. }));
-        assert_eq!(sys.aspace(pid).mapped_bytes(), 0x10_0000, "partial progress kept");
     }
 
     #[test]

@@ -84,13 +84,8 @@ impl OffsetSet {
     }
 
     /// Iterates `(fault address, offset)` pairs oldest-first.
-    pub fn iter(&self) -> impl Iterator<Item = (VirtAddr, MapOffset)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (VirtAddr, MapOffset)> + '_ {
         self.entries.iter().copied()
-    }
-
-    /// Drops every tracked offset.
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 }
 
@@ -110,7 +105,7 @@ pub struct Vma {
 
 impl Vma {
     /// A VMA over `range` backed by `kind`.
-    pub fn new(range: VirtRange, kind: VmaKind) -> Self {
+    pub(crate) fn new(range: VirtRange, kind: VmaKind) -> Self {
         Self { range, kind, offsets: OffsetSet::new(), replacement_claimed: false }
     }
 
@@ -125,7 +120,7 @@ impl Vma {
     }
 
     /// Whether `va` falls inside the VMA.
-    pub fn contains(&self, va: VirtAddr) -> bool {
+    pub(crate) fn contains(&self, va: VirtAddr) -> bool {
         self.range.contains(va)
     }
 
@@ -163,7 +158,7 @@ impl Vma {
     }
 
     /// Whether the re-placement slot is currently claimed.
-    pub fn replacement_claimed(&self) -> bool {
+    pub(crate) fn replacement_claimed(&self) -> bool {
         self.replacement_claimed
     }
 }

@@ -337,6 +337,10 @@ proptest! {
         let iterated: u64 = pt.iter_mappings().map(|m| m.size.base_pages()).sum();
         prop_assert_eq!(iterated, reference.len() as u64);
         prop_assert_eq!(pt.mapped_bytes(), reference.len() as u64 * 4096);
+        // Extraction partitions the same bytes into runs, none of them empty.
+        let runs = contig_mm::contiguous_mappings(&pt);
+        prop_assert!(runs.iter().all(|m| !m.is_empty()), "an extracted run is never empty");
+        prop_assert_eq!(runs.iter().map(|m| m.len()).sum::<u64>(), pt.mapped_bytes());
     }
 
     /// `iter_mappings` is strictly ordered and non-overlapping.

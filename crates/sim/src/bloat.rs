@@ -24,7 +24,7 @@ use crate::policies::{PolicyKind, PolicyRuntime};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BloatRow {
     /// Policy measured.
-    pub policy: PolicyKind,
+    pub(crate) policy: PolicyKind,
     /// Bytes of physical memory used beyond the 4 KiB-paging baseline.
     pub bloat_bytes: u64,
     /// Bloat as a fraction of the touched footprint.
@@ -33,7 +33,7 @@ pub struct BloatRow {
 
 /// Untouched allocator reservation as a fraction of the footprint, shaped
 /// after the paper's measured eager bloat (Table VI).
-pub fn reserve_fraction(workload: Workload) -> f64 {
+pub(crate) fn reserve_fraction(workload: Workload) -> f64 {
     match workload {
         Workload::Svm => 0.080,
         Workload::PageRank => 0.065,

@@ -23,12 +23,12 @@ pub struct ContiguityMetrics {
     /// Mappings needed for 99 % coverage.
     pub n99: usize,
     /// Total mapped bytes.
-    pub footprint: u64,
+    pub(crate) footprint: u64,
 }
 
 impl ContiguityMetrics {
     /// Computes the metrics from a mapping set.
-    pub fn from_coverage(cov: &CoverageStats) -> Self {
+    pub(crate) fn from_coverage(cov: &CoverageStats) -> Self {
         Self {
             top32: cov.top_k_coverage(32),
             top128: cov.top_k_coverage(128),
@@ -41,16 +41,10 @@ impl ContiguityMetrics {
 /// Result of one contiguity run.
 #[derive(Clone, Debug)]
 pub struct ContiguityRun {
-    /// Policy evaluated.
-    pub policy: PolicyKind,
-    /// Workload evaluated.
-    pub workload: Workload,
     /// Final-state metrics.
     pub metrics: ContiguityMetrics,
     /// Top-32 coverage timeline across the allocation phase.
     pub timeline: Vec<TimelinePoint>,
-    /// Total page faults serviced.
-    pub faults: u64,
     /// Pages migrated by daemons (ranger/Ingens).
     pub pages_migrated: u64,
 }
@@ -85,11 +79,8 @@ pub fn run_native(
     let maps = contiguous_mappings(sys.aspace(instance.pid).page_table());
     let cov = CoverageStats::from_mappings(&maps);
     ContiguityRun {
-        policy,
-        workload,
         metrics: ContiguityMetrics::from_coverage(&cov),
         timeline,
-        faults: sys.aspace(instance.pid).stats().total_faults(),
         pages_migrated: runtime.pages_migrated(),
     }
 }
@@ -98,7 +89,7 @@ pub fn run_native(
 /// relative progress rate matches across scales. The budget is deliberately
 /// below the fault stream's allocation rate per daemon tick, so contiguity
 /// arrives late (Fig. 1c) and converges only after the allocation phase.
-pub fn ranger_budget(env: &Env) -> u64 {
+pub(crate) fn ranger_budget(env: &Env) -> u64 {
     ((1u64 << 30) / env.scale.0 / 4096).max(512) * 2
 }
 
@@ -138,11 +129,8 @@ pub fn run_virtualized(env: &Env, workload: Workload, policy: PolicyKind) -> Con
     let maps = two_dimensional_mappings(&vm, instance.pid);
     let cov = CoverageStats::from_mappings(&maps);
     ContiguityRun {
-        policy,
-        workload,
         metrics: ContiguityMetrics::from_coverage(&cov),
         timeline,
-        faults: vm.guest().aspace(instance.pid).stats().total_faults(),
         pages_migrated: 0,
     }
 }

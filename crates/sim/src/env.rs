@@ -32,7 +32,7 @@ impl Env {
     /// The native machine: two NUMA nodes of 128 GiB each (scaled), or a
     /// single node when `numa` is off (the paper disables NUMA for the
     /// fragmentation studies).
-    pub fn native_machine(&self, numa: bool) -> MachineConfig {
+    pub(crate) fn native_machine(&self, numa: bool) -> MachineConfig {
         let mib = self.machine_mib();
         if numa {
             MachineConfig::with_node_mib(&[mib / 2, mib / 2])

@@ -7,7 +7,7 @@
 
 use contig_buddy::Machine;
 use contig_metrics::{CoverageStats, TimelinePoint};
-use contig_mm::{contiguous_mappings, FileId, Pid, System, VmaId, VmaKind};
+use contig_mm::{contiguous_mappings, Pid, System, VmaId, VmaKind};
 use contig_types::{FaultError, VirtAddr, VirtRange};
 use contig_virt::VirtualMachine;
 use contig_workloads::WorkloadSpec;
@@ -23,7 +23,7 @@ use crate::policies::PolicyRuntime;
 /// whose default THP allocations land on scattered blocks. Address-sorted
 /// lists (CA paging's configuration) and the contiguity map are unaffected
 /// by construction.
-pub fn age_machine(machine: &mut Machine, seed: u64) {
+pub(crate) fn age_machine(machine: &mut Machine, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let nodes = machine.nodes();
     let mut blocks = Vec::new();
@@ -42,10 +42,10 @@ pub fn age_machine(machine: &mut Machine, seed: u64) {
 
 /// Bytes populated per VMA before rotating to the next (the interleaving
 /// granularity of the allocation phase).
-pub const CHUNK_BYTES: u64 = 8 << 20;
+pub(crate) const CHUNK_BYTES: u64 = 8 << 20;
 
 /// How many chunks pass between daemon ticks and timeline samples.
-pub const TICK_EVERY_CHUNKS: usize = 8;
+pub(crate) const TICK_EVERY_CHUNKS: usize = 8;
 
 /// An installed workload instance inside one system.
 #[derive(Debug)]
@@ -53,31 +53,27 @@ pub struct Instance {
     /// The owning process.
     pub pid: Pid,
     /// Installed VMAs in spec order.
-    pub vmas: Vec<VmaId>,
-    /// Page-cache files backing file VMAs (spec order of file VMAs).
-    pub files: Vec<FileId>,
+    pub(crate) vmas: Vec<VmaId>,
 }
 
 /// Maps a workload's VMAs into a fresh process of `sys`.
-pub fn install(spec: &WorkloadSpec, sys: &mut System) -> Instance {
+pub(crate) fn install(spec: &WorkloadSpec, sys: &mut System) -> Instance {
     let pid = sys.spawn();
     let mut vmas = Vec::new();
-    let mut files = Vec::new();
     for v in &spec.vmas {
         let kind = if v.file_backed {
             let file = sys.page_cache_mut().create_file();
-            files.push(file);
             VmaKind::File { file, start_page: 0 }
         } else {
             VmaKind::Anon
         };
         vmas.push(sys.aspace_mut(pid).map_vma(v.range(), kind));
     }
-    Instance { pid, vmas, files }
+    Instance { pid, vmas }
 }
 
 /// The ranges of a spec (for ideal-paging planning).
-pub fn spec_ranges(spec: &WorkloadSpec) -> Vec<VirtRange> {
+pub(crate) fn spec_ranges(spec: &WorkloadSpec) -> Vec<VirtRange> {
     spec.vmas.iter().map(|v| v.range()).collect()
 }
 
@@ -88,7 +84,7 @@ pub fn spec_ranges(spec: &WorkloadSpec) -> Vec<VirtRange> {
 /// # Errors
 ///
 /// Propagates the first fault failure (out of memory).
-pub fn populate_native(
+pub(crate) fn populate_native(
     sys: &mut System,
     runtime: &mut PolicyRuntime,
     instance: &Instance,
@@ -193,7 +189,7 @@ pub(crate) fn population_groups(is_file: &[bool], ranges: &[VirtRange]) -> Vec<V
 }
 
 /// Samples the top-32 coverage of a native process.
-pub fn sample_native(sys: &System, pid: Pid, t: u64) -> TimelinePoint {
+pub(crate) fn sample_native(sys: &System, pid: Pid, t: u64) -> TimelinePoint {
     let maps = contiguous_mappings(sys.aspace(pid).page_table());
     let cov = CoverageStats::from_mappings(&maps);
     TimelinePoint { t, top32_bytes: cov.top_k_bytes(32), mapped_bytes: cov.total_bytes() }
@@ -261,7 +257,7 @@ pub fn populate_vm(
 }
 
 /// Samples the top-32 coverage of the *2D* (gVA→hPA) mappings.
-pub fn sample_vm(vm: &VirtualMachine, pid: Pid, t: u64) -> TimelinePoint {
+pub(crate) fn sample_vm(vm: &VirtualMachine, pid: Pid, t: u64) -> TimelinePoint {
     let maps = contig_virt::two_dimensional_mappings(vm, pid);
     let cov = CoverageStats::from_mappings(&maps);
     TimelinePoint { t, top32_bytes: cov.top_k_bytes(32), mapped_bytes: cov.total_bytes() }
@@ -272,7 +268,7 @@ mod tests {
     use super::*;
     use crate::env::Env;
     use crate::policies::{PolicyKind, PolicyRuntime};
-    use contig_mm::System;
+    use contig_mm::{FileId, System};
     use contig_workloads::{Scale, Workload};
 
     fn run(kind: PolicyKind) -> (System, Instance, Vec<TimelinePoint>) {
@@ -305,8 +301,15 @@ mod tests {
     #[test]
     fn file_vmas_flow_through_the_page_cache() {
         let (sys, instance, _) = run(PolicyKind::Thp);
-        assert_eq!(instance.files.len(), 1, "PageRank reads one dataset");
-        assert!(sys.page_cache().cached_pages(instance.files[0]) > 0);
+        let aspace = sys.aspace(instance.pid);
+        let files: Vec<FileId> = (instance.vmas.iter())
+            .filter_map(|&v| match aspace.vma(v).kind() {
+                VmaKind::File { file, .. } => Some(file),
+                VmaKind::Anon => None,
+            })
+            .collect();
+        assert_eq!(files.len(), 1, "PageRank reads one dataset");
+        assert!(sys.page_cache().cached_pages(files[0]) > 0);
     }
 
     #[test]

@@ -12,13 +12,13 @@ use crate::policies::{PolicyKind, PolicyRuntime};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencyRow {
     /// Policy measured.
-    pub policy: PolicyKind,
+    pub(crate) policy: PolicyKind,
     /// Total page faults serviced.
     pub faults: u64,
     /// 99th-percentile fault latency in microseconds.
     pub p99_us: u64,
     /// Mean fault latency in microseconds.
-    pub mean_us: u64,
+    pub(crate) mean_us: u64,
 }
 
 /// Runs the fault-latency experiment for one workload and policy, recording
@@ -36,7 +36,7 @@ pub fn run_latency(env: &Env, workload: Workload, policy: PolicyKind) -> Latency
     for v in &spec.vmas {
         vmas.push(sys.aspace_mut(pid).map_vma(v.range(), VmaKind::Anon));
     }
-    let instance = Instance { pid, vmas, files: Vec::new() };
+    let instance = Instance { pid, vmas };
     let mut runtime = PolicyRuntime::new(policy, crate::contiguity::ranger_budget(env));
     runtime.plan_ideal(&sys, &spec_ranges(&spec));
     let mut timeline = Vec::new();

@@ -37,11 +37,7 @@ pub mod overhead;
 mod policies;
 pub mod translation;
 
-pub use contiguity::{ContiguityMetrics, ContiguityRun};
 pub use env::Env;
-pub use install::{
-    install, install_in_vm, populate_native, populate_vm, sample_native, sample_vm, spec_ranges,
-    Instance, CHUNK_BYTES, TICK_EVERY_CHUNKS,
-};
-pub use policies::{PolicyKind, PolicyRuntime};
-pub use translation::{TranslationConfig, TranslationRun};
+pub use install::{install_in_vm, populate_vm};
+pub use policies::PolicyKind;
+pub use translation::TranslationConfig;

@@ -18,15 +18,15 @@ use crate::policies::{PolicyKind, PolicyRuntime};
 
 /// Runtime-model constants (nanoseconds).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RuntimeModel {
+pub(crate) struct RuntimeModel {
     /// Application processing cost per touched byte, in thousandths of a
     /// nanosecond (10 ns/B ≈ the multi-pass compute of the paper's
     /// minutes-long runs).
-    pub compute_ns_per_byte_x1000: u64,
+    pub(crate) compute_ns_per_byte_x1000: u64,
     /// Cost of migrating one base page (copy + remap).
-    pub migrate_page_ns: u64,
+    pub(crate) migrate_page_ns: u64,
     /// Cost of one TLB shootdown (IPIs + invalidations).
-    pub shootdown_ns: u64,
+    pub(crate) shootdown_ns: u64,
 }
 
 impl Default for RuntimeModel {
@@ -39,9 +39,9 @@ impl Default for RuntimeModel {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct OverheadRow {
     /// Policy measured.
-    pub policy: PolicyKind,
+    pub(crate) policy: PolicyKind,
     /// Modelled execution time in nanoseconds.
-    pub runtime_ns: u64,
+    pub(crate) runtime_ns: u64,
     /// Normalized against the THP baseline (filled by the caller via
     /// [`normalize_rows`]).
     pub normalized: f64,

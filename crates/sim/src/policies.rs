@@ -83,7 +83,7 @@ impl PolicyKind {
 }
 
 /// A live policy instance plus whatever daemon it drags along.
-pub enum PolicyRuntime {
+pub(crate) enum PolicyRuntime {
     /// Plain fault-path policies.
     Thp(DefaultThpPolicy),
     /// THP disabled.
@@ -113,7 +113,7 @@ impl std::fmt::Debug for PolicyRuntime {
 impl PolicyRuntime {
     /// Instantiates the runtime for a policy kind. The ranger budget is in
     /// base pages per epoch.
-    pub fn new(kind: PolicyKind, ranger_budget: u64) -> Self {
+    pub(crate) fn new(kind: PolicyKind, ranger_budget: u64) -> Self {
         match kind {
             PolicyKind::FourK => PolicyRuntime::FourK(BasePagesPolicy),
             PolicyKind::Thp => PolicyRuntime::Thp(DefaultThpPolicy),
@@ -134,7 +134,7 @@ impl PolicyRuntime {
     }
 
     /// The kind this runtime was built for.
-    pub fn kind(&self) -> PolicyKind {
+    pub(crate) fn kind(&self) -> PolicyKind {
         match self {
             PolicyRuntime::Thp(_) => PolicyKind::Thp,
             PolicyRuntime::FourK(_) => PolicyKind::FourK,
@@ -151,7 +151,7 @@ impl PolicyRuntime {
     /// Prepares the ideal plan against the current machine state. Must be
     /// called (for [`PolicyKind::Ideal`] only) after fragmentation is applied
     /// and before the first fault.
-    pub fn plan_ideal(&mut self, sys: &System, vmas: &[VirtRange]) {
+    pub(crate) fn plan_ideal(&mut self, sys: &System, vmas: &[VirtRange]) {
         if let PolicyRuntime::Ideal(slot) = self {
             *slot = Some(IdealPaging::plan(sys.machine(), vmas));
         }
@@ -162,7 +162,7 @@ impl PolicyRuntime {
     /// # Panics
     ///
     /// Panics if an ideal runtime is used before [`PolicyRuntime::plan_ideal`].
-    pub fn policy_mut(&mut self) -> &mut dyn PlacementPolicy {
+    pub(crate) fn policy_mut(&mut self) -> &mut dyn PlacementPolicy {
         match self {
             PolicyRuntime::Thp(p) => p,
             PolicyRuntime::FourK(p) => p,
@@ -178,7 +178,7 @@ impl PolicyRuntime {
 
     /// Runs one daemon tick (ranger epoch / Ingens promotion pass); no-op
     /// for plain policies.
-    pub fn tick(&mut self, sys: &mut System, pids: &[Pid]) {
+    pub(crate) fn tick(&mut self, sys: &mut System, pids: &[Pid]) {
         match self {
             PolicyRuntime::Ranger(_, daemon) | PolicyRuntime::CaRanger(_, daemon) => {
                 daemon.epoch(sys, pids)
@@ -194,7 +194,7 @@ impl PolicyRuntime {
 
     /// Pages migrated by daemons so far (ranger migrations + Ingens
     /// promotions), for the software-overhead model of Fig. 11.
-    pub fn pages_migrated(&self) -> u64 {
+    pub(crate) fn pages_migrated(&self) -> u64 {
         match self {
             PolicyRuntime::Ranger(_, daemon) | PolicyRuntime::CaRanger(_, daemon) => {
                 daemon.stats().pages_migrated

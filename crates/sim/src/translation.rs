@@ -51,7 +51,7 @@ impl TranslationConfig {
     ];
 
     /// Display name.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             TranslationConfig::Native4K => "4K",
             TranslationConfig::NativeThp => "THP",
@@ -65,7 +65,7 @@ impl TranslationConfig {
     }
 
     /// Whether the configuration is virtualized.
-    pub fn virtualized(&self) -> bool {
+    pub(crate) fn virtualized(&self) -> bool {
         !matches!(self, TranslationConfig::Native4K | TranslationConfig::NativeThp)
     }
 }
@@ -73,10 +73,8 @@ impl TranslationConfig {
 /// Result of one translation run.
 #[derive(Clone, Debug)]
 pub struct TranslationRun {
-    /// The configuration evaluated.
-    pub config: TranslationConfig,
     /// The workload evaluated.
-    pub workload: Workload,
+    pub(crate) workload: Workload,
     /// Raw simulator counters.
     pub report: SimReport,
     /// Translation overhead versus ideal execution (Table IV).
@@ -195,7 +193,6 @@ pub fn run_translation(
     };
 
     TranslationRun {
-        config,
         workload,
         overhead: model.scheme_overhead(&report),
         report,
@@ -220,7 +217,7 @@ fn workload_segment(vmas: &[contig_workloads::VmaSpec]) -> ContigMapping {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TableOneRow {
     /// Workload measured.
-    pub workload: Workload,
+    pub(crate) workload: Workload,
     /// vRMM ranges under default THP.
     pub thp_ranges: usize,
     /// vHC anchor entries under default THP.

@@ -71,11 +71,6 @@ impl SetAssocCache {
         Self::new(entries, entries)
     }
 
-    /// Total entry capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Number of sets.
     pub fn sets(&self) -> usize {
         self.sets
@@ -175,7 +170,7 @@ impl SetAssocCache {
     ///
     /// # Errors
     ///
-    /// Whatever [`CacheSnapshot::validate`] finds.
+    /// Whatever `CacheSnapshot::validate` finds.
     pub fn from_snapshot(snap: &CacheSnapshot) -> Result<Self, String> {
         snap.validate()?;
         let slots = snap
@@ -220,7 +215,7 @@ impl CacheSnapshot {
     /// Describes the first inconsistency: no sets or no ways, a slot count
     /// that is not `sets * ways` (or a product that overflows), or an
     /// occupied slot with tick 0, which is how an empty way is stored.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         let sets = usize::try_from(self.sets).unwrap_or(0);
         let ways = usize::try_from(self.ways).unwrap_or(0);
         if sets == 0 || ways == 0 || sets.checked_mul(ways) != Some(self.slots.len()) {

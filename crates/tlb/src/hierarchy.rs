@@ -211,7 +211,7 @@ impl TlbHierarchy {
     ///
     /// # Errors
     ///
-    /// Names the structure whose image [`CacheSnapshot::validate`] rejects.
+    /// Names the structure whose image `CacheSnapshot::validate` rejects.
     pub fn from_snapshot(snap: &TlbSnapshot) -> Result<Self, String> {
         let cache = |name: &str, image: &CacheSnapshot| {
             SetAssocCache::from_snapshot(image).map_err(|e| format!("{name}: {e}"))

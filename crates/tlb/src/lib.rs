@@ -37,6 +37,4 @@ mod walk;
 pub use cache::{CacheSnapshot, SetAssocCache};
 pub use hierarchy::{TlbConfig, TlbGeometry, TlbHierarchy, TlbHit, TlbSnapshot};
 pub use sim::{Access, MemorySim, MissHandler, MissHandling, NoScheme, SimReport};
-pub use walk::{
-    native_walk_refs, nested_walk_refs, TranslationBackend, WalkCostModel, WalkResult,
-};
+pub use walk::{TranslationBackend, WalkCostModel, WalkResult};

@@ -97,14 +97,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Last-level miss rate per access.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.walks as f64 / self.accesses as f64
-        }
-    }
 
     /// Mean cycles of one walk.
     pub fn avg_walk_cycles(&self) -> f64 {
@@ -173,11 +165,6 @@ impl MemorySim {
     /// [`TlbHierarchy::snapshot`], every slot and LRU tick.
     pub fn tlb(&self) -> &TlbHierarchy {
         &self.tlb
-    }
-
-    /// The walk-cost model in force.
-    pub fn cost_model(&self) -> WalkCostModel {
-        self.cost
     }
 
     /// Simulates one access.
@@ -282,11 +269,6 @@ impl MemorySim {
                 self.step_as(backend, handler, access, false);
             }
         }
-    }
-
-    /// Invalidates cached translations for `va` (shootdown).
-    pub fn invalidate(&mut self, va: VirtAddr) {
-        self.tlb.invalidate(va);
     }
 
     /// Flushes the TLBs (context switch).

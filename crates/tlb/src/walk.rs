@@ -2,20 +2,6 @@
 
 use contig_types::{PageSize, PhysAddr, VirtAddr};
 
-/// The memory references a hardware walker issues for a walk.
-///
-/// Native: one reference per radix level (4 for a 4 KiB leaf, 3 for 2 MiB).
-/// Nested (two-dimensional): the classic `(g + 1) * (h + 1) - 1` formula —
-/// up to 24 references for 4-level guest and host tables (paper §II).
-pub fn native_walk_refs(levels: u32) -> u32 {
-    levels
-}
-
-/// References of a nested walk with `guest_levels` and `host_levels`.
-pub fn nested_walk_refs(guest_levels: u32, host_levels: u32) -> u32 {
-    (guest_levels + 1) * (host_levels + 1) - 1
-}
-
 /// Converts walk references into cycles.
 ///
 /// Each reference mostly hits the cache hierarchy / page-walk caches; a flat
@@ -24,7 +10,7 @@ pub fn nested_walk_refs(guest_levels: u32, host_levels: u32) -> u32 {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalkCostModel {
     /// Cycles per walker memory reference.
-    pub cycles_per_ref: u64,
+    pub(crate) cycles_per_ref: u64,
 }
 
 impl Default for WalkCostModel {
@@ -36,7 +22,7 @@ impl Default for WalkCostModel {
 
 impl WalkCostModel {
     /// Cycles of a walk issuing `refs` references.
-    pub fn cycles(&self, refs: u32) -> u64 {
+    pub(crate) fn cycles(&self, refs: u32) -> u64 {
         self.cycles_per_ref * refs as u64
     }
 }
@@ -49,7 +35,9 @@ pub struct WalkResult {
     /// Effective page size: for 2D translations, the smaller of the guest
     /// and host page sizes backing the address.
     pub size: PageSize,
-    /// Walker memory references issued.
+    /// Walker memory references issued: one per radix level natively (4
+    /// for a 4 KiB leaf, 3 for 2 MiB); `(g + 1) * (h + 1) - 1` for a nested
+    /// walk of `g` guest and `h` host levels, up to 24 (paper §II).
     pub refs: u32,
     /// Whether the translation is marked contiguous (the CA-paging PTE bit)
     /// in every dimension — SpOT's fill filter.
@@ -78,17 +66,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn nested_walk_matches_paper_worst_case() {
-        assert_eq!(nested_walk_refs(4, 4), 24);
-        assert_eq!(nested_walk_refs(3, 3), 15);
-        assert_eq!(nested_walk_refs(3, 4), 19);
-        assert_eq!(native_walk_refs(4), 4);
-    }
-
-    #[test]
     fn cost_model_is_linear_in_refs() {
         let m = WalkCostModel::default();
         assert_eq!(m.cycles(24), 2 * m.cycles(12));
-        assert!(m.cycles(nested_walk_refs(3, 3)) > m.cycles(native_walk_refs(3)));
     }
 }

@@ -28,7 +28,7 @@ pub enum Dim {
 
 impl Dim {
     /// Short tag used in exports (`-`, `guest`, `host`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Dim::None => "-",
             Dim::Guest => "guest",
@@ -37,7 +37,7 @@ impl Dim {
     }
 
     /// Parses the export tag back; `None` for an unknown tag.
-    pub fn from_tag(s: &str) -> Option<Self> {
+    pub(crate) fn from_tag(s: &str) -> Option<Self> {
         match s {
             "-" => Some(Dim::None),
             "guest" => Some(Dim::Guest),
@@ -60,7 +60,7 @@ pub enum FaultClass {
 
 impl FaultClass {
     /// Export tag.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             FaultClass::Anon => "anon",
             FaultClass::Cow => "cow",
@@ -69,7 +69,7 @@ impl FaultClass {
     }
 
     /// Parses the export tag back.
-    pub fn from_tag(s: &str) -> Option<Self> {
+    pub(crate) fn from_tag(s: &str) -> Option<Self> {
         match s {
             "anon" => Some(FaultClass::Anon),
             "cow" => Some(FaultClass::Cow),
@@ -120,7 +120,7 @@ impl RecoveryStage {
     ];
 
     /// The stage's event name, `recovery.<suffix>`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RecoveryStage::OomEvent => "recovery.oom_event",
             RecoveryStage::ReclaimPass => "recovery.reclaim_pass",
@@ -132,16 +132,6 @@ impl RecoveryStage {
             RecoveryStage::HardOom => "recovery.hard_oom",
             RecoveryStage::Livelock => "recovery.livelock",
         }
-    }
-
-    /// The stage's suffix inside the event name (`recovery.<suffix>`).
-    pub fn as_str(self) -> &'static str {
-        &self.name()["recovery.".len()..]
-    }
-
-    /// Parses the suffix back.
-    pub fn from_tag(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|stage| stage.as_str() == s)
     }
 }
 
@@ -196,7 +186,7 @@ impl DaemonStage {
     ];
 
     /// The stage's event name, `daemon.<suffix>`.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DaemonStage::Tick => "daemon.tick",
             DaemonStage::Epoch => "daemon.epoch",
@@ -210,16 +200,6 @@ impl DaemonStage {
             DaemonStage::Yield => "daemon.yield",
             DaemonStage::Policy => "daemon.policy",
         }
-    }
-
-    /// The stage's suffix inside the event name (`daemon.<suffix>`).
-    pub fn as_str(self) -> &'static str {
-        &self.name()["daemon.".len()..]
-    }
-
-    /// Parses the suffix back.
-    pub fn from_tag(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|stage| stage.as_str() == s)
     }
 }
 
@@ -846,14 +826,14 @@ impl TraceEvent {
     /// The subsystem prefix of [`TraceEvent::name`] (`buddy`, `mm`,
     /// `recovery`, `daemon`, `ca`, `virt`, `poison`, `migrate`, `balloon`,
     /// `ksm`, `fleet`, `tlb`, `audit`, `inject`, `metrics`).
-    pub fn subsystem(&self) -> &'static str {
+    pub(crate) fn subsystem(&self) -> &'static str {
         let name = self.name();
         name.split_once('.').map_or(name, |(sub, _)| sub)
     }
 
     /// The simulated duration the event spans, if it is a span-like event
     /// (drives the `chrome://tracing` duration exporter).
-    pub fn span_ns(&self) -> Option<u64> {
+    pub(crate) fn span_ns(&self) -> Option<u64> {
         match *self {
             TraceEvent::FaultExit { latency_ns, .. }
             | TraceEvent::NestedFault { latency_ns, .. } => Some(latency_ns),
@@ -900,18 +880,17 @@ mod tests {
     }
 
     #[test]
-    fn stage_tags_roundtrip() {
+    fn stage_events_are_named_under_their_subsystem() {
         for stage in RecoveryStage::ALL {
-            assert_eq!(RecoveryStage::from_tag(stage.as_str()), Some(stage));
+            let e = TraceEvent::Recovery { stage, amount: 0, extra: 0, latency_ns: 0 };
+            assert_eq!(e.name(), stage.name());
+            assert!(e.name().starts_with("recovery."), "{}", e.name());
         }
-        assert_eq!(RecoveryStage::from_tag("nope"), None);
         for stage in DaemonStage::ALL {
-            assert_eq!(DaemonStage::from_tag(stage.as_str()), Some(stage));
             let e = TraceEvent::Daemon { stage, amount: 0, extra: 0 };
             assert_eq!(e.subsystem(), "daemon");
-            assert_eq!(e.name(), format!("daemon.{}", stage.as_str()));
+            assert_eq!(e.name(), stage.name());
         }
-        assert_eq!(DaemonStage::from_tag("nope"), None);
     }
 
     #[test]

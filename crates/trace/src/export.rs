@@ -26,7 +26,7 @@ pub struct ParseError {
     /// 1-based line number of the offending line.
     pub line: usize,
     /// Human-readable description of the problem.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for ParseError {
@@ -43,7 +43,7 @@ const RECORD_MEMBERS: usize = 4;
 /// Serializes one record as a single flat JSON object line (no trailing
 /// newline): `seq`, `ts_ns`, `dim`, `ev`, then the event's payload members
 /// in declaration order.
-pub fn record_to_jsonl(rec: &Record) -> String {
+pub(crate) fn record_to_jsonl(rec: &Record) -> String {
     json::line(|e| {
         e.obj(|e| {
             e.key("seq").num(rec.seq);
@@ -87,7 +87,7 @@ fn parse_record(line: &str) -> Result<Record, String> {
 
 /// Parses a JSONL trace back into records — the exact inverse of
 /// [`export_jsonl`]. Blank lines are skipped; any malformed line aborts
-/// with a [`ParseError`] naming it.
+/// with a `ParseError` naming it.
 pub fn parse_jsonl(text: &str) -> Result<Vec<Record>, ParseError> {
     let mut records = Vec::new();
     for (idx, line) in text.lines().enumerate() {

@@ -16,30 +16,23 @@ pub const FLIGHT_CAPACITY: usize = 256;
 
 /// A bounded ring of the most recent [`Record`]s.
 ///
-/// Unlike [`crate::RingSink`] this is not a pluggable sink: every session
+/// Unlike the session's `RingSink` this is not a pluggable sink: every session
 /// owns exactly one, fed by every emit, sized once at construction. A
-/// capacity of 0 disables retention entirely (records are counted but not
-/// kept).
+/// capacity of 0 disables retention entirely.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlightRecorder {
     buf: VecDeque<Record>,
     capacity: usize,
-    total: u64,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the last `capacity` records (0 = retain none).
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
-            total: 0,
-        }
+    pub(crate) fn new(capacity: usize) -> Self {
+        FlightRecorder { buf: VecDeque::with_capacity(capacity), capacity }
     }
 
     /// Appends one record, evicting the oldest when full.
-    pub fn record(&mut self, rec: &Record) {
-        self.total += 1;
+    pub(crate) fn record(&mut self, rec: &Record) {
         if self.capacity == 0 {
             return;
         }
@@ -49,34 +42,14 @@ impl FlightRecorder {
         self.buf.push_back(rec.clone());
     }
 
-    /// Records currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Every record ever offered, including evicted ones.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// The retained records, oldest first.
-    pub fn snapshot(&self) -> Vec<Record> {
+    pub(crate) fn snapshot(&self) -> Vec<Record> {
         self.buf.iter().cloned().collect()
     }
 
     /// The retained records as JSONL, ready to write as a `flight_*.jsonl`
     /// post-mortem artifact (lossless under [`crate::parse_jsonl`]).
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         crate::export::export_jsonl(&self.snapshot())
     }
 }
@@ -101,18 +74,16 @@ mod tests {
         for s in 0..10 {
             f.record(&rec(s));
         }
-        assert_eq!(f.len(), 3);
-        assert_eq!(f.total(), 10);
+        assert_eq!(f.buf.len(), 3);
         let kept: Vec<u64> = f.snapshot().iter().map(|r| r.seq).collect();
         assert_eq!(kept, vec![7, 8, 9]);
     }
 
     #[test]
-    fn zero_capacity_counts_but_keeps_nothing() {
+    fn zero_capacity_keeps_nothing() {
         let mut f = FlightRecorder::new(0);
         f.record(&rec(1));
-        assert!(f.is_empty());
-        assert_eq!(f.total(), 1);
+        assert!(f.buf.is_empty());
         assert_eq!(f.to_jsonl(), "");
     }
 

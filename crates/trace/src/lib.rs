@@ -43,12 +43,10 @@ mod span;
 mod tracer;
 
 pub use event::{DaemonStage, Dim, FaultClass, Record, RecoveryStage, TraceEvent};
-pub use export::{export_chrome, export_jsonl, parse_jsonl, record_to_jsonl, ParseError};
+pub use export::{export_chrome, export_jsonl, parse_jsonl};
 pub use flight::{FlightRecorder, FLIGHT_CAPACITY};
-pub use registry::{Log2Histogram, MetricsRegistry, LOG2_BUCKETS};
-pub use sink::RingSink;
+pub use registry::{Log2Histogram, MetricsRegistry};
 pub use span::{
-    declare_canonical_metrics, is_valid_span_metric, stage, validate_metric_names, SpanStack,
-    StackCell, SPAN_STAGES,
+    declare_canonical_metrics, stage, validate_metric_names, SpanStack, StackCell, SPAN_STAGES,
 };
 pub use tracer::{ScopedSpan, TraceSession, Tracer};

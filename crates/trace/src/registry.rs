@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 
 /// Number of buckets in a [`Log2Histogram`]: bucket 0 holds value 0, bucket
 /// `k` holds values with `floor(log2(v)) == k - 1`, i.e. `[2^(k-1), 2^k)`.
-pub const LOG2_BUCKETS: usize = 65;
+pub(crate) const LOG2_BUCKETS: usize = 65;
 
 /// A fixed-size power-of-two histogram for simulated latencies and sizes.
 ///
@@ -40,7 +40,7 @@ impl Log2Histogram {
     }
 
     /// Index of the bucket `value` falls into.
-    pub fn bucket_of(value: u64) -> usize {
+    pub(crate) fn bucket_of(value: u64) -> usize {
         if value == 0 {
             0
         } else {
@@ -57,7 +57,7 @@ impl Log2Histogram {
     }
 
     /// Adds every observation of `other` to this histogram.
-    pub fn merge(&mut self, other: &Log2Histogram) {
+    pub(crate) fn merge(&mut self, other: &Log2Histogram) {
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += theirs;
         }
@@ -90,11 +90,6 @@ impl Log2Histogram {
         }
     }
 
-    /// The raw bucket counts (see [`LOG2_BUCKETS`] for the layout).
-    pub fn buckets(&self) -> &[u64; LOG2_BUCKETS] {
-        &self.buckets
-    }
-
     /// Non-empty buckets as `(lower_bound, count)` pairs, ascending.
     pub fn nonzero(&self) -> Vec<(u64, u64)> {
         self.buckets
@@ -125,7 +120,7 @@ impl MetricsRegistry {
     }
 
     /// Adds `delta` to the counter `name`, creating it at 0 first.
-    pub fn add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn add(&mut self, name: &str, delta: u64) {
         if let Some(c) = self.counters.get_mut(name) {
             *c += delta;
         } else {
@@ -148,7 +143,7 @@ impl MetricsRegistry {
     /// exists). Histograms normally spring into existence on first observe,
     /// which makes "this stage never fired" invisible in reports;
     /// declaring lets them render as explicit zero rows.
-    pub fn declare_histogram(&mut self, name: &str) {
+    pub(crate) fn declare_histogram(&mut self, name: &str) {
         if !self.histograms.contains_key(name) {
             self.histograms.insert(name.to_owned(), Log2Histogram::new());
         }
@@ -159,14 +154,16 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The histogram `name`, if any value was ever observed under it.
-    pub fn histogram(&self, name: &str) -> Option<&Log2Histogram> {
-        self.histograms.get(name)
-    }
-
     /// All counters, name-sorted.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+    }
+
+    /// The histogram `name`, if any value was ever observed under it. Only
+    /// tests look one up by name; reports iterate [`Self::histograms`].
+    #[cfg(test)]
+    pub(crate) fn histogram(&self, name: &str) -> Option<&Log2Histogram> {
+        self.histograms.get(name)
     }
 
     /// All histograms, name-sorted.
@@ -174,31 +171,9 @@ impl MetricsRegistry {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Sum of all counters sharing the `subsystem.` prefix of `subsystem`.
-    pub fn subsystem_total(&self, subsystem: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| {
-                k.split_once('.').map(|(s, _)| s) == Some(subsystem)
-            })
-            .map(|(_, &v)| v)
-            .sum()
-    }
-
-    /// Merges another registry into this one (counters add, histograms
-    /// bucket-wise add).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, value) in other.counters() {
-            self.add(name, value);
-        }
-        for (name, hist) in other.histograms() {
-            self.merge_histogram(name, hist);
-        }
-    }
-
     /// Adds every observation of `hist` to the histogram `name`, creating it
     /// first.
-    pub fn merge_histogram(&mut self, name: &str, hist: &Log2Histogram) {
+    pub(crate) fn merge_histogram(&mut self, name: &str, hist: &Log2Histogram) {
         match self.histograms.get_mut(name) {
             Some(mine) => mine.merge(hist),
             None => {
@@ -232,21 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn registry_counts_and_merges() {
+    fn registry_counts_and_observes() {
         let mut a = MetricsRegistry::new();
         a.add("buddy.alloc", 2);
-        a.add("buddy.free", 1);
-        a.add("mm.fault_exit", 5);
+        a.add("buddy.alloc", 3);
         a.observe("mm.fault_ns", 1500);
-        assert_eq!(a.counter("buddy.alloc"), 2);
-        assert_eq!(a.counter("missing"), 0);
-        assert_eq!(a.subsystem_total("buddy"), 3);
-
-        let mut b = MetricsRegistry::new();
-        b.add("buddy.alloc", 3);
-        b.observe("mm.fault_ns", 2500);
-        a.merge(&b);
+        a.observe("mm.fault_ns", 2500);
         assert_eq!(a.counter("buddy.alloc"), 5);
+        assert_eq!(a.counter("missing"), 0);
         let h = a.histogram("mm.fault_ns").unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.sum(), 4000);

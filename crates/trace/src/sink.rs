@@ -8,7 +8,7 @@ use std::collections::VecDeque;
 /// and [`RingSink::dropped`] is incremented, so a consumer can always tell
 /// whether the trace is complete.
 #[derive(Debug, Clone, Default)]
-pub struct RingSink {
+pub(crate) struct RingSink {
     buf: VecDeque<Record>,
     capacity: usize,
     dropped: u64,
@@ -16,7 +16,7 @@ pub struct RingSink {
 
 impl RingSink {
     /// A ring holding at most `capacity` records (0 means unbounded).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         RingSink {
             buf: VecDeque::new(),
             capacity,
@@ -24,34 +24,19 @@ impl RingSink {
         }
     }
 
-    /// Number of records currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// How many records were evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// The retained records, oldest first.
-    pub fn snapshot(&self) -> Vec<Record> {
+    pub(crate) fn snapshot(&self) -> Vec<Record> {
         self.buf.iter().cloned().collect()
-    }
-
-    /// Iterates the retained records, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &Record> {
-        self.buf.iter()
     }
 
     /// Consumes one record, evicting the oldest when full. Cheap: it runs
     /// inside the fault path's critical section.
-    pub fn record(&mut self, rec: &Record) {
+    pub(crate) fn record(&mut self, rec: &Record) {
         if self.capacity > 0 && self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
@@ -80,9 +65,9 @@ mod tests {
         for s in 0..5 {
             ring.record(&rec(s));
         }
-        assert_eq!(ring.len(), 2);
+        assert_eq!(ring.buf.len(), 2);
         assert_eq!(ring.dropped(), 3);
-        let kept: Vec<u64> = ring.iter().map(|r| r.seq).collect();
+        let kept: Vec<u64> = ring.snapshot().iter().map(|r| r.seq).collect();
         assert_eq!(kept, vec![3, 4]);
     }
 
@@ -92,7 +77,7 @@ mod tests {
         for s in 0..100 {
             ring.record(&rec(s));
         }
-        assert_eq!(ring.len(), 100);
+        assert_eq!(ring.buf.len(), 100);
         assert_eq!(ring.dropped(), 0);
     }
 }

@@ -83,7 +83,7 @@ const SPAN_SUFFIXES: [&str; 2] = ["total_ns", "self_ns"];
 
 /// Whether `name` is a well-formed `span.<stage>.<suffix>` metric over the
 /// canonical taxonomy.
-pub fn is_valid_span_metric(name: &str) -> bool {
+pub(crate) fn is_valid_span_metric(name: &str) -> bool {
     let Some(rest) = name.strip_prefix("span.") else { return false };
     let Some((stage, suffix)) = rest.rsplit_once('.') else { return false };
     SPAN_STAGES.contains(&stage) && SPAN_SUFFIXES.contains(&suffix)

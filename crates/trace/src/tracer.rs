@@ -79,7 +79,7 @@ pub struct TraceSession {
 }
 
 impl TraceSession {
-    /// A session recording into a bounded [`RingSink`] of `capacity`
+    /// A session recording into a bounded `RingSink` of `capacity`
     /// records (0 = unbounded).
     pub fn ring(capacity: usize) -> Self {
         TraceSession {
@@ -127,7 +127,7 @@ impl TraceSession {
     }
 
     /// Snapshot of the flight recorder's retained records, oldest first.
-    pub fn flight(&self) -> FlightRecorder {
+    pub(crate) fn flight(&self) -> FlightRecorder {
         self.inner.lock().expect("trace session poisoned").flight.clone()
     }
 
@@ -418,8 +418,7 @@ mod tests {
         }
         // Ring kept 2; flight (capacity 256) kept all 5.
         assert_eq!(session.records().len(), 2);
-        assert_eq!(session.flight().len(), 5);
-        assert_eq!(session.flight().total(), 5);
+        assert_eq!(session.flight().snapshot().len(), 5);
         assert!(!session.flight_jsonl().is_empty());
 
         let quiet = TraceSession::flight_only(3);
@@ -428,7 +427,7 @@ mod tests {
             t.emit(TraceEvent::Alloc { order: 0, pfn });
         }
         assert!(quiet.records().is_empty(), "flight-only discards the stream");
-        assert_eq!(quiet.flight().len(), 3);
+        assert_eq!(quiet.flight().snapshot().len(), 3);
         assert_eq!(quiet.metrics().counter("buddy.alloc"), 5, "metrics still exact");
         let parsed = crate::parse_jsonl(&quiet.flight_jsonl()).expect("decodable dump");
         assert_eq!(parsed.len(), 3);

@@ -159,17 +159,17 @@ pub struct ErrorCtx {
     pub pid: Option<u32>,
     /// The start address of the VMA being serviced, when known (VMA ids are
     /// their start addresses throughout the workspace).
-    pub vma_start: Option<VirtAddr>,
+    pub(crate) vma_start: Option<VirtAddr>,
 }
 
 impl ErrorCtx {
     /// Empty context.
-    pub const fn none() -> Self {
+    pub(crate) const fn none() -> Self {
         Self { pid: None, vma_start: None }
     }
 
     /// Whether any field is populated.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pid.is_none() && self.vma_start.is_none()
     }
 }
@@ -260,15 +260,6 @@ impl ContigError {
         self
     }
 
-    /// Whether the root cause is memory exhaustion (either layer).
-    pub fn is_out_of_memory(&self) -> bool {
-        matches!(
-            self,
-            ContigError::Alloc { source: AllocError::OutOfMemory { .. }, .. }
-                | ContigError::Fault { source: FaultError::OutOfMemory { .. }, .. }
-        )
-    }
-
     /// Whether the root cause is the recovery livelock watchdog firing.
     pub fn is_livelock(&self) -> bool {
         matches!(
@@ -351,24 +342,9 @@ mod tests {
         assert_eq!(e.ctx().pid, Some(3));
         assert_eq!(e.ctx().vma_start, Some(VirtAddr::new(0x40_0000)));
         assert!(e.source().is_some());
-        assert!(!e.is_out_of_memory());
         let msg = e.to_string();
         assert!(msg.contains("pid 3"), "{msg}");
         assert!(msg.contains("already allocated"), "{msg}");
-    }
-
-    #[test]
-    fn out_of_memory_detection_spans_layers() {
-        let alloc: ContigError = AllocError::OutOfMemory { order: 0 }.into();
-        let fault: ContigError = FaultError::OutOfMemory {
-            addr: VirtAddr::new(0x1000),
-            size: crate::page::PageSize::Base4K,
-        }
-        .into();
-        let xlate: ContigError = TranslateError::NotMapped { addr: VirtAddr::new(0) }.into();
-        assert!(alloc.is_out_of_memory());
-        assert!(fault.is_out_of_memory());
-        assert!(!xlate.is_out_of_memory());
     }
 
     #[test]

@@ -156,7 +156,7 @@ impl Sink for Fnv1a64 {
 /// The canonical single-line writer: the one place that knows how a number,
 /// a string and a separator are spelled. Values are emitted in call order
 /// with no whitespace; the caller keeps `key`s and values paired and the
-/// closures of [`Enc::obj`]/[`Enc::arr`] keep brackets balanced.
+/// closures of [`Enc::obj`]/`Enc::arr` keep brackets balanced.
 pub struct Enc<S> {
     out: S,
     /// Whether the next key or value is preceded by a comma: set by every
@@ -166,12 +166,12 @@ pub struct Enc<S> {
 
 impl<S: Sink> Enc<S> {
     /// A writer with nothing written yet.
-    pub fn new(out: S) -> Self {
+    pub(crate) fn new(out: S) -> Self {
         Enc { out, comma: false }
     }
 
     /// The sink, with everything written so far in it.
-    pub fn into_inner(self) -> S {
+    pub(crate) fn into_inner(self) -> S {
         self.out
     }
 
@@ -224,12 +224,12 @@ impl<S: Sink> Enc<S> {
     }
 
     /// `true` or `false`.
-    pub fn bool(&mut self, b: bool) {
+    pub(crate) fn bool(&mut self, b: bool) {
         self.value(if b { b"true" } else { b"false" });
     }
 
     /// `null`.
-    pub fn null(&mut self) {
+    pub(crate) fn null(&mut self) {
         self.value(b"null");
     }
 
@@ -277,7 +277,7 @@ impl<S: Sink> Enc<S> {
     }
 
     /// An array; `f` writes its items.
-    pub fn arr(&mut self, f: impl FnOnce(&mut Self)) {
+    pub(crate) fn arr(&mut self, f: impl FnOnce(&mut Self)) {
         self.bracketed(b"[", b"]", f);
     }
 
@@ -601,7 +601,7 @@ macro_rules! wire_tagged {
 /// Deepest nesting of arrays and objects [`parse`] and [`decode`] accept. A
 /// fleet snapshot nests about ten deep; the bound keeps hostile input from
 /// overflowing the reader's stack.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// Parses one JSON document from `input`.
 ///

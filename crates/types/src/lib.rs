@@ -26,21 +26,18 @@
 
 mod addr;
 mod error;
-mod fail;
 mod hash;
+mod inject;
 pub mod json;
 mod page;
-mod poison;
 mod range;
-mod transport;
 
 pub use addr::{MapOffset, PhysAddr, VirtAddr};
-pub use error::{AllocError, ContigError, ErrorCtx, FaultError, TranslateError};
-pub use fail::{splitmix64, FailMode, FailPolicy};
+pub use error::{AllocError, ContigError, FaultError, TranslateError};
 pub use hash::{fnv1a64, Fnv1a64};
-pub use poison::{PoisonMode, PoisonPolicy};
-pub use transport::{
-    TransportFault, TransportFaultKind, TransportMode, TransportPolicy, MAX_STALL_NS,
+pub use inject::{
+    jittered_backoff, splitmix64, FailMode, FailPolicy, PoisonMode, PoisonPolicy, TransportFault,
+    TransportMode, TransportPolicy,
 };
-pub use page::{PageSize, Pfn, Vpn, BASE_PAGE_SHIFT, BASE_PAGE_SIZE, HUGE_PAGE_SHIFT, HUGE_PAGE_SIZE, PAGES_PER_HUGE};
+pub use page::{PageSize, Pfn, Vpn, BASE_PAGE_SHIFT, BASE_PAGE_SIZE, PAGES_PER_HUGE};
 pub use range::{ContigMapping, PhysRange, VirtRange};

@@ -7,9 +7,9 @@ pub const BASE_PAGE_SHIFT: u32 = 12;
 /// Size in bytes of a base page (4 KiB).
 pub const BASE_PAGE_SIZE: u64 = 1 << BASE_PAGE_SHIFT;
 /// Log2 of the huge (2 MiB) page size.
-pub const HUGE_PAGE_SHIFT: u32 = 21;
+pub(crate) const HUGE_PAGE_SHIFT: u32 = 21;
 /// Size in bytes of a huge page (2 MiB).
-pub const HUGE_PAGE_SIZE: u64 = 1 << HUGE_PAGE_SHIFT;
+pub(crate) const HUGE_PAGE_SIZE: u64 = 1 << HUGE_PAGE_SHIFT;
 /// Number of base pages per huge page (512 on x86-64).
 pub const PAGES_PER_HUGE: u64 = HUGE_PAGE_SIZE / BASE_PAGE_SIZE;
 

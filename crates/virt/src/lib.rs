@@ -45,4 +45,4 @@ pub use migrate::{
 };
 pub use shadow::ShadowPageTable;
 pub use twod::{two_dimensional_mappings, NativeBackend, VmBackend};
-pub use vm::{GuestMce, HostPoisonReport, TwoDTranslation, VirtualMachine, VmConfig, VmSnapshot};
+pub use vm::{GuestMce, HostPoisonReport, VirtualMachine, VmConfig, VmSnapshot};

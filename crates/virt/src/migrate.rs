@@ -35,7 +35,7 @@
 use contig_mm::{PlacementPolicy, Pte, SystemSnapshot};
 use contig_trace::{TraceEvent, Tracer};
 use contig_types::{
-    fnv1a64, splitmix64, FaultError, PageSize, PhysAddr, TransportFault, TransportPolicy,
+    fnv1a64, jittered_backoff, FaultError, PageSize, PhysAddr, TransportFault, TransportPolicy,
     VirtRange,
 };
 
@@ -123,7 +123,7 @@ pub struct LoopbackTransport {
 
 impl LoopbackTransport {
     /// Base per-frame latency of a reliable loopback wire.
-    pub const DEFAULT_LATENCY_NS: u64 = 1_000;
+    pub(crate) const DEFAULT_LATENCY_NS: u64 = 1_000;
 
     /// A wire faulting per `policy` with the default base latency.
     pub fn new(policy: TransportPolicy) -> Self {
@@ -132,24 +132,7 @@ impl LoopbackTransport {
 
     /// A perfect wire (used for uninterrupted baseline runs).
     pub fn reliable() -> Self {
-        Self::new(TransportPolicy::reliable())
-    }
-
-    /// Overrides the base per-frame latency.
-    #[must_use]
-    pub fn with_latency(mut self, ns: u64) -> Self {
-        self.base_latency_ns = ns;
-        self
-    }
-
-    /// The fault policy's counters (frames decided, faults injected).
-    pub fn policy(&self) -> &TransportPolicy {
-        &self.policy
-    }
-
-    /// Whether the channel is still open.
-    pub fn is_connected(&self) -> bool {
-        self.connected
+        Self::new(TransportPolicy::default())
     }
 }
 
@@ -158,7 +141,7 @@ impl Transport for LoopbackTransport {
         if !self.connected {
             return Err(TransportClosed);
         }
-        match self.policy.decide() {
+        match self.policy.decide(()) {
             TransportFault::Deliver => Ok(Delivery::Delivered {
                 frame: frame.to_vec(),
                 delay_ns: self.base_latency_ns,
@@ -272,29 +255,29 @@ fn decode_pages(payload: &[u8]) -> Option<Vec<u64>> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MigrationConfig {
     /// Guest pages per data chunk.
-    pub chunk_pages: usize,
+    pub(crate) chunk_pages: usize,
     /// Pre-copy round budget; the migration enters stop-and-copy at the
     /// latest after this many rounds, whatever the dirty rate.
-    pub max_rounds: u32,
+    pub(crate) max_rounds: u32,
     /// Convergence threshold: a dirty set no larger than this goes to
     /// stop-and-copy instead of another pre-copy round.
-    pub stop_copy_pages: u64,
+    pub(crate) stop_copy_pages: u64,
     /// Retransmissions allowed per chunk before the attempt fails.
-    pub max_retries: u32,
+    pub(crate) max_retries: u32,
     /// Simulated-time budget per phase (one pre-copy round, or the whole
     /// stop-and-copy); beyond it the attempt fails with
     /// [`MigrationError::PhaseTimeout`].
-    pub phase_timeout_ns: u64,
+    pub(crate) phase_timeout_ns: u64,
     /// Clock charge for a send that produced no acknowledgment (drop or ack
     /// loss) — the sender's retransmission timer.
-    pub ack_timeout_ns: u64,
+    pub(crate) ack_timeout_ns: u64,
     /// Base of the jittered exponential retry backoff (same scheme as
     /// `contig_mm::RecoveryConfig`).
-    pub backoff_base_ns: u64,
+    pub(crate) backoff_base_ns: u64,
     /// Backoff ceiling before jitter.
-    pub backoff_cap_ns: u64,
+    pub(crate) backoff_cap_ns: u64,
     /// Seed of the deterministic backoff jitter stream.
-    pub backoff_seed: u64,
+    pub(crate) backoff_seed: u64,
 }
 
 impl Default for MigrationConfig {
@@ -368,7 +351,7 @@ pub enum MigrationError {
         /// The chunk's sequence number.
         seq: u64,
     },
-    /// A phase exceeded [`MigrationConfig::phase_timeout_ns`].
+    /// A phase exceeded `MigrationConfig::phase_timeout_ns`.
     PhaseTimeout {
         /// Round the timeout hit.
         round: u32,
@@ -433,9 +416,9 @@ pub struct ContigProfile {
     /// Maximal contiguous gPA→hPA runs.
     pub runs: u64,
     /// Largest run, in base pages.
-    pub largest_run_pages: u64,
+    pub(crate) largest_run_pages: u64,
     /// Share of backed bytes in the 32 largest runs, ppm.
-    pub top32_coverage_ppm: u64,
+    pub(crate) top32_coverage_ppm: u64,
 }
 
 /// Computes the [`ContigProfile`] of a VM's memory region backing.
@@ -503,21 +486,21 @@ pub struct MigrationReport {
     /// Event-mapped counters.
     pub stats: MigrationStats,
     /// Pre-copy rounds run.
-    pub rounds: u32,
+    pub(crate) rounds: u32,
     /// Page records acknowledged (a hot page recurs once per round it was
     /// dirtied in).
     pub pages_sent: u64,
     /// Unique guest pages the destination actually backed.
-    pub unique_pages: u64,
+    pub(crate) unique_pages: u64,
     /// Stop-and-copy downtime, simulated ns.
-    pub downtime_ns: u64,
+    pub(crate) downtime_ns: u64,
     /// Whole-migration simulated time on the session clock.
-    pub total_ns: u64,
+    pub(crate) total_ns: u64,
     /// Source contiguity fingerprint, captured at migration start.
-    pub source_profile: ContigProfile,
+    pub(crate) source_profile: ContigProfile,
     /// Destination fingerprint after cutover — diff against
     /// `source_profile` for the degradation result.
-    pub dest_profile: ContigProfile,
+    pub(crate) dest_profile: ContigProfile,
 }
 
 // ---------------------------------------------------------------------------
@@ -561,12 +544,12 @@ impl MigrationTarget {
 
     /// The destination VM (host backing grows as chunks apply; guest empty
     /// until cutover).
-    pub fn vm(&self) -> &VirtualMachine {
+    pub(crate) fn vm(&self) -> &VirtualMachine {
         &self.vm
     }
 
     /// Unique guest pages backed so far.
-    pub fn applied_pages(&self) -> u64 {
+    pub(crate) fn applied_pages(&self) -> u64 {
         self.applied_pages
     }
 
@@ -690,16 +673,6 @@ impl MigrationSession {
     /// abort).
     pub fn stats(&self) -> &MigrationStats {
         &self.stats
-    }
-
-    /// The session clock, simulated ns.
-    pub fn clock_ns(&self) -> u64 {
-        self.clock_ns
-    }
-
-    /// The current pre-copy round.
-    pub fn round(&self) -> u32 {
-        self.round
     }
 
     /// Drives the migration to cutover, resuming from the checkpoint if a
@@ -981,20 +954,12 @@ impl MigrationSession {
         Err(MigrationError::Disconnected { round: self.round })
     }
 
-    /// Jittered exponential backoff on the session clock — the same scheme
-    /// as `contig_mm`'s allocation-retry backoff, with its own seed so the
+    /// [`jittered_backoff`] on the session clock, with its own seed so the
     /// stream is independent of host recovery activity.
     fn backoff(&mut self, attempt: u32) -> u64 {
-        if self.cfg.backoff_base_ns == 0 {
-            return 0;
-        }
-        let exp = self
-            .cfg
-            .backoff_base_ns
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
-            .min(self.cfg.backoff_cap_ns);
-        let jitter = splitmix64(&mut self.backoff_rng) % (exp / 2 + 1);
-        let ns = exp + jitter;
+        let (base, cap) = (self.cfg.backoff_base_ns, self.cfg.backoff_cap_ns);
+        let k = u64::from(attempt.saturating_sub(1));
+        let ns = jittered_backoff(base, cap, k, 20, &mut self.backoff_rng);
         self.clock_ns += ns;
         ns
     }
@@ -1069,7 +1034,7 @@ pub fn migrate_with_retries(
 mod tests {
     use super::*;
     use contig_mm::{DefaultThpPolicy, VmaKind};
-    use contig_types::{TransportFaultKind, TransportMode, VirtAddr, VirtRange};
+    use contig_types::{splitmix64, TransportMode, VirtAddr, VirtRange};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -1260,7 +1225,7 @@ mod tests {
             let mut session =
                 MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
             let mut dying = LoopbackTransport::new(TransportPolicy::new(
-                TransportMode::FaultNth { n: kill_at, kind: TransportFaultKind::Disconnect },
+                TransportMode::FaultNth { n: kill_at, kind: TransportFault::Disconnect },
             ));
             let err = session
                 .run(&mut src, &mut dst, &mut dying, &codec, writer(9))
@@ -1289,7 +1254,7 @@ mod tests {
         let mut session = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
         let mut dying = LoopbackTransport::new(TransportPolicy::new(TransportMode::FaultNth {
             n: 5,
-            kind: TransportFaultKind::Disconnect,
+            kind: TransportFault::Disconnect,
         }));
         session
             .run(&mut src, &mut dst, &mut dying, &codec, |_, _| {})
@@ -1312,8 +1277,8 @@ mod tests {
         let codec = ParkedCodec::default();
         let target = target_for(&src);
         let mut kills = vec![
-            TransportMode::FaultNth { n: 2, kind: TransportFaultKind::Disconnect },
-            TransportMode::FaultNth { n: 9, kind: TransportFaultKind::Disconnect },
+            TransportMode::FaultNth { n: 2, kind: TransportFault::Disconnect },
+            TransportMode::FaultNth { n: 9, kind: TransportFault::Disconnect },
             TransportMode::Reliable,
         ]
         .into_iter();
@@ -1351,7 +1316,7 @@ mod tests {
                 Box::new(LoopbackTransport::new(TransportPolicy::new(
                     TransportMode::FaultNth {
                         n: u64::from(attempt) + 1,
-                        kind: TransportFaultKind::Disconnect,
+                        kind: TransportFault::Disconnect,
                     },
                 )))
             },

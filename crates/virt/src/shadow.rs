@@ -73,7 +73,7 @@ impl ShadowPageTable {
     /// guest leaf is huge *and* its host backing is a single aligned huge
     /// frame; otherwise the guest leaf shatters into 4 KiB shadow entries
     /// (the "splintering" cost shadow paging pays for mismatched sizes).
-    pub fn sync_range(&mut self, vm: &VirtualMachine, pid: Pid, range: VirtRange) {
+    pub(crate) fn sync_range(&mut self, vm: &VirtualMachine, pid: Pid, range: VirtRange) {
         let leaves: Vec<_> = vm
             .guest()
             .aspace(pid)

@@ -11,8 +11,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use contig_buddy::MachineConfig;
 use contig_mm::{
-    FaultKind, FaultOutcome, MemoryFailureOutcome, PageTable, PlacementPolicy, Pid, PteFlags,
-    System, SystemConfig, VmaId, VmaKind,
+    FaultOutcome, PageTable, PlacementPolicy, Pid, PteFlags, System, SystemConfig, VmaId, VmaKind,
 };
 use contig_trace::{stage, Dim, TraceEvent, Tracer};
 use contig_types::{ContigError, FaultError, PageSize, PhysAddr, Pfn, VirtAddr, VirtRange};
@@ -220,11 +219,6 @@ impl VirtualMachine {
         self.host.set_cpu(cpu);
     }
 
-    /// Drains every pcp list in both dimensions; returns frames moved.
-    pub fn drain_pcp(&mut self) -> u64 {
-        self.guest.drain_pcp() + self.host.drain_pcp()
-    }
-
     /// The VM's trace handle (disabled unless [`VirtualMachine::set_tracer`]
     /// was called).
     pub fn tracer(&self) -> &Tracer {
@@ -234,11 +228,6 @@ impl VirtualMachine {
     /// The host process backing this VM.
     pub fn host_pid(&self) -> Pid {
         self.host_pid
-    }
-
-    /// The host VMA holding the VM memory region.
-    pub fn host_vma(&self) -> VmaId {
-        self.host_vma
     }
 
     /// Host virtual address corresponding to guest-physical `gpa`.
@@ -291,22 +280,6 @@ impl VirtualMachine {
             let written = out.pfn.raw() + va.page_offset(out.size) / PageSize::Base4K.bytes();
             self.ksm_write_break(va, written)?;
         }
-        Ok(out)
-    }
-
-    /// Services one guest page fault of an explicit kind.
-    ///
-    /// # Errors
-    ///
-    /// As for [`VirtualMachine::touch`].
-    pub fn fault(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        kind: FaultKind,
-    ) -> Result<FaultOutcome, FaultError> {
-        let out = self.guest.fault(&mut *self.guest_policy, pid, va, kind)?;
-        self.back_fault(pid, va, out)?;
         Ok(out)
     }
 
@@ -429,13 +402,13 @@ impl VirtualMachine {
 
     /// Total guest-physical frames of this VM (the VM memory region spans
     /// exactly this many base pages).
-    pub fn guest_frames(&self) -> u64 {
+    pub(crate) fn guest_frames(&self) -> u64 {
         self.guest.machine().total_frames()
     }
 
     /// Host virtual address of guest-physical zero (the VM memory region
     /// base).
-    pub fn host_vma_base(&self) -> VirtAddr {
+    pub(crate) fn host_vma_base(&self) -> VirtAddr {
         self.host_vma_base
     }
 
@@ -508,45 +481,6 @@ impl VirtualMachine {
             self.tracer.emit(TraceEvent::BalloonInflate { tenant: 0, frames: claimed });
         }
         claimed
-    }
-
-    /// Balloon deflate: releases up to `frames` ballooned guest frames back
-    /// to the guest buddy (ascending) and eagerly re-backs each on the host,
-    /// retrying up to `max_retries` times around the host's seeded jittered
-    /// backoff on OOM. A frame that still cannot be backed is left as a
-    /// legal unbacked hole (`balloon.unbacked`) that heals on the next
-    /// touch. Returns frames released.
-    pub fn balloon_deflate(&mut self, frames: u64, max_retries: u32) -> u64 {
-        let picks: Vec<u64> = self.balloon.iter().take(frames as usize).copied().collect();
-        for &g in &picks {
-            self.balloon.remove(&g);
-            self.guest.machine_mut().free(Pfn::new(g), 0);
-            let hva = self.host_va_of(PhysAddr::new(g * PageSize::Base4K.bytes()));
-            let mut attempt = 0u32;
-            loop {
-                match self.host.touch(&mut *self.host_policy, self.host_pid, hva) {
-                    Ok(_) => break,
-                    Err(_) if attempt < max_retries => {
-                        attempt += 1;
-                        let backoff_ns = self.host.backoff_sleep(attempt);
-                        self.tracer.emit(TraceEvent::BalloonRetry {
-                            tenant: 0,
-                            attempt,
-                            backoff_ns,
-                        });
-                    }
-                    Err(_) => {
-                        self.tracer.emit(TraceEvent::BalloonUnbacked { tenant: 0, gframe: g });
-                        break;
-                    }
-                }
-            }
-        }
-        let released = picks.len() as u64;
-        if released > 0 {
-            self.tracer.emit(TraceEvent::BalloonDeflate { tenant: 0, frames: released });
-        }
-        released
     }
 
     /// KSM scan: merges guest-physical pages with identical content onto one
@@ -758,10 +692,8 @@ impl VirtualMachine {
     /// the guest data is lost (that is what the MCE reports) but the VM
     /// memory region self-heals. If re-backing itself OOMs the hole stays,
     /// visible to `audit_vm` as `unbacked`, and heals on the next touch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no host zone owns `pfn`.
+    /// A frame no host zone owns is refused with
+    /// [`contig_mm::FailureAction::NoSuchFrame`].
     pub fn poison_host_frame(&mut self, pfn: Pfn) -> HostPoisonReport {
         // Remember the VM-region mapping that may lose its backing: after a
         // kill the host page table no longer records its extent. Only a
@@ -811,7 +743,7 @@ impl VirtualMachine {
             }
             _ => true,
         };
-        HostPoisonReport { outcome, guest_mces, rebacked }
+        HostPoisonReport { guest_mces, rebacked }
     }
 
     /// Consults the *host* poison policy once (see
@@ -887,16 +819,16 @@ contig_types::wire_struct! {
         /// The host OS instance.
         pub host: contig_mm::SystemSnapshot,
         /// The host process backing the VM memory region.
-        pub host_pid: u32,
+        pub(crate) host_pid: u32,
         /// Start address of the host VMA holding the VM memory region.
-        pub host_vma_start: u64,
+        pub(crate) host_vma_start: u64,
         /// Host virtual address of guest-physical zero.
-        pub host_vma_base: u64,
+        pub(crate) host_vma_base: u64,
         /// Guest frames held by the balloon driver, ascending (codec v4).
-        pub balloon: Vec<u64>,
+        pub(crate) balloon: Vec<u64>,
         /// KSM sharing registry: `(host frame, merged guest frames)` records,
         /// ascending by host frame (codec v4).
-        pub sharing: Vec<(u64, Vec<u64>)>,
+        pub(crate) sharing: Vec<(u64, Vec<u64>)>,
     }
 }
 
@@ -905,19 +837,17 @@ contig_types::wire_struct! {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GuestMce {
     /// The guest process owning the mapping.
-    pub pid: Pid,
+    pub(crate) pid: Pid,
     /// Guest virtual address of the destroyed base page — where the guest
     /// workload would receive the SIGBUS/MCE.
-    pub va: VirtAddr,
+    pub(crate) va: VirtAddr,
     /// The guest-physical page whose host backing was destroyed.
-    pub gpa: PhysAddr,
+    pub(crate) gpa: PhysAddr,
 }
 
 /// Result of poisoning one host frame underneath a running VM.
 #[derive(Clone, Debug)]
 pub struct HostPoisonReport {
-    /// What the host recovery path did (heal, kill, quarantine, …).
-    pub outcome: MemoryFailureOutcome,
     /// Machine-checks delivered to guest mappings, one per affected guest
     /// base page (empty when the host healed transparently).
     pub guest_mces: Vec<GuestMce>,
@@ -941,9 +871,9 @@ pub struct TwoDTranslation {
     /// Host radix levels walked.
     pub host_levels: u32,
     /// Contiguity bit set in both dimensions (SpOT's fill filter).
-    pub contig: bool,
+    pub(crate) contig: bool,
     /// Guest mapping is writable.
-    pub write: bool,
+    pub(crate) write: bool,
 }
 
 impl TwoDTranslation {
@@ -1096,11 +1026,7 @@ mod tests {
         let before = vm.translate_2d(pid, VirtAddr::new(0x40_0000)).unwrap();
         let victim = Pfn::new(before.hpa.raw() / PageSize::Base4K.bytes() + 7);
         let report = vm.poison_host_frame(victim);
-        assert!(
-            matches!(report.outcome.action, contig_mm::FailureAction::Healed { .. }),
-            "plenty of host memory: {:?}",
-            report.outcome.action
-        );
+        assert_eq!(vm.host().poison_stats().healed, 1, "plenty of host memory");
         assert!(report.guest_mces.is_empty(), "a heal is invisible to the guest");
         assert!(report.rebacked);
         let after = vm.translate_2d(pid, VirtAddr::new(0x40_0000)).unwrap();
@@ -1130,7 +1056,7 @@ mod tests {
             hogs.push(p);
         }
         let report = vm.poison_host_frame(victim);
-        assert_eq!(report.outcome.action, contig_mm::FailureAction::Killed);
+        assert_eq!(vm.host().poison_stats().heal_failed, 1, "the host kills the backing");
         assert!(!report.guest_mces.is_empty(), "the guest must see the MCE");
         let mce = report.guest_mces[0];
         assert_eq!(mce.pid, pid);
@@ -1161,7 +1087,7 @@ mod tests {
             n: 1,
         }));
         let report = vm.poison_tick().expect("policy fires on the first tick");
-        assert_eq!(report.outcome.pfn, target);
+        assert!(report.rebacked);
         assert!(vm.host().machine().is_poisoned(target));
         assert!(vm.poison_tick().is_none(), "one-shot disarms");
     }

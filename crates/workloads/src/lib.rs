@@ -26,5 +26,5 @@
 mod spec;
 mod trace;
 
-pub use spec::{AccessPhase, PhaseKind, Scale, VmaSpec, Workload, WorkloadSpec};
-pub use trace::{TraceAccess, TraceGenerator};
+pub use spec::{Scale, VmaSpec, Workload, WorkloadSpec};
+pub use trace::TraceGenerator;

@@ -45,7 +45,7 @@ impl Scale {
 
 /// The locality class of one access phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PhaseKind {
+pub(crate) enum PhaseKind {
     /// Streaming: consecutive addresses with the given byte stride.
     Sequential {
         /// Bytes between consecutive accesses.
@@ -63,17 +63,17 @@ pub enum PhaseKind {
 
 /// One memory instruction of the workload's inner loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AccessPhase {
+pub(crate) struct AccessPhase {
     /// Stable program counter (SpOT's prediction index).
-    pub pc: u64,
+    pub(crate) pc: u64,
     /// Index into the spec's VMA list.
-    pub vma: usize,
+    pub(crate) vma: usize,
     /// Locality class.
-    pub kind: PhaseKind,
+    pub(crate) kind: PhaseKind,
     /// Relative frequency among phases.
-    pub weight: u32,
+    pub(crate) weight: u32,
     /// Whether the instruction writes.
-    pub write: bool,
+    pub(crate) write: bool,
 }
 
 /// A VMA of the workload.
@@ -103,7 +103,7 @@ pub struct WorkloadSpec {
     /// The VMAs, largest regions first.
     pub vmas: Vec<VmaSpec>,
     /// Inner-loop memory instructions.
-    pub phases: Vec<AccessPhase>,
+    pub(crate) phases: Vec<AccessPhase>,
     /// Fraction of instructions that are branches (Table VII inputs).
     pub branch_fraction: f64,
     /// Fraction of instructions that are loads.
@@ -151,18 +151,6 @@ impl Workload {
             Workload::XsBench => "XSBench",
             Workload::Bt => "BT",
         }
-    }
-
-    /// The unscaled footprint from the paper's Table III, in bytes.
-    pub fn paper_footprint_bytes(&self) -> u64 {
-        let gib = match self {
-            Workload::Svm => 29,
-            Workload::PageRank => 78,
-            Workload::HashJoin => 102,
-            Workload::XsBench => 122,
-            Workload::Bt => 167,
-        };
-        gib << 30
     }
 
     /// Builds the scaled workload specification.
@@ -304,13 +292,25 @@ impl Workload {
 mod tests {
     use super::*;
 
+    /// The unscaled footprint from the paper's Table III, in bytes.
+    fn paper_footprint_bytes(w: Workload) -> u64 {
+        let gib = match w {
+            Workload::Svm => 29,
+            Workload::PageRank => 78,
+            Workload::HashJoin => 102,
+            Workload::XsBench => 122,
+            Workload::Bt => 167,
+        };
+        gib << 30
+    }
+
     #[test]
     fn scaled_footprints_track_paper_ratios() {
         let scale = Scale::default();
         for w in Workload::ALL {
             let spec = w.spec(scale);
             let scaled = spec.footprint_bytes() as f64;
-            let expected = w.paper_footprint_bytes() as f64 / scale.0 as f64;
+            let expected = paper_footprint_bytes(w) as f64 / scale.0 as f64;
             let ratio = scaled / expected;
             assert!(
                 (0.85..=1.25).contains(&ratio),
@@ -343,13 +343,6 @@ mod tests {
                 assert!(p.weight > 0);
             }
         }
-    }
-
-    #[test]
-    fn ordering_matches_paper_table() {
-        let footprints: Vec<u64> =
-            Workload::ALL.iter().map(|w| w.paper_footprint_bytes()).collect();
-        assert!(footprints.windows(2).all(|w| w[0] < w[1]), "Table III is sorted by size");
     }
 
     #[test]

@@ -91,8 +91,7 @@ pub mod prelude {
     };
     pub use contig_types::{
         fnv1a64, ContigMapping, MapOffset, PageSize, PhysAddr, Pfn, PoisonMode, PoisonPolicy,
-        TransportFault, TransportFaultKind, TransportMode, TransportPolicy, VirtAddr, VirtRange,
-        Vpn,
+        TransportFault, TransportMode, TransportPolicy, VirtAddr, VirtRange, Vpn,
     };
     pub use contig_virt::{
         contig_profile, migrate_with_retries, ContigProfile, GuestMce, GuestStateCodec,

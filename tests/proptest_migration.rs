@@ -99,7 +99,7 @@ proptest! {
         let mut target = fresh_target();
         let mut wire = LoopbackTransport::new(TransportPolicy::new(TransportMode::FaultNth {
             n: kill_at,
-            kind: TransportFaultKind::Disconnect,
+            kind: TransportFault::Disconnect,
         }));
         let mut work = writer(seed, pid, vma_bytes);
         let first = session.run(&mut src, &mut target, &mut wire, &SnapshotGuestCodec, &mut work);
@@ -133,7 +133,7 @@ proptest! {
         let mut target = fresh_target();
         let mut wire = LoopbackTransport::new(TransportPolicy::new(TransportMode::FaultNth {
             n: kill_at,
-            kind: TransportFaultKind::Disconnect,
+            kind: TransportFault::Disconnect,
         }));
         let first = session.run(
             &mut src,

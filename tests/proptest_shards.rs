@@ -86,6 +86,7 @@ fn poison_obs(out: &MemoryFailureOutcome) -> (&'static str, usize) {
         FailureAction::Healed { .. } => "healed",
         FailureAction::Killed => "killed",
         FailureAction::Deferred => "deferred",
+        FailureAction::NoSuchFrame => "no_such_frame",
     };
     (action, out.victims.len())
 }
