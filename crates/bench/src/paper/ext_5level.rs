@@ -8,7 +8,7 @@ use contig_core::{CaPaging, SpotConfig, SpotPredictor};
 use contig_metrics::{PerfModel, TextTable};
 use contig_mm::{DefaultThpPolicy, PlacementPolicy, LEVELS, LEVELS_LA57};
 use contig_sim::{install_in_vm, populate_vm, PolicyKind};
-use contig_tlb::{Access, MemorySim, NoScheme};
+use contig_tlb::{MemorySim, MissHandler, NoScheme};
 use contig_types::VirtAddr;
 use contig_virt::{VirtualMachine, VmBackend, VmConfig};
 use contig_workloads::{TraceGenerator, Workload};
@@ -66,19 +66,10 @@ pub fn run(opts: &Options) {
                 let backend = VmBackend::new(&vm, instance.pid);
                 let mut sim = MemorySim::new(env.tlb(), env.walk_cost());
                 let mut gen = TraceGenerator::new(&spec, 42);
-                if spot_on {
-                    let mut spot = SpotPredictor::new(SpotConfig::default());
-                    for _ in 0..opts.accesses {
-                        let a = gen.next_access();
-                        sim.step(&backend, &mut spot, Access { pc: a.pc, va: a.va, write: a.write });
-                    }
-                } else {
-                    let mut none = NoScheme;
-                    for _ in 0..opts.accesses {
-                        let a = gen.next_access();
-                        sim.step(&backend, &mut none, Access { pc: a.pc, va: a.va, write: a.write });
-                    }
-                }
+                let mut spot = SpotPredictor::new(SpotConfig::default());
+                let handler: &mut dyn MissHandler =
+                    if spot_on { &mut spot } else { &mut NoScheme };
+                sim.run(&backend, handler, gen.take_accesses(opts.accesses));
                 cells.push(pct(model.scheme_overhead(&sim.report())));
             }
         }

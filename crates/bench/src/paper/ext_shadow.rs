@@ -9,7 +9,7 @@ use crate::cli::{header, pct, Options};
 use contig_core::{CaPaging, SpotConfig, SpotPredictor};
 use contig_metrics::{PerfModel, TextTable};
 use contig_sim::{install_in_vm, populate_vm, PolicyKind};
-use contig_tlb::{Access, MemorySim, NoScheme};
+use contig_tlb::{MemorySim, MissHandler, NoScheme};
 use contig_types::VirtAddr;
 use contig_virt::{NativeBackend, ShadowPageTable, VirtualMachine, VmBackend, VmConfig};
 use contig_workloads::{TraceGenerator, Workload};
@@ -49,28 +49,16 @@ pub fn run(opts: &Options) {
             let backend = VmBackend::new(&vm, instance.pid);
             let mut sim = MemorySim::new(env.tlb(), env.walk_cost());
             let mut gen = TraceGenerator::new(&spec, 42);
-            for _ in 0..opts.accesses {
-                let a = gen.next_access();
-                sim.step(&backend, &mut NoScheme, Access { pc: a.pc, va: a.va, write: a.write });
-            }
+            sim.run(&backend, &mut NoScheme, gen.take_accesses(opts.accesses));
             model.scheme_overhead(&sim.report())
         };
         let run_shadow = |with_spot: bool| {
             let backend = NativeBackend::new(shadow.table());
             let mut sim = MemorySim::new(env.tlb(), env.walk_cost());
             let mut gen = TraceGenerator::new(&spec, 42);
-            if with_spot {
-                let mut spot = SpotPredictor::new(SpotConfig::default());
-                for _ in 0..opts.accesses {
-                    let a = gen.next_access();
-                    sim.step(&backend, &mut spot, Access { pc: a.pc, va: a.va, write: a.write });
-                }
-            } else {
-                for _ in 0..opts.accesses {
-                    let a = gen.next_access();
-                    sim.step(&backend, &mut NoScheme, Access { pc: a.pc, va: a.va, write: a.write });
-                }
-            }
+            let mut spot = SpotPredictor::new(SpotConfig::default());
+            let handler: &mut dyn MissHandler = if with_spot { &mut spot } else { &mut NoScheme };
+            sim.run(&backend, handler, gen.take_accesses(opts.accesses));
             model.scheme_overhead(&sim.report())
         };
         table.row(&[

@@ -141,6 +141,8 @@ mod tests {
             (image("9223372036854775808", "2", "[]"), "does not describe 0 slots"),
             (image("18446744073709551615", "18446744073709551615", "[null]"), "1 slots"),
             (image("1", "2", "[[5,1],[7,0]]"), "slot 1 is occupied with tick 0"),
+            (image("1", "2", "[[5,1],[7,2]]"), "slot 1 has tick 2 above the clock 1"),
+            (image("2", "1", "[[5,1],null]"), "slot 0 holds key 5 of set 1"),
             (image("18446744073709551616", "1", "[]"), "sets"),
             (image("1", "1", "[[5]]"), "l2: slots: [0]: not a 2-element array"),
         ] {

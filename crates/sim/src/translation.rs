@@ -6,7 +6,7 @@ use contig_baselines::{DirectSegment, VrmmRangeTlb};
 use contig_core::{CaPaging, SpotConfig, SpotPredictor, SpotStats};
 use contig_metrics::{PerfModel, UslEstimate, UslInputs};
 use contig_mm::{BasePagesPolicy, DefaultThpPolicy, PlacementPolicy, System};
-use contig_tlb::{Access, MemorySim, NoScheme, SimReport};
+use contig_tlb::{MemorySim, MissHandler, NoScheme, SimReport};
 use contig_types::{ContigMapping, VirtAddr};
 use contig_virt::{two_dimensional_mappings, NativeBackend, VirtualMachine, VmBackend, VmConfig};
 use contig_workloads::{TraceGenerator, Workload};
@@ -128,48 +128,28 @@ pub fn run_translation(
         populate_vm(&mut vm, &instance, &mut scratch)
             .unwrap_or_else(|e| panic!("{} {}: {e}", workload.name(), config.name()));
         let backend = VmBackend::new(&vm, instance.pid);
-        let mut spot_stats = SpotStats::default();
-        match config {
-            TranslationConfig::Spot => {
-                let mut spot = SpotPredictor::new(SpotConfig::default());
-                for _ in 0..accesses {
-                    let a = gen.next_access();
-                    sim.step(&backend, &mut spot, Access { pc: a.pc, va: a.va, write: a.write });
-                }
-                spot_stats = spot.stats();
-            }
+        let mut spot = SpotPredictor::new(SpotConfig::default());
+        let (mut rmm, mut vhc, mut ds);
+        let handler: &mut dyn MissHandler = match config {
+            TranslationConfig::Spot => &mut spot,
             TranslationConfig::Vrmm => {
-                let ranges = two_dimensional_mappings(&vm, instance.pid);
-                let mut rmm = VrmmRangeTlb::new(32, ranges);
-                for _ in 0..accesses {
-                    let a = gen.next_access();
-                    sim.step(&backend, &mut rmm, Access { pc: a.pc, va: a.va, write: a.write });
-                }
+                rmm = VrmmRangeTlb::new(32, two_dimensional_mappings(&vm, instance.pid));
+                &mut rmm
             }
             TranslationConfig::Vhc => {
                 let mappings = two_dimensional_mappings(&vm, instance.pid);
-                let mut vhc = contig_baselines::VhcAnchorTlb::with_adaptive_distance(32, mappings);
-                for _ in 0..accesses {
-                    let a = gen.next_access();
-                    sim.step(&backend, &mut vhc, Access { pc: a.pc, va: a.va, write: a.write });
-                }
+                vhc = contig_baselines::VhcAnchorTlb::with_adaptive_distance(32, mappings);
+                &mut vhc
             }
             TranslationConfig::DirectSegments => {
-                let mut ds = DirectSegment::new(workload_segment(&spec.vmas));
-                for _ in 0..accesses {
-                    let a = gen.next_access();
-                    sim.step(&backend, &mut ds, Access { pc: a.pc, va: a.va, write: a.write });
-                }
+                ds = DirectSegment::new(workload_segment(&spec.vmas));
+                &mut ds
             }
-            _ => {
-                let mut none = NoScheme;
-                for _ in 0..accesses {
-                    let a = gen.next_access();
-                    sim.step(&backend, &mut none, Access { pc: a.pc, va: a.va, write: a.write });
-                }
-            }
-        }
-        (sim.report(), spot_stats)
+            _ => &mut NoScheme,
+        };
+        sim.run(&backend, handler, gen.take_accesses(accesses));
+        // Zeros unless SpOT was the handler.
+        (sim.report(), spot.stats())
     } else {
         let kind = if config == TranslationConfig::Native4K {
             PolicyKind::FourK
@@ -184,11 +164,7 @@ pub fn run_translation(
         populate_native(&mut sys, &mut runtime, &instance, &mut scratch)
             .unwrap_or_else(|e| panic!("{} {}: {e}", workload.name(), config.name()));
         let backend = NativeBackend::new(sys.aspace(instance.pid).page_table());
-        let mut none = NoScheme;
-        for _ in 0..accesses {
-            let a = gen.next_access();
-            sim.step(&backend, &mut none, Access { pc: a.pc, va: a.va, write: a.write });
-        }
+        sim.run(&backend, &mut NoScheme, gen.take_accesses(accesses));
         (sim.report(), SpotStats::default())
     };
 

@@ -90,19 +90,43 @@ impl SetAssocCache {
     /// Looks up `key`, refreshing its recency on a hit.
     #[inline]
     pub fn access(&mut self, key: u64) -> bool {
+        self.access_slot(key).is_some()
+    }
+
+    /// [`SetAssocCache::access`], naming the slot it hit so that the
+    /// caller can [`SetAssocCache::hit_again`] it without a probe.
+    #[inline]
+    pub(crate) fn access_slot(&mut self, key: u64) -> Option<usize> {
         self.tick += 1;
         let set = self.set_of(key);
-        match self.slots[set].iter_mut().find(|s| s.holds(key)) {
-            Some(slot) => {
-                slot.tick = self.tick;
+        match self.slots[set.clone()].iter().position(|s| s.holds(key)) {
+            Some(way) => {
+                let slot = set.start + way;
+                self.slots[slot].tick = self.tick;
                 self.hits += 1;
-                true
+                Some(slot)
             }
             None => {
                 self.misses += 1;
-                false
+                None
             }
         }
+    }
+
+    /// Exactly what `n` more accesses of the key `slot` holds do: each
+    /// bumps the clock and stamps the slot, so only the last stamp stays.
+    #[inline]
+    pub(crate) fn hit_again(&mut self, slot: usize, n: u64) {
+        self.tick += n;
+        self.slots[slot].tick = self.tick;
+        self.hits += n;
+    }
+
+    /// Exactly what `n` more accesses of an absent key do.
+    #[inline]
+    pub(crate) fn miss_again(&mut self, n: u64) {
+        self.tick += n;
+        self.misses += n;
     }
 
     /// Whether `key` is cached, without touching recency or counters.
@@ -213,8 +237,10 @@ impl CacheSnapshot {
     /// # Errors
     ///
     /// Describes the first inconsistency: no sets or no ways, a slot count
-    /// that is not `sets * ways` (or a product that overflows), or an
-    /// occupied slot with tick 0, which is how an empty way is stored.
+    /// that is not `sets * ways` (or a product that overflows), an occupied
+    /// slot with tick 0 (which is how an empty way is stored), a tick above
+    /// the clock, a key outside its own set, one tick stored twice (the
+    /// clock is bumped before every store) or one key held twice.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let sets = usize::try_from(self.sets).unwrap_or(0);
         let ways = usize::try_from(self.ways).unwrap_or(0);
@@ -226,10 +252,33 @@ impl CacheSnapshot {
                 self.slots.len()
             ));
         }
-        match self.slots.iter().position(|s| matches!(s, Some((_, 0)))) {
-            Some(i) => Err(format!("cache slot {i} is occupied with tick 0")),
-            None => Ok(()),
+        let mut ticks = Vec::new();
+        let mut keys = Vec::new();
+        for (i, slot) in self.slots.iter().enumerate() {
+            let Some((key, tick)) = *slot else { continue };
+            if tick == 0 {
+                return Err(format!("cache slot {i} is occupied with tick 0"));
+            }
+            if tick > self.tick {
+                return Err(format!("cache slot {i} has tick {tick} above the clock {}", self.tick));
+            }
+            // `key & mask` and `key % sets` name the same set.
+            if key % self.sets != (i / ways) as u64 {
+                return Err(format!("cache slot {i} holds key {key} of set {}", key % self.sets));
+            }
+            ticks.push((tick, i));
+            keys.push((key, i));
         }
+        ticks.sort_unstable();
+        if let Some(w) = ticks.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("cache slots {} and {} share tick {}", w[0].1, w[1].1, w[0].0));
+        }
+        // Every key is in its own set by now, so a repeat is within one set.
+        keys.sort_unstable();
+        if let Some(w) = keys.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("cache slots {} and {} both hold key {}", w[0].1, w[1].1, w[0].0));
+        }
+        Ok(())
     }
 }
 
@@ -314,6 +363,16 @@ mod tests {
             (image(1 << 63, 2, vec![]), "does not describe 0 slots"),
             (image(u64::MAX, u64::MAX, vec![None]), "does not describe 1 slots"),
             (image(1, 2, vec![Some((5, 1)), Some((7, 0))]), "slot 1 is occupied with tick 0"),
+            (image(1, 2, vec![None, Some((7, 10))]), "slot 1 has tick 10 above the clock 9"),
+            (image(1, 2, vec![Some((5, 4)), Some((7, 4))]), "slots 0 and 1 share tick 4"),
+            (image(1, 2, vec![Some((5, 4)), Some((5, 6))]), "slots 0 and 1 both hold key 5"),
+            (
+                image(2, 2, vec![Some((4, 1)), None, Some((7, 2)), Some((7, 3))]),
+                "slots 2 and 3 both hold key 7",
+            ),
+            // 5 is odd: set 1 by `key & 1` with two sets, set 2 by `% 3`.
+            (image(2, 1, vec![Some((5, 1)), None]), "slot 0 holds key 5 of set 1"),
+            (image(3, 1, vec![None, Some((5, 1)), None]), "slot 1 holds key 5 of set 2"),
         ] {
             let err = SetAssocCache::from_snapshot(&bad).unwrap_err();
             assert!(err.contains(why), "{err}");

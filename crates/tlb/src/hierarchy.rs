@@ -98,6 +98,29 @@ pub struct TlbHierarchy {
     l1_hits: u64,
     l2_hits: u64,
     misses: u64,
+    /// The L1 slot the last lookup hit. Derived state, not model state:
+    /// kept out of [`TlbSnapshot`], cleared by every fill, invalidation,
+    /// flush and L1 miss, and never set by a restore.
+    memo: Option<L1Memo>,
+}
+
+/// An L1 slot that holds the translation of one page, and what a repeated
+/// lookup of that page touches: a 2 MiB entry is found by the first probe,
+/// a 4 KiB entry only after the 2 MiB L1 has missed.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct L1Memo {
+    huge: bool,
+    key: u64,
+    slot: usize,
+}
+
+impl L1Memo {
+    /// Whether `va` lies in the remembered page.
+    #[inline(always)]
+    pub(crate) fn covers(self, va: VirtAddr) -> bool {
+        let shift = if self.huge { PageSize::Huge2M.shift() } else { PageSize::Base4K.shift() };
+        va.raw() >> shift == self.key
+    }
 }
 
 #[inline]
@@ -131,24 +154,61 @@ impl TlbHierarchy {
             l1_hits: 0,
             l2_hits: 0,
             misses: 0,
+            memo: None,
         }
     }
 
     /// Probes the hierarchy for `va` (either page size).
     #[inline(always)]
     pub fn lookup(&mut self, va: VirtAddr) -> TlbHit {
+        if let Some(memo) = self.memo.filter(|m| m.covers(va)) {
+            self.hit_memo(memo, 1);
+            return TlbHit::L1;
+        }
         self.lookups += 1;
-        if self.l1_2m.access(key_2m(va)) || self.l1_4k.access(key_4k(va)) {
+        let huge = key_2m(va);
+        if let Some(slot) = self.l1_2m.access_slot(huge) {
             self.l1_hits += 1;
+            self.memo = Some(L1Memo { huge: true, key: huge, slot });
+            return TlbHit::L1;
+        }
+        let base = key_4k(va);
+        if let Some(slot) = self.l1_4k.access_slot(base) {
+            self.l1_hits += 1;
+            self.memo = Some(L1Memo { huge: false, key: base, slot });
             return TlbHit::L1;
         }
         self.lookup_l2(va)
+    }
+
+    /// The page the last lookup hit in an L1, while nothing since has
+    /// changed a slot: every lookup inside it is an L1 hit on that slot.
+    #[inline(always)]
+    pub(crate) fn memo(&self) -> Option<L1Memo> {
+        self.memo
+    }
+
+    /// Exactly what `n` lookups inside `memo`'s page do. Each structure
+    /// has its own clock and an L1 hit touches nothing else, so `n` hits
+    /// are `n` ticks, the last of them stamped on the slot; a 4 KiB hit
+    /// also counts the 2 MiB L1's miss. The L2 is not probed.
+    #[inline(always)]
+    pub(crate) fn hit_memo(&mut self, memo: L1Memo, n: u64) {
+        self.lookups += n;
+        self.l1_hits += n;
+        if memo.huge {
+            self.l1_2m.hit_again(memo.slot, n);
+        } else {
+            self.l1_2m.miss_again(n);
+            self.l1_4k.hit_again(memo.slot, n);
+        }
     }
 
     /// The L1-miss half of [`TlbHierarchy::lookup`], out of line so the
     /// L1-hit half stays small enough to inline into a replay loop.
     #[inline(never)]
     fn lookup_l2(&mut self, va: VirtAddr) -> TlbHit {
+        self.memo = None;
         // Hardware refills the L1 from the L2; model that so repeated
         // accesses hit L1. The L2 key that matched carries the size.
         if self.l2.access(l2_key(va, PageSize::Huge2M)) {
@@ -167,6 +227,7 @@ impl TlbHierarchy {
     /// and L2, as the page-walker does after a miss.
     #[inline]
     pub fn fill(&mut self, va: VirtAddr, size: PageSize) {
+        self.memo = None;
         match size {
             PageSize::Base4K => self.l1_4k.fill(key_4k(va)),
             PageSize::Huge2M => self.l1_2m.fill(key_2m(va)),
@@ -177,6 +238,7 @@ impl TlbHierarchy {
     /// Invalidates any entries covering `va` (TLB shootdown after migration
     /// or unmap).
     pub fn invalidate(&mut self, va: VirtAddr) {
+        self.memo = None;
         self.l1_4k.invalidate(key_4k(va));
         self.l1_2m.invalidate(key_2m(va));
         self.l2.invalidate(l2_key(va, PageSize::Base4K));
@@ -185,6 +247,7 @@ impl TlbHierarchy {
 
     /// Drops every cached translation (context switch with full flush).
     pub fn flush(&mut self) {
+        self.memo = None;
         self.l1_4k.flush();
         self.l1_2m.flush();
         self.l2.flush();
@@ -224,6 +287,7 @@ impl TlbHierarchy {
             l1_hits: snap.counters[1],
             l2_hits: snap.counters[2],
             misses: snap.counters[3],
+            memo: None,
         })
     }
 }

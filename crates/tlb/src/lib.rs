@@ -36,5 +36,6 @@ mod walk;
 
 pub use cache::{CacheSnapshot, SetAssocCache};
 pub use hierarchy::{TlbConfig, TlbGeometry, TlbHierarchy, TlbHit, TlbSnapshot};
-pub use sim::{Access, MemorySim, MissHandler, MissHandling, NoScheme, SimReport};
+pub use contig_types::Access;
+pub use sim::{MemorySim, MissHandler, MissHandling, NoScheme, SimReport};
 pub use walk::{TranslationBackend, WalkCostModel, WalkResult};

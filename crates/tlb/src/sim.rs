@@ -7,33 +7,10 @@
 //! outcomes feed the linear performance model.
 
 use contig_trace::{TraceEvent, Tracer};
-use contig_types::VirtAddr;
+use contig_types::Access;
 
-use crate::hierarchy::{TlbConfig, TlbHierarchy, TlbHit};
+use crate::hierarchy::{L1Memo, TlbConfig, TlbHierarchy, TlbHit};
 use crate::walk::{TranslationBackend, WalkCostModel, WalkResult};
-
-/// One simulated memory reference.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Access {
-    /// Program counter of the memory instruction (SpOT's prediction index).
-    pub pc: u64,
-    /// Referenced virtual address.
-    pub va: VirtAddr,
-    /// Whether the access writes.
-    pub write: bool,
-}
-
-impl Access {
-    /// A read access.
-    pub fn read(pc: u64, va: VirtAddr) -> Self {
-        Self { pc, va, write: false }
-    }
-
-    /// A write access.
-    pub fn write(pc: u64, va: VirtAddr) -> Self {
-        Self { pc, va, write: true }
-    }
-}
 
 /// How an attached scheme handled one last-level TLB miss.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -247,7 +224,8 @@ impl MemorySim {
         }
     }
 
-    /// Runs a whole trace.
+    /// Runs a whole trace, with the same effect as [`MemorySim::step`] on
+    /// each access in turn.
     ///
     /// # Panics
     ///
@@ -258,16 +236,36 @@ impl MemorySim {
         handler: &mut dyn MissHandler,
         trace: impl IntoIterator<Item = Access>,
     ) {
-        // The tracer is tested once, not per access: each loop inlines
-        // `step_as` with `traced` a constant.
-        if self.tracer.is_enabled() {
-            for access in trace {
-                self.step_as(backend, handler, access, true);
+        let traced = self.tracer.is_enabled();
+        let mut trace = trace.into_iter();
+        let mut next = trace.next();
+        while let Some(access) = next {
+            self.step_as(backend, handler, access, traced);
+            next = trace.next();
+            // The accesses that follow on the page this one hit in an L1
+            // hit the same slot: count them with one compare each and
+            // apply them at once.
+            let Some(memo) = self.tlb.memo() else { continue };
+            let mut repeats = 0;
+            while next.is_some_and(|a| memo.covers(a.va)) {
+                repeats += 1;
+                next = trace.next();
             }
-        } else {
-            for access in trace {
-                self.step_as(backend, handler, access, false);
+            if repeats != 0 {
+                self.repeat_l1_hits(memo, repeats, traced);
             }
+        }
+    }
+
+    /// `n` more L1 hits on `memo`'s page, as `n` steps would count them.
+    #[inline(always)]
+    fn repeat_l1_hits(&mut self, memo: L1Memo, n: u64, traced: bool) {
+        self.tlb.hit_memo(memo, n);
+        self.report.accesses += n;
+        self.report.l1_hits += n;
+        if traced {
+            self.tracer.add("tlb.access", n);
+            self.tracer.add("tlb.l1_hit", n);
         }
     }
 
@@ -280,7 +278,7 @@ impl MemorySim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contig_types::{PageSize, PhysAddr};
+    use contig_types::{PageSize, PhysAddr, VirtAddr};
 
     struct Identity {
         size: PageSize,

@@ -5,9 +5,11 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 
 use contig_tlb::{
-    CacheSnapshot, SetAssocCache, TlbConfig, TlbGeometry, TlbHierarchy, TlbHit, TlbSnapshot,
+    Access, CacheSnapshot, MemorySim, MissHandler, MissHandling, SetAssocCache, TlbConfig,
+    TlbGeometry, TlbHierarchy, TlbHit, TlbSnapshot, TranslationBackend, WalkResult,
 };
-use contig_types::{PageSize, VirtAddr};
+use contig_trace::TraceSession;
+use contig_types::{PageSize, PhysAddr, VirtAddr};
 
 #[derive(Clone, Debug)]
 enum CacheOp {
@@ -296,23 +298,152 @@ fn geometry() -> impl Strategy<Value = (usize, usize)> {
 #[derive(Clone, Debug)]
 enum TlbOp {
     Lookup(u64),
+    /// `n` lookups from `va` on, inside its 4 KiB page or (`true`) its
+    /// 2 MiB region: see `run_va`.
+    Run(u64, u64, bool),
     Fill(u64, bool),
     Invalidate(u64),
     Flush,
+    RoundTrip,
 }
 
 /// Byte addresses inside 16 MiB: 4 096 base pages over 8 huge regions, so
-/// both sizes alias, L1s thrash and the scaled L2s evict.
+/// both sizes alias, L1s thrash and the scaled L2s evict. Runs repeat one
+/// page, the case the remembered L1 slot serves.
 fn tlb_op() -> impl Strategy<Value = TlbOp> {
     let va = 0u64..16 << 20;
     prop_oneof![
         va.clone().prop_map(TlbOp::Lookup),
         va.clone().prop_map(TlbOp::Lookup),
+        (va.clone(), 1u64..48, any::<bool>()).prop_map(|(va, n, huge)| TlbOp::Run(va, n, huge)),
+        (va.clone(), 1u64..48, any::<bool>()).prop_map(|(va, n, huge)| TlbOp::Run(va, n, huge)),
         (va.clone(), any::<bool>()).prop_map(|(va, huge)| TlbOp::Fill(va, huge)),
         (va.clone(), any::<bool>()).prop_map(|(va, huge)| TlbOp::Fill(va, huge)),
         va.prop_map(TlbOp::Invalidate),
-        (0u64..16).prop_map(|n| if n == 0 { TlbOp::Flush } else { TlbOp::Lookup(n << 12) }),
+        (0u64..16).prop_map(|n| match n {
+            0 => TlbOp::Flush,
+            1 => TlbOp::RoundTrip,
+            _ => TlbOp::Lookup(n << 12),
+        }),
     ]
+}
+
+/// The `k`-th address of a run from `va`: 72 bytes on each time inside its
+/// 4 KiB page, or 1 400 bytes on inside its 2 MiB region (about three
+/// lookups a page).
+fn run_va(va: u64, k: u64, huge: bool) -> VirtAddr {
+    let (span, stride) = if huge { (1u64 << 21, 1_400) } else { (1 << 12, 72) };
+    VirtAddr::new((va & !(span - 1)) | ((va + k * stride) & (span - 1)))
+}
+
+/// Identity translation in which odd 2 MiB regions are one huge page and
+/// even ones are 4 KiB pages, with a reference count that varies by page so
+/// that walk cycles do too.
+struct Mixed;
+
+impl TranslationBackend for Mixed {
+    fn walk(&self, va: VirtAddr) -> Option<WalkResult> {
+        let huge = (va.raw() >> 21) & 1 == 1;
+        let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
+        Some(WalkResult {
+            pa: PhysAddr::new(va.raw()),
+            size,
+            refs: 3 + (va.raw() >> 12) as u32 % 22,
+            contig: false,
+            write: true,
+        })
+    }
+}
+
+/// A scheme that records every miss it is handed and answers by page, so
+/// that all four outcomes are tallied.
+#[derive(Default)]
+struct Recording(Vec<Access>);
+
+impl MissHandler for Recording {
+    fn on_miss(&mut self, access: Access, _walk: &WalkResult) -> MissHandling {
+        self.0.push(access);
+        match (access.va.raw() >> 12) % 4 {
+            0 => MissHandling::Exposed,
+            1 => MissHandling::Hidden,
+            2 => MissHandling::PredictedCorrect,
+            _ => MissHandling::Mispredicted,
+        }
+    }
+}
+
+/// A local trace as stretches `(move, target, count)`: move 0–3 stays on
+/// the page, 4–5 steps to the next page, 6 to the next 2 MiB region and 7
+/// jumps to `target`, inside 64 MiB; then `count` accesses land on the page.
+fn stretch() -> impl Strategy<Value = (u8, u64, u64)> {
+    (0u8..8, 0u64..64 << 20, 1u64..40)
+}
+
+fn local_trace(stretches: &[(u8, u64, u64)]) -> Vec<Access> {
+    let mut trace = Vec::new();
+    let mut va = 0u64;
+    for &(step, target, count) in stretches {
+        va = match step {
+            0..=3 => va,
+            4 | 5 => va + (1 << 12),
+            6 => va + (1 << 21),
+            _ => target,
+        } % (64 << 20);
+        for k in 0..count {
+            let addr = VirtAddr::new((va & !0xfff) | ((va + k * 56) & 0xfff));
+            let pc = 0x400 + 8 * (k % 3);
+            trace.push(if k % 5 == 0 { Access::write(pc, addr) } else { Access::read(pc, addr) });
+        }
+    }
+    trace
+}
+
+/// Replays `trace` through two simulators of one geometry, one calling
+/// `run` per chunk and the other `step` per access, and requires them to
+/// agree after every chunk: report, hierarchy counters, the whole snapshot
+/// and the misses each scheme was handed. `cuts` end chunks, flushing both
+/// before the next where they say so. With `traced`, each has a session,
+/// and the two sessions' metrics and records must be equal too.
+fn run_against_steps(config: TlbConfig, trace: &[Access], cuts: &[(usize, bool)], traced: bool) {
+    let sessions = [TraceSession::ring(0), TraceSession::ring(0)];
+    let mut sims = [(); 2].map(|()| MemorySim::new(config, Default::default()));
+    if traced {
+        for (sim, session) in sims.iter_mut().zip(&sessions) {
+            sim.set_tracer(session.tracer());
+        }
+    }
+    let mut seen = [Recording::default(), Recording::default()];
+    let mut cuts = cuts.to_vec();
+    cuts.push((trace.len(), false));
+    cuts.sort_unstable();
+    let mut start = 0;
+    for (i, &(end, flush)) in cuts.iter().enumerate() {
+        let chunk = &trace[start..end.clamp(start, trace.len())];
+        start += chunk.len();
+        let [batched, stepped] = &mut sims;
+        batched.run(&Mixed, &mut seen[0], chunk.iter().copied());
+        for &access in chunk {
+            stepped.step(&Mixed, &mut seen[1], access);
+        }
+        assert_eq!(batched.report(), stepped.report(), "chunk {i}");
+        assert_eq!(batched.tlb().stats(), stepped.tlb().stats(), "chunk {i}");
+        assert_eq!(batched.tlb().snapshot(), stepped.tlb().snapshot(), "chunk {i}");
+        assert_eq!(seen[0].0, seen[1].0, "chunk {i}");
+        if flush {
+            sims.iter_mut().for_each(MemorySim::flush_tlbs);
+        }
+    }
+    let report = sims[0].report();
+    assert_eq!(report.accesses, trace.len() as u64);
+    if traced {
+        let [batched, stepped] = sessions.each_ref().map(TraceSession::metrics);
+        assert_eq!(batched.counter("tlb.access"), report.accesses);
+        assert_eq!(batched.counter("tlb.l1_hit"), report.l1_hits);
+        let cycles = batched.histograms().find(|&(name, _)| name == "tlb.walk_cycles");
+        assert_eq!(cycles.map_or(0, |(_, h)| h.sum()), report.walk_cycles);
+        assert_eq!(batched, stepped);
+        assert_eq!(sessions[0].records(), sessions[1].records());
+    }
 }
 
 fn tlb_config() -> impl Strategy<Value = TlbConfig> {
@@ -429,6 +560,12 @@ proptest! {
                     let va = VirtAddr::new(va);
                     prop_assert_eq!(new.lookup(va), old.lookup(va), "op {}: lookup {}", i, va);
                 }
+                TlbOp::Run(va, n, huge) => {
+                    for k in 0..n {
+                        let va = run_va(va, k, huge);
+                        prop_assert_eq!(new.lookup(va), old.lookup(va), "op {}: run {}", i, va);
+                    }
+                }
                 TlbOp::Fill(va, huge) => {
                     let size = if huge { PageSize::Huge2M } else { PageSize::Base4K };
                     let va = VirtAddr::new(va).align_down(size);
@@ -443,6 +580,10 @@ proptest! {
                     new.flush();
                     old.flush();
                 }
+                // The old hierarchy keeps nothing beside its image.
+                TlbOp::RoundTrip => {
+                    new = TlbHierarchy::from_snapshot(&new.snapshot()).expect("own image");
+                }
             }
             let snap = new.snapshot();
             prop_assert_eq!(&snap, &old.snapshot(), "op {}: {:?}", i, op);
@@ -451,6 +592,30 @@ proptest! {
         }
         let restored = TlbHierarchy::from_snapshot(&new.snapshot()).expect("own image");
         prop_assert_eq!(restored.snapshot(), old.snapshot());
+    }
+
+    /// `run` batches a run of L1 hits on one page into one update; it must
+    /// leave every counter, tick and slot, and every miss a scheme sees,
+    /// as `step` per access does, across chunk ends and flushes.
+    #[test]
+    fn run_matches_per_access_steps(
+        config in tlb_config(),
+        stretches in proptest::collection::vec(stretch(), 1..40),
+        cuts in proptest::collection::vec((0usize..1_600, any::<bool>()), 0..6),
+    ) {
+        run_against_steps(config, &local_trace(&stretches), &cuts, false);
+    }
+
+    /// The same with a trace session on each: batched hits add to the
+    /// `tlb.access` and `tlb.l1_hit` counters once per run, and the
+    /// sessions end equal.
+    #[test]
+    fn traced_run_matches_per_access_steps(
+        config in tlb_config(),
+        stretches in proptest::collection::vec(stretch(), 1..40),
+        cuts in proptest::collection::vec((0usize..1_600, any::<bool>()), 0..6),
+    ) {
+        run_against_steps(config, &local_trace(&stretches), &cuts, true);
     }
 
     /// Hierarchy soundness: after a fill, a lookup of any address inside the

@@ -127,6 +127,30 @@ byte_address! {
     PhysAddr, Pfn
 }
 
+/// One memory reference: what the workload generators yield and the TLB
+/// simulator replays.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Access {
+    /// Program counter of the memory instruction (SpOT's prediction index).
+    pub pc: u64,
+    /// Referenced virtual address.
+    pub va: VirtAddr,
+    /// Whether the access writes.
+    pub write: bool,
+}
+
+impl Access {
+    /// A read access.
+    pub fn read(pc: u64, va: VirtAddr) -> Self {
+        Self { pc, va, write: false }
+    }
+
+    /// A write access.
+    pub fn write(pc: u64, va: VirtAddr) -> Self {
+        Self { pc, va, write: true }
+    }
+}
+
 /// The signed distance `virtual_address - physical_address` shared by every
 /// page of one contiguous virtual-to-physical mapping.
 ///

@@ -32,7 +32,7 @@ pub mod json;
 mod page;
 mod range;
 
-pub use addr::{MapOffset, PhysAddr, VirtAddr};
+pub use addr::{Access, MapOffset, PhysAddr, VirtAddr};
 pub use error::{AllocError, ContigError, FaultError, TranslateError};
 pub use hash::{fnv1a64, Fnv1a64};
 pub use inject::{

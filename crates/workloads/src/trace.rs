@@ -3,21 +3,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use contig_types::VirtAddr;
+use contig_types::{Access, VirtAddr};
 
 use crate::spec::{AccessPhase, PhaseKind, WorkloadSpec};
-
-/// One generated memory reference (mirrors `contig_tlb::Access` without the
-/// dependency).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceAccess {
-    /// Program counter of the instruction.
-    pub pc: u64,
-    /// Referenced virtual address.
-    pub va: VirtAddr,
-    /// Whether the access writes.
-    pub write: bool,
-}
 
 /// A deterministic, infinite access-trace generator.
 ///
@@ -80,7 +68,7 @@ impl TraceGenerator {
     }
 
     /// Generates the next reference.
-    pub fn next_access(&mut self) -> TraceAccess {
+    pub fn next_access(&mut self) -> Access {
         let pick = self.rng.gen_range(0..self.total_weight);
         let idx = self.cumulative.partition_point(|&c| c <= pick);
         let state = &mut self.phases[idx];
@@ -100,7 +88,7 @@ impl TraceGenerator {
                 (start + self.rng.gen_range(0..window)) & !0x7
             }
         };
-        TraceAccess {
+        Access {
             pc: state.phase.pc,
             va: VirtAddr::new(state.vma_base + offset % state.vma_len),
             write: state.phase.write,
@@ -108,7 +96,7 @@ impl TraceGenerator {
     }
 
     /// A bounded iterator of `count` references.
-    pub fn take_accesses(&mut self, count: u64) -> impl Iterator<Item = TraceAccess> + '_ {
+    pub fn take_accesses(&mut self, count: u64) -> impl Iterator<Item = Access> + '_ {
         (0..count).map(move |_| self.next_access())
     }
 }

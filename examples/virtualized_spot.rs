@@ -45,14 +45,9 @@ fn main() -> Result<(), contig_types::FaultError> {
     let backend = VmBackend::new(&vm, pid);
     let mut spot = SpotPredictor::new(SpotConfig::default());
     let mut sim = MemorySim::new(TlbConfig::broadwell_scaled(1024), Default::default());
-    for _ in 0..accesses {
-        let a = gen.next_access();
-        // Skip file-backed edges in this standalone example (anon-only VMAs).
-        if spec.vmas[1].range().contains(a.va) {
-            continue;
-        }
-        sim.step(&backend, &mut spot, Access { pc: a.pc, va: a.va, write: a.write });
-    }
+    // Skip file-backed edges in this standalone example (anon-only VMAs).
+    let trace = gen.take_accesses(accesses).filter(|a| !spec.vmas[1].range().contains(a.va));
+    sim.run(&backend, &mut spot, trace);
 
     let report = sim.report();
     let stats = spot.stats();

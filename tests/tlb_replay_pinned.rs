@@ -88,12 +88,7 @@ fn seeded_pagerank_replay_is_pinned() {
     let instance = contig::sim::install_in_vm(&spec, &mut vm);
     contig::sim::populate_vm(&mut vm, &instance, &mut Vec::new()).expect("PageRank fits");
     let mut gen = TraceGenerator::new(&spec, SEED);
-    let trace: Vec<Access> = (0..ACCESSES)
-        .map(|_| {
-            let a = gen.next_access();
-            Access { pc: a.pc, va: a.va, write: a.write }
-        })
-        .collect();
+    let trace: Vec<Access> = gen.take_accesses(ACCESSES as u64).collect();
 
     let backend = VmBackend::new(&vm, instance.pid);
     let mut spot = SpotPredictor::new(SpotConfig::default());
