@@ -6,6 +6,7 @@ use contig_types::{PageSize, Pfn, VirtAddr};
 
 use crate::page_table::PageTable;
 use crate::stats::FaultStats;
+use crate::system::{Pid, System};
 use crate::vma::Vma;
 
 /// The classes of page fault the simulator services (paper §III-C,
@@ -66,7 +67,9 @@ pub struct FaultCtx<'a> {
 /// The fault driver calls [`PlacementPolicy::on_fault`] once per fault, then
 /// loops through [`PlacementPolicy::on_target_busy`] while targeted
 /// allocations fail, and finally reports the mapped frame through
-/// [`PlacementPolicy::post_map`].
+/// [`PlacementPolicy::post_map`]. A policy that drags a daemon along runs it
+/// in [`PlacementPolicy::tick`], which whoever drives the faults calls
+/// between batches of them.
 ///
 /// Policies are `Send` so systems and virtual machines holding them can move
 /// between experiment threads.
@@ -96,6 +99,22 @@ pub trait PlacementPolicy: Send {
     /// pages and promotes asynchronously).
     fn prefers_base_pages(&self) -> bool {
         false
+    }
+
+    /// Background work between batches of faults over `pids`: a
+    /// defragmentation epoch, a promotion pass. The default does nothing.
+    fn tick(&mut self, sys: &mut System, pids: &[Pid]) {
+        let _ = (sys, pids);
+    }
+
+    /// Base pages [`PlacementPolicy::tick`] has migrated so far.
+    fn pages_migrated(&self) -> u64 {
+        0
+    }
+
+    /// TLB shootdowns [`PlacementPolicy::tick`] has issued so far.
+    fn shootdowns(&self) -> u64 {
+        0
     }
 }
 
