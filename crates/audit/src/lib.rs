@@ -99,8 +99,8 @@ pub struct VmAuditReport {
     /// Composition violations between the two dimensions.
     pub(crate) violations: Vec<VmAuditViolation>,
     /// Guest 4 KiB pages that are mapped in a guest page table and fully
-    /// backed by host memory (counted per guest mapping: a KSM-shared host
-    /// frame reachable from several guest pages contributes once per page).
+    /// backed by host memory (counted per guest mapping: a guest frame that
+    /// several guest pages share through COW counts once per page).
     pub(crate) backed_pages: u64,
     /// Guest mappings whose guest-physical frame currently has no host
     /// backing at all — legal after a nested-fault OOM, healed on the next
@@ -248,8 +248,7 @@ mod tests {
             .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 4 << 20), VmaKind::Anon);
         vm.populate_vma(pid, vma).unwrap();
         let hpa = vm.translate_2d(pid, VirtAddr::new(0x40_0000)).unwrap().hpa;
-        let report = vm.poison_host_frame(contig_types::Pfn::new(hpa.raw() / 4096));
-        assert!(report.rebacked);
+        vm.poison_host_frame(contig_types::Pfn::new(hpa.raw() / 4096));
         let audit = audit_vm(&vm);
         assert!(audit.is_clean(), "{audit}");
         assert!(vm.host().machine().poisoned_frames() > 0);

@@ -10,17 +10,6 @@
 use contig_mm::{FaultCtx, PageTable, Placement, PlacementPolicy, Pid, Pte, PteFlags, System};
 use contig_types::{PageSize, VirtAddr, PAGES_PER_HUGE};
 
-/// Counters exposed by the promotion daemon.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IngensStats {
-    /// Regions promoted to huge pages.
-    pub promotions: u64,
-    /// Base pages migrated during promotions.
-    pub(crate) pages_migrated: u64,
-    /// Promotion attempts skipped for lack of a free huge frame.
-    pub(crate) promotion_failures: u64,
-}
-
 /// The Ingens fault policy plus asynchronous promotion daemon.
 ///
 /// # Examples
@@ -45,7 +34,8 @@ pub struct IngensStats {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct IngensPolicy {
-    stats: IngensStats,
+    /// Base pages migrated during promotions.
+    pages_migrated: u64,
 }
 
 /// Utilization above which a 2 MiB region is promoted (the paper's 90 %).
@@ -55,11 +45,6 @@ impl IngensPolicy {
     /// Ingens with the paper's 90 % utilization threshold.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Counters accumulated so far.
-    pub fn stats(&self) -> IngensStats {
-        self.stats
     }
 
     /// One promotion-daemon pass over `pid`: promotes every 2 MiB region
@@ -74,7 +59,6 @@ impl IngensPolicy {
         };
         for region in candidates {
             let Ok(huge_frame) = sys.machine_mut().alloc_page(PageSize::Huge2M) else {
-                self.stats.promotion_failures += 1;
                 continue;
             };
             // Unmap the 4 KiB leaves (the "copy" into the huge frame),
@@ -85,7 +69,7 @@ impl IngensPolicy {
                 for i in 0..PAGES_PER_HUGE {
                     let va = region + i * PageSize::Base4K.bytes();
                     if let Some((pte, PageSize::Base4K)) = pt.unmap(va) {
-                        self.stats.pages_migrated += 1;
+                        self.pages_migrated += 1;
                         old_frames.push(pte.pfn);
                     }
                 }
@@ -94,7 +78,6 @@ impl IngensPolicy {
             for pfn in old_frames {
                 sys.machine_mut().free_page(pfn, PageSize::Base4K);
             }
-            self.stats.promotions += 1;
         }
     }
 }
@@ -141,7 +124,7 @@ impl PlacementPolicy for IngensPolicy {
     }
 
     fn pages_migrated(&self) -> u64 {
-        self.stats.pages_migrated
+        self.pages_migrated
     }
 }
 
@@ -181,7 +164,6 @@ mod tests {
         sys.populate_vma(&mut ingens, pid, vma).unwrap();
         let free_before = sys.machine().free_frames();
         ingens.promote(&mut sys, pid);
-        assert_eq!(ingens.stats().promotions, 2);
         assert_eq!(sys.aspace(pid).page_table().mapped_huge_pages(), 2);
         assert_eq!(sys.aspace(pid).page_table().mapped_base_pages(), 0);
         // Memory usage unchanged: 1024 pages freed, 2 huge frames allocated.
@@ -201,7 +183,6 @@ mod tests {
             sys.touch(&mut ingens, pid, VirtAddr::new(0x40_0000 + i * 4096)).unwrap();
         }
         ingens.promote(&mut sys, pid);
-        assert_eq!(ingens.stats().promotions, 0);
         assert_eq!(sys.aspace(pid).page_table().mapped_huge_pages(), 0);
     }
 }

@@ -16,6 +16,7 @@
 use std::fmt;
 use std::str::FromStr;
 
+use contig_check::ConfigError;
 use contig_sim::Env;
 use contig_workloads::Scale;
 
@@ -37,6 +38,8 @@ pub enum UsageError {
         /// What followed it.
         value: String,
     },
+    /// The flags describe a torture run no machine can be built for.
+    Config(ConfigError),
 }
 
 impl fmt::Display for UsageError {
@@ -47,6 +50,7 @@ impl fmt::Display for UsageError {
             Self::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
             Self::MissingValue(flag) => write!(f, "{flag} needs a value"),
             Self::BadValue { flag, value } => write!(f, "{flag} expects a number, got {value}"),
+            Self::Config(e) => write!(f, "{e}"),
         }
     }
 }

@@ -38,7 +38,7 @@ fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
         replay: None,
         emit: "torture_min.jsonl".to_string(),
     };
-    parse(argv, defaults, |Args { cfg, replay, emit }, flag, values| {
+    let args = parse(argv, defaults, |Args { cfg, replay, emit }, flag, values| {
         match flag {
             "--seed" => cfg.seed = values.num(flag)?,
             "--ops" => cfg.ops = values.num(flag)?,
@@ -54,7 +54,9 @@ fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
             _ => return unknown(flag),
         }
         Ok(())
-    })
+    })?;
+    args.cfg.check().map_err(UsageError::Config)?;
+    Ok(args)
 }
 
 fn print_report(report: &TortureReport) {

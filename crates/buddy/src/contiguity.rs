@@ -190,18 +190,6 @@ impl ContiguityMap {
         pick
     }
 
-    /// Best-fit search without moving the rover: the smallest cluster that
-    /// fits, or the largest overall. Used by the offline *ideal paging*
-    /// baseline, which plans placements from a snapshot of this map.
-    pub fn best_fit(&self, frames: u64) -> Option<Cluster> {
-        self.clusters
-            .iter()
-            .filter(|(_, &len)| len >= frames)
-            .min_by_key(|(_, &len)| len)
-            .map(|(&start, &len)| Cluster { start, frames: len })
-            .or_else(|| self.largest())
-    }
-
     /// Current rover position (for inspection and tests); `None` before the
     /// first placement.
     pub(crate) fn rover(&self) -> Option<Pfn> {
@@ -303,15 +291,6 @@ mod tests {
         // Clusters: 4 frames at 0, 8 frames at 8.
         let pick = m.next_fit(100).unwrap();
         assert_eq!(pick, Cluster { start: Pfn::new(8), frames: 8 });
-    }
-
-    #[test]
-    fn best_fit_prefers_smallest_sufficient() {
-        let m = map_with_blocks(2, &[0, 8, 12, 16, 32]);
-        // Clusters: 4@0, 12@8, 4@32.
-        assert_eq!(m.best_fit(4).unwrap().start, Pfn::new(0));
-        assert_eq!(m.best_fit(8).unwrap().start, Pfn::new(8));
-        assert_eq!(m.best_fit(64).unwrap().start, Pfn::new(8));
     }
 
     #[test]

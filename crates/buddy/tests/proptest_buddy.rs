@@ -96,12 +96,10 @@ proptest! {
         }
     }
 
-    /// The contiguity map always mirrors a reference rebuilt from scratch,
-    /// and next-fit returns a cluster that really is free.
+    /// The contiguity map always mirrors a reference rebuilt from scratch.
     #[test]
     fn contiguity_map_matches_reference(
         targets in proptest::collection::vec(0u64..8, 1..8),
-        request_frames in 1u64..4096,
     ) {
         let mut zone = Zone::new(ZoneConfig::with_frames(8192));
         for t in targets {
@@ -121,11 +119,6 @@ proptest! {
         let got: Vec<_> = zone.contiguity_map().iter().collect();
         let want: Vec<_> = reference.iter().collect();
         prop_assert_eq!(got, want);
-        if let Some(cluster) = zone.contiguity_map().best_fit(request_frames) {
-            for f in 0..cluster.frames.min(8) {
-                prop_assert!(zone.is_free(cluster.start.add(f)));
-            }
-        }
     }
 
     /// `alloc_specific` succeeds exactly when every frame of the target

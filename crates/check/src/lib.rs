@@ -42,7 +42,8 @@ pub use contig_types::json::{self, Json};
 pub use minimize::{minimize, Minimized};
 pub use replay::{decode_repro, encode_repro, read_repro};
 pub use torture::{
-    generate_ops, run_ops, run_torture, TortureConfig, TortureFailure, TortureOp, TortureReport,
+    generate_ops, run_ops, run_torture, ConfigError, TortureConfig, TortureFailure, TortureOp,
+    TortureReport,
 };
 
 #[cfg(test)]
@@ -104,7 +105,7 @@ mod tests {
     }
 
     #[test]
-    fn tlb_snapshot_survives_the_codec_and_restores() {
+    fn tlb_snapshot_survives_the_codec() {
         use contig_tlb::{TlbConfig, TlbHierarchy, TlbSnapshot};
         let mut tlb = TlbHierarchy::new(TlbConfig::broadwell_scaled(5));
         for page in 0..400u64 {
@@ -116,39 +117,6 @@ mod tests {
         let decoded = json::decode::<TlbSnapshot>(&line, "tlb").unwrap();
         assert_eq!(decoded, snap);
         assert_eq!(fnv1a64(line.as_bytes()), digest_tlb(&snap));
-        assert_eq!(TlbHierarchy::from_snapshot(&decoded).unwrap().snapshot(), snap);
-    }
-
-    /// A decoded TLB image either restores or is refused with a decode
-    /// error: no geometry or slot in it reaches an index, a division or an
-    /// allocation unchecked.
-    #[test]
-    fn hostile_tlb_snapshots_are_refused_not_restored() {
-        let image = |sets: &str, ways: &str, slots: &str| {
-            format!(r#"{{"sets":{sets},"ways":{ways},"slots":{slots},"tick":1,"hits":0,"misses":0}}"#)
-        };
-        let good = image("1", "2", "[[5,1],null]");
-        let decode = |l2: &str| {
-            let doc = format!(r#"{{"l1_4k":{good},"l1_2m":{good},"l2":{l2},"counters":[0,0,0,0]}}"#);
-            json::decode::<contig_tlb::TlbSnapshot>(&doc, "not JSON")
-        };
-        assert!(contig_tlb::TlbHierarchy::from_snapshot(&decode(&good).unwrap()).is_ok());
-        for (l2, why) in [
-            (image("0", "0", "[]"), "0 sets x 0 ways"),
-            (image("0", "2", "[]"), "0 sets x 2 ways"),
-            (image("3", "0", "[]"), "3 sets x 0 ways"),
-            (image("2", "2", "[null,null,null]"), "does not describe 3 slots"),
-            (image("9223372036854775808", "2", "[]"), "does not describe 0 slots"),
-            (image("18446744073709551615", "18446744073709551615", "[null]"), "1 slots"),
-            (image("1", "2", "[[5,1],[7,0]]"), "slot 1 is occupied with tick 0"),
-            (image("1", "2", "[[5,1],[7,2]]"), "slot 1 has tick 2 above the clock 1"),
-            (image("2", "1", "[[5,1],null]"), "slot 0 holds key 5 of set 1"),
-            (image("18446744073709551616", "1", "[]"), "sets"),
-            (image("1", "1", "[[5]]"), "l2: slots: [0]: not a 2-element array"),
-        ] {
-            let err = decode(&l2).unwrap_err();
-            assert!(err.contains(why), "{l2}: {err}");
-        }
     }
 
     /// A mapping whose frame number cannot be packed into a page-table

@@ -55,7 +55,8 @@ pub fn encode_repro(cfg: &TortureConfig, ops: &[TortureOp]) -> String {
 ///
 /// # Errors
 ///
-/// Rejects unknown formats, newer versions, and malformed lines.
+/// Rejects unknown formats, newer versions, malformed lines, and a header
+/// [`TortureConfig::check`] refuses.
 pub fn decode_repro(text: &str) -> Result<(TortureConfig, Vec<TortureOp>), String> {
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
     let header_line = lines.next().ok_or("empty repro file")?;
@@ -102,6 +103,7 @@ pub fn decode_repro(text: &str) -> Result<(TortureConfig, Vec<TortureOp>), Strin
         shards: or_default(&header, "shards")?,
         daemon: or_default(&header, "daemon")?,
     };
+    cfg.check().map_err(|e| e.to_string())?;
     let mut ops = Vec::new();
     for op_line in lines {
         ops.push(decode(op_line, "bad op line")?);

@@ -339,6 +339,54 @@ impl TortureConfig {
     pub fn with_seed_and_ops(seed: u64, ops: usize) -> Self {
         Self { seed, ops, ..Self::default() }
     }
+
+    /// Checks that the run's guest and host machines can be built: each
+    /// has memory, and `shards` zones of at least 1 MiB fit the smaller.
+    /// [`decode_repro`](crate::decode_repro) refuses a header, and
+    /// `contig-bench torture` a command line, that fails it.
+    ///
+    /// # Errors
+    ///
+    /// The first member at fault.
+    pub fn check(&self) -> Result<(), ConfigError> {
+        for (member, mib) in [("guest_mib", self.guest_mib), ("host_mib", self.host_mib)] {
+            if mib == 0 {
+                return Err(ConfigError::NoMemory(member));
+            }
+        }
+        let mib = self.guest_mib.min(self.host_mib);
+        if self.shards as u64 > mib {
+            return Err(ConfigError::TooManyShards { shards: self.shards, mib });
+        }
+        Ok(())
+    }
+}
+
+/// A [`TortureConfig`] no machine can be built from, naming the member at
+/// fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `guest_mib` or `host_mib`, named, is zero.
+    NoMemory(&'static str),
+    /// `shards` splits the smaller machine, of `mib` MiB, into zones of
+    /// less than 1 MiB.
+    TooManyShards {
+        /// The member's value.
+        shards: usize,
+        /// The smaller machine's memory.
+        mib: u64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NoMemory(member) => write!(f, "{member}: a machine needs at least 1 MiB"),
+            Self::TooManyShards { shards, mib } => {
+                write!(f, "shards: {shards} zones of at least 1 MiB do not fit {mib} MiB")
+            }
+        }
+    }
 }
 
 /// Why a torture run failed. Op errors (OOM under injected pressure) are

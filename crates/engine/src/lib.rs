@@ -71,10 +71,6 @@ pub struct TaskCtx {
 /// Outcome of one task.
 #[derive(Clone, Debug)]
 pub struct TaskReport<R> {
-    /// Task index in `0..tasks`.
-    pub index: usize,
-    /// The seed the task ran with.
-    pub seed: u64,
     /// The task's return value, or the panic message if it panicked.
     pub outcome: Result<R, String>,
     /// Final span-profiler snapshot of the task's trace session.
@@ -120,7 +116,7 @@ fn run_task<R>(f: &impl Fn(&mut TaskCtx) -> R, base_seed: u64, index: usize) -> 
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| f(&mut ctx))).map_err(panic_message);
     let flight_jsonl = outcome.is_err().then(|| ctx.trace.flight_jsonl());
-    TaskReport { index, seed: ctx.seed, outcome, spans: ctx.trace.spans(), flight_jsonl }
+    TaskReport { outcome, spans: ctx.trace.spans(), flight_jsonl }
 }
 
 /// Runs `tasks` independent seeded tasks on `config.workers` threads
@@ -183,7 +179,6 @@ mod tests {
         let reports = run_seeded(PoolConfig::new(4), 7, 37, |ctx| ctx.index * 3);
         assert_eq!(reports.len(), 37);
         for (i, r) in reports.iter().enumerate() {
-            assert_eq!(r.index, i);
             assert_eq!(*r.ok().unwrap(), i * 3);
         }
     }
@@ -192,8 +187,8 @@ mod tests {
     fn seeds_are_independent_of_worker_count() {
         let one = run_seeded(PoolConfig::new(1), 99, 16, |ctx| ctx.seed);
         let eight = run_seeded(PoolConfig::new(8), 99, 16, |ctx| ctx.seed);
-        for (a, b) in one.iter().zip(&eight) {
-            assert_eq!(a.seed, b.seed);
+        for (i, (a, b)) in one.iter().zip(&eight).enumerate() {
+            assert_eq!(a.ok(), Some(&task_seed(99, i)));
             assert_eq!(a.ok(), b.ok());
         }
     }
@@ -204,12 +199,12 @@ mod tests {
             assert!(ctx.index != 3, "task three detonates");
             ctx.index
         });
-        for r in &reports {
-            if r.index == 3 {
+        for (i, r) in reports.iter().enumerate() {
+            if i == 3 {
                 let msg = r.outcome.as_ref().unwrap_err();
                 assert!(msg.contains("task three detonates"), "unexpected message {msg}");
             } else {
-                assert_eq!(*r.ok().unwrap(), r.index);
+                assert_eq!(*r.ok().unwrap(), i);
             }
         }
     }
@@ -240,15 +235,13 @@ mod tests {
                     // overtake each other and claim out of step.
                     std::thread::sleep(Duration::from_micros((ctx.index % 5) as u64 * 300));
                     runs[ctx.index].fetch_add(1, Ordering::Relaxed);
-                    ctx.index
+                    (ctx.index, ctx.seed)
                 });
                 assert_eq!(reports.len(), tasks, "{workers} workers, {tasks} tasks");
                 for (i, (r, ran)) in reports.iter().zip(&runs).enumerate() {
                     let ran = ran.load(Ordering::Relaxed);
                     assert_eq!(ran, 1, "{workers} workers: task {i} of {tasks} ran {ran} times");
-                    assert_eq!(r.index, i, "reports must come back in index order");
-                    assert_eq!(r.seed, task_seed(BASE, i));
-                    assert_eq!(r.ok(), Some(&i));
+                    assert_eq!(r.ok(), Some(&(i, task_seed(BASE, i))));
                 }
             }
         }
@@ -262,8 +255,8 @@ mod tests {
             assert!(ctx.index != 2, "task two detonates");
             ctx.index
         });
-        for r in &reports {
-            if r.index == 2 {
+        for (i, r) in reports.iter().enumerate() {
+            if i == 2 {
                 let dump = r.flight_jsonl.as_deref().expect("panicked task dumps flight");
                 let parsed = contig_trace::parse_jsonl(dump).expect("decodable dump");
                 assert!(!parsed.is_empty());
@@ -282,8 +275,8 @@ mod tests {
             }
             ctx.trace.metrics().counter("engine.test")
         });
-        for r in &reports {
-            assert_eq!(*r.ok().unwrap(), r.index as u64 + 1, "cross-task trace bleed");
+        for (i, r) in reports.iter().enumerate() {
+            assert_eq!(*r.ok().unwrap(), i as u64 + 1, "cross-task trace bleed");
         }
     }
 }

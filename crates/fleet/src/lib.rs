@@ -86,20 +86,7 @@ fn page_va(page: u64) -> VirtAddr {
 /// operate on 4 KiB leaves, so THP stays off (the kernel splits huge pages
 /// before KSM touches them; here we never create them).
 fn base_config(mib: u64) -> SystemConfig {
-    base_config_nodes(mib, 1)
-}
-
-/// [`base_config`] with the memory split into `nodes` equal NUMA zones
-/// (remainder MiB to the last zone; `nodes` clamped to at least 1).
-fn base_config_nodes(mib: u64, nodes: usize) -> SystemConfig {
-    let nodes = nodes.max(1) as u64;
-    let per = mib / nodes;
-    let mut sizes = vec![per; nodes as usize];
-    *sizes.last_mut().expect("at least one node") += mib - per * nodes;
-    SystemConfig {
-        thp: false,
-        ..SystemConfig::new(MachineConfig::with_node_mib(&sizes))
-    }
+    SystemConfig { thp: false, ..SystemConfig::new(MachineConfig::single_node_mib(mib)) }
 }
 
 // ---------------------------------------------------------------------------
@@ -140,10 +127,6 @@ contig_types::wire_struct! {
         pub evac_attempts: u32,
         /// Seed for the fleet's deterministic decisions (transport streams).
         pub seed: u64,
-        /// NUMA zones each host machine is split into (1 = the classic
-        /// single-zone host). Tenants are homed round-robin onto host zones at
-        /// admission, so placement spreads across zones deterministically.
-        pub host_nodes: usize,
     }
 }
 
@@ -165,14 +148,7 @@ impl FleetConfig {
             evac_storm_ppm: 120_000,
             evac_attempts: 6,
             seed: 0x00F1_EE70,
-            host_nodes: 1,
         }
-    }
-
-    /// The same fleet with each host split into `nodes` NUMA zones.
-    pub fn with_host_nodes(mut self, nodes: usize) -> Self {
-        self.host_nodes = nodes.max(1);
-        self
     }
 }
 
@@ -507,7 +483,7 @@ impl Fleet {
     pub fn new(cfg: FleetConfig) -> Self {
         let hosts = (0..cfg.hosts)
             .map(|_| FleetHost {
-                system: System::new(base_config_nodes(cfg.host_mib, cfg.host_nodes)),
+                system: System::new(base_config(cfg.host_mib)),
                 sharing: BTreeMap::new(),
             })
             .collect();
@@ -622,14 +598,6 @@ impl Fleet {
             VmaKind::Anon,
         );
         let host_pid = self.hosts[h].system.spawn();
-        // On multi-zone hosts, home each tenant's host process round-robin
-        // onto a zone; backing allocations then prefer that zone and spill
-        // deterministically when it fills.
-        let zones = self.hosts[h].system.machine().nodes();
-        if zones > 1 {
-            let node = self.next_tenant as usize % zones;
-            self.hosts[h].system.set_home_node(host_pid, Some(node));
-        }
         self.hosts[h].system.aspace_mut(host_pid).map_vma(
             VirtRange::new(VirtAddr::new(HOST_VMA_BASE), gframes * BASE),
             VmaKind::Anon,

@@ -101,8 +101,6 @@ pub enum FailureAction {
 /// Result of one [`System::memory_failure`] strike.
 #[derive(Clone, Debug)]
 pub struct MemoryFailureOutcome {
-    /// The stricken frame.
-    pub pfn: Pfn,
     /// What the recovery path did.
     pub action: FailureAction,
     /// One SIGBUS-equivalent error per mapping torn down (empty unless
@@ -164,19 +162,17 @@ impl System {
     pub fn memory_failure(&mut self, pfn: Pfn) -> MemoryFailureOutcome {
         if self.machine.node_of(pfn).is_none() {
             let action = FailureAction::NoSuchFrame;
-            return MemoryFailureOutcome { pfn, action, victims: Vec::new() };
+            return MemoryFailureOutcome { action, victims: Vec::new() };
         }
         self.poison_stats.strikes += 1;
         self.tracer.emit(TraceEvent::PoisonEvent { pfn: pfn.raw() });
         match self.machine.poison(pfn) {
             PoisonDisposition::AlreadyPoisoned => MemoryFailureOutcome {
-                pfn,
                 action: FailureAction::AlreadyPoisoned,
                 victims: Vec::new(),
             },
             PoisonDisposition::QuarantinedFree | PoisonDisposition::QuarantinedPcp => {
                 MemoryFailureOutcome {
-                    pfn,
                     action: FailureAction::Quarantined,
                     victims: Vec::new(),
                 }
@@ -188,7 +184,7 @@ impl System {
     /// Recovery for a stricken frame that is allocated: classify its
     /// references and drop, heal, kill, or defer.
     fn recover_poisoned_in_use(&mut self, pfn: Pfn) -> MemoryFailureOutcome {
-        let outcome = |action, victims| MemoryFailureOutcome { pfn, action, victims };
+        let outcome = |action, victims| MemoryFailureOutcome { action, victims };
         let users = self.frame_users();
         if let Some((file, index)) = users.cache_slot(pfn) {
             // Drop the page: unmap its PTEs, evict the slot. The eviction
@@ -428,7 +424,8 @@ mod tests {
         assert_eq!(mf.action, FailureAction::Killed);
         assert_eq!(mf.victims.len(), 2, "both sharers die");
         for v in &mf.victims {
-            assert!(v.is_memory_failure(), "{v}");
+            let is_mce = matches!(v, ContigError::Fault { source: FaultError::MemoryFailure { .. }, .. });
+            assert!(is_mce, "{v}");
         }
         // Both mappings are gone and the frame is quarantined, not leaked.
         assert!(sys.aspace(parent).page_table().translate(va(0x40_0000)).is_err());
@@ -531,8 +528,7 @@ mod tests {
             n: 2,
         }));
         assert!(sys.poison_tick().is_none(), "first tick must not fire");
-        let out = sys.poison_tick().expect("second tick fires");
-        assert_eq!(out.pfn, Pfn::new(123));
+        sys.poison_tick().expect("second tick fires");
         assert!(sys.machine().is_poisoned(Pfn::new(123)));
         assert!(sys.poison_tick().is_none(), "one-shot disarms");
         sys.clear_poison_policy();

@@ -486,11 +486,9 @@ mod tests {
         let stats = *sys.recovery_stats();
         assert_eq!(stats.livelocks, 1);
         assert!(stats.backoff_ns > 0, "no backoff was applied before retries");
-        // The context wrapper classifies the livelock for callers.
-        let cerr = sys
-            .touch_ctx(&mut policy, pid, contig_types::VirtAddr::new(0x40_0000))
-            .unwrap_err();
-        assert!(cerr.is_livelock(), "not classified as livelock: {cerr}");
+        // A second touch runs into the watchdog again.
+        let err = sys.touch(&mut policy, pid, contig_types::VirtAddr::new(0x40_0000)).unwrap_err();
+        assert!(matches!(err, FaultError::RecoveryLivelock { .. }), "{err}");
         assert_eq!(sys.recovery_stats().livelocks, 2);
         assert!(sys.audit().is_clean(), "{}", sys.audit());
         sys.clear_fail_policy();

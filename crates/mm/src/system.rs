@@ -6,7 +6,7 @@
 use contig_buddy::{Machine, MachineConfig, NodeId};
 use contig_trace::{stage, FaultClass, RecoveryStage, TraceEvent, Tracer};
 use contig_types::{
-    jittered_backoff, AllocError, ContigError, FailPolicy, FaultError, PageSize, Pfn, PoisonPolicy,
+    jittered_backoff, AllocError, FailPolicy, FaultError, PageSize, Pfn, PoisonPolicy,
     VirtAddr,
 };
 
@@ -902,32 +902,6 @@ impl System {
                 set.insert(frame);
             }
         }
-    }
-
-    /// Like [`System::touch`], but failures are wrapped in [`ContigError`]
-    /// carrying the faulting pid and VMA for cross-layer diagnosis.
-    ///
-    /// # Errors
-    ///
-    /// As for [`System::touch`], wrapped with context.
-    pub fn touch_ctx(
-        &mut self,
-        policy: &mut dyn PlacementPolicy,
-        pid: Pid,
-        va: VirtAddr,
-    ) -> Result<FaultOutcome, ContigError> {
-        let vma_start = self
-            .processes
-            .get(pid)
-            .and_then(|a| a.vma_containing(va))
-            .map(|VmaId(start)| start);
-        self.touch(policy, pid, va).map_err(|e| {
-            let mut err = ContigError::from(e).with_pid(pid.0);
-            if let Some(start) = vma_start {
-                err = err.with_vma(start);
-            }
-            err
-        })
     }
 
     /// Touches `va`: services a demand fault if the page is absent.

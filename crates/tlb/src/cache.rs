@@ -58,22 +58,9 @@ impl SetAssocCache {
     pub fn new(entries: usize, ways: usize) -> Self {
         assert!(ways > 0 && entries > 0, "cache must have entries");
         assert!(entries.is_multiple_of(ways), "{entries} entries not divisible into {ways} ways");
-        Self::with_slots(entries / ways, ways, vec![EMPTY; entries])
-    }
-
-    fn with_slots(sets: usize, ways: usize, slots: Vec<Slot>) -> Self {
+        let sets = entries / ways;
         let mask = sets.is_power_of_two().then(|| sets as u64 - 1);
-        Self { sets, ways, mask, slots, tick: 0, hits: 0, misses: 0 }
-    }
-
-    /// A fully-associative cache of `entries` entries.
-    pub fn fully_associative(entries: usize) -> Self {
-        Self::new(entries, entries)
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets
+        Self { sets, ways, mask, slots: vec![EMPTY; entries], tick: 0, hits: 0, misses: 0 }
     }
 
     /// The slot indices of `key`'s set.
@@ -154,18 +141,6 @@ impl SetAssocCache {
         set[way] = Slot { key, tick: self.tick };
     }
 
-    /// Removes `key` if present (TLB shootdown), returning whether it was.
-    pub fn invalidate(&mut self, key: u64) -> bool {
-        let set = self.set_of(key);
-        match self.slots[set].iter_mut().find(|s| s.holds(key)) {
-            Some(slot) => {
-                *slot = EMPTY;
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Drops every entry.
     pub fn flush(&mut self) {
         self.slots.fill(EMPTY);
@@ -189,26 +164,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Rebuilds a cache from a checkpoint: identical lookup/eviction
-    /// behaviour from the captured state onward.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `CacheSnapshot::validate` finds.
-    pub fn from_snapshot(snap: &CacheSnapshot) -> Result<Self, String> {
-        snap.validate()?;
-        let slots = snap
-            .slots
-            .iter()
-            .map(|slot| slot.map_or(EMPTY, |(key, tick)| Slot { key, tick }))
-            .collect();
-        Ok(Self {
-            tick: snap.tick,
-            hits: snap.hits,
-            misses: snap.misses,
-            ..Self::with_slots(snap.sets as usize, snap.ways as usize, slots)
-        })
-    }
 }
 
 contig_types::wire_struct! {
@@ -227,58 +182,6 @@ contig_types::wire_struct! {
         pub hits: u64,
         /// Misses since construction.
         pub misses: u64,
-    } => CacheSnapshot::validate
-}
-
-impl CacheSnapshot {
-    /// Checks that some cache can have produced this image, so that a
-    /// decoded one restores without panicking.
-    ///
-    /// # Errors
-    ///
-    /// Describes the first inconsistency: no sets or no ways, a slot count
-    /// that is not `sets * ways` (or a product that overflows), an occupied
-    /// slot with tick 0 (which is how an empty way is stored), a tick above
-    /// the clock, a key outside its own set, one tick stored twice (the
-    /// clock is bumped before every store) or one key held twice.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        let sets = usize::try_from(self.sets).unwrap_or(0);
-        let ways = usize::try_from(self.ways).unwrap_or(0);
-        if sets == 0 || ways == 0 || sets.checked_mul(ways) != Some(self.slots.len()) {
-            return Err(format!(
-                "cache geometry {} sets x {} ways does not describe {} slots",
-                self.sets,
-                self.ways,
-                self.slots.len()
-            ));
-        }
-        let mut ticks = Vec::new();
-        let mut keys = Vec::new();
-        for (i, slot) in self.slots.iter().enumerate() {
-            let Some((key, tick)) = *slot else { continue };
-            if tick == 0 {
-                return Err(format!("cache slot {i} is occupied with tick 0"));
-            }
-            if tick > self.tick {
-                return Err(format!("cache slot {i} has tick {tick} above the clock {}", self.tick));
-            }
-            // `key & mask` and `key % sets` name the same set.
-            if key % self.sets != (i / ways) as u64 {
-                return Err(format!("cache slot {i} holds key {key} of set {}", key % self.sets));
-            }
-            ticks.push((tick, i));
-            keys.push((key, i));
-        }
-        ticks.sort_unstable();
-        if let Some(w) = ticks.windows(2).find(|w| w[0].0 == w[1].0) {
-            return Err(format!("cache slots {} and {} share tick {}", w[0].1, w[1].1, w[0].0));
-        }
-        // Every key is in its own set by now, so a repeat is within one set.
-        keys.sort_unstable();
-        if let Some(w) = keys.windows(2).find(|w| w[0].0 == w[1].0) {
-            return Err(format!("cache slots {} and {} both hold key {}", w[0].1, w[1].1, w[0].0));
-        }
-        Ok(())
     }
 }
 
@@ -288,7 +191,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent_within_set() {
-        let mut c = SetAssocCache::fully_associative(2);
+        let mut c = SetAssocCache::new(2, 2);
         c.fill(1);
         c.fill(2);
         assert!(c.access(1)); // 1 now most recent
@@ -313,7 +216,7 @@ mod tests {
 
     #[test]
     fn refill_refreshes_instead_of_duplicating() {
-        let mut c = SetAssocCache::fully_associative(2);
+        let mut c = SetAssocCache::new(2, 2);
         c.fill(7);
         c.fill(7);
         c.fill(8);
@@ -322,13 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_and_flush() {
+    fn flush_drops_every_entry() {
         let mut c = SetAssocCache::new(8, 4);
         for k in 0..8 {
             c.fill(k);
         }
-        assert!(c.invalidate(3));
-        assert!(!c.invalidate(3));
         c.flush();
         for k in 0..8 {
             assert!(!c.peek(k));
@@ -342,43 +243,6 @@ mod tests {
         c.fill(5);
         c.access(5);
         assert_eq!(c.stats(), (1, 1));
-    }
-
-    #[test]
-    fn from_snapshot_rejects_images_no_cache_produced() {
-        let image = |sets, ways, slots: Vec<Option<(u64, u64)>>| CacheSnapshot {
-            sets,
-            ways,
-            slots,
-            tick: 9,
-            hits: 0,
-            misses: 0,
-        };
-        for (bad, why) in [
-            (image(0, 0, vec![]), "0 sets x 0 ways"),
-            (image(0, 4, vec![]), "0 sets x 4 ways"),
-            (image(1, 0, vec![]), "1 sets x 0 ways"),
-            (image(2, 2, vec![None; 3]), "does not describe 3 slots"),
-            // 2^63 * 2 wraps to 0, the slot count.
-            (image(1 << 63, 2, vec![]), "does not describe 0 slots"),
-            (image(u64::MAX, u64::MAX, vec![None]), "does not describe 1 slots"),
-            (image(1, 2, vec![Some((5, 1)), Some((7, 0))]), "slot 1 is occupied with tick 0"),
-            (image(1, 2, vec![None, Some((7, 10))]), "slot 1 has tick 10 above the clock 9"),
-            (image(1, 2, vec![Some((5, 4)), Some((7, 4))]), "slots 0 and 1 share tick 4"),
-            (image(1, 2, vec![Some((5, 4)), Some((5, 6))]), "slots 0 and 1 both hold key 5"),
-            (
-                image(2, 2, vec![Some((4, 1)), None, Some((7, 2)), Some((7, 3))]),
-                "slots 2 and 3 both hold key 7",
-            ),
-            // 5 is odd: set 1 by `key & 1` with two sets, set 2 by `% 3`.
-            (image(2, 1, vec![Some((5, 1)), None]), "slot 0 holds key 5 of set 1"),
-            (image(3, 1, vec![None, Some((5, 1)), None]), "slot 1 holds key 5 of set 2"),
-        ] {
-            let err = SetAssocCache::from_snapshot(&bad).unwrap_err();
-            assert!(err.contains(why), "{err}");
-        }
-        let mut ok = SetAssocCache::from_snapshot(&image(1, 2, vec![Some((5, 1)), None])).unwrap();
-        assert!(ok.access(5) && !ok.access(7));
     }
 
     #[test]

@@ -99,8 +99,8 @@ pub struct TlbHierarchy {
     l2_hits: u64,
     misses: u64,
     /// The L1 slot the last lookup hit. Derived state, not model state:
-    /// kept out of [`TlbSnapshot`], cleared by every fill, invalidation,
-    /// flush and L1 miss, and never set by a restore.
+    /// kept out of [`TlbSnapshot`], cleared by every fill, flush and L1
+    /// miss.
     memo: Option<L1Memo>,
 }
 
@@ -235,16 +235,6 @@ impl TlbHierarchy {
         self.l2.fill(l2_key(va, size));
     }
 
-    /// Invalidates any entries covering `va` (TLB shootdown after migration
-    /// or unmap).
-    pub fn invalidate(&mut self, va: VirtAddr) {
-        self.memo = None;
-        self.l1_4k.invalidate(key_4k(va));
-        self.l1_2m.invalidate(key_2m(va));
-        self.l2.invalidate(l2_key(va, PageSize::Base4K));
-        self.l2.invalidate(l2_key(va, PageSize::Huge2M));
-    }
-
     /// Drops every cached translation (context switch with full flush).
     pub fn flush(&mut self) {
         self.memo = None;
@@ -269,27 +259,6 @@ impl TlbHierarchy {
         }
     }
 
-    /// Rebuilds a hierarchy from a checkpoint, resuming hit/miss behaviour
-    /// exactly where the capture left off.
-    ///
-    /// # Errors
-    ///
-    /// Names the structure whose image `CacheSnapshot::validate` rejects.
-    pub fn from_snapshot(snap: &TlbSnapshot) -> Result<Self, String> {
-        let cache = |name: &str, image: &CacheSnapshot| {
-            SetAssocCache::from_snapshot(image).map_err(|e| format!("{name}: {e}"))
-        };
-        Ok(Self {
-            l1_4k: cache("l1_4k", &snap.l1_4k)?,
-            l1_2m: cache("l1_2m", &snap.l1_2m)?,
-            l2: cache("l2", &snap.l2)?,
-            lookups: snap.counters[0],
-            l1_hits: snap.counters[1],
-            l2_hits: snap.counters[2],
-            misses: snap.counters[3],
-            memo: None,
-        })
-    }
 }
 
 contig_types::wire_struct! {
@@ -349,15 +318,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_both_levels() {
-        let mut t = TlbHierarchy::new(TlbConfig::broadwell());
-        let va = VirtAddr::new(0x80_0000);
-        t.fill(va, PageSize::Huge2M);
-        t.invalidate(va + 0x1000);
-        assert_eq!(t.lookup(va), TlbHit::Miss);
-    }
-
-    #[test]
     fn scaled_geometry_divides_entries() {
         let c = TlbConfig::broadwell_scaled(8);
         assert_eq!(c.l1_4k.entries, 8);
@@ -367,28 +327,6 @@ mod tests {
         // Extreme scaling floors at one full set.
         let tiny = TlbConfig::broadwell_scaled(10_000);
         assert!(tiny.l1_4k.entries >= tiny.l1_4k.ways);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_lru_state() {
-        let mut t = TlbHierarchy::new(TlbConfig {
-            l1_4k: TlbGeometry { entries: 2, ways: 2 },
-            l1_2m: TlbGeometry { entries: 2, ways: 2 },
-            l2: TlbGeometry { entries: 8, ways: 4 },
-        });
-        for i in 0..4u64 {
-            t.fill(VirtAddr::new(i * 0x1000), PageSize::Base4K);
-        }
-        t.lookup(VirtAddr::new(0x2000));
-        let snap = t.snapshot();
-        let mut restored = TlbHierarchy::from_snapshot(&snap).unwrap();
-        assert_eq!(restored.snapshot(), snap);
-        // Same probes produce the same hit sequence on both copies.
-        for i in 0..8u64 {
-            let va = VirtAddr::new(i * 0x1000);
-            assert_eq!(t.lookup(va), restored.lookup(va), "diverged at page {i}");
-        }
-        assert_eq!(t.stats(), restored.stats());
     }
 
     #[test]

@@ -15,14 +15,12 @@ use contig_types::{PageSize, PhysAddr, VirtAddr};
 enum CacheOp {
     Access(u64),
     Fill(u64),
-    Invalidate(u64),
 }
 
 fn cache_op(key_space: u64) -> impl Strategy<Value = CacheOp> {
     prop_oneof![
         (0..key_space).prop_map(CacheOp::Access),
         (0..key_space).prop_map(CacheOp::Fill),
-        (0..key_space).prop_map(CacheOp::Invalidate),
     ]
 }
 
@@ -51,15 +49,6 @@ impl RefLru {
             self.entries.pop_front();
         }
         self.entries.push_back(key);
-    }
-
-    fn invalidate(&mut self, key: u64) -> bool {
-        if let Some(pos) = self.entries.iter().position(|&k| k == key) {
-            self.entries.remove(pos);
-            true
-        } else {
-            false
-        }
     }
 }
 
@@ -120,17 +109,6 @@ impl OldCache {
         self.slots[victim] = Some((key, self.tick));
     }
 
-    fn invalidate(&mut self, key: u64) -> bool {
-        let base = self.set_of(key) * self.ways;
-        for slot in &mut self.slots[base..base + self.ways] {
-            if slot.map(|(k, _)| k == key).unwrap_or(false) {
-                *slot = None;
-                return true;
-            }
-        }
-        false
-    }
-
     fn flush(&mut self) {
         self.slots.fill(None);
     }
@@ -150,16 +128,6 @@ impl OldCache {
         }
     }
 
-    fn from_snapshot(snap: &CacheSnapshot) -> Self {
-        Self {
-            sets: snap.sets as usize,
-            ways: snap.ways as usize,
-            slots: snap.slots.clone(),
-            tick: snap.tick,
-            hits: snap.hits,
-            misses: snap.misses,
-        }
-    }
 }
 
 /// The hierarchy as it was before PR 13, over [`OldCache`]: an L2 hit
@@ -218,13 +186,6 @@ impl OldHierarchy {
         self.l2.fill(old_l2_key(va, size));
     }
 
-    fn invalidate(&mut self, va: VirtAddr) {
-        self.l1_4k.invalidate(va.raw() >> 12);
-        self.l1_2m.invalidate(va.raw() >> 21);
-        self.l2.invalidate(old_l2_key(va, PageSize::Base4K));
-        self.l2.invalidate(old_l2_key(va, PageSize::Huge2M));
-    }
-
     fn flush(&mut self) {
         self.l1_4k.flush();
         self.l1_2m.flush();
@@ -248,9 +209,7 @@ enum DiffOp {
     Access(u64),
     Fill(u64),
     Peek(u64),
-    Invalidate(u64),
     Flush,
-    RoundTrip,
 }
 
 fn diff_op() -> impl Strategy<Value = DiffOp> {
@@ -261,8 +220,8 @@ fn diff_op() -> impl Strategy<Value = DiffOp> {
         any::<u64>().prop_map(DiffOp::Fill),
         any::<u64>().prop_map(DiffOp::Fill),
         any::<u64>().prop_map(DiffOp::Peek),
-        any::<u64>().prop_map(DiffOp::Invalidate),
-        (0u8..8).prop_map(|n| if n == 0 { DiffOp::Flush } else { DiffOp::RoundTrip }),
+        (any::<u64>(), 0u8..8)
+            .prop_map(|(raw, n)| if n == 0 { DiffOp::Flush } else { DiffOp::Access(raw) }),
     ]
 }
 
@@ -302,9 +261,7 @@ enum TlbOp {
     /// 2 MiB region: see `run_va`.
     Run(u64, u64, bool),
     Fill(u64, bool),
-    Invalidate(u64),
     Flush,
-    RoundTrip,
 }
 
 /// Byte addresses inside 16 MiB: 4 096 base pages over 8 huge regions, so
@@ -318,11 +275,9 @@ fn tlb_op() -> impl Strategy<Value = TlbOp> {
         (va.clone(), 1u64..48, any::<bool>()).prop_map(|(va, n, huge)| TlbOp::Run(va, n, huge)),
         (va.clone(), 1u64..48, any::<bool>()).prop_map(|(va, n, huge)| TlbOp::Run(va, n, huge)),
         (va.clone(), any::<bool>()).prop_map(|(va, huge)| TlbOp::Fill(va, huge)),
-        (va.clone(), any::<bool>()).prop_map(|(va, huge)| TlbOp::Fill(va, huge)),
-        va.prop_map(TlbOp::Invalidate),
+        (va, any::<bool>()).prop_map(|(va, huge)| TlbOp::Fill(va, huge)),
         (0u64..16).prop_map(|n| match n {
             0 => TlbOp::Flush,
-            1 => TlbOp::RoundTrip,
             _ => TlbOp::Lookup(n << 12),
         }),
     ]
@@ -471,7 +426,7 @@ proptest! {
         capacity in 1usize..12,
         ops in proptest::collection::vec(cache_op(32), 1..300),
     ) {
-        let mut cache = SetAssocCache::fully_associative(capacity);
+        let mut cache = SetAssocCache::new(capacity, capacity);
         let mut reference = RefLru { capacity, ..Default::default() };
         for op in ops {
             match op {
@@ -481,9 +436,6 @@ proptest! {
                 CacheOp::Fill(k) => {
                     cache.fill(k);
                     reference.fill(k);
-                }
-                CacheOp::Invalidate(k) => {
-                    prop_assert_eq!(cache.invalidate(k), reference.invalidate(k));
                 }
             }
         }
@@ -504,7 +456,7 @@ proptest! {
         let (sets, ways) = shape;
         let mut new = SetAssocCache::new(sets * ways, ways);
         let mut old = OldCache::new(sets * ways, ways);
-        prop_assert_eq!(new.sets(), sets);
+        prop_assert_eq!(new.snapshot().sets, sets as u64);
         for (i, op) in ops.iter().enumerate() {
             match *op {
                 DiffOp::Access(raw) => {
@@ -527,17 +479,9 @@ proptest! {
                     let k = key_for(raw, sets * ways);
                     prop_assert_eq!(new.peek(k), old.peek(k), "op {}: peek {}", i, k);
                 }
-                DiffOp::Invalidate(raw) => {
-                    let k = key_for(raw, sets * ways);
-                    prop_assert_eq!(new.invalidate(k), old.invalidate(k), "op {}: inval {}", i, k);
-                }
                 DiffOp::Flush => {
                     new.flush();
                     old.flush();
-                }
-                DiffOp::RoundTrip => {
-                    new = SetAssocCache::from_snapshot(&new.snapshot()).expect("own image");
-                    old = OldCache::from_snapshot(&old.snapshot());
                 }
             }
             prop_assert_eq!(new.stats(), old.stats(), "op {}: {:?}", i, op);
@@ -572,17 +516,9 @@ proptest! {
                     new.fill(va, size);
                     old.fill(va, size);
                 }
-                TlbOp::Invalidate(va) => {
-                    new.invalidate(VirtAddr::new(va));
-                    old.invalidate(VirtAddr::new(va));
-                }
                 TlbOp::Flush => {
                     new.flush();
                     old.flush();
-                }
-                // The old hierarchy keeps nothing beside its image.
-                TlbOp::RoundTrip => {
-                    new = TlbHierarchy::from_snapshot(&new.snapshot()).expect("own image");
                 }
             }
             let snap = new.snapshot();
@@ -590,8 +526,6 @@ proptest! {
             let [lookups, l1, l2, misses] = snap.counters;
             prop_assert_eq!(new.stats(), (lookups, l1, l2, misses));
         }
-        let restored = TlbHierarchy::from_snapshot(&new.snapshot()).expect("own image");
-        prop_assert_eq!(restored.snapshot(), old.snapshot());
     }
 
     /// `run` batches a run of L1 hits on one page into one update; it must

@@ -259,22 +259,6 @@ impl ContigError {
         self.ctx_mut().vma_start = Some(vma_start);
         self
     }
-
-    /// Whether the root cause is the recovery livelock watchdog firing.
-    pub fn is_livelock(&self) -> bool {
-        matches!(
-            self,
-            ContigError::Fault { source: FaultError::RecoveryLivelock { .. }, .. }
-        )
-    }
-
-    /// Whether the root cause is a hardware memory failure (hwpoison SIGBUS).
-    pub fn is_memory_failure(&self) -> bool {
-        matches!(
-            self,
-            ContigError::Fault { source: FaultError::MemoryFailure { .. }, .. }
-        )
-    }
 }
 
 impl fmt::Display for ContigError {

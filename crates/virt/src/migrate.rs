@@ -408,10 +408,8 @@ impl std::error::Error for MigrationError {}
 /// in parts per million.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ContigProfile {
-    /// Host-backed base pages in the VM memory region, counted by *unique
-    /// host frame* — a KSM-merged frame mapped by several guest pages
-    /// counts once, so the profile agrees with the host buddy's free-frame
-    /// accounting under fleet-wide deduplication.
+    /// Host-backed base pages in the VM memory region (the host maps each
+    /// of its frames there once).
     pub backed_pages: u64,
     /// Maximal contiguous gPA→hPA runs.
     pub runs: u64,
@@ -454,26 +452,8 @@ pub fn contig_profile(vm: &VirtualMachine) -> ContigProfile {
     let total: u64 = runs.iter().sum();
     runs.sort_unstable_by(|a, b| b.cmp(a));
     let top32: u64 = runs.iter().take(32).sum();
-    // Frame accounting dedupes by host-physical extent: KSM-merged frames
-    // appear under several guest pages but hold exactly one host frame.
-    let mut phys: Vec<(u64, u64)> = vm
-        .host()
-        .aspace(vm.host_pid())
-        .page_table()
-        .mappings_in(region)
-        .map(|m| (m.pte.pfn.byte_offset(), m.size.bytes()))
-        .collect();
-    phys.sort_unstable();
-    let mut unique_bytes = 0u64;
-    let mut covered_to = 0u64;
-    for (pa, len) in phys {
-        let start = pa.max(covered_to);
-        let end = pa + len;
-        unique_bytes += end.saturating_sub(start);
-        covered_to = covered_to.max(end);
-    }
     ContigProfile {
-        backed_pages: unique_bytes / PageSize::Base4K.bytes(),
+        backed_pages: total / PageSize::Base4K.bytes(),
         runs: runs.len() as u64,
         largest_run_pages: runs.first().copied().unwrap_or(0) / PageSize::Base4K.bytes(),
         top32_coverage_ppm: (top32 * 1_000_000).checked_div(total).unwrap_or(0),

@@ -7,8 +7,6 @@
 //! policy. CA paging therefore applies to each dimension independently
 //! (paper §III-C, "Virtualized execution") with zero coordination.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use contig_buddy::MachineConfig;
 use contig_mm::{
     FaultOutcome, PageTable, PlacementPolicy, Pid, PteFlags, System, SystemConfig, VmaId, VmaKind,
@@ -93,13 +91,6 @@ pub struct VirtualMachine {
     host_pid: Pid,
     host_vma: VmaId,
     host_vma_base: VirtAddr,
-    /// Guest frames currently claimed by the balloon driver: allocated out
-    /// of the guest buddy (so the guest cannot use them) with their host
-    /// backing returned to the host buddy.
-    balloon: BTreeSet<u64>,
-    /// KSM sharing registry: host frame → the guest frames merged onto it.
-    /// A record exists exactly while ≥ 2 guest frames share the host frame.
-    sharing: BTreeMap<u64, Vec<u64>>,
     /// Hypervisor-level trace probe (nested-fault spans); disabled by default.
     tracer: Tracer,
 }
@@ -142,8 +133,6 @@ impl VirtualMachine {
             host_pid,
             host_vma,
             host_vma_base: config.host_vma_base,
-            balloon: BTreeSet::new(),
-            sharing: BTreeMap::new(),
             tracer: Tracer::disabled(),
         }
     }
@@ -251,18 +240,10 @@ impl VirtualMachine {
             // earlier nested-fault OOM: (re-)establish host backing.
             self.back_fault(pid, va, out)?;
         }
-        if !out.already_mapped {
-            // A fresh guest mapping zero-fills its pages — a content change,
-            // so any KSM share backing those guest frames must break first.
-            self.ksm_break_outcome(va, out)?;
-        }
         Ok(out)
     }
 
-    /// Write-touches `va`, breaking guest copy-on-write. If the written
-    /// guest-physical page sits on a KSM-merged host frame, the share is
-    /// broken through the host COW write-fault path first, so the writer
-    /// always lands on a fresh private host frame.
+    /// Write-touches `va`, breaking guest copy-on-write.
     ///
     /// # Errors
     ///
@@ -273,12 +254,6 @@ impl VirtualMachine {
             || !self.backing_complete(PhysAddr::from(out.pfn), out.size.bytes())
         {
             self.back_fault(pid, va, out)?;
-        }
-        if !out.already_mapped {
-            self.ksm_break_outcome(va, out)?;
-        } else {
-            let written = out.pfn.raw() + va.page_offset(out.size) / PageSize::Base4K.bytes();
-            self.ksm_write_break(va, written)?;
         }
         Ok(out)
     }
@@ -433,176 +408,6 @@ impl VirtualMachine {
         frames
     }
 
-    /// Guest frames currently held by the balloon driver, ascending.
-    pub fn ballooned_gframes(&self) -> Vec<u64> {
-        self.balloon.iter().copied().collect()
-    }
-
-    /// The KSM sharing registry: host frame → guest frames merged onto it.
-    /// A record exists exactly while ≥ 2 guest frames share the host frame.
-    pub fn sharing_registry(&self) -> &BTreeMap<u64, Vec<u64>> {
-        &self.sharing
-    }
-
-    /// Balloon inflate: claims up to `frames` guest-free frames out of the
-    /// guest buddy (ascending) and returns their host backing to the host
-    /// buddy — the virtio-balloon reclaim direction. Frames whose host
-    /// backing is a huge leaf keep it (the hypervisor does not split huge
-    /// mappings); the guest still cannot use them. Returns frames claimed.
-    pub fn balloon_inflate(&mut self, frames: u64) -> u64 {
-        let total = self.guest_frames();
-        let mut claimed = 0u64;
-        for g in 0..total {
-            if claimed == frames {
-                break;
-            }
-            if self.balloon.contains(&g) || !self.guest.machine().is_free(Pfn::new(g)) {
-                continue;
-            }
-            // A pcp-cached or just-raced frame refuses the targeted claim;
-            // the balloon simply skips it.
-            if self.guest.machine_mut().alloc_specific(Pfn::new(g), 0).is_err() {
-                continue;
-            }
-            self.balloon.insert(g);
-            claimed += 1;
-            let hva = self.host_va_of(PhysAddr::new(g * PageSize::Base4K.bytes()));
-            let is_base = matches!(
-                self.host.aspace(self.host_pid).page_table().translate(hva),
-                Ok(t) if t.size == PageSize::Base4K
-            );
-            if is_base {
-                if let Some((pfn, _freed)) = self.host.unmap_base_page(self.host_pid, hva) {
-                    self.registry_drop(pfn.raw(), g);
-                }
-            }
-        }
-        if claimed > 0 {
-            self.tracer.emit(TraceEvent::BalloonInflate { tenant: 0, frames: claimed });
-        }
-        claimed
-    }
-
-    /// KSM scan: merges guest-physical pages with identical content onto one
-    /// host frame behind the COW write-fault break path. `tags` is the
-    /// caller's content model — guest frame → content tag; only frames with
-    /// equal tags merge (the simulator tracks frame identity, not bytes).
-    /// Only 4 KiB, non-file host leaves participate. Returns
-    /// `(candidates scanned, pages merged)`.
-    pub fn ksm_scan(&mut self, tags: &BTreeMap<u64, u64>) -> (u64, u64) {
-        let total = self.guest_frames();
-        // Group mergeable candidates by content tag.
-        let mut groups: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
-        let mut scanned = 0u64;
-        for (&g, &tag) in tags {
-            if g >= total {
-                continue;
-            }
-            let hva = self.host_va_of(PhysAddr::new(g * PageSize::Base4K.bytes()));
-            let Ok(t) = self.host.aspace(self.host_pid).page_table().translate(hva) else {
-                continue;
-            };
-            if t.size != PageSize::Base4K || t.flags.contains(PteFlags::FILE) {
-                continue;
-            }
-            scanned += 1;
-            groups.entry(tag).or_default().push((g, t.pfn.raw()));
-        }
-        let mut merged = 0u64;
-        for candidates in groups.values() {
-            let (keeper_g, keeper_pfn) = candidates[0];
-            let keeper_hva =
-                self.host_va_of(PhysAddr::new(keeper_g * PageSize::Base4K.bytes()));
-            for &(donor_g, donor_pfn) in &candidates[1..] {
-                if donor_pfn == keeper_pfn {
-                    continue; // already merged onto the keeper
-                }
-                let donor_hva =
-                    self.host_va_of(PhysAddr::new(donor_g * PageSize::Base4K.bytes()));
-                let Ok(outcome) = self
-                    .host
-                    .ksm_merge((self.host_pid, keeper_hva), (self.host_pid, donor_hva))
-                else {
-                    continue;
-                };
-                merged += 1;
-                self.registry_drop(outcome.dropped.raw(), donor_g);
-                let members = self
-                    .sharing
-                    .entry(outcome.kept.raw())
-                    .or_insert_with(|| vec![keeper_g]);
-                members.push(donor_g);
-                members.sort_unstable();
-                members.dedup();
-            }
-        }
-        self.tracer.emit(TraceEvent::KsmScan { scanned, merged });
-        (scanned, merged)
-    }
-
-    /// Breaks any KSM share backing the guest frames a fresh guest mapping
-    /// covers (zero-fill is a content change).
-    fn ksm_break_outcome(&mut self, gva: VirtAddr, out: FaultOutcome) -> Result<(), FaultError> {
-        if self.sharing.is_empty() {
-            return Ok(());
-        }
-        let base = out.pfn.raw();
-        for g in base..base + out.size.base_pages() {
-            self.ksm_write_break(gva, g)?;
-        }
-        Ok(())
-    }
-
-    /// If guest frame `gframe` sits on a KSM-merged host frame, breaks the
-    /// share through the host COW write-fault path (the writer lands on a
-    /// fresh private frame) and updates the sharing registry.
-    fn ksm_write_break(&mut self, gva: VirtAddr, gframe: u64) -> Result<(), FaultError> {
-        if self.sharing.is_empty() {
-            return Ok(());
-        }
-        let hva = self.host_va_of(PhysAddr::new(gframe * PageSize::Base4K.bytes()));
-        let Ok(t) = self.host.aspace(self.host_pid).page_table().translate(hva) else {
-            return Ok(());
-        };
-        if t.size != PageSize::Base4K
-            || t.flags.contains(PteFlags::WRITE)
-            || !self.sharing.contains_key(&t.pfn.raw())
-        {
-            return Ok(());
-        }
-        let old = t.pfn;
-        self.host
-            .touch_write(&mut *self.host_policy, self.host_pid, hva)
-            .map_err(|e| match e {
-                FaultError::OutOfMemory { size, .. } => {
-                    FaultError::OutOfMemory { addr: gva, size }
-                }
-                other => other,
-            })?;
-        let fresh = self
-            .host
-            .aspace(self.host_pid)
-            .page_table()
-            .translate(hva)
-            .map_or(old, |t| t.pfn);
-        self.tracer.emit(TraceEvent::KsmUnmerge { pfn: old.raw(), fresh: fresh.raw() });
-        self.registry_drop(old.raw(), gframe);
-        Ok(())
-    }
-
-    /// Removes `gframe` from the sharing record of host frame `pfn`,
-    /// retiring the record once fewer than two members remain (the last
-    /// member exclusively owns the frame again; its stale read-only COW
-    /// leaf is the same legal state a fork-then-exit leaves behind).
-    fn registry_drop(&mut self, pfn: u64, gframe: u64) {
-        if let Some(members) = self.sharing.get_mut(&pfn) {
-            members.retain(|&g| g != gframe);
-            if members.len() < 2 {
-                self.sharing.remove(&pfn);
-            }
-        }
-    }
-
     /// Replaces the guest dimension with a restored snapshot, keeping the
     /// host dimension and the live policies — the migration cutover: the
     /// destination host has pre-backed the transferred pages, and this
@@ -659,9 +464,8 @@ impl VirtualMachine {
             host_size: h.size,
             guest_levels: g.levels,
             host_levels: h.levels,
-            contig: g.flags.contains(contig_mm::PteFlags::CONTIG)
-                && h.flags.contains(contig_mm::PteFlags::CONTIG),
-            write: g.flags.contains(contig_mm::PteFlags::WRITE),
+            contig: g.flags.contains(PteFlags::CONTIG) && h.flags.contains(PteFlags::CONTIG),
+            write: g.flags.contains(PteFlags::WRITE),
         })
     }
 
@@ -669,13 +473,6 @@ impl VirtualMachine {
     /// keeps gPA→hPA mappings as long as the VM lives — §III-C).
     pub fn exit_guest_process(&mut self, pid: Pid) {
         self.guest.exit(pid);
-    }
-
-    /// The frame backing `gpa` on the host, if the nested mapping exists.
-    pub fn host_frame_of(&self, gpa: PhysAddr) -> Option<Pfn> {
-        let hva = self.host_va_of(gpa);
-        let t = self.host.aspace(self.host_pid).page_table().translate(hva).ok()?;
-        Some(t.frame_for(hva))
     }
 
     /// Handles an uncorrectable memory error on *host* frame `pfn` — the
@@ -734,16 +531,13 @@ impl VirtualMachine {
                 guest_mces.push(GuestMce { pid, va, gpa });
             }
         }
-        let rebacked = match hole {
+        if let Some((hva, size)) = hole {
             // Only a kill tears the mapping down; heals remap in place.
-            Some((hva, size))
-                if self.host.aspace(self.host_pid).page_table().translate(hva).is_err() =>
-            {
-                self.reback(hva, size.bytes())
+            if self.host.aspace(self.host_pid).page_table().translate(hva).is_err() {
+                self.reback(hva, size.bytes());
             }
-            _ => true,
-        };
-        HostPoisonReport { guest_mces, rebacked }
+        }
+        HostPoisonReport { guest_mces }
     }
 
     /// Consults the *host* poison policy once (see
@@ -758,16 +552,15 @@ impl VirtualMachine {
 
     /// Re-establishes host backing for `[start, start + len)` after a kill,
     /// tolerating OOM (the hole then heals on the next guest touch).
-    fn reback(&mut self, start: VirtAddr, len: u64) -> bool {
+    fn reback(&mut self, start: VirtAddr, len: u64) {
         let mut hva = start;
         let end = start + len;
         while hva < end {
             match self.host.touch(&mut *self.host_policy, self.host_pid, hva) {
                 Ok(out) => hva = hva.align_down(out.size) + out.size.bytes(),
-                Err(_) => return false,
+                Err(_) => return,
             }
         }
-        true
     }
 
     /// Captures both dimensions as plain data. Placement policies are not
@@ -781,12 +574,6 @@ impl VirtualMachine {
             host_pid: self.host_pid.0,
             host_vma_start: self.host_vma.0.raw(),
             host_vma_base: self.host_vma_base.raw(),
-            balloon: self.balloon.iter().copied().collect(),
-            sharing: self
-                .sharing
-                .iter()
-                .map(|(&pfn, members)| (pfn, members.clone()))
-                .collect(),
         }
     }
 
@@ -799,12 +586,6 @@ impl VirtualMachine {
         self.host_pid = Pid(snap.host_pid);
         self.host_vma = VmaId(VirtAddr::new(snap.host_vma_start));
         self.host_vma_base = VirtAddr::new(snap.host_vma_base);
-        self.balloon = snap.balloon.iter().copied().collect();
-        self.sharing = snap
-            .sharing
-            .iter()
-            .map(|(pfn, members)| (*pfn, members.clone()))
-            .collect();
         self.tracer = Tracer::disabled();
     }
 }
@@ -824,11 +605,6 @@ contig_types::wire_struct! {
         pub(crate) host_vma_start: u64,
         /// Host virtual address of guest-physical zero.
         pub(crate) host_vma_base: u64,
-        /// Guest frames held by the balloon driver, ascending (codec v4).
-        pub(crate) balloon: Vec<u64>,
-        /// KSM sharing registry: `(host frame, merged guest frames)` records,
-        /// ascending by host frame (codec v4).
-        pub(crate) sharing: Vec<(u64, Vec<u64>)>,
     }
 }
 
@@ -851,10 +627,6 @@ pub struct HostPoisonReport {
     /// Machine-checks delivered to guest mappings, one per affected guest
     /// base page (empty when the host healed transparently).
     pub guest_mces: Vec<GuestMce>,
-    /// Whether the VM memory region is fully backed again. `false` only
-    /// when re-backing itself ran out of host memory; the hole heals on the
-    /// next guest touch.
-    pub rebacked: bool,
 }
 
 /// The product of a nested page walk.
@@ -1028,7 +800,6 @@ mod tests {
         let report = vm.poison_host_frame(victim);
         assert_eq!(vm.host().poison_stats().healed, 1, "plenty of host memory");
         assert!(report.guest_mces.is_empty(), "a heal is invisible to the guest");
-        assert!(report.rebacked);
         let after = vm.translate_2d(pid, VirtAddr::new(0x40_0000)).unwrap();
         assert_ne!(after.hpa, before.hpa, "backing must have moved");
         assert!(vm.host().machine().is_poisoned(victim));
@@ -1048,7 +819,8 @@ mod tests {
             let t = vm.guest().aspace(pid).page_table().translate(VirtAddr::new(0x40_0000)).unwrap();
             PhysAddr::from(t.frame_for(VirtAddr::new(0x40_0000)))
         };
-        let victim = vm.host_frame_of(gpa).unwrap();
+        let hpa = vm.translate_2d(pid, VirtAddr::new(0x40_0000)).unwrap().hpa;
+        let victim = Pfn::new(hpa.raw() / PageSize::Base4K.bytes());
         // Exhaust the host so migrate-and-heal has nowhere to go.
         vm.host_mut().set_recovery_config(contig_mm::RecoveryConfig::disabled());
         let mut hogs = Vec::new();
@@ -1086,8 +858,7 @@ mod tests {
             pfn: target,
             n: 1,
         }));
-        let report = vm.poison_tick().expect("policy fires on the first tick");
-        assert!(report.rebacked);
+        vm.poison_tick().expect("policy fires on the first tick");
         assert!(vm.host().machine().is_poisoned(target));
         assert!(vm.poison_tick().is_none(), "one-shot disarms");
     }

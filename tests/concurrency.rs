@@ -182,15 +182,9 @@ fn engine_digests_at(workers: usize) -> Vec<u64> {
         engine_experiment(ctx.seed)
     });
     assert_eq!(reports.len(), ENGINE_TASKS);
-    reports
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            assert_eq!(r.index, i, "reports must come back in task order");
-            assert_eq!(r.seed, task_seed(ENGINE_SEED, i), "per-task seeds are positional");
-            *r.ok().expect("experiment task panicked")
-        })
-        .collect()
+    // In task order, each task on its positional seed: the callers compare
+    // these with a serial run over `task_seed(ENGINE_SEED, i)`.
+    reports.iter().map(|r| *r.ok().expect("experiment task panicked")).collect()
 }
 
 /// The tentpole acceptance property: worker count never changes results.
@@ -544,8 +538,8 @@ fn profiled_runs_match_untraced_digests_at_all_worker_counts() {
             digests, serial,
             "{workers}-worker profiled run diverged from the untraced serial reference"
         );
-        for r in &reports {
-            assert!(r.spans.is_balanced(), "task {} left unbalanced spans", r.index);
+        for (i, r) in reports.iter().enumerate() {
+            assert!(r.spans.is_balanced(), "task {i} left unbalanced spans");
         }
     }
 }

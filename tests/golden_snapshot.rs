@@ -1,24 +1,23 @@
 //! Guard for the snapshot format. The decoder reads one version, the one the
-//! encoder writes; `tests/golden/snapshot_v6.jsonl` is a file of that version
+//! encoder writes; `tests/golden/snapshot_v7.jsonl` is a file of that version
 //! and pins it in both directions: the encoder must reproduce its bytes from
 //! the fixed workload below, and the decoder must restore every section of it
-//! — poison, balloon and sharing, zone topology and homes, daemon — with its
-//! values, not its defaults. A deliberate format change regenerates the
+//! — poison, zone topology and homes, daemon — with its values, not its
+//! defaults. A deliberate format change regenerates the
 //! golden *and* bumps `SNAPSHOT_VERSION`; files of the old version are then
 //! refused by name, as a file of any other version is today.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use contig::check::{decode_vm_file, digest_vm, encode_vm_file};
 use contig::prelude::*;
 
 fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_v6.jsonl")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_v7.jsonl")
 }
 
 fn golden_text() -> String {
-    std::fs::read_to_string(golden_path()).expect("tests/golden/snapshot_v6.jsonl is checked in")
+    std::fs::read_to_string(golden_path()).expect("tests/golden/snapshot_v7.jsonl is checked in")
 }
 
 /// The fixed workload behind the golden files: two processes, an anonymous
@@ -70,10 +69,8 @@ fn golden_vm_v3_with(config: VmConfig) -> VirtualMachine {
         .translate(VirtAddr::new(0x4000_0000))
         .expect("cow copy mapped")
         .frame_for(VirtAddr::new(0x4000_0000));
-    let hpa = vm
-        .host_frame_of(PhysAddr::new(gframe.raw() * 4096))
-        .expect("guest frame is host-backed");
-    vm.poison_host_frame(hpa);
+    let hpa = vm.translate_2d(child, VirtAddr::new(0x4000_0000)).expect("host-backed").hpa;
+    vm.poison_host_frame(Pfn::new(hpa.raw() / 4096));
     vm.guest_mut().memory_failure(gframe);
     let next = vm
         .guest()
@@ -90,29 +87,11 @@ fn golden_vm_v3_with(config: VmConfig) -> VirtualMachine {
     vm
 }
 
-/// The balloon + KSM tail (run with THP disabled on both dimensions — KSM
-/// merges only 4 KiB host leaves — so the ballooned-frame list and the
-/// host-frame sharing registry carry non-default values).
-fn balloon_and_ksm(vm: &mut VirtualMachine) {
-    let claimed = vm.balloon_inflate(8);
-    assert!(claimed > 0, "fixture must balloon at least one guest frame");
-    // Declare every backed anonymous guest page content-equal; the scan
-    // merges each 4 KiB-host-backed one onto a single shared frame behind
-    // the COW break path (the simulator trusts the caller's tag model).
-    let tags: BTreeMap<u64, u64> = vm.backed_gframes().into_iter().map(|g| (g, 1)).collect();
-    let (scanned, merged) = vm.ksm_scan(&tags);
-    assert!(
-        scanned > 0 && merged > 0,
-        "fixture must KSM-merge ({scanned} scanned, {merged} merged)"
-    );
-}
-
 /// The poison fixture rebuilt on a two-zone guest/host topology, with both
 /// guest processes homed on different zones, fresh zone-local faults, and
-/// one cross-zone page migration before the balloon/KSM tail — so the NUMA
-/// members (per-process `home`, the system `numa_stats` counters, and the
-/// multi-zone machine layout) all carry non-default values in the
-/// checked-in file.
+/// one cross-zone page migration — so the NUMA members (per-process `home`,
+/// the system `numa_stats` counters, and the multi-zone machine layout) all
+/// carry non-default values in the checked-in file.
 fn golden_vm_v5() -> VirtualMachine {
     let mut config = VmConfig::with_mib_nodes(16, 64, 2);
     config.guest.thp = false;
@@ -128,8 +107,7 @@ fn golden_vm_v5() -> VirtualMachine {
     for i in 0..4u64 {
         vm.touch(parent, VirtAddr::new(0x6000_0000 + i * 4096)).expect("homed touch");
     }
-    // One cross-zone migration of the child's private post-COW copy (done
-    // before the KSM tail — a merged page would refuse to migrate).
+    // One cross-zone migration of the child's private post-COW copy.
     let va = VirtAddr::new(0x4000_0000);
     let pfn = vm
         .guest()
@@ -142,7 +120,6 @@ fn golden_vm_v5() -> VirtualMachine {
     vm.guest_mut().migrate_page_to_node(child, va, 1 - from.0).expect("cross-zone migrate");
     assert_eq!(vm.guest().numa_stats().migrations, 1);
     assert!(vm.guest().numa_stats().local_allocs > 0, "homed faults must count");
-    balloon_and_ksm(&mut vm);
     vm
 }
 
@@ -176,7 +153,7 @@ fn golden_vm_v6() -> VirtualMachine {
 }
 
 #[test]
-fn golden_v6_snapshot_still_decodes() {
+fn golden_v7_snapshot_still_decodes() {
     let snap = decode_vm_file(&golden_text()).expect("current decoder must read the golden file");
 
     // The header digest is re-verified by the decoder; additionally pin the
@@ -210,30 +187,6 @@ fn golden_v3_restores_poison_state() {
     assert!(vm.guest().machine().poisoned_frames() > 0, "guest badframes lost");
     assert!(vm.host().machine().poisoned_frames() > 0, "host badframes lost");
     assert!(vm.guest().poison_policy().is_armed(), "armed policy lost in round trip");
-}
-
-#[test]
-fn golden_v4_restores_balloon_and_sharing_state() {
-    // The balloon frame list and the KSM sharing registry must survive the
-    // round trip with their exact values, not just re-default.
-    let snap = decode_vm_file(&golden_text()).expect("decode golden");
-    let mut vm = VirtualMachine::new(
-        VmConfig::with_mib(16, 64),
-        Box::new(DefaultThpPolicy),
-        Box::new(DefaultThpPolicy),
-    );
-    vm.restore(&snap);
-    assert!(!vm.ballooned_gframes().is_empty(), "balloon list lost in round trip");
-    let sharing = vm.sharing_registry();
-    assert!(!sharing.is_empty(), "sharing registry lost in round trip");
-    for (host_frame, members) in sharing {
-        assert!(
-            members.len() >= 2,
-            "registry record for host frame {host_frame} has {} member(s); \
-             records exist only while shared",
-            members.len()
-        );
-    }
 }
 
 #[test]

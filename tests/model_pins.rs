@@ -58,8 +58,8 @@ fn torture_mix_runs_are_pinned() {
     let expected = [
         Pin {
             seed: 0x5EED_CAFE,
-            final_digest: 0x777b05e8f9f0153f,
-            fleet_digest: 0x20658cbba3430346,
+            final_digest: 0xe134dd8ba1912434,
+            fleet_digest: 0x3e38d0082fa0dc7b,
             buddy_allocs: 510,
             crash_checks: 1,
             audits: 2,
@@ -69,8 +69,8 @@ fn torture_mix_runs_are_pinned() {
         },
         Pin {
             seed: 7,
-            final_digest: 0x312748b66878285f,
-            fleet_digest: 0x3608a4367da81cbd,
+            final_digest: 0xd63be0ed0a9344d4,
+            fleet_digest: 0xfae15ac660b6f5ac,
             buddy_allocs: 389,
             crash_checks: 1,
             audits: 2,
@@ -80,8 +80,8 @@ fn torture_mix_runs_are_pinned() {
         },
         Pin {
             seed: 0xC0FFEE,
-            final_digest: 0x7da8d14f78509d48,
-            fleet_digest: 0x758463152d25c521,
+            final_digest: 0x48dc72b1036ded9f,
+            fleet_digest: 0x95523c3416a285ac,
             buddy_allocs: 615,
             crash_checks: 1,
             audits: 2,
@@ -174,6 +174,6 @@ fn nested_boot_digest_is_pinned() {
     }
     assert_eq!(
         (digest_vm(&vm.snapshot()), vm.host().machine().free_frames(), vm.guest().now_ns()),
-        (0xee44b2acb0b76cd3, 29_696, 3_081_400)
+        (0xa304aed5e4baed90, 29_696, 3_081_400)
     );
 }

@@ -114,8 +114,8 @@ fn lines_the_exporter_cannot_write_are_refused_with_their_line_number() {
 }
 
 fn golden() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v6.jsonl");
-    std::fs::read_to_string(path).expect("tests/golden/snapshot_v6.jsonl is checked in")
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v7.jsonl");
+    std::fs::read_to_string(path).expect("tests/golden/snapshot_v7.jsonl is checked in")
 }
 
 /// A snapshot file around `payload`, with the header digest it needs.
@@ -130,8 +130,8 @@ fn snapshot_file(version: u64, payload: &str) -> String {
 fn snapshot_decoder_reads_one_version_and_requires_every_member() {
     let golden = golden();
     let payload = golden.lines().nth(1).expect("payload line");
-    assert_eq!(snapshot_file(6, payload), golden, "the header is spelled as the encoder has it");
-    for version in [5, 7, 1, 0] {
+    assert_eq!(snapshot_file(7, payload), golden, "the header is spelled as the encoder has it");
+    for version in [6, 8, 1, 0] {
         let err = decode_vm_file(&snapshot_file(version, payload)).unwrap_err();
         assert!(err.contains(&format!("version {version} unsupported")), "{err}");
     }
@@ -144,19 +144,13 @@ fn snapshot_decoder_reads_one_version_and_requires_every_member() {
         let before = guest.len();
         guest.retain(|(key, _)| key != member);
         assert_eq!(guest.len(), before - 1, "{member} is a guest member");
-        let err = decode_vm_file(&snapshot_file(6, &Json::Obj(vm).to_line())).unwrap_err();
+        let err = decode_vm_file(&snapshot_file(7, &Json::Obj(vm).to_line())).unwrap_err();
         assert_eq!(err, format!("guest: missing field `{member}`"));
-    }
-    for member in ["balloon", "sharing"] {
-        let Json::Obj(mut vm) = json::parse(payload).unwrap() else { panic!("payload object") };
-        vm.retain(|(key, _)| key != member);
-        let err = decode_vm_file(&snapshot_file(6, &Json::Obj(vm).to_line())).unwrap_err();
-        assert_eq!(err, format!("missing field `{member}`"));
     }
     // A daemon phase no daemon has is refused by number, not restored as the
     // epoch start, and the error is the path down to it.
     assert_eq!(payload.matches(r#""phase":0"#).count(), 2, "guest and host daemons at rest");
-    let err = decode_vm_file(&snapshot_file(6, &payload.replace(r#""phase":0"#, r#""phase":7"#)));
+    let err = decode_vm_file(&snapshot_file(7, &payload.replace(r#""phase":0"#, r#""phase":7"#)));
     assert_eq!(err.unwrap_err(), "guest: daemon: phase: unknown daemon phase 7");
 }
 
@@ -270,7 +264,7 @@ fn mutated_snapshot_files_decode_or_are_refused() {
     // mutant reaches the parser and the member decoders.
     let whole = mutants(text.as_bytes(), 2, CASES).map(|m| String::from_utf8_lossy(&m).into_owned());
     let vouched = mutants(payload.as_bytes(), 3, CASES)
-        .map(|m| snapshot_file(6, &String::from_utf8_lossy(&m)));
+        .map(|m| snapshot_file(7, &String::from_utf8_lossy(&m)));
     for mutant in whole.chain(vouched) {
         if let Ok(snap) = decode_vm_file(&mutant) {
             assert!(encode_vm_file(&snap).trim_end().len() <= mutant.len());
@@ -448,7 +442,7 @@ fn pinned_system(i: u64) -> SystemSnapshot {
 
 fn pinned_fleet() -> FleetSnapshot {
     FleetSnapshot {
-        config: FleetConfig::new(2, 64, 16).with_host_nodes(2),
+        config: FleetConfig::new(2, 64, 16),
         hosts: vec![pinned_system(0), pinned_system(1)],
         sharing: vec![vec![(5, vec![(0, 7), (1, 9)])], vec![]],
         tenants: (0..3)
@@ -515,7 +509,7 @@ fn pinned_ops() -> Vec<TortureOp> {
 
 /// `pinned_fleet()`; the pieces break where a host or guest system starts.
 const PINNED_FLEET: &str = concat!(
-    r#"{"config":{"hosts":2,"host_mib":64,"guest_mib":16,"overcommit_ppm":1600000,"low_watermark_ppm":125000,"high_watermark_ppm":187500,"balloon_step":64,"balloon_retries":4,"backing_attempts":8,"evac_storm_ppm":120000,"evac_attempts":6,"seed":15855216,"host_nodes":2},"hosts":["#,
+    r#"{"config":{"hosts":2,"host_mib":64,"guest_mib":16,"overcommit_ppm":1600000,"low_watermark_ppm":125000,"high_watermark_ppm":187500,"balloon_step":64,"balloon_retries":4,"backing_attempts":8,"evac_storm_ppm":120000,"evac_attempts":6,"seed":15855216},"hosts":["#,
     r#"{"machine":{"zones":[{"config":{"base":0,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[3],[],[8,4]],"allocated":[[0,1],[2,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"never"},"attempts":10,"injected":0,"rng_state":4660},"contig_rover":512,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[2],[]],"counters":[1,2,3,4,5,6]},"badframes":[2],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,0,3,false],[2097152,512,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":0}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,2]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"latency":{"base_ns":1,"zero_page_ns":2,"placement_ns":3},"shared":[[0,2]],"now_ns":99,"recovery":{"reclaim":true,"compaction":true,"max_retries":3,"reclaim_batch":256,"compact_budget":128,"backoff_base_ns":200,"backoff_cap_ns":100000,"backoff_seed":12648430,"max_total_attempts":64},"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"never"},"checks":20,"events":0,"rng_state":22136},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"scan_interval":4,"epoch_budget":128,"aggressiveness":3,"thp_threshold_pages":512,"repair_poison":false,"shed_promote_pct":15,"shed_compact_pct":8,"yield_pct":4,"poison_storm_frames":64,"backoff_base_ns":2000,"backoff_cap_ns":500000,"backoff_seed":229556446,"watchdog_vetoes":8},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"candidate_cursor":0,"repair_cursor":0,"budget_left":128,"phase":0,"candidates":[[1,2097152],[1,4194304]],"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"#,
     r#"{"machine":{"zones":[{"config":{"base":1024,"frames":1024,"top_order":10,"sorted_top_list":true},"free_lists":[[1027],[],[1032,1028]],"allocated":[[1024,1],[1026,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"nth","n":7},"attempts":11,"injected":1,"rng_state":4661},"contig_rover":null,"contig_updates":9,"pcp":null,"badframes":[1026],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,1024,3,false],[2097152,1536,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":1}],"page_cache":{"mode":"default","readahead_allocs":2,"files":[{"pages":[[3,1026]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":true,"pt_levels":5,"record_latencies":true,"latency":{"base_ns":1,"zero_page_ns":2,"placement_ns":3},"shared":[[1024,2]],"now_ns":99,"recovery":{"reclaim":true,"compaction":true,"max_retries":3,"reclaim_batch":256,"compact_budget":128,"backoff_base_ns":200,"backoff_cap_ns":100000,"backoff_seed":12648430,"max_total_attempts":64},"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"nth","n":5},"checks":21,"events":1,"rng_state":22137},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"scan_interval":4,"epoch_budget":128,"aggressiveness":3,"thp_threshold_pages":512,"repair_poison":false,"shed_promote_pct":15,"shed_compact_pct":8,"yield_pct":4,"poison_storm_frames":64,"backoff_base_ns":2000,"backoff_cap_ns":500000,"backoff_seed":229556446,"watchdog_vetoes":8},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"candidate_cursor":0,"repair_cursor":0,"budget_left":128,"phase":1,"candidates":[[1,2097152],[1,4194304]],"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}}],"sharing":[[[5,[[0,7],[1,9]]]],[]],"tenants":[{"id":0,"guest":"#,
     r#"{"machine":{"zones":[{"config":{"base":2048,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[2051],[],[2056,2052]],"allocated":[[2048,1],[2050,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"every_nth","n":3},"attempts":12,"injected":2,"rng_state":4662},"contig_rover":2560,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[2050],[]],"counters":[1,2,3,4,5,6]},"badframes":[2050],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,2048,3,false],[2097152,2560,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":2}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,2050]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"latency":{"base_ns":1,"zero_page_ns":2,"placement_ns":3},"shared":[[2048,2]],"now_ns":99,"recovery":{"reclaim":true,"compaction":true,"max_retries":3,"reclaim_batch":256,"compact_budget":128,"backoff_base_ns":200,"backoff_cap_ns":100000,"backoff_seed":12648430,"max_total_attempts":64},"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"every_nth","n":4},"checks":22,"events":2,"rng_state":22138},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"scan_interval":4,"epoch_budget":128,"aggressiveness":3,"thp_threshold_pages":512,"repair_poison":false,"shed_promote_pct":15,"shed_compact_pct":8,"yield_pct":4,"poison_storm_frames":64,"backoff_base_ns":2000,"backoff_cap_ns":500000,"backoff_seed":229556446,"watchdog_vetoes":8},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"candidate_cursor":0,"repair_cursor":0,"budget_left":128,"phase":2,"candidates":[[1,2097152],[1,4194304]],"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":0,"host_pid":1,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]},{"id":1,"guest":"#,
@@ -566,4 +560,24 @@ fn lines_the_golden_file_leaves_at_defaults_are_byte_identical_to_the_recorded_o
     let cfg = TortureConfig { crash_interval: Some(40), ..TortureConfig::with_seed_and_ops(3, 22) };
     assert_eq!(encode_repro(&cfg, &pinned_ops()), PINNED_REPRO);
     assert_eq!(decode_repro(PINNED_REPRO), Ok((cfg, pinned_ops())));
+}
+
+/// A header whose machines cannot be built is refused by the member at
+/// fault, before any op runs: each of these decoded, then panicked in
+/// `run_ops` building a zone with no frames.
+#[test]
+fn repro_headers_no_machine_can_boot_are_refused() {
+    for (from, to, why) in [
+        (r#""guest_mib":16"#, r#""guest_mib":0"#, "guest_mib: a machine needs at least 1 MiB"),
+        (r#""host_mib":64"#, r#""host_mib":0"#, "host_mib: a machine needs at least 1 MiB"),
+        (
+            r#""shards":0"#,
+            r#""shards":9999"#,
+            "shards: 9999 zones of at least 1 MiB do not fit 16 MiB",
+        ),
+    ] {
+        let header = PINNED_REPRO.replacen(from, to, 1);
+        assert_ne!(header, PINNED_REPRO, "{from} is in the pinned header");
+        assert_eq!(decode_repro(&header), Err(why.to_string()));
+    }
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Find public items nothing outside their crate uses, and items nothing uses.
 
-Usage: sweep.py DIR
+Usage: sweep.py [--no-tests] DIR
 
 DIR is a copy of the repository (`git clone`), edited in place. Every `pub`
 item, field and `use` of the library crates (`crates/*/src`, except
@@ -16,6 +16,11 @@ there — an item that nothing but its own unit tests, or nothing at all, uses
 stderr, one line per restore with the diagnostic that caused it; cargo
 builds into DIR/target. The exit code is 1 if an error could not be traced
 to a narrowing.
+
+With `--no-tests` the workspace is built as `--lib --bins --examples`: the
+integration tests and `#[cfg(test)]` modules no longer count as callers, so
+what is printed is the public API only tests reach. The benchmark package
+and the doctests still count.
 """
 
 import argparse
@@ -31,7 +36,7 @@ NARROWABLE = re.compile(r"^(\s*)pub (?=" + KEYWORDS + r"|[A-Za-z_]\w*\s*:)")
 # Errors whose message names the item but whose spans do not locate it.
 NAMED = re.compile(r"`([A-Za-z_]\w*)`")
 TYPE = re.compile(r"type `contig_(\w+?)::(?:\w+::)*(\w+)` is private")
-FIELD = re.compile(r"fields? (.+) of struct `(?:\w+::)*(\w+)` (?:is|are) private")
+FIELD = re.compile(r"fields? (.+) of struct `(?:\w+::)*(\w+)(?:<[^`]*>)?` (?:is|are) private")
 TRIGGER_LINTS = {"private_interfaces", "private_bounds"}
 DEAD_LINTS = {"dead_code", "unused_imports"}
 
@@ -200,32 +205,39 @@ def restore_for(tree, msg):
              if any(p == c["path"] and c["line_start"] <= i + 1 <= c["line_end"] for c in calls)]
     if found:
         return sum(tree.restore(p, i, why) for p, i in found)
-    field = FIELD.search(msg["message"])
+    crate = crate_of(next((s["path"] for s in msg["spans"] if s["is_primary"]), ""))
+    return restore_by_name(tree, msg["message"], (msg.get("code") or {}).get("code"), crate)
+
+
+def restore_by_name(tree, message, code, crate):
+    """Restores the narrowing an error names but does not locate: a private
+    field, a private type in a signature, a re-export; returns the number
+    restored. `crate` is the crate the error was reported in."""
+    field = FIELD.search(message)
     if field:
         names = NAMED.findall(field.group(1))
         found = [d for name in names for d in tree.definitions(name, field_of=field.group(2))]
-    elif TYPE.search(msg["message"]):
-        crate, name = TYPE.search(msg["message"]).groups()
-        found = tree.definitions(name, crate)
-    elif "found module" in msg["message"]:
+    elif TYPE.search(message):
+        krate, name = TYPE.search(message).groups()
+        found = tree.definitions(name, krate)
+    elif "found module" in message:
         # A narrowed re-export of a function named like its module: the
         # path now resolves to the module.
-        name = NAMED.findall(msg["message"])[-1]
+        name = NAMED.findall(message)[-1]
         found = [(p, i) for p, i in tree.definitions(name) if " use " in tree.lines[p][i]]
-    elif (msg.get("code") or {}).get("code") in ("E0364", "E0365"):
-        crate = crate_of(next(s["path"] for s in msg["spans"] if s["is_primary"]))
-        found = [d for name in NAMED.findall(msg["message"]) for d in tree.definitions(name, crate)]
+    elif code in ("E0364", "E0365"):
+        found = [d for name in NAMED.findall(message) for d in tree.definitions(name, crate)]
     else:
         return 0
-    return sum(tree.restore(p, i, why) for p, i in list(found))
+    return sum(tree.restore(p, i, message) for p, i in list(found))
 
 
-def build_round(tree, target):
+def build_round(tree, target, workspace_targets):
     """One pass over the three builds; returns (restored, unresolved)."""
     restored, unresolved = 0, []
     root = tree.root
     for args, base in (
-        (["check", "--offline", "--workspace", "--all-targets", "--target-dir", target], root),
+        (["check", "--offline", "--workspace", *workspace_targets, "--target-dir", target], root),
         (["check", "--offline", "--all-targets", "--manifest-path", "benchmark/Cargo.toml",
           "--target-dir", os.path.join(target, "benchmark")], os.path.join(root, "benchmark")),
     ):
@@ -245,15 +257,20 @@ def build_round(tree, target):
     doc = ["test", "--offline", "--workspace", "--doc", "--no-fail-fast", "--target-dir", target]
     out = cargo(doc, root, json_out=False)
     if out.returncode:
-        text, in_error, located = out.stdout + out.stderr, False, []
+        text, errors = out.stdout + out.stderr, []
         for line in text.splitlines():
             if line.startswith(("error", "warning")):
-                in_error = line.startswith("error")
-            if in_error:
-                located += re.findall(r"(?:-->|:::) ([^\s:]+\.rs):(\d+):\d+", line)
-        for path, line in located:
-            path = os.path.normpath(os.path.join(root, path))
-            restored += tree.restore(path, int(line) - 1, "doctest")
+                head = re.match(r"error(?:\[(E\d+)\])?: (.*)", line)
+                errors.append(head and (head.group(1), head.group(2), []))
+            elif errors and errors[-1]:
+                errors[-1][2].extend(re.findall(r"(?:-->|:::) ([^\s:]+\.rs):(\d+):\d+", line))
+        for code, message, located in filter(None, errors):
+            paths = [(os.path.normpath(os.path.join(root, p)), int(n)) for p, n in located]
+            n = sum(tree.restore(p, line - 1, "doctest") for p, line in paths)
+            # Spans of an error inside a doctest point into the doc comment;
+            # one that names its item is restored by that name.
+            crate = crate_of(paths[0][0]) if paths else None
+            restored += n or restore_by_name(tree, message, code, crate)
         if not restored:
             unresolved.append(text[-4000:])
     return restored, unresolved
@@ -261,8 +278,12 @@ def build_round(tree, target):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--no-tests", action="store_true",
+                    help="count only libraries, binaries, examples, the benchmark and doctests as callers")
     ap.add_argument("dir", help="a copy of the repository, edited in place")
-    root = os.path.abspath(ap.parse_args().dir)
+    args = ap.parse_args()
+    root = os.path.abspath(args.dir)
+    workspace_targets = ["--lib", "--bins", "--examples"] if args.no_tests else ["--all-targets"]
     target = os.path.join(root, "target")
     tree = Tree(root)
     total = tree.narrow_all()
@@ -270,7 +291,7 @@ def main():
     rounds = 0
     while True:
         rounds += 1
-        restored, unresolved = build_round(tree, target)
+        restored, unresolved = build_round(tree, target, workspace_targets)
         log(f"round {rounds}: restored {restored}")
         if unresolved:
             log("errors no narrowing explains:\n" + "\n".join(unresolved))
