@@ -46,9 +46,10 @@ impl EagerPaging {
     }
 
     /// Maps `[block_pa, block_pa + bytes)` onto `[va, va + bytes)` using huge
-    /// leaves wherever both sides are 2 MiB aligned, splitting the block's
-    /// *allocation* down to leaf granularity (Linux `split_page()`) so the
-    /// pages can be freed individually when the process exits.
+    /// leaves wherever both sides are 2 MiB aligned at the head of a 2 MiB
+    /// ownership unit, splitting the block's *allocation* down to leaf
+    /// granularity (Linux `split_page()`) so the pages can be freed
+    /// individually when the process exits.
     fn map_block(
         ctx: &mut FaultCtx<'_>,
         va: VirtAddr,
@@ -63,12 +64,18 @@ impl EagerPaging {
         while off < bytes {
             let cur_va = va + off;
             let cur_pfn = block_pfn.add(off >> contig_types::BASE_PAGE_SHIFT);
+            // Ownership units start at offsets from the block head: a zone
+            // need not start on the 2 MiB grid, so neither need its blocks,
+            // and a 2 MiB-aligned frame may sit inside a unit.
+            let unit_head = (off >> contig_types::BASE_PAGE_SHIFT)
+                .is_multiple_of(1 << block_order.min(PageSize::Huge2M.order()));
             let huge_ok = cur_va.is_aligned(PageSize::Huge2M)
                 && cur_pfn.is_aligned(9)
+                && unit_head
                 && bytes - off >= PageSize::Huge2M.bytes()
                 && block_order >= PageSize::Huge2M.order();
             let size = if huge_ok { PageSize::Huge2M } else { PageSize::Base4K };
-            if size == PageSize::Base4K && cur_pfn.is_aligned(block_order.min(9)) {
+            if size == PageSize::Base4K && unit_head {
                 // Entering a 4 KiB-leaf stretch: split its ownership unit.
                 ctx.machine.split_allocated(cur_pfn, 0);
             }
@@ -227,6 +234,28 @@ mod tests {
         sys.exit(pid);
         assert_eq!(sys.machine().free_frames(), sys.machine().total_frames());
         sys.machine().verify_integrity();
+    }
+
+    #[test]
+    fn blocks_of_an_unaligned_zone_are_split_from_their_head() {
+        // Node 1 starts at 3 MiB, so its blocks sit 1 MiB off the 2 MiB
+        // grid: the 2 MiB-aligned frames inside them are tails, not heads.
+        // With 5 MiB on node 1 and a VMA 1 MiB off the grid, the order-10
+        // block's aligned frame also lines up with an aligned address, in
+        // the middle of an ownership unit: no huge leaf may start there.
+        for (nodes, start, len) in [([3, 3], 0x40_0000, 5 << 20), ([3, 5], 0x50_0000, 7 << 20)] {
+            let mut mc = MachineConfig::with_node_mib(&nodes);
+            mc.top_order = 15;
+            let mut sys = System::new(SystemConfig::new(mc));
+            let pid = sys.spawn();
+            sys.aspace_mut(pid).map_vma(VirtRange::new(VirtAddr::new(start), len), VmaKind::Anon);
+            let mut eager = EagerPaging::new();
+            sys.touch(&mut eager, pid, VirtAddr::new(start)).unwrap();
+            assert_eq!(sys.aspace(pid).mapped_bytes(), len);
+            sys.exit(pid);
+            assert_eq!(sys.machine().free_frames(), sys.machine().total_frames());
+            sys.machine().verify_integrity();
+        }
     }
 
     #[test]

@@ -11,47 +11,6 @@
 
 use contig_types::{ContigMapping, PageSize};
 
-// (the anchor-TLB model below additionally uses the miss-path traits)
-
-/// Number of ranges needed to cover `coverage` (e.g. 0.99) of the total
-/// mapped footprint: the vRMM column of Table I.
-///
-/// # Examples
-///
-/// ```
-/// use contig_baselines::ranges_for_coverage;
-/// use contig_types::{ContigMapping, PhysAddr, VirtAddr};
-///
-/// let maps = vec![
-///     ContigMapping::new(VirtAddr::new(0), PhysAddr::new(0x1000_0000), 99 << 20),
-///     ContigMapping::new(VirtAddr::new(0x4000_0000), PhysAddr::new(0x9000_0000), 1 << 20),
-/// ];
-/// assert_eq!(ranges_for_coverage(&maps, 0.99), 1);
-/// assert_eq!(ranges_for_coverage(&maps, 1.0), 2);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `coverage` is outside `(0, 1]`.
-pub fn ranges_for_coverage(mappings: &[ContigMapping], coverage: f64) -> usize {
-    assert!(coverage > 0.0 && coverage <= 1.0, "coverage {coverage} out of range");
-    let total: u64 = mappings.iter().map(|m| m.len()).sum();
-    if total == 0 {
-        return 0;
-    }
-    let mut lens: Vec<u64> = mappings.iter().map(|m| m.len()).collect();
-    lens.sort_unstable_by_key(|&l| std::cmp::Reverse(l));
-    let goal = (total as f64 * coverage).ceil() as u64;
-    let mut acc = 0u64;
-    for (i, len) in lens.iter().enumerate() {
-        acc += len;
-        if acc >= goal {
-            return i + 1;
-        }
-    }
-    lens.len()
-}
-
 /// Picks vHC's anchor distance for a process: the largest power-of-two
 /// number of base pages not exceeding the footprint-weighted average
 /// contiguous-mapping length (the OS "dynamically adjusts the anchor
@@ -82,29 +41,21 @@ pub fn anchor_distance_pages(mappings: &[ContigMapping]) -> u64 {
     d.clamp(MIN_DISTANCE, MAX_DISTANCE)
 }
 
-/// Number of vHC anchor entries needed to cover `coverage` of the footprint
-/// with the given anchor distance (in base pages): the vHC column of Table I.
+/// The coverage, in bytes, of each entry vHC needs to map `mappings` with
+/// the given anchor distance (in base pages): the vHC column of Table I
+/// counts the largest of them that reach the coverage goal.
 ///
 /// Each anchor-aligned virtual window intersecting a mapping contributes one
 /// entry whose coverage is the part of the mapping from the window start (an
 /// anchor cannot describe contiguity that begins mid-window, so a mapping
-/// entering a window mid-way wastes the head of that window). Entries are
-/// then taken largest-first until the target coverage is reached.
+/// entering a window mid-way wastes the head of that window). The entries
+/// partition the footprint: their sum is the mappings' total length.
 ///
 /// # Panics
 ///
-/// Panics if `coverage` is outside `(0, 1]` or `distance_pages` is zero.
-pub fn anchor_entries_for_coverage(
-    mappings: &[ContigMapping],
-    distance_pages: u64,
-    coverage: f64,
-) -> usize {
-    assert!(coverage > 0.0 && coverage <= 1.0, "coverage {coverage} out of range");
+/// Panics if `distance_pages` is zero.
+pub fn anchor_entries(mappings: &[ContigMapping], distance_pages: u64) -> Vec<u64> {
     assert!(distance_pages > 0, "anchor distance must be positive");
-    let total: u64 = mappings.iter().map(|m| m.len()).sum();
-    if total == 0 {
-        return 0;
-    }
     let window = distance_pages * PageSize::Base4K.bytes();
     let huge = PageSize::Huge2M.bytes();
     let mut entries: Vec<u64> = Vec::new();
@@ -134,16 +85,7 @@ pub fn anchor_entries_for_coverage(
             anchor += window;
         }
     }
-    entries.sort_unstable_by_key(|&c| std::cmp::Reverse(c));
-    let goal = (total as f64 * coverage).ceil() as u64;
-    let mut acc = 0u64;
-    for (i, cov) in entries.iter().enumerate() {
-        acc += cov;
-        if acc >= goal {
-            return i + 1;
-        }
-    }
-    entries.len()
+    entries
 }
 
 #[cfg(test)]
@@ -157,21 +99,18 @@ mod tests {
 
     #[test]
     fn single_aligned_mapping_needs_len_over_distance_anchors() {
-        // 64 MiB mapping, window 2 MiB, aligned: 32 anchors for 100 %.
+        // 64 MiB mapping, window 2 MiB, aligned: 32 full anchors.
         let maps = vec![mapping(0, 64 << 20)];
-        assert_eq!(anchor_entries_for_coverage(&maps, 512, 1.0), 32);
-        assert_eq!(ranges_for_coverage(&maps, 1.0), 1);
+        assert_eq!(anchor_entries(&maps, 512), vec![2 << 20; 32]);
     }
 
     #[test]
     fn unaligned_mapping_needs_extra_head_entries() {
         // Mapping starts 1 MiB into a 4 MiB window: the head is covered by
         // ordinary entries, costing more than the aligned equivalent.
-        let aligned = vec![mapping(0, 64 << 20)];
-        let unaligned = vec![mapping(1 << 20, 64 << 20)];
-        let a = anchor_entries_for_coverage(&aligned, 1024, 1.0);
-        let b = anchor_entries_for_coverage(&unaligned, 1024, 1.0);
-        assert!(b > a, "unaligned {b} must exceed aligned {a}");
+        let a = anchor_entries(&[mapping(0, 64 << 20)], 1024);
+        let b = anchor_entries(&[mapping(1 << 20, 64 << 20)], 1024);
+        assert!(b.len() > a.len(), "unaligned {b:?} must exceed aligned {a:?}");
     }
 
     #[test]
@@ -187,38 +126,8 @@ mod tests {
     }
 
     #[test]
-    fn coverage_goal_counts_largest_first() {
-        let maps = vec![mapping(0, 98 << 20), mapping(1 << 30, 1 << 20), mapping(2 << 30, 1 << 20)];
-        assert_eq!(ranges_for_coverage(&maps, 0.98), 1);
-        assert_eq!(ranges_for_coverage(&maps, 0.99), 2);
-        assert_eq!(ranges_for_coverage(&maps, 1.0), 3);
-    }
-
-    #[test]
-    fn vhc_needs_far_more_entries_than_vrmm_on_unaligned_contiguity() {
-        // The Table I shape: a few vast unaligned mappings.
-        let maps: Vec<_> = (0..10u64)
-            .map(|i| mapping((i << 32) + (3 << 20), 1 << 30))
-            .collect();
-        let ranges = ranges_for_coverage(&maps, 0.99);
-        let d = anchor_distance_pages(&maps);
-        let anchors = anchor_entries_for_coverage(&maps, d, 0.99);
-        assert!(
-            anchors >= ranges * 4,
-            "anchors {anchors} should dwarf ranges {ranges}"
-        );
-    }
-
-    #[test]
-    fn empty_footprint_is_zero_everywhere() {
-        assert_eq!(ranges_for_coverage(&[], 0.99), 0);
-        assert_eq!(anchor_entries_for_coverage(&[], 512, 0.99), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_coverage_panics() {
-        let _ = ranges_for_coverage(&[], 1.5);
+    fn empty_footprint_has_no_entries() {
+        assert!(anchor_entries(&[], 512).is_empty());
     }
 }
 

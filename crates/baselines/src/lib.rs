@@ -16,8 +16,8 @@
 //!
 //! - [`VrmmRangeTlb`] — virtualized Redundant Memory Mappings.
 //! - [`DirectSegment`] — dual-direct-mode Direct Segments.
-//! - [`ranges_for_coverage`] / [`anchor_entries_for_coverage`] — the
-//!   vRMM-vs-vHC entry-count analysis of Table I.
+//! - [`anchor_entries`] — vHC's entries for Table I's vRMM-vs-vHC
+//!   entry-count analysis.
 
 #![warn(missing_docs)]
 
@@ -31,7 +31,7 @@ mod rmm;
 
 pub use ds::DirectSegment;
 pub use eager::EagerPaging;
-pub use hc::{anchor_distance_pages, anchor_entries_for_coverage, ranges_for_coverage, VhcAnchorTlb};
+pub use hc::{anchor_distance_pages, anchor_entries, VhcAnchorTlb};
 pub use ideal::IdealPaging;
 pub use ingens::IngensPolicy;
 pub use ranger::{run_ranger_to_convergence, RangerDaemon};

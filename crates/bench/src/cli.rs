@@ -8,12 +8,13 @@
 //!
 //! Every paper experiment (see `DESIGN.md` §3 for the index) accepts:
 //!
-//! - `--scale N` — footprint/machine/TLB scale divisor (default 64; the
-//!   library tests use 1024);
+//! - `--scale N` — footprint/machine/TLB scale divisor, 1 to 2048 (default
+//!   64; the library tests use 1024);
 //! - `--accesses N` — trace length for translation experiments (default 2M);
 //! - `--runs N` — repetitions where the figure sweeps runs (Fig. 1b).
 
 use std::fmt;
+use std::ops::RangeInclusive;
 use std::str::FromStr;
 
 use contig_check::ConfigError;
@@ -38,6 +39,15 @@ pub enum UsageError {
         /// What followed it.
         value: String,
     },
+    /// The flag's number is outside the range the command can run with.
+    OutOfRange {
+        /// The flag.
+        flag: String,
+        /// What followed it.
+        value: u64,
+        /// The values it accepts.
+        range: RangeInclusive<u64>,
+    },
     /// The flags describe a torture run no machine can be built for.
     Config(ConfigError),
 }
@@ -50,6 +60,9 @@ impl fmt::Display for UsageError {
             Self::UnknownFlag(flag) => write!(f, "unknown flag {flag}"),
             Self::MissingValue(flag) => write!(f, "{flag} needs a value"),
             Self::BadValue { flag, value } => write!(f, "{flag} expects a number, got {value}"),
+            Self::OutOfRange { flag, value, range } => {
+                write!(f, "{flag} must be in {range:?}, got {value}")
+            }
             Self::Config(e) => write!(f, "{e}"),
         }
     }
@@ -120,9 +133,13 @@ impl Options {
     /// The flag synopsis of every paper experiment.
     pub const FLAGS: &'static str = "[--scale N] [--accesses N] [--runs N]";
 
+    /// The scales every experiment can run at: 0 would divide by zero, and
+    /// past 2048 the scaled machine is too small for fig08's workloads.
+    const SCALES: RangeInclusive<u64> = 1..=2048;
+
     /// Parses an experiment's flags.
     pub fn parse(argv: &[String]) -> Result<Self, UsageError> {
-        parse(argv, Self::default(), |opts, flag, values| {
+        let opts = parse(argv, Self::default(), |opts, flag, values| {
             match flag {
                 "--scale" => opts.scale = values.num(flag)?,
                 "--accesses" => opts.accesses = values.num(flag)?,
@@ -130,7 +147,12 @@ impl Options {
                 _ => return unknown(flag),
             }
             Ok(())
-        })
+        })?;
+        if !Self::SCALES.contains(&opts.scale) {
+            let (flag, value, range) = ("--scale".into(), opts.scale, Self::SCALES);
+            return Err(UsageError::OutOfRange { flag, value, range });
+        }
+        Ok(opts)
     }
 
     /// The experiment environment for these options.
@@ -190,5 +212,15 @@ mod tests {
             error("--runs -1"),
             UsageError::BadValue { flag: "--runs".into(), value: "-1".into() }
         );
+        // Scales no run can use: 0 divided by zero, 4096 ran out of memory
+        // in fig08, 1000000 panicked building the machine.
+        for value in [0, 4096, 1_000_000] {
+            assert_eq!(
+                Options::parse(&argv(&format!("--scale {value}"))),
+                Err(UsageError::OutOfRange { flag: "--scale".into(), value, range: 1..=2048 })
+            );
+        }
+        assert_eq!(Options::parse(&argv("--scale 2048")).map(|o| o.scale), Ok(2048));
+        assert_eq!(Options::parse(&argv("--scale 1")).map(|o| o.scale), Ok(1));
     }
 }

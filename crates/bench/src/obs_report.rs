@@ -2,11 +2,11 @@
 //!
 //! Three modes, all deterministic per seed:
 //!
-//! - **Engine profile** (default): runs a multi-VM fault sweep through the
-//!   parallel experiment engine at 8 workers with per-task span profiling
-//!   attached, then renders per-stage latency tables (count, self-time,
-//!   total-time in simulated ns) and the top-k hottest stages by
-//!   self-time. Writes the merged profile as a collapsed-stack file
+//! - **Engine profile** (default): runs [`TASKS`] fault workloads through
+//!   the parallel experiment engine at 8 workers with per-task span
+//!   profiling attached, then renders per-stage latency tables (count,
+//!   self-time, total-time in simulated ns) and the [`TOP`] hottest stages
+//!   by self-time. Writes the merged profile as a collapsed-stack file
 //!   (`--folded PATH`, default `obs_folded.txt`) ready for
 //!   `inferno-flamegraph` / `flamegraph.pl`.
 //! - **Torture profile** (`--torture`): runs one seeded differential
@@ -37,41 +37,40 @@ use crate::cli::{parse, unknown, UsageError};
 use crate::trace_report::{mapped_or_oom, pressured_hog};
 
 /// The command's flag synopsis.
-pub const FLAGS: &str = "[--tasks N] [--seed N] [--ops N] [--torture] [--inject-panic] \
-                         [--folded PATH] [--flight PATH] [--top K]";
+pub const FLAGS: &str =
+    "[--seed N] [--ops N] [--torture] [--inject-panic] [--folded PATH] [--flight PATH]";
+
+/// Profiled fault workloads the engine profile and the self-test run.
+const TASKS: usize = 8;
+/// Stages the hottest-by-self-time list shows.
+const TOP: usize = 5;
 
 struct Args {
-    tasks: usize,
     seed: u64,
     ops: usize,
     torture: bool,
     inject_panic: bool,
     folded: String,
     flight: String,
-    top: usize,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
     let defaults = Args {
-        tasks: 8,
         seed: 0x0B5_CAFE,
         ops: 500,
         torture: false,
         inject_panic: false,
         folded: "obs_folded.txt".to_string(),
         flight: "flight_min.jsonl".to_string(),
-        top: 5,
     };
     parse(argv, defaults, |args, flag, values| {
         match flag {
-            "--tasks" => args.tasks = values.num(flag)?,
             "--seed" => args.seed = values.num(flag)?,
             "--ops" => args.ops = values.num(flag)?,
             "--torture" => args.torture = true,
             "--inject-panic" => args.inject_panic = true,
             "--folded" => args.folded = values.text(flag)?,
             "--flight" => args.flight = values.text(flag)?,
-            "--top" => args.top = values.num(flag)?,
             _ => return unknown(flag),
         }
         Ok(())
@@ -97,8 +96,8 @@ fn profile_task(seed: u64, tracer: &Tracer) -> u64 {
 }
 
 /// Renders the per-stage table: every stage that fired, with counts and
-/// self/total simulated nanoseconds, plus the top-k hottest by self-time.
-fn render_stages(spans: &SpanStack, top: usize) {
+/// self/total simulated nanoseconds, plus the [`TOP`] hottest by self-time.
+fn render_stages(spans: &SpanStack) {
     let by_stage = spans.by_stage();
     let mut table = TextTable::new(&["stage", "count", "self_ns", "total_ns"]);
     for (name, cell) in &by_stage {
@@ -115,8 +114,8 @@ fn render_stages(spans: &SpanStack, top: usize) {
     let mut hottest: Vec<(&str, u64)> =
         by_stage.iter().map(|(name, cell)| (*name, cell.self_ns)).collect();
     hottest.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-    println!("top {} stages by self-time:", top.min(hottest.len()));
-    for (rank, (name, self_ns)) in hottest.iter().take(top).enumerate() {
+    println!("top {} stages by self-time:", TOP.min(hottest.len()));
+    for (rank, (name, self_ns)) in hottest.iter().take(TOP).enumerate() {
         println!("  {}. {name}  {self_ns} ns", rank + 1);
     }
     println!();
@@ -134,8 +133,8 @@ fn write_folded(spans: &SpanStack, path: &str) {
 
 /// Engine-sweep profile: the default mode.
 fn run_engine_profile(args: &Args) -> u8 {
-    println!("== obs_report — engine profile == tasks={} seed={:#x}", args.tasks, args.seed);
-    let reports = run_seeded(PoolConfig::new(8), args.seed, args.tasks, |ctx| {
+    println!("== obs_report — engine profile == tasks={TASKS} seed={:#x}", args.seed);
+    let reports = run_seeded(PoolConfig::new(8), args.seed, TASKS, |ctx| {
         let tracer = ctx.trace.tracer();
         profile_task(ctx.seed, &tracer)
     });
@@ -154,7 +153,7 @@ fn run_engine_profile(args: &Args) -> u8 {
         return 1;
     }
     println!("{} tasks, {} driven faults\n", reports.len(), faults);
-    render_stages(&spans, args.top);
+    render_stages(&spans);
     write_folded(&spans, &args.folded);
     0
 }
@@ -171,7 +170,7 @@ fn run_torture_profile(args: &Args) -> u8 {
         "{} ops, {} touches, {} oom events, digest {:#018x}\n",
         report.ops_executed, report.touches, report.oom_events, report.final_digest
     );
-    render_stages(&report.spans, args.top);
+    render_stages(&report.spans);
     write_folded(&report.spans, &args.folded);
     match &report.failure {
         None => {
@@ -200,12 +199,11 @@ fn run_torture_profile(args: &Args) -> u8 {
 /// a decodable dump from its final moments.
 fn run_inject_panic(args: &Args) -> u8 {
     println!("== obs_report — flight-recorder self-test == seed={:#x}", args.seed);
-    let tasks = args.tasks.max(2);
-    let victim = tasks - 1;
+    let victim = TASKS - 1;
     // The panic is the point — keep its backtrace out of the logs.
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let reports = run_seeded(PoolConfig::new(2), args.seed, tasks, move |ctx| {
+    let reports = run_seeded(PoolConfig::new(2), args.seed, TASKS, move |ctx| {
         let tracer = ctx.trace.tracer();
         let faults = profile_task(ctx.seed, &tracer);
         assert!(

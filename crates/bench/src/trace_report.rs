@@ -11,9 +11,9 @@
 //! view), and self-validates: the command exits non-zero when the trace is
 //! empty or does not parse back losslessly.
 //!
-//! Flags: `--out PATH` (JSONL, default `trace.jsonl`), `--chrome PATH`
-//! (chrome trace JSON, default `trace_chrome.json`), `--mib N` (machine
-//! size, default 32).
+//! Flags: `--out PATH` (JSONL, default `trace.jsonl`) and `--chrome PATH`
+//! (chrome trace JSON, default `trace_chrome.json`). The machine has
+//! [`MACHINE_MIB`] MiB.
 
 use std::process::ExitCode;
 
@@ -33,27 +33,24 @@ use crate::cli::{parse, unknown, UsageError};
 
 const FILE_BASE: u64 = 0x9000_0000;
 const ANON_BASE: u64 = 0x40_0000;
+/// Size of the traced machine.
+const MACHINE_MIB: u64 = 32;
 
 /// The command's flag synopsis.
-pub const FLAGS: &str = "[--out PATH] [--chrome PATH] [--mib N]";
+pub const FLAGS: &str = "[--out PATH] [--chrome PATH]";
 
 struct Args {
     out: String,
     chrome: String,
-    mib: u64,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
-    let defaults = Args {
-        out: "trace.jsonl".to_string(),
-        chrome: "trace_chrome.json".to_string(),
-        mib: 32,
-    };
+    let defaults =
+        Args { out: "trace.jsonl".to_string(), chrome: "trace_chrome.json".to_string() };
     parse(argv, defaults, |args, flag, values| {
         match flag {
             "--out" => args.out = values.text(flag)?,
             "--chrome" => args.chrome = values.text(flag)?,
-            "--mib" => args.mib = values.num(flag)?,
             _ => return unknown(flag),
         }
         Ok(())
@@ -109,10 +106,10 @@ fn page_addrs(range: VirtRange) -> impl Iterator<Item = VirtAddr> {
 
 /// Drives the traced workload, then replays its anonymous footprint through
 /// the TLB model; returns the mapped bytes.
-fn run_workload(session: &TraceSession, mib: u64) -> u64 {
+fn run_workload(session: &TraceSession) -> u64 {
     let mut ca = CaPaging::new();
     ca.set_tracer(session.tracer());
-    let (sys, pid, anon, _) = pressured_hog(mib, &session.tracer(), &mut ca);
+    let (sys, pid, anon, _) = pressured_hog(MACHINE_MIB, &session.tracer(), &mut ca);
 
     // A strided scan that produces both TLB hits and last-level misses with
     // page walks.
@@ -135,7 +132,7 @@ fn run_workload(session: &TraceSession, mib: u64) -> u64 {
 pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
     let args = parse_args(argv)?;
     let session = TraceSession::ring(1 << 20);
-    let mapped = run_workload(&session, args.mib);
+    let mapped = run_workload(&session);
 
     let records = session.records();
     let mut metrics = session.metrics();
@@ -156,7 +153,7 @@ pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
     println!(
         "workload: {} MiB machine, hog + file stream + CA-paged anon VMA ({} MiB mapped), \
          injection EveryNth(50), TLB replay\n",
-        args.mib,
+        MACHINE_MIB,
         mapped >> 20
     );
 

@@ -69,13 +69,16 @@ fn bad_command_lines_print_one_usage_line_and_run_nothing() {
         ("fig13 --accesses", "--accesses"),
         ("fig13 --accesses lots", "lots"),
         ("fig01b --runs -1", "-1"),
+        ("all --scale 0", "--scale must be in 1..=2048, got 0"),
+        ("fig08 --scale 4096", "--scale must be in 1..=2048, got 4096"),
         ("torture --ops 500 --posion --pcp", "--posion"),
         ("torture --emit", "--emit"),
         ("torture --shards four", "four"),
         ("trace-report --output t.jsonl", "--output"),
-        ("trace-report --mib 32MiB", "32MiB"),
+        ("trace-report --mib 32", "--mib"),
         ("obs-report --inject_panic", "--inject_panic"),
-        ("obs-report --top", "--top"),
+        ("obs-report --tasks 2", "--tasks"),
+        ("obs-report --top 3", "--top"),
         ("obs-report --seed 0xb5", "0xb5"),
         ("ablations --quick", "--quick"),
         ("help me", "me"),
@@ -189,18 +192,18 @@ fn torture_flags_take_effect() {
 #[test]
 fn report_flags_take_effect() {
     let dir = scratch("reports");
-    let out = bench_in(&dir, "trace-report --out t.jsonl --chrome t.json --mib 16");
+    let out = bench_in(&dir, "trace-report --out t.jsonl --chrome t.json");
     let text = stdout(&out);
     assert!(out.status.success(), "{text}");
-    assert!(text.contains("workload: 16 MiB machine"), "{text}");
+    assert!(text.contains("workload: 32 MiB machine"), "{text}");
     assert!(text.contains("trace written to t.jsonl (") && text.ends_with(" and t.json\n"));
     assert!(dir.join("t.jsonl").exists() && dir.join("t.json").exists());
 
-    let out = bench_in(&dir, "obs-report --tasks 2 --seed 9 --top 3 --folded f.txt");
+    let out = bench_in(&dir, "obs-report --seed 9 --folded f.txt");
     let text = stdout(&out);
     assert!(out.status.success(), "{text}");
-    assert!(text.starts_with("== obs_report — engine profile == tasks=2 seed=0x9\n"), "{text}");
-    assert!(text.contains("top 3 stages by self-time:") && dir.join("f.txt").exists());
+    assert!(text.starts_with("== obs_report — engine profile == tasks=8 seed=0x9\n"), "{text}");
+    assert!(text.contains("top 5 stages by self-time:") && dir.join("f.txt").exists());
 
     let out = bench_in(&dir, "obs-report --torture --ops 40 --seed 9");
     assert!(out.status.success());

@@ -506,23 +506,12 @@ pub struct TortureReport {
     /// (baseline runs and crash replays are untraced and excluded, so these
     /// totals equal the `migrate.*` trace counts one for one).
     pub migrate_stats: MigrationStats,
-    /// Whether `poison.*`/`migrate.*` trace probes were live for this run
-    /// (they are attached whenever [`TortureConfig::poison`] or
-    /// [`TortureConfig::migrate`] is set and the `probes` feature is
-    /// compiled in).
+    /// Whether the trace probes were live for this run (they are attached
+    /// whenever [`TortureConfig::poison`], `migrate`, `fleet` or `daemon`
+    /// is set and the `probes` feature is compiled in). When they were,
+    /// [`TortureReport::metrics`] counts every event a stats block's
+    /// `as_named()` names, and the counts must be equal.
     pub(crate) trace_enabled: bool,
-    /// Whole-run `poison.event` trace total (0 unless `trace_enabled`).
-    pub(crate) trace_strikes: u64,
-    /// Whole-run `poison.heal` trace total.
-    pub(crate) trace_heals: u64,
-    /// Whole-run `poison.heal_failed` trace total.
-    pub(crate) trace_heal_failures: u64,
-    /// Whole-run `poison.sigbus` trace total.
-    pub(crate) trace_sigbus: u64,
-    /// Whole-run `migrate.*` trace totals, counter for counter (all zero
-    /// unless `trace_enabled`). The acceptance bar is
-    /// `trace_migrate == migrate_stats`, exactly.
-    pub(crate) trace_migrate: MigrationStats,
     /// Fleet ops executed (0 unless [`TortureConfig::fleet`]).
     pub fleet_ops: u64,
     /// Fleet tenants still alive at run end.
@@ -530,10 +519,6 @@ pub struct TortureReport {
     /// The fleet's cumulative counters at run end (all zero unless
     /// [`TortureConfig::fleet`]).
     pub fleet_stats: FleetStats,
-    /// Whole-run `balloon.*`/`ksm.*`/`fleet.*` trace totals, counter for
-    /// counter (all zero unless `trace_enabled`). The acceptance bar is
-    /// `trace_fleet == fleet_stats`, exactly.
-    pub(crate) trace_fleet: FleetStats,
     /// Digest of the final fleet state (0 unless [`TortureConfig::fleet`]).
     pub fleet_digest: u64,
     /// `DaemonTick` ops executed (0 unless [`TortureConfig::daemon`]).
@@ -544,10 +529,6 @@ pub struct TortureReport {
     /// runner moves to the destination). All zero unless
     /// [`TortureConfig::daemon`].
     pub daemon_stats: DaemonStats,
-    /// Whole-run `daemon.*` trace totals (all zero unless `trace_enabled`).
-    /// The acceptance bar is `trace_daemon.as_named() ==
-    /// daemon_stats.as_named()`, counter for counter.
-    pub(crate) trace_daemon: DaemonStats,
     /// Digest of the final state.
     pub final_digest: u64,
     /// Whole-run metrics snapshot (event counters plus `span.*` stage
@@ -1499,57 +1480,6 @@ pub fn run_ops(cfg: &TortureConfig, ops: &[TortureOp]) -> TortureReport {
     if exec.report.failure.is_some() {
         exec.report.flight_jsonl = session.flight_jsonl();
     }
-    if exec.report.trace_enabled {
-        let metrics = session.metrics();
-        exec.report.trace_strikes = metrics.counter("poison.event");
-        exec.report.trace_heals = metrics.counter("poison.heal");
-        exec.report.trace_heal_failures = metrics.counter("poison.heal_failed");
-        exec.report.trace_sigbus = metrics.counter("poison.sigbus");
-        exec.report.trace_migrate = MigrationStats {
-            chunks_sent: metrics.counter("migrate.chunk_sent"),
-            chunks_acked: metrics.counter("migrate.chunk_acked"),
-            chunks_rejected: metrics.counter("migrate.chunk_rejected"),
-            chunks_dropped: metrics.counter("migrate.chunk_dropped"),
-            acks_lost: metrics.counter("migrate.ack_lost"),
-            retries: metrics.counter("migrate.retry"),
-            stalls: metrics.counter("migrate.stall"),
-            rounds: metrics.counter("migrate.round"),
-            timeouts: metrics.counter("migrate.timeout"),
-            disconnects: metrics.counter("migrate.disconnect"),
-            resumes: metrics.counter("migrate.resume"),
-            aborts: metrics.counter("migrate.abort"),
-            cutovers: metrics.counter("migrate.cutover"),
-        };
-        exec.report.trace_daemon = DaemonStats {
-            ticks: metrics.counter("daemon.tick"),
-            epochs: metrics.counter("daemon.epoch"),
-            compact_moves: metrics.counter("daemon.compact_move"),
-            promoted: metrics.counter("daemon.promote"),
-            promote_failed: metrics.counter("daemon.promote_fail"),
-            repairs: metrics.counter("daemon.repair"),
-            shed_promote: metrics.counter("daemon.shed_promote"),
-            shed_compact: metrics.counter("daemon.shed_compact"),
-            backoff_skips: metrics.counter("daemon.backoff"),
-            yields: metrics.counter("daemon.yield"),
-            policy_updates: metrics.counter("daemon.policy"),
-            ..DaemonStats::default()
-        };
-        exec.report.trace_fleet = FleetStats {
-            balloon_inflates: metrics.counter("balloon.inflate"),
-            balloon_deflates: metrics.counter("balloon.deflate"),
-            balloon_retries: metrics.counter("balloon.retry"),
-            balloon_unbacked: metrics.counter("balloon.unbacked"),
-            ksm_merges: metrics.counter("ksm.merge"),
-            ksm_unmerges: metrics.counter("ksm.unmerge"),
-            ksm_scans: metrics.counter("ksm.scan"),
-            admits: metrics.counter("fleet.admit"),
-            pressure_events: metrics.counter("fleet.pressure"),
-            pressure_resolved: metrics.counter("fleet.resolved"),
-            evacuations: metrics.counter("fleet.evacuate"),
-            evacuation_aborts: metrics.counter("fleet.evacuate_abort"),
-            victim_kills: metrics.counter("fleet.victim_kill"),
-        };
-    }
     exec.report.metrics = session.metrics();
     exec.report
 }
@@ -1611,6 +1541,16 @@ pub fn run_torture(cfg: &TortureConfig) -> TortureReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Each `(event, total)` of a stats block's `as_named()` equals that
+    /// event's count in the run's trace metrics, when probes were live.
+    fn assert_traced(report: &TortureReport, named: &[(&'static str, u64)]) {
+        if report.trace_enabled {
+            for &(name, total) in named {
+                assert_eq!(report.metrics.counter(name), total, "counter {name}");
+            }
+        }
+    }
 
     #[test]
     fn torture_without_faults_is_clean() {
@@ -1707,21 +1647,9 @@ mod tests {
             report.guest_poison.healed + report.host_poison.healed > 0,
             "migrate-and-heal never exercised"
         );
-        if report.trace_enabled {
-            assert_eq!(report.trace_strikes, strikes);
-            assert_eq!(
-                report.trace_heals,
-                report.guest_poison.healed + report.host_poison.healed
-            );
-            assert_eq!(
-                report.trace_heal_failures,
-                report.guest_poison.heal_failed + report.host_poison.heal_failed
-            );
-            assert_eq!(
-                report.trace_sigbus,
-                report.guest_poison.sigbus + report.host_poison.sigbus
-            );
-        }
+        let mut poison = report.guest_poison;
+        poison.accumulate(&report.host_poison);
+        assert_traced(&report, &poison.as_named());
     }
 
     #[test]
@@ -1740,9 +1668,7 @@ mod tests {
             a.migrations + a.migration_aborts > 0,
             "the generator never migrated"
         );
-        if a.trace_enabled {
-            assert_eq!(a.migrate_stats, a.trace_migrate);
-        }
+        assert_traced(&a, &a.migrate_stats.as_named());
     }
 
     #[test]
@@ -1798,9 +1724,7 @@ mod tests {
             report.migrate_stats
         );
         assert!(report.crash_checks > 0);
-        if report.trace_enabled {
-            assert_eq!(report.migrate_stats, report.trace_migrate);
-        }
+        assert_traced(&report, &report.migrate_stats.as_named());
     }
 
     /// Deterministic fleet warmup: every tenant writes its full working set
@@ -1873,9 +1797,7 @@ mod tests {
         assert_eq!(a.fleet_digest, b.fleet_digest);
         assert_eq!(a.fleet_stats, b.fleet_stats);
         assert_eq!(a.fleet_alive, b.fleet_alive);
-        if a.trace_enabled {
-            assert_eq!(a.fleet_stats, a.trace_fleet);
-        }
+        assert_traced(&a, &a.fleet_stats.as_named());
     }
 
     #[test]
@@ -1949,9 +1871,7 @@ mod tests {
         );
         assert!(report.crash_checks > 0);
         assert!(report.audits > 0);
-        if report.trace_enabled {
-            assert_eq!(report.fleet_stats, report.trace_fleet);
-        }
+        assert_traced(&report, &report.fleet_stats.as_named());
     }
 
     #[test]
@@ -1967,9 +1887,7 @@ mod tests {
         assert_eq!(a.daemon_stats, b.daemon_stats);
         assert!(a.daemon_ticks > 0, "the generator never ticked the daemon");
         assert!(a.daemon_stats.ticks > 0, "armed daemon never did a tick's work");
-        if a.trace_enabled {
-            assert_eq!(a.daemon_stats.as_named(), a.trace_daemon.as_named());
-        }
+        assert_traced(&a, &a.daemon_stats.as_named());
     }
 
     #[test]
@@ -2027,9 +1945,7 @@ mod tests {
             report.daemon_stats
         );
         assert!(report.crash_checks > 0);
-        if report.trace_enabled {
-            assert_eq!(report.daemon_stats.as_named(), report.trace_daemon.as_named());
-        }
+        assert_traced(&report, &report.daemon_stats.as_named());
     }
 
     #[test]

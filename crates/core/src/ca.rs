@@ -22,14 +22,13 @@ use contig_types::{MapOffset, PageSize, Pfn};
 
 use crate::marking::mark_contiguity;
 
+/// Minimum run length, in 4 KiB pages, before PTEs are marked with the
+/// contiguity bit (paper: empirically 32).
+const CONTIG_THRESHOLD_PAGES: u64 = 32;
+
 /// Tuning knobs of [`CaPaging`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CaConfig {
-    /// Minimum run length, in 4 KiB pages, before PTEs are marked with the
-    /// contiguity bit (paper: empirically 32).
-    pub contig_threshold_pages: u64,
-    /// Whether to mark PTEs at all (pure-contiguity experiments skip it).
-    pub mark_contig_bits: bool,
     /// Retry targeted allocation through re-placements on huge faults.
     /// Disabling re-placement degrades CA to "single offset" (an ablation).
     pub replacement: bool,
@@ -38,21 +37,11 @@ pub struct CaConfig {
     /// placements steer around it. Demand paging is unaffected — ordinary
     /// allocations ignore reservations.
     pub reserve: bool,
-    /// Adapt the marking threshold to the observed average run length
-    /// (paper §IV-C: "CA paging could dynamically adjust the threshold based
-    /// on its contiguity statistics").
-    pub adaptive_threshold: bool,
 }
 
 impl Default for CaConfig {
     fn default() -> Self {
-        Self {
-            contig_threshold_pages: 32,
-            mark_contig_bits: true,
-            replacement: true,
-            reserve: false,
-            adaptive_threshold: false,
-        }
+        Self { replacement: true, reserve: false }
     }
 }
 
@@ -107,11 +96,6 @@ pub struct CaPaging {
     stats: CaStats,
     /// Reservation owner namespace for this instance.
     instance: u64,
-    /// Exponentially-weighted average of marked run lengths (base pages),
-    /// driving the adaptive threshold.
-    ewma_run_pages: u64,
-    /// Current marking threshold (equals the config value unless adaptive).
-    threshold: u64,
     /// Busy targets seen since the last successful map: under memory
     /// pressure, each one halves the next placement's contiguity ambition.
     consecutive_busy: u32,
@@ -137,8 +121,6 @@ impl CaPaging {
             config,
             stats: CaStats::default(),
             instance: CA_INSTANCE_IDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            ewma_run_pages: config.contig_threshold_pages,
-            threshold: config.contig_threshold_pages,
             consecutive_busy: 0,
             tracer: Tracer::disabled(),
         }
@@ -305,24 +287,13 @@ impl PlacementPolicy for CaPaging {
         placement
     }
 
-    fn post_map(&mut self, ctx: &mut FaultCtx<'_>, mapped: Pfn) {
+    fn post_map(&mut self, ctx: &mut FaultCtx<'_>, _mapped: Pfn) {
         // A successful map ends the pressure streak.
         self.consecutive_busy = 0;
-        if !self.config.mark_contig_bits {
-            return;
-        }
-        let _ = mapped;
-        let run = mark_contiguity(ctx.page_table, ctx.va, self.threshold);
+        let run = mark_contiguity(ctx.page_table, ctx.va, CONTIG_THRESHOLD_PAGES);
         if run > 0 && self.tracer.is_enabled() {
             self.tracer.emit(TraceEvent::ContigRun { pages: run });
             self.tracer.observe("ca.run_pages", run);
-        }
-        if self.config.adaptive_threshold && run > 0 {
-            // EWMA of observed run lengths; the threshold tracks an eighth of
-            // the average so vast contiguity filters aggressively while
-            // fragmented processes still mark useful runs.
-            self.ewma_run_pages = (self.ewma_run_pages * 7 + run) / 8;
-            self.threshold = (self.ewma_run_pages / 8).clamp(16, 512);
         }
     }
 }
@@ -466,18 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn marking_can_be_disabled() {
-        let mut sys = system(64);
-        let pid = sys.spawn();
-        let vma = anon(&mut sys, pid, 0x40_0000, 4 << 20);
-        let mut ca = CaPaging::with_config(CaConfig { mark_contig_bits: false, ..CaConfig::default() });
-        sys.populate_vma(&mut ca, pid, vma).unwrap();
-        for m in sys.aspace(pid).page_table().iter_mappings() {
-            assert!(!m.pte.flags.contains(contig_mm::PteFlags::CONTIG));
-        }
-    }
-
-    #[test]
     fn replacement_race_retries_via_fresh_offset() {
         let mut sys = system(64);
         let pid = sys.spawn();
@@ -533,25 +492,6 @@ mod tests {
         sys.machine_mut().free_page(p, contig_types::PageSize::Huge2M);
         sys.machine_mut().release_reservations(ca.owner_of(0x40_0000));
         assert_eq!(sys.machine().reserved_bytes(), 0);
-    }
-
-    #[test]
-    fn adaptive_threshold_rises_with_vast_contiguity() {
-        let mut sys = system(128);
-        let pid = sys.spawn();
-        let vma = anon(&mut sys, pid, 0x40_0000, 32 << 20);
-        let mut ca = CaPaging::with_config(CaConfig {
-            adaptive_threshold: true,
-            ..CaConfig::default()
-        });
-        assert_eq!(ca.threshold, 32);
-        sys.populate_vma(&mut ca, pid, vma).unwrap();
-        assert!(
-            ca.threshold > 32,
-            "an 8192-page run must raise the threshold, got {}",
-            ca.threshold
-        );
-        assert!(ca.threshold <= 512, "clamped at 512");
     }
 
     #[test]

@@ -16,27 +16,29 @@ use contig_types::{MapOffset, PhysAddr, VirtAddr};
 /// Geometry and behaviour of the prediction table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpotConfig {
-    /// Total prediction-table entries (paper: 32 in the emulation, §V).
+    /// Total prediction-table entries (paper: 32 in the emulation, §V), a
+    /// multiple of the table's four ways.
     pub entries: usize,
-    /// Associativity (paper: 4-way set associative).
-    pub ways: usize,
     /// Only fill offsets whose walk carried the contiguity bit in every
     /// dimension (the OS filtering optimisation, §IV-C).
     pub require_contig_bit: bool,
-    /// Confidence value above which predictions are issued (paper: predict
-    /// when the 2-bit counter is `> 1`).
-    pub predict_threshold: u8,
 }
 
 impl Default for SpotConfig {
     fn default() -> Self {
-        Self { entries: 32, ways: 4, require_contig_bit: true, predict_threshold: 1 }
+        Self { entries: 32, require_contig_bit: true }
     }
 }
+
+/// Associativity of the prediction table (paper: 4-way set associative).
+const WAYS: usize = 4;
 
 /// Saturating 2-bit counter bounds.
 const CONF_MAX: u8 = 3;
 const CONF_INIT: u8 = 1;
+/// Confidence above which predictions are issued (paper: predict when the
+/// 2-bit counter is `> 1`).
+const PREDICT_THRESHOLD: u8 = 1;
 
 #[derive(Clone, Copy, Debug)]
 struct SpotEntry {
@@ -127,15 +129,15 @@ impl SpotPredictor {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is not a positive multiple of `ways`.
+    /// Panics if `entries` is not a positive multiple of the four ways.
     pub fn new(config: SpotConfig) -> Self {
         assert!(
-            config.ways > 0 && config.entries > 0 && config.entries.is_multiple_of(config.ways),
+            config.entries > 0 && config.entries.is_multiple_of(WAYS),
             "invalid prediction-table geometry {config:?}"
         );
         Self {
             config,
-            sets: config.entries / config.ways,
+            sets: config.entries / WAYS,
             slots: vec![None; config.entries],
             tick: 0,
             stats: SpotStats::default(),
@@ -153,7 +155,7 @@ impl SpotPredictor {
         // into one set.
         let hashed = pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
         let set = (hashed % self.sets as u64) as usize;
-        set * self.config.ways..(set + 1) * self.config.ways
+        set * WAYS..(set + 1) * WAYS
     }
 
     fn lookup(&mut self, pc: u64) -> Option<usize> {
@@ -219,7 +221,7 @@ impl MissHandler for SpotPredictor {
             entry.last_used = self.tick;
             let would_be_correct = predicted == Some(actual)
                 && (!access.write || entry.write_perm == walk.write);
-            let speculated = entry.confidence > self.config.predict_threshold;
+            let speculated = entry.confidence > PREDICT_THRESHOLD;
             // Confidence update happens at the end of every walk, whether or
             // not a prediction was issued (paper §IV-C).
             if would_be_correct {
@@ -349,16 +351,17 @@ mod tests {
 
     #[test]
     fn confident_set_rejects_new_fills() {
-        // 1 set, 1 way: a confident resident entry cannot be evicted.
-        let cfg = SpotConfig { entries: 1, ways: 1, ..SpotConfig::default() };
-        let mut spot = SpotPredictor::new(cfg);
+        // 1 set of 4 ways: confident resident entries cannot be evicted.
+        let mut spot = SpotPredictor::new(SpotConfig { entries: 4, ..SpotConfig::default() });
         const OFF: u64 = 0x5000_0000;
-        miss(&mut spot, 1, OFF + 0x1000, 0x1000, true);
-        miss(&mut spot, 1, OFF + 0x2000, 0x2000, true); // conf=2
-        // A different PC maps to the same (only) set; fill must be rejected.
-        miss(&mut spot, 2, 0x9000_0000, 0x1000, true);
-        assert_eq!(spot.stats().fills, 1);
-        // The resident entry still predicts.
+        for pc in 1..=4 {
+            miss(&mut spot, pc, OFF + 0x1000, 0x1000, true);
+            miss(&mut spot, pc, OFF + 0x2000, 0x2000, true); // conf=2
+        }
+        // A fifth PC maps to the same (only) set; its fill must be rejected.
+        miss(&mut spot, 5, 0x9000_0000, 0x1000, true);
+        assert_eq!(spot.stats().fills, 4);
+        // The resident entries still predict.
         assert_eq!(
             miss(&mut spot, 1, OFF + 0x9000, 0x9000, true),
             MissHandling::PredictedCorrect
@@ -394,6 +397,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid prediction-table geometry")]
     fn bad_geometry_panics() {
-        let _ = SpotPredictor::new(SpotConfig { entries: 10, ways: 4, ..SpotConfig::default() });
+        let _ = SpotPredictor::new(SpotConfig { entries: 10, ..SpotConfig::default() });
     }
 }

@@ -224,16 +224,11 @@ proptest! {
     #[test]
     fn spot_counters_are_consistent(
         misses in proptest::collection::vec((0u64..8, 0u64..1 << 24, any::<bool>()), 1..400),
-        entries_pow in 0u32..4,
-        ways_pow in 0u32..2,
+        sets_pow in 0u32..4,
     ) {
-        let ways = 1usize << ways_pow;
-        let entries = (1usize << entries_pow).max(ways) * ways;
         let mut spot = SpotPredictor::new(SpotConfig {
-            entries,
-            ways,
+            entries: 4 << sets_pow,
             require_contig_bit: false,
-            predict_threshold: 1,
         });
         let mut first_outcomes: std::collections::HashMap<u64, u64> = Default::default();
         for (seen, (pc, page, write)) in misses.into_iter().enumerate() {

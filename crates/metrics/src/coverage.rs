@@ -30,7 +30,13 @@ pub struct CoverageStats {
 impl CoverageStats {
     /// Computes the statistics from a mapping set.
     pub fn from_mappings(mappings: &[ContigMapping]) -> Self {
-        let mut lens: Vec<u64> = mappings.iter().map(|m| m.len()).collect();
+        Self::from_lens(mappings.iter().map(ContigMapping::len).collect())
+    }
+
+    /// Computes the statistics from the byte lengths of any set of entries
+    /// that partitions a footprint: mappings, or vHC's anchor entries
+    /// (Table I).
+    pub fn from_lens(mut lens: Vec<u64>) -> Self {
         lens.sort_unstable_by_key(|&l| std::cmp::Reverse(l));
         let total = lens.iter().sum();
         Self { lens, total }
@@ -51,8 +57,9 @@ impl CoverageStats {
         fraction(self.top_k_bytes(k), self.total)
     }
 
-    /// Smallest number of mappings covering at least `coverage` of the
-    /// footprint (0 for an empty footprint).
+    /// Smallest number of entries covering at least `coverage` of the
+    /// footprint, largest first (0 for an empty footprint): the one coverage
+    /// count, behind n99 and both of Table I's columns.
     ///
     /// # Panics
     ///
@@ -158,6 +165,12 @@ mod tests {
         assert_eq!(c.mappings_for_coverage(0.75), 3);
         assert_eq!(c.mappings_for_coverage(0.5), 2);
         assert_eq!(c.mappings_for_coverage(1.0), 4);
+        // Largest first, whatever the input order: 98 + 1 + 1 MiB reach 98 %
+        // with one entry and 99 % with two.
+        let c = CoverageStats::from_lens(vec![1 << 20, 98 << 20, 1 << 20]);
+        assert_eq!(c.mappings_for_coverage(0.98), 1);
+        assert_eq!(c.mappings_for_coverage(0.99), 2);
+        assert_eq!(c.mappings_for_coverage(1.0), 3);
     }
 
     #[test]

@@ -25,6 +25,6 @@ mod stats;
 mod usl;
 
 pub use coverage::{CoverageStats, TimelinePoint};
-pub use perfmodel::{PerfModel, PerfModelConfig};
+pub use perfmodel::PerfModel;
 pub use stats::{geomean, geomean_counts, human_bytes, TextTable};
 pub use usl::{UslEstimate, UslInputs};

@@ -12,29 +12,19 @@
 
 use contig_tlb::SimReport;
 
-/// Cycle-accounting constants.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PerfModelConfig {
-    /// Baseline cycles per memory reference when translation never misses.
-    /// Folds in the core CPI of the paper's memory-bound workloads
-    /// (calibrated so the THP+THP geomean lands near the measured ~16.5 %).
-    pub(crate) base_cycles_per_access: f64,
-    /// Pipeline-flush penalty added to a mispredicted walk (paper: 20).
-    pub(crate) mispredict_penalty_cycles: f64,
-}
-
-impl Default for PerfModelConfig {
-    fn default() -> Self {
-        Self { base_cycles_per_access: 3.0, mispredict_penalty_cycles: 20.0 }
-    }
-}
+/// Baseline cycles per memory reference when translation never misses.
+/// Folds in the core CPI of the paper's memory-bound workloads (calibrated
+/// so the THP+THP geomean lands near the measured ~16.5 %).
+const BASE_CYCLES_PER_ACCESS: f64 = 3.0;
+/// Pipeline-flush penalty added to a mispredicted walk (paper: 20).
+const MISPREDICT_PENALTY_CYCLES: f64 = 20.0;
 
 /// Overhead computation over one simulation run.
 ///
 /// # Examples
 ///
 /// ```
-/// use contig_metrics::{PerfModel, PerfModelConfig};
+/// use contig_metrics::PerfModel;
 /// use contig_tlb::SimReport;
 ///
 /// let report = SimReport {
@@ -44,25 +34,18 @@ impl Default for PerfModelConfig {
 ///     exposed: 10_000,
 ///     ..Default::default()
 /// };
-/// let model = PerfModel::new(PerfModelConfig::default());
+/// let model = PerfModel;
 /// let overhead = model.exposed_overhead(&report);
 /// assert!(overhead > 0.0 && overhead < 1.0);
 /// ```
 #[derive(Clone, Copy, Debug, Default)]
-pub struct PerfModel {
-    config: PerfModelConfig,
-}
+pub struct PerfModel;
 
 impl PerfModel {
-    /// A model with the given constants.
-    pub fn new(config: PerfModelConfig) -> Self {
-        Self { config }
-    }
-
     /// The ideal execution time (cycles) for a run: pure compute with no
     /// translation overhead.
     pub(crate) fn ideal_cycles(&self, report: &SimReport) -> f64 {
-        report.accesses as f64 * self.config.base_cycles_per_access
+        report.accesses as f64 * BASE_CYCLES_PER_ACCESS
     }
 
     /// Overhead of a configuration whose misses all expose their walk
@@ -78,8 +61,8 @@ impl PerfModel {
     pub fn scheme_overhead(&self, report: &SimReport) -> f64 {
         let avg_walk = report.avg_walk_cycles();
         let exposed_cost = report.exposed as f64 * avg_walk;
-        let mispredict_cost = report.mispredicted as f64
-            * (avg_walk + self.config.mispredict_penalty_cycles);
+        let mispredict_cost =
+            report.mispredicted as f64 * (avg_walk + MISPREDICT_PENALTY_CYCLES);
         (exposed_cost + mispredict_cost) / self.ideal_cycles(report)
     }
 
@@ -100,14 +83,14 @@ mod tests {
 
     #[test]
     fn exposed_overhead_is_walks_over_ideal() {
-        let m = PerfModel::default();
+        let m = PerfModel;
         let r = report(1_000, 100, 8_100);
         assert!((m.exposed_overhead(&r) - 8_100.0 / 3_000.0).abs() < 1e-12);
     }
 
     #[test]
     fn fully_hidden_scheme_has_zero_overhead() {
-        let m = PerfModel::default();
+        let m = PerfModel;
         let mut r = report(1_000, 100, 8_100);
         r.exposed = 0;
         r.hidden = 100;
@@ -117,7 +100,7 @@ mod tests {
 
     #[test]
     fn predictions_hide_walks_but_mispredictions_cost_extra() {
-        let m = PerfModel::default();
+        let m = PerfModel;
         let mut r = report(100_000, 1_000, 81_000); // avg walk 81 cycles
         r.exposed = 0;
         r.predicted = 990;
@@ -134,7 +117,7 @@ mod tests {
 
     #[test]
     fn zero_accesses_is_safe() {
-        let m = PerfModel::default();
+        let m = PerfModel;
         let r = SimReport::default();
         assert!(m.scheme_overhead(&r).is_nan() || m.scheme_overhead(&r) == 0.0);
     }

@@ -80,7 +80,7 @@ proptest! {
         walks in 1u64..1_000,
         cycles_per_walk in 10u64..200,
     ) {
-        let model = PerfModel::default();
+        let model = PerfModel;
         let mut prev = -1.0;
         for exposed_fraction in [0u64, 25, 50, 75, 100] {
             let exposed = walks * exposed_fraction / 100;

@@ -25,38 +25,15 @@ use crate::page_table::PageTable;
 /// assert_eq!(mappings[0].len(), 4 << 20);
 /// ```
 pub fn contiguous_mappings(pt: &PageTable) -> Vec<ContigMapping> {
-    let mut result = Vec::new();
-    let mut current: Option<(VirtAddr, MapOffset, u64)> = None; // (start, offset, len)
-    for m in pt.iter_mappings() {
-        let pa = PhysAddr::from(m.pte.pfn);
-        let offset = MapOffset::between(m.va, pa);
-        let bytes = m.size.bytes();
-        match current {
-            Some((start, off, len))
-                if off == offset && start.raw() + len == m.va.raw() =>
-            {
-                current = Some((start, off, len + bytes));
-            }
-            Some((start, off, len)) => {
-                result.push(ContigMapping {
-                    virt: contig_types::VirtRange::new(start, len),
-                    offset: off,
-                });
-                current = Some((m.va, offset, bytes));
-            }
-            None => current = Some((m.va, offset, bytes)),
-        }
-    }
-    if let Some((start, off, len)) = current {
-        result.push(ContigMapping { virt: contig_types::VirtRange::new(start, len), offset: off });
-    }
-    result
+    compose_mappings(pt.iter_mappings().map(|m| (m.va, PhysAddr::from(m.pte.pfn), m.size.bytes())))
 }
 
-/// Translates a virtual range through `translate_page` (a page-granularity
-/// lookup) and extracts contiguous runs of the *composed* mapping. Used by
-/// the virtualization crate to compute 2D (gVA→hPA) contiguity where the run
-/// must be contiguous in both dimensions.
+/// Merges `(va, pa, bytes)` pieces, ascending in `va`, into the maximal runs
+/// whose `va - pa` offset is constant: the one run extractor.
+/// [`contiguous_mappings`] feeds it a page table's leaves; the
+/// virtualization crate feeds it composed gVA→hPA pieces (2D contiguity,
+/// where a run must be contiguous in both dimensions) and a VM's host
+/// backing.
 pub fn compose_mappings(
     pages: impl Iterator<Item = (VirtAddr, PhysAddr, u64)>,
 ) -> Vec<ContigMapping> {

@@ -46,18 +46,18 @@ contig_types::wire_counters! {
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct PoisonStats {
         /// Strikes processed by [`System::memory_failure`] (↔ `poison.event`).
-        pub strikes: u64,
+        pub strikes: u64 = "poison.event",
         /// Mapped pages healed by migration (↔ `poison.heal`).
-        pub healed: u64,
+        pub healed: u64 = "poison.heal",
         /// Base frames copied by successful heals (the `frames` field summed
         /// over `poison.heal` emissions).
         pub healed_frames: u64,
         /// Heal attempts that failed to allocate a replacement even after the
         /// recovery escalation (↔ `poison.heal_failed`); the page was killed.
-        pub heal_failed: u64,
+        pub heal_failed: u64 = "poison.heal_failed",
         /// SIGBUS-equivalent [`FaultError::MemoryFailure`] deliveries, one per
         /// torn-down mapping (↔ `poison.sigbus`).
-        pub sigbus: u64,
+        pub sigbus: u64 = "poison.sigbus",
         /// Page-cache pages dropped because their frame was stricken (↔ the
         /// zone's `poison.quarantine` at eviction time).
         pub cache_dropped: u64,

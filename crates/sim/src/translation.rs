@@ -2,9 +2,11 @@
 //! outcome breakdown), Table I (vRMM ranges vs vHC anchors), Table VII (USL
 //! estimation).
 
-use contig_baselines::{DirectSegment, VhcAnchorTlb, VrmmRangeTlb};
+use contig_baselines::{
+    anchor_distance_pages, anchor_entries, DirectSegment, VhcAnchorTlb, VrmmRangeTlb,
+};
 use contig_core::{SpotConfig, SpotPredictor, SpotStats};
-use contig_metrics::{PerfModel, UslEstimate, UslInputs};
+use contig_metrics::{CoverageStats, PerfModel, UslEstimate, UslInputs};
 use contig_mm::LEVELS;
 use contig_tlb::{MemorySim, MissHandler, NoScheme, SimReport, TranslationBackend};
 use contig_types::{ContigMapping, VirtAddr};
@@ -84,7 +86,7 @@ pub fn replay(
     let mut sim = MemorySim::new(env.tlb(), env.walk_cost());
     sim.run(backend, handler, TraceGenerator::new(spec, seed).take_accesses(accesses));
     let report = sim.report();
-    (report, PerfModel::default().scheme_overhead(&report))
+    (report, PerfModel.scheme_overhead(&report))
 }
 
 /// Runs one workload under one translation configuration, simulating
@@ -172,10 +174,11 @@ pub fn table_one_row(env: &Env, workload: Workload) -> TableOneRow {
     let count = |kind: PolicyKind| -> (usize, usize) {
         let (vm, instance) = boot_vm(env, kind, Some((0x90, 0x91)), LEVELS, &spec);
         let maps = two_dimensional_mappings(&vm, instance.pid);
-        let ranges = contig_baselines::ranges_for_coverage(&maps, 0.99);
-        let d = contig_baselines::anchor_distance_pages(&maps);
-        let anchors = contig_baselines::anchor_entries_for_coverage(&maps, d, 0.99);
-        (ranges, anchors)
+        let anchors = anchor_entries(&maps, anchor_distance_pages(&maps));
+        (
+            CoverageStats::from_mappings(&maps).mappings_for_coverage(0.99),
+            CoverageStats::from_lens(anchors).mappings_for_coverage(0.99),
+        )
     };
     let (thp_ranges, thp_anchors) = count(PolicyKind::Thp);
     let (ca_ranges, ca_anchors) = count(PolicyKind::Ca);
@@ -186,7 +189,7 @@ pub fn table_one_row(env: &Env, workload: Workload) -> TableOneRow {
 /// instruction-mix fractions.
 pub fn usl_estimate(run: &TranslationRun, env: &Env) -> UslEstimate {
     let spec = run.workload.spec(env.scale);
-    let model = PerfModel::default();
+    let model = PerfModel;
     let loads = run.report.accesses as f64;
     let instructions = loads / spec.load_fraction;
     let cycles = model.total_cycles(&run.report);

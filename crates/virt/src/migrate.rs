@@ -32,11 +32,11 @@
 //! emission next to it, extending the workspace's 1:1 stats↔trace equality
 //! convention to the migration subsystem.
 
-use contig_mm::{PlacementPolicy, Pte, SystemSnapshot};
+use contig_mm::{compose_mappings, PlacementPolicy, Pte, SystemSnapshot};
 use contig_trace::{TraceEvent, Tracer};
 use contig_types::{
-    fnv1a64, jittered_backoff, FaultError, PageSize, PhysAddr, TransportFault, TransportPolicy,
-    VirtRange,
+    fnv1a64, jittered_backoff, ContigMapping, FaultError, PageSize, PhysAddr, TransportFault,
+    TransportPolicy, VirtRange,
 };
 
 use crate::vm::{VirtualMachine, VmConfig};
@@ -320,17 +320,17 @@ contig_types::wire_counters! {
         /// Injected stalls paid by the sender's clock (`migrate.stall`).
         pub stalls: u64 = "migrate.stall",
         /// Pre-copy rounds completed (`migrate.round`).
-        pub rounds: u64 = "migrate.round",
+        pub(crate) rounds: u64 = "migrate.round",
         /// Phase timeouts (`migrate.timeout`).
-        pub timeouts: u64 = "migrate.timeout",
+        pub(crate) timeouts: u64 = "migrate.timeout",
         /// Transport disconnects (`migrate.disconnect`).
-        pub disconnects: u64 = "migrate.disconnect",
+        pub(crate) disconnects: u64 = "migrate.disconnect",
         /// Times a session resumed from its checkpoint (`migrate.resume`).
         pub resumes: u64 = "migrate.resume",
         /// Aborted migrations (`migrate.abort`).
         pub aborts: u64 = "migrate.abort",
         /// Completed cutovers (`migrate.cutover`).
-        pub cutovers: u64 = "migrate.cutover",
+        pub(crate) cutovers: u64 = "migrate.cutover",
     }
 }
 
@@ -423,32 +423,12 @@ pub struct ContigProfile {
 pub fn contig_profile(vm: &VirtualMachine) -> ContigProfile {
     let region =
         VirtRange::new(vm.host_vma_base(), vm.guest_frames() * PageSize::Base4K.bytes());
-    let mut maps: Vec<(u64, u64, u64)> = vm
-        .host()
-        .aspace(vm.host_pid())
-        .page_table()
-        .mappings_in(region)
-        .map(|m| (m.va.raw(), m.pte.pfn.byte_offset(), m.size.bytes()))
-        .collect();
-    maps.sort_unstable();
-    let mut runs: Vec<u64> = Vec::new();
-    let mut cur: Option<(u64, u64, u64)> = None; // (va_end, pa_end, bytes)
-    for (va, pa, len) in maps {
-        match cur {
-            Some((va_end, pa_end, bytes)) if va == va_end && pa == pa_end => {
-                cur = Some((va + len, pa + len, bytes + len));
-            }
-            other => {
-                if let Some((_, _, bytes)) = other {
-                    runs.push(bytes);
-                }
-                cur = Some((va + len, pa + len, len));
-            }
-        }
-    }
-    if let Some((_, _, bytes)) = cur {
-        runs.push(bytes);
-    }
+    let leaves = vm.host().aspace(vm.host_pid()).page_table().mappings_in(region);
+    let mut runs: Vec<u64> =
+        compose_mappings(leaves.map(|m| (m.va, PhysAddr::from(m.pte.pfn), m.size.bytes())))
+            .iter()
+            .map(ContigMapping::len)
+            .collect();
     let total: u64 = runs.iter().sum();
     runs.sort_unstable_by(|a, b| b.cmp(a));
     let top32: u64 = runs.iter().take(32).sum();
@@ -1375,14 +1355,54 @@ mod tests {
         }
     }
 
+    /// The host backing is written straight into the host page table, in
+    /// guest-physical pages (gp) and host frames:
+    ///
+    /// - gp 0..512 is one 2 MiB leaf on frames 0x1000.., and gp 512..515
+    ///   three 4 KiB leaves on frames 0x1200..0x1203, which continue it:
+    ///   one run of 515 pages, the largest;
+    /// - gp 515..519 sits right after it on frames 0x3000..0x3004, a new
+    ///   offset: a second run, of 4 pages;
+    /// - gp 1024 + 2i on frame 0x4000 + i, for i < 34: the host frames are
+    ///   consecutive but the guest pages are not, so 34 one-page runs.
+    ///
+    /// So `runs` = 36 and `backed_pages` = 515 + 4 + 34 = 553. The 32
+    /// largest runs hold 515 + 4 + 30 = 549 pages, and
+    /// `top32_coverage_ppm` = ⌊549 · 10⁶ / 553⌋ = 992 766.
     #[test]
     fn contig_profile_measures_runs() {
-        let src = source_vm();
-        let p = contig_profile(&src);
-        assert!(p.backed_pages > 0);
-        assert!(p.runs >= 1);
-        assert!(p.largest_run_pages >= 1);
-        assert!(p.top32_coverage_ppm <= 1_000_000);
+        let mut vm = VirtualMachine::new(
+            VmConfig::with_mib(8, 32),
+            Box::new(DefaultThpPolicy),
+            Box::new(DefaultThpPolicy),
+        );
+        let base = vm.host_vma_base();
+        let host_pid = vm.host_pid();
+        let pt = vm.host_mut().aspace_mut(host_pid).page_table_mut();
+        let mut map = |gp: u64, frame: u64, size: PageSize| {
+            let pte = Pte::new(contig_types::Pfn::new(frame), contig_mm::PteFlags::WRITE);
+            pt.map(base + gp * PageSize::Base4K.bytes(), pte, size);
+        };
+        map(0, 0x1000, PageSize::Huge2M);
+        for i in 0..3 {
+            map(512 + i, 0x1200 + i, PageSize::Base4K);
+        }
+        for i in 0..4 {
+            map(515 + i, 0x3000 + i, PageSize::Base4K);
+        }
+        for i in 0..34 {
+            map(1024 + 2 * i, 0x4000 + i, PageSize::Base4K);
+        }
+        let p = contig_profile(&vm);
+        assert_eq!(
+            p,
+            ContigProfile {
+                backed_pages: 553,
+                runs: 36,
+                largest_run_pages: 515,
+                top32_coverage_ppm: 992_766,
+            }
+        );
         let empty = VirtualMachine::new(
             VmConfig::with_mib(8, 16),
             Box::new(DefaultThpPolicy),

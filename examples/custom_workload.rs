@@ -51,7 +51,7 @@ fn main() -> Result<(), contig_types::FaultError> {
         let mut sim = MemorySim::new(TlbConfig::broadwell_scaled(512), Default::default());
         sim.run(&backend, handler, trace.iter().copied());
         let r = sim.report();
-        let model = PerfModel::default();
+        let model = PerfModel;
         println!(
             "{name:>10}: {} walks, overhead {:.2}%",
             r.walks,

@@ -7,7 +7,6 @@
 //! ```
 
 use contig::prelude::*;
-use contig_metrics::PerfModelConfig;
 
 fn main() -> Result<(), contig_types::FaultError> {
     // Guest: 512 MiB of "guest physical" memory; host: 768 MiB backing it.
@@ -51,7 +50,7 @@ fn main() -> Result<(), contig_types::FaultError> {
 
     let report = sim.report();
     let stats = spot.stats();
-    let model = PerfModel::new(PerfModelConfig::default());
+    let model = PerfModel;
     println!("accesses simulated : {}", report.accesses);
     println!("nested page walks  : {}", report.walks);
     println!("SpOT correct       : {} ({:.1}%)", stats.correct, stats.correct_rate() * 100.0);
