@@ -1,34 +1,25 @@
-//! The model, pinned as literals in tier-1.
+//! The model, pinned in tier-1 through `tests/pins.ledger`.
 //!
 //! `benchmark/ci.sh` compares two runs of one build, so a change that moves
-//! every digest deterministically passes it. The literals below were
-//! recorded on the commit *before* the digest path stopped building a JSON
-//! tree (PR 16) and must never move with a host-speed change: a digest value
-//! is the contract, how fast it is computed is not. They go through the same
-//! library entry points the benchmark's `torture_mix`, `native_churn` and
-//! `nested_boot` workloads call. A PR that *means* to change the model
-//! updates the literals and says why.
+//! every digest deterministically passes it. The ledger's `model_pins.*`
+//! values were first recorded on the commit *before* the digest path
+//! stopped building a JSON tree (PR 16) and must never move with a
+//! host-speed change: a digest value is the contract, how fast it is
+//! computed is not. They go through the same library entry points the
+//! benchmark's `torture_mix`, `native_churn` and `nested_boot` workloads
+//! call. A change that *means* to move the model writes the ledger lines
+//! the failure prints and says why.
 
 use contig::check::{generate_ops, run_ops};
 use contig::prelude::*;
 use contig_types::splitmix64;
 
-/// What one torture run is pinned on.
-#[derive(Debug, PartialEq, Eq)]
-struct Pin {
-    seed: u64,
-    final_digest: u64,
-    fleet_digest: u64,
-    buddy_allocs: u64,
-    crash_checks: u64,
-    audits: u64,
-    sweeps: u64,
-    migrations: u64,
-    fleet_ops: u64,
-}
+mod pins;
+use pins::{hex, Ledger};
 
-/// The benchmark's `torture_mix` configuration at smoke-and-full op count.
-fn torture(seed: u64) -> Pin {
+/// The benchmark's `torture_mix` configuration at smoke-and-full op count,
+/// pinned under the seed's hex name.
+fn torture(ledger: &mut Ledger, seed: u64) {
     let cfg = TortureConfig {
         poison: true,
         migrate: true,
@@ -40,58 +31,24 @@ fn torture(seed: u64) -> Pin {
     };
     let report = run_ops(&cfg, &generate_ops(&cfg));
     assert!(report.is_ok(), "seed {seed:#x}: {:?}", report.failure);
-    Pin {
-        seed,
-        final_digest: report.final_digest,
-        fleet_digest: report.fleet_digest,
-        buddy_allocs: report.metrics.counter("buddy.alloc"),
-        crash_checks: report.crash_checks,
-        audits: report.audits,
-        sweeps: report.sweeps,
-        migrations: report.migrations,
-        fleet_ops: report.fleet_ops,
-    }
+    let mut pin = |field: &str, value: String| ledger.pin(&format!("{}.{field}", hex(seed)), value);
+    pin("final_digest", hex(report.final_digest));
+    pin("fleet_digest", hex(report.fleet_digest));
+    pin("buddy_allocs", report.metrics.counter("buddy.alloc").to_string());
+    pin("crash_checks", report.crash_checks.to_string());
+    pin("audits", report.audits.to_string());
+    pin("sweeps", report.sweeps.to_string());
+    pin("migrations", report.migrations.to_string());
+    pin("fleet_ops", report.fleet_ops.to_string());
 }
 
 #[test]
 fn torture_mix_runs_are_pinned() {
-    let expected = [
-        Pin {
-            seed: 0x5EED_CAFE,
-            final_digest: 0xe134dd8ba1912434,
-            fleet_digest: 0x3e38d0082fa0dc7b,
-            buddy_allocs: 510,
-            crash_checks: 1,
-            audits: 2,
-            sweeps: 5,
-            migrations: 1,
-            fleet_ops: 3,
-        },
-        Pin {
-            seed: 7,
-            final_digest: 0xd63be0ed0a9344d4,
-            fleet_digest: 0xfae15ac660b6f5ac,
-            buddy_allocs: 389,
-            crash_checks: 1,
-            audits: 2,
-            sweeps: 5,
-            migrations: 2,
-            fleet_ops: 10,
-        },
-        Pin {
-            seed: 0xC0FFEE,
-            final_digest: 0x48dc72b1036ded9f,
-            fleet_digest: 0x95523c3416a285ac,
-            buddy_allocs: 615,
-            crash_checks: 1,
-            audits: 2,
-            sweeps: 5,
-            migrations: 0,
-            fleet_ops: 6,
-        },
-    ];
-    let got: Vec<Pin> = expected.iter().map(|want| torture(want.seed)).collect();
-    assert_eq!(got, expected);
+    let mut ledger = Ledger::open("torture_mix_runs_are_pinned");
+    for seed in [0x5EED_CAFE, 7, 0xC0FFEE] {
+        torture(&mut ledger, seed);
+    }
+    ledger.finish();
 }
 
 const PAGE: u64 = 4096;
@@ -147,10 +104,11 @@ fn native_churn_digest_is_pinned() {
         }
     }
     assert_eq!(failed, 0);
-    assert_eq!(
-        (digest_system(&sys.snapshot()), sys.machine().free_frames(), sys.now_ns()),
-        (0xc9dfe4a390d73e77, 11_728, 3_959_900)
-    );
+    let mut ledger = Ledger::open("native_churn_digest_is_pinned");
+    ledger.pin("digest", hex(digest_system(&sys.snapshot())));
+    ledger.pin("free_frames", sys.machine().free_frames());
+    ledger.pin("now_ns", sys.now_ns());
+    ledger.finish();
 }
 
 /// One small nested boot: every guest-physical page is cold, so each guest
@@ -172,8 +130,9 @@ fn nested_boot_digest_is_pinned() {
     for _ in 0..256 {
         vm.touch_write(pid, va(splitmix64(&mut rng) % (12 << 8))).expect("mapped");
     }
-    assert_eq!(
-        (digest_vm(&vm.snapshot()), vm.host().machine().free_frames(), vm.guest().now_ns()),
-        (0xa304aed5e4baed90, 29_696, 3_081_400)
-    );
+    let mut ledger = Ledger::open("nested_boot_digest_is_pinned");
+    ledger.pin("digest", hex(digest_vm(&vm.snapshot())));
+    ledger.pin("host_free_frames", vm.host().machine().free_frames());
+    ledger.pin("guest_now_ns", vm.guest().now_ns());
+    ledger.finish();
 }
