@@ -184,7 +184,7 @@ pub fn audit_vm(vm: &VirtualMachine) -> VmAuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use contig_mm::{DefaultThpPolicy, RecoveryConfig, VmaKind};
+    use contig_mm::{DefaultThpPolicy, VmaKind};
     use contig_types::{FailMode, FailPolicy, VirtRange};
     use contig_virt::VmConfig;
 
@@ -218,11 +218,11 @@ mod tests {
         vm.guest_mut()
             .aspace_mut(pid)
             .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 2 << 20), VmaKind::Anon);
-        vm.host_mut().set_recovery_config(RecoveryConfig::disabled());
         vm.host_mut()
             .set_fail_policy(FailPolicy::new(FailMode::MinOrder { min_order: 0 }));
         vm.touch(pid, VirtAddr::new(0x40_0000))
-            .expect_err("injected host OOM");
+            .expect_err("injected host OOM, after host recovery's bounded retries");
+        assert!(vm.host().recovery_stats().retries > 0);
 
         let report = audit_vm(&vm);
         assert!(report.is_clean(), "{report}");
@@ -230,7 +230,6 @@ mod tests {
 
         // Healing the hole moves the pages from `unbacked` to `backed`.
         vm.host_mut().clear_fail_policy();
-        vm.host_mut().set_recovery_config(RecoveryConfig::default());
         vm.touch(pid, VirtAddr::new(0x40_0000)).unwrap();
         let healed = audit_vm(&vm);
         assert!(healed.is_clean(), "{healed}");

@@ -11,7 +11,7 @@
 //! two lines,
 //!
 //! ```text
-//! {"format":"contig-snapshot","version":7,"digest":<fnv1a64>}
+//! {"format":"contig-snapshot","version":8,"digest":<fnv1a64>}
 //! {<payload>}
 //! ```
 //!
@@ -35,7 +35,7 @@ use crate::json::{decode, line, parse, Wire};
 
 /// Snapshot file format version: the one the encoder writes and the only
 /// version read.
-pub(crate) const SNAPSHOT_VERSION: i128 = 7;
+pub(crate) const SNAPSHOT_VERSION: i128 = 8;
 /// `format` tag of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "contig-snapshot";
 

@@ -92,14 +92,6 @@ const FLEET_TENANTS: usize = 32;
 /// duplicates are common and same-page merging has real work.
 const FLEET_TAG_POOL: u64 = 16;
 
-/// The daemon policy armed at run start when [`TortureConfig::daemon`] is
-/// on: library defaults, so the torture stream exercises exactly what a
-/// plainly-enabled daemon ships with until a `SetDaemonPolicy` op retunes
-/// it.
-fn torture_daemon_config() -> DaemonConfig {
-    DaemonConfig::default()
-}
-
 contig_types::wire_tagged! {
     "op":
     /// One generated operation against the stack.
@@ -638,7 +630,7 @@ impl Exec {
         // stats-equals-trace bar holds from op zero.
         vm.set_tracer(tracer.clone());
         if cfg.daemon {
-            vm.enable_daemon(torture_daemon_config());
+            vm.enable_daemon(DaemonConfig::default());
         }
         let fleet = cfg.fleet.then(|| {
             let fcfg = FleetConfig {
@@ -648,7 +640,7 @@ impl Exec {
             let mut fleet = Fleet::new(fcfg);
             fleet.set_tracer(tracer.clone());
             if cfg.daemon {
-                fleet.enable_host_daemons(torture_daemon_config());
+                fleet.enable_host_daemons(DaemonConfig::default());
             }
             for _ in 0..FLEET_TENANTS {
                 fleet.admit().expect("fleet geometry admits the full tenant set");
@@ -910,7 +902,6 @@ impl Exec {
                         aggressiveness: (1 + level % 3) as u8,
                         epoch_budget: 32 + budget % 225,
                         repair_poison: !level.is_multiple_of(4),
-                        ..torture_daemon_config()
                     };
                     self.vm.enable_daemon(config);
                     if let Some(fleet) = self.fleet.as_mut() {
@@ -1063,7 +1054,6 @@ impl Exec {
     fn migrate_vm(&mut self, seed: u64) {
         let op_index = self.report.ops_executed.saturating_sub(1);
         let codec = SnapshotGuestCodec;
-        let mcfg = MigrationConfig::default();
         // The concurrent-guest-write script both runs share: a pure
         // function of (op seed, round), targeting the VMAs live at
         // migration start. Errors (injected allocator pressure) are
@@ -1095,7 +1085,7 @@ impl Exec {
                 Box::new(DefaultThpPolicy),
                 Box::new(DefaultThpPolicy),
             );
-            let mut session = MigrationSession::new(mcfg, Tracer::disabled());
+            let mut session = MigrationSession::new(Tracer::disabled());
             let mut wire = LoopbackTransport::reliable();
             match session.run(&mut src, &mut dst, &mut wire, &codec, script.clone()) {
                 Ok(_) => digest_vm(&dst.into_vm().snapshot()),
@@ -1125,7 +1115,7 @@ impl Exec {
             Box::new(DefaultThpPolicy),
         );
         let outcome = migrate_with_retries(
-            mcfg,
+            MigrationConfig,
             &mut self.vm,
             target,
             &codec,
@@ -1893,7 +1883,7 @@ mod tests {
     #[test]
     fn daemon_survives_crash_replay_boundaries() {
         // Crash checks restore mid-epoch daemon state — cursors, budget,
-        // candidates, backoff RNG — from the checkpoint, replay the journal
+        // backoff RNG — from the checkpoint, replay the journal
         // (ticks included), and demand digest equality with the
         // never-crashed state. A daemon that is not a pure function of
         // (system state, its own persisted state) diverges here.

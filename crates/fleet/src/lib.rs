@@ -93,6 +93,33 @@ fn base_config(mib: u64) -> SystemConfig {
 // Configuration, identity, errors, stats.
 // ---------------------------------------------------------------------------
 
+// The fleet's admission limit, pressure ladder and retry budgets. Ratios
+// of host capacity are in parts per million.
+
+/// Admission limit: committed guest frames per host may reach `capacity *
+/// OVERCOMMIT_PPM / 1_000_000` (1.6×).
+const OVERCOMMIT_PPM: u64 = 1_600_000;
+/// Pressure trigger: an episode starts when host free frames fall below
+/// `capacity * LOW_WATERMARK_PPM / 1_000_000`.
+const LOW_WATERMARK_PPM: u64 = 125_000;
+/// Pressure goal: the ladder escalates until free frames reach `capacity *
+/// HIGH_WATERMARK_PPM / 1_000_000` (and balloons deflate again above it).
+const HIGH_WATERMARK_PPM: u64 = 187_500;
+/// Frames one balloon inflate/deflate step moves per tenant.
+const BALLOON_STEP: u64 = 64;
+/// Bounded retries around deflate re-backing before a hole is left.
+const BALLOON_RETRIES: u32 = 4;
+/// Bounded pressure-relief retries a tenant fault makes on host OOM before
+/// the OOM becomes fatal (the ladder should make this unreachable while
+/// more than one tenant shares the host).
+const BACKING_ATTEMPTS: u32 = 8;
+/// Loss rate (ppm) of the evacuation transport.
+const EVAC_STORM_PPM: u32 = 120_000;
+/// Checkpointed-resume budget of one evacuation migration.
+const EVAC_ATTEMPTS: u32 = 6;
+/// Controller [`Fleet::step`]s between two ticks of an armed host daemon.
+const DAEMON_SCAN_INTERVAL: u64 = 4;
+
 contig_types::wire_struct! {
     /// Construction parameters for a [`Fleet`].
     #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,28 +130,6 @@ contig_types::wire_struct! {
         pub host_mib: u64,
         /// Guest-physical memory of each tenant, MiB.
         pub guest_mib: u64,
-        /// Admission limit: committed guest frames per host may reach
-        /// `capacity * overcommit_ppm / 1_000_000`.
-        pub overcommit_ppm: u64,
-        /// Pressure trigger: an episode starts when host free frames fall below
-        /// `capacity * low_watermark_ppm / 1_000_000`.
-        pub low_watermark_ppm: u64,
-        /// Pressure goal: the ladder escalates until free frames reach
-        /// `capacity * high_watermark_ppm / 1_000_000` (and balloons deflate
-        /// again above it).
-        pub high_watermark_ppm: u64,
-        /// Frames one balloon inflate/deflate step moves per tenant.
-        pub balloon_step: u64,
-        /// Bounded retries around deflate re-backing before a hole is left.
-        pub balloon_retries: u32,
-        /// Bounded pressure-relief retries a tenant fault makes on host OOM
-        /// before the OOM becomes fatal (the ladder should make this unreachable
-        /// while more than one tenant shares the host).
-        pub backing_attempts: u32,
-        /// Loss rate (ppm) of the evacuation transport; 0 means a reliable wire.
-        pub evac_storm_ppm: u32,
-        /// Checkpointed-resume budget of one evacuation migration.
-        pub evac_attempts: u32,
         /// Seed for the fleet's deterministic decisions (transport streams).
         pub seed: u64,
     }
@@ -132,23 +137,9 @@ contig_types::wire_struct! {
 
 impl FleetConfig {
     /// A fleet of `hosts` hosts with `host_mib` MiB each, running tenants of
-    /// `guest_mib` MiB, with default overcommit (1.6×), watermarks, and
-    /// escalation budgets.
+    /// `guest_mib` MiB.
     pub fn new(hosts: usize, host_mib: u64, guest_mib: u64) -> Self {
-        Self {
-            hosts,
-            host_mib,
-            guest_mib,
-            overcommit_ppm: 1_600_000,
-            low_watermark_ppm: 125_000,
-            high_watermark_ppm: 187_500,
-            balloon_step: 64,
-            balloon_retries: 4,
-            backing_attempts: 8,
-            evac_storm_ppm: 120_000,
-            evac_attempts: 6,
-            seed: 0x00F1_EE70,
-        }
+        Self { hosts, host_mib, guest_mib, seed: 0x00F1_EE70 }
     }
 }
 
@@ -554,7 +545,7 @@ impl Fleet {
     }
 
     fn limit(&self, h: usize) -> u64 {
-        self.capacity(h) * self.cfg.overcommit_ppm / 1_000_000
+        self.capacity(h) * OVERCOMMIT_PPM / 1_000_000
     }
 
     fn watermark(&self, h: usize, ppm: u64) -> u64 {
@@ -712,7 +703,7 @@ impl Fleet {
                     if attempt < 8 && !t.balloon.is_empty() =>
                 {
                     attempt += 1;
-                    self.balloon_deflate_tenant(id, self.cfg.balloon_step.max(1));
+                    self.balloon_deflate_tenant(id, BALLOON_STEP);
                 }
                 Err(e) => return Err(FleetError::Guest(e)),
             }
@@ -734,7 +725,7 @@ impl Fleet {
                 match self.hosts[h].system.touch(&mut BasePagesPolicy, pid, hva) {
                     Ok(_) => break,
                     Err(FaultError::OutOfMemory { .. })
-                        if attempt < self.cfg.backing_attempts =>
+                        if attempt < BACKING_ATTEMPTS =>
                     {
                         attempt += 1;
                         self.relieve(h, Some(id));
@@ -811,7 +802,7 @@ impl Fleet {
             loop {
                 match host.system.touch(&mut BasePagesPolicy, t.host_pid, hva) {
                     Ok(_) => break,
-                    Err(_) if attempt < self.cfg.balloon_retries => {
+                    Err(_) if attempt < BALLOON_RETRIES => {
                         attempt += 1;
                         let backoff_ns = host.system.backoff_sleep(attempt);
                         self.stats.balloon_retries += 1;
@@ -948,7 +939,7 @@ impl Fleet {
                     registry_drop(&mut self.hosts[h].sharing, old.raw(), (id.0, gframe));
                     return Ok(());
                 }
-                Err(FaultError::OutOfMemory { .. }) if attempt < self.cfg.backing_attempts => {
+                Err(FaultError::OutOfMemory { .. }) if attempt < BACKING_ATTEMPTS => {
                     attempt += 1;
                     self.relieve(h, Some(id));
                     self.hosts[h].system.backoff_sleep(attempt);
@@ -962,7 +953,7 @@ impl Fleet {
 
     /// Arms the background contiguity-maintenance daemon on every host.
     /// Hosts then take one deterministic daemon tick every
-    /// `config.scan_interval` controller [`Fleet::step`]s, in host index
+    /// `DAEMON_SCAN_INTERVAL` (4) controller [`Fleet::step`]s, in host index
     /// order, between the reclaim rungs and foreground tenant faults.
     pub fn enable_host_daemons(&mut self, config: DaemonConfig) {
         for host in &mut self.hosts {
@@ -989,8 +980,8 @@ impl Fleet {
         // save/restore without a second counter.
         let tick = self.ksm_cursor;
         for h in 0..self.hosts.len() {
-            let low = self.watermark(h, self.cfg.low_watermark_ppm);
-            let high = self.watermark(h, self.cfg.high_watermark_ppm);
+            let low = self.watermark(h, LOW_WATERMARK_PPM);
+            let high = self.watermark(h, HIGH_WATERMARK_PPM);
             let free = self.host_free(h);
             if free < low {
                 self.relieve(h, None);
@@ -1002,7 +993,7 @@ impl Fleet {
                     .into_iter()
                     .find(|id| !self.tenants[id].balloon.is_empty());
                 if let Some(id) = next {
-                    self.balloon_deflate_tenant(id, self.cfg.balloon_step);
+                    self.balloon_deflate_tenant(id, BALLOON_STEP);
                 }
             }
         }
@@ -1016,8 +1007,7 @@ impl Fleet {
             if !system.daemon_enabled() {
                 continue;
             }
-            let interval = system.daemon_state().config.scan_interval.max(1);
-            if tick.is_multiple_of(interval) {
+            if tick.is_multiple_of(DAEMON_SCAN_INTERVAL) {
                 system.daemon_tick();
             }
         }
@@ -1030,14 +1020,14 @@ impl Fleet {
         let free0 = self.host_free(h);
         self.stats.pressure_events += 1;
         self.tracer.emit(TraceEvent::FleetPressure { host: h as u64, free: free0 });
-        let goal = self.watermark(h, self.cfg.high_watermark_ppm);
+        let goal = self.watermark(h, HIGH_WATERMARK_PPM);
         // Rung 1: balloon reclaim, round-robin over the host's tenants,
         // until a full pass frees nothing (claiming never-backed frames
         // makes no host progress — escalate instead of spinning).
         while self.host_free(h) < goal {
             let before = self.host_free(h);
             for id in self.tenants_on(h) {
-                self.balloon_inflate_tenant(id, self.cfg.balloon_step);
+                self.balloon_inflate_tenant(id, BALLOON_STEP);
                 if self.host_free(h) >= goal {
                     break;
                 }
@@ -1157,27 +1147,23 @@ impl Fleet {
         );
         let codec = ParkedCodec::default();
         let stream_seed = splitmix64(&mut self.rng);
-        let storm = self.cfg.evac_storm_ppm;
         let make_transport = move |attempt: u32| -> Box<dyn Transport> {
-            if storm == 0 {
-                Box::new(LoopbackTransport::reliable())
-            } else {
-                // Fresh deterministic stream per attempt, decorrelated
-                // across evacuations by the fleet RNG draw above.
-                let stream = stream_seed ^ (u64::from(attempt) << 48);
-                Box::new(LoopbackTransport::new(TransportPolicy::new(TransportMode::storm(
-                    storm, stream,
-                ))))
-            }
+            // Fresh deterministic stream per attempt, decorrelated across
+            // evacuations by the fleet RNG draw above.
+            let stream = stream_seed ^ (u64::from(attempt) << 48);
+            Box::new(LoopbackTransport::new(TransportPolicy::new(TransportMode::storm(
+                EVAC_STORM_PPM,
+                stream,
+            ))))
         };
         let outcome = migrate_with_retries(
-            MigrationConfig::default(),
+            MigrationConfig,
             &mut staging,
             target,
             &codec,
             make_transport,
             |_vm, _round| {}, // the tenant is paused for the brownout window
-            self.cfg.evac_attempts,
+            EVAC_ATTEMPTS,
             Tracer::disabled(),
         );
         match outcome {
@@ -1542,14 +1528,12 @@ mod tests {
 
     #[test]
     fn pressure_ladder_keeps_tenants_faulting_without_host_oom() {
-        // 16 MiB host (4096 frames), four 8 MiB tenants (2.0× needs a raised
-        // limit), each writing its whole 1536-page workload with tenant-
-        // unique tags (nothing for KSM to merge): 6144 pages of demand far
-        // beyond capacity. The ladder must kill rather than OOM.
-        let mut cfg = FleetConfig::new(1, 16, 8);
-        cfg.overcommit_ppm = 2_100_000;
-        let mut fleet = Fleet::new(cfg);
-        let ids: Vec<TenantId> = (0..4).map(|_| fleet.admit().unwrap()).collect();
+        // 16 MiB host (4096 frames), three 8 MiB tenants (1.5×, inside the
+        // 1.6× admission limit), each writing its whole 1536-page workload
+        // with tenant-unique tags (nothing for KSM to merge): 4608 pages of
+        // demand beyond capacity. The ladder must kill rather than OOM.
+        let mut fleet = Fleet::new(FleetConfig::new(1, 16, 8));
+        let ids: Vec<TenantId> = (0..3).map(|_| fleet.admit().unwrap()).collect();
         let mut writes = 0u64;
         'outer: for p in 0..1536 {
             for &id in &ids {
@@ -1591,9 +1575,8 @@ mod tests {
 
     #[test]
     fn evacuation_moves_tenant_and_preserves_content() {
-        let mut cfg = FleetConfig::new(2, 32, 8);
-        cfg.evac_storm_ppm = 150_000; // a lossy wire, survived by resume
-        let mut fleet = Fleet::new(cfg);
+        // The evacuation wire is lossy; resume survives it.
+        let mut fleet = Fleet::new(FleetConfig::new(2, 32, 8));
         let a = fleet.admit().unwrap();
         let from = fleet.tenant(a).unwrap().host_idx();
         for p in 0..64 {

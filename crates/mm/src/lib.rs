@@ -55,10 +55,10 @@ pub use page_table::{MappedPage, PageTable, LEVELS, LEVELS_LA57};
 pub use poison::{FailureAction, MemoryFailureOutcome, PoisonStats};
 pub use policy::{BasePagesPolicy, DefaultThpPolicy, FaultCtx, FaultKind, Placement, PlacementPolicy};
 pub use pte::{Pte, PteFlags};
-pub use recovery::{RecoveryConfig, RecoveryStats};
+pub use recovery::RecoveryStats;
 pub use rmap::{FrameRef, PteRef};
 pub use snapshot::{FaultStatsSnapshot, ProcessSnapshot, SystemSnapshot, VmaSnapshot};
-pub use stats::{FaultStats, LatencyModel};
+pub use stats::FaultStats;
 pub use system::{
     FaultOutcome, KsmError, KsmMergeOutcome, NodeMigrateError, NumaStats, Pid, System,
     SystemConfig,

@@ -37,7 +37,9 @@ use contig_trace::{stage, TraceEvent};
 use contig_types::{ContigError, FaultError, PageSize, Pfn, PoisonPolicy};
 
 use crate::pte::PteFlags;
+use crate::recovery::MAX_RETRIES;
 use crate::rmap::{FrameRef, MoveKind};
+use crate::stats::{BASE_NS, ZERO_PAGE_NS};
 use crate::system::System;
 
 contig_types::wire_counters! {
@@ -239,7 +241,7 @@ impl System {
             // profiles its copy as a TLB shootdown; soft-offline's is bare.
             let _shootdown_span =
                 self.machine.is_poisoned(pfn).then(|| self.tracer.span(stage::TLB_SHOOTDOWN));
-            self.advance_clock((1u64 << order) * self.latency.zero_page_ns + self.latency.base_ns);
+            self.advance_clock((1u64 << order) * ZERO_PAGE_NS + BASE_NS);
             self.repoint(kind, dest);
         }
         self.machine.poison(pfn);
@@ -331,7 +333,7 @@ impl System {
                 Ok(dest) => return Some(dest),
                 Err(_) => {
                     attempts += 1;
-                    if attempts <= self.recovery.max_retries && self.try_recover(order) {
+                    if attempts <= MAX_RETRIES && self.try_recover(order) {
                         self.backoff_sleep(attempts);
                         continue;
                     }
@@ -462,10 +464,9 @@ mod tests {
 
     #[test]
     fn heal_failure_degrades_to_sigbus() {
-        // Tiny machine, recovery disabled, memory exhausted: migration has
-        // nowhere to go, so the strike kills the mapping.
+        // Tiny machine, memory exhausted by anonymous pages reclaim cannot
+        // drop: migration has nowhere to go, so the strike kills the mapping.
         let mut sys = system_mib(1);
-        sys.set_recovery_config(crate::recovery::RecoveryConfig::disabled());
         let pid = sys.spawn();
         let vma = sys
             .aspace_mut(pid)

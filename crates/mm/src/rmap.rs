@@ -34,6 +34,7 @@ use contig_types::{PageSize, Pfn, VirtAddr};
 
 use crate::page_cache::FileId;
 use crate::pte::{Pte, PteFlags};
+use crate::stats::ZERO_PAGE_NS;
 use crate::system::{Pid, System};
 
 /// One PTE naming a mapping-head frame: `(pid, va, size, flags)`.
@@ -216,7 +217,7 @@ impl System {
         self.repoint(&kind, dest);
         self.machine.zone_mut(node).free(head, order);
         let frames = 1u64 << order;
-        self.advance_clock(frames * self.latency.zero_page_ns);
+        self.advance_clock(frames * ZERO_PAGE_NS);
         if let Some(refs) = users.ptes.remove(&head) {
             users.ptes.insert(dest, refs);
         }

@@ -22,8 +22,8 @@ use crate::daemon::DaemonState;
 use crate::page_cache::{PageCache, PageCacheSnapshot};
 use crate::pte::{Pte, PteFlags};
 use crate::poison::PoisonStats;
-use crate::recovery::{RecoveryConfig, RecoveryStats};
-use crate::stats::{FaultStats, LatencyModel};
+use crate::recovery::RecoveryStats;
+use crate::stats::FaultStats;
 use crate::system::{NumaStats, Pid, ProcessTable, System};
 use crate::vma::VmaKind;
 
@@ -106,14 +106,10 @@ contig_types::wire_struct! {
         pub pt_levels: u32,
         /// Whether new processes record fault latencies.
         pub record_latencies: bool,
-        /// The fault latency model.
-        pub latency: LatencyModel,
         /// COW sharer counts as `(raw pfn, count)`, pfn-ascending.
         pub shared: Vec<(u64, u32)>,
         /// The simulated clock.
         pub now_ns: u64,
-        /// Recovery tunables in force.
-        pub recovery: RecoveryConfig,
         /// Cumulative recovery counters.
         pub recovery_stats: RecoveryStats,
         /// Retry-backoff jitter generator state.
@@ -212,10 +208,8 @@ impl System {
             thp: self.thp,
             pt_levels: self.pt_levels,
             record_latencies: self.record_latencies,
-            latency: self.latency,
             shared,
             now_ns: self.now_ns,
-            recovery: self.recovery,
             recovery_stats: self.recovery_stats,
             backoff_rng: self.backoff_rng,
             poison_policy: self.poison_policy.clone(),
@@ -280,11 +274,9 @@ impl System {
             page_cache: PageCache::from_snapshot(&snap.page_cache),
             next_pid: snap.next_pid,
             thp: snap.thp,
-            latency: snap.latency,
             record_latencies: snap.record_latencies,
             pt_levels: snap.pt_levels,
             now_ns: snap.now_ns,
-            recovery: snap.recovery,
             recovery_stats: snap.recovery_stats,
             backoff_rng: snap.backoff_rng,
             poison_policy: snap.poison_policy.clone(),

@@ -4,38 +4,24 @@ use core::fmt;
 
 use contig_types::PageSize;
 
-contig_types::wire_struct! {
-    /// Cost parameters for the page-fault latency model.
-    ///
-    /// The dominant cost of a large allocation is zeroing it (paper Table V:
-    /// eager paging's 99th-percentile latency is ~150× THP's because it zeroes
-    /// whole VMAs). The model is `base + pages_zeroed * per_page_zero +
-    /// placement` in nanoseconds.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct LatencyModel {
-        /// Fixed fault-entry/exit cost (trap, VMA lookup, PTE install).
-        pub base_ns: u64,
-        /// Cost to zero one 4 KiB page.
-        pub zero_page_ns: u64,
-        /// Cost of one contiguity-map placement decision.
-        pub placement_ns: u64,
-    }
-}
+/// Fixed fault-entry/exit cost (trap, VMA lookup, PTE install).
+pub(crate) const BASE_NS: u64 = 1_500;
+/// Cost to zero one 4 KiB page; reclaim, compaction, poison healing and
+/// promotion charge it per page they touch or copy.
+pub(crate) const ZERO_PAGE_NS: u64 = 1_000;
+/// Cost of one contiguity-map placement decision.
+pub(crate) const PLACEMENT_NS: u64 = 400;
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        // Calibrated so a 2 MiB THP fault lands near the paper's ~515 us
-        // 99th percentile: 512 pages * 1000 ns ≈ 512 us.
-        Self { base_ns: 1_500, zero_page_ns: 1_000, placement_ns: 400 }
-    }
-}
-
-impl LatencyModel {
-    /// Latency of a fault that zeroed `pages` base pages and ran
-    /// `placements` placement decisions.
-    pub(crate) fn fault_ns(&self, pages: u64, placements: u64) -> u64 {
-        self.base_ns + pages * self.zero_page_ns + placements * self.placement_ns
-    }
+/// The page-fault latency model, calibrated to paper Table V: the latency
+/// of a fault that zeroed `pages` base pages and ran `placements` placement
+/// decisions.
+///
+/// The dominant cost of a large allocation is zeroing it (eager paging's
+/// 99th-percentile latency is ~150× THP's because it zeroes whole VMAs). A
+/// 2 MiB THP fault lands near the paper's ~515 us 99th percentile: 512
+/// pages * 1000 ns ≈ 512 us.
+pub(crate) fn fault_ns(pages: u64, placements: u64) -> u64 {
+    BASE_NS + pages * ZERO_PAGE_NS + placements * PLACEMENT_NS
 }
 
 /// Per-address-space fault statistics.
@@ -168,11 +154,10 @@ mod tests {
 
     #[test]
     fn latency_model_scales_with_pages() {
-        let m = LatencyModel::default();
-        let base = m.fault_ns(1, 0);
-        let huge = m.fault_ns(512, 0);
+        let base = fault_ns(1, 0);
+        let huge = fault_ns(512, 0);
         assert!(huge > base * 100, "{huge} vs {base}");
-        assert_eq!(m.fault_ns(0, 2) - m.fault_ns(0, 0), 2 * m.placement_ns);
+        assert_eq!(fault_ns(0, 2) - fault_ns(0, 0), 2 * PLACEMENT_NS);
     }
 
     #[test]

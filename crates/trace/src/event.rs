@@ -100,14 +100,11 @@ pub enum RecoveryStage {
     RecoveredFault,
     /// The fault failed even after the full escalation.
     HardOom,
-    /// The livelock watchdog aborted a recovery loop that kept cycling
-    /// without converging (`amount` = total attempts spent).
-    Livelock,
 }
 
 impl RecoveryStage {
     /// All stages, in escalation order (useful for report tables).
-    pub const ALL: [RecoveryStage; 9] = [
+    pub const ALL: [RecoveryStage; 8] = [
         RecoveryStage::OomEvent,
         RecoveryStage::ReclaimPass,
         RecoveryStage::CompactionPass,
@@ -116,7 +113,6 @@ impl RecoveryStage {
         RecoveryStage::ReadaheadShrink,
         RecoveryStage::RecoveredFault,
         RecoveryStage::HardOom,
-        RecoveryStage::Livelock,
     ];
 
     /// The stage's event name, `recovery.<suffix>`.
@@ -130,7 +126,6 @@ impl RecoveryStage {
             RecoveryStage::ReadaheadShrink => "recovery.readahead_shrink",
             RecoveryStage::RecoveredFault => "recovery.recovered_fault",
             RecoveryStage::HardOom => "recovery.hard_oom",
-            RecoveryStage::Livelock => "recovery.livelock",
         }
     }
 }
@@ -149,7 +144,7 @@ pub enum DaemonStage {
     CompactMove,
     /// A fully-populated aligned run was promoted to a huge page.
     Promote,
-    /// A promotion candidate failed at commit time (no free huge block, or
+    /// A collapsible window failed at commit time (no free huge block, or
     /// the run changed under the daemon's feet).
     PromoteFail,
     /// One movable block was migrated out of a poisoned neighbourhood

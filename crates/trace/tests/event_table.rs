@@ -31,7 +31,6 @@ fn name_before_the_table(event: &TraceEvent) -> &'static str {
             RecoveryStage::ReadaheadShrink => "recovery.readahead_shrink",
             RecoveryStage::RecoveredFault => "recovery.recovered_fault",
             RecoveryStage::HardOom => "recovery.hard_oom",
-            RecoveryStage::Livelock => "recovery.livelock",
         },
         TraceEvent::Daemon { stage, .. } => match stage {
             DaemonStage::Tick => "daemon.tick",

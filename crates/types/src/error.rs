@@ -84,16 +84,6 @@ pub enum FaultError {
         /// The faulting virtual address.
         addr: VirtAddr,
     },
-    /// The OOM-recovery path cycled reclaim/compaction/retry past its total
-    /// attempt budget without converging: the watchdog aborted the fault
-    /// instead of spinning forever. Distinct from [`FaultError::OutOfMemory`]
-    /// because memory may exist — the system is livelocked, not exhausted.
-    RecoveryLivelock {
-        /// The faulting virtual address.
-        addr: VirtAddr,
-        /// Total recovery attempts spent before the watchdog fired.
-        attempts: u32,
-    },
     /// A hardware memory error (hwpoison) destroyed the frame backing this
     /// mapping and the page could not be healed by migration: the SIGBUS
     /// equivalent. The mapping has been torn down; the frame is quarantined.
@@ -116,9 +106,6 @@ impl fmt::Display for FaultError {
             }
             FaultError::AlreadyMapped { addr } => {
                 write!(f, "spurious fault at already-mapped address {addr}")
-            }
-            FaultError::RecoveryLivelock { addr, attempts } => {
-                write!(f, "recovery livelocked after {attempts} attempts servicing {addr}")
             }
             FaultError::MemoryFailure { addr, pfn } => {
                 write!(f, "memory failure: poisoned frame {pfn} killed mapping at {addr}")

@@ -61,14 +61,10 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// Jittered exponential backoff, in ns: `base_ns << min(k, max_shift)`
 /// capped at `cap_ns`, plus a jitter uniform in `[0, half of that]` drawn
-/// from `rng`, so competing retries do not run in lockstep. A zero
-/// `base_ns` disables backoff: 0, and no draw. OOM recovery, the
-/// maintenance daemon and live migration each keep their own seed and
+/// from `rng`, so competing retries do not run in lockstep. OOM recovery,
+/// the maintenance daemon and live migration each keep their own seed and
 /// exponent cap.
 pub fn jittered_backoff(base_ns: u64, cap_ns: u64, k: u64, max_shift: u64, rng: &mut u64) -> u64 {
-    if base_ns == 0 {
-        return 0;
-    }
     let exp = base_ns.saturating_mul(1u64 << k.min(max_shift)).min(cap_ns);
     exp + splitmix64(rng) % (exp / 2 + 1)
 }
@@ -581,8 +577,6 @@ mod tests {
     #[test]
     fn backoff_doubles_up_to_its_caps_and_jitters_by_at_most_half() {
         let mut rng = 5;
-        assert_eq!(jittered_backoff(0, 1_000, 3, 20, &mut rng), 0);
-        assert_eq!(rng, 5, "disabled backoff draws nothing");
         for (k, exp) in [(0, 100), (1, 200), (3, 800), (4, 1_000), (40, 1_000)] {
             let ns = jittered_backoff(100, 1_000, k, 20, &mut rng);
             assert!((exp..=exp + exp / 2).contains(&ns), "k {k}: {ns}");

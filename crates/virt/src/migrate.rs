@@ -251,50 +251,34 @@ fn decode_pages(payload: &[u8]) -> Option<Vec<u64>> {
 // Configuration, stats, errors.
 // ---------------------------------------------------------------------------
 
-/// Tunables of one migration.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MigrationConfig {
-    /// Guest pages per data chunk.
-    pub(crate) chunk_pages: usize,
-    /// Pre-copy round budget; the migration enters stop-and-copy at the
-    /// latest after this many rounds, whatever the dirty rate.
-    pub(crate) max_rounds: u32,
-    /// Convergence threshold: a dirty set no larger than this goes to
-    /// stop-and-copy instead of another pre-copy round.
-    pub(crate) stop_copy_pages: u64,
-    /// Retransmissions allowed per chunk before the attempt fails.
-    pub(crate) max_retries: u32,
-    /// Simulated-time budget per phase (one pre-copy round, or the whole
-    /// stop-and-copy); beyond it the attempt fails with
-    /// [`MigrationError::PhaseTimeout`].
-    pub(crate) phase_timeout_ns: u64,
-    /// Clock charge for a send that produced no acknowledgment (drop or ack
-    /// loss) — the sender's retransmission timer.
-    pub(crate) ack_timeout_ns: u64,
-    /// Base of the jittered exponential retry backoff (same scheme as
-    /// `contig_mm::RecoveryConfig`).
-    pub(crate) backoff_base_ns: u64,
-    /// Backoff ceiling before jitter.
-    pub(crate) backoff_cap_ns: u64,
-    /// Seed of the deterministic backoff jitter stream.
-    pub(crate) backoff_seed: u64,
-}
+/// Guest pages per data chunk.
+const CHUNK_PAGES: usize = 64;
+/// Pre-copy round budget; the migration enters stop-and-copy at the latest
+/// after this many rounds, whatever the dirty rate.
+const MAX_ROUNDS: u32 = 8;
+/// Convergence threshold: a dirty set no larger than this goes to
+/// stop-and-copy instead of another pre-copy round.
+const STOP_COPY_PAGES: u64 = 64;
+/// Retransmissions allowed per chunk before the attempt fails.
+const MAX_RETRIES: u32 = 8;
+/// Simulated-time budget per phase (one pre-copy round, or the whole
+/// stop-and-copy), in ns; beyond it the attempt fails with
+/// [`MigrationError::PhaseTimeout`].
+const PHASE_TIMEOUT_NS: u64 = 20_000_000;
+/// Clock charge for a send that produced no acknowledgment (drop or ack
+/// loss) — the sender's retransmission timer.
+const ACK_TIMEOUT_NS: u64 = 10_000;
+/// Base of the jittered exponential retry backoff, in ns.
+const BACKOFF_BASE_NS: u64 = 200;
+/// Backoff ceiling before jitter.
+const BACKOFF_CAP_NS: u64 = 100_000;
+/// Seed of the deterministic backoff jitter stream.
+const BACKOFF_SEED: u64 = 0xC0_FFEE;
 
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        Self {
-            chunk_pages: 64,
-            max_rounds: 8,
-            stop_copy_pages: 64,
-            max_retries: 8,
-            phase_timeout_ns: 20_000_000,
-            ack_timeout_ns: 10_000,
-            backoff_base_ns: 200,
-            backoff_cap_ns: 100_000,
-            backoff_seed: 0xC0_FFEE,
-        }
-    }
-}
+/// The migration's parameters. They are the constants above; the type
+/// carries no values and stays only because callers name it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MigrationConfig;
 
 contig_types::wire_counters! {
     /// Event-mapped migration counters. Every field increments in lockstep with
@@ -351,7 +335,7 @@ pub enum MigrationError {
         /// The chunk's sequence number.
         seq: u64,
     },
-    /// A phase exceeded `MigrationConfig::phase_timeout_ns`.
+    /// A phase exceeded `PHASE_TIMEOUT_NS` (20 ms of session time).
     PhaseTimeout {
         /// Round the timeout hit.
         round: u32,
@@ -587,7 +571,6 @@ enum Phase {
 /// wire latency, stalls, backoff sleeps, and retransmission timers all
 /// accumulate there, never perturbing VM state.
 pub struct MigrationSession {
-    cfg: MigrationConfig,
     tracer: Tracer,
     stats: MigrationStats,
     phase: Phase,
@@ -606,12 +589,11 @@ pub struct MigrationSession {
 }
 
 impl MigrationSession {
-    /// A fresh session under `cfg`, emitting `migrate.*` events to `tracer`
-    /// (pass [`Tracer::disabled`] for an untraced migration).
-    pub fn new(cfg: MigrationConfig, tracer: Tracer) -> Self {
+    /// A fresh session, emitting `migrate.*` events to `tracer` (pass
+    /// [`Tracer::disabled`] for an untraced migration).
+    pub fn new(tracer: Tracer) -> Self {
         Self {
-            backoff_rng: cfg.backoff_seed,
-            cfg,
+            backoff_rng: BACKOFF_SEED,
             tracer,
             stats: MigrationStats::default(),
             phase: Phase::PreCopy,
@@ -708,8 +690,8 @@ impl MigrationSession {
                         round: self.round,
                         dirty: dirty.len() as u64,
                     });
-                    let converged = dirty.len() as u64 <= self.cfg.stop_copy_pages
-                        || self.round + 1 >= self.cfg.max_rounds;
+                    let converged = dirty.len() as u64 <= STOP_COPY_PAGES
+                        || self.round + 1 >= MAX_ROUNDS;
                     self.pending = dirty;
                     if converged {
                         self.phase = Phase::StopCopy;
@@ -772,7 +754,7 @@ impl MigrationSession {
         codec: &dyn GuestStateCodec,
     ) -> Result<(), MigrationError> {
         while !self.pending.is_empty() {
-            let n = self.pending.len().min(self.cfg.chunk_pages);
+            let n = self.pending.len().min(CHUNK_PAGES);
             let payload = encode_pages(&self.pending[..n]);
             self.send_chunk(FRAME_KIND_PAGES, &payload, n as u64, dst, transport, codec)?;
             self.pending.drain(..n);
@@ -798,13 +780,13 @@ impl MigrationSession {
         let frame = encode_frame(kind, self.round, seq, payload);
         let mut attempt: u32 = 0;
         loop {
-            if self.clock_ns - self.phase_start_ns > self.cfg.phase_timeout_ns {
+            if self.clock_ns - self.phase_start_ns > PHASE_TIMEOUT_NS {
                 self.stats.timeouts += 1;
                 self.tracer.emit(TraceEvent::MigrateTimeout { round: self.round });
                 return Err(MigrationError::PhaseTimeout { round: self.round });
             }
             if attempt > 0 {
-                if attempt > self.cfg.max_retries {
+                if attempt > MAX_RETRIES {
                     return Err(MigrationError::RetriesExhausted { round: self.round, seq });
                 }
                 let backoff_ns = self.backoff(attempt);
@@ -820,7 +802,7 @@ impl MigrationSession {
             };
             let received = match delivery {
                 Delivery::Dropped => {
-                    self.clock_ns += self.cfg.ack_timeout_ns;
+                    self.clock_ns += ACK_TIMEOUT_NS;
                     self.stats.chunks_dropped += 1;
                     self.tracer.emit(TraceEvent::MigrateChunkDropped { seq });
                     attempt += 1;
@@ -878,7 +860,7 @@ impl MigrationSession {
             };
             let ack_bytes = match ack_delivery {
                 Delivery::Dropped => {
-                    self.clock_ns += self.cfg.ack_timeout_ns;
+                    self.clock_ns += ACK_TIMEOUT_NS;
                     self.stats.acks_lost += 1;
                     self.tracer.emit(TraceEvent::MigrateAckLost { seq });
                     attempt += 1;
@@ -917,9 +899,8 @@ impl MigrationSession {
     /// [`jittered_backoff`] on the session clock, with its own seed so the
     /// stream is independent of host recovery activity.
     fn backoff(&mut self, attempt: u32) -> u64 {
-        let (base, cap) = (self.cfg.backoff_base_ns, self.cfg.backoff_cap_ns);
         let k = u64::from(attempt.saturating_sub(1));
-        let ns = jittered_backoff(base, cap, k, 20, &mut self.backoff_rng);
+        let ns = jittered_backoff(BACKOFF_BASE_NS, BACKOFF_CAP_NS, k, 20, &mut self.backoff_rng);
         self.clock_ns += ns;
         ns
     }
@@ -959,7 +940,7 @@ pub enum MigrationOutcome {
 // parameter is a distinct, caller-owned concern (endpoints, codec, wire
 // factory, guest hook, budget, tracer); bundling them would only rename it.
 pub fn migrate_with_retries(
-    cfg: MigrationConfig,
+    _cfg: MigrationConfig,
     src: &mut VirtualMachine,
     mut target: MigrationTarget,
     codec: &dyn GuestStateCodec,
@@ -968,7 +949,7 @@ pub fn migrate_with_retries(
     max_attempts: u32,
     tracer: Tracer,
 ) -> MigrationOutcome {
-    let mut session = MigrationSession::new(cfg, tracer);
+    let mut session = MigrationSession::new(tracer);
     let mut attempt = 0;
     loop {
         let mut transport = make_transport(attempt);
@@ -1096,7 +1077,7 @@ mod tests {
         let codec = ParkedCodec::default();
         let guest_before = src.guest().snapshot();
         let mut dst = target_for(&src);
-        let mut session = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut session = MigrationSession::new(Tracer::disabled());
         let mut transport = LoopbackTransport::reliable();
         let report = session
             .run(&mut src, &mut dst, &mut transport, &codec, |_, _| {})
@@ -1119,7 +1100,7 @@ mod tests {
         let mut src = source_vm();
         let codec = ParkedCodec::default();
         let mut dst = target_for(&src);
-        let mut session = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut session = MigrationSession::new(Tracer::disabled());
         let mut transport = LoopbackTransport::reliable();
         let report = session
             .run(&mut src, &mut dst, &mut transport, &codec, writer(7))
@@ -1137,18 +1118,14 @@ mod tests {
         let codec = ParkedCodec::default();
         let mut src_a = source_vm();
         let mut dst_a = target_for(&src_a);
-        let mut s_a = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut s_a = MigrationSession::new(Tracer::disabled());
         s_a.run(&mut src_a, &mut dst_a, &mut LoopbackTransport::reliable(), &codec, writer(3))
             .expect("baseline");
-        // Lossy (no disconnects, generous budget): must still complete.
+        // Lossy, with no disconnects, at rates the retry and phase budgets
+        // absorb: must still complete.
         let mut src_b = src0;
         let mut dst_b = target_for(&src_b);
-        let cfg = MigrationConfig {
-            phase_timeout_ns: u64::MAX / 2,
-            max_retries: 1_000,
-            ..MigrationConfig::default()
-        };
-        let mut s_b = MigrationSession::new(cfg, Tracer::disabled());
+        let mut s_b = MigrationSession::new(Tracer::disabled());
         let mut lossy = LoopbackTransport::new(TransportPolicy::new(TransportMode::Lossy {
             drop_ppm: 80_000,
             corrupt_ppm: 80_000,
@@ -1175,15 +1152,14 @@ mod tests {
         // Uninterrupted baseline.
         let mut src_a = source_vm();
         let mut dst_a = target_for(&src_a);
-        let mut s_a = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut s_a = MigrationSession::new(Tracer::disabled());
         s_a.run(&mut src_a, &mut dst_a, &mut LoopbackTransport::reliable(), &codec, writer(9))
             .expect("baseline");
         // Interrupted at several different frames, then resumed.
         for kill_at in [1u64, 3, 7, 11, 20] {
             let mut src = source_vm();
             let mut dst = target_for(&src);
-            let mut session =
-                MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+            let mut session = MigrationSession::new(Tracer::disabled());
             let mut dying = LoopbackTransport::new(TransportPolicy::new(
                 TransportMode::FaultNth { n: kill_at, kind: TransportFault::Disconnect },
             ));
@@ -1211,7 +1187,7 @@ mod tests {
         let codec = ParkedCodec::default();
         let src_guest_before = src.guest().snapshot();
         let mut dst = target_for(&src);
-        let mut session = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut session = MigrationSession::new(Tracer::disabled());
         let mut dying = LoopbackTransport::new(TransportPolicy::new(TransportMode::FaultNth {
             n: 5,
             kind: TransportFault::Disconnect,
@@ -1243,7 +1219,7 @@ mod tests {
         ]
         .into_iter();
         let outcome = migrate_with_retries(
-            MigrationConfig::default(),
+            MigrationConfig,
             &mut src,
             target,
             &codec,
@@ -1268,7 +1244,7 @@ mod tests {
         let codec = ParkedCodec::default();
         let target = target_for(&src);
         let outcome = migrate_with_retries(
-            MigrationConfig::default(),
+            MigrationConfig,
             &mut src,
             target,
             &codec,
@@ -1302,11 +1278,10 @@ mod tests {
         let mut src = source_vm();
         let codec = ParkedCodec::default();
         let mut dst = target_for(&src);
-        // 500 µs: two orders above the reliable round cost (~64 µs for a
-        // 2048-page round 0), far below what a 90% storm of up-to-2 ms
-        // stalls accumulates.
-        let cfg = MigrationConfig { phase_timeout_ns: 500_000, ..MigrationConfig::default() };
-        let mut session = MigrationSession::new(cfg, Tracer::disabled());
+        // The 20 ms phase budget is far above the reliable round cost (~64 µs
+        // for a 2048-page round 0) and far below what a 90% storm of
+        // up-to-2 ms stalls accumulates over round 0's 32 chunks.
+        let mut session = MigrationSession::new(Tracer::disabled());
         let mut stormy = LoopbackTransport::new(TransportPolicy::new(TransportMode::Lossy {
             drop_ppm: 0,
             corrupt_ppm: 0,
@@ -1316,7 +1291,7 @@ mod tests {
         }));
         let err = session
             .run(&mut src, &mut dst, &mut stormy, &codec, |_, _| {})
-            .expect_err("stall storm against a 50µs phase budget");
+            .expect_err("stall storm against the 20 ms phase budget");
         assert_eq!(err, MigrationError::PhaseTimeout { round: 0 });
         assert!(session.stats().timeouts == 1);
         let report = session
@@ -1332,12 +1307,7 @@ mod tests {
         let codec = ParkedCodec::default();
         let mut dst = target_for(&src);
         let session_trace = TraceSession::ring(1 << 14);
-        let cfg = MigrationConfig {
-            phase_timeout_ns: u64::MAX / 2,
-            max_retries: 1_000,
-            ..MigrationConfig::default()
-        };
-        let mut session = MigrationSession::new(cfg, session_trace.tracer());
+        let mut session = MigrationSession::new(session_trace.tracer());
         let mut lossy = LoopbackTransport::new(TransportPolicy::new(TransportMode::Lossy {
             drop_ppm: 100_000,
             corrupt_ppm: 100_000,

@@ -821,8 +821,8 @@ mod tests {
         };
         let hpa = vm.translate_2d(pid, VirtAddr::new(0x40_0000)).unwrap().hpa;
         let victim = Pfn::new(hpa.raw() / PageSize::Base4K.bytes());
-        // Exhaust the host so migrate-and-heal has nowhere to go.
-        vm.host_mut().set_recovery_config(contig_mm::RecoveryConfig::disabled());
+        // Exhaust the host with blocks recovery cannot move, so
+        // migrate-and-heal has nowhere to go.
         let mut hogs = Vec::new();
         while let Ok(p) = vm.host_mut().machine_mut().alloc(0) {
             hogs.push(p);
@@ -839,7 +839,6 @@ mod tests {
         for p in hogs {
             vm.host_mut().machine_mut().free(p, 0);
         }
-        vm.host_mut().set_recovery_config(contig_mm::RecoveryConfig::default());
         vm.touch(pid, VirtAddr::new(0x40_0000)).unwrap();
         assert!(vm.translate_2d(pid, VirtAddr::new(0x40_0000)).is_some());
         assert!(vm.host().machine().is_poisoned(victim), "strike sticks");

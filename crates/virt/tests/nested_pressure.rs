@@ -4,7 +4,7 @@
 //! an auditable state, and heal the missing host backing once memory frees
 //! up — no panics anywhere on the path.
 
-use contig_mm::{DefaultThpPolicy, RecoveryConfig, VmaKind};
+use contig_mm::{DefaultThpPolicy, VmaKind};
 use contig_types::{FailMode, FailPolicy, FaultError, VirtAddr, VirtRange};
 use contig_virt::{VirtualMachine, VmConfig};
 
@@ -24,9 +24,9 @@ fn injected_host_oom_surfaces_at_guest_address_and_heals() {
         .aspace_mut(pid)
         .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 4 << 20), VmaKind::Anon);
 
-    // Make every host allocation fail and turn off the host recovery path so
-    // the OOM surfaces instead of being retried away.
-    vm.host_mut().set_recovery_config(RecoveryConfig::disabled());
+    // Make every host allocation fail. Host memory is free, so each
+    // recovery round reports progress and the allocation is retried; the
+    // OOM surfaces once the bounded retries run out.
     vm.host_mut()
         .set_fail_policy(FailPolicy::new(FailMode::MinOrder { min_order: 0 }));
 
@@ -38,7 +38,9 @@ fn injected_host_oom_surfaces_at_guest_address_and_heals() {
         }
         other => panic!("expected OutOfMemory, got {other:?}"),
     }
-    assert!(vm.host().recovery_stats().hard_ooms > 0);
+    let stats = *vm.host().recovery_stats();
+    assert!(stats.retries > 0, "recovery must retry before giving up: {stats:?}");
+    assert!(stats.hard_ooms > 0);
 
     // The guest mapping was established before backing failed; both layers
     // must still pass the invariant audit.
@@ -48,7 +50,6 @@ fn injected_host_oom_surfaces_at_guest_address_and_heals() {
     // Memory pressure lifts: the next touch of the same address detects the
     // backing hole behind the already-mapped guest page and re-backs it.
     vm.host_mut().clear_fail_policy();
-    vm.host_mut().set_recovery_config(RecoveryConfig::default());
     let out = vm.touch(pid, va).expect("touch after pressure lifts must heal");
     assert!(out.already_mapped, "guest mapping survived the failed backing");
     let t = vm

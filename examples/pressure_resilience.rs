@@ -71,18 +71,23 @@ fn nested_pressure() {
         .aspace_mut(pid)
         .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 4 << 20), VmaKind::Anon);
 
-    vm.host_mut().set_recovery_config(contig_mm::RecoveryConfig::disabled());
+    // Every host allocation fails. Host recovery retries a bounded number
+    // of times (memory is free, so each round looks like progress), then
+    // the OOM surfaces at the guest address.
     vm.host_mut().set_fail_policy(FailPolicy::new(FailMode::MinOrder { min_order: 0 }));
     match vm.touch(pid, VirtAddr::new(0x40_0000)) {
         Err(FaultError::OutOfMemory { addr, size }) => {
-            println!("guest fault failed: OutOfMemory at guest {addr} ({size})");
+            let r = vm.host().recovery_stats();
+            println!(
+                "guest fault failed: OutOfMemory at guest {addr} ({size}) after {} host retries",
+                r.retries
+            );
         }
         other => println!("unexpected: {other:?}"),
     }
     println!("{}", audit_vm(&vm));
 
     vm.host_mut().clear_fail_policy();
-    vm.host_mut().set_recovery_config(contig_mm::RecoveryConfig::default());
     let out = vm.touch(pid, VirtAddr::new(0x40_0000)).expect("healing touch");
     println!(
         "after pressure lifts: already_mapped={} and backing healed",

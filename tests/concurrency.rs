@@ -296,7 +296,7 @@ fn migration_engine_experiment(seed: u64) -> (u64, u64) {
         Box::new(DefaultThpPolicy),
     );
     let outcome = migrate_with_retries(
-        MigrationConfig::default(),
+        MigrationConfig,
         &mut vm,
         target,
         &SnapshotGuestCodec,
@@ -372,7 +372,6 @@ fn daemon_engine_experiment(seed: u64) -> (u64, u64) {
     sys.enable_daemon(DaemonConfig {
         aggressiveness: (1 + seed % 3) as u8,
         epoch_budget: 64,
-        thp_threshold_pages: 64,
         ..DaemonConfig::default()
     });
     let pid = sys.spawn();

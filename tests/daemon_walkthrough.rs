@@ -46,8 +46,8 @@ fn keeping_memory_defragmented() {
     assert_eq!(sys.aspace(app).mapped_bytes(), 2 << 20);
     assert!(sys.audit().is_clean());
 
-    // Crash-consistent: mid-epoch cursors, budget, candidates, and the
-    // backoff RNG ride the snapshot and continue bit-identically.
+    // Crash-consistent: mid-epoch cursors, budget and the backoff RNG
+    // ride the snapshot and continue bit-identically.
     let snap = sys.snapshot();
     let mut twin = System::restore(&snap);
     assert_eq!(sys.daemon_tick(), twin.daemon_tick());

@@ -1,5 +1,5 @@
 //! Guard for the snapshot format. The decoder reads one version, the one the
-//! encoder writes; `tests/golden/snapshot_v7.jsonl` is a file of that version
+//! encoder writes; `tests/golden/snapshot_v8.jsonl` is a file of that version
 //! and pins it in both directions: the encoder must reproduce its bytes from
 //! the fixed workload below, and the decoder must restore every section of it
 //! — poison, zone topology and homes, daemon — with its values, not its
@@ -13,11 +13,11 @@ use contig::check::{decode_vm_file, digest_vm, encode_vm_file};
 use contig::prelude::*;
 
 fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_v7.jsonl")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_v8.jsonl")
 }
 
 fn golden_text() -> String {
-    std::fs::read_to_string(golden_path()).expect("tests/golden/snapshot_v7.jsonl is checked in")
+    std::fs::read_to_string(golden_path()).expect("tests/golden/snapshot_v8.jsonl is checked in")
 }
 
 /// The fixed workload behind the golden files: two processes, an anonymous
@@ -125,16 +125,11 @@ fn golden_vm_v5() -> VirtualMachine {
 
 /// The golden workload: the v5 fixture with the background
 /// maintenance daemon enabled on both dimensions and ticked mid-epoch — so
-/// the `daemon` member carries live cursors, a partially spent budget,
-/// a remembered promotion candidate (the 4-page homed window clears the
-/// lowered threshold), and non-zero counters in the checked-in file.
+/// the `daemon` member carries live cursors, a partially spent budget, a
+/// non-default policy and non-zero counters in the checked-in file.
 fn golden_vm_v6() -> VirtualMachine {
     let mut vm = golden_vm_v5();
-    let config = DaemonConfig {
-        epoch_budget: 32,
-        thp_threshold_pages: 4,
-        ..DaemonConfig::default()
-    };
+    let config = DaemonConfig { epoch_budget: 32, ..DaemonConfig::default() };
     vm.guest_mut().enable_daemon(config);
     vm.host_mut().enable_daemon(config);
     for _ in 0..3 {
@@ -153,7 +148,7 @@ fn golden_vm_v6() -> VirtualMachine {
 }
 
 #[test]
-fn golden_v7_snapshot_still_decodes() {
+fn golden_v8_snapshot_still_decodes() {
     let snap = decode_vm_file(&golden_text()).expect("current decoder must read the golden file");
 
     // The header digest is re-verified by the decoder; additionally pin the
@@ -212,8 +207,8 @@ fn golden_v5_restores_zone_topology_and_homes() {
 #[test]
 fn golden_v6_restores_daemon_state() {
     // The mid-epoch daemon member must survive the round trip with its
-    // exact values — live cursors, partially spent budget, the remembered
-    // promotion candidate, counters — not just re-default.
+    // exact values — live cursors, partially spent budget, counters — not
+    // just re-default.
     let snap = decode_vm_file(&golden_text()).expect("decode golden");
     let mut vm = VirtualMachine::new(
         VmConfig::with_mib(16, 64),
@@ -224,7 +219,7 @@ fn golden_v6_restores_daemon_state() {
     let daemon = vm.guest().daemon_state();
     assert!(daemon.enabled, "daemon arming lost in round trip");
     assert!(daemon.stats.ticks > 0, "daemon tick counter lost in round trip");
-    assert_eq!(daemon.config.thp_threshold_pages, 4, "daemon policy lost in round trip");
+    assert_eq!(daemon.config.epoch_budget, 32, "daemon policy lost in round trip");
     assert!(vm.host().daemon_state().enabled, "host daemon arming lost");
     // Restored mid-epoch state must continue bit-identically to the
     // original fixture: one more tick on each yields the same state.

@@ -133,7 +133,6 @@ fn verify_trace(session: &TraceSession, recovery: &RecoveryStats, sys: &System) 
     assert_eq!(stage_count(RecoveryStage::ReadaheadShrink), recovery.readahead_shrinks);
     assert_eq!(stage_count(RecoveryStage::RecoveredFault), recovery.recovered_faults);
     assert_eq!(stage_count(RecoveryStage::HardOom), recovery.hard_ooms);
-    assert_eq!(stage_count(RecoveryStage::Livelock), recovery.livelocks);
 
     // Stage payloads aggregate to the stats totals too.
     let stage_sum = |stage: RecoveryStage, f: fn(u64, u64, u64) -> u64| {

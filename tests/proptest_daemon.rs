@@ -10,7 +10,7 @@
 //! machines.
 //!
 //! A second property pins crash consistency: snapshotting mid-epoch —
-//! live cursors, partial budget, promotion candidates, backoff RNG —
+//! live cursors, partial budget, backoff RNG —
 //! and restoring must be exact, and the restored system must continue
 //! bit-identically with the original under the same op/tick suffix.
 //!
@@ -23,15 +23,8 @@ use std::collections::{BTreeMap, HashMap};
 use contig::mm::{FaultOutcome, FileId, FrameRef, PteRef};
 use contig::prelude::*;
 use contig::types::FaultError;
+use contig_types::splitmix64;
 use proptest::prelude::*;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 const TOTAL_MIB: u64 = 16;
 /// Concurrent processes driving the interleaving.
@@ -280,7 +273,6 @@ proptest! {
             // Small budget so scans span epochs and the cursor-preserving
             // refill path runs under the interleaving, not just in units.
             epoch_budget: 48,
-            thp_threshold_pages: 64,
             ..DaemonConfig::default()
         });
         drive_pair(&mut plain, &mut armed, seed, 160);
@@ -302,7 +294,6 @@ proptest! {
         let mut sys = base_system();
         sys.enable_daemon(DaemonConfig {
             epoch_budget: 48,
-            thp_threshold_pages: 64,
             ..DaemonConfig::default()
         });
         let mut policy = BasePagesPolicy;
@@ -330,7 +321,7 @@ proptest! {
         prop_assert_eq!(restored.snapshot(), snap.clone(), "restore must be exact");
         prop_assert_eq!(digest_system(&restored.snapshot()), digest_system(&snap));
         // Bit-identical continuation: same ops, same ticks, same state —
-        // cursors, budget, candidates, and backoff RNG all resumed exactly.
+        // cursors, budget and backoff RNG all resumed exactly.
         for _ in 0..60 {
             let r = splitmix64(&mut state);
             let slot = (r % PROCS as u64) as usize;

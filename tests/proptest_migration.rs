@@ -81,8 +81,7 @@ proptest! {
         // Uninterrupted baseline on an identical source replica.
         let mut base_src = replica(&start);
         let mut base_target = fresh_target();
-        let mut base_session =
-            MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut base_session = MigrationSession::new(Tracer::disabled());
         let mut base_wire = LoopbackTransport::reliable();
         let base = base_session.run(
             &mut base_src,
@@ -95,7 +94,7 @@ proptest! {
         let baseline = digest_vm(&base_target.into_vm().snapshot());
 
         // Real run: the kill_at-th frame disconnects the channel.
-        let mut session = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut session = MigrationSession::new(Tracer::disabled());
         let mut target = fresh_target();
         let mut wire = LoopbackTransport::new(TransportPolicy::new(TransportMode::FaultNth {
             n: kill_at,
@@ -129,7 +128,7 @@ proptest! {
         kill_at in 1u64..32,
     ) {
         let (mut src, pid, vma_bytes) = source_vm(seed);
-        let mut session = MigrationSession::new(MigrationConfig::default(), Tracer::disabled());
+        let mut session = MigrationSession::new(Tracer::disabled());
         let mut target = fresh_target();
         let mut wire = LoopbackTransport::new(TransportPolicy::new(TransportMode::FaultNth {
             n: kill_at,
