@@ -148,9 +148,18 @@ impl Options {
             }
             Ok(())
         })?;
-        if !Self::SCALES.contains(&opts.scale) {
-            let (flag, value, range) = ("--scale".into(), opts.scale, Self::SCALES);
-            return Err(UsageError::OutOfRange { flag, value, range });
+        // A run of no accesses or no repetitions has nothing to report: it
+        // divides by zero (NaN cells, a panic in Table VII's USL estimate)
+        // or prints an empty table.
+        let checks = [
+            ("--scale", opts.scale, Self::SCALES),
+            ("--accesses", opts.accesses, 1..=u64::MAX),
+            ("--runs", opts.runs as u64, 1..=u64::MAX),
+        ];
+        for (flag, value, range) in checks {
+            if !range.contains(&value) {
+                return Err(UsageError::OutOfRange { flag: flag.into(), value, range });
+            }
         }
         Ok(opts)
     }
@@ -219,6 +228,15 @@ mod tests {
                 Options::parse(&argv(&format!("--scale {value}"))),
                 Err(UsageError::OutOfRange { flag: "--scale".into(), value, range: 1..=2048 })
             );
+        }
+        // No accesses or no runs: NaN cells, a panic in table7, or an empty
+        // fig01b table.
+        for flag in ["--accesses", "--runs"] {
+            assert_eq!(
+                Options::parse(&argv(&format!("{flag} 0"))),
+                Err(UsageError::OutOfRange { flag: flag.into(), value: 0, range: 1..=u64::MAX })
+            );
+            assert!(Options::parse(&argv(&format!("{flag} 1"))).is_ok(), "{flag} 1");
         }
         assert_eq!(Options::parse(&argv("--scale 2048")).map(|o| o.scale), Ok(2048));
         assert_eq!(Options::parse(&argv("--scale 1")).map(|o| o.scale), Ok(1));

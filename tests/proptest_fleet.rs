@@ -10,15 +10,8 @@ use contig::check::json::{self, Wire};
 use contig::check::digest_fleet;
 use contig::fleet::{GUEST_VMA_BASE, HOST_VMA_BASE};
 use contig::prelude::*;
+use contig_types::splitmix64;
 use proptest::prelude::*;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A one-host fleet sized so tenant writes never exhaust the host: 4 × 2 MiB
 /// guests (512 frames each) on a 16 MiB host (4096 frames) leave the ladder

@@ -16,15 +16,8 @@ use std::collections::BTreeSet;
 use contig::mm::FaultOutcome;
 use contig::prelude::*;
 use contig::types::FaultError;
+use contig_types::splitmix64;
 use proptest::prelude::*;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Total memory, chosen divisible by every zone count we sweep (2, 3, 4)
 /// so the sharded machine always has exactly the flat machine's capacity.
