@@ -35,4 +35,4 @@ pub use hc::{anchor_distance_pages, anchor_entries, VhcAnchorTlb};
 pub use ideal::IdealPaging;
 pub use ingens::IngensPolicy;
 pub use ranger::{run_ranger_to_convergence, RangerDaemon};
-pub use rmm::{VrmmRangeTlb, VrmmStats};
+pub use rmm::VrmmRangeTlb;

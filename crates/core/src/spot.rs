@@ -61,7 +61,7 @@ pub struct SpotStats {
     /// Table fills performed.
     pub fills: u64,
     /// Fills suppressed by the contiguity-bit filter.
-    pub filtered_fills: u64,
+    pub(crate) filtered_fills: u64,
 }
 
 impl SpotStats {
