@@ -7,7 +7,7 @@
 //! (Table VI) at the cost of promotion migrations; its contiguity stays at
 //! huge-page scale, like THP (Fig. 7).
 
-use contig_mm::{FaultCtx, PageTable, Placement, PlacementPolicy, Pid, Pte, PteFlags, System};
+use contig_mm::{FaultCtx, PageTable, Placement, PlacementPolicy, Pid, PteFlags, System};
 use contig_types::{PageSize, VirtAddr, PAGES_PER_HUGE};
 
 /// The Ingens fault policy plus asynchronous promotion daemon.
@@ -48,35 +48,14 @@ impl IngensPolicy {
     }
 
     /// One promotion-daemon pass over `pid`: promotes every 2 MiB region
-    /// whose utilization crosses the threshold and for which a free huge
-    /// frame is available.
+    /// whose utilization crosses the threshold, through `contig-mm`'s one
+    /// collapse (which refuses a region whose collapse would change what an
+    /// address sees, and needs a free huge frame).
     pub fn promote(&mut self, sys: &mut System, pid: Pid) {
-        // Gather candidate regions: 2 MiB-aligned VAs with enough 4 KiB
-        // leaves and no huge leaf yet.
-        let candidates = {
-            let pt = sys.aspace(pid).page_table();
-            candidate_regions(pt, UTILIZATION_THRESHOLD)
-        };
+        let candidates = candidate_regions(sys.aspace(pid).page_table(), UTILIZATION_THRESHOLD);
         for region in candidates {
-            let Ok(huge_frame) = sys.machine_mut().alloc_page(PageSize::Huge2M) else {
-                continue;
-            };
-            // Unmap the 4 KiB leaves (the "copy" into the huge frame),
-            // install the huge leaf, then return the old frames.
-            let mut old_frames = Vec::new();
-            {
-                let pt = sys.aspace_mut(pid).page_table_mut();
-                for i in 0..PAGES_PER_HUGE {
-                    let va = region + i * PageSize::Base4K.bytes();
-                    if let Some((pte, PageSize::Base4K)) = pt.unmap(va) {
-                        self.pages_migrated += 1;
-                        old_frames.push(pte.pfn);
-                    }
-                }
-                pt.map(region, Pte::new(huge_frame, PteFlags::WRITE), PageSize::Huge2M);
-            }
-            for pfn in old_frames {
-                sys.machine_mut().free_page(pfn, PageSize::Base4K);
+            if let Ok((_, copied)) = sys.collapse(pid, region) {
+                self.pages_migrated += copied;
             }
         }
     }
@@ -132,22 +111,24 @@ impl PlacementPolicy for IngensPolicy {
 mod tests {
     use super::*;
     use contig_buddy::MachineConfig;
-    use contig_mm::{SystemConfig, VmaKind};
+    use contig_mm::{SystemConfig, VmaId, VmaKind};
     use contig_types::VirtRange;
 
-    fn system() -> System {
-        System::new(SystemConfig::new(MachineConfig::single_node_mib(64)))
+    /// A process whose anonymous VMA of `len` bytes at 4 MiB Ingens has
+    /// populated, one 4 KiB fault per page.
+    fn populated(len: u64) -> (System, Pid, VmaId, IngensPolicy) {
+        let mut sys = System::new(SystemConfig::new(MachineConfig::single_node_mib(64)));
+        let pid = sys.spawn();
+        let range = VirtRange::new(VirtAddr::new(0x40_0000), len);
+        let vma = sys.aspace_mut(pid).map_vma(range, VmaKind::Anon);
+        let mut ingens = IngensPolicy::new();
+        sys.populate_vma(&mut ingens, pid, vma).unwrap();
+        (sys, pid, vma, ingens)
     }
 
     #[test]
     fn faults_are_base_pages_only() {
-        let mut sys = system();
-        let pid = sys.spawn();
-        let vma = sys
-            .aspace_mut(pid)
-            .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 2 << 20), VmaKind::Anon);
-        let mut ingens = IngensPolicy::new();
-        sys.populate_vma(&mut ingens, pid, vma).unwrap();
+        let (sys, pid, ..) = populated(2 << 20);
         let stats = sys.aspace(pid).stats();
         assert_eq!(stats.faults_2m, 0);
         assert_eq!(stats.faults_4k, 512);
@@ -155,13 +136,7 @@ mod tests {
 
     #[test]
     fn full_region_promotes_to_huge() {
-        let mut sys = system();
-        let pid = sys.spawn();
-        let vma = sys
-            .aspace_mut(pid)
-            .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 4 << 20), VmaKind::Anon);
-        let mut ingens = IngensPolicy::new();
-        sys.populate_vma(&mut ingens, pid, vma).unwrap();
+        let (mut sys, pid, _, mut ingens) = populated(4 << 20);
         let free_before = sys.machine().free_frames();
         ingens.promote(&mut sys, pid);
         assert_eq!(sys.aspace(pid).page_table().mapped_huge_pages(), 2);
@@ -173,7 +148,7 @@ mod tests {
 
     #[test]
     fn sparse_region_is_not_promoted() {
-        let mut sys = system();
+        let mut sys = System::new(SystemConfig::new(MachineConfig::single_node_mib(64)));
         let pid = sys.spawn();
         sys.aspace_mut(pid)
             .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 2 << 20), VmaKind::Anon);
@@ -184,5 +159,29 @@ mod tests {
         }
         ingens.promote(&mut sys, pid);
         assert_eq!(sys.aspace(pid).page_table().mapped_huge_pages(), 0);
+    }
+
+    #[test]
+    fn cow_shared_windows_stay_base_pages() {
+        let (mut sys, pid, vma, mut ingens) = populated(2 << 20);
+        let child = sys.fork_vma(pid, vma);
+        ingens.promote(&mut sys, pid);
+        ingens.promote(&mut sys, child);
+        for p in [pid, child] {
+            assert_eq!(sys.aspace(p).page_table().mapped_huge_pages(), 0);
+            assert_eq!(sys.aspace(p).page_table().mapped_base_pages(), 512);
+        }
+        assert!(sys.audit().is_clean(), "{}", sys.audit());
+    }
+
+    #[test]
+    fn a_window_past_the_vma_end_stays_base_pages() {
+        let len = (2 << 20) - (16 << 10);
+        let (mut sys, pid, _, mut ingens) = populated(len);
+        ingens.promote(&mut sys, pid);
+        let past_end = VirtAddr::new(0x40_0000 + len);
+        assert_eq!(sys.aspace(pid).page_table().mapped_huge_pages(), 0);
+        assert!(sys.aspace(pid).page_table().translate(past_end).is_err());
+        assert!(sys.audit().is_clean(), "{}", sys.audit());
     }
 }

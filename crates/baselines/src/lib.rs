@@ -34,5 +34,5 @@ pub use eager::EagerPaging;
 pub use hc::{anchor_distance_pages, anchor_entries, VhcAnchorTlb};
 pub use ideal::IdealPaging;
 pub use ingens::IngensPolicy;
-pub use ranger::{run_ranger_to_convergence, RangerDaemon};
+pub use ranger::RangerDaemon;
 pub use rmm::VrmmRangeTlb;

@@ -10,20 +10,16 @@
 
 use std::collections::HashMap;
 
-use contig_mm::{Pid, Pte, PteFlags, System};
+use contig_mm::{Dest, FrameUsers, Pid, PteFlags, System};
 use contig_types::{ContigMapping, MapOffset, PageSize, PhysAddr, Pfn, VirtAddr, VirtRange};
 
 /// Counters exposed by [`RangerDaemon`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RangerStats {
-    /// Defragmentation epochs executed.
-    pub(crate) epochs: u64,
     /// Base pages moved (a 2 MiB migration counts 512).
     pub pages_migrated: u64,
     /// TLB shootdowns issued (one per migrated leaf).
     pub shootdowns: u64,
-    /// Migrations skipped because the destination was pinned or unknown.
-    pub(crate) skipped: u64,
     /// Occupant leaves displaced out of a migration destination (page
     /// exchange).
     pub(crate) displaced: u64,
@@ -95,19 +91,12 @@ impl RangerDaemon {
 
     /// Runs one defragmentation epoch over the given processes (scanned
     /// serially, like the released ranger code — the multi-programmed
-    /// response-time penalty of Fig. 10 follows from this).
+    /// response-time penalty of Fig. 10 follows from this). Every move goes
+    /// through `contig-mm`'s block move, over one reverse map built at the
+    /// epoch's first move.
     pub fn epoch(&mut self, sys: &mut System, pids: &[Pid]) {
-        self.stats.epochs += 1;
         let mut budget = self.budget_pages;
-        // Reverse map for page exchange: which (pid, va, size) owns a frame.
-        let mut owners: HashMap<Pfn, (Pid, VirtAddr, PageSize)> = HashMap::new();
-        for &pid in pids {
-            for m in sys.aspace(pid).page_table().iter_mappings() {
-                if !m.pte.flags.contains(PteFlags::FILE) && !m.pte.flags.contains(PteFlags::COW) {
-                    owners.insert(m.pte.pfn, (pid, m.va, m.size));
-                }
-            }
-        }
+        let mut users = None;
         for &pid in pids {
             if budget == 0 {
                 break;
@@ -117,60 +106,47 @@ impl RangerDaemon {
                 if budget == 0 {
                     break;
                 }
-                self.defrag_vma(sys, pid, vma_id, &mut owners, &mut budget);
+                self.defrag_vma(sys, pids, pid, vma_id, &mut users, &mut budget);
             }
         }
     }
 
-    /// Moves the leaf owning `target`'s range out of the way, if every frame
-    /// of the range belongs to movable leaves of tracked processes. Returns
-    /// whether the range was fully vacated.
+    /// Page exchange: moves every leaf occupying `target`'s range to
+    /// wherever default placement puts it, if each is an exclusive anonymous
+    /// leaf of one of `pids`. Returns whether the range was fully vacated.
     fn displace_occupants(
         &mut self,
         sys: &mut System,
-        owners: &mut HashMap<Pfn, (Pid, VirtAddr, PageSize)>,
+        users: &mut FrameUsers,
+        pids: &[Pid],
         target: Pfn,
         size: PageSize,
     ) -> bool {
-        // Collect distinct occupant leaves covering the target range.
-        let mut leaves: Vec<(Pid, VirtAddr, PageSize, Pfn)> = Vec::new();
-        let mut f = 0u64;
-        while f < size.base_pages() {
-            let frame = target.add(f);
-            if sys.machine().is_free(frame) {
+        // Collect every occupant first: one foreign or pinned frame (hog,
+        // page cache, shared or another process's memory) refuses the range.
+        let end = target.raw() + size.base_pages();
+        let mut leaves: Vec<(Pfn, u32)> = Vec::new();
+        let mut f = target.raw();
+        while f < end {
+            if sys.machine().is_free(Pfn::new(f)) {
                 f += 1;
                 continue;
             }
-            // Find the leaf head owning this frame: it is registered under
-            // its first frame; huge leaves are 512-aligned.
-            let head = if let Some(&(pid, va, lsize)) = owners.get(&frame) {
-                (pid, va, lsize, frame)
-            } else {
-                let huge_head = frame.align_down(9);
-                match owners.get(&huge_head) {
-                    Some(&(pid, va, PageSize::Huge2M)) => (pid, va, PageSize::Huge2M, huge_head),
-                    _ => return false, // pinned (hog/cache) or foreign memory
-                }
-            };
-            leaves.push(head);
-            f = head.3.raw() - target.raw() + head.2.base_pages();
-        }
-        for (pid, va, lsize, old) in leaves {
-            let Ok(new) = sys.machine_mut().alloc_page(lsize) else {
+            let &[(pid, _, lsize, _, head)] = users.covering(Pfn::new(f)).as_slice() else {
                 return false;
             };
-            let flags = sys
-                .aspace(pid)
-                .page_table()
-                .translate(va)
-                .map(|t| t.flags)
-                .unwrap_or(PteFlags::WRITE);
-            sys.aspace_mut(pid).page_table_mut().remap(va, Pte::new(new, flags));
-            sys.machine_mut().free_page(old, lsize);
-            owners.remove(&old);
-            owners.insert(new, (pid, va, lsize));
+            if !pids.contains(&pid) || sys.anon_owner(head, lsize.order(), users).is_none() {
+                return false;
+            }
+            leaves.push((head, lsize.order()));
+            f = head.raw() + lsize.base_pages();
+        }
+        for (head, order) in leaves {
+            if sys.move_block(head, order, Dest::Anywhere, users).is_none() {
+                return false;
+            }
             self.stats.displaced += 1;
-            self.stats.pages_migrated += lsize.base_pages();
+            self.stats.pages_migrated += 1 << order;
             self.stats.shootdowns += 1;
         }
         true
@@ -179,9 +155,10 @@ impl RangerDaemon {
     fn defrag_vma(
         &mut self,
         sys: &mut System,
+        pids: &[Pid],
         pid: Pid,
         vma_id: contig_mm::VmaId,
-        owners: &mut HashMap<Pfn, (Pid, VirtAddr, PageSize)>,
+        users: &mut Option<FrameUsers>,
         budget: &mut u64,
     ) {
         let range = sys.aspace(pid).vma(vma_id).range();
@@ -222,14 +199,12 @@ impl RangerDaemon {
                 return;
             }
             // Re-read the leaf: a displacement earlier in this epoch may have
-            // already moved it, and migrating from the stale snapshot would
-            // free a frame that no longer backs this mapping.
+            // already moved it.
             let Ok(t) = sys.aspace(pid).page_table().translate(va) else { continue };
-            let size = t.size;
-            let pte = Pte::new(t.pfn, t.flags);
-            if pte.flags.contains(PteFlags::FILE) || pte.flags.contains(PteFlags::COW) {
+            if t.flags.contains(PteFlags::FILE) || t.flags.contains(PteFlags::COW) {
                 continue; // ranger migrates exclusive anonymous memory only
             }
+            let (size, order) = (t.size, t.size.order());
             let anchor = {
                 let subs = &self.anchors[&key];
                 subs.iter().rev().find(|&&(sva, _)| sva <= va.raw()).map(|&(_, a)| a)
@@ -240,35 +215,31 @@ impl RangerDaemon {
                 continue;
             }
             let target = target_pa.page_number();
-            if target == pte.pfn {
+            if target == t.pfn {
                 continue; // already in place
             }
-            if sys.machine_mut().alloc_specific(target, size.order()).is_err() {
-                // Destination busy: exchange pages — displace the movable
-                // occupants, then retry. A pinned occupant (hog, page cache,
-                // shared memory) triggers a sub-VMA re-anchor: the remaining
-                // pages coalesce in a fresh region instead of punching holes
-                // into existing runs.
-                if !self.displace_occupants(sys, owners, target, size)
-                    || sys.machine_mut().alloc_specific(target, size.order()).is_err()
-                {
-                    self.stats.skipped += 1;
-                    reanchors += 1;
-                    if reanchors > MAX_REANCHORS_PER_EPOCH {
-                        return;
-                    }
-                    let Some(a) = free_cluster_anchor(sys, va) else { return };
-                    self.anchors.get_mut(&key).expect("anchored above").push((va.raw(), a));
-                    continue;
-                }
+            let users = users.get_or_insert_with(|| sys.frame_users());
+            if sys.anon_owner(t.pfn, order, users).is_none() {
+                continue; // shared or aliased: the mover would refuse it
             }
-            // Copy: remap the leaf onto the target, free the old frame.
-            sys.aspace_mut(pid)
-                .page_table_mut()
-                .remap(va, Pte::new(target, pte.flags));
-            sys.machine_mut().free_page(pte.pfn, size);
-            owners.remove(&pte.pfn);
-            owners.insert(target, (pid, va, size));
+            // Copy onto the target. When it is busy, exchange pages:
+            // displace the movable occupants, then retry. A pinned occupant
+            // (hog, page cache, shared memory) triggers a sub-VMA re-anchor
+            // instead: the remaining pages coalesce in a fresh region rather
+            // than punching holes into existing runs.
+            let to = Dest::At(target);
+            if sys.move_block(t.pfn, order, to, users).is_none()
+                && (!self.displace_occupants(sys, users, pids, target, size)
+                    || sys.move_block(t.pfn, order, to, users).is_none())
+            {
+                reanchors += 1;
+                if reanchors > MAX_REANCHORS_PER_EPOCH {
+                    return;
+                }
+                let Some(a) = free_cluster_anchor(sys, va) else { return };
+                self.anchors.get_mut(&key).expect("anchored above").push((va.raw(), a));
+                continue;
+            }
             self.stats.pages_migrated += size.base_pages();
             self.stats.shootdowns += 1;
             *budget = budget.saturating_sub(size.base_pages());
@@ -313,26 +284,6 @@ fn free_cluster_anchor(sys: &System, va: VirtAddr) -> Option<MapOffset> {
     Some(MapOffset::between(va.align_down(PageSize::Huge2M), base))
 }
 
-/// Convenience: run epochs until no migration happens or `max_epochs` is hit.
-/// Returns the epochs executed.
-pub fn run_ranger_to_convergence(
-    ranger: &mut RangerDaemon,
-    sys: &mut System,
-    pids: &[Pid],
-    max_epochs: u64,
-) -> u64 {
-    let mut executed = 0;
-    for _ in 0..max_epochs {
-        let before = ranger.stats().pages_migrated;
-        ranger.epoch(sys, pids);
-        executed += 1;
-        if ranger.stats().pages_migrated == before {
-            break;
-        }
-    }
-    executed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,6 +299,20 @@ mod tests {
             return 0.0;
         }
         maps.iter().map(|m| m.len()).max().unwrap_or(0) as f64 / total as f64
+    }
+
+    /// Runs epochs over `pid` until one migrates nothing (at most 64),
+    /// calling `check` after each; returns the epochs run.
+    fn converge(ranger: &mut RangerDaemon, sys: &mut System, pid: Pid, check: impl Fn(&System)) -> u64 {
+        for epoch in 1..=64 {
+            let migrated = ranger.stats().pages_migrated;
+            ranger.epoch(sys, &[pid]);
+            check(sys);
+            if ranger.stats().pages_migrated == migrated {
+                return epoch;
+            }
+        }
+        64
     }
 
     fn fragmented_system() -> (System, Pid, contig_mm::VmaId) {
@@ -376,7 +341,7 @@ mod tests {
         let before = contiguous_mappings(sys.aspace(pid).page_table()).len();
         assert!(before > 1, "setup must scatter the footprint, got {before} runs");
         let mut ranger = RangerDaemon::new(1 << 20);
-        let epochs = run_ranger_to_convergence(&mut ranger, &mut sys, &[pid], 64);
+        let epochs = converge(&mut ranger, &mut sys, pid, |_| {});
         let after = contiguous_mappings(sys.aspace(pid).page_table());
         assert_eq!(after.len(), 1, "converged footprint must be one run");
         assert_eq!(after[0].len(), 16 << 20);
@@ -402,7 +367,7 @@ mod tests {
     fn migration_accounting_matches_shootdowns() {
         let (mut sys, pid, _) = fragmented_system();
         let mut ranger = RangerDaemon::new(1 << 20);
-        run_ranger_to_convergence(&mut ranger, &mut sys, &[pid], 64);
+        converge(&mut ranger, &mut sys, pid, |_| {});
         let s = ranger.stats();
         assert_eq!(s.pages_migrated, s.shootdowns * 512, "huge-leaf migrations only");
     }
@@ -411,7 +376,7 @@ mod tests {
     fn converged_state_is_stable() {
         let (mut sys, pid, _) = fragmented_system();
         let mut ranger = RangerDaemon::new(1 << 20);
-        run_ranger_to_convergence(&mut ranger, &mut sys, &[pid], 64);
+        converge(&mut ranger, &mut sys, pid, |_| {});
         let migrated = ranger.stats().pages_migrated;
         ranger.epoch(&mut sys, &[pid]);
         assert_eq!(ranger.stats().pages_migrated, migrated, "no churn after convergence");
@@ -458,29 +423,56 @@ mod tests {
         // hold other movable leaves — including later leaves of the same
         // VMA. Migration must displace them and then work from the leaves'
         // *new* frames, not a stale snapshot (a past bug double-freed the
-        // old frame, corrupting the allocator).
+        // old frame, corrupting the allocator). Another process and a cached
+        // file share the machine: ranger, given only `pid`, must leave their
+        // frames alone and every epoch must leave the system consistent.
         let mut sys = System::new(SystemConfig::new(MachineConfig::single_node_mib(48)));
-        let pid = sys.spawn();
-        sys.aspace_mut(pid)
-            .map_vma(VirtRange::new(VirtAddr::new(0x40_0000), 16 << 20), VmaKind::Anon);
-        sys.aspace_mut(pid)
-            .map_vma(VirtRange::new(VirtAddr::new(0x4000_0000), 24 << 20), VmaKind::Anon);
+        let (pid, other) = (sys.spawn(), sys.spawn());
+        let file = sys.page_cache_mut().create_file();
+        let maps = [
+            (pid, 0x40_0000, 16 << 20, VmaKind::Anon),
+            (pid, 0x4000_0000, 24 << 20, VmaKind::Anon),
+            (pid, 0x8000_0000, 1 << 20, VmaKind::File { file, start_page: 0 }),
+            (other, 0x40_0000, 4 << 20, VmaKind::Anon),
+        ];
+        for (p, start, len, kind) in maps {
+            sys.aspace_mut(p).map_vma(VirtRange::new(VirtAddr::new(start), len), kind);
+        }
         let mut policy = DefaultThpPolicy;
+        let mut touch = |sys: &mut System, p: Pid, va: u64| {
+            sys.touch(&mut policy, p, VirtAddr::new(va)).unwrap();
+        };
         // Reverse-touch the first VMA (descending frames), forward-touch the
-        // second: their anchored destinations interleave.
+        // second: their anchored destinations interleave. The other process
+        // and the file's readahead land among them.
         for i in (0..8u64).rev() {
-            sys.touch(&mut policy, pid, VirtAddr::new(0x40_0000 + i * (2 << 20))).unwrap();
+            touch(&mut sys, pid, 0x40_0000 + i * (2 << 20));
         }
         for i in 0..12u64 {
-            sys.touch(&mut policy, pid, VirtAddr::new(0x4000_0000 + i * (2 << 20))).unwrap();
+            touch(&mut sys, pid, 0x4000_0000 + i * (2 << 20));
+            if i < 8 {
+                touch(&mut sys, pid, 0x8000_0000 + i * (128 << 10));
+            }
+            if i % 6 == 0 {
+                touch(&mut sys, other, 0x40_0000 + i / 6 * (2 << 20));
+            }
         }
+        let untouched = |sys: &System| {
+            let other = sys.aspace(other).page_table().iter_mappings().map(|m| (m.va, m.pte.pfn));
+            (other.collect::<Vec<_>>(), sys.page_cache().pages_of(file).collect::<Vec<_>>())
+        };
+        let kept = untouched(&sys);
+        assert!(!kept.0.is_empty() && kept.1.len() == 256);
         let used = sys.machine().total_frames() - sys.machine().free_frames();
         let before = contiguous_mappings(sys.aspace(pid).page_table()).len();
         let mut ranger = RangerDaemon::new(1 << 20);
-        run_ranger_to_convergence(&mut ranger, &mut sys, &[pid], 64);
-        assert!(ranger.stats().pages_migrated > 0);
+        converge(&mut ranger, &mut sys, pid, |sys| {
+            assert!(sys.audit().is_clean(), "{}", sys.audit());
+            sys.machine().verify_integrity();
+            assert_eq!(untouched(sys), kept, "frames outside ranger's scope moved");
+        });
+        assert!(ranger.stats().displaced > 0, "the crowding must force page exchange");
         assert_eq!(sys.machine().total_frames() - sys.machine().free_frames(), used);
-        sys.machine().verify_integrity();
         let after = contiguous_mappings(sys.aspace(pid).page_table()).len();
         assert!(after <= before, "coalescing must not regress: {after} vs {before}");
     }

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 
-use contig_baselines::{
-    anchor_distance_pages, anchor_entries, run_ranger_to_convergence, RangerDaemon, VrmmRangeTlb,
-};
+use contig_baselines::{anchor_distance_pages, anchor_entries, RangerDaemon, VrmmRangeTlb};
 use contig_buddy::MachineConfig;
 use contig_mm::{DefaultThpPolicy, System, SystemConfig, VmaKind};
 use contig_tlb::{Access, MissHandler, MissHandling, WalkResult};
@@ -98,7 +96,13 @@ proptest! {
         let used = sys.machine().total_frames() - sys.machine().free_frames();
         let before = contig_mm::contiguous_mappings(sys.aspace(pid).page_table()).len();
         let mut ranger = RangerDaemon::new(1 << budget_pow);
-        run_ranger_to_convergence(&mut ranger, &mut sys, &[pid], 64);
+        for _ in 0..64 {
+            let migrated = ranger.stats().pages_migrated;
+            ranger.epoch(&mut sys, &[pid]);
+            if ranger.stats().pages_migrated == migrated {
+                break;
+            }
+        }
         let after = contig_mm::contiguous_mappings(sys.aspace(pid).page_table()).len();
         prop_assert!(after <= before, "migration made fragmentation worse: {after} > {before}");
         prop_assert_eq!(sys.machine().total_frames() - sys.machine().free_frames(), used);

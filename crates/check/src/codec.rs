@@ -35,7 +35,7 @@ use crate::json::{decode, line, parse, Wire};
 
 /// Snapshot file format version: the one the encoder writes and the only
 /// version read.
-pub(crate) const SNAPSHOT_VERSION: i128 = 8;
+pub(crate) const SNAPSHOT_VERSION: i128 = 9;
 /// `format` tag of snapshot files.
 pub const SNAPSHOT_FORMAT: &str = "contig-snapshot";
 

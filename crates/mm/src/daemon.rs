@@ -11,10 +11,11 @@
 //!   allocated blocks and migrates movable ones (`rmap.rs`'s `move_block`,
 //!   over one `FrameUsers` per tick) downward toward the lowest free block,
 //!   assembling runs of the configured target order.
-//! * **THP promotion** — fully-populated, flag-uniform, 2 MiB-aligned runs
-//!   of anonymous base pages inside one VMA are collapsed onto a freshly
-//!   allocated huge frame (khugepaged's collapse). A window with a missing
-//!   page is left alone: the daemon never faults pages in.
+//! * **THP promotion** — fully-populated 2 MiB windows of base pages are
+//!   collapsed onto a freshly allocated huge frame through `rmap.rs`'s
+//!   `collapse` (khugepaged's, shared with Ingens), which refuses any window
+//!   whose collapse could change what an address sees. A window with a
+//!   missing page is left alone: the daemon never faults pages in.
 //! * **Poison-run repair** — movable blocks trapped in the 2 MiB
 //!   neighbourhood of a quarantined frame are migrated out, so the damage a
 //!   poisoned frame does to unaligned contiguity stays confined to itself.
@@ -37,16 +38,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use contig_buddy::{FrameState, NodeId};
+use contig_buddy::NodeId;
 use contig_trace::{stage, DaemonStage, TraceEvent};
 use contig_types::json::{Dec, Enc, Sink, Wire};
 use contig_types::{jittered_backoff, PageSize, Pfn, VirtAddr};
 
-use crate::pte::{Pte, PteFlags};
-use crate::rmap::FrameUsers;
-use crate::stats::ZERO_PAGE_NS;
+use crate::rmap::{CollapseError, Dest, FrameUsers};
 use crate::system::{Pid, System};
-use crate::vma::VmaKind;
 
 /// Frames in a 2 MiB huge page.
 const HUGE_PAGES: u64 = 512;
@@ -262,12 +260,8 @@ impl DaemonState {
 }
 
 /// Per-pid promotion-window cache a tick builds lazily: window start →
-/// `(va, pfn, flags)` per present base page, va-sorted.
-type WindowCache = HashMap<Pid, BTreeMap<u64, Vec<(u64, Pfn, PteFlags)>>>;
-
-/// A collapsible 2 MiB window: its 512 `(va, pfn)` pairs plus their
-/// uniform flags.
-type Collapse = (Vec<(u64, Pfn)>, PteFlags);
+/// the number of base pages mapped in it.
+type WindowCache = HashMap<Pid, BTreeMap<u64, u64>>;
 
 impl System {
     /// The daemon state (cursors, policy, counters).
@@ -487,7 +481,7 @@ impl System {
         let Some(dest) = self.machine.zone(node).lowest_free_block(order, head) else {
             return;
         };
-        match self.move_block(node, head, order, dest, users) {
+        match self.move_block(head, order, Dest::At(dest), users) {
             Some(frames) => {
                 self.daemon.stats.compact_moves += 1;
                 self.daemon.stats.compact_frames += frames;
@@ -512,122 +506,46 @@ impl System {
             self.daemon.promote_va = 0;
         }
         self.daemon.promote_pid = u64::from(pid.0);
-        let next = self
-            .collect_windows(pid, windows)
-            .range(self.daemon.promote_va..)
-            .next()
-            .map(|(&w, run)| (w, run.clone()));
-        let Some((w, run)) = next else {
+        let next = self.collect_windows(pid, windows).range(self.daemon.promote_va..).next();
+        let Some((&w, &pages)) = next else {
             self.daemon.promote_pid = u64::from(pid.0) + 1;
             self.daemon.promote_va = 0;
             return;
         };
         self.daemon.promote_va = w + PageSize::Huge2M.bytes();
-        if let Some((run, flags)) = self.check_window(pid, w, &run) {
-            self.commit_promotion(pid, w, &run, flags, vetoes);
+        if pages < HUGE_PAGES {
+            return;
+        }
+        match self.collapse(pid, VirtAddr::new(w)) {
+            Ok((block, _)) => {
+                self.daemon.stats.promoted += 1;
+                self.trace_daemon(DaemonStage::Promote, HUGE_PAGES, block.raw());
+            }
+            Err(CollapseError::NoHugeFrame) => {
+                self.daemon.stats.promote_failed += 1;
+                self.trace_daemon(DaemonStage::PromoteFail, HUGE_PAGES, w);
+                *vetoes += 1;
+            }
+            Err(CollapseError::Refused) => {}
         }
     }
 
-    /// The 2 MiB windows of `pid` holding base-page mappings, grouped and
-    /// cached for the tick: window start → `(va, pfn, flags)` per present
-    /// base page, va-sorted.
-    fn collect_windows<'a>(
-        &self,
-        pid: Pid,
-        cache: &'a mut WindowCache,
-    ) -> &'a BTreeMap<u64, Vec<(u64, Pfn, PteFlags)>> {
+    /// The 2 MiB windows of `pid` holding base-page mappings, counted and
+    /// cached for the tick: window start → base pages mapped in it.
+    fn collect_windows<'a>(&self, pid: Pid, cache: &'a mut WindowCache) -> &'a BTreeMap<u64, u64> {
         cache.entry(pid).or_insert_with(|| {
-            let mut windows: BTreeMap<u64, Vec<(u64, Pfn, PteFlags)>> = BTreeMap::new();
+            let mut windows = BTreeMap::new();
             if let Some(aspace) = self.processes.get(pid) {
                 for m in aspace.page_table().iter_mappings() {
-                    if m.size != PageSize::Base4K {
-                        continue; // already huge
+                    if m.size == PageSize::Base4K {
+                        let w = m.va.raw() & !(PageSize::Huge2M.bytes() - 1);
+                        *windows.entry(w).or_default() += 1;
                     }
-                    let w = m.va.raw() & !(PageSize::Huge2M.bytes() - 1);
-                    windows.entry(w).or_default().push((m.va.raw(), m.pte.pfn, m.pte.flags));
                 }
             }
             windows
         })
     }
-
-    /// Judges one window: collapsible now, or not.
-    ///
-    /// Promotion preserves observational semantics exactly, so the bar is
-    /// high: all 512 base pages present with identical flags, none
-    /// COW/FILE/shared, each backed by its own order-0 allocation, and the
-    /// whole window inside a single anonymous VMA. The daemon never
-    /// faults-in missing pages, so a window short of 512 is left alone.
-    fn check_window(&self, pid: Pid, w: u64, run: &[(u64, Pfn, PteFlags)]) -> Option<Collapse> {
-        if (run.len() as u64) < HUGE_PAGES {
-            return None;
-        }
-        let flags = run[0].2;
-        if flags.contains(PteFlags::COW) || flags.contains(PteFlags::FILE) {
-            return None;
-        }
-        let aspace = self.processes.get(pid)?;
-        let last = VirtAddr::new(w + PageSize::Huge2M.bytes() - PageSize::Base4K.bytes());
-        let vma_id = aspace.vma_containing(VirtAddr::new(w))?;
-        let vma = aspace.vma(vma_id);
-        if vma.kind() != VmaKind::Anon || !vma.contains(last) {
-            return None;
-        }
-        for &(_, pfn, f) in run {
-            if f != flags || self.machine.share_count(pfn) > 0 {
-                return None;
-            }
-            let node = self.machine.node_of(pfn)?;
-            if self.machine.zone(node).frame_table().state(pfn)
-                != (FrameState::AllocatedHead { order: 0 })
-            {
-                return None;
-            }
-        }
-        Some((run.iter().map(|&(va, pfn, _)| (va, pfn)).collect(), flags))
-    }
-
-    /// Collapses a fully-populated window: allocates a huge frame on the
-    /// owner's home node, swings the 512 base PTEs to one huge PTE, and
-    /// frees the scattered source frames.
-    fn commit_promotion(
-        &mut self,
-        pid: Pid,
-        w: u64,
-        run: &[(u64, Pfn)],
-        flags: PteFlags,
-        vetoes: &mut u64,
-    ) {
-        let home = NodeId(self.home_node(pid).unwrap_or(0));
-        let block = match self.machine.alloc_on(home, PageSize::Huge2M.order()) {
-            Ok(b) => b,
-            Err(_) => {
-                self.daemon.stats.promote_failed += 1;
-                self.trace_daemon(DaemonStage::PromoteFail, HUGE_PAGES, w);
-                *vetoes += 1;
-                return;
-            }
-        };
-        let Some(aspace) = self.processes.get_mut(pid) else {
-            self.machine.free(block, PageSize::Huge2M.order());
-            self.daemon.stats.promote_failed += 1;
-            self.trace_daemon(DaemonStage::PromoteFail, HUGE_PAGES, w);
-            return;
-        };
-        let pt = aspace.page_table_mut();
-        for &(va, _) in run {
-            pt.unmap(VirtAddr::new(va));
-        }
-        pt.map(VirtAddr::new(w), Pte::new(block, flags), PageSize::Huge2M);
-        for &(_, pfn) in run {
-            self.machine.free(pfn, 0);
-        }
-        self.daemon.stats.promoted += 1;
-        self.trace_daemon(DaemonStage::Promote, HUGE_PAGES, block.raw());
-        // Collapse copies all 512 source pages into the huge frame.
-        self.advance_clock(HUGE_PAGES * ZERO_PAGE_NS);
-    }
-
 
     /// One repair work unit: migrate movable blocks out of the 2 MiB
     /// neighbourhood of one quarantined frame, so unaligned contiguity runs
@@ -658,7 +576,7 @@ impl System {
             else {
                 break;
             };
-            match self.move_block(node, head, order, dest, users) {
+            match self.move_block(head, order, Dest::At(dest), users) {
                 Some(frames) => {
                     moved += 1;
                     self.daemon.stats.repairs += 1;
@@ -676,6 +594,7 @@ mod tests {
     use super::*;
     use crate::policy::BasePagesPolicy;
     use crate::system::{System, SystemConfig};
+    use crate::vma::VmaKind;
     use contig_buddy::MachineConfig;
     use contig_trace::TraceSession;
     use contig_types::VirtRange;

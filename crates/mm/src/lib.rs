@@ -56,11 +56,10 @@ pub use poison::{FailureAction, MemoryFailureOutcome, PoisonStats};
 pub use policy::{BasePagesPolicy, DefaultThpPolicy, FaultCtx, FaultKind, Placement, PlacementPolicy};
 pub use pte::{Pte, PteFlags};
 pub use recovery::RecoveryStats;
-pub use rmap::{FrameRef, PteRef};
+pub use rmap::{Dest, FrameRef, FrameUsers, PteRef};
 pub use snapshot::{FaultStatsSnapshot, ProcessSnapshot, SystemSnapshot, VmaSnapshot};
 pub use stats::FaultStats;
 pub use system::{
-    FaultOutcome, KsmError, KsmMergeOutcome, NodeMigrateError, NumaStats, Pid, System,
-    SystemConfig,
+    FaultOutcome, KsmError, KsmMergeOutcome, Pid, System, SystemConfig,
 };
 pub use vma::{OffsetSet, VmaKind, MAX_OFFSETS_PER_VMA};

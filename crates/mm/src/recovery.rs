@@ -20,6 +20,7 @@ use contig_trace::{stage, RecoveryStage};
 use contig_types::Pfn;
 
 use crate::page_cache::FileId;
+use crate::rmap::Dest;
 use crate::stats::ZERO_PAGE_NS;
 use crate::system::System;
 
@@ -219,7 +220,7 @@ impl System {
                 let Some(dest) = self.machine.zone(node).lowest_free_block(order, head) else {
                     continue;
                 };
-                if let Some(frames) = self.move_block(node, head, order, dest, &mut users) {
+                if let Some(frames) = self.move_block(head, order, Dest::At(dest), &mut users) {
                     out.migrated_blocks += 1;
                     out.migrated_frames += frames;
                     budget -= 1;

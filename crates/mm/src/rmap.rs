@@ -1,41 +1,47 @@
-//! The reverse map and the block move: the one answer to "who uses this
-//! frame?" and the one way to migrate what they use.
+//! The reverse map, the block move and the huge-page collapse: the one
+//! answer to "who uses this frame?" and the one way to migrate what they use.
 //!
 //! Post-allocation migration is the cost CA paging avoids, so the simulator
 //! models it in full — find every user of a frame, copy, repoint, free — and
 //! every mover (direct compaction and reclaim in [`crate::recovery`], heal
-//! and soft-offline in [`crate::poison`], the maintenance daemon, NUMA page
-//! migration, the hypervisor's guest-MCE delivery) does it through this
-//! module: [`FrameUsers`] is the lookup, [`System::classify_movable`] the
-//! only spelling of "movable", [`System::repoint`] the only reference
-//! rewrite and [`System::move_block`] the whole in-zone move.
+//! and soft-offline in [`crate::poison`], the maintenance daemon, the paper's
+//! Translation Ranger baseline, the hypervisor's guest-MCE delivery) does it
+//! through this module: [`FrameUsers`] is the lookup, [`System::classify_movable`]
+//! the only spelling of "movable", [`System::repoint`] the only reference
+//! rewrite and [`System::move_block`] the whole move. [`System::collapse`] is
+//! the one 2 MiB collapse (khugepaged's): the daemon collapses full windows
+//! and `contig-baselines`' Ingens windows at least 90 % utilised, and both
+//! go through the same validity checks, frame claim and clock charge. Each
+//! caller keeps its own *selection* rules; the mechanism is shared.
 //!
 //! **Freshness.** A [`FrameUsers`] is valid for the state it was built from
 //! plus the moves made *through* it ([`System::move_block`] re-keys it). A
-//! fault, `reclaim_cache_pages`, a daemon promotion or the recovery
-//! escalation behind `alloc_with_recovery` invalidates it. Movers that
-//! allocate with recovery therefore classify first (allocating first would
-//! move `buddy.alloc` counts), allocate, then re-validate the chosen
+//! fault, `reclaim_cache_pages`, a collapse or the recovery escalation
+//! behind `alloc_with_recovery` invalidates it. Movers that allocate with
+//! recovery therefore classify first (allocating first would move
+//! `buddy.alloc` counts), allocate, then re-validate the chosen
 //! [`MoveKind`] with [`System::still_names`] before touching anything. The
-//! daemon keeps one map across a whole tick, promotions included: the
-//! frames a promotion frees stay keyed but are no longer allocated blocks (a
-//! later move onto one overwrites its key), and the huge block it maps is
-//! unkeyed, so the stale map can only answer "not movable".
+//! daemon keeps one map across a whole tick, collapses included: the frames
+//! a collapse frees stay keyed but are no longer allocated blocks (a later
+//! move onto one overwrites its key), and the huge block it maps is unkeyed,
+//! so the stale map can only answer "not movable".
 //! Strikes on free or pcp-resident frames build no map at all.
 //!
 //! Deliberately apart: [`System::audit`] (the checker must not share the
-//! mechanism it checks) and `contig-baselines`' ranger/Ingens migrations
-//! (paper baselines with their own pid scope and cost accounting).
+//! mechanism it checks).
 
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use contig_buddy::NodeId;
-use contig_types::{PageSize, Pfn, VirtAddr};
+use contig_buddy::{FrameState, NodeId};
+use contig_types::{PageSize, Pfn, VirtAddr, VirtRange};
 
 use crate::page_cache::FileId;
 use crate::pte::{Pte, PteFlags};
 use crate::stats::ZERO_PAGE_NS;
 use crate::system::{Pid, System};
+use crate::vma::VmaKind;
 
 /// One PTE naming a mapping-head frame: `(pid, va, size, flags)`.
 pub type PteRef = (Pid, VirtAddr, PageSize, PteFlags);
@@ -51,14 +57,47 @@ pub type FrameRef = (Pid, VirtAddr, PageSize, PteFlags, Pfn);
 /// daemon tick afterwards makes it stale.
 #[derive(Debug, PartialEq, Eq)]
 pub struct FrameUsers {
-    ptes: HashMap<Pfn, Vec<PteRef>>,
-    cache: HashMap<Pfn, (FileId, u64)>,
+    ptes: PfnMap<PteRefs>,
+    cache: PfnMap<(FileId, u64)>,
+}
+
+/// A map keyed by frame number, hashed with a fixed key: frame numbers are
+/// not chosen by an adversary, and skipping the per-map random key made
+/// ranger-heavy figures (which build one map per epoch) measurably faster.
+type PfnMap<V> = HashMap<Pfn, V, BuildHasherDefault<DefaultHasher>>;
+
+fn pfn_map<V>(capacity: u64) -> PfnMap<V> {
+    PfnMap::with_capacity_and_hasher(capacity as usize, Default::default())
+}
+
+/// The PTEs of one mapping-head frame. Almost every frame has exactly one,
+/// so it is stored inline; only COW sharers spill to a `Vec`.
+#[derive(Debug, PartialEq, Eq)]
+enum PteRefs {
+    One(PteRef),
+    Many(Vec<PteRef>),
+}
+
+impl PteRefs {
+    fn push(&mut self, r: PteRef) {
+        match self {
+            PteRefs::One(first) => *self = PteRefs::Many(vec![*first, r]),
+            PteRefs::Many(refs) => refs.push(r),
+        }
+    }
+
+    fn as_slice(&self) -> &[PteRef] {
+        match self {
+            PteRefs::One(r) => std::slice::from_ref(r),
+            PteRefs::Many(refs) => refs,
+        }
+    }
 }
 
 impl FrameUsers {
     /// The PTEs whose mapping starts at frame `head`, pid-then-va ordered.
     pub fn mappings_of(&self, head: Pfn) -> &[PteRef] {
-        self.ptes.get(&head).map_or(&[], Vec::as_slice)
+        self.ptes.get(&head).map_or(&[], PteRefs::as_slice)
     }
 
     /// The page-cache slot holding `pfn`, if any.
@@ -81,6 +120,25 @@ impl FrameUsers {
     }
 }
 
+/// Where [`System::move_block`] puts a block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Dest {
+    /// The free block at this frame, claimed in whichever zone owns it.
+    At(Pfn),
+    /// Wherever default placement puts a block of the order: node 0 first,
+    /// then the others in wrap-around order.
+    Anywhere,
+}
+
+/// Why [`System::collapse`] left a window at 4 KiB.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CollapseError {
+    /// The window fails a validity check (see [`System::collapse`]).
+    Refused,
+    /// No node had a free 2 MiB block.
+    NoHugeFrame,
+}
+
 /// How one movable block is referenced, so a move can fix every pointer.
 pub(crate) enum MoveKind {
     /// Exactly one anonymous PTE covering the whole block.
@@ -93,15 +151,23 @@ impl System {
     /// Builds the reverse map of the current state: one walk of every page
     /// table (pids ascending) and of every file's cached pages.
     pub fn frame_users(&self) -> FrameUsers {
-        let mut ptes: HashMap<Pfn, Vec<PteRef>> = HashMap::new();
-        for (pid, aspace) in self.processes.iter() {
-            for m in aspace.page_table().iter_mappings() {
-                ptes.entry(m.pte.pfn).or_default().push((pid, m.va, m.size, m.pte.flags));
+        // Sized up front: at most one key per leaf, one per cached page.
+        let tables = || self.processes.iter().map(|(pid, aspace)| (pid, aspace.page_table()));
+        let leaves = tables().map(|(_, pt)| pt.mapped_base_pages() + pt.mapped_huge_pages());
+        let mut ptes: PfnMap<PteRefs> = pfn_map(leaves.sum());
+        for (pid, pt) in tables() {
+            for m in pt.iter_mappings() {
+                let r = (pid, m.va, m.size, m.pte.flags);
+                match ptes.entry(m.pte.pfn) {
+                    Entry::Occupied(refs) => refs.into_mut().push(r),
+                    Entry::Vacant(slot) => _ = slot.insert(PteRefs::One(r)),
+                }
             }
         }
-        let mut cache = HashMap::new();
-        for f in 0..self.page_cache.file_count() {
-            let file = FileId(f);
+        let files = (0..self.page_cache.file_count()).map(FileId);
+        let pages = files.clone().map(|file| self.page_cache.cached_pages(file));
+        let mut cache = pfn_map(pages.sum());
+        for file in files {
             for (index, pfn) in self.page_cache.pages_of(file) {
                 cache.insert(pfn, (file, index));
             }
@@ -153,6 +219,16 @@ impl System {
         (size.order() == order && exclusive).then_some(MoveKind::Anon { pid, va, flags })
     }
 
+    /// The process whose one exclusive anonymous mapping covers exactly the
+    /// allocated block `(head, order)`, or `None` when the block is not
+    /// that kind of movable (page-cache pages, shared or pinned memory).
+    pub fn anon_owner(&self, head: Pfn, order: u32, users: &FrameUsers) -> Option<Pid> {
+        match self.classify_movable(head, order, users)? {
+            MoveKind::Anon { pid, .. } => Some(pid),
+            MoveKind::Cache { .. } => None,
+        }
+    }
+
     /// Whether the references `kind` lists still name `head` — the
     /// re-validation a mover owes after anything that can invalidate the
     /// [`FrameUsers`] it classified against (see the module docs).
@@ -199,23 +275,26 @@ impl System {
         }
     }
 
-    /// Migrates the block `(head, order)` of `node` to the free block
-    /// `dest` of the same node: classify, claim `dest`, repoint, free, charge
-    /// one page copy per frame, and re-key `users` so it stays fresh.
-    /// Returns the frames moved, or `None` when the block is not movable or
-    /// the destination claim was vetoed (injection may veto even migration).
-    pub(crate) fn move_block(
+    /// Migrates the allocated block `(head, order)` to `dest`: classify,
+    /// claim the destination, repoint, free, charge one page copy per frame,
+    /// and re-key `users` so it stays fresh. The destination may lie in
+    /// another zone. Returns the frames moved, or `None` when the block is
+    /// not movable or the destination claim failed (busy, or vetoed: injection
+    /// may veto even migration); either way nothing changed.
+    pub fn move_block(
         &mut self,
-        node: NodeId,
         head: Pfn,
         order: u32,
-        dest: Pfn,
+        dest: Dest,
         users: &mut FrameUsers,
     ) -> Option<u64> {
         let kind = self.classify_movable(head, order, users)?;
-        self.machine.zone_mut(node).alloc_specific(dest, order).ok()?;
+        let dest = match dest {
+            Dest::At(pfn) => self.machine.alloc_specific(pfn, order).ok().map(|()| pfn)?,
+            Dest::Anywhere => self.machine.alloc(order).ok()?,
+        };
         self.repoint(&kind, dest);
-        self.machine.zone_mut(node).free(head, order);
+        self.machine.free(head, order);
         let frames = 1u64 << order;
         self.advance_clock(frames * ZERO_PAGE_NS);
         if let Some(refs) = users.ptes.remove(&head) {
@@ -225,6 +304,79 @@ impl System {
             users.cache.insert(dest, slot);
         }
         Some(frames)
+    }
+
+    /// Collapses the 2 MiB window starting at `window` into one huge leaf:
+    /// claims a huge frame on the owner's home node (node 0 when it has
+    /// none, then wrap-around), swings the window's present 4 KiB leaves to
+    /// one huge PTE with their flags, frees their frames and charges one
+    /// page copy per leaf. The window need not be full; the pages it lacks
+    /// come in zeroed, as khugepaged's do.
+    ///
+    /// Collapse preserves what every mapped address sees, so the bar is
+    /// high. It refuses a window that is not 2 MiB aligned or not inside one
+    /// anonymous VMA, that maps nothing or a huge leaf, or whose leaves
+    /// differ in flags, are COW or FILE, share a frame, or are not each the
+    /// head of their own order-0 allocation.
+    ///
+    /// Returns the huge frame and the leaves copied.
+    ///
+    /// # Errors
+    ///
+    /// `CollapseError::Refused` for a window the checks refuse,
+    /// `CollapseError::NoHugeFrame` when no node has a free 2 MiB block;
+    /// nothing changes in either case.
+    pub fn collapse(&mut self, pid: Pid, window: VirtAddr) -> Result<(Pfn, u64), CollapseError> {
+        let (leaves, flags) = self.collapsible(pid, window).ok_or(CollapseError::Refused)?;
+        let home = NodeId(self.home_node(pid).unwrap_or(0));
+        let block = self
+            .machine
+            .alloc_on(home, PageSize::Huge2M.order())
+            .map_err(|_| CollapseError::NoHugeFrame)?;
+        let pt = self.processes.get_mut(pid).expect("checked live").page_table_mut();
+        for &(va, _) in &leaves {
+            pt.unmap(va);
+        }
+        pt.map(window, Pte::new(block, flags), PageSize::Huge2M);
+        for &(_, pfn) in &leaves {
+            self.machine.free(pfn, 0);
+        }
+        let copied = leaves.len() as u64;
+        self.advance_clock(copied * ZERO_PAGE_NS);
+        Ok((block, copied))
+    }
+
+    /// The checks of [`System::collapse`]: the window's leaves and their
+    /// common flags, or `None` when it must stay at 4 KiB.
+    fn collapsible(&self, pid: Pid, window: VirtAddr) -> Option<(Vec<(VirtAddr, Pfn)>, PteFlags)> {
+        let aspace = self.processes.get(pid)?;
+        let range = VirtRange::new(window, PageSize::Huge2M.bytes());
+        let vma = aspace.vma(aspace.vma_containing(window)?);
+        let last = VirtAddr::new(range.end().raw() - PageSize::Base4K.bytes());
+        let anon_vma = vma.kind() == VmaKind::Anon && vma.contains(last);
+        if !window.is_aligned(PageSize::Huge2M) || !anon_vma {
+            return None;
+        }
+        let mut leaves = Vec::with_capacity(PageSize::Huge2M.base_pages() as usize);
+        let mut flags = None;
+        for m in aspace.page_table().mappings_in(range) {
+            let f = *flags.get_or_insert(m.pte.flags);
+            let head = FrameState::AllocatedHead { order: 0 };
+            let own_frame = self.machine.node_of(m.pte.pfn).is_some_and(|node| {
+                self.machine.zone(node).frame_table().state(m.pte.pfn) == head
+            });
+            if m.size != PageSize::Base4K
+                || m.pte.flags != f
+                || f.contains(PteFlags::COW)
+                || f.contains(PteFlags::FILE)
+                || self.machine.share_count(m.pte.pfn) > 0
+                || !own_frame
+            {
+                return None;
+            }
+            leaves.push((m.va, m.pte.pfn));
+        }
+        Some((leaves, flags?))
     }
 }
 
@@ -281,7 +433,7 @@ mod tests {
         for (head, order) in blocks.into_iter().rev() {
             let Some(dest) = sys.machine.zone(node).lowest_free_block(order, head) else { continue };
             let cached = users.cache_slot(head).is_some();
-            if sys.move_block(node, head, order, dest, &mut users).is_some() {
+            if sys.move_block(head, order, Dest::At(dest), &mut users).is_some() {
                 *(if cached { &mut cache_moves } else { &mut anon_moves }) += 1;
                 assert_eq!(users, sys.frame_users(), "after moving {head} to {dest}");
                 assert_eq!(users.cache_slot(dest).is_some(), cached);

@@ -24,7 +24,7 @@ use crate::pte::{Pte, PteFlags};
 use crate::poison::PoisonStats;
 use crate::recovery::RecoveryStats;
 use crate::stats::FaultStats;
-use crate::system::{NumaStats, Pid, ProcessTable, System};
+use crate::system::{Pid, ProcessTable, System};
 use crate::vma::VmaKind;
 
 contig_types::wire_struct! {
@@ -118,8 +118,6 @@ contig_types::wire_struct! {
         pub poison_policy: PoisonPolicy,
         /// Cumulative memory-failure counters.
         pub poison_stats: PoisonStats,
-        /// Cumulative NUMA placement counters (codec v5).
-        pub numa_stats: NumaStats,
         /// Background maintenance daemon: policy, mid-epoch cursors, counters
         /// (codec v6). Defaulted (disabled) when restoring older images.
         pub daemon: DaemonState,
@@ -214,7 +212,6 @@ impl System {
             backoff_rng: self.backoff_rng,
             poison_policy: self.poison_policy.clone(),
             poison_stats: self.poison_stats,
-            numa_stats: self.numa_stats,
             daemon: self.daemon.clone(),
         }
     }
@@ -281,7 +278,6 @@ impl System {
             backoff_rng: snap.backoff_rng,
             poison_policy: snap.poison_policy.clone(),
             poison_stats: snap.poison_stats,
-            numa_stats: snap.numa_stats,
             dirty_log: None,
             daemon: snap.daemon.clone(),
             tracer: Tracer::disabled(),

@@ -16,7 +16,6 @@ use crate::policy::{FaultCtx, FaultKind, Placement, PlacementPolicy};
 use crate::pte::{Pte, PteFlags};
 use crate::poison::PoisonStats;
 use crate::recovery::{RecoveryStats, BACKOFF_BASE_NS, BACKOFF_CAP_NS, BACKOFF_SEED, MAX_RETRIES};
-use crate::rmap::MoveKind;
 use crate::stats::fault_ns;
 use crate::vma::VmaKind;
 
@@ -117,56 +116,6 @@ impl core::fmt::Display for KsmError {
 
 impl std::error::Error for KsmError {}
 
-contig_types::wire_counters! {
-    /// Cumulative NUMA placement counters: how often home-node placement stayed
-    /// local, spilled to another zone, and how many pages were migrated between
-    /// zones. Only pids with an assigned home (see [`System::set_home_node`])
-    /// count toward `local_allocs`/`fallback_allocs`.
-    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-    pub struct NumaStats {
-        /// Default-placement allocations served from the faulting pid's home
-        /// node.
-        pub local_allocs: u64,
-        /// Default-placement allocations that spilled to another node because
-        /// the home zone was exhausted.
-        pub fallback_allocs: u64,
-        /// Pages moved between zones by [`System::migrate_page_to_node`].
-        pub migrations: u64,
-    }
-}
-
-/// Why a [`System::migrate_page_to_node`] was refused. Migrations are
-/// best-effort — callers typically skip a refused page.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum NodeMigrateError {
-    /// The pid does not exist.
-    UnknownPid,
-    /// The address has no leaf mapping.
-    NotMapped,
-    /// The target node does not exist on this machine.
-    BadNode,
-    /// The mapping is COW-shared or file-backed; moving the frame would
-    /// desync the share counts or the page cache.
-    Shared,
-    /// The target zone could not supply a frame of the mapping's size.
-    OutOfMemory,
-}
-
-impl core::fmt::Display for NodeMigrateError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let what = match self {
-            NodeMigrateError::UnknownPid => "unknown pid",
-            NodeMigrateError::NotMapped => "address not mapped",
-            NodeMigrateError::BadNode => "no such node",
-            NodeMigrateError::Shared => "frame shared or file-backed",
-            NodeMigrateError::OutOfMemory => "target zone exhausted",
-        };
-        write!(f, "zone migration refused: {what}")
-    }
-}
-
-impl std::error::Error for NodeMigrateError {}
-
 /// Construction parameters for a [`System`].
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
@@ -243,8 +192,6 @@ pub struct System {
     /// design — snapshots do not capture it and [`System::restore`] clears
     /// it, because a migration epoch never spans a checkpoint.
     pub(crate) dirty_log: Option<std::collections::BTreeSet<u64>>,
-    /// Cumulative NUMA placement counters.
-    pub(crate) numa_stats: NumaStats,
     /// Background contiguity-maintenance daemon (khugepaged/kcompactd):
     /// policy, mid-epoch cursors, and counters. Disabled by default.
     pub(crate) daemon: crate::daemon::DaemonState,
@@ -270,33 +217,27 @@ struct Escalation {
 struct FaultFrame<'a> {
     machine: &'a mut Machine,
     aspace: &'a mut AddressSpace,
-    numa_stats: &'a mut NumaStats,
     now_ns: &'a mut u64,
     tracer: &'a Tracer,
     thp: bool,
 }
 
-/// Default placement: the home node first when the process has one (counting
-/// local hits and spills), machine-wide first-fill otherwise.
+/// Default placement: the home node first when the process has one (tracing
+/// spills), machine-wide first-fill otherwise.
 fn alloc_default(
     machine: &mut Machine,
     home: Option<usize>,
     size: PageSize,
-    numa_stats: &mut NumaStats,
     tracer: &Tracer,
 ) -> Result<Pfn, AllocError> {
     let Some(h) = home else { return machine.alloc_page(size) };
     let pfn = machine.alloc_page_on(NodeId(h), size)?;
-    match machine.node_of(pfn) {
-        Some(node) if node.0 != h => {
-            numa_stats.fallback_allocs += 1;
-            tracer.emit(TraceEvent::ZoneFallback {
-                home: h as u64,
-                got: node.0 as u64,
-                order: size.order(),
-            });
-        }
-        _ => numa_stats.local_allocs += 1,
+    if let Some(node) = machine.node_of(pfn).filter(|node| node.0 != h) {
+        tracer.emit(TraceEvent::ZoneFallback {
+            home: h as u64,
+            got: node.0 as u64,
+            order: size.order(),
+        });
     }
     Ok(pfn)
 }
@@ -309,7 +250,6 @@ fn place(
     ctx: &mut FaultCtx<'_>,
     policy: &mut dyn PlacementPolicy,
     mut decision: Placement,
-    numa_stats: &mut NumaStats,
     tracer: &Tracer,
     va: VirtAddr,
 ) -> Result<Option<Pfn>, FaultError> {
@@ -320,7 +260,7 @@ fn place(
             Placement::Handled => return Ok(None),
             Placement::Default => {
                 let _alloc_span = tracer.span(stage::BUDDY_ALLOC);
-                return match alloc_default(ctx.machine, ctx.home, size, numa_stats, tracer) {
+                return match alloc_default(ctx.machine, ctx.home, size, tracer) {
                     Ok(pfn) => Ok(Some(pfn)),
                     Err(_) => Err(FaultError::OutOfMemory { addr: va, size }),
                 };
@@ -426,7 +366,7 @@ impl FaultFrame<'_> {
             policy.on_fault(&mut ctx)
         };
         let pfn = loop {
-            match place(&mut ctx, policy, decision, self.numa_stats, tracer, va)? {
+            match place(&mut ctx, policy, decision, tracer, va)? {
                 Some(pfn) => break pfn,
                 None => {
                     // The policy mapped the page (and possibly much more)
@@ -518,7 +458,7 @@ impl FaultFrame<'_> {
             policy.on_fault(&mut ctx)
         };
         let new_pfn = loop {
-            match place(&mut ctx, policy, decision, self.numa_stats, tracer, va)? {
+            match place(&mut ctx, policy, decision, tracer, va)? {
                 Some(pfn) => break pfn,
                 // A copy the policy claims to have `Handled` is placed by default.
                 None => decision = Placement::Default,
@@ -560,7 +500,6 @@ impl System {
             poison_policy: PoisonPolicy::default(),
             poison_stats: PoisonStats::default(),
             dirty_log: None,
-            numa_stats: NumaStats::default(),
             daemon: crate::daemon::DaemonState::default(),
             tracer: Tracer::disabled(),
         }
@@ -630,20 +569,9 @@ impl System {
         pid
     }
 
-    /// Creates an empty process homed on NUMA node `node`: its default
-    /// placement allocates from that zone first, spilling to other zones in
+    /// Sets or clears a process's NUMA home node: its default placement
+    /// allocates from that zone first, spilling to other zones in
     /// deterministic wrap-around order only when the home is exhausted.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `node` does not exist on this machine.
-    pub fn spawn_on(&mut self, node: usize) -> Pid {
-        let pid = self.spawn();
-        self.set_home_node(pid, Some(node));
-        pid
-    }
-
-    /// Sets or clears a process's NUMA home node (see [`System::spawn_on`]).
     ///
     /// # Panics
     ///
@@ -658,67 +586,6 @@ impl System {
     /// The process's NUMA home node, if one is assigned.
     pub fn home_node(&self, pid: Pid) -> Option<usize> {
         self.processes.get(pid).and_then(AddressSpace::home)
-    }
-
-    /// Cumulative NUMA placement counters.
-    pub fn numa_stats(&self) -> NumaStats {
-        self.numa_stats
-    }
-
-    /// Moves one mapped page (base or huge) onto a frame of `target`'s
-    /// zone and remaps the leaf in place — the inter-zone migration
-    /// primitive behind NUMA rebalancing. The allocation is *strict*: it
-    /// does not fall back to other nodes (a migration that lands elsewhere
-    /// would be pointless). A page already on the target node is a no-op
-    /// success. Emits `mm.zone_migrate` and advances the simulated clock by
-    /// one copy cost.
-    ///
-    /// # Errors
-    ///
-    /// See [`NodeMigrateError`]; COW-shared and file-backed pages are
-    /// refused because their frames are owned by several sharers or the
-    /// page cache.
-    pub fn migrate_page_to_node(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        target: usize,
-    ) -> Result<Pfn, NodeMigrateError> {
-        if target >= self.machine.nodes() {
-            return Err(NodeMigrateError::BadNode);
-        }
-        let aspace = self.processes.get(pid).ok_or(NodeMigrateError::UnknownPid)?;
-        let t = aspace
-            .page_table()
-            .translate(va)
-            .map_err(|_| NodeMigrateError::NotMapped)?;
-        let kind = match self.classify_movable(t.pfn, t.size.order(), &self.frame_users()) {
-            Some(kind @ MoveKind::Anon { .. }) => kind,
-            _ => return Err(NodeMigrateError::Shared),
-        };
-        let from = self.machine.node_of(t.pfn).expect("mapped frame belongs to a node");
-        if from.0 == target {
-            return Ok(t.pfn);
-        }
-        let new_pfn = self
-            .machine
-            .zone_mut(NodeId(target))
-            .alloc(t.size.order())
-            .map_err(|_| NodeMigrateError::OutOfMemory)?;
-        let page_va = va.align_down(t.size);
-        self.repoint(&kind, new_pfn);
-        self.machine.free_page(t.pfn, t.size);
-        self.mark_dirty(new_pfn, t.size);
-        self.numa_stats.migrations += 1;
-        let copy_ns = fault_ns(t.size.base_pages(), 0);
-        self.advance_clock(copy_ns);
-        self.tracer.emit(TraceEvent::ZoneMigrate {
-            pid: pid.0,
-            va: page_va.raw(),
-            from: from.0 as u64,
-            to: target as u64,
-        });
-        Ok(new_pfn)
     }
 
     /// The machine's physical memory.
@@ -1041,7 +908,6 @@ impl System {
         Some(FaultFrame {
             aspace: self.processes.get_mut(pid)?,
             machine: &mut self.machine,
-            numa_stats: &mut self.numa_stats,
             now_ns: &mut self.now_ns,
             tracer: &self.tracer,
             thp: self.thp,
@@ -1622,7 +1488,8 @@ mod tests {
     #[test]
     fn homed_faults_land_on_the_home_zone() {
         let mut sys = numa_system(&[16, 16, 16, 16]);
-        let pid = sys.spawn_on(2);
+        let pid = sys.spawn();
+        sys.set_home_node(pid, Some(2));
         assert_eq!(sys.home_node(pid), Some(2));
         anon_vma(&mut sys, pid, 0x40_0000, 0x40_0000);
         let mut policy = BasePagesPolicy;
@@ -1630,9 +1497,6 @@ mod tests {
             let out = sys.touch(&mut policy, pid, VirtAddr::new(0x40_0000 + i * 4096)).unwrap();
             assert_eq!(sys.machine().node_of(out.pfn), Some(NodeId(2)));
         }
-        let stats = sys.numa_stats();
-        assert_eq!(stats.local_allocs, 16);
-        assert_eq!(stats.fallback_allocs, 0);
     }
 
     #[test]
@@ -1640,84 +1504,37 @@ mod tests {
         // Two 1 MiB zones (256 frames each); home everything on zone 1 and
         // touch past its capacity.
         let mut sys = numa_system(&[1, 1]);
-        let pid = sys.spawn_on(1);
+        let session = contig_trace::TraceSession::ring(1 << 12);
+        sys.set_tracer(session.tracer());
+        let pid = sys.spawn();
+        sys.set_home_node(pid, Some(1));
         anon_vma(&mut sys, pid, 0x40_0000, 0x40_0000);
         let mut policy = BasePagesPolicy;
+        let mut local = 0;
         for i in 0..300u64 {
-            sys.touch(&mut policy, pid, VirtAddr::new(0x40_0000 + i * 4096)).unwrap();
+            let out = sys.touch(&mut policy, pid, VirtAddr::new(0x40_0000 + i * 4096)).unwrap();
+            local += u64::from(sys.machine().node_of(out.pfn) == Some(NodeId(1)));
         }
-        let stats = sys.numa_stats();
-        assert_eq!(stats.local_allocs + stats.fallback_allocs, 300);
-        assert!(stats.local_allocs >= 256 - 8, "home zone should fill first");
-        assert!(stats.fallback_allocs > 0, "overflow must spill to the other zone");
+        assert!(local >= 256 - 8, "home zone should fill first");
+        assert!(local < 300, "overflow must spill to the other zone");
+        assert_eq!(session.metrics().counter("mm.zone_fallback"), 300 - local);
     }
 
     #[test]
-    fn migrate_page_moves_mapping_and_frame() {
-        let mut sys = numa_system(&[4, 4]);
-        let pid = sys.spawn_on(0);
-        anon_vma(&mut sys, pid, 0x40_0000, 0x40_0000);
-        let mut policy = BasePagesPolicy;
-        let va = VirtAddr::new(0x40_0000);
-        let out = sys.touch(&mut policy, pid, va).unwrap();
-        assert_eq!(sys.machine().node_of(out.pfn), Some(NodeId(0)));
-        let before_ns = sys.now_ns();
-
-        let new_pfn = sys.migrate_page_to_node(pid, va, 1).unwrap();
-        assert_eq!(sys.machine().node_of(new_pfn), Some(NodeId(1)));
-        let t = sys.aspace(pid).page_table().translate(va).unwrap();
-        assert_eq!(t.pfn, new_pfn, "page table must point at the migrated frame");
-        assert_eq!(sys.numa_stats().migrations, 1);
-        assert!(sys.now_ns() > before_ns, "migration costs simulated time");
-        // Already on target: a no-op success, not a second migration.
-        assert_eq!(sys.migrate_page_to_node(pid, va, 1), Ok(new_pfn));
-        assert_eq!(sys.numa_stats().migrations, 1);
-        sys.machine().verify_integrity();
-    }
-
-    #[test]
-    fn migrate_page_rejects_bad_targets_and_shared_pages() {
-        let mut sys = numa_system(&[4, 4]);
-        let pid = sys.spawn_on(0);
-        let vma = anon_vma(&mut sys, pid, 0x40_0000, 0x40_0000);
-        let mut policy = BasePagesPolicy;
-        let va = VirtAddr::new(0x40_0000);
-        sys.touch(&mut policy, pid, va).unwrap();
-        assert_eq!(
-            sys.migrate_page_to_node(pid, va, 9),
-            Err(NodeMigrateError::BadNode)
-        );
-        assert_eq!(
-            sys.migrate_page_to_node(pid, VirtAddr::new(0x7000_0000), 1),
-            Err(NodeMigrateError::NotMapped)
-        );
-        assert_eq!(
-            sys.migrate_page_to_node(Pid(999), va, 1),
-            Err(NodeMigrateError::UnknownPid)
-        );
-        // COW-shared after fork: moving the frame under one sharer would
-        // desync the other.
-        let child = sys.fork_vma(pid, vma);
-        assert_eq!(sys.migrate_page_to_node(pid, va, 1), Err(NodeMigrateError::Shared));
-        sys.exit(child);
-    }
-
-    #[test]
-    fn snapshot_round_trip_preserves_homes_and_numa_stats() {
+    fn snapshot_round_trip_preserves_homes() {
         let mut sys = numa_system(&[8, 8]);
-        let homed = sys.spawn_on(1);
+        let homed = sys.spawn();
+        sys.set_home_node(homed, Some(1));
         let free = sys.spawn();
         anon_vma(&mut sys, homed, 0x40_0000, 0x40_0000);
         let mut policy = BasePagesPolicy;
         for i in 0..4u64 {
             sys.touch(&mut policy, homed, VirtAddr::new(0x40_0000 + i * 4096)).unwrap();
         }
-        sys.migrate_page_to_node(homed, VirtAddr::new(0x40_0000), 0).unwrap();
         let snap = sys.snapshot();
         let restored = System::restore(&snap);
         assert_eq!(restored.home_node(homed), Some(1));
         assert_eq!(restored.home_node(free), None);
-        assert_eq!(restored.numa_stats(), sys.numa_stats());
         assert_eq!(restored.snapshot(), snap, "restore must be exact");
     }
 }

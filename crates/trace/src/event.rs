@@ -456,18 +456,6 @@ trace_events! {
         /// Buddy order of the allocation that spilled.
         order: u32,
     },
-    /// `mm.zone_migrate` — an inter-zone page migration: a mapped page was
-    /// copied to a frame on another node and remapped.
-    "mm.zone_migrate" ZoneMigrate {
-        /// Owning process.
-        pid: u32,
-        /// Migrated virtual address (page-aligned).
-        va: u64,
-        /// Node the old frame lived on.
-        from: u64,
-        /// Node the new frame lives on.
-        to: u64,
-    },
     /// `ca.placement` — CA paging ran a placement decision over the
     /// contiguity map.
     "ca.placement" Placement {

@@ -21,7 +21,6 @@ fn name_before_the_table(event: &TraceEvent) -> &'static str {
         TraceEvent::CowBreak { .. } => "mm.cow_break",
         TraceEvent::Readahead { .. } => "mm.readahead",
         TraceEvent::ZoneFallback { .. } => "mm.zone_fallback",
-        TraceEvent::ZoneMigrate { .. } => "mm.zone_migrate",
         TraceEvent::Recovery { stage, .. } => match stage {
             RecoveryStage::OomEvent => "recovery.oom_event",
             RecoveryStage::ReclaimPass => "recovery.reclaim_pass",
@@ -91,8 +90,8 @@ fn name_before_the_table(event: &TraceEvent) -> &'static str {
 #[test]
 fn generated_names_are_the_hand_written_ones() {
     let samples = TraceEvent::samples();
-    // 53 plain events, nine recovery stages, eleven daemon stages.
-    assert_eq!(samples.len(), 53 + RecoveryStage::ALL.len() + DaemonStage::ALL.len());
+    // 52 plain events, nine recovery stages, eleven daemon stages.
+    assert_eq!(samples.len(), 52 + RecoveryStage::ALL.len() + DaemonStage::ALL.len());
     let mut names: Vec<&str> = samples.iter().map(TraceEvent::name).collect();
     for (event, name) in samples.iter().zip(&names) {
         assert_eq!(*name, name_before_the_table(event), "{event:?}");

@@ -79,9 +79,8 @@ pub mod prelude {
     pub use contig_mm::{
         contiguous_mappings, AddressSpace, BasePagesPolicy, DaemonConfig, DaemonPhase,
         DaemonState, DaemonStats, DefaultThpPolicy, FailureAction, FaultKind, KsmError,
-        KsmMergeOutcome, MemoryFailureOutcome, NodeMigrateError, NumaStats, PageTable, Pid,
-        Placement, PlacementPolicy, PoisonStats, Pte, PteFlags, System, SystemConfig, VmaId,
-        VmaKind,
+        KsmMergeOutcome, MemoryFailureOutcome, PageTable, Pid, Placement, PlacementPolicy,
+        PoisonStats, Pte, PteFlags, System, SystemConfig, VmaId, VmaKind,
     };
     pub use contig_sim::{Env, PolicyKind, TranslationConfig};
     pub use contig_tlb::{Access, MemorySim, MissHandler, MissHandling, TlbConfig};

@@ -13,14 +13,15 @@ fn scaling_to_8_workers() {
         run_seeded(PoolConfig::new(workers), 0xC0FFEE, 16, |ctx| {
             let mut sys =
                 System::new(SystemConfig::new(MachineConfig::with_node_mib(&[16, 16, 16, 16])));
-            let pid = sys.spawn_on(ctx.index % 4); // faults land on the home zone
+            let pid = sys.spawn();
+            sys.set_home_node(pid, Some(ctx.index % 4)); // faults land on the home zone
             sys.aspace_mut(pid)
                 .map_vma(VirtRange::new(VirtAddr::new(0x4000_0000), 8 << 20), VmaKind::Anon);
             let mut thp = DefaultThpPolicy;
             for i in 0..(ctx.seed % 3 + 2) {
-                sys.touch(&mut thp, pid, VirtAddr::new(0x4000_0000 + i * (2 << 20))).unwrap();
+                let out = sys.touch(&mut thp, pid, VirtAddr::new(0x4000_0000 + i * (2 << 20))).unwrap();
+                assert_eq!(sys.machine().node_of(out.pfn), Some(NodeId(ctx.index % 4)));
             }
-            assert!(sys.numa_stats().local_allocs > 0);
             digest_system(&sys.snapshot())
         })
         .iter()

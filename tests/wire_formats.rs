@@ -114,8 +114,8 @@ fn lines_the_exporter_cannot_write_are_refused_with_their_line_number() {
 }
 
 fn golden() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v8.jsonl");
-    std::fs::read_to_string(path).expect("tests/golden/snapshot_v8.jsonl is checked in")
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/snapshot_v9.jsonl");
+    std::fs::read_to_string(path).expect("tests/golden/snapshot_v9.jsonl is checked in")
 }
 
 /// A snapshot file around `payload`, with the header digest it needs.
@@ -130,27 +130,27 @@ fn snapshot_file(version: u64, payload: &str) -> String {
 fn snapshot_decoder_reads_one_version_and_requires_every_member() {
     let golden = golden();
     let payload = golden.lines().nth(1).expect("payload line");
-    assert_eq!(snapshot_file(8, payload), golden, "the header is spelled as the encoder has it");
-    for version in [7, 9, 1, 0] {
+    assert_eq!(snapshot_file(9, payload), golden, "the header is spelled as the encoder has it");
+    for version in [8, 10, 1, 0] {
         let err = decode_vm_file(&snapshot_file(version, payload)).unwrap_err();
         assert!(err.contains(&format!("version {version} unsupported")), "{err}");
     }
     // A member no older file had is no longer optional: cut it out of the
     // guest system and the file is refused by the member's name, not
     // restored with that subsystem silently reset.
-    for member in ["daemon", "numa_stats", "poison_policy", "poison_stats"] {
+    for member in ["daemon", "poison_policy", "poison_stats"] {
         let Json::Obj(mut vm) = json::parse(payload).unwrap() else { panic!("payload object") };
         let Json::Obj(guest) = &mut vm[0].1 else { panic!("guest object") };
         let before = guest.len();
         guest.retain(|(key, _)| key != member);
         assert_eq!(guest.len(), before - 1, "{member} is a guest member");
-        let err = decode_vm_file(&snapshot_file(8, &Json::Obj(vm).to_line())).unwrap_err();
+        let err = decode_vm_file(&snapshot_file(9, &Json::Obj(vm).to_line())).unwrap_err();
         assert_eq!(err, format!("guest: missing field `{member}`"));
     }
     // A daemon phase no daemon has is refused by number, not restored as the
     // epoch start, and the error is the path down to it.
     assert_eq!(payload.matches(r#""phase":0"#).count(), 2, "guest and host daemons at rest");
-    let err = decode_vm_file(&snapshot_file(8, &payload.replace(r#""phase":0"#, r#""phase":7"#)));
+    let err = decode_vm_file(&snapshot_file(9, &payload.replace(r#""phase":0"#, r#""phase":7"#)));
     assert_eq!(err.unwrap_err(), "guest: daemon: phase: unknown daemon phase 7");
 }
 
@@ -288,7 +288,7 @@ fn mutated_snapshot_files_decode_or_are_refused() {
     // mutant reaches the parser and the member decoders.
     let whole = mutants(text.as_bytes(), 2, CASES).map(|m| String::from_utf8_lossy(&m).into_owned());
     let vouched = mutants(payload.as_bytes(), 3, CASES)
-        .map(|m| snapshot_file(8, &String::from_utf8_lossy(&m)));
+        .map(|m| snapshot_file(9, &String::from_utf8_lossy(&m)));
     for mutant in whole.chain(vouched) {
         if let Ok(snap) = decode_vm_file(&mutant) {
             assert!(encode_vm_file(&snap).trim_end().len() <= mutant.len());
@@ -450,7 +450,6 @@ fn pinned_system(i: u64) -> SystemSnapshot {
         backoff_rng: 0xc0ffee,
         poison_policy: PoisonPolicy::restore(poison, 20 + i, i, 0x5678 + i),
         poison_stats: PoisonStats { strikes: 1, soft_offline_failed: 8, ..PoisonStats::default() },
-        numa_stats: NumaStats { local_allocs: 1, fallback_allocs: 2, migrations: 3 },
         daemon: DaemonState {
             enabled: true,
             config: DaemonConfig { aggressiveness: 3, repair_poison: false, ..DaemonConfig::default() },
@@ -531,11 +530,11 @@ fn pinned_ops() -> Vec<TortureOp> {
 /// `pinned_fleet()`; the pieces break where a host or guest system starts.
 const PINNED_FLEET: &str = concat!(
     r#"{"config":{"hosts":2,"host_mib":64,"guest_mib":16,"seed":15855216},"hosts":["#,
-    r#"{"machine":{"zones":[{"config":{"base":0,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[3],[],[8,4]],"allocated":[[0,1],[2,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"never"},"attempts":10,"injected":0,"rng_state":4660},"contig_rover":512,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[2],[]],"counters":[1,2,3,4,5,6]},"badframes":[2],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,0,3,false],[2097152,512,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":0}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,2]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"shared":[[0,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"never"},"checks":20,"events":0,"rng_state":22136},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":0,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"#,
-    r#"{"machine":{"zones":[{"config":{"base":1024,"frames":1024,"top_order":10,"sorted_top_list":true},"free_lists":[[1027],[],[1032,1028]],"allocated":[[1024,1],[1026,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"nth","n":7},"attempts":11,"injected":1,"rng_state":4661},"contig_rover":null,"contig_updates":9,"pcp":null,"badframes":[1026],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,1024,3,false],[2097152,1536,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":1}],"page_cache":{"mode":"default","readahead_allocs":2,"files":[{"pages":[[3,1026]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":true,"pt_levels":5,"record_latencies":true,"shared":[[1024,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"nth","n":5},"checks":21,"events":1,"rng_state":22137},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":1,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}}],"sharing":[[[5,[[0,7],[1,9]]]],[]],"tenants":[{"id":0,"guest":"#,
-    r#"{"machine":{"zones":[{"config":{"base":2048,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[2051],[],[2056,2052]],"allocated":[[2048,1],[2050,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"every_nth","n":3},"attempts":12,"injected":2,"rng_state":4662},"contig_rover":2560,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[2050],[]],"counters":[1,2,3,4,5,6]},"badframes":[2050],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,2048,3,false],[2097152,2560,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":2}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,2050]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"shared":[[2048,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"every_nth","n":4},"checks":22,"events":2,"rng_state":22138},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":2,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":0,"host_pid":1,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]},{"id":1,"guest":"#,
-    r#"{"machine":{"zones":[{"config":{"base":3072,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[3075],[],[3080,3076]],"allocated":[[3072,1],[3074,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"min_order","min_order":9},"attempts":13,"injected":3,"rng_state":4663},"contig_rover":3584,"contig_updates":9,"pcp":null,"badframes":[3074],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,3072,3,false],[2097152,3584,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":3}],"page_cache":{"mode":"default","readahead_allocs":2,"files":[{"pages":[[3,3074]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":true,"pt_levels":5,"record_latencies":true,"shared":[[3072,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"address","pfn":77,"n":2},"checks":23,"events":3,"rng_state":22139},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":0,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":1,"host_pid":2,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]},{"id":2,"guest":"#,
-    r#"{"machine":{"zones":[{"config":{"base":4096,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[4099],[],[4104,4100]],"allocated":[[4096,1],[4098,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"probability","rate_ppm":25000,"seed":65261},"attempts":14,"injected":4,"rng_state":4664},"contig_rover":4608,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[4098],[]],"counters":[1,2,3,4,5,6]},"badframes":[4098],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,4096,3,false],[2097152,4608,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":4}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,4098]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"shared":[[4096,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"probability","rate_ppm":1000,"seed":2989},"checks":24,"events":4,"rng_state":22140},"poison_stats":[1,0,0,0,0,0,0,8],"numa_stats":[1,2,3],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":1,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":0,"host_pid":3,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]}],"stats":[1,0,0,0,0,0,0,8,0,0,0,0,13],"next_tenant":3,"rng":990951,"ksm_cursor":6}"#,
+    r#"{"machine":{"zones":[{"config":{"base":0,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[3],[],[8,4]],"allocated":[[0,1],[2,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"never"},"attempts":10,"injected":0,"rng_state":4660},"contig_rover":512,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[2],[]],"counters":[1,2,3,4,5,6]},"badframes":[2],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,0,3,false],[2097152,512,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":0}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,2]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"shared":[[0,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"never"},"checks":20,"events":0,"rng_state":22136},"poison_stats":[1,0,0,0,0,0,0,8],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":0,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"#,
+    r#"{"machine":{"zones":[{"config":{"base":1024,"frames":1024,"top_order":10,"sorted_top_list":true},"free_lists":[[1027],[],[1032,1028]],"allocated":[[1024,1],[1026,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"nth","n":7},"attempts":11,"injected":1,"rng_state":4661},"contig_rover":null,"contig_updates":9,"pcp":null,"badframes":[1026],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,1024,3,false],[2097152,1536,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":1}],"page_cache":{"mode":"default","readahead_allocs":2,"files":[{"pages":[[3,1026]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":true,"pt_levels":5,"record_latencies":true,"shared":[[1024,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"nth","n":5},"checks":21,"events":1,"rng_state":22137},"poison_stats":[1,0,0,0,0,0,0,8],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":1,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}}],"sharing":[[[5,[[0,7],[1,9]]]],[]],"tenants":[{"id":0,"guest":"#,
+    r#"{"machine":{"zones":[{"config":{"base":2048,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[2051],[],[2056,2052]],"allocated":[[2048,1],[2050,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"every_nth","n":3},"attempts":12,"injected":2,"rng_state":4662},"contig_rover":2560,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[2050],[]],"counters":[1,2,3,4,5,6]},"badframes":[2050],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,2048,3,false],[2097152,2560,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":2}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,2050]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"shared":[[2048,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"every_nth","n":4},"checks":22,"events":2,"rng_state":22138},"poison_stats":[1,0,0,0,0,0,0,8],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":2,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":0,"host_pid":1,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]},{"id":1,"guest":"#,
+    r#"{"machine":{"zones":[{"config":{"base":3072,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[3075],[],[3080,3076]],"allocated":[[3072,1],[3074,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"min_order","min_order":9},"attempts":13,"injected":3,"rng_state":4663},"contig_rover":3584,"contig_updates":9,"pcp":null,"badframes":[3074],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,3072,3,false],[2097152,3584,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":3}],"page_cache":{"mode":"default","readahead_allocs":2,"files":[{"pages":[[3,3074]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":true,"pt_levels":5,"record_latencies":true,"shared":[[3072,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"address","pfn":77,"n":2},"checks":23,"events":3,"rng_state":22139},"poison_stats":[1,0,0,0,0,0,0,8],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":0,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":1,"host_pid":2,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]},{"id":2,"guest":"#,
+    r#"{"machine":{"zones":[{"config":{"base":4096,"frames":1024,"top_order":10,"sorted_top_list":false},"free_lists":[[4099],[],[4104,4100]],"allocated":[[4096,1],[4098,0]],"counters":[1,2,3,4,5,6],"fail":{"mode":{"kind":"probability","rate_ppm":25000,"seed":65261},"attempts":14,"injected":4,"rng_state":4664},"contig_rover":4608,"contig_updates":9,"pcp":{"cpus":2,"batch":4,"high":16,"current_cpu":1,"lists":[[4098],[]],"counters":[1,2,3,4,5,6]},"badframes":[4098],"poison":[1,2,3,4,5]}],"reservations":[[1,4096,8192]],"reservation_rover":12288},"processes":[{"pid":1,"pt_levels":4,"vmas":[{"start":4096,"len":8192,"file":null,"offsets":[[4096,-4096],[8192,1180591620717411303424]],"replacement_claimed":true},{"start":32768,"len":4096,"file":[0,3],"offsets":[],"replacement_claimed":false}],"mappings":[[4096,4096,3,false],[2097152,4608,255,true]],"stats":{"counters":[1,2,3,4,5,6,7,8],"latencies_ns":[1500,2500],"record_latencies":true},"home":4}],"page_cache":{"mode":"ca_contiguous","readahead_allocs":2,"files":[{"pages":[[3,4098]],"offset":-8192},{"pages":[],"offset":null}]},"next_pid":2,"thp":false,"pt_levels":5,"record_latencies":true,"shared":[[4096,2]],"now_ns":99,"recovery_stats":[1,0,0,0,0,0,0,0,0,0,0,0,0,15],"backoff_rng":12648430,"poison_policy":{"mode":{"kind":"probability","rate_ppm":1000,"seed":2989},"checks":24,"events":4,"rng_state":22140},"poison_stats":[1,0,0,0,0,0,0,8],"daemon":{"enabled":true,"config":{"epoch_budget":128,"aggressiveness":3,"repair_poison":false},"compact_node":0,"compact_cursor":0,"promote_pid":0,"promote_va":0,"repair_cursor":0,"budget_left":128,"phase":1,"backoff_rng":229556446,"backoff_until_ns":0,"yield_streak":0,"epoch":0,"stats":[1,0,0,0,0,0,0,0,0,0,11,12,13]}},"host_idx":0,"host_pid":3,"guest_pid":1,"balloon":[4,5],"tags":[[0,42],[3,43]]}],"stats":[1,0,0,0,0,0,0,8,0,0,0,0,13],"next_tenant":3,"rng":990951,"ksm_cursor":6}"#,
 );
 
 /// `pinned_tlb()`.
