@@ -50,7 +50,9 @@ pub use aspace::{AddressSpace, VmaId};
 pub use audit::{AuditReport, AuditViolation};
 pub use daemon::{DaemonConfig, DaemonPhase, DaemonState, DaemonStats};
 pub use extract::{compose_mappings, contiguous_mappings};
-pub use page_cache::{CacheAllocMode, FileCacheSnapshot, FileId, PageCache, PageCacheSnapshot};
+pub use page_cache::{
+    CacheAllocMode, FileCacheSnapshot, FileId, PageCache, PageCacheSnapshot, READAHEAD_PAGES,
+};
 pub use page_table::{MappedPage, PageTable, LEVELS, LEVELS_LA57};
 pub use poison::{FailureAction, MemoryFailureOutcome, PoisonStats};
 pub use policy::{BasePagesPolicy, DefaultThpPolicy, FaultCtx, FaultKind, Placement, PlacementPolicy};

@@ -44,6 +44,11 @@ impl Wire for CacheAllocMode {
     }
 }
 
+/// Pages fetched around a file fault, like Linux's default readahead window
+/// (128 KiB). The guest's file fault clamps it to the VMA and the index
+/// space; the hypervisor backs the guest's window unclamped.
+pub const READAHEAD_PAGES: u64 = 32;
+
 #[derive(Clone, Debug, Default)]
 struct CachedFile {
     /// file page index -> backing frame.
@@ -51,6 +56,21 @@ struct CachedFile {
     /// CA paging per-file offset, in the file's own "virtual" space where
     /// page `i` lives at byte `i * 4096`.
     offset: Option<MapOffset>,
+    /// What the last completed readahead proved about `pages`; `None` after
+    /// an eviction or a readahead that failed partway. Not part of the
+    /// snapshot.
+    full: Option<FullRun>,
+}
+
+/// A run of file page indices known to be cached, and how far past it the
+/// cache is known to be empty.
+#[derive(Clone, Debug)]
+struct FullRun {
+    /// Every index in here is cached.
+    cached: Range<u64>,
+    /// The first cached index at or past `cached.end`; `u64::MAX` when there
+    /// is none (no window reaches that index).
+    next_cached: u64,
 }
 
 /// The system-wide page cache.
@@ -126,23 +146,45 @@ impl PageCache {
 
     /// The runs of `[start, start + count)` (end saturating as in
     /// [`PageCache::window`]) that `file` does not cache, in index order,
-    /// from one window walk. There is at most one run more than there are
-    /// cached pages, whatever `count` is.
-    fn gaps(&self, file: FileId, start: u64, count: u64) -> Vec<Range<u64>> {
+    /// and the file's full run once they are filled. A window that starts
+    /// at or after the remembered run's first index and ends at or before
+    /// its next cached index is answered from the memo; any other takes one
+    /// ordered walk, which reads on to the first cached index past the
+    /// window. There is at most
+    /// one run more than there are cached pages, whatever `count` is.
+    fn gaps(&self, file: FileId, start: u64, count: u64) -> (Vec<Range<u64>>, FullRun) {
+        let entry = &self.files[file.0 as usize];
+        let end = start.saturating_add(count);
+        if let Some(run) = &entry.full {
+            if run.cached.start <= start && end <= run.next_cached {
+                let from = start.max(run.cached.end);
+                let gaps = Vec::from_iter((from < end).then_some(from..end));
+                let cached = if start <= run.cached.end {
+                    run.cached.start..end.max(run.cached.end)
+                } else {
+                    start..end
+                };
+                return (gaps, FullRun { cached, next_cached: run.next_cached });
+            }
+        }
         let mut gaps = Vec::new();
         let mut next = start;
-        for (index, _) in self.window(file, start, count) {
+        let mut next_cached = u64::MAX;
+        for &index in entry.pages.range(start..).map(|(index, _)| index) {
+            if index >= end {
+                next_cached = index;
+                break;
+            }
             if index > next {
                 gaps.push(next..index);
             }
             // Cannot overflow: `index` lies below the window's end.
             next = index + 1;
         }
-        let end = start.saturating_add(count);
         if next < end {
             gaps.push(next..end);
         }
-        gaps
+        (gaps, FullRun { cached: start..end, next_cached })
     }
 
     /// The frames of `file` in file-page order.
@@ -157,7 +199,8 @@ impl PageCache {
     }
 
     /// Retargets a cached page onto a different frame (compaction migrated
-    /// its contents). The caller owns both frames' buddy bookkeeping.
+    /// its contents). The caller owns both frames' buddy bookkeeping. The
+    /// set of cached indices stays the same, so the full run stays valid.
     pub(crate) fn relocate_page(&mut self, file: FileId, index: u64, new_pfn: Pfn) {
         let entry = self.files[file.0 as usize]
             .pages
@@ -172,7 +215,9 @@ impl PageCache {
     /// Default-mode readahead batches the whole window through
     /// [`Machine::alloc_bulk`] — one zone pass instead of one scan per page;
     /// CA mode keeps the per-page targeted path (each page has its own
-    /// designated frame).
+    /// designated frame). A readahead that completes remembers the window as
+    /// the file's full run, so the next sequential fault's window finds its
+    /// gap without a walk; one that fails forgets it.
     ///
     /// # Errors
     ///
@@ -185,23 +230,25 @@ impl PageCache {
         start: u64,
         count: u64,
     ) -> Result<(), AllocError> {
-        let gaps = self.gaps(file, start, count);
+        let (gaps, filled) = self.gaps(file, start, count);
+        self.files[file.0 as usize].full = None;
         if matches!(self.mode, CacheAllocMode::Default) {
             let (frames, err) = machine.alloc_bulk(gaps.iter().map(|g| g.end - g.start).sum());
             for (index, pfn) in gaps.into_iter().flatten().zip(frames) {
                 self.readahead_allocs += 1;
                 self.files[file.0 as usize].pages.insert(index, pfn);
             }
-            return match err {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
+            if let Some(e) = err {
+                return Err(e);
+            }
+        } else {
+            for index in gaps.into_iter().flatten() {
+                let pfn = self.alloc_contiguous(machine, file, index)?;
+                self.readahead_allocs += 1;
+                self.files[file.0 as usize].pages.insert(index, pfn);
+            }
         }
-        for index in gaps.into_iter().flatten() {
-            let pfn = self.alloc_contiguous(machine, file, index)?;
-            self.readahead_allocs += 1;
-            self.files[file.0 as usize].pages.insert(index, pfn);
-        }
+        self.files[file.0 as usize].full = Some(filled);
         Ok(())
     }
 
@@ -251,6 +298,7 @@ impl PageCache {
         pred: impl Fn(u64) -> bool,
     ) -> u64 {
         let entry = &mut self.files[file.0 as usize];
+        entry.full = None;
         let victims: Vec<(u64, Pfn)> = entry
             .pages
             .iter()
@@ -273,6 +321,7 @@ impl PageCache {
             machine.free_page(pfn, PageSize::Base4K);
         }
         self.files[file.0 as usize].offset = None;
+        self.files[file.0 as usize].full = None;
     }
 
     /// Captures the cache as plain data for a crash-consistency checkpoint.
@@ -301,6 +350,7 @@ impl PageCache {
                 .map(|f| CachedFile {
                     pages: f.pages.iter().map(|&(idx, pfn)| (idx, Pfn::new(pfn))).collect(),
                     offset: f.offset.map(MapOffset),
+                    full: None,
                 })
                 .collect(),
             mode: snap.mode,
@@ -337,6 +387,7 @@ contig_types::wire_struct! {
 mod tests {
     use super::*;
     use contig_buddy::MachineConfig;
+    use proptest::prelude::*;
 
     fn machine() -> Machine {
         Machine::new(MachineConfig::single_node_mib(32))
@@ -409,5 +460,135 @@ mod tests {
         let err = cache.readahead(&mut m, f, 0, 1000).unwrap_err();
         assert!(matches!(err, AllocError::OutOfMemory { .. }));
         assert_eq!(cache.cached_pages(f), 256);
+    }
+
+    /// One step of the memo property test.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Readahead { file: usize, start: u64, count: u64 },
+        EvictWhere { file: usize, modulus: u64, rem: u64 },
+        EvictFile { file: usize },
+        Relocate { file: usize, nth: usize },
+        Restore,
+    }
+
+    /// A window start near the bottom of the index space, mostly close to
+    /// the last one so windows run on from each other, or within a few
+    /// windows of its top.
+    fn start() -> impl Strategy<Value = u64> {
+        (0u64..8, 0u64..160).prop_map(|(kind, x)| if kind == 0 { u64::MAX - x } else { x })
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let file = 0usize..2;
+        prop_oneof![
+            (file.clone(), start(), 0u64..48)
+                .prop_map(|(file, start, count)| Op::Readahead { file, start, count }),
+            (file.clone(), 1u64..5, 0u64..5)
+                .prop_map(|(file, modulus, rem)| Op::EvictWhere { file, modulus, rem }),
+            file.clone().prop_map(|file| Op::EvictFile { file }),
+            (file, 0usize..64).prop_map(|(file, nth)| Op::Relocate { file, nth }),
+            Just(Op::Restore),
+        ]
+    }
+
+    /// `gaps` as a walk over every index of the window, with no memo.
+    fn reference_gaps(cache: &PageCache, file: FileId, start: u64, count: u64) -> Vec<Range<u64>> {
+        let pages = &cache.files[file.0 as usize].pages;
+        let mut gaps: Vec<Range<u64>> = Vec::new();
+        for index in start..start.saturating_add(count) {
+            if pages.contains_key(&index) {
+                continue;
+            }
+            match gaps.last_mut() {
+                Some(gap) if gap.end == index => gap.end += 1,
+                _ => gaps.push(index..index + 1),
+            }
+        }
+        gaps
+    }
+
+    fn apply(cache: &mut PageCache, machine: &mut Machine, files: &[FileId], op: Op) {
+        match op {
+            Op::Readahead { file, start, count } => {
+                // Running out partway must forget the run.
+                let _ = cache.readahead(machine, files[file], start, count);
+            }
+            Op::EvictWhere { file, modulus, rem } => {
+                cache.evict_pages_where(machine, files[file], |i| i % modulus == rem);
+            }
+            Op::EvictFile { file } => cache.evict_file(machine, files[file]),
+            Op::Relocate { file, nth } => {
+                let pages: Vec<_> = cache.pages_of(files[file]).collect();
+                if let (Some(&(index, old)), Ok(new)) =
+                    (pages.get(nth % pages.len().max(1)), machine.alloc_page(PageSize::Base4K))
+                {
+                    cache.relocate_page(files[file], index, new);
+                    machine.free_page(old, PageSize::Base4K);
+                }
+            }
+            Op::Restore => *cache = PageCache::from_snapshot(&cache.snapshot()),
+        }
+    }
+
+    proptest! {
+        /// The full-run memo only caches: after every step each file's run
+        /// holds only cached indices and no cached index lies between its end
+        /// and its next cached index, `gaps` agrees with an index-by-index
+        /// walk on the step's window and on a probe window, and the cache
+        /// and machine match a copy whose memos are cleared before each step.
+        #[test]
+        fn full_run_memo_agrees_with_the_page_map(
+            ca in any::<bool>(),
+            free in 16u64..256,
+            steps in proptest::collection::vec((op(), 0usize..2, start(), 0u64..48), 1..80),
+        ) {
+            let mode = if ca { CacheAllocMode::CaContiguous } else { CacheAllocMode::Default };
+            let mut m = Machine::new(MachineConfig::single_node_mib(1));
+            let mut ref_m = Machine::new(MachineConfig::single_node_mib(1));
+            // Leave `free` frames, so readahead runs out of memory partway.
+            for machine in [&mut m, &mut ref_m] {
+                let total = machine.total_frames();
+                let (_, err) = machine.alloc_bulk(total - free);
+                prop_assert!(err.is_none());
+            }
+            let mut cache = PageCache::new(mode);
+            let files = [cache.create_file(), cache.create_file()];
+            let mut reference = cache.clone();
+            for (step, (op, probe_file, probe_start, probe_count)) in steps.into_iter().enumerate() {
+                if let Op::Readahead { file, start, count } = op {
+                    prop_assert_eq!(
+                        cache.gaps(files[file], start, count).0,
+                        reference_gaps(&cache, files[file], start, count),
+                        "step {}: {:?}", step, op
+                    );
+                }
+                for f in &mut reference.files {
+                    f.full = None;
+                }
+                apply(&mut cache, &mut m, &files, op);
+                apply(&mut reference, &mut ref_m, &files, op);
+                for entry in &cache.files {
+                    if let Some(run) = &entry.full {
+                        prop_assert!(
+                            run.cached.clone().all(|i| entry.pages.contains_key(&i)),
+                            "step {}: {:?} run {:?} not cached", step, op, run
+                        );
+                        prop_assert!(
+                            entry.pages.range(run.cached.end..run.next_cached).next().is_none(),
+                            "step {}: {:?} cached page inside {:?}'s gap", step, op, run
+                        );
+                    }
+                }
+                prop_assert_eq!(
+                    cache.gaps(files[probe_file], probe_start, probe_count).0,
+                    reference_gaps(&cache, files[probe_file], probe_start, probe_count),
+                    "step {}: {:?} probe {}..+{}", step, op, probe_start, probe_count
+                );
+                prop_assert_eq!(cache.snapshot(), reference.snapshot(), "step {}: {:?}", step, op);
+                prop_assert_eq!(m.snapshot(), ref_m.snapshot(), "step {}: {:?}", step, op);
+            }
+            m.verify_integrity();
+        }
     }
 }

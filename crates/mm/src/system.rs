@@ -11,7 +11,7 @@ use contig_types::{
 };
 
 use crate::aspace::{AddressSpace, VmaId};
-use crate::page_cache::{CacheAllocMode, PageCache};
+use crate::page_cache::{CacheAllocMode, PageCache, READAHEAD_PAGES};
 use crate::policy::{FaultCtx, FaultKind, Placement, PlacementPolicy};
 use crate::pte::{Pte, PteFlags};
 use crate::poison::PoisonStats;
@@ -1036,9 +1036,6 @@ impl System {
         vma_kind: VmaKind,
         vma_range: contig_types::VirtRange,
     ) -> Result<FaultOutcome, FaultError> {
-        /// Pages fetched around a file fault, like Linux's default readahead
-        /// window (128 KiB).
-        const READAHEAD_PAGES: u64 = 32;
         let VmaKind::File { file, start_page } = vma_kind else {
             unreachable!("file fault on anonymous VMA");
         };

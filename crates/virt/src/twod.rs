@@ -10,7 +10,7 @@
 
 use contig_mm::{compose_mappings, PageTable, Pid};
 use contig_tlb::{TranslationBackend, WalkResult};
-use contig_types::{ContigMapping, PageSize, PhysAddr, VirtAddr};
+use contig_types::{ContigMapping, PageSize, PhysAddr, VirtAddr, VirtRange};
 
 use crate::vm::VirtualMachine;
 
@@ -41,6 +41,10 @@ use crate::vm::VirtualMachine;
 /// ```
 pub fn two_dimensional_mappings(vm: &VirtualMachine, pid: Pid) -> Vec<ContigMapping> {
     let guest_pt = vm.guest().aspace(pid).page_table();
+    let host_pt = vm.host().aspace(vm.host_pid()).page_table();
+    // The host leaf the last segment came from: the 4 KiB guest leaves
+    // that follow on it resolve without a walk.
+    let mut host_leaf: Option<(VirtRange, PhysAddr)> = None;
     let mut segments: Vec<(VirtAddr, PhysAddr, u64)> = Vec::new();
     for m in guest_pt.iter_mappings() {
         // Split each guest leaf by the host leaves backing it.
@@ -50,16 +54,24 @@ pub fn two_dimensional_mappings(vm: &VirtualMachine, pid: Pid) -> Vec<ContigMapp
             let va = m.va + covered;
             let gpa = PhysAddr::from(m.pte.pfn) + covered;
             let hva = vm.host_va_of(gpa);
-            let Ok(h) = vm.host().aspace(vm.host_pid()).page_table().translate(hva) else {
-                // Guest frame not backed by the host (never touched): skip
-                // one base page.
-                covered += PageSize::Base4K.bytes();
-                continue;
+            let (leaf, leaf_hpa) = match host_leaf {
+                Some(found) if found.0.contains(hva) => found,
+                _ => {
+                    let Ok(h) = host_pt.translate(hva) else {
+                        // Guest frame not backed by the host (never
+                        // touched): skip one base page.
+                        covered += PageSize::Base4K.bytes();
+                        continue;
+                    };
+                    let leaf = VirtRange::new(hva.align_down(h.size), h.size.bytes());
+                    let found = (leaf, PhysAddr::from(h.pfn));
+                    host_leaf = Some(found);
+                    found
+                }
             };
-            let hpa = PhysAddr::from(h.frame_for(hva)) + hva.page_offset(PageSize::Base4K);
+            let hpa = leaf_hpa + (hva - leaf.start());
             // Length until the end of whichever leaf ends first.
-            let host_leaf_end = hva.align_down(h.size) + h.size.bytes();
-            let span = (host_leaf_end - hva).min(leaf_bytes - covered);
+            let span = (leaf.end() - hva).min(leaf_bytes - covered);
             segments.push((va, hpa, span));
             covered += span;
         }
@@ -136,7 +148,6 @@ impl TranslationBackend for NativeBackend<'_> {
 mod tests {
     use super::*;
     use contig_mm::{DefaultThpPolicy, VmaKind};
-    use contig_types::VirtRange;
 
     fn vm_with_populated(guest_mib: u64, host_mib: u64, len: u64) -> (VirtualMachine, Pid) {
         let mut vm = VirtualMachine::new(

@@ -10,6 +10,7 @@
 use contig_buddy::MachineConfig;
 use contig_mm::{
     FaultOutcome, PageTable, PlacementPolicy, Pid, PteFlags, System, SystemConfig, VmaId, VmaKind,
+    READAHEAD_PAGES,
 };
 use contig_trace::{stage, Dim, TraceEvent, Tracer};
 use contig_types::{ContigError, FaultError, PageSize, PhysAddr, Pfn, VirtAddr, VirtRange};
@@ -268,9 +269,10 @@ impl VirtualMachine {
         out: FaultOutcome,
     ) -> Result<(), FaultError> {
         // Anonymous (and COW) faults allocate exactly `out`.
-        self.back_gpa_range(va, PhysAddr::from(out.pfn), out.size.bytes())?;
+        let mut proven = self.back_gpa_range(va, PhysAddr::from(out.pfn), out.size.bytes())?;
         // File faults additionally populated a readahead window; back every
-        // cached frame of the window (idempotent for already-backed frames).
+        // cached frame of the window. A frame inside a host leaf that a
+        // touch proved mapped needs no touch of its own.
         let aspace = self.guest.aspace(pid);
         if let Some(vma_id) = aspace.vma_containing(va) {
             if let VmaKind::File { file, start_page } = aspace.vma(vma_id).kind() {
@@ -279,10 +281,22 @@ impl VirtualMachine {
                 // The guest fault succeeded, so the index fits; the window
                 // end saturates at the top of the index space.
                 let index = start_page.saturating_add(vma_index);
-                let frames: Vec<Pfn> =
-                    self.guest.page_cache().window(file, index, 32).map(|(_, pfn)| pfn).collect();
+                let frames: Vec<Pfn> = self
+                    .guest
+                    .page_cache()
+                    .window(file, index, READAHEAD_PAGES)
+                    .map(|(_, pfn)| pfn)
+                    .collect();
                 for pfn in frames {
-                    self.back_gpa_range(va, PhysAddr::from(pfn), PageSize::Base4K.bytes())?;
+                    let gpa = PhysAddr::from(pfn);
+                    if proven.is_some_and(|leaf| leaf.contains(self.host_va_of(gpa))) {
+                        // A touch here would find the proven leaf and change
+                        // nothing: keep only its (zero-length) span.
+                        self.tracer.set_clock(self.host.now_ns());
+                        self.tracer.span_mark(stage::GFAULT);
+                    } else {
+                        proven = self.back_gpa_range(va, gpa, PageSize::Base4K.bytes())?;
+                    }
                 }
             }
         }
@@ -294,12 +308,16 @@ impl VirtualMachine {
     /// Host faults run the host's full recovery path (reclaim, compaction,
     /// order back-off); a hard host OOM is reported at the *guest* virtual
     /// address `gva`, which is the address the guest workload can act on.
+    ///
+    /// Returns the host leaf the last touch found already mapped, if no
+    /// touch faulted after it: a touch that changes nothing proves that
+    /// leaf mapped until the next touch that faults.
     fn back_gpa_range(
         &mut self,
         gva: VirtAddr,
         gpa: PhysAddr,
         len: u64,
-    ) -> Result<(), FaultError> {
+    ) -> Result<Option<VirtRange>, FaultError> {
         let mut hva = self.host_va_of(gpa);
         let end = self.host_va_of(gpa) + len;
         let before_ns = self.host.now_ns();
@@ -308,6 +326,7 @@ impl VirtualMachine {
         // `gfault;fault;…` with the host-side cost attributed underneath.
         self.tracer.set_clock(before_ns);
         let _gfault_span = self.tracer.span(stage::GFAULT);
+        let mut proven = None;
         while hva < end {
             let out = self
                 .host
@@ -320,8 +339,9 @@ impl VirtualMachine {
                 })?;
             // Advance past whatever the host mapped (a huge host page may
             // cover far more than the guest page that faulted).
-            let mapped_end = hva.align_down(out.size) + out.size.bytes();
-            hva = mapped_end;
+            let leaf = VirtRange::new(hva.align_down(out.size), out.size.bytes());
+            proven = out.already_mapped.then_some(leaf);
+            hva = leaf.end();
         }
         // Span only when the host actually serviced a fault: revalidating
         // already-backed frames costs nothing in the simulated clock.
@@ -334,7 +354,7 @@ impl VirtualMachine {
                 latency_ns,
             });
         }
-        Ok(())
+        Ok(proven)
     }
 
     /// Whether `[gpa, gpa + len)` is fully backed by host mappings.
@@ -886,5 +906,107 @@ mod tests {
         assert_eq!(t.host_size, PageSize::Base4K);
         assert_eq!(t.effective_size(), PageSize::Base4K);
         assert_eq!(t.walk_refs(), (3 + 1) * (4 + 1) - 1);
+    }
+
+    /// [`VirtualMachine::touch`] with every frame of a file fault's window
+    /// backed through its own [`VirtualMachine::back_gpa_range`], as the
+    /// nested fault did before it remembered proven host leaves.
+    fn touch_per_frame(
+        vm: &mut VirtualMachine,
+        pid: Pid,
+        va: VirtAddr,
+    ) -> Result<FaultOutcome, FaultError> {
+        let out = vm.guest.touch(&mut *vm.guest_policy, pid, va)?;
+        if out.already_mapped && vm.backing_complete(PhysAddr::from(out.pfn), out.size.bytes()) {
+            return Ok(out);
+        }
+        vm.back_gpa_range(va, PhysAddr::from(out.pfn), out.size.bytes())?;
+        let aspace = vm.guest.aspace(pid);
+        let vma = aspace.vma(aspace.vma_containing(va).expect("the guest fault found a VMA"));
+        if let VmaKind::File { file, start_page } = vma.kind() {
+            let index = start_page + (va.align_down(PageSize::Base4K) - vma.range().start()) / 4096;
+            let frames: Vec<Pfn> = vm
+                .guest
+                .page_cache()
+                .window(file, index, READAHEAD_PAGES)
+                .map(|(_, pfn)| pfn)
+                .collect();
+            for pfn in frames {
+                vm.back_gpa_range(va, PhysAddr::from(pfn), PageSize::Base4K.bytes())?;
+            }
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn window_backing_matches_per_frame_backing() {
+        use contig_trace::{export_jsonl, TraceSession};
+        use contig_types::{FailMode, FailPolicy};
+
+        // The file's first 1520 pages, cached contiguously from frame 0,
+        // fill guest-physical memory to 16 frames short of a 2 MiB boundary.
+        // The next window starts inside the host leaf they were backed by
+        // and runs on into an unbacked one.
+        let mut config = VmConfig::with_mib(64, 128);
+        config.guest.cache_mode = contig_mm::CacheAllocMode::CaContiguous;
+        let boot = |config: &VmConfig| {
+            VirtualMachine::new(
+                config.clone(),
+                Box::new(DefaultThpPolicy),
+                Box::new(DefaultThpPolicy),
+            )
+        };
+        let mut windowed = boot(&config);
+        let pid = windowed.guest_mut().spawn();
+        let file = windowed.guest_mut().page_cache_mut().create_file();
+        let mut map_file = |va: VirtAddr, start_page: u64, pages: u64| {
+            let range = VirtRange::new(va, pages * 4096);
+            windowed.guest_mut().aspace_mut(pid).map_vma(range, VmaKind::File { file, start_page })
+        };
+        let head = map_file(VirtAddr::new(0x4000_0000), 0, 1520);
+        let file_va = VirtAddr::new(0x1000_0000);
+        map_file(file_va, 1520, 64);
+        windowed.populate_vma(pid, head).unwrap();
+        let mut per_frame = boot(&config);
+        per_frame.restore(&windowed.snapshot());
+
+        let sessions = [TraceSession::ring(0), TraceSession::ring(0)];
+        for (vm, session) in [&mut windowed, &mut per_frame].into_iter().zip(&sessions) {
+            vm.set_tracer(session.tracer());
+            // Every host allocation fails: the window's second host leaf
+            // cannot be backed.
+            vm.host_mut().set_fail_policy(FailPolicy::new(FailMode::MinOrder { min_order: 0 }));
+        }
+        let oom = windowed.touch(pid, file_va);
+        assert!(matches!(oom, Err(FaultError::OutOfMemory { addr, .. }) if addr == file_va));
+        assert_eq!(touch_per_frame(&mut per_frame, pid, file_va), oom);
+        let window: Vec<u64> =
+            windowed.guest().page_cache().window(file, 1520, 32).map(|(_, p)| p.raw()).collect();
+        let backed = windowed.backed_gframes();
+        assert!(
+            window.iter().any(|f| backed.contains(f)) && !window.iter().all(|f| backed.contains(f)),
+            "the OOM must strike partway through the window {window:?}"
+        );
+
+        // The hole heals on the next file fault once memory is available.
+        let next = file_va + 16 * 4096;
+        for vm in [&mut windowed, &mut per_frame] {
+            vm.host_mut().clear_fail_policy();
+        }
+        let healed = windowed.touch(pid, next).unwrap();
+        assert_eq!(touch_per_frame(&mut per_frame, pid, next).unwrap(), healed);
+        let backed = windowed.backed_gframes();
+        for pfn in windowed.guest().page_cache().frames_of(file) {
+            assert!(backed.binary_search(&pfn.raw()).is_ok(), "cached frame {pfn:?} unbacked");
+        }
+
+        assert_eq!(windowed.snapshot(), per_frame.snapshot());
+        let [got, want] = sessions;
+        assert_eq!(export_jsonl(&got.records()), export_jsonl(&want.records()));
+        assert_eq!(got.spans().export_collapsed(), want.spans().export_collapsed());
+        let metrics = got.metrics();
+        assert_eq!(metrics, want.metrics());
+        let gfaults = metrics.histograms().find(|(name, _)| *name == "span.gfault.total_ns");
+        assert!(gfaults.is_some_and(|(_, h)| h.count() > 32), "{metrics:?}");
     }
 }

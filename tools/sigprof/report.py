@@ -2,11 +2,15 @@
 """Symbolise a prof.so dump and print where the samples went.
 
     report.py BINARY [DUMP ...] [--top N] [--callers SUBSTRING] [--depth D]
+              [--lines SUBSTRING]
 
 Prints each function's self share (samples whose RIP is inside it) and
 inclusive share (samples with it anywhere on the stack). With --callers, also
 the most frequent caller chains of every function whose demangled name
-contains SUBSTRING, innermost caller first. --top 0 prints every row. Several
+contains SUBSTRING, innermost caller first. With --lines, also the self
+samples of every such function by source line: the innermost three inlined
+frames of each RIP, from `addr2line -i` (the binary needs line tables; see
+README.md). --top 0 prints every row. Several
 dumps of one binary are pooled. Symbols come from `nm -C`, so only the
 program's own text is named. A sample whose RIP is outside it (a library
 leaf such as memcpy) is charged to the word at RSP when that word points
@@ -29,6 +33,23 @@ def symbols(binary):
         if kind in "tTwW":
             table.append((int(addr, 16), name))
     return [a for a, _ in table], [n for _, n in table]
+
+
+def source_lines(binary, offsets):
+    """The innermost three inlined frames of each offset as one
+    `file:line <- file:line <- file:line` string, from `addr2line -i`."""
+    out = subprocess.run(["addr2line", "-e", binary, "-a", "-i", "-p"] + [hex(o) for o in offsets],
+                         capture_output=True, text=True, check=True).stdout
+    blocks = []
+    for line in out.splitlines():
+        inlined = line.startswith(" (inlined by) ")
+        where = line.removeprefix(" (inlined by) ") if inlined else line.split(": ", 1)[-1]
+        where = "/".join(where.split("/")[-2:])  # crate-relative enough to read
+        if inlined:
+            blocks[-1].append(where)
+        else:
+            blocks.append([where])
+    return [" <- ".join(block[:3]) for block in blocks]
 
 
 def load(dump, binary):
@@ -62,6 +83,7 @@ def main():
     args.add_argument("--top", type=int, default=30)
     args.add_argument("--callers")
     args.add_argument("--depth", type=int, default=4)
+    args.add_argument("--lines")
     args = args.parse_args()
     addrs, names = symbols(args.binary)
     top = args.top or None  # most_common(None) is every row
@@ -102,6 +124,16 @@ def main():
         print(f"\ncaller chains of *{args.callers}*")
         for (func, chain), n in chains.most_common(top):
             print(f"{100 * n / total:7.2f}  {func} <- {chain}")
+    if args.lines:
+        rips = collections.Counter(
+            rip for (rip, *_), _ in samples if rip >= 0 and args.lines in name(rip))
+        lines = collections.Counter()
+        wheres = source_lines(args.binary, list(rips)) if rips else []
+        for where, n in zip(wheres, rips.values()):
+            lines[where] += n
+        print(f"\nself samples of *{args.lines}* by source line (innermost inlined frame first)")
+        for where, n in lines.most_common(top):
+            print(f"{100 * n / total:7.2f}  {where}")
 
 
 if __name__ == "__main__":
