@@ -7,11 +7,14 @@
 //! list whose entries are variable-length *clusters* of consecutive top-order
 //! blocks, recording the start address and total size of each maximal run.
 //!
+//! Here that structure is an array: one bit per top-order block, set while
+//! the block is free, and each maximal run of set bits stores its length at
+//! both ends (boundary tags), so a freed block merges in O(1) and every query
+//! is a `trailing_zeros` walk that hops a whole run per tag.
+//!
 //! Placement decisions query the map with a next-fit policy driven by a rover
 //! pointer (§III-C): next-fit defers the racing of concurrent placement
 //! requests because the block just chosen is the last one reconsidered.
-
-use std::collections::BTreeMap;
 
 use contig_types::{PhysAddr, PhysRange, Pfn};
 
@@ -39,8 +42,8 @@ impl Cluster {
 /// Index of maximal free clusters at top-order-block granularity, with a
 /// next-fit rover for placement decisions.
 ///
-/// The map is keyed and kept sorted by physical address, exactly like the
-/// paper's linked-list implementation, but with `O(log n)` updates.
+/// Block `i` is `[base + i·2^top_order, base + (i+1)·2^top_order)`; the array
+/// grows to cover the highest block ever freed into it.
 ///
 /// # Examples
 ///
@@ -55,86 +58,139 @@ impl Cluster {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ContiguityMap {
-    /// start frame -> length in frames; invariant: clusters are disjoint,
-    /// non-adjacent (adjacent runs are merged), and multiples of the block size.
-    clusters: BTreeMap<Pfn, u64>,
-    /// Frames per top-order block.
-    block_frames: u64,
-    /// Next-fit rover: placement resumes from the first cluster strictly
-    /// after this address (`None` until the first placement).
+    /// Frame of block 0.
+    base: Pfn,
+    /// `log2` of the frames per top-order block.
+    shift: u32,
+    /// One bit per block, set while the block is free.
+    free: Vec<u64>,
+    /// Run length in blocks, valid at the first and the last block of every
+    /// maximal run of set bits; every other entry is stale.
+    tags: Vec<u32>,
+    /// Next-fit rover: placement resumes from the first cluster starting
+    /// strictly after this frame (`None` until the first placement).
     rover: Option<Pfn>,
     updates: u64,
 }
 
 impl ContiguityMap {
-    /// An empty map over top-order blocks of `1 << top_order` frames.
+    /// An empty map over top-order blocks of `1 << top_order` frames,
+    /// indexed from frame 0.
     pub fn new(top_order: u32) -> Self {
-        Self {
-            clusters: BTreeMap::new(),
-            block_frames: 1 << top_order,
-            rover: None,
-            updates: 0,
-        }
+        Self::with_base(Pfn::new(0), top_order)
     }
 
-    /// Total number of map updates performed (for overhead accounting).
-    pub(crate) fn update_count(&self) -> u64 {
-        self.updates
+    /// An empty map whose block 0 starts at the zone's `base`.
+    pub(crate) fn with_base(base: Pfn, top_order: u32) -> Self {
+        Self { base, shift: top_order, free: Vec::new(), tags: Vec::new(), rover: None, updates: 0 }
     }
 
     /// Frames per top-order block.
     pub fn block_frames(&self) -> u64 {
-        self.block_frames
+        1 << self.shift
+    }
+
+    fn index(&self, pfn: Pfn) -> usize {
+        ((pfn.raw() - self.base.raw()) >> self.shift) as usize
+    }
+
+    fn is_set(&self, i: usize) -> bool {
+        self.free.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// The cluster whose run starts at block `first`.
+    fn cluster(&self, first: usize) -> Cluster {
+        let frames = u64::from(self.tags[first]) << self.shift;
+        Cluster { start: self.base.add((first as u64) << self.shift), frames }
+    }
+
+    /// Records the run `[first, last]` in its two boundary tags.
+    fn tag(&mut self, first: usize, last: usize) {
+        let len = (last - first + 1) as u32;
+        self.tags[first] = len;
+        self.tags[last] = len;
+    }
+
+    /// The first block of the run holding the set bit `i`: one past the
+    /// highest clear bit below it.
+    fn run_start(&self, i: usize) -> usize {
+        let mut w = i / 64;
+        let mut clear = !self.free[w] & (u64::MAX >> (63 - i % 64));
+        while clear == 0 {
+            if w == 0 {
+                return 0;
+            }
+            w -= 1;
+            clear = !self.free[w];
+        }
+        w * 64 + 64 - clear.leading_zeros() as usize
+    }
+
+    /// The lowest set bit at or above `from`.
+    fn next_set(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut word = self.free.get(w)? & (u64::MAX << (from % 64));
+        while word == 0 {
+            w += 1;
+            word = *self.free.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
     }
 
     /// The cluster containing `pfn`, if any.
     pub(crate) fn cluster_containing(&self, pfn: Pfn) -> Option<Cluster> {
-        let (&start, &frames) = self.clusters.range(..=pfn).next_back()?;
-        if pfn.raw() < start.raw() + frames {
-            Some(Cluster { start, frames })
-        } else {
-            None
+        let i = self.index(pfn);
+        self.is_set(i).then(|| self.cluster(self.run_start(i)))
+    }
+
+    /// Clusters whose first block is at or above block `from`, ascending.
+    fn clusters_from(&self, from: usize) -> impl Iterator<Item = Cluster> + '_ {
+        // A run that began below `from` is not one of them: hop past it.
+        let mut at = from;
+        if from > 0 && self.is_set(from - 1) {
+            let first = self.run_start(from - 1);
+            at = first + self.tags[first] as usize;
         }
+        std::iter::from_fn(move || {
+            let first = self.next_set(at)?;
+            at = first + self.tags[first] as usize;
+            Some(self.cluster(first))
+        })
     }
 
     /// The largest cluster, breaking ties toward the lowest address.
     pub fn largest(&self) -> Option<Cluster> {
-        self.clusters
-            .iter()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            .map(|(&start, &frames)| Cluster { start, frames })
+        self.iter().reduce(|best, c| if c.frames > best.frames { c } else { best })
     }
 
     /// Iterates clusters in ascending address order.
     pub fn iter(&self) -> impl Iterator<Item = Cluster> + '_ {
-        self.clusters.iter().map(|(&start, &frames)| Cluster { start, frames })
+        self.clusters_from(0)
+    }
+
+    /// The free top-order blocks, ascending: the address-sorted top-order
+    /// free list of paper §III-C.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = Pfn> + '_ {
+        let step = self.block_frames() as usize;
+        self.iter()
+            .flat_map(move |c| (c.start.raw()..c.start.raw() + c.frames).step_by(step))
+            .map(Pfn::new)
     }
 
     /// Called by the zone when a block enters the top-order free list.
     /// Merges with adjacent clusters.
     pub fn on_block_freed(&mut self, block: Pfn) {
         self.updates += 1;
-        let mut start = block;
-        let mut frames = self.block_frames;
-        // Merge with a predecessor ending exactly at `block`.
-        if let Some((&pstart, &pframes)) = self.clusters.range(..block).next_back() {
-            debug_assert!(
-                pstart.raw() + pframes <= block.raw(),
-                "cluster {pstart}+{pframes} overlaps freed block {block}"
-            );
-            if pstart.raw() + pframes == block.raw() {
-                self.clusters.remove(&pstart);
-                start = pstart;
-                frames += pframes;
-            }
+        let i = self.index(block);
+        if i / 64 >= self.free.len() {
+            self.free.resize(i / 64 + 1, 0);
+            self.tags.resize(self.free.len() * 64, 0);
         }
-        // Merge with a successor starting exactly at the end of the run.
-        let end = Pfn::new(block.raw() + self.block_frames);
-        if let Some(&sframes) = self.clusters.get(&end) {
-            self.clusters.remove(&end);
-            frames += sframes;
-        }
-        self.clusters.insert(start, frames);
+        debug_assert!(!self.is_set(i), "block {block} freed twice into the contiguity map");
+        self.free[i / 64] |= 1 << (i % 64);
+        let first = if i > 0 && self.is_set(i - 1) { i - self.tags[i - 1] as usize } else { i };
+        let last = if self.is_set(i + 1) { i + self.tags[i + 1] as usize } else { i };
+        self.tag(first, last);
     }
 
     /// Called by the zone when a block leaves the top-order free list.
@@ -146,17 +202,17 @@ impl ContiguityMap {
     /// with the free list.
     pub fn on_block_allocated(&mut self, block: Pfn) {
         self.updates += 1;
-        let cluster = self
+        let run = self
             .cluster_containing(block)
             .unwrap_or_else(|| panic!("contiguity map lost track of block {block}"));
-        self.clusters.remove(&cluster.start);
-        let left = block.raw() - cluster.start.raw();
-        if left > 0 {
-            self.clusters.insert(cluster.start, left);
+        let (i, first) = (self.index(block), self.index(run.start));
+        let last = first + (run.frames >> self.shift) as usize - 1;
+        self.free[i / 64] &= !(1 << (i % 64));
+        if i > first {
+            self.tag(first, i - 1);
         }
-        let right = cluster.start.raw() + cluster.frames - (block.raw() + self.block_frames);
-        if right > 0 {
-            self.clusters.insert(Pfn::new(block.raw() + self.block_frames), right);
+        if i < last {
+            self.tag(i + 1, last);
         }
     }
 
@@ -165,35 +221,27 @@ impl ContiguityMap {
     /// enough anywhere, returns the largest cluster found. Advances the rover
     /// past the chosen cluster so it is the last one reconsidered.
     pub(crate) fn next_fit(&mut self, frames: u64) -> Option<Cluster> {
-        if self.clusters.is_empty() {
-            return None;
-        }
-        let pick = match self.rover {
-            None => self
-                .clusters
-                .iter()
-                .find(|(_, &len)| len >= frames)
-                .map(|(&start, &len)| Cluster { start, frames: len }),
-            Some(rover) => self
-                .clusters
-                .range(Pfn::new(rover.raw().saturating_add(1))..)
-                .chain(self.clusters.range(..=rover))
-                .find(|(_, &len)| len >= frames)
-                .map(|(&start, &len)| Cluster { start, frames: len }),
-        }
-        .or_else(|| self.largest());
-        if let Some(c) = pick {
-            // Advance past the *entire* selected cluster: it becomes the last
-            // one reconsidered, deferring racing between placement requests.
-            self.rover = Some(Pfn::new(c.start.raw() + c.frames - 1));
-        }
-        pick
+        // The first block starting strictly after the rover.
+        let from = match self.rover {
+            Some(r) if r >= self.base => self.index(r) + 1,
+            _ => 0,
+        };
+        let fits = |c: &Cluster| c.frames >= frames;
+        let pick = self
+            .clusters_from(from)
+            .find(fits)
+            .or_else(|| self.iter().take_while(|c| self.index(c.start) < from).find(fits))
+            .or_else(|| self.largest())?;
+        // Advance past the *entire* selected cluster: it becomes the last
+        // one reconsidered, deferring racing between placement requests.
+        self.rover = Some(Pfn::new(pick.start.raw() + pick.frames - 1));
+        Some(pick)
     }
 
-    /// Current rover position (for inspection and tests); `None` before the
-    /// first placement.
-    pub(crate) fn rover(&self) -> Option<Pfn> {
-        self.rover
+    /// The next-fit rover (`None` before the first placement) and the
+    /// number of map updates performed (for overhead accounting).
+    pub(crate) fn cursor(&self) -> (Option<Pfn>, u64) {
+        (self.rover, self.updates)
     }
 
     /// Restores the next-fit rover and the update counter from a snapshot.

@@ -1,64 +1,36 @@
-//! Per-order free lists with O(1)/O(log n) arbitrary removal.
+//! Per-order free lists with O(1) arbitrary removal.
 //!
 //! Linux's buddy free lists are intrusive doubly-linked lists: blocks are
 //! pushed and popped at the head (LIFO) and can be unlinked from the middle
-//! when a targeted allocation splits them. CA paging additionally keeps the
-//! MAX_ORDER list *sorted by physical address* (paper §III-C, "fragmentation
-//! restraint") so that fallback 4 KiB allocations carve the lowest block
-//! instead of splintering random large blocks.
+//! when a targeted allocation splits them.
 //!
-//! The LIFO list here is a stack whose blocks remember their own position in
-//! the [`FrameTable`] entry of their head frame (the role `struct page.lru`
-//! plays for the kernel), so a mid-list unlink is a `swap_remove` at a known
-//! index. Which block pops next after an unlink is part of the model's
-//! observable behaviour — snapshots store lists in iteration order — so the
-//! stack-plus-`swap_remove` discipline is the contract, not an
-//! implementation detail.
-
-use std::collections::BTreeSet;
+//! The list here is a stack whose blocks remember their own position in the
+//! [`FrameTable`] entry of their head frame (the role `struct page.lru` plays
+//! for the kernel), so a mid-list unlink is a `swap_remove` at a known index.
+//! Which block pops next after an unlink is part of the model's observable
+//! behaviour — snapshots store lists in iteration order — so the
+//! stack-plus-`swap_remove` discipline is the contract, not an implementation
+//! detail. CA paging's address-sorted top-order list (paper §III-C) is not a
+//! second discipline here: the zone pops that list's lowest block as the
+//! contiguity map names it and unlinks it from the stack by position.
 
 use contig_types::Pfn;
 
 use crate::frame::FrameTable;
 
-/// A free list for one buddy order.
-///
-/// Two disciplines are supported, mirroring the kernel default and the paper's
-/// sorted-MAX_ORDER-list optimization. Every mutation also writes the block's
-/// frame-table entries, so list membership and frame state cannot disagree.
-#[derive(Clone, Debug)]
-pub enum FreeList {
-    /// LIFO discipline (kernel default): `pop` returns the most recently
-    /// inserted block, which after a history of scattered frees yields
-    /// scattered allocations — the behaviour that inhibits contiguity.
-    Lifo(Vec<Pfn>),
-    /// Address-sorted discipline: `pop` returns the lowest-addressed block.
-    Sorted(BTreeSet<Pfn>),
-}
+/// The free list of one buddy order: a LIFO stack whose `pop` returns the
+/// most recently inserted block, which after a history of scattered frees
+/// yields scattered allocations — the behaviour that inhibits contiguity.
+/// Every mutation also writes the block's frame-table entries, so list
+/// membership and frame state cannot disagree.
+#[derive(Clone, Debug, Default)]
+pub struct FreeList(Vec<Pfn>);
 
 impl FreeList {
-    /// Creates an empty list with the requested discipline.
-    pub fn new(sorted: bool) -> Self {
-        if sorted {
-            FreeList::Sorted(BTreeSet::new())
-        } else {
-            FreeList::Lifo(Vec::new())
-        }
-    }
-
-    /// Number of blocks on the list.
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            FreeList::Lifo(l) => l.len(),
-            FreeList::Sorted(s) => s.len(),
-        }
-    }
-
     /// Whether the list holds no blocks.
     #[inline]
     pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 
     /// Inserts the block `[head, head + 2^order)` and marks its frames free
@@ -70,65 +42,40 @@ impl FreeList {
     #[inline]
     pub fn insert(&mut self, frames: &mut FrameTable, head: Pfn, order: u32) {
         assert!(!self.contains(frames, head), "block {head} double-inserted into free list");
-        let pos = match self {
-            FreeList::Lifo(l) => {
-                l.push(head);
-                l.len() - 1
-            }
-            FreeList::Sorted(s) => {
-                s.insert(head);
-                0
-            }
-        };
-        frames.mark_free_block(head, order, pos);
+        self.0.push(head);
+        frames.mark_free_block(head, order, self.0.len() - 1);
     }
 
-    /// Removes and returns a block according to the list discipline. The
-    /// block's frames still read free; the caller marks what it carves.
+    /// Removes and returns the most recently inserted block. The block's
+    /// frames still read free; the caller marks what it carves.
     #[inline]
     pub fn pop(&mut self) -> Option<Pfn> {
-        match self {
-            FreeList::Lifo(l) => l.pop(),
-            FreeList::Sorted(s) => s.pop_first(),
-        }
+        self.0.pop()
     }
 
-    /// Removes a specific block, returning whether it was present. On a LIFO
-    /// list the top block takes the vacated position.
+    /// Removes a specific block, returning whether it was present. The top
+    /// block takes the vacated position.
     #[inline]
     pub fn remove(&mut self, frames: &mut FrameTable, head: Pfn) -> bool {
-        match self {
-            FreeList::Lifo(l) => {
-                let Some(pos) = frames.position(head).filter(|&p| l.get(p) == Some(&head)) else {
-                    return false;
-                };
-                l.swap_remove(pos);
-                if let Some(&moved) = l.get(pos) {
-                    frames.set_position(moved, pos);
-                }
-                true
-            }
-            FreeList::Sorted(s) => s.remove(&head),
+        let Some(pos) = frames.position(head).filter(|&p| self.0.get(p) == Some(&head)) else {
+            return false;
+        };
+        self.0.swap_remove(pos);
+        if let Some(&moved) = self.0.get(pos) {
+            frames.set_position(moved, pos);
         }
+        true
     }
 
     /// Whether the block is on the list.
     #[inline]
     pub fn contains(&self, frames: &FrameTable, head: Pfn) -> bool {
-        match self {
-            FreeList::Lifo(l) => frames.position(head).is_some_and(|p| l.get(p) == Some(&head)),
-            FreeList::Sorted(s) => s.contains(&head),
-        }
+        frames.position(head).is_some_and(|p| self.0.get(p) == Some(&head))
     }
 
-    /// Iterates the blocks in stack (LIFO, oldest first) or ascending
-    /// (sorted) order. One side of the chain is always empty.
+    /// Iterates the blocks in stack order, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = Pfn> + '_ {
-        let (stack, sorted) = match self {
-            FreeList::Lifo(l) => (Some(l), None),
-            FreeList::Sorted(s) => (None, Some(s)),
-        };
-        stack.into_iter().flatten().chain(sorted.into_iter().flatten()).copied()
+        self.0.iter().copied()
     }
 }
 
@@ -142,7 +89,7 @@ mod tests {
 
     #[test]
     fn lifo_pops_most_recent() {
-        let (mut l, mut t) = (FreeList::new(false), table());
+        let (mut l, mut t) = (FreeList::default(), table());
         l.insert(&mut t, Pfn::new(10), 0);
         l.insert(&mut t, Pfn::new(20), 0);
         l.insert(&mut t, Pfn::new(5), 0);
@@ -153,19 +100,8 @@ mod tests {
     }
 
     #[test]
-    fn sorted_pops_lowest_address() {
-        let (mut l, mut t) = (FreeList::new(true), table());
-        l.insert(&mut t, Pfn::new(10), 0);
-        l.insert(&mut t, Pfn::new(20), 0);
-        l.insert(&mut t, Pfn::new(5), 0);
-        assert_eq!(l.pop(), Some(Pfn::new(5)));
-        assert_eq!(l.pop(), Some(Pfn::new(10)));
-        assert_eq!(l.pop(), Some(Pfn::new(20)));
-    }
-
-    #[test]
     fn middle_removal_keeps_index_consistent() {
-        let (mut l, mut t) = (FreeList::new(false), table());
+        let (mut l, mut t) = (FreeList::default(), table());
         for i in 0..8 {
             l.insert(&mut t, Pfn::new(i * 4), 0);
         }
@@ -184,19 +120,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "double-inserted")]
     fn double_insert_panics() {
-        let (mut l, mut t) = (FreeList::new(false), table());
+        let (mut l, mut t) = (FreeList::default(), table());
         l.insert(&mut t, Pfn::new(1), 0);
         l.insert(&mut t, Pfn::new(1), 0);
     }
 
     #[test]
     fn len_tracks_mutations() {
-        let (mut l, mut t) = (FreeList::new(true), table());
+        let (mut l, mut t) = (FreeList::default(), table());
         assert!(l.is_empty());
         l.insert(&mut t, Pfn::new(3), 0);
         l.insert(&mut t, Pfn::new(9), 0);
-        assert_eq!(l.len(), 2);
+        assert_eq!(l.iter().count(), 2);
         l.remove(&mut t, Pfn::new(3));
-        assert_eq!(l.len(), 1);
+        assert_eq!(l.iter().count(), 1);
     }
 }

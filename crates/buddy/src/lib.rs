@@ -10,8 +10,8 @@
 //!   *targeted* allocation ([`Zone::alloc_specific`]) so a placement policy
 //!   can claim the exact frame an offset designates.
 //! - [`ContiguityMap`] — the paper's index of unaligned free contiguity at
-//!   scales beyond the buddy heap, with the next-fit rover used by CA paging
-//!   placement decisions.
+//!   scales beyond the buddy heap (a bit per top-order block, each run's
+//!   length at both its ends), with the next-fit rover CA placement uses.
 //! - [`Machine`] — multiple zones with node-fill spilling, mirroring the
 //!   two-socket evaluation machine.
 //! - [`Hog`] — the fragmentation micro-benchmark used to create memory

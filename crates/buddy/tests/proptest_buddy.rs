@@ -3,9 +3,7 @@
 
 use proptest::prelude::*;
 
-use contig_buddy::{
-    ContiguityMap, FrameTable, FreeList, PcpConfig, PoisonDisposition, Zone, ZoneConfig,
-};
+use contig_buddy::{FrameTable, FreeList, PcpConfig, PoisonDisposition, Zone, ZoneConfig};
 use contig_types::Pfn;
 
 /// An abstract allocator operation the strategy generates.
@@ -94,31 +92,6 @@ proptest! {
                 owned.push((start, end));
             }
         }
-    }
-
-    /// The contiguity map always mirrors a reference rebuilt from scratch.
-    #[test]
-    fn contiguity_map_matches_reference(
-        targets in proptest::collection::vec(0u64..8, 1..8),
-    ) {
-        let mut zone = Zone::new(ZoneConfig::with_frames(8192));
-        for t in targets {
-            let _ = zone.alloc_specific(Pfn::new(t * 1024), 10);
-        }
-        // Reference: rebuild from the frame table's free runs restricted to
-        // whole top-order blocks.
-        let mut reference = ContiguityMap::new(10);
-        for block in 0..8u64 {
-            let head = Pfn::new(block * 1024);
-            if zone.frame_table().is_free(head)
-                && matches!(zone.frame_table().state(head), contig_buddy::FrameState::FreeHead { order: 10 })
-            {
-                reference.on_block_freed(head);
-            }
-        }
-        let got: Vec<_> = zone.contiguity_map().iter().collect();
-        let want: Vec<_> = reference.iter().collect();
-        prop_assert_eq!(got, want);
     }
 
     /// `alloc_specific` succeeds exactly when every frame of the target
@@ -638,7 +611,7 @@ proptest! {
 /// a snapshot records — depends on it.
 #[test]
 fn unlink_moves_the_top_block_into_the_hole() {
-    let (mut list, mut table) = (FreeList::new(false), FrameTable::new(Pfn::new(0), 64));
+    let (mut list, mut table) = (FreeList::default(), FrameTable::new(Pfn::new(0), 64));
     for raw in [10, 20, 30, 40] {
         list.insert(&mut table, Pfn::new(raw), 0);
     }
@@ -659,7 +632,7 @@ proptest! {
     fn lifo_list_is_a_vec_with_swap_remove(
         ops in proptest::collection::vec((0u8..3, 0u64..64), 1..200),
     ) {
-        let (mut list, mut table) = (FreeList::new(false), FrameTable::new(Pfn::new(0), 64));
+        let (mut list, mut table) = (FreeList::default(), FrameTable::new(Pfn::new(0), 64));
         let mut model: Vec<Pfn> = Vec::new();
         for (kind, slot) in ops {
             let pfn = Pfn::new(slot);

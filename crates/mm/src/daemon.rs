@@ -388,11 +388,7 @@ impl System {
                     break;
                 }
                 DaemonPhase::Repair => {
-                    let bad = badlist.get_or_insert_with(|| {
-                        let mut v: Vec<Pfn> = self.machine.badframes().collect();
-                        v.sort_unstable();
-                        v
-                    });
+                    let bad = badlist.get_or_insert_with(|| self.machine.badframes().collect());
                     if self.daemon.repair_cursor >= bad.len() as u64 {
                         epoch_done = true;
                         break;
