@@ -107,6 +107,12 @@ pub fn unknown(flag: &str) -> Result<(), UsageError> {
     Err(UsageError::UnknownFlag(flag.into()))
 }
 
+/// Writes an artifact a command produces. A path it cannot write is named
+/// with the OS error on stderr, and the command then exits 1.
+pub fn write_artifact(path: &str, contents: impl AsRef<[u8]>) -> bool {
+    std::fs::write(path, contents).map_err(|e| eprintln!("cannot write {path}: {e}")).is_ok()
+}
+
 /// Parses the flags of a command that takes none.
 pub fn no_flags(argv: &[String]) -> Result<(), UsageError> {
     argv.first().map_or(Ok(()), |flag| unknown(flag))

@@ -33,7 +33,7 @@ use contig_mm::VmaId;
 use contig_trace::{parse_jsonl, SpanStack, Tracer};
 use contig_types::splitmix64;
 
-use crate::cli::{parse, unknown, UsageError};
+use crate::cli::{parse, unknown, write_artifact, UsageError};
 use crate::trace_report::{mapped_or_oom, pressured_hog};
 
 /// The command's flag synopsis.
@@ -121,14 +121,18 @@ fn render_stages(spans: &SpanStack) {
     println!();
 }
 
-/// Writes the collapsed-stack file and reports where it went.
-fn write_folded(spans: &SpanStack, path: &str) {
+/// Writes the collapsed-stack file and reports where it went; `false` when
+/// the path cannot be written.
+fn write_folded(spans: &SpanStack, path: &str) -> bool {
     let folded = spans.export_collapsed();
-    std::fs::write(path, &folded).expect("write collapsed-stack file");
+    if !write_artifact(path, &folded) {
+        return false;
+    }
     println!(
         "collapsed stacks: {} paths written to {path} (feed to inferno-flamegraph)",
         folded.lines().count()
     );
+    true
 }
 
 /// Engine-sweep profile: the default mode.
@@ -154,8 +158,7 @@ fn run_engine_profile(args: &Args) -> u8 {
     }
     println!("{} tasks, {} driven faults\n", reports.len(), faults);
     render_stages(&spans);
-    write_folded(&spans, &args.folded);
-    0
+    if write_folded(&spans, &args.folded) { 0 } else { 1 }
 }
 
 /// Torture profile: one seeded differential run under the flight recorder.
@@ -171,7 +174,9 @@ fn run_torture_profile(args: &Args) -> u8 {
         report.ops_executed, report.touches, report.oom_events, report.final_digest
     );
     render_stages(&report.spans);
-    write_folded(&report.spans, &args.folded);
+    if !write_folded(&report.spans, &args.folded) {
+        return 1;
+    }
     match &report.failure {
         None => {
             println!("torture run clean");
@@ -181,9 +186,7 @@ fn run_torture_profile(args: &Args) -> u8 {
             eprintln!("torture FAIL at op {}: {failure:?}", failure.op_index());
             if report.flight_jsonl.is_empty() {
                 eprintln!("flight recorder empty — no post-mortem context captured");
-            } else {
-                std::fs::write(&args.flight, &report.flight_jsonl)
-                    .expect("write flight dump");
+            } else if write_artifact(&args.flight, &report.flight_jsonl) {
                 eprintln!(
                     "flight recorder: last {} events written to {}",
                     report.flight_jsonl.lines().count(),
@@ -230,7 +233,9 @@ fn run_inject_panic(args: &Args) -> u8 {
             return 1;
         }
     };
-    std::fs::write(&args.flight, dump).expect("write flight dump");
+    if !write_artifact(&args.flight, dump) {
+        return 1;
+    }
     println!(
         "flight recorder captured {} events from the panicking task -> {}",
         records.len(),

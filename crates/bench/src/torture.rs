@@ -20,7 +20,7 @@ use contig_check::{
     encode_repro, generate_ops, minimize, read_repro, run_ops, TortureConfig, TortureReport,
 };
 
-use crate::cli::{parse, unknown, UsageError};
+use crate::cli::{parse, unknown, write_artifact, UsageError};
 
 /// The command's flag synopsis.
 pub const FLAGS: &str = "[--seed N] [--ops N] [--no-faults] [--poison] [--migrate] [--pcp] \
@@ -202,12 +202,11 @@ pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
     // from the always-on ring. Written next to the repro so CI uploads both.
     if !report.flight_jsonl.is_empty() {
         let flight_path = flight_path_for(&args.emit);
-        match std::fs::write(&flight_path, &report.flight_jsonl) {
-            Ok(()) => eprintln!(
+        if write_artifact(&flight_path, &report.flight_jsonl) {
+            eprintln!(
                 "flight recorder: last {} events written to {flight_path}",
                 report.flight_jsonl.lines().count()
-            ),
-            Err(e) => eprintln!("cannot write {flight_path}: {e}"),
+            );
         }
     }
     match minimize(&cfg, &ops) {
@@ -218,10 +217,8 @@ pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
                 min.runs,
                 min.failure
             );
-            let path = std::path::Path::new(&args.emit);
-            match std::fs::write(path, encode_repro(&cfg, &min.ops)) {
-                Ok(()) => eprintln!("repro written to {} — re-run with --replay", args.emit),
-                Err(e) => eprintln!("cannot write {}: {e}", args.emit),
+            if write_artifact(&args.emit, encode_repro(&cfg, &min.ops)) {
+                eprintln!("repro written to {} — re-run with --replay", args.emit);
             }
         }
         None => eprintln!("minimizer could not reproduce the failure (flaky environment?)"),

@@ -29,7 +29,7 @@ use contig_trace::{
 use contig_types::{FailMode, FailPolicy, FaultError, VirtAddr, VirtRange};
 use contig_virt::NativeBackend;
 
-use crate::cli::{parse, unknown, UsageError};
+use crate::cli::{parse, unknown, write_artifact, UsageError};
 
 const FILE_BASE: u64 = 0x9000_0000;
 const ANON_BASE: u64 = 0x40_0000;
@@ -187,8 +187,10 @@ pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
     // Export, then self-validate: the JSONL on disk must be non-empty and
     // parse back to exactly the records we hold.
     let jsonl = export_jsonl(&records);
-    std::fs::write(&args.out, &jsonl).expect("writing the JSONL trace");
-    std::fs::write(&args.chrome, export_chrome(&records)).expect("writing the chrome trace");
+    let chrome = export_chrome(&records);
+    if !write_artifact(&args.out, &jsonl) || !write_artifact(&args.chrome, chrome) {
+        return Ok(ExitCode::FAILURE);
+    }
     if records.is_empty() || jsonl.trim().is_empty() {
         eprintln!("trace_report: empty trace — probes are not wired");
         return Ok(ExitCode::FAILURE);

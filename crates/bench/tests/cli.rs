@@ -190,6 +190,18 @@ fn torture_flags_take_effect() {
 }
 
 #[test]
+fn reports_name_an_output_path_they_cannot_write_and_exit_1() {
+    let dir = scratch("unwritable");
+    for line in ["trace-report --out missing/t.jsonl", "obs-report --folded missing/f.txt"] {
+        let out = bench_in(&dir, line);
+        assert_eq!(out.status.code(), Some(1), "{line}");
+        let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        let path = line.rsplit(' ').next().expect("a path");
+        assert!(err.contains(&format!("cannot write {path}: ")), "{line}: {err}");
+    }
+}
+
+#[test]
 fn report_flags_take_effect() {
     let dir = scratch("reports");
     let out = bench_in(&dir, "trace-report --out t.jsonl --chrome t.json");
