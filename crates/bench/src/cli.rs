@@ -108,9 +108,9 @@ pub fn unknown(flag: &str) -> Result<(), UsageError> {
 }
 
 /// Writes an artifact a command produces. A path it cannot write is named
-/// with the OS error on stderr, and the command then exits 1.
-pub fn write_artifact(path: &str, contents: impl AsRef<[u8]>) -> bool {
-    std::fs::write(path, contents).map_err(|e| eprintln!("cannot write {path}: {e}")).is_ok()
+/// with the OS error, which the command prints before it exits 1.
+pub fn write_artifact(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Parses the flags of a command that takes none.

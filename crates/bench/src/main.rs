@@ -3,16 +3,15 @@
 //!
 //! [`COMMANDS`] is the whole command line: one row per paper table or figure
 //! (in paper order — `all` walks them), then the tools around the simulator
-//! (`ablations`, `torture`, `trace-report`, `obs-report`). `DESIGN.md` §3
-//! maps each experiment to the modules implementing it; how fast the
-//! simulator itself runs is `benchmark/`'s business, not this crate's.
+//! (`ablations`, `torture`, `report`). `DESIGN.md` §3 maps each experiment
+//! to the modules implementing it; how fast the simulator itself runs is
+//! `benchmark/`'s business, not this crate's.
 
 mod ablations;
 mod cli;
-mod obs_report;
 mod paper;
+mod report;
 mod torture;
-mod trace_report;
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -74,16 +73,10 @@ const COMMANDS: &[Command] = &[
     tool("ablations", "quality impact of the DESIGN.md §2 design choices", "", ablations::run),
     tool("torture", "run or replay the differential torture harness", torture::FLAGS, torture::run),
     tool(
-        "trace-report",
-        "traced hog workload: per-subsystem event summary, JSONL + chrome trace",
-        trace_report::FLAGS,
-        trace_report::run,
-    ),
-    tool(
-        "obs-report",
-        "span profile (engine sweep or torture run), flight-recorder self-test",
-        obs_report::FLAGS,
-        obs_report::run,
+        "report",
+        "traced hog workload: counters, histograms, stage profile; JSONL, chrome, folded",
+        report::FLAGS,
+        report::run,
     ),
     tool("help", "this list", "", help),
 ];

@@ -9,10 +9,12 @@
 //!   file (as emitted by the minimizer or the `--emit` flag below),
 //!   reproducing a failure deterministically from the artifact alone.
 //!
-//! On failure the command minimizes the sequence with ddmin, writes the
-//! shrunk repro to `--emit PATH` (default `torture_min.jsonl`), prints the
-//! failure, and exits non-zero — which is exactly what CI uploads when a
-//! torture job goes red.
+//! Either way the run's counters and stage profile print through
+//! [`render`], the tables `report` prints, followed by one line of harness
+//! totals and digests. On failure the command minimizes the sequence with
+//! ddmin, writes the shrunk repro to `--emit PATH` (default
+//! `torture_min.jsonl`), prints the failure, and exits non-zero — which is
+//! exactly what CI uploads when a torture job goes red.
 
 use std::process::ExitCode;
 
@@ -21,6 +23,7 @@ use contig_check::{
 };
 
 use crate::cli::{parse, unknown, write_artifact, UsageError};
+use crate::report::render;
 
 /// The command's flag synopsis.
 pub const FLAGS: &str = "[--seed N] [--ops N] [--no-faults] [--poison] [--migrate] [--pcp] \
@@ -59,86 +62,28 @@ fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
     Ok(args)
 }
 
+/// Prints the run's counters and stage profile through the one renderer,
+/// then one line of harness totals and digests.
 fn print_report(report: &TortureReport) {
+    render(&report.metrics, &report.spans);
     println!(
-        "ops {}  touches {}  writes {}  maps {}  forks {}  exits {}",
+        "ops {}  touches {}  writes {}  maps {}  forks {}  exits {}  op errors {}  \
+         oom events {}  sweeps {}  audits {}  crash checks {}  final digest {:#018x}  \
+         fleet digest {:#018x}",
         report.ops_executed,
         report.touches,
         report.writes,
         report.maps,
         report.forks,
-        report.exits
+        report.exits,
+        report.op_errors,
+        report.oom_events,
+        report.sweeps,
+        report.audits,
+        report.crash_checks,
+        report.final_digest,
+        report.fleet_digest
     );
-    println!(
-        "op errors {}  oom events {}  sweeps {}  audits {}  crash checks {}",
-        report.op_errors, report.oom_events, report.sweeps, report.audits, report.crash_checks
-    );
-    let strikes = report.guest_poison.strikes + report.host_poison.strikes;
-    if strikes > 0 {
-        println!(
-            "poison: strikes {}  healed {}  heal failures {}  sigbus {}  guest MCEs {}  \
-             quarantined frames {}",
-            strikes,
-            report.guest_poison.healed + report.host_poison.healed,
-            report.guest_poison.heal_failed + report.host_poison.heal_failed,
-            report.guest_poison.sigbus + report.host_poison.sigbus,
-            report.guest_mces,
-            report.poisoned_frames
-        );
-    }
-    if report.migrations + report.migration_aborts > 0 {
-        println!(
-            "migrate: completed {}  aborted {}  chunks {}/{} acked  retries {}  \
-             rejected {}  dropped {}  stalls {}  resumes {}",
-            report.migrations,
-            report.migration_aborts,
-            report.migrate_stats.chunks_acked,
-            report.migrate_stats.chunks_sent,
-            report.migrate_stats.retries,
-            report.migrate_stats.chunks_rejected,
-            report.migrate_stats.chunks_dropped,
-            report.migrate_stats.stalls,
-            report.migrate_stats.resumes
-        );
-    }
-    if report.fleet_ops > 0 {
-        let s = &report.fleet_stats;
-        println!(
-            "fleet: ops {}  tenants alive {}  pressure {}/{} resolved  balloon +{}/-{}  \
-             ksm merges {}  unmerges {}  evacuations {}  aborts {}  kills {}",
-            report.fleet_ops,
-            report.fleet_alive,
-            s.pressure_resolved,
-            s.pressure_events,
-            s.balloon_inflates,
-            s.balloon_deflates,
-            s.ksm_merges,
-            s.ksm_unmerges,
-            s.evacuations,
-            s.evacuation_aborts,
-            s.victim_kills
-        );
-        println!("fleet digest {:#018x}", report.fleet_digest);
-    }
-    if report.daemon_ticks > 0 {
-        let d = &report.daemon_stats;
-        println!(
-            "daemon: ticks {}  epochs {}  compact moves {} ({} frames)  promoted {}  \
-             repairs {}  shed p/c {}/{}  backoffs {}  yields {}  retunes {}",
-            d.ticks,
-            d.epochs,
-            d.compact_moves,
-            d.compact_frames,
-            d.promoted,
-            d.repairs,
-            d.shed_promote,
-            d.shed_compact,
-            d.backoff_skips,
-            d.yields,
-            d.policy_updates
-        );
-    }
-    println!("final digest {:#018x}", report.final_digest);
 }
 
 /// Derives the flight-dump path from the repro path: `torture_min.jsonl`
@@ -202,11 +147,12 @@ pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
     // from the always-on ring. Written next to the repro so CI uploads both.
     if !report.flight_jsonl.is_empty() {
         let flight_path = flight_path_for(&args.emit);
-        if write_artifact(&flight_path, &report.flight_jsonl) {
-            eprintln!(
+        match write_artifact(&flight_path, &report.flight_jsonl) {
+            Ok(()) => eprintln!(
                 "flight recorder: last {} events written to {flight_path}",
                 report.flight_jsonl.lines().count()
-            );
+            ),
+            Err(e) => eprintln!("{e}"),
         }
     }
     match minimize(&cfg, &ops) {
@@ -217,8 +163,9 @@ pub fn run(argv: &[String]) -> Result<ExitCode, UsageError> {
                 min.runs,
                 min.failure
             );
-            if write_artifact(&args.emit, encode_repro(&cfg, &min.ops)) {
-                eprintln!("repro written to {} — re-run with --replay", args.emit);
+            match write_artifact(&args.emit, encode_repro(&cfg, &min.ops)) {
+                Ok(()) => eprintln!("repro written to {} — re-run with --replay", args.emit),
+                Err(e) => eprintln!("{e}"),
             }
         }
         None => eprintln!("minimizer could not reproduce the failure (flaky environment?)"),

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// The commands that are not paper experiments.
-const TOOLS: [&str; 6] = ["all", "ablations", "torture", "trace-report", "obs-report", "help"];
+const TOOLS: [&str; 5] = ["all", "ablations", "torture", "report", "help"];
 
 /// Runs `contig-bench <line>` with `dir` as its working directory.
 fn bench_in(dir: &Path, line: &str) -> Output {
@@ -74,12 +74,15 @@ fn bad_command_lines_print_one_usage_line_and_run_nothing() {
         ("torture --ops 500 --posion --pcp", "--posion"),
         ("torture --emit", "--emit"),
         ("torture --shards four", "four"),
-        ("trace-report --output t.jsonl", "--output"),
-        ("trace-report --mib 32", "--mib"),
-        ("obs-report --inject_panic", "--inject_panic"),
-        ("obs-report --tasks 2", "--tasks"),
-        ("obs-report --top 3", "--top"),
-        ("obs-report --seed 0xb5", "0xb5"),
+        ("report --output t.jsonl", "--output"),
+        ("report --mib 32", "--mib"),
+        ("report --inject_panic", "--inject_panic"),
+        ("report --torture", "--torture"),
+        ("report --ops 500", "--ops"),
+        ("report --tasks 2", "--tasks"),
+        ("report --top 3", "--top"),
+        ("report --seed 0xb5", "0xb5"),
+        ("report --flight", "--flight"),
         ("ablations --quick", "--quick"),
         ("help me", "me"),
     ] {
@@ -179,6 +182,13 @@ fn torture_flags_take_effect() {
     );
     assert!(out.status.success() && text.ends_with("PASS: zero divergences, zero findings\n"));
     assert!(!dir.join("fleet_min.jsonl").exists(), "a passing run emits no repro");
+    // The mode counters print as rows of the one counter table, and the
+    // stage profile follows it, as in `report`.
+    for row in ["  poison.", "  fleet.", "  daemon."] {
+        assert!(text.contains(row), "no {row} row:\n{text}");
+    }
+    assert!(text.contains("per-stage profile (") && text.contains("top 5 stages by self-time:"));
+    assert!(text.contains("\nops 40  touches ") && text.contains("  fleet digest 0x"), "{text}");
 
     let plain = stdout(&bench_in(&dir, "torture --ops 40"));
     assert!(plain.starts_with("torture run: seed 1  ops 40  faults true  poison false"), "{plain}");
@@ -190,9 +200,14 @@ fn torture_flags_take_effect() {
 }
 
 #[test]
-fn reports_name_an_output_path_they_cannot_write_and_exit_1() {
+fn report_names_an_output_path_it_cannot_write_and_exits_1() {
     let dir = scratch("unwritable");
-    for line in ["trace-report --out missing/t.jsonl", "obs-report --folded missing/f.txt"] {
+    for line in [
+        "report --out missing/t.jsonl",
+        "report --chrome missing/t.json",
+        "report --folded missing/f.txt",
+        "report --inject-panic --flight missing/fl.jsonl",
+    ] {
         let out = bench_in(&dir, line);
         assert_eq!(out.status.code(), Some(1), "{line}");
         let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
@@ -202,26 +217,39 @@ fn reports_name_an_output_path_they_cannot_write_and_exit_1() {
 }
 
 #[test]
+fn report_validates_the_trace_file_on_disk() {
+    // The chrome trace is written after the JSONL, over it: the file no
+    // longer holds the recorded events, whatever the command holds in memory.
+    let dir = scratch("overwritten");
+    let out = bench_in(&dir, "report --out x.json --chrome x.json");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(!stdout(&out).contains("validated"), "{}", stdout(&out));
+    let err = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(err.starts_with("report: x.json does not parse back: "), "{err}");
+}
+
+#[test]
 fn report_flags_take_effect() {
     let dir = scratch("reports");
-    let out = bench_in(&dir, "trace-report --out t.jsonl --chrome t.json");
+    let out = bench_in(&dir, "report --seed 9 --out t.jsonl --chrome t.json --folded f.txt");
+    let text = stdout(&out);
+    assert!(out.status.success() && out.stderr.is_empty(), "{text}");
+    assert!(text.starts_with("== report == seed 9: 32 MiB machine"), "{text}");
+    // The verdicts of the checks a working build passes: canonical span
+    // names (a unit test in `report.rs` feeds it a misspelt one), a
+    // non-empty trace and a non-empty, balanced span stack.
+    assert!(text.contains(" events recorded (") && text.contains("span stack balanced\n"));
+    assert!(text.contains("per-stage profile (") && text.contains("top 5 stages by self-time:"));
+    assert!(text.contains("trace written to t.jsonl (") && text.contains("and t.json\n"), "{text}");
+    assert!(text.contains(" paths written to f.txt "), "{text}");
+    let trace = std::fs::read_to_string(dir.join("t.jsonl")).expect("t.jsonl");
+    assert!(trace.contains(r#""ev":"recovery.oom_event""#), "the hog drives OOM recovery");
+    assert!(dir.join("t.json").exists() && dir.join("f.txt").exists());
+
+    let out = bench_in(&dir, "report --inject-panic --flight fl.jsonl");
     let text = stdout(&out);
     assert!(out.status.success(), "{text}");
-    assert!(text.contains("workload: 32 MiB machine"), "{text}");
-    assert!(text.contains("trace written to t.jsonl (") && text.ends_with(" and t.json\n"));
-    assert!(dir.join("t.jsonl").exists() && dir.join("t.json").exists());
-
-    let out = bench_in(&dir, "obs-report --seed 9 --folded f.txt");
-    let text = stdout(&out);
-    assert!(out.status.success(), "{text}");
-    assert!(text.starts_with("== obs_report — engine profile == tasks=8 seed=0x9\n"), "{text}");
-    assert!(text.contains("top 5 stages by self-time:") && dir.join("f.txt").exists());
-
-    let out = bench_in(&dir, "obs-report --torture --ops 40 --seed 9");
-    assert!(out.status.success());
-    assert!(stdout(&out).starts_with("== obs_report — torture profile == seed=0x9 ops=40\n"));
-
-    let out = bench_in(&dir, "obs-report --inject-panic --flight fl.jsonl");
-    assert!(out.status.success());
-    assert!(stdout(&out).contains("-> fl.jsonl") && dir.join("fl.jsonl").exists());
+    assert!(text.starts_with("== report — flight-recorder self-test == seed 1\n"), "{text}");
+    assert!(text.contains("-> fl.jsonl\n7 sibling tasks completed unharmed\n"), "{text}");
+    assert!(std::fs::metadata(dir.join("fl.jsonl")).expect("fl.jsonl").len() > 0);
 }

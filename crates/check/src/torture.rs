@@ -482,22 +482,22 @@ pub struct TortureReport {
     /// Simulated crashes recovered and verified.
     pub crash_checks: u64,
     /// Guest-dimension memory-failure counters at run end.
-    pub guest_poison: PoisonStats,
+    pub(crate) guest_poison: PoisonStats,
     /// Host-dimension memory-failure counters at run end.
-    pub host_poison: PoisonStats,
+    pub(crate) host_poison: PoisonStats,
     /// Frames quarantined across both dimensions at run end.
-    pub poisoned_frames: u64,
+    pub(crate) poisoned_frames: u64,
     /// Machine-checks delivered to guest mappings by host-dimension strikes.
-    pub guest_mces: u64,
+    pub(crate) guest_mces: u64,
     /// Live migrations that completed cutover (the runner now executes on
     /// the destination).
     pub migrations: u64,
     /// Live migrations that escalated to abort-and-rollback.
-    pub migration_aborts: u64,
+    pub(crate) migration_aborts: u64,
     /// Migration engine counters summed over every live migration attempt
     /// (baseline runs and crash replays are untraced and excluded, so these
     /// totals equal the `migrate.*` trace counts one for one).
-    pub migrate_stats: MigrationStats,
+    pub(crate) migrate_stats: MigrationStats,
     /// Whether the trace probes were live for this run (they are attached
     /// whenever [`TortureConfig::poison`], `migrate`, `fleet` or `daemon`
     /// is set and the `probes` feature is compiled in). When they were,
@@ -507,14 +507,14 @@ pub struct TortureReport {
     /// Fleet ops executed (0 unless [`TortureConfig::fleet`]).
     pub fleet_ops: u64,
     /// Fleet tenants still alive at run end.
-    pub fleet_alive: u64,
+    pub(crate) fleet_alive: u64,
     /// The fleet's cumulative counters at run end (all zero unless
     /// [`TortureConfig::fleet`]).
     pub fleet_stats: FleetStats,
     /// Digest of the final fleet state (0 unless [`TortureConfig::fleet`]).
     pub fleet_digest: u64,
     /// `DaemonTick` ops executed (0 unless [`TortureConfig::daemon`]).
-    pub daemon_ticks: u64,
+    pub(crate) daemon_ticks: u64,
     /// Maintenance-daemon counters summed over the guest and host
     /// dimensions, every fleet host, and hosts retired at migration
     /// cutovers (their traced work must stay in the ledger after the

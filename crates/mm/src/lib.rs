@@ -3,7 +3,7 @@
 //!
 //! This crate reproduces the Linux fault path the paper's CA paging extends.
 //! The key extension point is the [`PlacementPolicy`] trait: the fault driver
-//! ([`System::fault`]) delegates *where* a page lands to the policy, which is
+//! ([`System::touch`]) delegates *where* a page lands to the policy, which is
 //! exactly the hook the paper adds to the core memory manager. The default
 //! policies here are the paper's baselines ([`DefaultThpPolicy`],
 //! [`BasePagesPolicy`]); CA paging itself lives in `contig-core` and the

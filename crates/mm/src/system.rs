@@ -1,7 +1,7 @@
 //! The simulated OS instance: physical machine + processes + page cache,
 //! with the demand-paging fault driver that consults a [`PlacementPolicy`].
 //! Processes sit in a pid-indexed table, and an access resolves its address
-//! space once: one body serves `touch`, `touch_write` and `fault`.
+//! space once: one body serves `touch` and `touch_write`.
 
 use contig_buddy::{Machine, MachineConfig, NodeId};
 use contig_trace::{stage, FaultClass, RecoveryStage, TraceEvent, Tracer};
@@ -744,35 +744,6 @@ impl System {
 
     /// Touches `va`: services a demand fault if the page is absent.
     ///
-    /// # Errors
-    ///
-    /// As for [`System::fault`], except that touching a present page is not
-    /// an error.
-    pub fn touch(
-        &mut self,
-        policy: &mut dyn PlacementPolicy,
-        pid: Pid,
-        va: VirtAddr,
-    ) -> Result<FaultOutcome, FaultError> {
-        self.access(policy, pid, va, FaultKind::Anon, true)
-    }
-
-    /// Touches `va` for writing: breaks copy-on-write shares.
-    ///
-    /// # Errors
-    ///
-    /// As for [`System::fault`].
-    pub fn touch_write(
-        &mut self,
-        policy: &mut dyn PlacementPolicy,
-        pid: Pid,
-        va: VirtAddr,
-    ) -> Result<FaultOutcome, FaultError> {
-        self.access(policy, pid, va, FaultKind::Cow, true)
-    }
-
-    /// Services a page fault at `va` under the given placement policy.
-    ///
     /// The driver picks the fault size (THP when the 2 MiB region is fully
     /// inside the VMA and still unpopulated), asks the policy for a
     /// placement, performs the allocation — looping through
@@ -780,45 +751,58 @@ impl System {
     /// page, and finally invokes [`PlacementPolicy::post_map`].
     ///
     /// The faulting address space (and with it the home node) is resolved
-    /// once, at entry (a touch probes on the same borrow), for the first
-    /// allocation attempt; only an attempt that follows out-of-memory recovery
-    /// resolves it again, because recovery needs the whole system in between.
+    /// once, at entry (the present-page probe runs on the same borrow), for
+    /// the first allocation attempt; only an attempt that follows
+    /// out-of-memory recovery resolves it again, because recovery needs the
+    /// whole system in between.
     ///
     /// # Errors
     ///
     /// - [`FaultError::UnmappedAddress`] outside any VMA, and for a `pid`
     ///   that has exited or never existed (no process maps nothing).
-    /// - [`FaultError::AlreadyMapped`] when the page is present (and not a
-    ///   COW break).
     /// - [`FaultError::OutOfMemory`] when physical memory is exhausted.
-    pub fn fault(
+    ///
+    /// Touching a present page is not an error.
+    pub fn touch(
         &mut self,
         policy: &mut dyn PlacementPolicy,
         pid: Pid,
         va: VirtAddr,
-        kind: FaultKind,
     ) -> Result<FaultOutcome, FaultError> {
-        self.access(policy, pid, va, kind, false)
+        self.access(policy, pid, va, FaultKind::Anon)
     }
 
-    /// The fault driver. With `touch` it first looks the page up — the one
-    /// probe of a touch — and faults only if the page is absent or, for a
-    /// write (`kind` is `Cow`), still shared.
+    /// Touches `va` for writing: breaks copy-on-write shares.
+    ///
+    /// # Errors
+    ///
+    /// As for [`System::touch`].
+    pub fn touch_write(
+        &mut self,
+        policy: &mut dyn PlacementPolicy,
+        pid: Pid,
+        va: VirtAddr,
+    ) -> Result<FaultOutcome, FaultError> {
+        self.access(policy, pid, va, FaultKind::Cow)
+    }
+
+    /// The fault driver. It first looks the page up — the one probe of a
+    /// touch — and faults only if the page is absent or, for a write
+    /// (`kind` is `Cow`), still shared.
     fn access(
         &mut self,
         policy: &mut dyn PlacementPolicy,
         pid: Pid,
         va: VirtAddr,
         mut kind: FaultKind,
-        touch: bool,
     ) -> Result<FaultOutcome, FaultError> {
         let Some(mut frame) = self.fault_frame(pid) else {
             return Err(FaultError::UnmappedAddress { addr: va });
         };
-        let probe = touch.then(|| frame.aspace.page_table().translate(va));
+        let probe = frame.aspace.page_table().translate(va);
         match probe {
-            Some(Ok(t)) if kind == FaultKind::Cow && t.flags.contains(PteFlags::COW) => {}
-            Some(Ok(t)) => {
+            Ok(t) if kind == FaultKind::Cow && t.flags.contains(PteFlags::COW) => {}
+            Ok(t) => {
                 if kind == FaultKind::Cow {
                     // Already writable: content still changes, so the
                     // migration dirty log (when armed) must see the store.
@@ -826,11 +810,10 @@ impl System {
                 }
                 return Ok(FaultOutcome { pfn: t.pfn, size: t.size, already_mapped: true });
             }
-            Some(Err(_)) => kind = FaultKind::Anon,
-            None => {}
+            Err(_) => kind = FaultKind::Anon,
         }
         // A probe that missed spares the first allocation attempt its own.
-        let absent = matches!(probe, Some(Err(_)));
+        let absent = probe.is_err();
         // Re-align the session clock to this system's timeline before the
         // span opens: under nested virt the guest and host systems share one
         // session, and whichever faulted last left *its* clock behind.

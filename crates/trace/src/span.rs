@@ -24,7 +24,7 @@ use crate::registry::MetricsRegistry;
 /// Instrumented crates open spans with these constants; reports and the
 /// name validator treat any other `span.*` metric as a typo.
 pub mod stage {
-    /// One serviced page fault, end to end (`System::fault`).
+    /// One serviced page fault, end to end (`System::touch`).
     pub const FAULT: &str = "fault";
     /// VMA lookup for the faulting address.
     pub const VMA_WALK: &str = "vma_walk";

@@ -288,9 +288,9 @@ contig_types::wire_counters! {
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct MigrationStats {
         /// Data/state chunk transmission attempts (`migrate.chunk_sent`).
-        pub chunks_sent: u64 = "migrate.chunk_sent",
+        pub(crate) chunks_sent: u64 = "migrate.chunk_sent",
         /// Chunks acknowledged end-to-end (`migrate.chunk_acked`).
-        pub chunks_acked: u64 = "migrate.chunk_acked",
+        pub(crate) chunks_acked: u64 = "migrate.chunk_acked",
         /// Chunks discarded by the receiver's digest check
         /// (`migrate.chunk_rejected`).
         pub chunks_rejected: u64 = "migrate.chunk_rejected",
@@ -300,7 +300,7 @@ contig_types::wire_counters! {
         /// (`migrate.ack_lost`).
         pub acks_lost: u64 = "migrate.ack_lost",
         /// Chunk retransmissions (`migrate.retry`).
-        pub retries: u64 = "migrate.retry",
+        pub(crate) retries: u64 = "migrate.retry",
         /// Injected stalls paid by the sender's clock (`migrate.stall`).
         pub stalls: u64 = "migrate.stall",
         /// Pre-copy rounds completed (`migrate.round`).

@@ -71,8 +71,9 @@ fn replay(
     }
 }
 
-#[test]
-fn seeded_pagerank_replay_is_pinned() {
+/// The replayed system: a CA-paged PageRank VM on aged guest and host
+/// machines, its process, and the seeded trace.
+fn pagerank_vm() -> (VirtualMachine, Pid, Vec<Access>) {
     let env = Env::tiny();
     let spec = Workload::PageRank.spec(env.scale);
     let mut vm = VirtualMachine::new(
@@ -90,12 +91,17 @@ fn seeded_pagerank_replay_is_pinned() {
     contig::sim::populate_vm(&mut vm, &instance, &mut Vec::new()).expect("PageRank fits");
     let mut gen = TraceGenerator::new(&spec, SEED);
     let trace: Vec<Access> = gen.take_accesses(ACCESSES as u64).collect();
+    (vm, instance.pid, trace)
+}
 
-    let backend = VmBackend::new(&vm, instance.pid);
+#[test]
+fn seeded_pagerank_replay_is_pinned() {
+    let (vm, pid, trace) = pagerank_vm();
+    let backend = VmBackend::new(&vm, pid);
     let mut spot = SpotPredictor::new(SpotConfig::default());
-    let mut vrmm = VrmmRangeTlb::new(32, two_dimensional_mappings(&vm, instance.pid));
+    let mut vrmm = VrmmRangeTlb::new(32, two_dimensional_mappings(&vm, pid));
     let mut spot_flush = SpotPredictor::new(SpotConfig::default());
-    let (scaled, scaled5) = (env.tlb(), TlbConfig::broadwell_scaled(5));
+    let (scaled, scaled5) = (Env::tiny().tlb(), TlbConfig::broadwell_scaled(5));
     let arms = [
         replay("none", scaled, &backend, &mut NoScheme, &trace, None),
         replay("spot", scaled, &backend, &mut spot, &trace, None),
@@ -127,4 +133,44 @@ fn seeded_pagerank_replay_is_pinned() {
         spot.stats().fills,
         "the flushed replay walks more but fills the same predictor entries"
     );
+}
+
+/// The repetition relation: an access repeated at once hits the L1 slot the
+/// first one left and changes nothing else, so a trace with every access
+/// doubled in place adds exactly one L1 hit per access and leaves every
+/// walk, every scheme decision and every replacement as it was. It holds by
+/// the TLB model's definition of a hit, not by how `MemorySim::run` batches
+/// same-page repeats (the L1 memo), so it checks that batching from outside.
+#[test]
+fn an_access_repeated_in_place_adds_one_l1_hit_and_nothing_else() {
+    let (vm, pid, trace) = pagerank_vm();
+    let doubled: Vec<Access> = trace.iter().flat_map(|&a| [a, a]).collect();
+    let n = trace.len() as u64;
+    let backend = VmBackend::new(&vm, pid);
+    let config = Env::tiny().tlb();
+    let check = |once: Arm, twice: Arm| {
+        let name = once.name;
+        assert_eq!(twice.report.accesses, 2 * once.report.accesses, "{name}");
+        assert_eq!(twice.report.l1_hits, once.report.l1_hits + n, "{name}");
+        let rest = SimReport { accesses: 0, l1_hits: 0, ..twice.report };
+        assert_eq!(rest, SimReport { accesses: 0, l1_hits: 0, ..once.report }, "{name}");
+        let (lookups, l1, l2, misses) = once.tlb;
+        assert_eq!(twice.tlb, (lookups + n, l1 + n, l2, misses), "{name}");
+    };
+    let replay_both = |name, once: &mut dyn MissHandler, twice: &mut dyn MissHandler| {
+        check(
+            replay(name, config, &backend, once, &trace, None),
+            replay(name, config, &backend, twice, &doubled, None),
+        );
+    };
+    replay_both("none", &mut NoScheme, &mut NoScheme);
+    let mut spot_once = SpotPredictor::new(SpotConfig::default());
+    let mut spot_twice = SpotPredictor::new(SpotConfig::default());
+    replay_both("spot", &mut spot_once, &mut spot_twice);
+    assert_eq!(spot_twice.stats(), spot_once.stats());
+    let mappings = two_dimensional_mappings(&vm, pid);
+    let mut vrmm_once = VrmmRangeTlb::new(32, mappings.clone());
+    let mut vrmm_twice = VrmmRangeTlb::new(32, mappings);
+    replay_both("vrmm", &mut vrmm_once, &mut vrmm_twice);
+    assert_eq!(vrmm_twice.stats(), vrmm_once.stats());
 }
