@@ -68,8 +68,8 @@ fn print_report(report: &TortureReport) {
     render(&report.metrics, &report.spans);
     println!(
         "ops {}  touches {}  writes {}  maps {}  forks {}  exits {}  op errors {}  \
-         oom events {}  sweeps {}  audits {}  crash checks {}  final digest {:#018x}  \
-         fleet digest {:#018x}",
+         oom events {}  sweeps {}  audits {}  crash checks {}  baselines {}  \
+         final digest {:#018x}  fleet digest {:#018x}",
         report.ops_executed,
         report.touches,
         report.writes,
@@ -81,6 +81,7 @@ fn print_report(report: &TortureReport) {
         report.sweeps,
         report.audits,
         report.crash_checks,
+        report.baselines,
         report.final_digest,
         report.fleet_digest
     );

@@ -189,6 +189,7 @@ fn torture_flags_take_effect() {
     }
     assert!(text.contains("per-stage profile (") && text.contains("top 5 stages by self-time:"));
     assert!(text.contains("\nops 40  touches ") && text.contains("  fleet digest 0x"), "{text}");
+    assert!(text.contains("  crash checks 0  baselines "), "{text}");
 
     let plain = stdout(&bench_in(&dir, "torture --ops 40"));
     assert!(plain.starts_with("torture run: seed 1  ops 40  faults true  poison false"), "{plain}");

@@ -97,8 +97,8 @@ mod tests {
     fn restored_snapshot_passes_the_auditor() {
         let vm = populated_vm();
         let snap = vm.snapshot();
-        let mut recovered = fresh_vm();
-        recovered.restore(&snap);
+        let recovered =
+            VirtualMachine::restore(&snap, Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy));
         let report = contig_audit::audit_vm(&recovered);
         assert!(report.is_clean(), "{report}");
         assert_eq!(digest_vm(&recovered.snapshot()), digest_vm(&snap));

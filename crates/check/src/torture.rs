@@ -22,7 +22,15 @@
 //! boundaries the runner simulates a crash by restoring the last checkpoint
 //! into a fresh VM, replaying the journal of ops since the checkpoint, and
 //! asserting the replayed state's digest equals the live state's digest —
-//! byte-identical recovery, not merely "looks consistent".
+//! byte-identical recovery, not merely "looks consistent". A checkpoint is
+//! taken at a refresh boundary only if a later crash check will replay from
+//! it, and the run closes with a sweep and an audit only where its last op
+//! boundary did not just run them: each check is done once.
+//!
+//! A live migration is held to an uninterrupted migration over a reliable
+//! wire. That baseline is built only when the real run can differ from it,
+//! because a storm was armed and injected an event; otherwise the real run
+//! took the reliable path and is its own baseline.
 //!
 //! Every op is interpreted *robustly* (indices are taken modulo the live
 //! object counts; ops with no valid target are no-ops), so any subsequence of
@@ -481,6 +489,8 @@ pub struct TortureReport {
     pub audits: u64,
     /// Simulated crashes recovered and verified.
     pub crash_checks: u64,
+    /// Crash checkpoints taken. Each is read by at least one crash check.
+    pub(crate) checkpoints: u64,
     /// Guest-dimension memory-failure counters at run end.
     pub(crate) guest_poison: PoisonStats,
     /// Host-dimension memory-failure counters at run end.
@@ -494,6 +504,10 @@ pub struct TortureReport {
     pub migrations: u64,
     /// Live migrations that escalated to abort-and-rollback.
     pub(crate) migration_aborts: u64,
+    /// Completed live migrations held to an uninterrupted reliable
+    /// baseline: those that ran through an armed storm and counted an
+    /// injected event.
+    pub baselines: u64,
     /// Migration engine counters summed over every live migration attempt
     /// (baseline runs and crash replays are untraced and excluded, so these
     /// totals equal the `migrate.*` trace counts one for one).
@@ -584,6 +598,26 @@ struct RunnerState {
     fleet_tags: Vec<Vec<u64>>,
 }
 
+/// The state a crash replay starts from: the VM, the fleet and the runner
+/// bookkeeping after op boundary `step`.
+struct Checkpoint {
+    vm: VmSnapshot,
+    fleet: Option<FleetSnapshot>,
+    st: RunnerState,
+    step: usize,
+}
+
+impl Checkpoint {
+    fn take(exec: &Exec, step: usize) -> Self {
+        Self {
+            vm: exec.vm.snapshot(),
+            fleet: exec.fleet.as_ref().map(Fleet::snapshot),
+            st: exec.st.clone(),
+            step,
+        }
+    }
+}
+
 /// `v[i]`, growing `v` with defaults to hold it.
 fn slot<T: Default>(v: &mut Vec<T>, i: usize) -> &mut T {
     if v.len() <= i {
@@ -609,14 +643,10 @@ struct Exec {
 }
 
 impl Exec {
-    fn new(cfg: &TortureConfig) -> Self {
-        Self::new_with_tracer(cfg, Tracer::disabled())
-    }
-
     /// Builds the runner with `tracer` attached *before* the fleet admits
     /// its tenant set, so the `fleet.admit` probe count matches the stats
     /// ledger exactly on traced runs.
-    fn new_with_tracer(cfg: &TortureConfig, tracer: Tracer) -> Self {
+    fn new(cfg: &TortureConfig, tracer: Tracer) -> Self {
         let mut vm = VirtualMachine::new(
             VmConfig::with_mib_nodes(cfg.guest_mib, cfg.host_mib, cfg.shards.max(1)),
             Box::new(DefaultThpPolicy),
@@ -657,19 +687,22 @@ impl Exec {
         }
     }
 
-    fn from_checkpoint(
-        cfg: &TortureConfig,
-        snap: &VmSnapshot,
-        fleet: Option<&FleetSnapshot>,
-        st: &RunnerState,
-    ) -> Self {
-        let mut exec = Exec::new(cfg);
-        exec.vm.restore(snap);
-        // `Fleet::restore` comes up with a disabled tracer — crash replays
-        // must not re-count live work in the session metrics.
-        exec.fleet = fleet.map(Fleet::restore);
-        exec.st = st.clone();
-        exec
+    /// Rebuilds the runner from `checkpoint` alone. The VM and the fleet
+    /// come up with disabled tracers: crash replays must not re-count live
+    /// work in the session metrics.
+    fn from_checkpoint(cfg: &TortureConfig, checkpoint: &Checkpoint) -> Self {
+        Self {
+            vm: VirtualMachine::restore(
+                &checkpoint.vm,
+                Box::new(DefaultThpPolicy),
+                Box::new(DefaultThpPolicy),
+            ),
+            st: checkpoint.st.clone(),
+            cfg: *cfg,
+            tracer: Tracer::disabled(),
+            fleet: checkpoint.fleet.as_ref().map(Fleet::restore),
+            report: TortureReport::default(),
+        }
     }
 
     /// Re-records `count` pages starting at `base` from the guest's actual
@@ -1039,21 +1072,27 @@ impl Exec {
 
     /// Executes one `Migrate` op.
     ///
-    /// The check is differential: first an uninterrupted migration of a
-    /// restored *copy* of the source over a reliable wire establishes the
-    /// baseline destination digest; then the real migration runs on the
-    /// live VM through the armed storm with a bounded checkpointed-resume
-    /// budget. A completed real run must hit the baseline digest exactly —
-    /// however many chunks were dropped, corrupted, or re-sent and however
-    /// many times the session was resumed — and the runner then executes on
-    /// the destination. An aborted run must leave the source serving faults
-    /// with a clean audit and the destination host fully freed.
+    /// The real migration runs on the live VM through the armed storm with
+    /// a bounded checkpointed-resume budget. A completed run must land on
+    /// the digest an uninterrupted migration over a reliable wire lands on
+    /// — however many chunks were dropped, corrupted, or re-sent and however
+    /// many times the session was resumed — and the runner then executes
+    /// on the destination. An aborted run must leave the source serving
+    /// faults with a clean audit and the destination host fully freed.
+    ///
+    /// The uninterrupted baseline is built only when it can differ from the
+    /// real run: a storm was armed and the run's stats count an injected
+    /// event. A run with none took the reliable wire's path frame for frame,
+    /// so it *is* the baseline. The baseline then migrates a copy of the
+    /// source, snapshotted before the real run, after the cutover, so the
+    /// retired source is gone before the copy is built. With no storm armed
+    /// the real run is the reliable run, and it must complete without an
+    /// injected event, as the baseline had to.
     ///
     /// Everything is a pure function of `(VM state, op seed, armed storm)`,
     /// so a crash replay re-executes the migration bit-identically.
     fn migrate_vm(&mut self, seed: u64) {
         let op_index = self.report.ops_executed.saturating_sub(1);
-        let codec = SnapshotGuestCodec;
         // The concurrent-guest-write script both runs share: a pure
         // function of (op seed, round), targeting the VMAs live at
         // migration start. Errors (injected allocator pressure) are
@@ -1072,30 +1111,8 @@ impl Exec {
                 let _ = vm.touch_write(rec.pid, va);
             }
         };
-        let src_snap = self.vm.snapshot();
-        let baseline_digest = {
-            let mut src = VirtualMachine::new(
-                self.vm_config(),
-                Box::new(DefaultThpPolicy),
-                Box::new(DefaultThpPolicy),
-            );
-            src.restore(&src_snap);
-            let mut dst = MigrationTarget::new(
-                self.vm_config(),
-                Box::new(DefaultThpPolicy),
-                Box::new(DefaultThpPolicy),
-            );
-            let mut session = MigrationSession::new(Tracer::disabled());
-            let mut wire = LoopbackTransport::reliable();
-            match session.run(&mut src, &mut dst, &mut wire, &codec, script.clone()) {
-                Ok(_) => digest_vm(&dst.into_vm().snapshot()),
-                Err(e) => {
-                    self.fail_migration(op_index, format!("reliable baseline failed: {e}"));
-                    return;
-                }
-            }
-        };
         let transport = self.st.transport;
+        let src_snap = transport.is_some().then(|| self.vm.snapshot());
         let make_transport = move |attempt: u32| -> Box<dyn Transport> {
             match transport {
                 None => Box::new(LoopbackTransport::reliable()),
@@ -1118,9 +1135,9 @@ impl Exec {
             MigrationConfig,
             &mut self.vm,
             target,
-            &codec,
+            &SnapshotGuestCodec,
             make_transport,
-            script,
+            script.clone(),
             MIGRATE_ATTEMPTS,
             self.tracer.clone(),
         );
@@ -1128,17 +1145,16 @@ impl Exec {
             MigrationOutcome::Completed { report, vm } => {
                 self.report.migrations += 1;
                 self.report.migrate_stats.accumulate(&report.stats);
-                let got = digest_vm(&vm.snapshot());
-                if got != baseline_digest {
+                let injected = report.stats.injected_events();
+                if src_snap.is_none() && injected > 0 {
                     self.fail_migration(
                         op_index,
-                        format!(
-                            "destination digest {got:#x} != uninterrupted baseline \
-                             {baseline_digest:#x} after {} resumes",
-                            report.stats.resumes
-                        ),
+                        format!("reliable wire counted {injected} injected events"),
                     );
                 }
+                let held = src_snap
+                    .filter(|_| injected > 0)
+                    .map(|snap| (snap, digest_vm(&vm.snapshot())));
                 // The outgoing host's daemon retires at cutover: its traced
                 // work stays in the run ledger, and the destination host
                 // starts a fresh daemon under the policy in force (the
@@ -1163,10 +1179,16 @@ impl Exec {
                 if !audit.is_clean() {
                     self.fail_migration(op_index, format!("post-cutover destination: {audit}"));
                 }
+                if let Some((src_snap, got)) = held {
+                    self.check_baseline(op_index, src_snap, script, got, report.stats.resumes);
+                }
             }
             MigrationOutcome::Aborted { error, stats, release } => {
                 self.report.migration_aborts += 1;
                 self.report.migrate_stats.accumulate(&stats);
+                if src_snap.is_none() {
+                    self.fail_migration(op_index, format!("reliable wire aborted: {error}"));
+                }
                 if !error.is_resumable() {
                     self.fail_migration(op_index, format!("terminal engine error: {error}"));
                 }
@@ -1190,6 +1212,44 @@ impl Exec {
         let pids = self.st.pids.clone();
         for pid in pids {
             self.sync_pid(pid);
+        }
+    }
+
+    /// Migrates a copy of `src_snap` over a reliable wire, untraced, and
+    /// requires its destination digest to equal `got`, the real run's.
+    fn check_baseline(
+        &mut self,
+        op_index: usize,
+        src_snap: VmSnapshot,
+        script: impl FnMut(&mut VirtualMachine, u32),
+        got: u64,
+        resumes: u64,
+    ) {
+        self.report.baselines += 1;
+        let mut src =
+            VirtualMachine::restore(&src_snap, Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy));
+        drop(src_snap);
+        let mut dst = MigrationTarget::new(
+            self.vm_config(),
+            Box::new(DefaultThpPolicy),
+            Box::new(DefaultThpPolicy),
+        );
+        let mut session = MigrationSession::new(Tracer::disabled());
+        let mut wire = LoopbackTransport::reliable();
+        match session.run(&mut src, &mut dst, &mut wire, &SnapshotGuestCodec, script) {
+            Ok(_) => {
+                let baseline = digest_vm(&dst.into_vm().snapshot());
+                if got != baseline {
+                    self.fail_migration(
+                        op_index,
+                        format!(
+                            "destination digest {got:#x} != uninterrupted baseline \
+                             {baseline:#x} after {resumes} resumes"
+                        ),
+                    );
+                }
+            }
+            Err(e) => self.fail_migration(op_index, format!("reliable baseline failed: {e}")),
         }
     }
 
@@ -1393,10 +1453,15 @@ pub fn run_ops(cfg: &TortureConfig, ops: &[TortureOp]) -> TortureReport {
         // carries its final moments, and the metrics registry still counts.
         TraceSession::flight_only(FLIGHT_CAPACITY)
     };
-    let mut exec = Exec::new_with_tracer(cfg, session.tracer());
-    exec.vm.set_tracer(session.tracer());
-    let mut checkpoint =
-        (exec.vm.snapshot(), exec.fleet.as_ref().map(Fleet::snapshot), exec.st.clone(), 0usize);
+    let mut exec = Exec::new(cfg, session.tracer());
+    let mut checkpoint = None;
+    let refresh = |exec: &mut Exec, checkpoint: &mut Option<Checkpoint>, step: usize| {
+        if checkpoint_is_read(cfg, step, ops.len()) {
+            exec.report.checkpoints += 1;
+            *checkpoint = Some(Checkpoint::take(exec, step));
+        }
+    };
+    refresh(&mut exec, &mut checkpoint, 0);
     for (i, op) in ops.iter().enumerate() {
         exec.apply(op);
         if exec.report.failure.is_some() {
@@ -1404,34 +1469,38 @@ pub fn run_ops(cfg: &TortureConfig, ops: &[TortureOp]) -> TortureReport {
         }
         let step = i + 1;
         let mut outcome = Ok(());
-        if cfg.sweep_interval > 0 && step.is_multiple_of(cfg.sweep_interval) {
+        if at_boundary(step, cfg.sweep_interval) {
             outcome = outcome.and_then(|()| exec.sweep(i));
         }
-        if cfg.audit_interval > 0 && step.is_multiple_of(cfg.audit_interval) {
+        if at_boundary(step, cfg.audit_interval) {
             outcome = outcome.and_then(|()| exec.audit(i));
         }
-        if let Some(interval) = cfg.crash_interval {
-            if interval > 0 && step.is_multiple_of(interval) && outcome.is_ok() {
-                outcome = crash_check(cfg, &mut exec, &checkpoint, ops, i);
-            }
+        if at_boundary(step, cfg.crash_interval.unwrap_or(0)) && outcome.is_ok() {
+            // `checkpoint_is_read` held at the last refresh below `step`.
+            let from = checkpoint.as_ref().expect("a crash boundary's checkpoint is taken");
+            outcome = crash_check(cfg, &mut exec, from, ops, i);
         }
-        if cfg.snapshot_interval > 0 && step.is_multiple_of(cfg.snapshot_interval) {
-            checkpoint = (
-                exec.vm.snapshot(),
-                exec.fleet.as_ref().map(Fleet::snapshot),
-                exec.st.clone(),
-                step,
-            );
+        if at_boundary(step, cfg.snapshot_interval) {
+            refresh(&mut exec, &mut checkpoint, step);
         }
         if let Err(failure) = outcome {
             exec.report.failure = Some(failure);
         }
     }
-    // Always close with a sweep and an audit so short (minimized) sequences
-    // still get checked.
+    // Close with a sweep and an audit so short (minimized) sequences still
+    // get checked; skip each that the last op's boundary has just run, and
+    // passed, on this same state.
     if exec.report.failure.is_none() {
         let last = ops.len().saturating_sub(1);
-        if let Err(failure) = exec.sweep(last).and_then(|()| exec.audit(last)) {
+        let ran = |interval| !ops.is_empty() && at_boundary(ops.len(), interval);
+        let mut outcome = Ok(());
+        if !ran(cfg.sweep_interval) {
+            outcome = exec.sweep(last);
+        }
+        if !ran(cfg.audit_interval) {
+            outcome = outcome.and_then(|()| exec.audit(last));
+        }
+        if let Err(failure) = outcome {
             exec.report.failure = Some(failure);
         }
     }
@@ -1474,21 +1543,42 @@ pub fn run_ops(cfg: &TortureConfig, ops: &[TortureOp]) -> TortureReport {
     exec.report
 }
 
+/// Whether `step` is a boundary of a check run every `interval` ops; an
+/// interval of 0 turns the check off.
+fn at_boundary(step: usize, interval: usize) -> bool {
+    interval > 0 && step.is_multiple_of(interval)
+}
+
+/// Whether a crash check will read the checkpoint taken at op boundary `s`
+/// of a run of `ops` ops. The crash check at boundary `c` runs before that
+/// step's refresh, so it replays from the last checkpoint taken below `c`:
+/// the one at `s` serves exactly the `c` with `s < c <= s +
+/// snapshot_interval`. With `snapshot_interval` 0 only step 0's is taken,
+/// and it serves every `c`.
+fn checkpoint_is_read(cfg: &TortureConfig, s: usize, ops: usize) -> bool {
+    let Some(c) = cfg.crash_interval.filter(|&c| c > 0) else { return false };
+    let horizon = match cfg.snapshot_interval {
+        0 => ops,
+        interval => ops.min(s.saturating_add(interval)),
+    };
+    // The first crash boundary past `s`, if it does not overflow.
+    (s / c + 1).checked_mul(c).is_some_and(|next| next <= horizon)
+}
+
 /// Simulates a crash at the boundary after op `i`: restores the checkpoint
 /// into a fresh VM, replays the journal, and requires digest equality with
 /// the live state plus a clean audit of the recovered instance.
 fn crash_check(
     cfg: &TortureConfig,
     exec: &mut Exec,
-    checkpoint: &(VmSnapshot, Option<FleetSnapshot>, RunnerState, usize),
+    checkpoint: &Checkpoint,
     ops: &[TortureOp],
     i: usize,
 ) -> Result<(), TortureFailure> {
     exec.report.crash_checks += 1;
     let live = digest_vm(&exec.vm.snapshot());
-    let (snap, fleet_snap, st, from) = checkpoint;
-    let mut replay = Exec::from_checkpoint(cfg, snap, fleet_snap.as_ref(), st);
-    for op in &ops[*from..=i] {
+    let mut replay = Exec::from_checkpoint(cfg, checkpoint);
+    for op in &ops[checkpoint.step..=i] {
         replay.apply(op);
     }
     let recovered = digest_vm(&replay.vm.snapshot());
@@ -1557,6 +1647,52 @@ mod tests {
         assert!(report.is_ok(), "{:?}", report.failure);
         assert!(report.touches > 0 && report.maps > 0 && report.forks > 0);
         assert!(report.crash_checks > 0 && report.sweeps > 0 && report.audits > 0);
+    }
+
+    #[test]
+    fn checkpoints_and_closing_checks_follow_their_rules() {
+        // Checkpoints, crash checks and the closing checks are pure reads,
+        // so no interval may move the final state. A checkpoint is taken
+        // exactly when a crash check reads it: the one at the last refresh
+        // below the crash boundary. The closing sweep and audit run only
+        // where the last op was not their boundary.
+        let base = TortureConfig {
+            faults: false,
+            guest_mib: 4,
+            host_mib: 16,
+            ..TortureConfig::with_seed_and_ops(23, 0)
+        };
+        for n in [0, 1, 63, 64, 65, 101, 128, 300] {
+            let ops = generate_ops(&TortureConfig { ops: n, ..base });
+            let mut digest = None;
+            for snapshot_interval in [0, 1, 64, 101] {
+                for crash_interval in [None, Some(0), Some(1), Some(64), Some(101)] {
+                    let cfg = TortureConfig { ops: n, snapshot_interval, crash_interval, ..base };
+                    let at = format!("{n} ops, snapshots every {snapshot_interval}, crashes {crash_interval:?}");
+                    let report = run_ops(&cfg, &ops);
+                    assert!(report.is_ok(), "{at}: {:?}", report.failure);
+                    let crashes = match crash_interval {
+                        Some(c) if c > 0 => (c..=n).step_by(c).collect(),
+                        _ => Vec::new(),
+                    };
+                    assert_eq!(report.crash_checks, crashes.len() as u64, "{at}");
+                    let read: std::collections::BTreeSet<usize> = crashes
+                        .iter()
+                        .map(|&c| match snapshot_interval {
+                            0 => 0,
+                            s => (c - 1) / s * s,
+                        })
+                        .collect();
+                    assert_eq!(report.checkpoints, read.len() as u64, "{at}");
+                    assert_eq!(*digest.get_or_insert(report.final_digest), report.final_digest, "{at}");
+                    let checks = |interval: usize| {
+                        (n / interval) as u64 + u64::from(n == 0 || n % interval != 0)
+                    };
+                    assert_eq!(report.sweeps, checks(cfg.sweep_interval), "{at}");
+                    assert_eq!(report.audits, checks(cfg.audit_interval), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

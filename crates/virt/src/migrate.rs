@@ -318,6 +318,23 @@ contig_types::wire_counters! {
     }
 }
 
+impl MigrationStats {
+    /// Events the transport injected or the engine spent recovering from
+    /// them: rejected and dropped chunks, lost acks, stalls, disconnects,
+    /// timeouts, resumes and retries. A completed run with none of these did
+    /// exactly what an uninterrupted run over a reliable wire does.
+    pub fn injected_events(&self) -> u64 {
+        self.chunks_rejected
+            + self.chunks_dropped
+            + self.acks_lost
+            + self.stalls
+            + self.disconnects
+            + self.timeouts
+            + self.resumes
+            + self.retries
+    }
+}
+
 /// Why a migration attempt stopped. `Disconnected`, `RetriesExhausted`, and
 /// `PhaseTimeout` leave the session resumable; the rest are terminal for
 /// the attempt and the caller should abort.

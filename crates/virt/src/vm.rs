@@ -597,16 +597,25 @@ impl VirtualMachine {
         }
     }
 
-    /// Restores both dimensions from a snapshot in place, keeping the live
-    /// placement policies. Tracing comes back disabled (reattach with
+    /// Rebuilds a VM from a snapshot under the given placement policies,
+    /// which are not part of the image (see [`VirtualMachine::snapshot`]).
+    /// Tracing comes back disabled (reattach with
     /// [`VirtualMachine::set_tracer`]).
-    pub fn restore(&mut self, snap: &VmSnapshot) {
-        self.guest = System::restore(&snap.guest);
-        self.host = System::restore(&snap.host);
-        self.host_pid = Pid(snap.host_pid);
-        self.host_vma = VmaId(VirtAddr::new(snap.host_vma_start));
-        self.host_vma_base = VirtAddr::new(snap.host_vma_base);
-        self.tracer = Tracer::disabled();
+    pub fn restore(
+        snap: &VmSnapshot,
+        guest_policy: Box<dyn PlacementPolicy>,
+        host_policy: Box<dyn PlacementPolicy>,
+    ) -> Self {
+        Self {
+            guest: System::restore(&snap.guest),
+            host: System::restore(&snap.host),
+            guest_policy,
+            host_policy,
+            host_pid: Pid(snap.host_pid),
+            host_vma: VmaId(VirtAddr::new(snap.host_vma_start)),
+            host_vma_base: VirtAddr::new(snap.host_vma_base),
+            tracer: Tracer::disabled(),
+        }
     }
 }
 
@@ -794,14 +803,12 @@ mod tests {
         let snap = vm.snapshot();
         // Restoring twice and driving both copies identically must stay
         // bit-identical, including the nested dimension.
-        let mut other = VirtualMachine::new(
-            VmConfig::with_mib(64, 128),
-            Box::new(DefaultThpPolicy),
-            Box::new(DefaultThpPolicy),
-        );
-        other.restore(&snap);
+        let restore = || {
+            VirtualMachine::restore(&snap, Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy))
+        };
+        let mut other = restore();
         assert_eq!(other.snapshot(), snap);
-        vm.restore(&snap);
+        let mut vm = restore();
         for i in 0..16u64 {
             let va = VirtAddr::new(0x40_0000 + i * 0x8_0000);
             assert_eq!(vm.touch(pid, va), other.touch(pid, va));
@@ -949,14 +956,8 @@ mod tests {
         // and runs on into an unbacked one.
         let mut config = VmConfig::with_mib(64, 128);
         config.guest.cache_mode = contig_mm::CacheAllocMode::CaContiguous;
-        let boot = |config: &VmConfig| {
-            VirtualMachine::new(
-                config.clone(),
-                Box::new(DefaultThpPolicy),
-                Box::new(DefaultThpPolicy),
-            )
-        };
-        let mut windowed = boot(&config);
+        let mut windowed =
+            VirtualMachine::new(config, Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy));
         let pid = windowed.guest_mut().spawn();
         let file = windowed.guest_mut().page_cache_mut().create_file();
         let mut map_file = |va: VirtAddr, start_page: u64, pages: u64| {
@@ -967,8 +968,11 @@ mod tests {
         let file_va = VirtAddr::new(0x1000_0000);
         map_file(file_va, 1520, 64);
         windowed.populate_vma(pid, head).unwrap();
-        let mut per_frame = boot(&config);
-        per_frame.restore(&windowed.snapshot());
+        let mut per_frame = VirtualMachine::restore(
+            &windowed.snapshot(),
+            Box::new(DefaultThpPolicy),
+            Box::new(DefaultThpPolicy),
+        );
 
         let sessions = [TraceSession::ring(0), TraceSession::ring(0)];
         for (vm, session) in [&mut windowed, &mut per_frame].into_iter().zip(&sessions) {

@@ -129,12 +129,11 @@ fn snapshot_crash_restore() {
     drop(vm);
 
     let recovered_snap = decode_vm_file(&file).expect("snapshot file must decode");
-    let mut recovered = VirtualMachine::new(
-        VmConfig::with_mib(16, 64),
+    let mut recovered = VirtualMachine::restore(
+        &recovered_snap,
         Box::new(DefaultThpPolicy),
         Box::new(DefaultThpPolicy),
     );
-    recovered.restore(&recovered_snap);
     assert_eq!(contig::check::digest_vm(&recovered.snapshot()), digest);
     println!("restored: digest matches, {}", audit_vm(&recovered));
 

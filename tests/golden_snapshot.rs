@@ -11,6 +11,7 @@ use std::path::PathBuf;
 
 use contig::check::{decode_vm_file, digest_vm, encode_vm_file};
 use contig::prelude::*;
+use contig::virt::VmSnapshot;
 
 fn golden_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/snapshot_v9.jsonl")
@@ -18,6 +19,10 @@ fn golden_path() -> PathBuf {
 
 fn golden_text() -> String {
     std::fs::read_to_string(golden_path()).expect("tests/golden/snapshot_v9.jsonl is checked in")
+}
+
+fn restore(snap: &VmSnapshot) -> VirtualMachine {
+    VirtualMachine::restore(snap, Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy))
 }
 
 /// The fixed workload behind the golden files: two processes, an anonymous
@@ -147,12 +152,7 @@ fn golden_v9_snapshot_still_decodes() {
     // The header digest is re-verified by the decoder; additionally pin the
     // decoded state: restore must reproduce the digest and audit clean.
     let digest = digest_vm(&snap);
-    let mut vm = VirtualMachine::new(
-        VmConfig::with_mib(16, 64),
-        Box::new(DefaultThpPolicy),
-        Box::new(DefaultThpPolicy),
-    );
-    vm.restore(&snap);
+    let vm = restore(&snap);
     assert_eq!(digest_vm(&vm.snapshot()), digest, "restore must be digest-exact");
     let audit = audit_vm(&vm);
     assert!(audit.is_clean(), "restored golden system must audit clean:\n{audit}");
@@ -164,12 +164,7 @@ fn golden_v3_restores_poison_state() {
     // values, not just re-default: the fixture quarantined frames on both
     // dimensions and left an armed probabilistic policy behind.
     let snap = decode_vm_file(&golden_text()).expect("decode golden");
-    let mut vm = VirtualMachine::new(
-        VmConfig::with_mib(16, 64),
-        Box::new(DefaultThpPolicy),
-        Box::new(DefaultThpPolicy),
-    );
-    vm.restore(&snap);
+    let vm = restore(&snap);
     assert!(vm.guest().poison_stats().strikes > 0, "guest strikes lost in round trip");
     assert!(vm.host().poison_stats().strikes > 0, "host strikes lost in round trip");
     assert!(vm.guest().machine().poisoned_frames() > 0, "guest badframes lost");
@@ -182,12 +177,7 @@ fn golden_v5_restores_zone_topology_and_homes() {
     // The NUMA members must survive the round trip with their exact values:
     // the two-zone machine layout and both process homes.
     let snap = decode_vm_file(&golden_text()).expect("decode golden");
-    let mut vm = VirtualMachine::new(
-        VmConfig::with_mib(16, 64),
-        Box::new(DefaultThpPolicy),
-        Box::new(DefaultThpPolicy),
-    );
-    vm.restore(&snap);
+    let vm = restore(&snap);
     assert_eq!(vm.guest().machine().nodes(), 2, "zone topology lost in round trip");
     assert_eq!(vm.guest().home_node(Pid(1)), Some(0), "parent home lost");
     assert_eq!(vm.guest().home_node(Pid(2)), Some(1), "child home lost");
@@ -199,12 +189,7 @@ fn golden_v6_restores_daemon_state() {
     // exact values — live cursors, partially spent budget, counters — not
     // just re-default.
     let snap = decode_vm_file(&golden_text()).expect("decode golden");
-    let mut vm = VirtualMachine::new(
-        VmConfig::with_mib(16, 64),
-        Box::new(DefaultThpPolicy),
-        Box::new(DefaultThpPolicy),
-    );
-    vm.restore(&snap);
+    let mut vm = restore(&snap);
     let daemon = vm.guest().daemon_state();
     assert!(daemon.enabled, "daemon arming lost in round trip");
     assert!(daemon.stats.ticks > 0, "daemon tick counter lost in round trip");

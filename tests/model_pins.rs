@@ -39,6 +39,7 @@ fn torture(ledger: &mut Ledger, seed: u64) {
     pin("audits", report.audits.to_string());
     pin("sweeps", report.sweeps.to_string());
     pin("migrations", report.migrations.to_string());
+    pin("baselines", report.baselines.to_string());
     pin("fleet_ops", report.fleet_ops.to_string());
 }
 

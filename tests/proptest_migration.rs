@@ -13,12 +13,22 @@ use contig_types::splitmix64;
 
 const VMA_BASE: u64 = 0x4000_0000;
 
+/// The source's and the destination's machines. With `host_thp` off the
+/// destination backs each transferred guest frame with its own 4 KiB host
+/// leaf, so a frame the engine fails to send leaves a hole in the digest;
+/// with 2 MiB host leaves a neighbour's leaf usually covers it.
+fn config(host_thp: bool) -> VmConfig {
+    let mut config = VmConfig::with_mib(8, 24);
+    config.host.thp = host_thp;
+    config
+}
+
 /// Boots a seeded source VM: one process, one anonymous VMA of 1–4 MiB, a
 /// seeded burst of dirtying writes.
-fn source_vm(seed: u64) -> (VirtualMachine, Pid, u64) {
+fn source_vm(seed: u64, host_thp: bool) -> (VirtualMachine, Pid, u64) {
     let mut rng = seed;
     let mut vm = VirtualMachine::new(
-        VmConfig::with_mib(8, 24),
+        config(host_thp),
         Box::new(DefaultThpPolicy),
         Box::new(DefaultThpPolicy),
     );
@@ -47,40 +57,32 @@ fn writer(seed: u64, pid: Pid, vma_bytes: u64) -> impl FnMut(&mut VirtualMachine
     }
 }
 
-fn fresh_target() -> MigrationTarget {
-    MigrationTarget::new(
-        VmConfig::with_mib(8, 24),
-        Box::new(DefaultThpPolicy),
-        Box::new(DefaultThpPolicy),
-    )
+fn fresh_target(host_thp: bool) -> MigrationTarget {
+    MigrationTarget::new(config(host_thp), Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy))
 }
 
 fn replica(snap: &VmSnapshot) -> VirtualMachine {
-    let mut vm = VirtualMachine::new(
-        VmConfig::with_mib(8, 24),
-        Box::new(DefaultThpPolicy),
-        Box::new(DefaultThpPolicy),
-    );
-    vm.restore(snap);
-    vm
+    VirtualMachine::restore(snap, Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Kill the wire on an arbitrary frame, resume on a fresh transport:
-    /// the destination digest equals the uninterrupted run's, bit for bit.
+    /// the destination digest equals the uninterrupted run's, bit for bit,
+    /// on 2 MiB and on 4 KiB host leaves.
     #[test]
     fn interrupted_migration_resumes_bit_identically(
         seed in 0u64..1_000_000,
         kill_at in 1u64..48,
+        host_thp in any::<bool>(),
     ) {
-        let (mut src, pid, vma_bytes) = source_vm(seed);
+        let (mut src, pid, vma_bytes) = source_vm(seed, host_thp);
         let start = src.snapshot();
 
         // Uninterrupted baseline on an identical source replica.
         let mut base_src = replica(&start);
-        let mut base_target = fresh_target();
+        let mut base_target = fresh_target(host_thp);
         let mut base_session = MigrationSession::new(Tracer::disabled());
         let mut base_wire = LoopbackTransport::reliable();
         let base = base_session.run(
@@ -95,7 +97,7 @@ proptest! {
 
         // Real run: the kill_at-th frame disconnects the channel.
         let mut session = MigrationSession::new(Tracer::disabled());
-        let mut target = fresh_target();
+        let mut target = fresh_target(host_thp);
         let mut wire = LoopbackTransport::new(TransportPolicy::new(TransportMode::FaultNth {
             n: kill_at,
             kind: TransportFault::Disconnect,
@@ -127,9 +129,9 @@ proptest! {
         seed in 0u64..1_000_000,
         kill_at in 1u64..32,
     ) {
-        let (mut src, pid, vma_bytes) = source_vm(seed);
+        let (mut src, pid, vma_bytes) = source_vm(seed, true);
         let mut session = MigrationSession::new(Tracer::disabled());
-        let mut target = fresh_target();
+        let mut target = fresh_target(true);
         let mut wire = LoopbackTransport::new(TransportPolicy::new(TransportMode::FaultNth {
             n: kill_at,
             kind: TransportFault::Disconnect,

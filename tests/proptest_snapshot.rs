@@ -103,12 +103,8 @@ proptest! {
         prop_assert_eq!(tree.to_line(), line);
 
         // Restore reproduces the digest and passes the cross-layer audit.
-        let mut recovered = VirtualMachine::new(
-            VmConfig::with_mib(16, 64),
-            Box::new(DefaultThpPolicy),
-            Box::new(DefaultThpPolicy),
-        );
-        recovered.restore(&snap);
+        let recovered =
+            VirtualMachine::restore(&snap, Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy));
         prop_assert_eq!(digest_vm(&recovered.snapshot()), digest);
         let audit = audit_vm(&recovered);
         prop_assert!(audit.is_clean(), "{}", audit);
@@ -120,18 +116,10 @@ proptest! {
     fn restored_systems_continue_identically(seed in 0u64..1_000_000) {
         let vm = seeded_vm(seed, 30);
         let snap = vm.snapshot();
-        let mut a = VirtualMachine::new(
-            VmConfig::with_mib(16, 64),
-            Box::new(DefaultThpPolicy),
-            Box::new(DefaultThpPolicy),
-        );
-        let mut b = VirtualMachine::new(
-            VmConfig::with_mib(16, 64),
-            Box::new(DefaultThpPolicy),
-            Box::new(DefaultThpPolicy),
-        );
-        a.restore(&snap);
-        b.restore(&snap);
+        let restore = || {
+            VirtualMachine::restore(&snap, Box::new(DefaultThpPolicy), Box::new(DefaultThpPolicy))
+        };
+        let (mut a, mut b) = (restore(), restore());
         for pid in a.guest().pids() {
             let ids: Vec<_> = a.guest().aspace(pid).vma_ids().collect();
             for id in ids {
