@@ -48,6 +48,16 @@ pub enum UsageError {
         /// The values it accepts.
         range: RangeInclusive<u64>,
     },
+    /// Two output flags name one file, so one artifact would overwrite the
+    /// other.
+    SamePath {
+        /// The flag given first in the command's own order.
+        first: &'static str,
+        /// The other flag.
+        second: &'static str,
+        /// The path both name.
+        path: String,
+    },
     /// The flags describe a torture run no machine can be built for.
     Config(ConfigError),
 }
@@ -62,6 +72,9 @@ impl fmt::Display for UsageError {
             Self::BadValue { flag, value } => write!(f, "{flag} expects a number, got {value}"),
             Self::OutOfRange { flag, value, range } => {
                 write!(f, "{flag} must be in {range:?}, got {value}")
+            }
+            Self::SamePath { first, second, path } => {
+                write!(f, "{first} and {second} both name {path}")
             }
             Self::Config(e) => write!(f, "{e}"),
         }

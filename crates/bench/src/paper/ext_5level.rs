@@ -4,12 +4,8 @@
 //! walk just as well, so its relative benefit *grows*.
 
 use crate::cli::{header, pct, Options};
-use contig_core::{SpotConfig, SpotPredictor};
 use contig_metrics::TextTable;
-use contig_mm::{LEVELS, LEVELS_LA57};
-use contig_sim::{boot_vm, replay, PolicyKind};
-use contig_tlb::{MissHandler, NoScheme};
-use contig_virt::VmBackend;
+use contig_sim::translation;
 use contig_workloads::Workload;
 
 pub fn run(opts: &Options) {
@@ -23,20 +19,8 @@ pub fn run(opts: &Options) {
         "workload", "THP+THP 4-lvl", "THP+THP 5-lvl", "SpOT 4-lvl", "SpOT 5-lvl",
     ]);
     for w in [Workload::PageRank, Workload::XsBench, Workload::HashJoin] {
-        let spec = w.spec(env.scale);
         let mut cells = vec![w.name().to_string()];
-        for spot_on in [false, true] {
-            let kind = if spot_on { PolicyKind::Ca } else { PolicyKind::Thp };
-            for levels in [LEVELS, LEVELS_LA57] {
-                let (vm, instance) = boot_vm(&env, kind, None, levels, &spec);
-                let mut spot = SpotPredictor::new(SpotConfig::default());
-                let handler: &mut dyn MissHandler =
-                    if spot_on { &mut spot } else { &mut NoScheme };
-                let backend = VmBackend::new(&vm, instance.pid);
-                let (_, overhead) = replay(&env, &spec, 42, opts.accesses, &backend, handler);
-                cells.push(pct(overhead));
-            }
-        }
+        cells.extend(translation::five_level_row(&env, w, opts.accesses, 42).map(pct));
         table.row(&cells);
     }
     println!("{}", table.render());

@@ -6,12 +6,8 @@
 //! no synchronization. SpOT hides whatever walk is left in either mode.
 
 use crate::cli::{header, pct, Options};
-use contig_core::{SpotConfig, SpotPredictor};
 use contig_metrics::TextTable;
-use contig_mm::LEVELS;
-use contig_sim::{boot_vm, replay, PolicyKind};
-use contig_tlb::{MissHandler, NoScheme};
-use contig_virt::{NativeBackend, ShadowPageTable, VmBackend};
+use contig_sim::translation;
 use contig_workloads::Workload;
 
 pub fn run(opts: &Options) {
@@ -29,24 +25,11 @@ pub fn run(opts: &Options) {
         "shadow sync traps",
     ]);
     for w in [Workload::PageRank, Workload::XsBench, Workload::HashJoin] {
-        let spec = w.spec(env.scale);
-        let (vm, instance) = boot_vm(&env, PolicyKind::Ca, None, LEVELS, &spec);
-        let shadow = ShadowPageTable::build(&vm, instance.pid);
-        let nested = VmBackend::new(&vm, instance.pid);
-        let run_nested = replay(&env, &spec, 42, opts.accesses, &nested, &mut NoScheme).1;
-        let run_shadow = |with_spot: bool| {
-            let mut spot = SpotPredictor::new(SpotConfig::default());
-            let handler: &mut dyn MissHandler = if with_spot { &mut spot } else { &mut NoScheme };
-            let backend = NativeBackend::new(shadow.table());
-            replay(&env, &spec, 42, opts.accesses, &backend, handler).1
-        };
-        table.row(&[
-            w.name().to_string(),
-            pct(run_nested),
-            pct(run_shadow(false)),
-            pct(run_shadow(true)),
-            shadow.sync_updates().to_string(),
-        ]);
+        let (overheads, sync_traps) = translation::shadow_row(&env, w, opts.accesses, 42);
+        let mut cells = vec![w.name().to_string()];
+        cells.extend(overheads.map(pct));
+        cells.push(sync_traps.to_string());
+        table.row(&cells);
     }
     println!("{}", table.render());
     println!("shape: shadow walks cost native depth (overhead drops ~4x vs nested),");

@@ -7,7 +7,7 @@
 
 use crate::cli::{header, pct, Options};
 use contig_metrics::{geomean, TextTable};
-use contig_sim::{translation, TranslationConfig};
+use contig_sim::translation;
 use contig_workloads::Workload;
 
 pub fn run(opts: &Options) {
@@ -16,20 +16,18 @@ pub fn run(opts: &Options) {
     let mut table = TextTable::new(&[
         "workload", "4K", "THP", "4K+4K", "THP+THP", "SpOT", "vRMM", "vHC", "DS",
     ]);
-    let mut per_config: Vec<Vec<f64>> = vec![Vec::new(); TranslationConfig::ALL.len()];
+    let mut per_column: [Vec<f64>; 8] = Default::default();
     for w in Workload::ALL {
         let mut cells = vec![w.name().to_string()];
-        for (i, c) in TranslationConfig::ALL.into_iter().enumerate() {
-            let run = translation::run_translation(&env, w, c, opts.accesses, 42);
+        let row = translation::fig13_row(&env, w, opts.accesses, 42);
+        for (run, column) in row.iter().zip(&mut per_column) {
             cells.push(pct(run.overhead));
-            per_config[i].push(run.overhead.max(1e-6));
+            column.push(run.overhead.max(1e-6));
         }
         table.row(&cells);
     }
     let mut cells = vec!["geomean".to_string()];
-    for g in &per_config {
-        cells.push(pct(geomean(g).unwrap_or(0.0)));
-    }
+    cells.extend(per_column.iter().map(|g| pct(geomean(g).unwrap_or(0.0))));
     table.row(&cells);
     println!("{}", table.render());
     println!("paper shape: nested paging magnifies overhead (THP+THP ~16.5% avg, up to");

@@ -3,7 +3,7 @@
 
 use crate::cli::{header, pct, Options};
 use contig_metrics::TextTable;
-use contig_sim::{translation, TranslationConfig};
+use contig_sim::translation;
 use contig_workloads::Workload;
 
 pub fn run(opts: &Options) {
@@ -12,7 +12,7 @@ pub fn run(opts: &Options) {
     let mut table =
         TextTable::new(&["workload", "misses", "correct", "mispredicted", "no prediction"]);
     for w in Workload::ALL {
-        let run = translation::run_translation(&env, w, TranslationConfig::Spot, opts.accesses, 42);
+        let run = translation::spot_run(&env, w, opts.accesses, 42);
         let s = run.spot;
         let total = s.total().max(1) as f64;
         table.row(&[

@@ -3,7 +3,7 @@
 
 use crate::cli::{header, pct, Options};
 use contig_metrics::{geomean, TextTable};
-use contig_sim::{translation, TranslationConfig};
+use contig_sim::translation;
 use contig_workloads::Workload;
 
 pub fn run(opts: &Options) {
@@ -18,27 +18,24 @@ pub fn run(opts: &Options) {
     ]);
     let mut cols: [Vec<f64>; 4] = Default::default();
     for w in Workload::ALL {
-        let run = translation::run_translation(&env, w, TranslationConfig::Spot, opts.accesses, 42);
-        let usl = translation::usl_estimate(&run, &env);
-        table.row(&[
-            w.name().to_string(),
-            pct(usl.branch_fraction),
-            pct(usl.dtlb_miss_fraction),
-            pct(usl.spectre_usl_fraction),
-            pct(usl.spot_usl_fraction),
-        ]);
-        cols[0].push(usl.branch_fraction.max(1e-9));
-        cols[1].push(usl.dtlb_miss_fraction.max(1e-9));
-        cols[2].push(usl.spectre_usl_fraction.max(1e-9));
-        cols[3].push(usl.spot_usl_fraction.max(1e-9));
+        let run = translation::spot_run(&env, w, opts.accesses, 42);
+        let usl = translation::usl_estimate(&env, w, &run.report);
+        let fractions = [
+            usl.branch_fraction,
+            usl.dtlb_miss_fraction,
+            usl.spectre_usl_fraction,
+            usl.spot_usl_fraction,
+        ];
+        let mut cells = vec![w.name().to_string()];
+        for (fraction, col) in fractions.into_iter().zip(&mut cols) {
+            cells.push(pct(fraction));
+            col.push(fraction.max(1e-9));
+        }
+        table.row(&cells);
     }
-    table.row(&[
-        "geomean".to_string(),
-        pct(geomean(&cols[0]).unwrap_or(0.0)),
-        pct(geomean(&cols[1]).unwrap_or(0.0)),
-        pct(geomean(&cols[2]).unwrap_or(0.0)),
-        pct(geomean(&cols[3]).unwrap_or(0.0)),
-    ]);
+    let mut cells = vec!["geomean".to_string()];
+    cells.extend(cols.iter().map(|c| pct(geomean(c).unwrap_or(0.0))));
+    table.row(&cells);
     println!("{}", table.render());
     println!("paper values (geomean): 5.87% branches, 0.25% DTLB misses, 16.5% Spectre");
     println!("USLs, 2.9% SpOT USLs — SpOT's windows are longer (page walks, ~81 cycles)");

@@ -7,16 +7,18 @@
 //! histograms, the per-stage span table and the [`TOP`] stages by
 //! self-time; `torture` prints its run through the same function. The
 //! session is written as JSONL (`--out`), as a chrome://tracing view
-//! (`--chrome`) and as collapsed stacks (`--folded`), and the command exits
-//! 1 when a `span.*` metric name is not canonical, the trace is empty, the
-//! span stack is empty or unbalanced, an artifact cannot be written, or the
-//! JSONL file read back from disk does not parse to the recorded events.
+//! (`--chrome`) and as collapsed stacks (`--folded`); two of those flags
+//! naming one file are a usage error. The command exits 1 when a `span.*`
+//! metric name is not canonical, the trace is empty, the span stack is empty
+//! or unbalanced, an artifact cannot be written, or the JSONL file read back
+//! from disk does not parse to the recorded events.
 //!
 //! `--inject-panic` runs the flight-recorder self-test instead: [`TASKS`]
 //! copies of the workload on the parallel engine, the last of which panics
 //! on purpose; its flight ring must come back non-empty and decodable, and
 //! is written to `--flight`.
 
+use std::path::{Component, Path, PathBuf};
 use std::process::ExitCode;
 
 use contig_buddy::{Hog, MachineConfig, PcpConfig};
@@ -58,6 +60,8 @@ struct Args {
     flight: String,
 }
 
+/// Parses the flags, refusing two output flags that name one path: the
+/// artifact written second would replace the first.
 fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
     let defaults = Args {
         seed: 1,
@@ -67,7 +71,7 @@ fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
         inject_panic: false,
         flight: "flight_min.jsonl".to_string(),
     };
-    parse(argv, defaults, |args, flag, values| {
+    let args = parse(argv, defaults, |args, flag, values| {
         match flag {
             "--seed" => args.seed = values.num(flag)?,
             "--out" => args.out = values.text(flag)?,
@@ -78,7 +82,18 @@ fn parse_args(argv: &[String]) -> Result<Args, UsageError> {
             _ => return unknown(flag),
         }
         Ok(())
-    })
+    })?;
+    // Components without `.`: `./t.json` and `t.json` are one file.
+    let file = |path: &str| {
+        Path::new(path).components().filter(|c| *c != Component::CurDir).collect::<PathBuf>()
+    };
+    let outputs = [("--out", &args.out), ("--chrome", &args.chrome), ("--folded", &args.folded)];
+    for (i, &(first, path)) in outputs.iter().enumerate() {
+        if let Some(&(second, _)) = outputs[i + 1..].iter().find(|(_, p)| file(p) == file(path)) {
+            return Err(UsageError::SamePath { first, second, path: path.clone() });
+        }
+    }
+    Ok(args)
 }
 
 /// The pressured hog workload, built to light up every stage of the fault

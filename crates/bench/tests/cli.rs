@@ -83,6 +83,10 @@ fn bad_command_lines_print_one_usage_line_and_run_nothing() {
         ("report --top 3", "--top"),
         ("report --seed 0xb5", "0xb5"),
         ("report --flight", "--flight"),
+        // Two artifacts on one path: the second would replace the first.
+        ("report --chrome z.json --folded z.json", "--chrome and --folded both name z.json"),
+        ("report --folded trace.jsonl", "--out and --folded both name trace.jsonl"),
+        ("report --out ./t.json --chrome t.json", "--out and --chrome both name ./t.json"),
         ("ablations --quick", "--quick"),
         ("help me", "me"),
     ] {
@@ -219,10 +223,12 @@ fn report_names_an_output_path_it_cannot_write_and_exits_1() {
 
 #[test]
 fn report_validates_the_trace_file_on_disk() {
-    // The chrome trace is written after the JSONL, over it: the file no
+    // Two spellings of one file pass the equal-path check. The chrome trace
+    // is written after the JSONL, through the link and over it: the file no
     // longer holds the recorded events, whatever the command holds in memory.
     let dir = scratch("overwritten");
-    let out = bench_in(&dir, "report --out x.json --chrome x.json");
+    std::os::unix::fs::symlink("x.json", dir.join("link.json")).expect("symlink");
+    let out = bench_in(&dir, "report --out x.json --chrome link.json");
     assert_eq!(out.status.code(), Some(1));
     assert!(!stdout(&out).contains("validated"), "{}", stdout(&out));
     let err = String::from_utf8(out.stderr).expect("utf-8 stderr");

@@ -88,7 +88,7 @@ pub fn run_native(
 ///
 /// # Panics
 ///
-/// Panics for a kind [`boot_vm`] cannot honour (ideal, Ingens, ranger and
+/// Panics for a kind a VM cannot honour (ideal, Ingens, ranger and
 /// CA+ranger).
 pub fn run_virtualized(env: &Env, workload: Workload, policy: PolicyKind) -> ContiguityRun {
     let spec = workload.spec(env.scale);

@@ -194,7 +194,7 @@ pub fn populate_vm(
 /// fit. [`PolicyKind::Ideal`] has no plan in a VM. A VM ticks no daemon, so
 /// [`PolicyKind::Ingens`] would never promote and [`PolicyKind::Ranger`] and
 /// [`PolicyKind::CaRanger`] would never migrate.
-pub fn boot_vm(
+pub(crate) fn boot_vm(
     env: &Env,
     kind: PolicyKind,
     age: Option<(u64, u64)>,

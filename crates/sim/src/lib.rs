@@ -3,12 +3,13 @@
 //!
 //! Every table and figure of the evaluation section has a runner here (see
 //! `DESIGN.md` §3), and all take one path: one policy object per kind, one
-//! native set-up or [`boot_vm`], one population loop and one [`replay`].
+//! native set-up or VM boot, one population loop and one
+//! [`translation::replay`].
 //!
 //! | Module | Experiments |
 //! |---|---|
 //! | [`contiguity`] | Fig. 1b, 1c, 7, 8, 10, 12 |
-//! | [`translation`] | Fig. 13, 14; Tables I, VII |
+//! | [`translation`] | Fig. 13, 14; Tables I, VII; the 5-level and shadow extensions |
 //! | [`latency`] | Table V |
 //! | [`bloat`] | Table VI |
 //! | [`fragmentation`] | Fig. 9 |
@@ -38,6 +39,5 @@ mod policies;
 pub mod translation;
 
 pub use env::Env;
-pub use install::{boot_vm, install_in_vm, populate_vm};
+pub use install::{install_in_vm, populate_vm};
 pub use policies::PolicyKind;
-pub use translation::{replay, TranslationConfig};

@@ -1,68 +1,67 @@
 //! Address-translation experiments: Fig. 13 (overheads), Fig. 14 (SpOT
 //! outcome breakdown), Table I (vRMM ranges vs vHC anchors), Table VII (USL
-//! estimation).
+//! estimation), and the 5-level and shadow-paging extensions.
 
 use contig_baselines::{
     anchor_distance_pages, anchor_entries, DirectSegment, VhcAnchorTlb, VrmmRangeTlb,
 };
 use contig_core::{SpotConfig, SpotPredictor, SpotStats};
 use contig_metrics::{CoverageStats, PerfModel, UslEstimate, UslInputs};
-use contig_mm::LEVELS;
+use contig_mm::{Pid, System, LEVELS, LEVELS_LA57};
 use contig_tlb::{MemorySim, MissHandler, NoScheme, SimReport, TranslationBackend};
-use contig_types::{ContigMapping, VirtAddr};
-use contig_virt::{two_dimensional_mappings, NativeBackend, VmBackend};
+use contig_types::{ContigMapping, PhysAddr, VirtAddr};
+use contig_virt::{
+    two_dimensional_mappings, NativeBackend, ShadowPageTable, VirtualMachine, VmBackend,
+};
 use contig_workloads::{TraceGenerator, Workload, WorkloadSpec};
 
 use crate::env::Env;
 use crate::install::{boot_vm, Setup};
 use crate::policies::PolicyKind;
 
-/// The translation configurations of Fig. 13.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TranslationConfig {
-    /// Native, THP off.
-    Native4K,
-    /// Native, THP on.
-    NativeThp,
-    /// Virtualized, THP off in both dimensions (4K+4K).
-    Virt4K,
-    /// Virtualized, THP on in both dimensions (THP+THP).
-    VirtThp,
-    /// Virtualized, CA paging in both dimensions, SpOT on the miss path.
-    Spot,
-    /// Virtualized, CA paging in both dimensions, vRMM range TLB.
-    Vrmm,
-    /// Virtualized, CA paging in both dimensions, vHC anchor TLB.
-    Vhc,
-    /// Virtualized, dual-direct-mode Direct Segments.
-    DirectSegments,
-}
+/// Accesses per trace chunk: every cell replays a chunk before the next is
+/// drawn, so the buffer stays this size at any trace length.
+const CHUNK: u64 = 1 << 10;
 
-impl TranslationConfig {
-    /// All configurations, in the figure's order (vHC added beyond the
-    /// paper's Fig. 13 set — the paper analyses it in Table I only).
-    pub const ALL: [TranslationConfig; 8] = [
-        TranslationConfig::Native4K,
-        TranslationConfig::NativeThp,
-        TranslationConfig::Virt4K,
-        TranslationConfig::VirtThp,
-        TranslationConfig::Spot,
-        TranslationConfig::Vrmm,
-        TranslationConfig::Vhc,
-        TranslationConfig::DirectSegments,
-    ];
+/// One cell of a row: the machine a trace is translated on, and the scheme
+/// on its last-level miss path.
+pub type Cell<'a> = (&'a dyn TranslationBackend, &'a mut dyn MissHandler);
 
-    /// Whether the configuration is virtualized.
-    pub(crate) fn virtualized(&self) -> bool {
-        !matches!(self, TranslationConfig::Native4K | TranslationConfig::NativeThp)
+/// Replays `accesses` references of `spec`'s trace, generated from `seed`,
+/// through every cell with the environment's TLB and walk cost, and returns
+/// each cell's counters and the overhead the paper's performance model puts
+/// on them. The trace is drawn once, a fixed-size chunk at a time, and each
+/// cell's own [`MemorySim`] runs every chunk: [`MemorySim::run`] counts as
+/// stepping each access does, so a cell reads what it reads replayed alone.
+pub fn replay<const N: usize>(
+    env: &Env,
+    spec: &WorkloadSpec,
+    seed: u64,
+    accesses: u64,
+    mut cells: [Cell<'_>; N],
+) -> [(SimReport, f64); N] {
+    let mut sims = [(); N].map(|()| MemorySim::new(env.tlb(), env.walk_cost()));
+    let mut trace = TraceGenerator::new(spec, seed);
+    let mut chunk = Vec::with_capacity(CHUNK as usize);
+    for start in (0..accesses).step_by(CHUNK as usize) {
+        chunk.clear();
+        for (i, (sim, (backend, handler))) in sims.iter_mut().zip(&mut cells).enumerate() {
+            if i == 0 {
+                // The first cell runs straight off the generator, so a lone
+                // cell buffers nothing; it keeps the chunk for the others.
+                let drawn = trace.take_accesses(CHUNK.min(accesses - start));
+                sim.run(*backend, *handler, drawn.inspect(|&a| chunk.extend((N > 1).then_some(a))));
+            } else {
+                sim.run(*backend, *handler, chunk.iter().copied());
+            }
+        }
     }
+    sims.map(|sim| (sim.report(), PerfModel.scheme_overhead(&sim.report())))
 }
 
-/// Result of one translation run.
+/// Result of one translation cell.
 #[derive(Clone, Debug)]
 pub struct TranslationRun {
-    /// The workload evaluated.
-    pub(crate) workload: Workload,
     /// Raw simulator counters.
     pub report: SimReport,
     /// Translation overhead versus ideal execution (Table IV).
@@ -71,72 +70,77 @@ pub struct TranslationRun {
     pub spot: SpotStats,
 }
 
-/// Replays `accesses` references of `spec`'s trace, generated from `seed`,
-/// through the environment's TLB and walk cost with `handler` on the miss
-/// path. Returns the simulator's counters and the translation overhead the
-/// paper's performance model puts on them.
-pub fn replay(
+/// The native system Fig. 13's native columns run on: the scaled machine
+/// under `kind`, its free lists aged from `seed`, and `spec` populated in a
+/// fresh process.
+pub fn native_machine(
     env: &Env,
+    kind: PolicyKind,
     spec: &WorkloadSpec,
     seed: u64,
-    accesses: u64,
-    backend: &dyn TranslationBackend,
-    handler: &mut dyn MissHandler,
-) -> (SimReport, f64) {
-    let mut sim = MemorySim::new(env.tlb(), env.walk_cost());
-    sim.run(backend, handler, TraceGenerator::new(spec, seed).take_accesses(accesses));
-    let report = sim.report();
-    (report, PerfModel.scheme_overhead(&report))
+) -> (System, Pid) {
+    let (sys, run) = Setup::aged(seed ^ 0x7c).run(env, kind, spec);
+    (sys, run.instance.pid)
 }
 
-/// Runs one workload under one translation configuration, simulating
-/// `accesses` memory references after the allocation phase.
-pub fn run_translation(
+/// The VM Fig. 13's virtualized columns run on: guest and host under
+/// `kind` with 4-level tables, their free lists aged from `seed`, and
+/// `spec` populated in a fresh guest process.
+pub fn nested_machine(
     env: &Env,
-    workload: Workload,
-    config: TranslationConfig,
-    accesses: u64,
+    kind: PolicyKind,
+    spec: &WorkloadSpec,
     seed: u64,
-) -> TranslationRun {
+) -> (VirtualMachine, Pid) {
+    let (vm, instance) = boot_vm(env, kind, Some((seed ^ 0x7a, seed ^ 0x7b)), LEVELS, spec);
+    (vm, instance.pid)
+}
+
+/// One Fig. 13 row: `workload`'s `accesses` references after its
+/// allocation phase, in the figure's eight columns. They are native 4K and
+/// THP; virtualized 4K+4K and THP+THP; SpOT, vRMM and vHC on CA paging in
+/// both dimensions (vHC is beyond the paper's Fig. 13 set, which analyses
+/// it in Table I only); and dual-direct Direct Segments. SpOT, vRMM and vHC
+/// share one CA VM, THP+THP and Direct Segments one THP VM, and all eight
+/// cells replay one trace. SpOT's breakdown is zero outside its column.
+pub fn fig13_row(env: &Env, workload: Workload, accesses: u64, seed: u64) -> [TranslationRun; 8] {
+    use PolicyKind::{Ca, FourK, Thp};
     let spec = workload.spec(env.scale);
-    let kind = match config {
-        TranslationConfig::Native4K | TranslationConfig::Virt4K => PolicyKind::FourK,
-        TranslationConfig::NativeThp
-        | TranslationConfig::VirtThp
-        | TranslationConfig::DirectSegments => PolicyKind::Thp,
-        _ => PolicyKind::Ca,
-    };
-    let ((report, overhead), spot) = if config.virtualized() {
-        let (vm, instance) = boot_vm(env, kind, Some((seed ^ 0x7a, seed ^ 0x7b)), LEVELS, &spec);
-        let mut spot = SpotPredictor::new(SpotConfig::default());
-        let (mut rmm, mut vhc, mut ds);
-        let handler: &mut dyn MissHandler = match config {
-            TranslationConfig::Spot => &mut spot,
-            TranslationConfig::Vrmm => {
-                rmm = VrmmRangeTlb::new(32, two_dimensional_mappings(&vm, instance.pid));
-                &mut rmm
-            }
-            TranslationConfig::Vhc => {
-                let mappings = two_dimensional_mappings(&vm, instance.pid);
-                vhc = VhcAnchorTlb::with_adaptive_distance(32, mappings);
-                &mut vhc
-            }
-            TranslationConfig::DirectSegments => {
-                ds = DirectSegment::new(workload_segment(&spec.vmas));
-                &mut ds
-            }
-            _ => &mut NoScheme,
-        };
-        let backend = VmBackend::new(&vm, instance.pid);
-        // Zeros unless SpOT was the handler.
-        (replay(env, &spec, seed, accesses, &backend, handler), spot.stats())
-    } else {
-        let (sys, run) = Setup::aged(seed ^ 0x7c).run(env, kind, &spec);
-        let backend = NativeBackend::new(sys.aspace(run.instance.pid).page_table());
-        let replayed = replay(env, &spec, seed, accesses, &backend, &mut NoScheme);
-        (replayed, SpotStats::default())
-    };
-    TranslationRun { workload, report, overhead, spot }
+    let natives = [FourK, Thp].map(|kind| native_machine(env, kind, &spec, seed));
+    let vms = [FourK, Thp, Ca].map(|kind| nested_machine(env, kind, &spec, seed));
+    let [native_4k, native_thp] =
+        natives.each_ref().map(|(sys, pid)| NativeBackend::new(sys.aspace(*pid).page_table()));
+    let [vm_4k, vm_thp, vm_ca] = vms.each_ref().map(|(vm, pid)| VmBackend::new(vm, *pid));
+    let ca_mappings = two_dimensional_mappings(&vms[2].0, vms[2].1);
+    let mut spot = SpotPredictor::new(SpotConfig::default());
+    let mut vrmm = VrmmRangeTlb::new(32, ca_mappings.clone());
+    let mut vhc = VhcAnchorTlb::with_adaptive_distance(32, ca_mappings);
+    let mut ds = DirectSegment::new(workload_segment(&spec.vmas));
+    let cells: [Cell; 8] = [
+        (&native_4k, &mut NoScheme),
+        (&native_thp, &mut NoScheme),
+        (&vm_4k, &mut NoScheme),
+        (&vm_thp, &mut NoScheme),
+        (&vm_ca, &mut spot),
+        (&vm_ca, &mut vrmm),
+        (&vm_ca, &mut vhc),
+        (&vm_thp, &mut ds),
+    ];
+    let mut runs = replay(env, &spec, seed, accesses, cells).map(|(report, overhead)| {
+        TranslationRun { report, overhead, spot: SpotStats::default() }
+    });
+    runs[4].spot = spot.stats();
+    runs
+}
+
+/// Fig. 13's SpOT cell alone, as Fig. 14 and Table VII read it.
+pub fn spot_run(env: &Env, workload: Workload, accesses: u64, seed: u64) -> TranslationRun {
+    let spec = workload.spec(env.scale);
+    let (vm, pid) = nested_machine(env, PolicyKind::Ca, &spec, seed);
+    let mut spot = SpotPredictor::new(SpotConfig::default());
+    let [(report, overhead)] =
+        replay(env, &spec, seed, accesses, [(&VmBackend::new(&vm, pid), &mut spot)]);
+    TranslationRun { report, overhead, spot: spot.stats() }
 }
 
 /// The single dual-direct segment covering every VMA of the workload
@@ -144,11 +148,42 @@ pub fn run_translation(
 fn workload_segment(vmas: &[contig_workloads::VmaSpec]) -> ContigMapping {
     let start = vmas.iter().map(|v| v.base.raw()).min().expect("workload has VMAs");
     let end = vmas.iter().map(|v| v.base.raw() + v.len).max().expect("workload has VMAs");
-    ContigMapping::new(
-        VirtAddr::new(start),
-        contig_types::PhysAddr::new(start), // identity offset; only bounds matter
-        end - start,
-    )
+    // Identity offset: only the bounds matter.
+    ContigMapping::new(VirtAddr::new(start), PhysAddr::new(start), end - start)
+}
+
+/// One row of the 5-level extension: the overhead of THP+THP at 4 and at 5
+/// page-table levels, then of SpOT on CA paging at 4 and at 5 levels. Each
+/// is a VM of its own with boot-order free lists.
+pub fn five_level_row(env: &Env, workload: Workload, accesses: u64, seed: u64) -> [f64; 4] {
+    use PolicyKind::{Ca, Thp};
+    let spec = workload.spec(env.scale);
+    let vms = [(Thp, LEVELS), (Thp, LEVELS_LA57), (Ca, LEVELS), (Ca, LEVELS_LA57)]
+        .map(|(kind, levels)| boot_vm(env, kind, None, levels, &spec));
+    let [thp_4, thp_5, ca_4, ca_5] =
+        vms.each_ref().map(|(vm, instance)| VmBackend::new(vm, instance.pid));
+    let spot = || SpotPredictor::new(SpotConfig::default());
+    let cells: [Cell; 4] = [
+        (&thp_4, &mut NoScheme),
+        (&thp_5, &mut NoScheme),
+        (&ca_4, &mut spot()),
+        (&ca_5, &mut spot()),
+    ];
+    replay(env, &spec, seed, accesses, cells).map(|(_, overhead)| overhead)
+}
+
+/// One row of the shadow-paging extension, on a CA VM with boot-order free
+/// lists: the overhead of nested paging's 2D walks, of the shadow table's
+/// 1D walks, and of those with SpOT on the miss path; then the hypervisor
+/// traps the shadow table took to install its entries.
+pub fn shadow_row(env: &Env, workload: Workload, accesses: u64, seed: u64) -> ([f64; 3], u64) {
+    let spec = workload.spec(env.scale);
+    let (vm, instance) = boot_vm(env, PolicyKind::Ca, None, LEVELS, &spec);
+    let table = ShadowPageTable::build(&vm, instance.pid);
+    let (nested, shadow) = (VmBackend::new(&vm, instance.pid), NativeBackend::new(table.table()));
+    let spot = &mut SpotPredictor::new(SpotConfig::default());
+    let cells: [Cell; 3] = [(&nested, &mut NoScheme), (&shadow, &mut NoScheme), (&shadow, spot)];
+    (replay(env, &spec, seed, accesses, cells).map(|(_, overhead)| overhead), table.sync_updates())
 }
 
 /// Table I: ranges (vRMM) and anchor entries (vHC) to map 99 % of the
@@ -185,21 +220,21 @@ pub fn table_one_row(env: &Env, workload: Workload) -> TableOneRow {
     TableOneRow { workload, thp_ranges, thp_anchors, ca_ranges, ca_anchors }
 }
 
-/// Table VII: USL estimate from a SpOT run's counters plus the workload's
+/// Table VII: USL estimate from a SpOT run's counters plus `workload`'s
 /// instruction-mix fractions.
-pub fn usl_estimate(run: &TranslationRun, env: &Env) -> UslEstimate {
-    let spec = run.workload.spec(env.scale);
+pub fn usl_estimate(env: &Env, workload: Workload, report: &SimReport) -> UslEstimate {
+    let spec = workload.spec(env.scale);
     let model = PerfModel;
-    let loads = run.report.accesses as f64;
+    let loads = report.accesses as f64;
     let instructions = loads / spec.load_fraction;
-    let cycles = model.total_cycles(&run.report);
+    let cycles = model.total_cycles(report);
     UslEstimate::from_inputs(&UslInputs {
         instructions,
         branches: instructions * spec.branch_fraction,
         loads,
         cycles,
-        dtlb_misses: run.report.walks as f64,
-        avg_walk_cycles: run.report.avg_walk_cycles(),
+        dtlb_misses: report.walks as f64,
+        avg_walk_cycles: report.avg_walk_cycles(),
         branch_resolution_cycles: 20.0,
     })
 }
@@ -212,10 +247,7 @@ mod tests {
 
     #[test]
     fn nested_paging_magnifies_overhead() {
-        let env = Env::tiny();
-        let w = Workload::XsBench;
-        let native = run_translation(&env, w, TranslationConfig::NativeThp, ACCESSES, 1);
-        let virt = run_translation(&env, w, TranslationConfig::VirtThp, ACCESSES, 1);
+        let [_, native, _, virt, ..] = fig13_row(&Env::tiny(), Workload::XsBench, ACCESSES, 1);
         assert!(virt.overhead > native.overhead * 1.5,
             "virt {} vs native {}", virt.overhead, native.overhead);
         assert!(virt.report.walks > 0);
@@ -223,10 +255,7 @@ mod tests {
 
     #[test]
     fn fourk_dwarfs_thp_overhead() {
-        let env = Env::tiny();
-        let w = Workload::HashJoin;
-        let thp = run_translation(&env, w, TranslationConfig::NativeThp, ACCESSES, 2);
-        let fourk = run_translation(&env, w, TranslationConfig::Native4K, ACCESSES, 2);
+        let [fourk, thp, ..] = fig13_row(&Env::tiny(), Workload::HashJoin, ACCESSES, 2);
         // The flat per-reference walk-cost model compresses the 4K/THP gap
         // relative to real hardware (where deeper walks also miss the MMU
         // caches more); the direction and a clear margin must hold.
@@ -236,10 +265,7 @@ mod tests {
 
     #[test]
     fn spot_slashes_nested_overhead() {
-        let env = Env::tiny();
-        let w = Workload::PageRank;
-        let base = run_translation(&env, w, TranslationConfig::VirtThp, ACCESSES, 3);
-        let spot = run_translation(&env, w, TranslationConfig::Spot, ACCESSES, 3);
+        let [.., base, spot, _, _, _] = fig13_row(&Env::tiny(), Workload::PageRank, ACCESSES, 3);
         assert!(
             spot.overhead < base.overhead * 0.5,
             "SpOT {} must slash THP+THP {} (warm-up dominates at short trace lengths)",
@@ -251,22 +277,14 @@ mod tests {
 
     #[test]
     fn vrmm_and_ds_are_near_zero() {
-        let env = Env::tiny();
-        let w = Workload::XsBench;
-        let base = run_translation(&env, w, TranslationConfig::VirtThp, ACCESSES, 4);
-        let vrmm = run_translation(&env, w, TranslationConfig::Vrmm, ACCESSES, 4);
-        let ds = run_translation(&env, w, TranslationConfig::DirectSegments, ACCESSES, 4);
+        let [.., base, _, vrmm, _, ds] = fig13_row(&Env::tiny(), Workload::XsBench, ACCESSES, 4);
         assert!(vrmm.overhead < base.overhead * 0.1, "vRMM {}", vrmm.overhead);
         assert!(ds.overhead < 1e-6, "DS eliminates everything, got {}", ds.overhead);
     }
 
     #[test]
     fn vhc_sits_between_baseline_and_vrmm() {
-        let env = Env::tiny();
-        let w = Workload::XsBench;
-        let base = run_translation(&env, w, TranslationConfig::VirtThp, ACCESSES, 9);
-        let vhc = run_translation(&env, w, TranslationConfig::Vhc, ACCESSES, 9);
-        let vrmm = run_translation(&env, w, TranslationConfig::Vrmm, ACCESSES, 9);
+        let [.., base, _, vrmm, vhc, _] = fig13_row(&Env::tiny(), Workload::XsBench, ACCESSES, 9);
         assert!(vhc.overhead < base.overhead, "anchors must help: {} vs {}",
             vhc.overhead, base.overhead);
         assert!(vhc.overhead >= vrmm.overhead,
@@ -286,8 +304,8 @@ mod tests {
     #[test]
     fn usl_estimate_has_paper_shape() {
         let env = Env::tiny();
-        let spot = run_translation(&env, Workload::PageRank, TranslationConfig::Spot, ACCESSES, 5);
-        let usl = usl_estimate(&spot, &env);
+        let spot = spot_run(&env, Workload::PageRank, ACCESSES, 5);
+        let usl = usl_estimate(&env, Workload::PageRank, &spot.report);
         assert!(usl.branch_fraction > 0.0);
         assert!(usl.spot_usl_fraction < usl.spectre_usl_fraction * 2.0);
     }

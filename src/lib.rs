@@ -82,7 +82,7 @@ pub mod prelude {
         KsmMergeOutcome, MemoryFailureOutcome, PageTable, Pid, Placement, PlacementPolicy,
         PoisonStats, Pte, PteFlags, System, SystemConfig, VmaId, VmaKind,
     };
-    pub use contig_sim::{Env, PolicyKind, TranslationConfig};
+    pub use contig_sim::{Env, PolicyKind};
     pub use contig_tlb::{Access, MemorySim, MissHandler, MissHandling, TlbConfig};
     pub use contig_trace::{
         declare_canonical_metrics, stage, validate_metric_names, FlightRecorder, ScopedSpan,

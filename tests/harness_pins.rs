@@ -13,8 +13,7 @@
 
 use contig_metrics::TimelinePoint;
 use contig_sim::contiguity::{self, ContiguityRun};
-use contig_sim::{bloat, fragmentation, latency, overhead, translation, Env, PolicyKind,
-    TranslationConfig};
+use contig_sim::{bloat, fragmentation, latency, overhead, translation, Env, PolicyKind};
 use contig_workloads::{Scale, Workload};
 
 mod pins;
@@ -147,9 +146,11 @@ fn virtualized_runs_and_table_one_are_pinned() {
 #[test]
 fn translation_runs_are_pinned_for_every_config() {
     let mut ledger = Ledger::open("translation_runs_are_pinned_for_every_config");
-    for config in TranslationConfig::ALL {
-        let run = translation::run_translation(&env(), Workload::PageRank, config, 100_000, 3);
-        let key = format!("{config:?}");
+    // Fig. 13's columns, in its order.
+    let keys =
+        ["Native4K", "NativeThp", "Virt4K", "VirtThp", "Spot", "Vrmm", "Vhc", "DirectSegments"];
+    let row = translation::fig13_row(&env(), Workload::PageRank, 100_000, 3);
+    for (key, run) in keys.into_iter().zip(row) {
         ledger.pin(&format!("{key}.report"), format_args!("{:?}", run.report));
         ledger.pin(&format!("{key}.overhead"), hex(run.overhead.to_bits()));
         ledger.pin(&format!("{key}.spot"), format_args!("{:?}", run.spot));
